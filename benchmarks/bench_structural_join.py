@@ -15,7 +15,12 @@ Assertions:
 * the optimizer's *unforced* cost-based choice picks ``merge`` for every
   deep-axis query here (the statistics say the bindings are plentiful),
   visible in ``explain()``;
-* both join algorithms agree on every result size.
+* both join algorithms agree on every result size;
+* a ``[...]`` predicate costs no more than 3x its predicate-free twin —
+  the same joins on the main chain — under *both* kernel backends.
+  Predicates run as semi-joins over the same merge kernels, so the only
+  extra work is reducing matches to a selection vector; before that they
+  ran one correlated Python generator per row and cost 12-20x.
 
 ``BENCH_structural_join.json`` carries the per-query timings so CI can
 diff runs against the uploaded baseline artifact
@@ -41,6 +46,15 @@ SCAN_QUERIES = ("//S//NP", "//S//VP//NP")
 
 SPEEDUP_FLOOR = 2.0
 
+#: (predicate form, predicate-free twin doing the same joins): fig. 6(c)
+#: Q7, Q8 and Q9.
+PREDICATE_PAIRS = (
+    ("//VP[{//^VB->NP->PP$}]", "//VP{//^VB->NP->PP$}"),
+    ("//S[//NP/ADJP]", "//S//NP/ADJP"),
+    ("//NP[not(//JJ)]", "//NP//JJ"),
+)
+PREDICATE_CEILING = 3.0
+
 
 def _engine() -> LPathEngine:
     trees = datasets.corpus("wsj", LARGE_SENTENCES)
@@ -54,6 +68,60 @@ def _forced(engine: LPathEngine, query: str, mode: str, repeats: int):
         return paper_timing(lambda: engine.count(query), repeats)
     finally:
         del os.environ["REPRO_FORCE_JOIN"]
+
+
+def _predicate_pairs(engine: LPathEngine, repeats: int) -> list[dict]:
+    """Time every predicate form beside its twin, per available kernel
+    backend (the plan cache keys on the backend, so flipping the
+    environment recompiles)."""
+    from repro.columnar.kernels import KERNELS_ENV, native_kernels
+
+    backends = ("python", "native") if native_kernels() is not None else ("python",)
+    previous = os.environ.get(KERNELS_ENV)
+    pairs = []
+    try:
+        for backend in backends:
+            os.environ[KERNELS_ENV] = backend
+            for predicate, twin in PREDICATE_PAIRS:
+                timed = {}
+                for role, query in (("predicate", predicate), ("twin", twin)):
+                    engine.count(query)  # compile under this backend
+                    timed[role] = paper_timing(
+                        lambda: engine.count(query), max(5, repeats)
+                    )
+                pairs.append(
+                    {
+                        "kernels": backend,
+                        "predicate": predicate,
+                        "twin": twin,
+                        "predicate_seconds": timed["predicate"][0],
+                        "twin_seconds": timed["twin"][0],
+                        "ratio": timed["predicate"][0] / timed["twin"][0],
+                        "predicate_rows": timed["predicate"][1],
+                        "twin_rows": timed["twin"][1],
+                    }
+                )
+    finally:
+        if previous is None:
+            del os.environ[KERNELS_ENV]
+        else:
+            os.environ[KERNELS_ENV] = previous
+    return pairs
+
+
+def _format_pairs(pairs) -> str:
+    header = (
+        f"{'kernels':8s} {'predicate':26s} {'pred (s)':>10s} "
+        f"{'twin (s)':>10s} {'ratio':>7s}"
+    )
+    lines = [header, "-" * len(header)]
+    for pair in pairs:
+        lines.append(
+            f"{pair['kernels']:8s} {pair['predicate']:26s} "
+            f"{pair['predicate_seconds']:10.5f} {pair['twin_seconds']:10.5f} "
+            f"{pair['ratio']:6.2f}x"
+        )
+    return "\n".join(lines)
 
 
 def _format(rows) -> str:
@@ -109,6 +177,8 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
         )
         choices.append(f"{query}: merge (cost-based)")
 
+    pairs = _predicate_pairs(engine, repeats)
+
     speedup = deep_probe / deep_merge if deep_merge else float("inf")
     table = _format(rows)
     summary = (
@@ -118,7 +188,9 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
     )
     write_result(
         "structural_join_ab.txt",
-        "Structural merge join vs per-binding probe join\n" + table + summary,
+        "Structural merge join vs per-binding probe join\n" + table + summary
+        + "\n\nPredicate forms vs their predicate-free twins\n"
+        + _format_pairs(pairs),
     )
     write_json(
         "structural_join",
@@ -126,6 +198,7 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
             "sentences": LARGE_SENTENCES,
             "queries": payload,
             "deep_axis_speedup": speedup,
+            "predicate_pairs": pairs,
         },
     )
 
@@ -141,3 +214,10 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
         f"deep-axis suite: probe {deep_probe:.5f}s vs merge {deep_merge:.5f}s "
         f"({speedup:.2f}x)"
     )
+    for pair in pairs:
+        assert pair["ratio"] <= PREDICATE_CEILING, (
+            f"{pair['predicate']} runs {pair['ratio']:.1f}x its twin "
+            f"{pair['twin']} under {pair['kernels']} kernels (ceiling "
+            f"{PREDICATE_CEILING}x): {pair['predicate_seconds']:.5f}s vs "
+            f"{pair['twin_seconds']:.5f}s"
+        )

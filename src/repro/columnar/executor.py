@@ -20,8 +20,13 @@ Both compile the *same* optimized IR; the difference is entirely physical:
   per-binding probe join;
 * wildcard child steps read the store's CSR children index instead of
   scanning a whole tree per binding;
-* only genuinely row-wise predicates (correlated subplans, positional
-  checks, mixed and/or trees) fall back to per-row evaluation, on
+* ``[...]`` existence predicates — ``exists``/``not(exists)`` subplans,
+  nested to any depth and under ``and``/``or`` — run as **semi-joins**: the
+  subplan compiles to a sub-pipeline of the same join steps, runs once
+  over the owner's whole batch with a hidden ordinal column, and the
+  surviving ordinals become a selection vector (:class:`_SemiJoin`);
+* only predicates that need more than existence (``count()``, value
+  comparisons, ``position()``) fall back to per-row evaluation, on
   bindings that are short lists of row ids.
 
 Compiled plans are stateless and re-iterable, so they are safe to keep in
@@ -45,7 +50,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from itertools import repeat
 from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -79,11 +83,24 @@ from ..plan.ir import (
     ValueSeed,
     linearize,
     pred_slots,
+    semi_join_header,
+    subplan_preds,
     COLUMN_NAMES as IR_COLUMN_NAMES,
     I, L, N, P, R, T, V,
 )
 from ..plan.lower import as_float, numeric_compare
 from .store import ColumnStore
+from .structural import (
+    JoinOutput,
+    MergeJoinStep,
+    apply_selectors,
+    chain_estimates,
+    decide_join,
+    force_mode,
+    python_distinct,
+    python_take,
+    select_all,
+)
 
 from array import array
 
@@ -165,50 +182,75 @@ def _make_string_value(
 # -- plan compilation ---------------------------------------------------------
 
 
+class _Compile:
+    """One plan compile's context: the engine's runtime plus everything
+    decided per plan — the cardinality estimates of the main chain *and*
+    of every predicate subplan under it (one model, so a sub-pipeline
+    picks merge vs. probe exactly like a main-chain join), the forced
+    join mode, and the resolved backend's batch primitives (column
+    gather, ordinal reduction)."""
+
+    def __init__(self, runtime: ColumnarRuntime, chain: list) -> None:
+        from .kernels.api import native_distinct, native_take
+
+        self.runtime = runtime
+        self.store = runtime.store
+        self.estimates = chain_estimates(chain, runtime.store)
+        self.force = force_mode()
+        self.take = native_take() or python_take
+        self.distinct = native_distinct() or python_distinct
+
+    def join_step(self, node: Join, expected_slot: int):
+        """The physical step for one ``Join`` — a structural merge join
+        when the shape admits one and the cost model (or
+        ``REPRO_FORCE_JOIN``) favors it, a per-binding probe otherwise."""
+        if node.slot != expected_slot:
+            raise LPathCompileError(
+                f"columnar join expected slot {expected_slot}, got {node.slot}"
+            )
+        spec, choice, _est = decide_join(
+            node, self.estimates, self.store, self.force
+        )
+        if choice == "merge" and spec is not None:
+            vector, binding, row, semi = _classify(
+                node.conditions, node.slot, self
+            )
+            return MergeJoinStep(
+                node, self.runtime, spec, vector, binding, row, semi, self.take
+            )
+        return _JoinStep(node, self)
+
+
 def compile_plan(node: PlanNode, runtime: ColumnarRuntime) -> "ColumnarPlan":
     """Compile a top-level IR plan into a re-iterable batch pipeline.
 
-    Each ``Join`` picks its physical algorithm here, against *this*
+    Each ``Join`` — on the main chain and inside every predicate
+    sub-pipeline — picks its physical algorithm here, against *this*
     store's collected statistics (so every segment of a sharded corpus
     decides independently): merge-eligible joins run as set-at-a-time
     structural merge joins when the cost model favors them — or when
     ``REPRO_FORCE_JOIN`` forces a side — and fall back to per-binding
     index probes otherwise."""
-    from .structural import MergeJoinStep, chain_estimates, decide_join, force_mode
-
     steps: list = []
     signatures: list = []
     signature = None
     output = None
     chain = linearize(node)
-    force = force_mode()
-    estimates = None
+    ctx = _Compile(runtime, chain)
+    width = 0
     for item in chain:
         if output is not None:
             raise LPathCompileError(
                 "Distinct/Project must terminate a columnar pipeline"
             )
         if isinstance(item, Scan):
-            steps.append(_ScanStep(item, runtime))
+            steps.append(_ScanStep(item, ctx))
+            width = 1
         elif isinstance(item, Join):
-            if item.slot != len(steps):
-                raise LPathCompileError(
-                    f"columnar join expected slot {len(steps)}, got {item.slot}"
-                )
-            if estimates is None:
-                estimates = chain_estimates(chain, runtime.store)
-            spec, choice, _est = decide_join(item, estimates, runtime.store, force)
-            if choice == "merge" and spec is not None:
-                vector, binding, row = _classify(
-                    item.conditions, item.slot, runtime
-                )
-                steps.append(
-                    MergeJoinStep(item, runtime, spec, vector, binding, row)
-                )
-            else:
-                steps.append(_JoinStep(item, runtime, expected_width=len(steps)))
+            steps.append(ctx.join_step(item, width))
+            width += 1
         elif isinstance(item, Filter):
-            steps.append(_FilterStep(item, runtime))
+            steps.append(_FilterStep(item, ctx, width))
         elif isinstance(item, Distinct):
             output = ("distinct", item.key)
             continue
@@ -396,7 +438,7 @@ class ColumnarPlan:
         exact.  Structural merge joins inside a chunk run under a
         ``max_rows`` cutoff; a truncated chunk is re-run uncapped (rare:
         chunks start at 4 trees)."""
-        from .structural import Cutoff, MergeJoinStep
+        from .structural import Cutoff
 
         if k <= 0:
             return []
@@ -469,6 +511,7 @@ class ColumnarPlan:
             indent += 2
         for step in reversed(self.steps):
             lines.append(" " * indent + step.describe())
+            lines.extend(_explain_selectors(step.semi, indent + 2))
             indent += 2
         return "\n".join(lines)
 
@@ -477,32 +520,37 @@ class ColumnarPlan:
 
 
 def _classify(
-    conditions: Sequence[Pred], cand_slot: int, runtime: ColumnarRuntime
-) -> tuple[list, list[BindingCheck], list[BindingCheck]]:
+    conditions: Sequence[Pred], cand_slot: int, ctx: _Compile
+) -> tuple[list, list[BindingCheck], list[BindingCheck], tuple]:
     """Split a node's conditions into vector filters over the candidate
-    column arrays, per-binding prunes, and per-row residual checks."""
+    column arrays, per-binding prunes, per-row residual checks, and
+    set-at-a-time selectors (every condition with an ``exists`` subplan
+    in it, run over the step's whole output batch)."""
     vector: list = []
     binding: list[BindingCheck] = []
     row: list[BindingCheck] = []
+    semi: list = []
     for condition in conditions:
-        if cand_slot not in pred_slots(condition):
-            binding.append(compile_pred(condition, runtime))
+        if _has_exists(condition):
+            semi.append(_compile_selector(condition, ctx, cand_slot + 1))
             continue
-        filt = _vector_filter(condition, cand_slot, runtime)
+        if cand_slot not in pred_slots(condition):
+            binding.append(compile_pred(condition, ctx))
+            continue
+        filt = _vector_filter(condition, cand_slot, ctx.store)
         if filt is not None:
             vector.append(filt)
         else:
-            row.append(compile_pred(condition, runtime))
-    return vector, binding, row
+            row.append(compile_pred(condition, ctx))
+    return vector, binding, row, tuple(semi)
 
 
-def _vector_filter(pred: Pred, cand_slot: int, runtime: ColumnarRuntime):
+def _vector_filter(pred: Pred, cand_slot: int, store: ColumnStore):
     """``(column, opfunc, rhs_slot, payload)`` for a condition that reads
     exactly one candidate column, or ``None``.  The right-hand side is
     pre-resolved once per step: ``rhs_slot is None`` means ``payload`` is a
     constant, otherwise ``payload`` is the column array the binding slot
     indexes into — no per-row getter closures on the hot path."""
-    store = runtime.store
     if isinstance(pred, IsElement) and pred.slot == cand_slot:
         return store.is_attr, operator.eq, None, 0
     if isinstance(pred, IsAttr) and pred.slot == cand_slot:
@@ -551,16 +599,39 @@ def _apply_filters(cands, b: Binding, vector, row_checks) -> Sequence[int]:
     return cands
 
 
+def _first_passing(cands, b: Binding, vector, row_checks) -> Sequence[int]:
+    """``_apply_filters`` for a ``first_match`` join: the first candidate
+    that passes everything (as a 0/1-element sequence), without filtering
+    the candidates behind it."""
+    resolved = [
+        (column, opf, payload if rhs_slot is None else payload[b[rhs_slot]])
+        for column, opf, rhs_slot, payload in vector
+    ]
+    for j in cands:
+        for column, opf, wanted in resolved:
+            if not opf(column[j], wanted):
+                break
+        else:
+            if all(check(b + [j]) for check in row_checks):
+                return (j,)
+    return ()
+
+
+def _semi_tag(semi) -> str:
+    return f" semi={len(semi)}" if semi else ""
+
+
 class _ScanStep:
     """Materialize slot 0 from an access spec."""
 
-    def __init__(self, node: Scan, runtime: ColumnarRuntime) -> None:
+    def __init__(self, node: Scan, ctx: _Compile) -> None:
         if node.slot != 0:
             raise LPathCompileError("a columnar Scan must bind slot 0")
-        self.probe = compile_access(node.access, runtime)
-        self.vector, self.binding, self.row = _classify(
-            node.conditions, node.slot, runtime
+        self.probe = compile_access(node.access, ctx.runtime)
+        self.vector, self.binding, self.row, self.semi = _classify(
+            node.conditions, node.slot, ctx
         )
+        self.take = ctx.take
         self.label = node.label
         self.access = node.access
         # Scan-side vector filters compare buffer columns against
@@ -591,9 +662,9 @@ class _ScanStep:
                         if all(check([j]) for check in self.row)
                     ),
                 )
-            return [kept]
-        cands = _apply_filters(cands, empty, self.vector, self.row)
-        return [array("q", cands)]
+        else:
+            kept = array("q", _apply_filters(cands, empty, self.vector, self.row))
+        return apply_selectors(self.semi, [kept], self.take)[0]
 
     def cardinality(self) -> Optional[int]:
         """The scan's result count straight from the clustered partition
@@ -601,7 +672,7 @@ class _ScanStep:
         path) make the count data-dependent.  Rows of one name block are
         distinct ``(tid, id)`` pairs — a node carries exactly one label
         row per name — so the range length *is* the distinct count."""
-        if self.vector or self.binding or self.row:
+        if self.vector or self.binding or self.row or self.semi:
             return None
         if not (
             isinstance(self.access, IndexProbe)
@@ -619,7 +690,8 @@ class _ScanStep:
     def describe(self) -> str:
         return (
             f"ColumnarScan(s0 <- {self.access}: {self.label}"
-            f" | vector={len(self.vector)} row={len(self.row)})"
+            f" | vector={len(self.vector)}{_semi_tag(self.semi)}"
+            f" row={len(self.row)})"
         )
 
 
@@ -667,82 +739,105 @@ def _children_probe(node: Join, runtime: ColumnarRuntime):
     return None
 
 
-class _JoinStep:
+def _join_probe(node: Join, runtime: ColumnarRuntime):
+    """``(probe, conditions left to check, via_children)`` for one
+    per-binding join — shared by the batch probe step and the per-row
+    subplan runner."""
+    children = _children_probe(node, runtime)
+    if children is not None:
+        return children + (True,)
+    return compile_access(node.access, runtime), node.conditions, False
+
+
+class _JoinStep(JoinOutput):
     """Extend every binding of the batch with matching candidate rows.
 
     Candidates come from binary-search slices of the clustered arrays (the
     per-tree ``(name, tid)`` partitions) — or, for wildcard child steps,
     one slice of the CSR children index — then shrink through the vector
-    filters; surviving outer values are replicated into the output arrays.
+    filters.  A tree-keyed :class:`~repro.plan.ir.ValueSeed` access first
+    drops every binding whose tree does not hold the literal at all (one
+    pass over the batch's ``tid`` column), so only trees that can match
+    pay for a probe.
     """
 
-    def __init__(self, node: Join, runtime: ColumnarRuntime, expected_width: int) -> None:
-        if node.slot != expected_width:
-            raise LPathCompileError(
-                f"columnar join expected slot {expected_width}, got {node.slot}"
-            )
+    def __init__(self, node: Join, ctx: _Compile) -> None:
         self.slot = node.slot
-        children = _children_probe(node, runtime)
-        if children is not None:
-            self.probe, conditions = children
-            self.via_children = True
-        else:
-            self.probe = compile_access(node.access, runtime)
-            conditions = node.conditions
-            self.via_children = False
-        self.vector, self.binding, self.row = _classify(
-            conditions, node.slot, runtime
+        self.probe, conditions, self.via_children = _join_probe(node, ctx.runtime)
+        self.vector, self.binding, self.row, self.semi = _classify(
+            conditions, node.slot, ctx
         )
+        self.take = ctx.take
         self.label = node.label
         self.access = node.access
+        access = node.access
+        #: (batch slot, store column) naming each binding's tree, when the
+        #: probe is a tree-keyed value seed.
+        self._seed_tid = (
+            (access.tid.slot, ctx.store.col(access.tid.col))
+            if isinstance(access, ValueSeed) and isinstance(access.tid, Col)
+            else None
+        )
 
-    def run(self, batch: list[array]) -> list[array]:
-        width = len(batch)
-        out = [array("q") for _ in range(width + 1)]
+    def pairs(self, batch: list[array], cutoff=None, first_match: bool = False):
+        src: list[int] = []
+        res: list[int] = []
         probe, vector, binding_checks, row_checks = (
             self.probe, self.vector, self.binding, self.row,
         )
+        matches = _first_passing if first_match else _apply_filters
         count = len(batch[0]) if batch else 0
-        for i in range(count):
+        indexes: Iterable[int] = range(count)
+        if self._seed_tid is not None and count:
+            slot, tids = self._seed_tid
+            trees, column = probe.trees(), batch[slot]
+            indexes = [i for i in indexes if tids[column[i]] in trees]
+        for i in indexes:
             b = [column[i] for column in batch]
             if binding_checks and not all(check(b) for check in binding_checks):
                 continue
-            cands = _apply_filters(probe(b), b, vector, row_checks)
-            if not cands:
-                continue
-            matched = len(cands)
-            for slot in range(width):
-                out[slot].extend(repeat(b[slot], matched))
-            out[width].extend(cands)
-        return out
+            cands = matches(probe(b), b, vector, row_checks)
+            if cands:
+                res.extend(cands)
+                src.extend([i] * len(cands))
+        return src, res
 
-    def describe(self) -> str:
+    def describe(self, first_match: bool = False) -> str:
         via = " via=children-index" if self.via_children else ""
         return (
             f"ColumnarJoin(s{self.slot} <- {self.access}: {self.label}"
-            f" | vector={len(self.vector)} row={len(self.row)}{via})"
+            f" | vector={len(self.vector)}{_semi_tag(self.semi)}"
+            f" row={len(self.row)}{via}{' first_match' if first_match else ''})"
         )
 
 
 class _FilterStep:
     """Keep batch entries satisfying every condition."""
 
-    def __init__(self, node: Filter, runtime: ColumnarRuntime) -> None:
-        self.checks = [compile_pred(c, runtime) for c in node.conditions]
+    def __init__(self, node: Filter, ctx: _Compile, width: Optional[int]) -> None:
+        self.selectors = tuple(
+            _compile_selector(condition, ctx, width)
+            for condition in node.conditions
+        )
+        #: The set-at-a-time ones among them (what ``explain`` expands).
+        self.semi = tuple(
+            s for s in self.selectors if not isinstance(s, _RowSelect)
+        )
+        self.take = ctx.take
         self.label = node.label
 
+    def restrict(self, batch: list[array]):
+        """``(passing rows, keep)`` as ``apply_selectors`` returns them."""
+        return apply_selectors(self.selectors, batch, self.take)
+
     def run(self, batch: list[array]) -> list[array]:
-        checks = self.checks
-        count = len(batch[0]) if batch else 0
-        keep = []
-        for i in range(count):
-            binding = [column[i] for column in batch]
-            if all(check(binding) for check in checks):
-                keep.append(i)
-        return [array("q", (column[i] for i in keep)) for column in batch]
+        return self.restrict(batch)[0]
 
     def describe(self) -> str:
-        return f"ColumnarFilter({self.label} | checks={len(self.checks)})"
+        return (
+            f"ColumnarFilter({self.label} | checks={len(self.selectors)}"
+            f"{_semi_tag(self.semi)})"
+        )
 
 
 # -- access paths -------------------------------------------------------------
@@ -755,7 +850,7 @@ def compile_access(access, runtime: ColumnarRuntime) -> RowProbe:
     if isinstance(access, IndexProbe):
         return _compile_index_probe(access, runtime)
     if isinstance(access, ValueSeed):
-        return _compile_value_seed(access, runtime)
+        return _ValueSeedProbe(access, runtime.store)
     raise LPathCompileError(f"unknown access spec {access!r}")
 
 
@@ -862,41 +957,66 @@ def _projection_probe(
     return probe
 
 
-def _compile_value_seed(access: ValueSeed, runtime: ColumnarRuntime) -> RowProbe:
-    store = runtime.store
-    attr, literal = access.attr, access.literal
-    name_test, root_only = access.name_test, access.root_only
-    names, tids, ids, pids, is_attr = (
-        store.names, store.tid, store.id, store.pid, store.is_attr,
-    )
+class _ValueSeedProbe:
+    """``[@attr = literal]`` answered from the value index.
 
-    tid_of = None if access.tid is None else _operand_getter(access.tid, store)
+    The literal's element rows (attribute hit → owning element, name
+    test applied) are resolved once per compiled plan and grouped by
+    tree, so a tree-keyed probe is one dictionary lookup per binding —
+    and :meth:`trees` tells a join which bindings can match at all
+    before it probes any of them."""
 
-    def rows(b: Binding) -> list[int]:
-        out: list[int] = []
-        tree = None if tid_of is None else tid_of(b)
-        for attr_row in store.value_rows(literal, tree):
-            if names[attr_row] != attr:
-                continue
-            for element in store.tid_id_rows(tids[attr_row], ids[attr_row]):
-                if is_attr[element]:
-                    continue
-                if name_test is not None and names[element] != name_test:
-                    continue
-                if root_only and tree is None and pids[element] != 0:
-                    continue
-                out.append(element)
-        return out
+    def __init__(self, access: ValueSeed, store: ColumnStore) -> None:
+        self.access = access
+        self.store = store
+        self.tid_of = (
+            None if access.tid is None else _operand_getter(access.tid, store)
+        )
+        self._by_tree: Optional[dict] = None
 
-    return rows
+    def trees(self) -> dict:
+        """``tid -> element rows`` holding the literal, in ``(tid, id)``
+        order.  Built on first use; the store is immutable, so racing
+        builders only duplicate work."""
+        by_tree = self._by_tree
+        if by_tree is None:
+            access, store = self.access, self.store
+            names, tids, ids, is_attr = store.names, store.tid, store.id, store.is_attr
+            attr, name_test = access.attr, access.name_test
+            by_tree = {}
+            for attr_row in store.value_rows(access.literal):
+                if names[attr_row] != attr:
+                    continue
+                tid = tids[attr_row]
+                for element in store.tid_id_rows(tid, ids[attr_row]):
+                    if is_attr[element]:
+                        continue
+                    if name_test is not None and names[element] != name_test:
+                        continue
+                    by_tree.setdefault(tid, []).append(element)
+            self._by_tree = by_tree
+        return by_tree
+
+    def __call__(self, b: Binding) -> Sequence[int]:
+        by_tree = self.trees()
+        if self.tid_of is not None:
+            return by_tree.get(self.tid_of(b), ())
+        rows = [row for found in by_tree.values() for row in found]
+        if self.access.root_only:
+            pids = self.store.pid
+            rows = [row for row in rows if pids[row] == 0]
+        return rows
 
 
 # -- predicates ---------------------------------------------------------------
 
 
-def compile_pred(pred: Pred, runtime: ColumnarRuntime) -> BindingCheck:
-    """Compile a predicate to a check over a row-id binding list."""
-    store = runtime.store
+def compile_pred(pred: Pred, ctx: _Compile) -> BindingCheck:
+    """Compile a predicate to a check over a row-id binding list — the
+    per-row form, used for conditions that are not set-at-a-time
+    (``count()``, value comparisons, ``position()``, plain comparisons
+    outside the vector filters) and inside their per-binding subplans."""
+    store = ctx.store
     if isinstance(pred, Cmp):
         compare = _OPS[pred.op]
         if isinstance(pred.left, Col) and isinstance(pred.right, Col):
@@ -923,33 +1043,233 @@ def compile_pred(pred: Pred, runtime: ColumnarRuntime) -> BindingCheck:
         value = pred.value
         return lambda b: value
     if isinstance(pred, AllPred):
-        parts = [compile_pred(p, runtime) for p in pred.parts]
+        parts = [compile_pred(p, ctx) for p in pred.parts]
         return lambda b: all(part(b) for part in parts)
     if isinstance(pred, AnyPred):
-        parts = [compile_pred(p, runtime) for p in pred.parts]
+        parts = [compile_pred(p, ctx) for p in pred.parts]
         return lambda b: any(part(b) for part in parts)
     if isinstance(pred, NotPred):
-        inner = compile_pred(pred.part, runtime)
+        inner = compile_pred(pred.part, ctx)
         return lambda b: not inner(b)
     if isinstance(pred, RightEdge):
         right_edge, slot = store.right_edge, pred.slot
         return lambda b: bool(right_edge[b[slot]])
     if isinstance(pred, ExistsPred):
-        runner = compile_subplan(pred.subplan, runtime)
-        return lambda b: next(runner(b), None) is not None
+        # Only reached from inside a per-binding count()/value subplan:
+        # the same semi-join, over a batch of one row.
+        semi = _SemiJoin(pred.subplan, ctx, None)
+        one = range(1)
+        return lambda b: bool(semi.select([array("q", (row,)) for row in b], one))
     if isinstance(pred, ValueCmpPred):
-        return _compile_value_cmp(pred, runtime)
+        return _compile_value_cmp(pred, ctx)
     if isinstance(pred, CountCmpPred):
-        return _compile_count_cmp(pred, runtime)
+        return _compile_count_cmp(pred, ctx)
     if isinstance(pred, PositionPred):
-        return _compile_position(pred, runtime)
+        return _compile_position(pred, ctx.runtime)
     raise LPathCompileError(f"unknown predicate {pred!r}")
 
 
-# -- correlated subplans ------------------------------------------------------
+# -- predicates as selection vectors ------------------------------------------
+#
+# A selector answers ``select(batch, sel)``: of the batch ordinals in
+# ``sel`` (ascending — a ``range`` or an ``array('q')``), the ascending
+# ``array('q')`` of those whose binding satisfies the predicate.  That
+# makes the boolean algebra plain set algebra over ordinals: ``exists`` is
+# a semi-join, ``not`` a complement within ``sel``, ``and`` a sequential
+# restriction, ``or`` a union.
 
 
-def compile_subplan(node: PlanNode, runtime: ColumnarRuntime):
+def _has_exists(pred: Pred) -> bool:
+    return any(
+        isinstance(found, ExistsPred) for found, _negated in subplan_preds(pred)
+    )
+
+
+def _compile_selector(pred: Pred, ctx: _Compile, width: Optional[int]):
+    """The selector for one condition.  ``width`` is the slot count of
+    the batches it will see (``None`` skips the slot-density check)."""
+    if isinstance(pred, ExistsPred):
+        return _SemiJoin(pred.subplan, ctx, width)
+    if _has_exists(pred):
+        if isinstance(pred, NotPred):
+            if isinstance(pred.part, ExistsPred):
+                return _SemiJoin(pred.part.subplan, ctx, width, negated=True)
+            return _NotSelect(_compile_selector(pred.part, ctx, width))
+        parts = tuple(_compile_selector(part, ctx, width) for part in pred.parts)
+        return _AllSelect(parts) if isinstance(pred, AllPred) else _AnySelect(parts)
+    return _RowSelect(compile_pred(pred, ctx))
+
+
+def _as_ordinals(sel) -> array:
+    return sel if isinstance(sel, array) else array("q", sel)
+
+
+class _RowSelect:
+    """A predicate with no ``exists`` in it, checked binding by binding."""
+
+    def __init__(self, check: BindingCheck) -> None:
+        self.check = check
+
+    def select(self, batch: list, sel) -> array:
+        check = self.check
+        return array(
+            "q", (i for i in sel if check([column[i] for column in batch]))
+        )
+
+    def explain(self, indent: int, negated: bool) -> list[str]:
+        return []
+
+
+class _NotSelect:
+    """Complement within the incoming selection, for negated ``and``/``or``
+    trees (a directly negated ``exists`` is an anti-:class:`_SemiJoin`)."""
+
+    def __init__(self, part) -> None:
+        self.part = part
+
+    def select(self, batch: list, sel) -> array:
+        hit = set(self.part.select(batch, sel))
+        return array("q", (i for i in sel if i not in hit))
+
+    def explain(self, indent: int, negated: bool) -> list[str]:
+        return self.part.explain(indent, not negated)
+
+
+class _AllSelect:
+    """Conjunction: each part only sees what the previous parts kept."""
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+
+    def select(self, batch: list, sel) -> array:
+        return _as_ordinals(select_all(self.parts, batch, sel))
+
+    def explain(self, indent: int, negated: bool) -> list[str]:
+        return [
+            line for part in self.parts for line in part.explain(indent, negated)
+        ]
+
+
+class _AnySelect(_AllSelect):
+    """Disjunction: the union of the parts' selections, each part only
+    looking at the ordinals no earlier part has accepted yet."""
+
+    def select(self, batch: list, sel) -> array:
+        found: set = set()
+        for part in self.parts:
+            if found:
+                sel = array("q", (i for i in sel if i not in found))
+            if not len(sel):
+                break
+            found.update(part.select(batch, sel))
+        return array("q", sorted(found))
+
+
+class _SemiJoin:
+    """An ``exists`` subplan as a set-at-a-time semi-join — or, built
+    ``negated`` for ``not(exists)``, the anti-semi-join.
+
+    The ``Context``-rooted subplan compiles to a sub-pipeline of the same
+    batch steps the main chain uses (merge or probe per join, by the same
+    cost model, from the estimates the enclosing chain seeded).  One
+    ``select`` runs it once over every selected binding while tracking,
+    outside the slot numbering, which binding each intermediate row came
+    from (the hidden ordinal column); the distinct ordinals that reach
+    the end are the bindings with at least one match, their complement
+    the bindings with none.  The last step only has to witness a match,
+    so it runs in ``first_match`` mode — at most one output row per input
+    row — unless it carries selectors of its own, which must see every
+    candidate."""
+
+    def __init__(
+        self, subplan: PlanNode, ctx: _Compile, width: Optional[int],
+        negated: bool = False,
+    ) -> None:
+        self.subplan = subplan
+        self.negated = negated
+        self.take = ctx.take
+        self.distinct = ctx.distinct
+        steps: list = []
+        for item in linearize(subplan):
+            if isinstance(item, Context):
+                continue
+            if isinstance(item, Join):
+                steps.append(
+                    ctx.join_step(item, item.slot if width is None else width)
+                )
+                width = item.slot + 1
+            elif isinstance(item, Filter):
+                steps.append(_FilterStep(item, ctx, width))
+            else:
+                raise LPathCompileError(
+                    f"cannot execute {item!r} inside a subplan"
+                )
+        self.steps = tuple(steps)
+        last = steps[-1] if steps else None
+        self.first_match = isinstance(last, JoinOutput) and not last.semi
+
+    def select(self, batch: list, sel) -> array:
+        take = self.take
+        selected = len(sel)
+        restricted = selected != len(batch[0])
+        if restricted:
+            sel = _as_ordinals(sel)
+            batch = [take(column, sel) for column in batch]
+        # ``origin[r]`` is the ordinal (within the selected bindings) that
+        # intermediate row ``r`` descends from; ``None`` is the identity.
+        origin = None
+        final = len(self.steps) - 1
+        for index, step in enumerate(self.steps):
+            if isinstance(step, _FilterStep):
+                batch, through = step.restrict(batch)
+                if through is None:
+                    continue
+            elif index == final and self.first_match:
+                through, _cand = step.pairs(batch, first_match=True)
+            else:
+                through, cand = step.pairs(batch)
+                batch, keep = step.extend(batch, through, cand)
+                if keep is not None:
+                    through = take(_as_ordinals(through), keep)
+            through = _as_ordinals(through)
+            origin = through if origin is None else take(origin, through)
+            if not len(origin):
+                break
+        if origin is None:  # nothing filtered, nothing joined: all match
+            origin = range(selected)
+        found = self.distinct(origin, selected, self.negated)
+        return take(sel, found) if restricted else found
+
+    def explain(self, indent: int, negated: bool) -> list[str]:
+        header = semi_join_header(self.subplan, negated != self.negated)
+        lines = [" " * indent + header]
+        indent += 2
+        final = len(self.steps) - 1
+        for index in range(final, -1, -1):
+            step = self.steps[index]
+            if index == final and self.first_match:
+                lines.append(" " * indent + step.describe(first_match=True))
+            else:
+                lines.append(" " * indent + step.describe())
+            lines.extend(_explain_selectors(step.semi, indent + 2))
+            indent += 2
+        return lines
+
+
+def _explain_selectors(selectors, indent: int) -> list[str]:
+    return [
+        line for selector in selectors for line in selector.explain(indent, False)
+    ]
+
+
+# -- per-binding subplans -----------------------------------------------------
+#
+# ``count(path)`` and ``path <op> literal`` need every match of the
+# subplan (its distinct rows, its string values), not just whether one
+# exists, so they keep the lazy binding-at-a-time runner.
+
+
+def compile_subplan(node: PlanNode, ctx: _Compile):
     """Compile a Context-rooted subplan to a lazy ``binding -> bindings``
     runner over row-id lists (slot numbering is dense, so appending a row
     id mirrors the lowerer's slot assignment exactly)."""
@@ -958,22 +1278,13 @@ def compile_subplan(node: PlanNode, runtime: ColumnarRuntime):
         if isinstance(item, Context):
             continue
         if isinstance(item, Join):
-            children = _children_probe(item, runtime)
-            if children is not None:
-                probe, conditions = children
-            else:
-                probe = compile_access(item.access, runtime)
-                conditions = item.conditions
+            probe, conditions, _via = _join_probe(item, ctx.runtime)
             steps.append(
-                (
-                    "join",
-                    probe,
-                    [compile_pred(c, runtime) for c in conditions],
-                )
+                ("join", probe, [compile_pred(c, ctx) for c in conditions])
             )
         elif isinstance(item, Filter):
             steps.append(
-                ("filter", None, [compile_pred(c, runtime) for c in item.conditions])
+                ("filter", None, [compile_pred(c, ctx) for c in item.conditions])
             )
         else:
             raise LPathCompileError(f"cannot execute {item!r} inside a subplan")
@@ -1000,9 +1311,9 @@ def _run_steps(binding: Binding, plan: tuple, index: int) -> Iterator[Binding]:
             yield from _run_steps(extended, plan, index + 1)
 
 
-def _compile_value_cmp(pred: ValueCmpPred, runtime: ColumnarRuntime) -> BindingCheck:
-    runner = compile_subplan(pred.subplan, runtime)
-    string_value = runtime.string_value
+def _compile_value_cmp(pred: ValueCmpPred, ctx: _Compile) -> BindingCheck:
+    runner = compile_subplan(pred.subplan, ctx)
+    string_value = ctx.runtime.string_value
     op, wanted, numeric = pred.op, pred.value, pred.numeric
     target = None
     if numeric:
@@ -1030,9 +1341,9 @@ def _compile_value_cmp(pred: ValueCmpPred, runtime: ColumnarRuntime) -> BindingC
     return check
 
 
-def _compile_count_cmp(pred: CountCmpPred, runtime: ColumnarRuntime) -> BindingCheck:
-    runner = compile_subplan(pred.subplan, runtime)
-    store = runtime.store
+def _compile_count_cmp(pred: CountCmpPred, ctx: _Compile) -> BindingCheck:
+    runner = compile_subplan(pred.subplan, ctx)
+    store = ctx.store
     tids, ids, names = store.tid, store.id, store.names
     op, target = pred.op, pred.target
 

@@ -17,6 +17,10 @@ The public surface the engine integrates against:
   fixed-width integer buffers.
 * :func:`native_range_filter` — the scan-side vectorized filter over a
   contiguous row-id range.
+* :func:`native_take` — the per-step gather of batch columns through a
+  join's source-index array.
+* :func:`native_distinct` — a semi-/anti-semi-join's reduction of
+  surviving ordinals to a selection vector.
 * :func:`native_output_gather` — the final emit's column gather.
 * :func:`merge_packed_pairs` — the sorted disjoint k-way merge over the
   packed int64 ``(tid, id)`` blobs worker processes ship back.
@@ -111,38 +115,43 @@ def native_error() -> Optional[str]:
 
 
 def _load() -> "NativeKernels":
+    from .build import KERNEL_ABI
+
     try:
         from . import _native  # pre-built by setup.py or a prior import
-
-        return NativeKernels(_native.ffi, _native.lib)
     except ImportError:
-        pass
-    module = _build()
-    return NativeKernels(module.ffi, module.lib)
+        _native = None
+    # An artifact left behind by an older checkout has other kernel
+    # signatures; rebuild instead of calling it with the wrong arguments.
+    if _native is None or getattr(_native.lib, "REPRO_KERNEL_ABI", 0) != KERNEL_ABI:
+        _native = _build()
+    return NativeKernels(_native.ffi, _native.lib)
 
 
 def _build():
-    """Compile the extension into a temporary directory, then atomically
-    install the artifact next to this file so later imports (and worker
-    processes) skip the build.  Concurrent builders race safely — each
-    builds its own copy and ``os.replace`` is atomic; on a read-only
-    checkout the artifact loads straight from the temporary directory
-    (the mapped shared object outlives the file)."""
+    """Compile the extension into a temporary directory, load it from
+    there, then atomically install the artifact next to this file so
+    later imports (and worker processes) skip the build.  Loading before
+    installing matters when a stale artifact was already imported: the
+    interpreter caches extension modules by ``(path, name)``, so the
+    fresh build must come from another path to be a fresh module.
+    Concurrent builders race safely — each builds its own copy and
+    ``os.replace`` is atomic; on a read-only checkout the install is
+    skipped (the mapped shared object outlives the file)."""
     from .build import ffibuilder
 
     package_dir = os.path.dirname(os.path.abspath(__file__))
     with tempfile.TemporaryDirectory(prefix="repro-kernels-") as tmp:
         built = ffibuilder.compile(tmpdir=tmp, verbose=False)
-        path = os.path.join(package_dir, os.path.basename(built))
-        try:
-            os.replace(built, path)
-        except OSError:
-            path = built
         spec = importlib.util.spec_from_file_location(
-            __package__ + "._native", path
+            __package__ + "._native", built
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        try:
+            os.replace(built, os.path.join(package_dir, os.path.basename(built)))
+        except OSError:
+            pass
     return module
 
 
@@ -339,8 +348,8 @@ class NativeKernels:
 
 class NativeMergeJoin:
     """The marshalling recipe for one merge-join shape: everything static
-    is resolved at construction; ``run`` only wraps buffers and copies the
-    (src, cand) result out."""
+    is resolved at construction; ``pairs`` only wraps buffers and copies
+    the (src, cand) result out."""
 
     __slots__ = (
         "kern", "spec", "check_specs", "store",
@@ -358,14 +367,15 @@ class NativeMergeJoin:
         self.key_column = key_column
         self.high_column = high_column
 
-    def run(self, batch: list, cutoff=None) -> list:
+    def pairs(self, batch: list, cutoff=None, first_match: bool = False):
+        """``(src, cand)``: for every match, the index of its input
+        binding and the matched candidate row, as parallel arrays."""
         kern = self.kern
         ffi, lib = kern.ffi, kern.lib
-        width = len(batch)
-        out = [array("q") for _ in range(width + 1)]
+        src_rows, cand_rows = array("q"), array("q")
         count = len(batch[0]) if batch else 0
         if count == 0:
-            return out
+            return src_rows, cand_rows
         spec = self.spec
         store = self.store
         tids = kern.i64(store.tid)
@@ -379,6 +389,7 @@ class NativeMergeJoin:
         cand_out = ffi.new("int64_t **")
         max_rows = -1 if cutoff is None else cutoff.max_rows
         truncated = ffi.new("int32_t *")
+        first = int(first_match)
         if spec.strategy == "sweep":
             if spec.high is None:
                 high_arr = high_col = ffi.NULL
@@ -390,7 +401,7 @@ class NativeMergeJoin:
                 tid_col, key_col, count,
                 key_arr, int(spec.include_low),
                 high_arr, high_col, int(spec.include_high),
-                checks, n_checks, max_rows, truncated,
+                checks, n_checks, first, max_rows, truncated,
                 src_out, cand_out,
             )
         elif spec.strategy == "stack":
@@ -399,7 +410,7 @@ class NativeMergeJoin:
                 tids, lefts, rights, self.name_lo, self.name_hi,
                 tid_col, key_col, count,
                 key_arr, int(spec.include_high),
-                checks, n_checks, max_rows, truncated,
+                checks, n_checks, first, max_rows, truncated,
                 src_out, cand_out,
             )
         else:
@@ -407,7 +418,7 @@ class NativeMergeJoin:
                 tids, lefts, self.name_lo, self.name_hi,
                 tid_col, key_col, count,
                 key_arr, int(spec.include_high),
-                checks, n_checks, max_rows, truncated,
+                checks, n_checks, first, max_rows, truncated,
                 src_out, cand_out,
             )
         if matched < 0:
@@ -417,21 +428,13 @@ class NativeMergeJoin:
         src, cand = src_out[0], cand_out[0]
         try:
             if matched:
-                for slot in range(width):
-                    column = array("q", bytes(8 * matched))
-                    lib.repro_gather(
-                        kern.i64(batch[slot]), src, matched,
-                        kern.i64_out(column),
-                    )
-                    out[slot] = column
-                result = array("q")
-                result.frombytes(ffi.buffer(cand, 8 * matched)[:])
-                out[width] = result
+                src_rows.frombytes(ffi.buffer(src, 8 * matched)[:])
+                cand_rows.frombytes(ffi.buffer(cand, 8 * matched)[:])
         finally:
             lib.repro_free(src)
             lib.repro_free(cand)
         del keep
-        return out
+        return src_rows, cand_rows
 
 
 def native_join(spec, vector, store) -> Optional[NativeMergeJoin]:
@@ -527,6 +530,56 @@ class NativeGather:
             )
             gathered.append(out)
         return zip(*gathered)
+
+
+def native_take():
+    """The batch-column gather ``out[k] = column[src[k]]`` as one C pass
+    when the resolved backend is ``native``, else ``None``.  ``src`` is
+    the index array a native join produced; an interpreted join's index
+    *list* gathers through the interpreter."""
+    kern = active_kernels()
+    if kern is None:
+        return None
+    gather, i64, i64_out = kern.lib.repro_gather, kern.i64, kern.i64_out
+
+    def take(column, src):
+        if not isinstance(src, array):
+            return array("q", map(column.__getitem__, src))
+        count = len(src)
+        out = array("q", bytes(8 * count))
+        if count:
+            gather(i64(column), i64(src), count, i64_out(out))
+        return out
+
+    return take
+
+
+def native_distinct():
+    """The selection-vector reduction — distinct ordinals ascending, or
+    their complement in ``range(n)`` — as one C marking pass when the
+    resolved backend is ``native``, else ``None``."""
+    kern = active_kernels()
+    if kern is None:
+        return None
+    ffi, reduce, i64, i64_out = kern.ffi, kern.lib.repro_distinct, kern.i64, kern.i64_out
+
+    def distinct(ordinals, n: int, negated: bool = False):
+        out = array("q", bytes(8 * n))
+        if n == 0:
+            return out
+        if not isinstance(ordinals, array):
+            ordinals = array("q", ordinals)
+        count = len(ordinals)
+        written = reduce(
+            i64(ordinals) if count else ffi.NULL, count, n, int(negated),
+            i64_out(out),
+        )
+        if written < 0:
+            raise MemoryError("native selection reduce allocation failed")
+        del out[written:]
+        return out
+
+    return distinct
 
 
 def native_output_gather(key, store) -> Optional[NativeGather]:

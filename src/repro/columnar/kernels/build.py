@@ -3,7 +3,8 @@
 One translation unit implements the engine's hot inner loops over raw
 int64 column buffers — the per-shape structural sweep join, the
 stack-tree ancestor join, the prefix join, the vectorized range filter,
-batch gather, and the sorted disjoint k-way pair merge.  The C code is
+batch gather, the selection-vector reduction, and the sorted disjoint
+k-way pair merge.  The C code is
 a line-for-line transcription of the pure-Python loops in
 :mod:`repro.columnar.structural` and :mod:`repro.columnar.executor`
 (same traversal order, same comparison semantics, same emit order), so
@@ -22,14 +23,28 @@ a tagged column pointer (int64 column or uint8 bitmap), a comparison
 opcode, and a right-hand side that is either an inline constant or a
 per-binding lookup (``rhs_arr[rhs_col[i]]`` — the store column the
 binding slot indexes into).
+
+The three join kernels take a ``first_match`` flag: when set, a binding
+stops at its first candidate that passes every residual check, so the
+output holds at most one pair per input binding.  That is the shape the
+last step of a predicate sub-pipeline needs (an exists/not-exists
+semi-join only asks *whether* a binding matches).
 """
 
 from cffi import FFI
 
 ffibuilder = FFI()
 
+#: Bumped whenever a kernel signature changes; :mod:`.api` rebuilds a
+#: pre-built ``_native`` artifact whose ``REPRO_KERNEL_ABI`` differs, so a
+#: stale shared object left in a checkout can never be called with the
+#: wrong argument list.
+KERNEL_ABI = 2
+
 ffibuilder.cdef(
     """
+#define REPRO_KERNEL_ABI ...
+
 typedef struct {
     const int64_t *i64;      /* candidate int64 column, or NULL        */
     const uint8_t *u8;       /* candidate uint8 bitmap when i64 NULL   */
@@ -46,7 +61,7 @@ int64_t repro_sweep_join(
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_low,
     const int64_t *high_arr, const int64_t *high_col, int include_high,
-    const repro_check_t *checks, int32_t n_checks,
+    const repro_check_t *checks, int32_t n_checks, int first_match,
     int64_t max_rows, int32_t *out_truncated,
     int64_t **out_src, int64_t **out_cand);
 
@@ -55,7 +70,7 @@ int64_t repro_stack_join(
     int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
-    const repro_check_t *checks, int32_t n_checks,
+    const repro_check_t *checks, int32_t n_checks, int first_match,
     int64_t max_rows, int32_t *out_truncated,
     int64_t **out_src, int64_t **out_cand);
 
@@ -64,7 +79,7 @@ int64_t repro_prefix_join(
     int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
-    const repro_check_t *checks, int32_t n_checks,
+    const repro_check_t *checks, int32_t n_checks, int first_match,
     int64_t max_rows, int32_t *out_truncated,
     int64_t **out_src, int64_t **out_cand);
 
@@ -76,6 +91,9 @@ int64_t repro_filter_range(
 void repro_gather(
     const int64_t *col, const int64_t *idx, int64_t n, int64_t *out);
 
+int64_t repro_distinct(
+    const int64_t *ords, int64_t k, int64_t n, int negate, int64_t *out);
+
 int64_t repro_merge_pairs(
     int64_t **blobs, const int64_t *counts, int32_t k, int64_t *out);
 
@@ -86,6 +104,8 @@ void repro_free(int64_t *p);
 CSOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+
+#define REPRO_KERNEL_ABI %d
 
 typedef struct {
     const int64_t *i64;
@@ -148,6 +168,7 @@ static repro_keyed_t *repro_build_keyed(
     const int64_t *key_arr, const int64_t *key_col, int64_t count)
 {
     int64_t i;
+    int ordered = 1;
     repro_keyed_t *keyed =
         (repro_keyed_t *)malloc((size_t)count * sizeof(repro_keyed_t));
     if (!keyed)
@@ -156,11 +177,19 @@ static repro_keyed_t *repro_build_keyed(
         keyed[i].tid = tids[tid_col[i]];
         keyed[i].key = key_arr[key_col[i]];
         keyed[i].idx = i;
+        if (i && (keyed[i - 1].tid > keyed[i].tid
+                  || (keyed[i - 1].tid == keyed[i].tid
+                      && keyed[i - 1].key > keyed[i].key)))
+            ordered = 0;
     }
-    /* The comparator totally orders entries (idx tiebreak), so qsort's
-       instability cannot reorder equal keys — emit order matches the
-       interpreter's stable tuple sort exactly. */
-    qsort(keyed, (size_t)count, sizeof(repro_keyed_t), repro_keyed_cmp);
+    /* A batch straight off a clustered scan (or off a previous merge
+       join on the same key) is already in (tid, key, idx) order; only
+       the others pay for the sort.  The comparator totally orders
+       entries (idx tiebreak), so qsort's instability cannot reorder
+       equal keys — emit order matches the interpreter's stable tuple
+       sort exactly. */
+    if (!ordered)
+        qsort(keyed, (size_t)count, sizeof(repro_keyed_t), repro_keyed_cmp);
     return keyed;
 }
 
@@ -224,7 +253,7 @@ int64_t repro_sweep_join(
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_low,
     const int64_t *high_arr, const int64_t *high_col, int include_high,
-    const repro_check_t *checks, int32_t n_checks,
+    const repro_check_t *checks, int32_t n_checks, int first_match,
     int64_t max_rows, int32_t *out_truncated,
     int64_t **out_src, int64_t **out_cand)
 {
@@ -266,9 +295,12 @@ int64_t repro_sweep_join(
             limit = include_high ? high_val + 1 : high_val;
         }
         for (j = ptr; j < hi && lefts[j] < limit; j++) {
-            if (repro_checks_pass(checks, n_checks, i, j)
-                && repro_push(&pairs, i, j))
+            if (!repro_checks_pass(checks, n_checks, i, j))
+                continue;
+            if (repro_push(&pairs, i, j))
                 goto oom;
+            if (first_match)
+                break;
         }
     }
     free(keyed);
@@ -287,7 +319,7 @@ int64_t repro_stack_join(
     int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
-    const repro_check_t *checks, int32_t n_checks,
+    const repro_check_t *checks, int32_t n_checks, int first_match,
     int64_t max_rows, int32_t *out_truncated,
     int64_t **out_src, int64_t **out_cand)
 {
@@ -337,9 +369,12 @@ int64_t repro_stack_join(
             stack_n--;
         for (s = 0; s < stack_n; s++) {
             int64_t j = stack[s];
-            if (repro_checks_pass(checks, n_checks, i, j)
-                && repro_push(&pairs, i, j))
+            if (!repro_checks_pass(checks, n_checks, i, j))
+                continue;
+            if (repro_push(&pairs, i, j))
                 goto oom;
+            if (first_match)
+                break;
         }
     }
     free(stack);
@@ -360,7 +395,7 @@ int64_t repro_prefix_join(
     int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
-    const repro_check_t *checks, int32_t n_checks,
+    const repro_check_t *checks, int32_t n_checks, int first_match,
     int64_t max_rows, int32_t *out_truncated,
     int64_t **out_src, int64_t **out_cand)
 {
@@ -393,9 +428,12 @@ int64_t repro_prefix_join(
         while (end < hi && lefts[end] < limit)
             end++;
         for (j = lo; j < end; j++) {
-            if (repro_checks_pass(checks, n_checks, i, j)
-                && repro_push(&pairs, i, j))
+            if (!repro_checks_pass(checks, n_checks, i, j))
+                continue;
+            if (repro_push(&pairs, i, j))
                 goto oom;
+            if (first_match)
+                break;
         }
     }
     free(keyed);
@@ -440,6 +478,28 @@ void repro_gather(
     int64_t k;
     for (k = 0; k < n; k++)
         out[k] = col[idx[k]];
+}
+
+/* -- selection vectors ---------------------------------------------------- */
+
+/* The distinct values of ords[0..k) (all in [0, n)), ascending — the
+   bindings a semi-join kept — or, with negate, the values of [0, n) that
+   are absent from it (the anti-semi-join).  out has room for n. */
+int64_t repro_distinct(
+    const int64_t *ords, int64_t k, int64_t n, int negate, int64_t *out)
+{
+    int64_t i, written = 0;
+    uint8_t *seen = (uint8_t *)calloc((size_t)(n > 0 ? n : 1), 1);
+    if (!seen)
+        return -1;
+    for (i = 0; i < k; i++)
+        seen[ords[i]] = 1;
+    for (i = 0; i < n; i++) {
+        if (seen[i] != (uint8_t)(negate != 0))
+            out[written++] = i;
+    }
+    free(seen);
+    return written;
 }
 
 /* -- sorted disjoint k-way merge of packed (tid, id) pairs ---------------- */
@@ -488,7 +548,7 @@ void repro_free(int64_t *p)
 
 ffibuilder.set_source(
     "repro.columnar.kernels._native",
-    CSOURCE,
+    CSOURCE % KERNEL_ABI,
     extra_compile_args=["-O2"],
 )
 

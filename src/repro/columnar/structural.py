@@ -25,11 +25,17 @@ columnar executor:
   genuinely are a prefix of the partition: a monotone end pointer replaces
   the per-binding binary search.
 
+All three also run in ``first_match`` mode — a binding stops at its first
+passing candidate — which is what the last step of a predicate
+sub-pipeline needs: an ``exists`` semi-join only asks whether a binding
+matches (see ``_SemiJoin`` in :mod:`repro.columnar.executor`).
+
 Which joins are *eligible* is a pure IR-shape question (:func:`merge_spec`);
 whether a merge join is *worth it* is a cost question answered from
 collected statistics (:func:`choose_join`), shared by the optimizer's
 annotation pass and the per-segment physical compile so both always agree
-on the model.  ``REPRO_FORCE_JOIN=merge|probe`` overrides the choice for
+on the model — on the main chain and, with the owner's estimate threaded
+in (:func:`chain_estimates`), inside predicate subplans.  ``REPRO_FORCE_JOIN=merge|probe`` overrides the choice for
 differential testing.
 """
 
@@ -38,7 +44,7 @@ from __future__ import annotations
 import operator as _operator
 import os
 from array import array
-from itertools import repeat
+from itertools import compress, islice, repeat
 from math import log2
 from typing import NamedTuple, Optional
 
@@ -46,12 +52,17 @@ from ..lpath.axes import Axis
 from ..plan.ir import (
     Col,
     Const,
+    Context,
+    ExistsPred,
+    Filter,
     IndexProbe,
     Join,
     PlanNode,
     Scan,
     TableScan,
     ValueSeed,
+    linearize,
+    subplan_preds,
     L, R, T,
 )
 
@@ -225,18 +236,43 @@ def join_fanout(node: Join, stats) -> float:
 
 
 def chain_estimates(chain, stats) -> dict[int, float]:
-    """``id(join) -> estimated input cardinality`` along a main pipeline."""
+    """``id(join) -> estimated input cardinality`` along a pipeline and,
+    recursively, along every predicate subplan hanging off it.
+
+    A ``Context``-rooted subplan starts from the estimated cardinality of
+    the batch its owner hands it (the context slot contributes a factor
+    of one).  ``exists`` subplans run set-at-a-time over their owner's
+    whole output, so they inherit that estimate; ``count()``/value-
+    comparison subplans run once per binding, so everything inside them —
+    nested ``exists`` included — sees one row."""
     estimates: dict[int, float] = {}
-    current: Optional[float] = None
+    _estimate_chain(chain, stats, None, False, estimates)
+    return estimates
+
+
+def _estimate_chain(chain, stats, current, per_row: bool, estimates) -> None:
     for node in chain:
+        if isinstance(node, Context):
+            continue
         if isinstance(node, Scan):
             current = scan_estimate(node, stats)
         elif isinstance(node, Join):
             if current is None:
-                break  # Context-rooted subplans are evaluated per binding
+                return  # a bare subplan with no owner estimate to start from
             estimates[id(node)] = current
             current = current * join_fanout(node, stats)
-    return estimates
+        elif not isinstance(node, Filter):
+            continue
+        if current is None:
+            return
+        for condition in node.conditions:
+            for pred, _negated in subplan_preds(condition):
+                inner_per_row = per_row or not isinstance(pred, ExistsPred)
+                _estimate_chain(
+                    linearize(pred.subplan), stats,
+                    1.0 if inner_per_row else current,
+                    inner_per_row, estimates,
+                )
 
 
 def choose_join(est_in: float, name: str, stats) -> str:
@@ -294,11 +330,13 @@ _OP_TOKEN = {
 _SWEEP_CACHE: dict[tuple, object] = {}
 
 
-def _compile_sweep(spec: MergeSpec, checks) -> Optional[object]:
+def _compile_sweep(spec: MergeSpec, checks, first_match: bool) -> Optional[object]:
     """Generate (and cache per shape) the flat sweep loop for one join
     shape, with the bound arithmetic and every vector comparison inlined.
-    Returns ``None`` when a condition uses an operator outside the fixed
-    comparison set — the generic interpreted sweep handles those."""
+    ``first_match`` generates the variant that leaves a binding at its
+    first passing candidate.  Returns ``None`` when a condition uses an
+    operator outside the fixed comparison set — the generic interpreted
+    sweep handles those."""
     tokens = []
     for _column, opf, rhs_slot, _payload in checks:
         token = _OP_TOKEN.get(opf)
@@ -310,6 +348,7 @@ def _compile_sweep(spec: MergeSpec, checks) -> Optional[object]:
         spec.include_low,
         spec.high is not None,
         spec.include_high,
+        first_match,
     )
     cached = _SWEEP_CACHE.get(shape)
     if cached is not None:
@@ -331,19 +370,12 @@ def _compile_sweep(spec: MergeSpec, checks) -> Optional[object]:
         limit = "        limit = high_arr[high_col[i]] + 1"
     else:
         limit = "        limit = high_arr[high_col[i]]"
-    if conds:
-        body = (
-            f"            if {' and '.join(conds)}:\n"
-            "                res_append(j)\n"
-            "                src_append(i)\n"
-            "            j += 1"
-        )
-    else:
-        body = (
-            "            res_append(j)\n"
-            "            src_append(i)\n"
-            "            j += 1"
-        )
+    pad = "                " if conds else "            "
+    emit = f"{pad}res_append(j)\n{pad}src_append(i)\n"
+    if first_match:
+        emit += f"{pad}break\n"
+    guard = f"            if {' and '.join(conds)}:\n" if conds else ""
+    body = f"{guard}{emit}            j += 1"
     # The loop emits (source binding, candidate) index pairs; the caller
     # gathers them into replicated output columns with one C-level map
     # per slot — two list appends per match beat an extend/repeat pair
@@ -383,20 +415,88 @@ def sweep(keyed, batch, bounds, lefts, name, high_col, high_arr, checks, max_row
     return compiled
 
 
-class MergeJoinStep:
+# -- what every join step does with its matches -------------------------------
+
+
+def python_take(column, src) -> array:
+    """``column`` gathered through the index sequence ``src`` (one
+    C-level map; the native backend swaps in a C gather)."""
+    return array("q", map(column.__getitem__, src))
+
+
+def python_distinct(ordinals, n: int, negated: bool = False) -> array:
+    """The distinct values of ``ordinals`` (all in ``range(n)``),
+    ascending — or, ``negated``, the values of ``range(n)`` *not* among
+    them.  The native backend does either in one marking pass."""
+    if not negated:
+        return array("q", sorted(set(ordinals)))
+    absent = bytearray(b"\x01") * n
+    for ordinal in ordinals:
+        absent[ordinal] = 0
+    return array("q", compress(range(n), absent))
+
+
+def select_all(parts, batch, sel):
+    """Sequential restriction: the ordinals of ``sel`` every selector in
+    ``parts`` keeps (each selector only sees what the previous ones left)."""
+    for part in parts:
+        if not len(sel):
+            break
+        sel = part.select(batch, sel)
+    return sel
+
+
+def apply_selectors(selectors, batch: list, take):
+    """``(batch restricted to the rows every selector keeps, keep)`` —
+    ``keep`` is ``None`` when nothing was dropped, else the ascending
+    ordinals kept (so a caller tracking provenance can follow along)."""
+    count = len(batch[0]) if batch else 0
+    if selectors and count:
+        keep = select_all(selectors, batch, range(count))
+        if len(keep) != count:
+            return [take(column, keep) for column in batch], keep
+    return batch, None
+
+
+class JoinOutput:
+    """The half of a join step both flavors share.  A flavor implements
+    ``pairs(batch, cutoff, first_match) -> (src, cand)`` — for every
+    match, the index of its input binding and the candidate row — and
+    this turns the pairs into the next batch: input columns gathered
+    through ``src``, the candidates appended as the new slot, then the
+    step's set-at-a-time predicate selectors (``semi``) applied to the
+    result."""
+
+    take = staticmethod(python_take)
+    semi: tuple = ()
+
+    def run(self, batch: list, cutoff: Optional["Cutoff"] = None) -> list:
+        src, cand = self.pairs(batch, cutoff)
+        return self.extend(batch, src, cand)[0]
+
+    def extend(self, batch: list, src, cand):
+        """``(next batch, keep)`` as :func:`apply_selectors` returns them,
+        ``keep`` counting in pair ordinals."""
+        take = self.take
+        out = [take(column, src) for column in batch]
+        out.append(cand if isinstance(cand, array) else array("q", cand))
+        return apply_selectors(self.semi, out, take)
+
+
+class MergeJoinStep(JoinOutput):
     """One structural merge join in a columnar pipeline.
 
     Drop-in peer of the executor's probe ``_JoinStep``: consumes and
     produces the same slot-per-array batches and applies the same
     classified conditions, but enumerates candidates by merging the sorted
     binding bounds against the sorted partition instead of re-probing per
-    binding.  Construction is done by :func:`repro.columnar.executor.
-    compile_plan`, which passes in the classified condition lists so both
-    join flavors share one condition compiler.
+    binding.  Construction is done by :mod:`repro.columnar.executor`,
+    which passes in the classified condition lists so both join flavors
+    share one condition compiler.
     """
 
     def __init__(self, node: Join, runtime, spec: MergeSpec,
-                 vector, binding, row) -> None:
+                 vector, binding, row, semi=(), take=python_take) -> None:
         store = runtime.store
         self.slot = node.slot
         self.label = node.label
@@ -410,9 +510,11 @@ class MergeJoinStep:
         self.names = store.names
         self.binding = binding
         self.row = row
+        self.semi = semi
+        self.take = take
         # Vector filters pre-resolved to raw column sequences, split by
         # operand kind: constants bind once here, binding-column
-        # comparisons resolve once per binding inside run().
+        # comparisons resolve once per binding inside pairs().
         self.vector_specs = list(vector)
         self.const_checks = [
             (column, opf, payload)
@@ -426,32 +528,38 @@ class MergeJoinStep:
         ]
         self.low_arr = None if spec.low is None else store.col(spec.low[1])
         self.high_arr = None if spec.high is None else store.col(spec.high[1])
-        self._sweep_loop = (
-            _compile_sweep(spec, self.vector_specs)
-            if spec.strategy == SWEEP
-            else None
-        )
-        # The native (cffi) kernel handles exactly the shapes the
-        # generated sweep handles — no binding prunes, no per-row
-        # residuals, no or-self prepend — for all three strategies, when
-        # every column involved is a fixed-width integer buffer.  The
-        # backend is bound at construction; the plan cache keys on it.
+        # The flat generated loops and the native (cffi) kernel handle
+        # exactly the same shapes — no binding prunes, no per-row
+        # residuals, no or-self prepend — the kernel for all three
+        # strategies when every column involved is a fixed-width integer
+        # buffer.  The backend is bound at construction; the plan cache
+        # keys on it.
         self._native = None
+        self._sweep_loops = (None, None)   # indexed by first_match
         if not binding and not row and spec.self_slot is None:
             from .kernels.api import native_join
 
             self._native = native_join(spec, self.vector_specs, store)
+            if self._native is None and spec.strategy == SWEEP:
+                self._sweep_loops = tuple(
+                    _compile_sweep(spec, self.vector_specs, first_match)
+                    for first_match in (False, True)
+                )
 
     # -- candidate enumeration ------------------------------------------------
 
-    def run(self, batch: list, cutoff: Optional[Cutoff] = None) -> list:
+    def pairs(self, batch: list, cutoff: Optional[Cutoff] = None,
+              first_match: bool = False):
+        """``(src, cand)`` index/row pairs of every match; with
+        ``first_match`` at most one — the first passing candidate — per
+        input binding."""
         if self._native is not None:
-            return self._native.run(batch, cutoff)
-        width = len(batch)
-        out = [array("q") for _ in range(width + 1)]
+            return self._native.pairs(batch, cutoff, first_match)
+        src: list[int] = []
+        res: list[int] = []
         count = len(batch[0]) if batch else 0
         if count == 0:
-            return out
+            return src, res
         spec = self.spec
         tids, tid_col = self.tids, batch[spec.tid_slot]
         if spec.strategy == SWEEP:
@@ -469,12 +577,23 @@ class MergeJoinStep:
         )
         keyed.sort()
         if spec.strategy == SWEEP:
-            self._run_sweep(batch, keyed, out, width, cutoff)
+            loop = self._sweep_loops[first_match]
+            if loop is not None:
+                high_col = None if spec.high is None else batch[spec.high[0]]
+                src, res, truncated = loop(
+                    keyed, batch, self.bounds, self.lefts,
+                    spec.name, high_col, self.high_arr, self.vector_specs,
+                    None if cutoff is None else cutoff.max_rows,
+                )
+                if truncated:
+                    cutoff.hit = True
+                return src, res
+            self._run_sweep(batch, keyed, src, res, cutoff, first_match)
         elif spec.strategy == STACK:
-            self._run_stack(batch, keyed, out, width, cutoff)
+            self._run_stack(batch, keyed, src, res, cutoff, first_match)
         else:
-            self._run_prefix(batch, keyed, out, width, cutoff)
-        return out
+            self._run_prefix(batch, keyed, src, res, cutoff, first_match)
+        return src, res
 
     def _resolved_checks(self, batch, i):
         col_checks = self.col_checks
@@ -485,9 +604,9 @@ class MergeJoinStep:
             for column, opf, rhs_slot, payload in col_checks
         ]
 
-    def _emit(self, batch, i, width, out, matched):
-        """Replicate binding ``i`` for every matched candidate, applying
-        or-self and the residual per-row checks."""
+    def _emit(self, batch, i, src, res, matched, first_match) -> None:
+        """Record binding ``i``'s matched candidates, applying or-self
+        and the residual per-row checks."""
         spec = self.spec
         if spec.self_slot is not None:
             self_row = batch[spec.self_slot][i]
@@ -496,48 +615,29 @@ class MergeJoinStep:
                 if all(opf(column[self_row], value) for column, opf, value in checks):
                     matched = [self_row] + matched
         if self.row and matched:
-            b = [batch[s][i] for s in range(width)]
+            b = [column[i] for column in batch]
             row_checks = self.row
-            matched = [
+            passing = (
                 j for j in matched
                 if all(check(b + [j]) for check in row_checks)
-            ]
-        if not matched:
-            return
-        m = len(matched)
-        for s in range(width):
-            out[s].extend(repeat(batch[s][i], m))
-        out[width].extend(matched)
+            )
+            matched = list(islice(passing, 1) if first_match else passing)
+        elif first_match:
+            matched = matched[:1]
+        if matched:
+            res.extend(matched)
+            src.extend(repeat(i, len(matched)))
 
-    def _prune(self, batch, i, width) -> bool:
+    def _prune(self, batch, i) -> bool:
         """Binding-only conditions (no candidate column involved)."""
         checks = self.binding
         if not checks:
             return True
-        b = [batch[s][i] for s in range(width)]
+        b = [column[i] for column in batch]
         return all(check(b) for check in checks)
 
-    def _run_sweep(self, batch, keyed, out, width, cutoff=None) -> None:
+    def _run_sweep(self, batch, keyed, src, res, cutoff, first_match) -> None:
         spec = self.spec
-        checks = self.vector_specs
-        if (
-            self._sweep_loop is not None
-            and not self.binding
-            and not self.row
-            and spec.self_slot is None
-        ):
-            high_col = None if spec.high is None else batch[spec.high[0]]
-            src, res, truncated = self._sweep_loop(
-                keyed, batch, self.bounds, self.lefts,
-                spec.name, high_col, self.high_arr, checks,
-                None if cutoff is None else cutoff.max_rows,
-            )
-            if truncated:
-                cutoff.hit = True
-            for s in range(width):
-                out[s] = array("q", map(batch[s].__getitem__, src))
-            out[width] = array("q", res)
-            return
         lefts, bounds, name = self.lefts, self.bounds, spec.name
         include_low, include_high = spec.include_low, spec.include_high
         high = spec.high
@@ -546,10 +646,10 @@ class MergeJoinStep:
         current_tid = None
         lo = hi = ptr = 0
         for tid_val, low_val, i in keyed:
-            if not self._prune(batch, i, width):
+            if not self._prune(batch, i):
                 continue
             if tid_val != current_tid:
-                if cutoff is not None and len(out[width]) >= cutoff.max_rows:
+                if cutoff is not None and len(res) >= cutoff.max_rows:
                     cutoff.hit = True
                     break
                 current_tid = tid_val
@@ -564,7 +664,7 @@ class MergeJoinStep:
                 high_val = high_arr[high_col[i]]
                 limit = high_val + 1 if include_high else high_val
             matched = self._scan(batch, i, ptr, hi, limit)
-            self._emit(batch, i, width, out, matched)
+            self._emit(batch, i, src, res, matched, first_match)
 
     def _scan(self, batch, i, start, hi, limit) -> list:
         """Collect candidates from ``start`` up to the span limit, running
@@ -599,7 +699,7 @@ class MergeJoinStep:
                 j += 1
         return matched
 
-    def _run_stack(self, batch, keyed, out, width, cutoff=None) -> None:
+    def _run_stack(self, batch, keyed, src, res, cutoff, first_match) -> None:
         """Stack-tree ancestors: spans still open at the context's left
         edge are the only possible ancestors; each partition row is pushed
         once per tid group and popped once its span closes (spans are
@@ -613,10 +713,10 @@ class MergeJoinStep:
         stack: list[int] = []
         push = stack.append
         for tid_val, edge, i in keyed:
-            if not self._prune(batch, i, width):
+            if not self._prune(batch, i):
                 continue
             if tid_val != current_tid:
-                if cutoff is not None and len(out[width]) >= cutoff.max_rows:
+                if cutoff is not None and len(res) >= cutoff.max_rows:
                     cutoff.hit = True
                     break
                 current_tid = tid_val
@@ -634,19 +734,19 @@ class MergeJoinStep:
                 j for j in stack
                 if all(opf(column[j], value) for column, opf, value in checks)
             ]
-            self._emit(batch, i, width, out, matched)
+            self._emit(batch, i, src, res, matched, first_match)
 
-    def _run_prefix(self, batch, keyed, out, width, cutoff=None) -> None:
+    def _run_prefix(self, batch, keyed, src, res, cutoff, first_match) -> None:
         spec = self.spec
         lefts, bounds, name = self.lefts, self.bounds, spec.name
         include_high = spec.include_high
         current_tid = None
         lo = hi = end = 0
         for tid_val, edge, i in keyed:
-            if not self._prune(batch, i, width):
+            if not self._prune(batch, i):
                 continue
             if tid_val != current_tid:
-                if cutoff is not None and len(out[width]) >= cutoff.max_rows:
+                if cutoff is not None and len(res) >= cutoff.max_rows:
                     cutoff.hit = True
                     break
                 current_tid = tid_val
@@ -656,13 +756,14 @@ class MergeJoinStep:
             while end < hi and lefts[end] < limit:
                 end += 1
             matched = self._scan(batch, i, lo, end, _NO_LIMIT)
-            self._emit(batch, i, width, out, matched)
+            self._emit(batch, i, src, res, matched, first_match)
 
-    def describe(self) -> str:
+    def describe(self, first_match: bool = False) -> str:
         kernel = "native" if self._native is not None else "python"
+        semi = f" semi={len(self.semi)}" if self.semi else ""
         return (
             f"StructuralMergeJoin(s{self.slot} <- {self.access}: {self.label}"
             f" | strategy={self.spec.strategy} kernel={kernel}"
             f" vector={len(self.const_checks) + len(self.col_checks)}"
-            f" row={len(self.row)})"
+            f"{semi} row={len(self.row)}{' first_match' if first_match else ''})"
         )

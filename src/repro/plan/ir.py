@@ -430,6 +430,19 @@ def pred_slots(pred: Pred) -> set[int]:
     raise TypeError(f"unknown predicate {pred!r}")
 
 
+def subplan_preds(pred: Pred, negated: bool = False):
+    """Every subplan predicate in one condition's and/or/not tree, in
+    source order, each with whether an odd number of ``not`` wrap it
+    (subplans nested *inside* a subplan belong to that subplan's nodes)."""
+    if isinstance(pred, SubplanPred):
+        yield pred, negated
+    elif isinstance(pred, (AllPred, AnyPred)):
+        for part in pred.parts:
+            yield from subplan_preds(part, negated)
+    elif isinstance(pred, NotPred):
+        yield from subplan_preds(pred.part, not negated)
+
+
 def access_slots(access: Access) -> set[int]:
     if isinstance(access, IndexProbe):
         slots: set[int] = set()
@@ -481,13 +494,41 @@ def _format_estimate(value: float) -> str:
     return f"{value:g}" if value == round(value, 1) else f"{value:.1f}"
 
 
+def _render_semi_joins(conditions: Sequence[Pred], indent: int) -> str:
+    """The ``exists`` subplans of one node's conditions, each as an
+    indented ``SemiJoin``/``AntiSemiJoin`` block (``not(exists{...})`` is
+    the anti form), so a predicate's joins read like the main chain's."""
+    blocks = []
+    pad = " " * indent
+    for condition in conditions:
+        for pred, negated in subplan_preds(condition):
+            if isinstance(pred, ExistsPred):
+                blocks.append(
+                    f"\n{pad}{semi_join_header(pred.subplan, negated)}\n"
+                    + render(pred.subplan, indent + 2)
+                )
+    return "".join(blocks)
+
+
+def semi_join_header(subplan: PlanNode, negated: bool) -> str:
+    """``SemiJoin[on s0]`` / ``AntiSemiJoin[on s0, s1]``: the kind and the
+    outer slots the subplan correlates on (shared by both plan renderings)."""
+    kind = "AntiSemiJoin" if negated else "SemiJoin"
+    slots = ", ".join(f"s{slot}" for slot in sorted(subplan_outer_slots(subplan)))
+    return f"{kind}[on {slots}]"
+
+
 def render(node: PlanNode, indent: int = 0) -> str:
     """A uniform, dialect-independent textual rendering of the IR."""
     pad = " " * indent
     if isinstance(node, Context):
         return f"{pad}Context"
     if isinstance(node, Scan):
-        return f"{pad}Scan(s{node.slot} <- {node.access}: {node.label}){_render_conditions(node.conditions)}"
+        return (
+            f"{pad}Scan(s{node.slot} <- {node.access}: {node.label})"
+            f"{_render_conditions(node.conditions)}"
+            f"{_render_semi_joins(node.conditions, indent + 2)}"
+        )
     if isinstance(node, Join):
         choice = ""
         if node.physical is not None:
@@ -499,10 +540,14 @@ def render(node: PlanNode, indent: int = 0) -> str:
         head = (
             f"{pad}Join{choice}(s{node.slot} <- {node.access}: {node.label})"
             f"{_render_conditions(node.conditions)}"
+            f"{_render_semi_joins(node.conditions, indent + 2)}"
         )
         return head + "\n" + render(node.input, indent + 2)
     if isinstance(node, Filter):
-        head = f"{pad}Filter({node.label}){_render_conditions(node.conditions)}"
+        head = (
+            f"{pad}Filter({node.label}){_render_conditions(node.conditions)}"
+            f"{_render_semi_joins(node.conditions, indent + 2)}"
+        )
         return head + "\n" + render(node.input, indent + 2)
     if isinstance(node, Project):
         cols = ", ".join(f"s{s}.{COLUMN_NAMES[c]}" for s, c in node.cols)

@@ -715,13 +715,17 @@ def find_attribute_equality(
             step = items[0]
             if step.axis is not Axis.ATTRIBUTE or step.test.is_wildcard or step.predicates:
                 continue
-            if isinstance(other, Number):
-                value = other.value
-                text = str(int(value)) if value == int(value) else str(value)
-            else:
-                text = other.value
-            return "@" + step.test.name, text
+            return "@" + step.test.name, seed_text(other.value)
     return None
+
+
+def seed_text(value) -> str:
+    """The text a value seed looks up for a predicate literal: strings
+    as written, whole numbers without a fractional part (``1929``, not
+    ``1929.0``)."""
+    if isinstance(value, str):
+        return value
+    return str(int(value)) if value == int(value) else str(value)
 
 
 def mentions_position(expr: PredicateExpr) -> bool:

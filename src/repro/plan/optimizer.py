@@ -1,6 +1,6 @@
 """Optimizer passes over the logical IR.
 
-Four passes run between lowering and execution, for both dialects:
+Five passes run between lowering and execution, for both dialects:
 
 * :func:`push_down` — classic predicate pushdown over the main pipeline:
   every :class:`~repro.plan.ir.Filter` condition sinks to the deepest
@@ -8,6 +8,9 @@ Four passes run between lowering and execution, for both dialects:
   conditions on the ``name`` column upgrade the access path itself (a
   table scan, or the per-tree ``idx_tid_id`` fallback probe, becomes a
   clustered name probe chosen through the relational planner);
+* :func:`prune_redundant` — drop duplicated and implied comparisons from
+  every node's conditions (scoped steps emit their containment residuals
+  twice), so each join checks a column once;
 * :func:`reorder_exists_subplans` — the selectivity-driven join
   reordering of ``pivot=True`` generalized to correlated ``exists``
   predicate subplans: a downward-only chain is re-lowered to start at its
@@ -19,7 +22,8 @@ Four passes run between lowering and execution, for both dialects:
   order by their estimated seed cardinality (the rarest ``exists`` runs
   first) instead of the static cost class alone;
 * :func:`annotate_join_physical` (batch executor only) — the cost-based
-  physical-join selection: every merge-eligible ``Join`` is costed as a
+  physical-join selection: every merge-eligible ``Join`` — predicate
+  subplans included, seeded with their owner's estimate — is costed as a
   per-binding probe join vs. a set-at-a-time structural merge join using
   the collected per-name cardinality/partition/depth statistics, and the
   winner is recorded on the node (``Join.physical`` / ``Join.est_in``) so
@@ -54,13 +58,16 @@ from .ir import (
     Scan,
     TableScan,
     ValueCmpPred,
+    ValueSeed,
     child_of,
     linearize,
     pred_slots,
     set_child,
+    subplan_preds,
     N,
 )
-from .lower import Lowerer
+from ..lpath.axes import Axis
+from .lower import _FLIPPED_OPS, Lowerer, seed_text
 from .schemes import Catalog
 
 
@@ -78,6 +85,7 @@ def optimize(
     if pivot:
         reorder_exists_subplans(root, lowerer)
     root = push_down(root, lowerer.catalog)
+    prune_redundant(root)
     order_conditions(root, lowerer.catalog)
     if executor == "columnar":
         annotate_join_physical(root, lowerer.catalog)
@@ -187,6 +195,92 @@ def _drop_empty_filters(root: PlanNode) -> PlanNode:
     return rebuilt if rebuilt is not None else root
 
 
+# -- redundant residuals ------------------------------------------------------
+
+#: ``op -> the stronger ops that imply it`` over one operand pair.
+_IMPLIED_BY = {
+    "<=": ("=", "<"),
+    ">=": ("=", ">"),
+    "!=": ("<", ">"),
+}
+
+
+def _operand_order(operand) -> tuple:
+    if isinstance(operand, Col):
+        return (0, operand.slot, operand.col)
+    return (1, repr(operand.value))
+
+
+def _canonical(cmp: Cmp) -> tuple:
+    """``(left, op, right)`` with the operand pair in one fixed order, so
+    ``s0.left <= s1.left`` and ``s1.left >= s0.left`` compare equal."""
+    left, op, right = cmp.left, cmp.op, cmp.right
+    if _operand_order(right) < _operand_order(left):
+        left, op, right = right, _FLIPPED_OPS[op], left
+    return left, op, right
+
+
+def _answered_by_seed(node: PlanNode, condition: Pred) -> bool:
+    """Is ``condition`` the ``[@attr = literal]`` test that ``node``'s
+    :class:`ValueSeed` access was built from?  Every seeded row has an
+    ``attr`` row whose value is the literal, so re-running the one-step
+    attribute subplan per row can only say yes."""
+    access = getattr(node, "access", None)
+    if not (
+        isinstance(access, ValueSeed)
+        and isinstance(condition, ValueCmpPred)
+        and condition.op == "="
+        and seed_text(condition.value) == access.literal
+    ):
+        return False
+    chain = linearize(condition.subplan)
+    if len(chain) != 2 or not isinstance(chain[1], Join):
+        return False
+    step = chain[1]
+    return (
+        step.axis is Axis.ATTRIBUTE
+        and step.ctx_slot == node.slot
+        and step.conditions == (Cmp(Col(step.slot, N), "=", Const(access.attr)),)
+    )
+
+
+def prune_redundant(root: PlanNode) -> None:
+    """Drop conditions the rest of the node already guarantees: exact
+    duplicates, weaker comparisons over the same operand pair
+    (``a >= b`` beside ``a > b``; ``a <= b`` beside ``a = b``), and the
+    ``[@attr = literal]`` test a value-seed access answers by
+    construction.  Scoped steps emit their containment residuals once
+    for the axis and once for the scope, so every ``{...}`` step used to
+    check each column twice.  Recurses into subplans."""
+    for node in linearize(root):
+        if not isinstance(node, (Scan, Join, Filter)):
+            continue
+        keys = [
+            _canonical(c) if isinstance(c, Cmp) else None
+            for c in node.conditions
+        ]
+        held = set(keys)
+        kept: list[Pred] = []
+        seen: set = set()
+        for condition, key in zip(node.conditions, keys):
+            if key is None:
+                if _answered_by_seed(node, condition):
+                    continue
+            else:
+                left, op, right = key
+                if key in seen or any(
+                    (left, stronger, right) in held
+                    for stronger in _IMPLIED_BY.get(op, ())
+                ):
+                    continue
+                seen.add(key)
+            kept.append(condition)
+        node.conditions = tuple(kept)
+        for condition in kept:
+            for pred, _negated in subplan_preds(condition):
+                prune_redundant(pred.subplan)
+
+
 # -- join reordering for predicate subplans -----------------------------------
 
 
@@ -241,12 +335,14 @@ def _pivoted_subplan(subplan: PlanNode, lowerer: Lowerer) -> Optional[PlanNode]:
 
 def annotate_join_physical(root: PlanNode, catalog) -> None:
     """Record the cost-based probe vs. structural-merge choice on every
-    merge-eligible main-chain ``Join``, from the catalog's collected
-    statistics (``REPRO_FORCE_JOIN`` pins the choice for differential
-    testing).  Merge choices carry the resolved kernel backend
-    (``merge/native`` | ``merge/python``) so ``explain()`` output can
-    never silently cross backends.  Correlated subplans always run
-    binding-at-a-time, so only the main pipeline is annotated."""
+    merge-eligible ``Join`` — on the main chain and, with the owner's
+    estimated output threaded in as the subplan's input, inside every
+    predicate subplan — from the catalog's collected statistics
+    (``REPRO_FORCE_JOIN`` pins the choice for differential testing).
+    Merge choices carry the resolved kernel backend (``merge/native`` |
+    ``merge/python``) so ``explain()`` output can never silently cross
+    backends.  The physical compile decides with the same function over
+    the same estimates, so annotation and execution agree."""
     from ..columnar.kernels.api import kernels_backend
     from ..columnar.structural import chain_estimates, decide_join, force_mode
 
@@ -256,9 +352,7 @@ def annotate_join_physical(root: PlanNode, catalog) -> None:
     estimates = chain_estimates(chain, catalog)
     force = force_mode()
     backend = kernels_backend()
-    for node in chain:
-        if not isinstance(node, Join):
-            continue
+    for node in _all_joins(chain):
         spec, choice, est_in = decide_join(node, estimates, catalog, force)
         if spec is None:
             node.physical = None
@@ -266,6 +360,21 @@ def annotate_join_physical(root: PlanNode, catalog) -> None:
             continue
         node.est_in = est_in
         node.physical = f"merge/{backend}" if choice == "merge" else choice
+
+
+def _all_joins(chain, batched: bool = True):
+    """Every ``Join`` that executes as a batch step: the chain's own and,
+    recursively, those of its ``exists`` subplans (``count()``/value
+    subplans run binding-at-a-time, so their own joins always probe)."""
+    for node in chain:
+        if batched and isinstance(node, Join):
+            yield node
+        if isinstance(node, (Scan, Join, Filter)):
+            for condition in node.conditions:
+                for pred, _negated in subplan_preds(condition):
+                    yield from _all_joins(
+                        linearize(pred.subplan), isinstance(pred, ExistsPred)
+                    )
 
 
 # -- condition ordering -------------------------------------------------------

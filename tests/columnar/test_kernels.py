@@ -195,11 +195,23 @@ class TestDualBackendIdentity:
 
     @needs_native
     def test_residual_checks_fall_back_to_python(self, engine):
-        # A row-level exists residual is outside the native contract;
-        # the step must keep the interpreted loop even under native.
+        # A per-row residual (count() needs every match) is outside the
+        # native contract; the step must keep the interpreted loop even
+        # under native.
+        with forced_join("merge"), kernels_env("native"):
+            plan = engine.explain("//S//NP[count(//Det)>0]", executor="columnar")
+            assert "kernel=python" in plan
+
+    @needs_native
+    def test_exists_predicates_keep_the_native_kernel(self, engine):
+        # An exists predicate is a semi-join over the step's output, not a
+        # per-row residual: the owning step and the sub-pipeline's steps
+        # all stay on the kernel.
         with forced_join("merge"), kernels_env("native"):
             plan = engine.explain("//S//NP[//Det]", executor="columnar")
-            assert "kernel=python" in plan
+            assert "kernel=python" not in plan
+            assert plan.count("kernel=native") == 2
+            assert "first_match" in plan
 
 
 class TestPlanCacheKey:

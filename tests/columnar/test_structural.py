@@ -43,10 +43,10 @@ AXIS_QUERIES = [
     "//VP{//NP$}",                  # scoped sweep + alignment
     "//S/_",                        # children-index wildcard child
     "//N\\_",                       # wildcard parent ((tid, id) probe)
-    "//S[//NP/N]",                  # subplan (always binding-at-a-time)
-    "//S//NP[//Det]",               # sweep with a row-level exists residual
+    "//S[//NP/N]",                  # two-step semi-join sub-pipeline
+    "//S//NP[//Det]",               # sweep with a semi-join selector
     "//NP/N[position()=1]",         # sweep with a positional row check
-    "//Det\\ancestor::NP[//Adj]",   # stack with a row-level exists residual
+    "//Det\\ancestor::NP[//Adj]",   # stack with a semi-join selector
     "//V\\ancestor-or-self::V",     # stack with or-self conditions
 ]
 

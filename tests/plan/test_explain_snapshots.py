@@ -53,6 +53,12 @@ SNAPSHOTS = [
     ("lpath_exists_pivot", "lpath", "//S[//NP/N]", {"pivot": True}),
     ("lpath_columnar_scan", "lpath", "//S//NP", {"executor": "columnar"}),
     ("lpath_columnar_subplan", "lpath", "//S[//NP/N]", {"executor": "columnar"}),
+    ("lpath_columnar_nested_predicate", "lpath", "//NP[->PP[//N]=>ADVP]",
+     {"executor": "columnar"}),
+    ("lpath_columnar_or_exists", "lpath", "//NP[//Adj or //PP]",
+     {"executor": "columnar"}),
+    ("lpath_columnar_join_predicate", "lpath", "//S//NP[not(//PP)]/N",
+     {"executor": "columnar"}),
     ("lpath_columnar_deep_chain", "lpath", "//S//NP//N", {"executor": "columnar"}),
     ("lpath_columnar_ancestor", "lpath", "//Det\\ancestor::S", {"executor": "columnar"}),
     ("lpath_columnar_wildcard_child", "lpath", "//S/_", {"executor": "columnar"}),
@@ -92,10 +98,14 @@ BATCH_SNAPSHOTS = [
     ]),
 ]
 
-#: The merge-join step description names the kernel backend that would
-#: run it (``kernel=native`` vs ``kernel=python``) — an environment
-#: fact, not a plan fact, so snapshots neutralize it.
-_KERNEL_TAG = re.compile(r"kernel=\w+")
+#: A merge join's description names the kernel backend that would run
+#: it (``kernel=native`` / ``[merge/native`` vs ``...python``) — an
+#: environment fact, not a plan fact, so snapshots neutralize it.
+_KERNEL_TAG = re.compile(r"(kernel=|merge/)\w+")
+
+
+def _neutral(rendered: str) -> str:
+    return _KERNEL_TAG.sub(r"\1<backend>", rendered)
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +155,7 @@ def _assert_matches_snapshot(slug: str, actual: str, subject: str) -> None:
     ids=[slug for slug, *_ in SNAPSHOTS],
 )
 def test_explain_snapshot(engines, slug, dialect, query, kwargs):
-    actual = engines[dialect].explain(query, **kwargs) + "\n"
+    actual = _neutral(engines[dialect].explain(query, **kwargs)) + "\n"
     _assert_matches_snapshot(slug, actual, f"explain() for {query!r}")
 
 
@@ -156,7 +166,7 @@ def test_explain_snapshot(engines, slug, dialect, query, kwargs):
 )
 def test_explain_batch_snapshot(engines, slug, dialect, entries):
     rendered = engines[dialect].explain_batch(entries, executor="columnar")
-    actual = _KERNEL_TAG.sub("kernel=<backend>", rendered) + "\n"
+    actual = _neutral(rendered) + "\n"
     _assert_matches_snapshot(slug, actual, "explain_batch()")
 
 

@@ -159,3 +159,73 @@ class TestConditionOrdering:
         kinds = [isinstance(c, ExistsPred) for c in join.conditions]
         # All exists predicates come after the plain comparisons.
         assert kinds == sorted(kinds)
+
+
+class TestRedundantResiduals:
+    """``prune_redundant``: a scoped step gets its containment residuals
+    once from the axis and once from the scope; the optimizer keeps one
+    comparison per column."""
+
+    @staticmethod
+    def _conditions(engine, query, **kwargs):
+        logical = engine.compile(query, **kwargs).logical
+        join = [n for n in linearize(logical) if isinstance(n, Join)][-1]
+        return [str(c) for c in join.conditions]
+
+    def test_scoped_descendant_checks_three_columns(self, engines):
+        lpath_engine, _ = engines
+        # Was: right<=, depth>, left<=, right<= (dup), depth>= (implied),
+        # right= (implies both right<=).
+        assert self._conditions(lpath_engine, "//VP{//NP$}") == [
+            "s1.depth > s0.depth",
+            "s0.left <= s1.left",
+            "s1.right = s0.right",
+        ]
+
+    def test_left_alignment_implies_the_scope_bound(self, engines):
+        lpath_engine, _ = engines
+        assert self._conditions(lpath_engine, "//VP{//^NP}") == [
+            "s1.right <= s0.right",
+            "s1.depth > s0.depth",
+            "s1.left = s0.left",
+        ]
+
+    def test_unrelated_scope_bounds_survive(self, engines):
+        lpath_engine, _ = engines
+        # Nothing here is stronger than the scope's own three bounds.
+        assert self._conditions(lpath_engine, "//VP{/V-->N}") == [
+            "s0.left <= s2.left",
+            "s2.right <= s0.right",
+            "s2.depth >= s0.depth",
+        ]
+
+    def test_both_executors_and_dialects_get_the_pass(self, engines):
+        lpath_engine, xpath_engine = engines
+        for executor in ("volcano", "columnar"):
+            assert len(self._conditions(
+                lpath_engine, "//VP{//NP$}", executor=executor)) == 3
+        # The start/end scheme emits no duplicates; the pass is a no-op.
+        assert self._conditions(xpath_engine, "//S//NP") == [
+            "s1.right < s0.right"
+        ]
+
+    def test_predicate_subplans_are_pruned_too(self, engines):
+        lpath_engine, _ = engines
+        logical = lpath_engine.compile("//VP[{//NP$}]").logical
+        scan = linearize(logical)[0]
+        (exists,) = scan.conditions
+        (join,) = [n for n in linearize(exists.subplan) if isinstance(n, Join)]
+        assert [str(c) for c in join.conditions] == [
+            "s1.depth > s0.depth",
+            "s0.left <= s1.left",
+            "s1.right = s0.right",
+        ]
+
+    def test_value_seed_drops_the_test_it_answers(self, engines):
+        lpath_engine, _ = engines
+        scan = linearize(lpath_engine.compile("//_[@lex=saw]").logical)[0]
+        assert scan.conditions == ()
+        # Only the seeding equality goes: a second value test stays.
+        scan = linearize(
+            lpath_engine.compile("//_[@lex=saw][@lex!=dog]").logical)[0]
+        assert [str(c) for c in scan.conditions] == ["value{...} != 'dog'"]

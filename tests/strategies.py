@@ -80,8 +80,10 @@ name_tests = st.sampled_from(LABELS + ["_"])
 @st.composite
 def _predicate(draw, depth: int, separators: list[str]) -> str:
     """One ``[...]`` predicate body, nesting bounded by ``depth``."""
+    # "path" is listed twice: existence subplans are the predicates the
+    # batch executor runs as semi-joins, so they get the largest share.
     simple = [
-        "path", "attr-exists", "attr-cmp", "name-cmp", "count-cmp",
+        "path", "path", "attr-exists", "attr-cmp", "name-cmp", "count-cmp",
     ]
     nested = ["not", "and", "or"] if depth > 0 else []
     kind = draw(st.sampled_from(simple + nested))
@@ -141,7 +143,8 @@ def lpath_queries(draw, max_steps: int = 3, max_pred_depth: int = 2) -> str:
     step_count = draw(st.integers(min_value=1, max_value=max_steps))
     text = draw(st.sampled_from(["/", "//"])) + draw(name_tests)
     for index in range(step_count):
-        if draw(st.integers(min_value=0, max_value=2)) == 0:
+        # One step in two carries a predicate, so about 7 texts in 10 do.
+        if draw(st.booleans()):
             text += f"[{draw(_predicate(max_pred_depth, _PRED_SEPARATORS))}]"
         if index < step_count - 1:
             text += draw(st.sampled_from(_LPATH_SEPARATORS)) + draw(name_tests)
