@@ -1,7 +1,7 @@
 """Live-corpus serving cost: append-to-visible latency and query
 throughput retention while the compactor runs.
 
-Two gates turn the crash-safe live-corpus story into numbers:
+Three gates turn the crash-safe live-corpus story into numbers:
 
 * **Append -> visible.**  A durable append is a WAL frame + fsync + an
   engine swap; the next query must see the rows (read-your-writes).
@@ -11,6 +11,15 @@ Two gates turn the crash-safe live-corpus story into numbers:
   disks is hundreds of microseconds; the ceiling catches a regression
   to re-labeling or re-saving the base corpus per append (which would
   cost the full corpus build, orders of magnitude above it).
+
+* **No sawtooth.**  A swap costs what was appended, not what the delta
+  already holds (delta tiers merge binary-counter style, base segments
+  and plans are shared across snapshots).  The median append -> visible
+  over the appends that found the delta at >= 90 % of its final size
+  must stay within ``APPEND_GROWTH_CEILING`` of the median over those
+  that found it under 10 % — a swap that re-sorts the whole delta, or
+  rebuilds a base segment's value index, fails this long before it
+  fails the absolute ceiling.
 
 * **QPS retention under compaction.**  Compaction's heavy phase (the
   new base-segment build) runs outside the corpus lock so readers keep
@@ -24,8 +33,8 @@ Two gates turn the crash-safe live-corpus story into numbers:
   deciding it.
 
 Knobs: ``REPRO_BENCH_SENTENCES`` (corpus size), ``REPRO_BENCH_REPEATS``
-(append samples are ``8 * repeats``), ``REPRO_BENCH_APPEND_CEILING``
-(seconds, default 1.0).
+(append samples are ``8 * repeats``, at least 64),
+``REPRO_BENCH_APPEND_CEILING`` (seconds, default 0.1).
 """
 
 from __future__ import annotations
@@ -46,8 +55,10 @@ from repro.tree import write_trees
 WORKLOAD = ("//VP//NP", "//NP")
 
 APPEND_VISIBLE_CEILING_SECONDS = float(
-    os.environ.get("REPRO_BENCH_APPEND_CEILING", "1.0")
+    os.environ.get("REPRO_BENCH_APPEND_CEILING", "0.1")
 )
+#: Late-in-the-delta over early-in-the-delta append -> visible medians.
+APPEND_GROWTH_CEILING = 2.0
 QPS_RETENTION_FLOOR = 0.80
 #: Fraction of the base corpus appended as the to-be-compacted delta.
 DELTA_FRACTION = 0.4
@@ -89,10 +100,12 @@ def test_live_corpus_gates(benchmark, write_result, write_json, repeats):
         manager = live.LiveEngineManager(path)
         try:
             # -- gate 1: append -> visible --------------------------------
-            samples = min(len(delta_lines), max(4, 8 * repeats))
+            samples = min(len(delta_lines), max(64, 8 * repeats))
             append_timings = []
+            delta_before = []
             for line in delta_lines[:samples]:
                 before = len(manager.engine.query("//_"))
+                delta_before.append(manager.corpus.delta_row_count)
                 started = time.perf_counter()
                 ack = manager.append_trees(line)
                 visible = len(manager.engine.query("//_"))
@@ -102,6 +115,17 @@ def test_live_corpus_gates(benchmark, write_result, write_json, repeats):
                 # visibility check is growth, not exact row arithmetic.
                 assert ack["rows"] > 0 and visible > before
             append_visible = statistics.median(append_timings)
+            # The sawtooth: the same append, early and late in the delta.
+            full = manager.corpus.delta_row_count
+            append_empty = statistics.median(
+                seconds for rows, seconds in zip(delta_before, append_timings)
+                if rows < 0.1 * full
+            )
+            append_full = statistics.median(
+                seconds for rows, seconds in zip(delta_before, append_timings)
+                if rows >= 0.9 * full
+            )
+            append_growth = append_full / append_empty
 
             # -- gate 2: QPS retention while compacting -------------------
             # Fold the remaining delta in so the compactor has real work.
@@ -153,6 +177,9 @@ def test_live_corpus_gates(benchmark, write_result, write_json, repeats):
         f"append -> visible (median of {len(append_timings)}): "
         f"{append_visible * 1000.0:.2f} ms "
         f"(ceiling {APPEND_VISIBLE_CEILING_SECONDS * 1000.0:.0f} ms)",
+        f"append -> visible, delta < 10% / >= 90% full: "
+        f"{append_empty * 1000.0:.2f} / {append_full * 1000.0:.2f} ms "
+        f"({append_growth:.2f}x, ceiling {APPEND_GROWTH_CEILING:.1f}x)",
         f"query median before compaction: {baseline * 1000.0:.2f} ms",
         f"query median during compaction: {during_median * 1000.0:.2f} ms "
         f"({len(during)} samples over {compact_seconds:.3f}s)",
@@ -164,6 +191,9 @@ def test_live_corpus_gates(benchmark, write_result, write_json, repeats):
     write_json("live_corpus", {
         "append_visible_seconds": append_visible,
         "append_samples": len(append_timings),
+        "append_visible_empty_delta_seconds": append_empty,
+        "append_visible_full_delta_seconds": append_full,
+        "append_growth_ratio": append_growth,
         "query_baseline_seconds": baseline,
         "query_during_compaction_seconds": during_median,
         "query_after_compaction_seconds": after,
@@ -173,6 +203,10 @@ def test_live_corpus_gates(benchmark, write_result, write_json, repeats):
     })
 
     assert append_visible <= APPEND_VISIBLE_CEILING_SECONDS
+    assert append_growth <= APPEND_GROWTH_CEILING, (
+        f"append -> visible grew {append_growth:.2f}x from an empty to a "
+        f"full delta (ceiling {APPEND_GROWTH_CEILING:.1f}x)"
+    )
     if _multicore():
         assert retention >= QPS_RETENTION_FLOOR, (
             f"query QPS retained only {retention:.2%} while compacting "

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ..faults import maybe_mmap_read_error
@@ -55,6 +57,13 @@ class NameStats(NamedTuple):
     max_partition: int   # rows in the largest per-tree partition
     min_depth: int       # shallowest occurrence (0 when absent)
     max_depth: int       # deepest occurrence (0 when absent)
+
+
+def _gather(column, rows: list):
+    """``column[row]`` for every row, in one C-level call."""
+    if len(rows) < 2:  # itemgetter needs two keys to return a tuple
+        return [column[row] for row in rows]
+    return itemgetter(*rows)(column)
 
 
 class ColumnStore:
@@ -344,20 +353,36 @@ class ColumnStore:
         ``(tid, id)`` — the columnar twin of the ``{value, tid, id}``
         index.  Built on first use."""
         if self._by_value is None:
-            table: dict[str, tuple[array, array]] = {}
-            values, is_attr = self.values, self.is_attr
-            tids = self.tid
-            for slot in range(self.n):
-                row = self.tid_id_perm[slot]
-                if not is_attr[row] or values[row] is None:
-                    continue
-                entry = table.get(values[row])
-                if entry is None:
-                    entry = table[values[row]] = (array("q"), array("q"))
-                entry[0].append(tids[row])
-                entry[1].append(row)
-            self._by_value = table
+            self._by_value = self._build_by_value()
         return self._by_value
+
+    def _value_keys(self):
+        """``(per-row grouping key, key -> value string)`` for the value
+        index: heap values are interned strings, their own keys."""
+        return self.values, lambda value: value
+
+    def _build_by_value(self) -> dict:
+        """One pass over the attribute rows in ``(tid, id)`` order,
+        grouped on :meth:`_value_keys` so a mapped store touches each
+        distinct string once instead of once per row; the per-row work
+        is column gathers, not interpreted lookups."""
+        keys, resolve = self._value_keys()
+        perm = self.tid_id_perm.tolist()
+        rows = list(compress(perm, _gather(bytes(self.is_attr), perm)))
+        groups: dict = {}
+        for key, row in zip(_gather(keys, rows), rows):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [row]
+            else:
+                group.append(row)
+        tids = self.tid
+        table: dict[str, tuple[array, array]] = {}
+        for key, group in groups.items():
+            value = resolve(key)
+            if value is not None:
+                table[value] = (array("q", _gather(tids, group)), array("q", group))
+        return table
 
     def value_rows(self, literal: str, tid: Optional[int] = None):
         """Attribute rows whose value equals ``literal`` (optionally within
@@ -638,6 +663,10 @@ class MappedColumnStore(ColumnStore):
         self._name_stats = stats
         self._by_value = None
         self._projections = {}
+
+    def _value_keys(self):
+        """Group on the interned string ids; ``table[0]`` is ``None``."""
+        return self.values.ids, self.values.table.__getitem__
 
     # -- fault checkpoints ----------------------------------------------------
     #

@@ -524,11 +524,15 @@ class LiveCorpus:
     def base_segment_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.manifest.segments)
 
-    def snapshot(self) -> tuple[tuple[str, ...], list[Label]]:
-        """A consistent (base segment names, delta rows copy) pair for
-        engine builds."""
+    def snapshot(
+        self, after: int = 0
+    ) -> tuple[tuple[str, ...], list[Label]]:
+        """A consistent (base segment names, copy of the delta rows from
+        position ``after`` on) pair for engine builds.  A position is
+        only meaningful while the names stay what they were when it was
+        taken: a compaction restarts the delta."""
         with self._lock:
-            return self.base_segment_names(), list(self._delta_rows)
+            return self.base_segment_names(), self._delta_rows[after:]
 
     def verify_on_disk(self) -> tuple[bool, Optional[str]]:
         """Does the directory on disk still match this open handle?
@@ -915,61 +919,102 @@ def load_live_labels(path: str) -> list[Label]:
 # -- engine integration --------------------------------------------------------
 
 
-class _LiveResources:
-    """What a snapshot engine owns: the mapped base corpora and the
-    read-only LiveCorpus view.  Quacks like ``engine._mapped`` (the
-    engine's ``close`` calls ``.close()``)."""
+def _segment(store, index: int, kind: str):
+    """One queryable shard: the store, its compiler and its columnar
+    runtime, built once and then shared by every snapshot engine."""
+    from .lpath.compiler import PlanCompiler
+    from .plan.segmented import Segment
 
-    def __init__(self, corpora, corpus: Optional[LiveCorpus]) -> None:
-        self.corpora = corpora
+    compiler = PlanCompiler(column_store=store, root_right=store.root_right)
+    compiler.columnar_runtime  # built here, not raced for by first queries
+    return Segment(index, compiler, len(store), kind)
+
+
+class _LiveSegments:
+    """The physical state behind a live corpus's snapshot engines, kept
+    across snapshots because almost none of it changes between them.
+
+    *Base files* are immutable: each is mapped once and each of its
+    shards gets one :class:`~repro.plan.segmented.Segment` (store,
+    compiler, runtime) for as long as this object lives — so the lazily
+    built value index, projections, statistics and kernel column
+    pointers of a base shard are built once, not once per append.
+
+    The *delta* is a list of immutable in-memory tiers, oldest first.
+    Every batch of new WAL rows becomes a tier of its own, then absorbs
+    its older neighbour for as long as that neighbour holds less than
+    twice its rows (binary-counter style): tiers at least halve from
+    one to the next, so there are O(log delta) of them, a row is
+    re-sorted O(log delta) times over the delta's life, and every tier
+    the merge did not reach is reused as is.  A compaction moves the
+    delta into a new base file; what the WAL still holds afterwards
+    restarts the tiers."""
+
+    def __init__(self, corpus: LiveCorpus) -> None:
         self.corpus = corpus
+        self.segments: list = []   # what the latest snapshot serves
+        self.reused = 0            # segments handed to a second snapshot
+        self._files: dict = {}     # base file name -> (MappedCorpus, Segments)
+        self._base_names: tuple[str, ...] = ()
+        self._tiers: list = []     # (label rows, delta Segment), oldest first
+
+    @property
+    def delta_segments(self) -> int:
+        return len(self._tiers)
+
+    def advance(self) -> list:
+        """Catch up with the corpus; returns the segment list of the new
+        snapshot (base shards in manifest order, then the delta tiers).
+        Costs O(new WAL rows) amortized, plus one file open per base
+        file not seen before."""
+        from .columnar.store import ColumnStore, MappedColumnStore
+
+        covered = sum(len(rows) for rows, _ in self._tiers)
+        names, fresh = self.corpus.snapshot(after=covered)
+        if names != self._base_names:
+            # Compacted since the last snapshot: the delta restarted.
+            names, fresh = self.corpus.snapshot()
+            self._tiers = []
+            self._base_names = names
+        base = []
+        for name in names:
+            entry = self._files.get(name)
+            if entry is None:
+                mapped = open_mapped_corpus(
+                    os.path.join(self.corpus.root, name)
+                )
+                self._files[name] = entry = (mapped, [])
+                for shard in mapped.segments:
+                    entry[1].append(_segment(
+                        MappedColumnStore(shard),
+                        len(base) + len(entry[1]), "base",
+                    ))
+            base.extend(entry[1])
+        if fresh or not (base or self._tiers):
+            keep = len(self._tiers)
+            while keep and len(self._tiers[keep - 1][0]) < 2 * len(fresh):
+                keep -= 1
+                fresh = self._tiers[keep][0] + fresh
+            self._tiers[keep:] = [(fresh, _segment(
+                ColumnStore.from_rows(fresh), len(base) + keep, "delta",
+            ))]
+        previous = {id(segment) for segment in self.segments}
+        self.segments = base + [segment for _, segment in self._tiers]
+        self.reused += sum(
+            id(segment) in previous for segment in self.segments
+        )
+        return self.segments
 
     def close(self) -> None:
-        for corpus in self.corpora:
+        """Unmap the base files (every engine over them is dead after
+        this) and close the corpus."""
+        for mapped, _ in self._files.values():
             with contextlib.suppress(Exception):
-                corpus.close()
-        if self.corpus is not None:
-            self.corpus.close()
-
-
-def _build_live_engine(
-    root: str,
-    base_names,
-    delta_rows,
-    corpora_by_name: dict,
-    plan_cache_size: int = 128,
-    workers: Optional[int] = None,
-):
-    """Assemble an LPathEngine over mmap base segments + an in-memory
-    delta ColumnStore.  ``corpora_by_name`` caches open MappedCorpus
-    objects (the manager reuses them across engine swaps); missing
-    entries are opened and added."""
-    from .columnar.store import ColumnStore, MappedColumnStore
-    from .lpath.engine import LPathEngine
-
-    stores = []
-    kinds = []
-    for name in base_names:
-        corpus = corpora_by_name.get(name)
-        if corpus is None:
-            corpus = open_mapped_corpus(os.path.join(root, name))
-            corpora_by_name[name] = corpus
-        for segment in corpus.segments:
-            stores.append(MappedColumnStore(segment))
-            kinds.append("base")
-    if delta_rows or not stores:
-        stores.append(ColumnStore.from_rows(list(delta_rows)))
-        kinds.append("delta")
-    engine = LPathEngine.from_columns(
-        stores if len(stores) > 1 else stores[0],
-        plan_cache_size=plan_cache_size,
-        workers=workers,
-    )
-    compiler = engine._compiler
-    if hasattr(compiler, "segments"):
-        for segment, kind in zip(compiler.segments, kinds):
-            segment.kind = kind
-    return engine
+                mapped.close()
+        self._files.clear()
+        self.segments = []
+        self._tiers = []
+        self.corpus.close()
 
 
 def open_live_engine(
@@ -979,14 +1024,15 @@ def open_live_engine(
     mode: Optional[str] = None,
 ):
     """Open a live corpus as a *snapshot* engine: base segments mmap'd
-    zero-copy, the WAL replayed into an in-memory delta store, results
-    merged through the ordinary sorted disjoint segment merge.
+    zero-copy, the WAL replayed into one in-memory delta segment,
+    results merged through the ordinary sorted disjoint segment merge.
 
     The snapshot does not see later appends — re-open (or use
     :class:`LiveEngineManager`, which the daemon does) to follow the
     log.  ``mode="process"`` is rejected: process workers re-open stores
     by LPDB0004 path, which the in-memory delta does not have."""
-    from .lpath.engine import LPathError
+    from .lpath.engine import LPathEngine, LPathError
+    from .plan.cache import PlanCache
 
     if mode == "process":
         raise LPathError(
@@ -994,21 +1040,15 @@ def open_live_engine(
             "cannot be re-opened by path in a worker process); "
             "use mode='thread' or compact first and serve the base file"
         )
-    corpus = LiveCorpus(path, writable=False)
-    corpora_by_name: dict = {}
+    state = _LiveSegments(LiveCorpus(path, writable=False))
     try:
-        base_names, delta_rows = corpus.snapshot()
-        engine = _build_live_engine(
-            corpus.root, base_names, delta_rows, corpora_by_name,
-            plan_cache_size=plan_cache_size, workers=workers,
+        engine = LPathEngine.from_segments(
+            state.advance(), PlanCache(plan_cache_size), workers=workers
         )
     except BaseException:
-        for mapped in corpora_by_name.values():
-            with contextlib.suppress(Exception):
-                mapped.close()
-        corpus.close()
+        state.close()
         raise
-    engine._mapped = _LiveResources(list(corpora_by_name.values()), corpus)
+    engine._mapped = state  # engine.close() unmaps and closes the corpus
     return engine
 
 
@@ -1017,12 +1057,23 @@ def open_live_engine(
 
 class LiveEngineManager:
     """Owns a writable :class:`LiveCorpus` plus the engine serving it,
-    swapping in a rebuilt engine after every append/compaction
+    swapping in a new snapshot engine after every append/compaction
     (read-your-writes) while retired engines linger for a grace period
     so in-flight queries finish on the snapshot they resolved.
 
-    The mapped base corpora are owned *here*, not by any engine
-    (``engine._mapped`` stays a no-op for swapped engines), so a swap
+    A swap costs O(rows appended), not O(corpus): the engines are thin
+    shells over state this manager keeps (:class:`_LiveSegments`) —
+    base-file segments and untouched delta tiers are the *same objects*
+    in consecutive engines, and the incoming engine starts from the
+    plans the outgoing one compiled or ran
+    (:meth:`~repro.plan.cache.PlanCache.carry`); each is rebased onto
+    the new segment list on its first hit, physical-compiling only the
+    segments that are new.  A plan that sat unused through a whole
+    snapshot is dropped instead, so a carried plan never pins delta
+    tiers older than the retired engine's.
+
+    The mapped base files are owned *here*, not by any engine
+    (``engine._mapped`` stays ``None`` for swapped engines), so a swap
     never unmaps pages a retired engine still reads."""
 
     def __init__(
@@ -1034,26 +1085,29 @@ class LiveEngineManager:
         compact_rows: int = 0,
         compact_interval: float = 0.25,
     ) -> None:
+        from .plan.cache import PlanCache
+
         self.corpus = LiveCorpus(path, writable=writable)
-        self._plan_cache_size = plan_cache_size
         self._workers = workers
         self._lock = threading.RLock()
         self._compact_lock = threading.Lock()
-        self._corpora: dict = {}
+        self._state = _LiveSegments(self.corpus)
         self._retired: list[tuple[float, object]] = []
         self.appends = 0
         self.compactions = 0
         self.compacting = False
         self.last_compaction: Optional[dict] = None
+        self.plans_carried = 0
+        self._plans_rebased = 0  # by engines already retired
         self.compact_rows = int(compact_rows)
         self._compact_interval = compact_interval
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
+        self.engine = None
         try:
-            self.engine = self._build()
+            self.engine = self._build(PlanCache(plan_cache_size))
         except BaseException:
-            self._close_corpora()
-            self.corpus.close()
+            self._state.close()
             raise
         if self.compact_rows > 0 and writable:
             self._thread = threading.Thread(
@@ -1065,23 +1119,33 @@ class LiveEngineManager:
 
     # -- engine builds ---------------------------------------------------------
 
-    def _build(self):
-        base_names, delta_rows = self.corpus.snapshot()
-        engine = _build_live_engine(
-            self.corpus.root, base_names, delta_rows, self._corpora,
-            plan_cache_size=self._plan_cache_size, workers=self._workers,
+    def _build(self, plan_cache):
+        from .lpath.engine import LPathEngine
+
+        return LPathEngine.from_segments(
+            self._state.advance(), plan_cache, workers=self._workers
         )
-        return engine
 
     def _swap(self) -> None:
-        """Build a fresh engine over the current snapshot and retire the
-        old one (closed after the grace period)."""
-        new_engine = self._build()
-        now = time.monotonic()
+        """Serve the current snapshot from a new engine that shares every
+        unchanged segment and carries the live plans of the old one,
+        which is retired (closed after the grace period)."""
         with self._lock:
             old = self.engine
-            self.engine = new_engine
-            self._retired.append((now, old))
+            current = old._compiler.segments
+            plans = old.plan_cache.carry(
+                lambda plan: plan.segments is current
+            )
+            self.engine = self._build(plans)
+            self.plans_carried += len(plans)
+            self._plans_rebased += old._compiler.rebased
+            self._retired.append((time.monotonic(), old))
+            self._reap()
+
+    def _reap(self) -> None:
+        """Close the retired engines whose grace period is over."""
+        now = time.monotonic()
+        with self._lock:
             keep = []
             for retired_at, engine in self._retired:
                 if now - retired_at >= ENGINE_GRACE_SECONDS:
@@ -1127,6 +1191,7 @@ class LiveEngineManager:
 
     def _compactor_loop(self) -> None:
         while not self._stop.wait(self._compact_interval):
+            self._reap()
             try:
                 if self.corpus.delta_row_count >= self.compact_rows:
                     self.compact()
@@ -1136,6 +1201,7 @@ class LiveEngineManager:
     # -- observability ---------------------------------------------------------
 
     def status(self) -> dict:
+        self._reap()
         with self._lock:
             return {
                 "generation": self.corpus.generation,
@@ -1150,18 +1216,19 @@ class LiveEngineManager:
                 "last_compaction": self.last_compaction,
                 "last_recovery": self.corpus.manifest.last_recovery or None,
                 "retired_engines": len(self._retired),
+                "delta_segments": self._state.delta_segments,
+                "segments_reused": self._state.reused,
+                "plans_carried": self.plans_carried,
+                "plans_rebased": self._plans_rebased + (
+                    self.engine._compiler.rebased
+                    if self.engine is not None else 0
+                ),
             }
 
     def verify(self) -> tuple[bool, Optional[str]]:
         return self.corpus.verify_on_disk()
 
     # -- lifecycle -------------------------------------------------------------
-
-    def _close_corpora(self) -> None:
-        for mapped in self._corpora.values():
-            with contextlib.suppress(Exception):
-                mapped.close()
-        self._corpora.clear()
 
     def close(self) -> None:
         self._stop.set()
@@ -1171,11 +1238,11 @@ class LiveEngineManager:
         with self._lock:
             engines = [engine for _, engine in self._retired]
             self._retired = []
-            if getattr(self, "engine", None) is not None:
+            if self.engine is not None:
+                self._plans_rebased += self.engine._compiler.rebased
                 engines.append(self.engine)
                 self.engine = None
             for engine in engines:
                 with contextlib.suppress(Exception):
                     engine.close()
-            self._close_corpora()
-            self.corpus.close()
+            self._state.close()

@@ -27,6 +27,7 @@ parsing, lowering and optimization.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from typing import Optional, Sequence, Union
 
 from ..labeling.lpath_scheme import label_corpus, root_spans
@@ -149,43 +150,78 @@ class LPathEngine:
             else ColumnStore.from_columns(bundle)
             for bundle in bundles
         ]
+        shards = [
+            Segment(
+                index,
+                PlanCompiler(column_store=store, root_right=store.root_right),
+                len(store),
+            )
+            for index, store in enumerate(stores)
+        ]
+        root_right = {}
+        for store in stores:
+            root_right.update(store.root_right)
+        engine = cls._columnar_only(
+            len(stores), workers, root_right, PlanCache(plan_cache_size)
+        )
+        engine._compiler = (
+            shards[0].compiler if len(shards) == 1
+            else SegmentedPlanCompiler(shards, get_pool=engine._pool)
+        )
+        return engine
+
+    @classmethod
+    def from_segments(
+        cls,
+        segments: Sequence[Segment],
+        plan_cache: PlanCache,
+        workers: Optional[int] = None,
+    ) -> "LPathEngine":
+        """Build a columnar-only engine over prebuilt
+        :class:`~repro.plan.segmented.Segment` objects (store + compiler
+        each), *sharing* them: nothing is copied or re-derived, so
+        :mod:`repro.live` hands the same immutable segments — and a plan
+        cache carried over from the previous snapshot — to every engine
+        it swaps in.  Always segment-compiled, even over one segment, so
+        carried plans have one shape."""
+        validate_segmentation(len(segments), workers)
+        engine = cls._columnar_only(
+            len(segments), workers,
+            ChainMap(*(
+                segment.compiler.column_store.root_right
+                for segment in segments
+            )),
+            plan_cache,
+        )
+        engine._compiler = SegmentedPlanCompiler(
+            segments, get_pool=engine._pool
+        )
+        return engine
+
+    @classmethod
+    def _columnar_only(
+        cls, segments: int, workers: Optional[int], root_right,
+        plan_cache: PlanCache,
+    ) -> "LPathEngine":
+        """The engine shell every row-less constructor shares; the
+        caller installs ``_compiler``."""
         engine = cls.__new__(cls)
         engine.trees = []
         engine.executor = "columnar"
-        engine.segments = len(stores)
+        engine.segments = segments
         engine.workers = workers
         engine.mode = "thread"
         engine._mapped = None
-        engine._pool = SegmentPool(workers, len(stores))
+        engine._pool = SegmentPool(workers, segments)
         engine.database = None
         engine.node_table = None
-        engine.root_right = {}
-        for store in stores:
-            engine.root_right.update(store.root_right)
-        if len(stores) == 1:
-            engine._compiler = PlanCompiler(
-                column_store=stores[0], root_right=stores[0].root_right
-            )
-        else:
-            engine._compiler = SegmentedPlanCompiler(
-                [
-                    Segment(
-                        index,
-                        PlanCompiler(
-                            column_store=store, root_right=store.root_right
-                        ),
-                        len(store),
-                    )
-                    for index, store in enumerate(stores)
-                ],
-                get_pool=engine._pool,
-            )
+        engine.root_right = root_right
         engine._sql = SQLGenerator()
         engine._rows = None
         engine._sqlite = None
         engine._treewalk = None
         engine._by_id = None
-        engine.plan_cache = PlanCache(plan_cache_size)
+        engine.plan_cache = plan_cache
         return engine
 
     @classmethod

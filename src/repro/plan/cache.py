@@ -62,6 +62,18 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
 
+    def carry(self, keep) -> "PlanCache":
+        """A new cache with fresh statistics sharing, in LRU order, the
+        plans ``keep(plan)`` accepts — what the next snapshot engine of a
+        live corpus starts from (:mod:`repro.live`)."""
+        carried = PlanCache(self.maxsize)
+        with self._lock:
+            carried._entries.update(
+                (key, plan) for key, plan in self._entries.items()
+                if keep(plan)
+            )
+        return carried
+
     def clear(self) -> None:
         """Invalidate every entry and reset the statistics."""
         with self._lock:
@@ -139,11 +151,21 @@ def cached_compile(
     The lookup happens before any parsing, so a warm hit skips the whole
     parse → lower → optimize pipeline; AST queries key on their unparse,
     which round-trips, so they share entries with their textual form.
+
+    A compiler with a ``rebase`` method (the segmented one) gets to
+    bring a hit up to date first: an engine of a live corpus starts from
+    its predecessor's plans, compiled for the predecessor's segments.
     """
     key = compile_options_key(query, pivot, executor, limit=limit, agg=agg)
     cached = cache.get(key)
     if cached is not None:
-        return cached
+        rebase = getattr(compiler, "rebase", None)
+        if rebase is None:
+            return cached
+        current = rebase(cached)
+        if current is not cached:
+            cache.put(key, current)
+        return current
     compiled = compiler.compile(
         query, pivot=pivot, executor=executor, limit=limit, agg=agg
     )

@@ -20,7 +20,10 @@ The division of labor:
   the cache is segment-count-agnostic.
 * :class:`SegmentedQuery` — drives the per-segment plans, optionally on a
   thread pool supplied by the owning engine, and merges the sorted
-  per-segment results.
+  per-segment results.  It keeps the optimized IR it was compiled from,
+  so :meth:`SegmentedPlanCompiler.rebase` can move it onto a segment
+  list that shares most segments with its own (consecutive snapshots of
+  a live corpus, :mod:`repro.live`) by compiling only the new ones.
 
 Results are byte-identical to the monolithic engine: each per-segment
 plan yields sorted distinct ``(tid, id)`` pairs, segments partition the
@@ -420,23 +423,31 @@ class SegmentedQuery:
 
     def __init__(
         self,
+        segments: Sequence[Segment],
         parts: Sequence,
-        description: str,
         logical: PlanNode,
+        lowered,
+        executor: str,
         get_pool: Optional[Callable] = None,
         remote: Optional[RemoteTask] = None,
         limit: Optional[int] = None,
         agg: Optional[str] = None,
-        kinds: Optional[Sequence[str]] = None,
     ) -> None:
+        #: The compiler's segment list this plan was built for (the list
+        #: object itself: :meth:`SegmentedPlanCompiler.rebase` compares
+        #: identity) and, in the same order, one compiled part each.
+        self.segments = segments
         self.parts = list(parts)
-        self.description = description
+        self.description = lowered.description
         self.logical = logical
+        #: Kept with ``executor`` so a rebase can physical-compile the
+        #: same optimized plan against a segment that did not exist yet.
+        self.lowered = lowered
+        self.executor = executor
         self.get_pool = get_pool
         self.remote = remote
         self.limit = limit
         self.agg = agg
-        self.kinds = list(kinds) if kinds is not None else None
 
     def _map(self, task: Callable) -> list:
         def run(part):
@@ -555,10 +566,9 @@ class SegmentedQuery:
         if self.logical is not None:
             parts.append("logical plan:\n" + render(self.logical, indent=2))
         mix = ""
-        if self.kinds is not None and "delta" in self.kinds:
-            base = sum(1 for kind in self.kinds if kind != "delta")
-            delta = len(self.kinds) - base
-            mix = f": {base} base + {delta} delta"
+        delta = sum(1 for segment in self.segments if segment.kind == "delta")
+        if delta:
+            mix = f": {len(self.segments) - delta} base + {delta} delta"
         parts.append(
             f"physical plan (x{len(self.parts)} segments{mix}, "
             "segment 0 shown):\n"
@@ -594,6 +604,9 @@ class SegmentedPlanCompiler:
         self.lowerer = Lowerer(self.scheme, self.catalog, self.dialect)
         self.get_pool = get_pool
         self.remote = remote
+        #: Carried plans moved onto this segment list (see :meth:`rebase`).
+        self.rebased = 0
+        self._rebased_lock = threading.Lock()
 
     def compile(
         self, query, pivot: bool = False, executor: str = "volcano",
@@ -630,7 +643,38 @@ class SegmentedPlanCompiler:
                 agg,
             )
         return SegmentedQuery(
-            parts, lowered.description, root, self.get_pool, remote_task,
-            limit=limit, agg=agg,
-            kinds=[segment.kind for segment in self.segments],
+            self.segments, parts, root, lowered, executor,
+            self.get_pool, remote_task, limit=limit, agg=agg,
+        )
+
+    def rebase(self, compiled: SegmentedQuery) -> SegmentedQuery:
+        """``compiled`` itself when it was built for this compiler's
+        segment list; otherwise (a plan carried across a live-corpus
+        engine swap) a new :class:`SegmentedQuery` over *this* list that
+        keeps the part of every :class:`Segment` object both lists hold
+        and physical-compiles only the segments that are new, from the
+        plan's retained optimized IR.  ``compiled`` is never mutated — a
+        query in flight on the retired engine still holds it.  The
+        logical plan (and so the estimates ``explain()`` prints) stays as
+        first lowered."""
+        if compiled.segments is self.segments:
+            return compiled
+        known = {
+            id(segment): part
+            for segment, part in zip(compiled.segments, compiled.parts)
+        }
+        parts = []
+        for segment in self.segments:
+            part = known.get(id(segment))
+            if part is None:
+                part = segment.compiler.compile_physical(
+                    compiled.logical, compiled.lowered, compiled.executor
+                )
+            parts.append(part)
+        with self._rebased_lock:
+            self.rebased += 1
+        return SegmentedQuery(
+            self.segments, parts, compiled.logical, compiled.lowered,
+            compiled.executor, self.get_pool, compiled.remote,
+            limit=compiled.limit, agg=compiled.agg,
         )

@@ -1149,10 +1149,12 @@ class QueryService:
                 if handle.live is not None:
                     live_status = handle.live.status()
                     health["live"] = {
-                        "generation": live_status["generation"],
-                        "delta_rows": live_status["delta_rows"],
-                        "compacting": live_status["compacting"],
-                        "compactions": live_status["compactions"],
+                        key: live_status[key] for key in (
+                            "generation", "delta_rows", "compacting",
+                            "compactions", "delta_segments",
+                            "segments_reused", "plans_carried",
+                            "plans_rebased",
+                        )
                     }
                 stores[handle.spec.path] = health
         ready = healthy > 0 and not draining

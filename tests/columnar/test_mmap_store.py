@@ -11,6 +11,7 @@ than a wrong query result three layers up.
 from __future__ import annotations
 
 import io
+from array import array
 
 import pytest
 import hypothesis.strategies as st
@@ -36,6 +37,24 @@ def mapped_and_built(rows, segments=1):
         (MappedColumnStore(segment), ColumnStore.from_rows(shard))
         for segment, shard in zip(mapped_segments, shards)
     ]
+
+
+def reference_by_value(column_store) -> dict:
+    """The row-at-a-time value-index builder the gather-based
+    ``ColumnStore._build_by_value`` replaced, kept as its oracle."""
+    table: dict = {}
+    values, is_attr, tids = (
+        column_store.values, column_store.is_attr, column_store.tid
+    )
+    for row in column_store.tid_id_perm:
+        if not is_attr[row] or values[row] is None:
+            continue
+        entry = table.get(values[row])
+        if entry is None:
+            entry = table[values[row]] = (array("q"), array("q"))
+        entry[0].append(tids[row])
+        entry[1].append(row)
+    return table
 
 
 def assert_stores_equal(mapped: MappedColumnStore, built: ColumnStore):
@@ -89,6 +108,10 @@ def assert_stores_equal(mapped: MappedColumnStore, built: ColumnStore):
     for row in range(built.n):
         assert mapped.string_value(row) == built.string_value(row), row
 
+    for column_store in (mapped, built):
+        expected = reference_by_value(column_store)
+        assert column_store.by_value == expected
+        assert list(column_store.by_value) == list(expected)  # same order
     built_values = {
         value: (list(tids), list(rows_))
         for value, (tids, rows_) in built.by_value.items()

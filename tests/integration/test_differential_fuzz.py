@@ -499,6 +499,82 @@ class TestLiveCorpusDifferentialFuzz:
         finally:
             shutil.rmtree(root)
 
+    @given(data=st.data())
+    @settings(max_examples=max(3, FUZZ_EXAMPLES // 5), deadline=None)
+    def test_swapped_engines_run_carried_plans_correctly(self, data):
+        """Across append / append / compact / append the manager's
+        engine shares segments with its predecessor and starts from its
+        plans.  The *same* query texts run before and after every swap —
+        so what answers is the carried plan, rebased onto the new
+        segment list — and must equal a fresh open of the directory and
+        the monolithic oracle, under every kernel backend."""
+        import shutil
+
+        from repro import live
+        from repro.tree import iter_trees
+
+        chunks = [
+            _bracketed(data.draw(
+                corpora(max_trees=2, max_depth=4), label=f"chunk {index}"
+            ))
+            for index in range(4)
+        ]
+        queries = [
+            data.draw(lpath_queries(), label=f"query {index}")
+            for index in range(QUERIES_PER_EXAMPLE // 2)
+        ]
+        root = tempfile.mkdtemp()
+        live_path = os.path.join(root, "live.lpdb")
+        try:
+            live.create_live_corpus(
+                live_path, list(label_corpus(iter_trees(chunks[0]))),
+                segments=2,
+            )
+            manager = live.LiveEngineManager(live_path)
+            try:
+                text = chunks[0]
+                steps = [None, chunks[1], chunks[2], "compact", chunks[3]]
+                for stage, step in enumerate(steps):
+                    if step == "compact":
+                        manager.compact()
+                    elif step is not None:
+                        manager.append_trees(step)
+                        text += step
+                    trees = list(iter_trees(text))
+                    reference = LPathEngine(trees)
+                    fresh = LPathEngine.open(live_path)
+                    try:
+                        for query in queries:
+                            expected = reference.query(
+                                query, backend="treewalk"
+                            )
+                            results = {
+                                "monolithic/treewalk": expected,
+                                f"fresh-open/{stage}": fresh.query(query),
+                            }
+                            for backend in KERNEL_BACKENDS:
+                                with forced_kernels(backend):
+                                    results[f"swapped/{stage}+{backend}"] = (
+                                        manager.engine.query(query)
+                                    )
+                            if any(
+                                rows != expected
+                                for rows in results.values()
+                            ):
+                                raise AssertionError(
+                                    _report(trees, query, results)
+                                )
+                    finally:
+                        fresh.close()
+                status = manager.status()
+                assert status["plans_rebased"] >= (
+                    4 * len(set(queries)) * len(KERNEL_BACKENDS)
+                )
+            finally:
+                manager.close()
+        finally:
+            shutil.rmtree(root)
+
 
 class TestXPathDifferentialFuzz:
     @given(data=st.data())

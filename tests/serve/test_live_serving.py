@@ -130,6 +130,23 @@ class TestLiveHealthSurfaces:
         assert health["live"]["delta_rows"] > 0
         assert health["live"]["compacting"] is False
 
+    def test_swap_reuse_counters_move(self, live_client):
+        """Both health surfaces show what engine swaps reuse: the same
+        query across two appends is compiled once, carried twice and
+        rebased twice, over base segments that are never rebuilt."""
+        for _ in range(2):
+            assert live_client.count("//N") > 0
+            live_client.append(MORE)
+        assert live_client.count("//N") > 0
+        block = live_client.stats()["stores"][0]["live"]
+        health = next(iter(live_client.ready()["stores"].values()))["live"]
+        for surface in (block, health):
+            assert surface["delta_segments"] == 1     # 1 + 1 batches merged
+            assert surface["segments_reused"] >= 2 * 2  # 2 base shards, twice
+            assert surface["plans_carried"] >= 2
+            assert surface["plans_rebased"] >= 2
+        assert block["retired_engines"] == 2
+
     def test_second_writer_is_rejected_while_serving(
         self, live_service, live_path
     ):

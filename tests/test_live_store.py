@@ -384,6 +384,215 @@ class TestLiveEngine:
             manager.close()
 
 
+def segment_stores(engine):
+    return [
+        segment.compiler.column_store
+        for segment in engine._compiler.segments
+    ]
+
+
+class TestEngineSwap:
+    """What an append/compaction swap may and may not rebuild."""
+
+    QUERIES = ("//N", "//VP//NP", "//NP/N", "//_[@lex=cat]")
+
+    def answers(self, engine):
+        return [engine.query(query) for query in self.QUERIES]
+
+    def fresh_answers(self, corpus_dir):
+        engine = live.open_live_engine(corpus_dir)
+        try:
+            return self.answers(engine)
+        finally:
+            engine.close()
+
+    def test_swapped_engine_equals_fresh_open(self, corpus_dir):
+        """The same texts before and after every swap, so what runs
+        after it is the carried (and rebased) plan."""
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            assert self.answers(manager.engine) == self.fresh_answers(
+                corpus_dir
+            )
+            for step in ("append", "append", "compact", "append"):
+                if step == "compact":
+                    manager.compact()
+                else:
+                    manager.append_trees(MORE)
+                assert self.answers(manager.engine) == self.fresh_answers(
+                    corpus_dir
+                ), step
+            status = manager.status()
+            assert status["plans_carried"] >= 4 * len(self.QUERIES)
+            assert status["plans_rebased"] >= 4 * len(self.QUERIES)
+        finally:
+            manager.close()
+
+    def test_old_snapshot_outlives_append_and_compaction(self, corpus_dir):
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            snapshot = manager.engine
+            before = self.answers(snapshot)
+            pending = iter(snapshot.compile("//N").rows())
+            manager.append_trees(MORE)
+            manager.compact()
+            assert [tuple(row) for row in pending] == before[0]
+            assert self.answers(snapshot) == before       # cached plans
+            assert len(snapshot.query("//S//N")) == 3     # a new compile
+            assert len(manager.engine.query("//S//N")) == 5
+        finally:
+            manager.close()
+
+    def test_unchanged_segments_are_shared_not_rebuilt(
+        self, corpus_dir, monkeypatch
+    ):
+        from repro.columnar.store import ColumnStore
+
+        builds = []
+        real_build = ColumnStore._build_by_value
+
+        def spy(store):
+            builds.append(store)
+            return real_build(store)
+
+        monkeypatch.setattr(ColumnStore, "_build_by_value", spy)
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            base = segment_stores(manager.engine)
+            assert len(base) == 2  # the fixture's two shards, no delta
+            manager.engine.query("//_[@lex=dog]")
+            engines = [manager.engine]
+            for _ in range(5):
+                manager.append_trees(MORE)
+                manager.engine.query("//_[@lex=dog]")
+                engines.append(manager.engine)
+            for older, newer in zip(engines, engines[1:]):
+                old, new = segment_stores(older), segment_stores(newer)
+                assert all(a is b for a, b in zip(base, new))
+                # Tiers merge from the young end only: whatever the
+                # merge left alone is the same object in both engines.
+                shared = [store for store in new if any(
+                    store is other for other in old
+                )]
+                assert shared == new[:len(shared)]
+                assert len(shared) >= len(base)
+            status = manager.status()
+            # 5 equal batches: binary counter 1, 10, 11, 100, 101.
+            assert status["delta_segments"] == 2
+            assert status["segments_reused"] >= 5 * len(base)
+            base_builds = [
+                store for store in builds
+                if any(store is shard for shard in base)
+            ]
+            assert len(base_builds) == len(base)  # once per base shard
+
+            manager.compact()
+            after = segment_stores(manager.engine)
+            assert all(a is b for a, b in zip(base, after))
+            assert len(after) == len(base) + 1    # the compacted file
+            assert manager.status()["delta_segments"] == 0
+        finally:
+            manager.close()
+
+    def test_tier_count_stays_logarithmic(self, corpus_dir):
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            for appended in range(1, 33):
+                manager.append_trees(MORE)
+                tiers = manager.status()["delta_segments"]
+                assert tiers == bin(appended).count("1")
+            assert "2 base + 1 delta" in manager.engine.explain("//N")
+        finally:
+            manager.close()
+
+    def test_readers_race_swaps(self, corpus_dir):
+        """Readers share segments and carried plans with the thread that
+        swaps engines under them: every answer must be some snapshot's
+        answer, and a reader never goes back in time."""
+        import sys
+        import threading
+
+        appends, readers = 24, 4
+        manager = LiveEngineManager(corpus_dir)
+        base = len(manager.engine.query("//N"))
+        valid = {base + 2 * done for done in range(appends + 1)}
+        stop = threading.Event()
+        failures: list = []
+
+        def read() -> None:
+            seen = base
+            try:
+                while not stop.is_set():
+                    for query in ("//N", "//NP/N", "//_[@lex=cat]"):
+                        count = len(manager.engine.query(query))
+                        if query == "//N":
+                            assert count in valid and count >= seen, count
+                            seen = count
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        def write() -> None:
+            try:
+                for done in range(appends):
+                    manager.append_trees(MORE)
+                    if done % 8 == 7:
+                        manager.compact()
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(readers)]
+            writer = threading.Thread(target=write)
+            for thread in threads + [writer]:
+                thread.start()
+            writer.join(timeout=60.0)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not writer.is_alive()
+            assert not any(thread.is_alive() for thread in threads)
+            assert failures == []
+            assert len(manager.engine.query("//N")) == base + 2 * appends
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            manager.close()
+
+    def test_idle_manager_reaps_retired_engines(
+        self, corpus_dir, monkeypatch
+    ):
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            manager.append_trees(MORE)
+            retired = manager._retired[0][1]
+            assert manager.status()["retired_engines"] == 1
+            monkeypatch.setattr(live, "ENGINE_GRACE_SECONDS", 0.0)
+            assert manager.status()["retired_engines"] == 0
+            assert retired._compiler is None  # closed, not just dropped
+        finally:
+            manager.close()
+
+    def test_compactor_tick_reaps_retired_engines(
+        self, corpus_dir, monkeypatch
+    ):
+        import time
+
+        monkeypatch.setattr(live, "ENGINE_GRACE_SECONDS", 0.0)
+        manager = LiveEngineManager(
+            corpus_dir, compact_rows=10**9, compact_interval=0.02
+        )
+        try:
+            manager.append_trees(MORE)
+            deadline = time.monotonic() + 5.0
+            while manager._retired and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert manager._retired == []
+        finally:
+            manager.close()
+
+
 class TestAtomicSaves:
     def test_failed_save_preserves_previous_store(self, tmp_path,
                                                   monkeypatch):
