@@ -2,8 +2,8 @@
 
 A second physical layer for the shared logical IR in :mod:`repro.plan`:
 :class:`ColumnStore` holds the label relation as clustered parallel
-arrays, :class:`ColumnarRuntime`/:func:`compile_plan` execute optimized
-plans batch-at-a-time over row ids, and :class:`ColumnarCatalog` lets the
+arrays, :class:`ColumnarRuntime`/:class:`PlanSkeleton` compile optimized plans
+once and bind them per store for batch-at-a-time execution over row ids, and :class:`ColumnarCatalog` lets the
 lowerer compile against a store with no row table at all.  Engines expose
 it behind ``executor="columnar"``.
 
@@ -15,7 +15,7 @@ side for differential testing).
 """
 
 from .catalog import ColumnarCatalog
-from .executor import ColumnarPlan, ColumnarRuntime, compile_plan
+from .executor import ColumnarPlan, ColumnarRuntime, PlanSkeleton
 from .store import ColumnStore, MappedColumnStore, NameStats, StringColumn
 from .structural import MergeJoinStep, MergeSpec, choose_join, merge_spec
 
@@ -29,7 +29,7 @@ __all__ = [
     "MergeSpec",
     "NameStats",
     "StringColumn",
+    "PlanSkeleton",
     "choose_join",
-    "compile_plan",
     "merge_spec",
 ]

@@ -89,14 +89,19 @@ from ..plan.ir import (
     I, L, N, P, R, T, V,
 )
 from ..plan.lower import as_float, numeric_compare
+from ..faults import active_injector
+from .kernels.api import NativeGather, NativeRangeFilter, bind_checks, classify_checks
 from .store import ColumnStore
 from .structural import (
+    SWEEP,
     JoinOutput,
+    Knobs,
     MergeJoinStep,
+    _compile_sweep,
     apply_selectors,
-    chain_estimates,
-    decide_join,
-    force_mode,
+    choose_join,
+    flow_estimate,
+    merge_spec,
     python_distinct,
     python_take,
     select_all,
@@ -143,6 +148,16 @@ class ColumnarRuntime:
         self.string_value = _make_string_value(
             store, scheme.element_string_values
         )
+        #: What a bound condition can name by position: the eight relation
+        #: columns, then the ``is_attr`` (:data:`A`) and ``right_edge``
+        #: (:data:`E`) bitmaps — resolved once per store, not per compile.
+        self.columns = tuple(store.col(position) for position in range(8)) + (
+            store.is_attr, store.right_edge,
+        )
+
+
+#: Positions of the derived bitmaps in :attr:`ColumnarRuntime.columns`.
+A, E = 8, 9
 
 
 def _make_string_value(
@@ -183,87 +198,117 @@ def _make_string_value(
 
 
 class _Compile:
-    """One plan compile's context: the engine's runtime plus everything
-    decided per plan — the cardinality estimates of the main chain *and*
-    of every predicate subplan under it (one model, so a sub-pipeline
-    picks merge vs. probe exactly like a main-chain join), the forced
-    join mode, and the resolved backend's batch primitives (column
-    gather, ordinal reduction)."""
+    """One compile's context.  With only the compile's ``knobs`` — the
+    forced join mode, the resolved kernel backend and its batch
+    primitives (column gather, ordinal reduction), the fault injector —
+    it builds the segment-independent :class:`PlanSkeleton`; given a
+    ``runtime`` as well it *binds* that skeleton to one store."""
 
-    def __init__(self, runtime: ColumnarRuntime, chain: list) -> None:
-        from .kernels.api import native_distinct, native_take
-
+    def __init__(self, knobs: Knobs, runtime=None) -> None:
+        self.force, kern, self.injector = knobs
+        self.kern = kern
+        self.take = python_take if kern is None else kern.take
+        self.distinct = python_distinct if kern is None else kern.distinct
         self.runtime = runtime
-        self.store = runtime.store
-        self.estimates = chain_estimates(chain, runtime.store)
-        self.force = force_mode()
-        self.take = native_take() or python_take
-        self.distinct = native_distinct() or python_distinct
+        if runtime is not None:
+            self.store = runtime.store
+            self.cols = runtime.columns
 
-    def join_step(self, node: Join, expected_slot: int):
-        """The physical step for one ``Join`` — a structural merge join
-        when the shape admits one and the cost model (or
-        ``REPRO_FORCE_JOIN``) favors it, a per-binding probe otherwise."""
-        if node.slot != expected_slot:
-            raise LPathCompileError(
-                f"columnar join expected slot {expected_slot}, got {node.slot}"
-            )
-        spec, choice, _est = decide_join(
-            node, self.estimates, self.store, self.force
+    def checkpoint(self) -> None:
+        """One physical step is being bound: one read-fault checkpoint."""
+        if self.injector is not None:
+            self.store.checkpoint(self.injector)
+
+
+def _unbound(step):
+    """A shallow copy of a skeleton object for its ``bind`` to fill in."""
+    clone = object.__new__(type(step))
+    clone.__dict__.update(step.__dict__)
+    return clone
+
+
+class PlanSkeleton:
+    """Everything about a columnar physical plan that does not depend on
+    the store it runs against, built once per optimized logical plan:
+    the chain as step skeletons, each join's shape analysis, every
+    condition classified with column *positions* in place of column
+    arrays, the semi-join sub-skeletons, the validated native check
+    kinds and the generated sweep variants.
+
+    :meth:`bind` turns it into a :class:`ColumnarPlan` for one store —
+    per segment of a sharded corpus, and again for every segment a live
+    corpus grows later — by resolving column pointers, partition bounds
+    and the value-seed probe, and by picking merge vs. probe per join:
+    the one part that *is* per store, because it weighs a join's
+    estimated input against the shard's own partition statistics."""
+
+    def __init__(self, node: PlanNode, knobs: Knobs) -> None:
+        self.knobs = knobs
+        ctx = _Compile(knobs)
+        steps: list = []
+        self.output = None
+        width = 0
+        for item in linearize(node):
+            if self.output is not None:
+                raise LPathCompileError(
+                    "Distinct/Project must terminate a columnar pipeline"
+                )
+            if isinstance(item, Scan):
+                steps.append(_ScanStep(item, ctx))
+                width = 1
+            elif isinstance(item, Join):
+                steps.append(_Join(item, ctx, width))
+                width += 1
+            elif isinstance(item, Filter):
+                steps.append(_FilterStep(item, ctx, width))
+            elif isinstance(item, Distinct):
+                self.output = ("distinct", item.key)
+            elif isinstance(item, Project):
+                self.output = ("project", item.cols)
+            else:
+                raise LPathCompileError(f"cannot execute {item!r} as a columnar plan")
+        if not steps or not isinstance(steps[0], _ScanStep):
+            raise LPathCompileError("a columnar pipeline must start at a Scan")
+        self.steps = steps
+        #: Integer-only output keys gather through the native kernel.
+        self.native_gather = (
+            knobs.kern is not None
+            and self.output is not None
+            and bool(self.output[1])
+            and all(position < N for _slot, position in self.output[1])
         )
-        if choice == "merge" and spec is not None:
-            vector, binding, row, semi = _classify(
-                node.conditions, node.slot, self
-            )
-            return MergeJoinStep(
-                node, self.runtime, spec, vector, binding, row, semi, self.take
-            )
-        return _JoinStep(node, self)
+        self._signatures = None
 
+    @property
+    def signatures(self) -> tuple:
+        """``signatures[i]``: the cumulative structural fingerprint of
+        steps ``0..i`` (what :mod:`repro.plan.batch` shares batches on) —
+        derived on first use, since most plans never run in a batch."""
+        if self._signatures is None:
+            found, signature = [], None
+            for step in self.steps:
+                signature = (signature, _node_signature(step.node))
+                found.append(signature)
+            self._signatures = tuple(found)
+        return self._signatures
 
-def compile_plan(node: PlanNode, runtime: ColumnarRuntime) -> "ColumnarPlan":
-    """Compile a top-level IR plan into a re-iterable batch pipeline.
-
-    Each ``Join`` — on the main chain and inside every predicate
-    sub-pipeline — picks its physical algorithm here, against *this*
-    store's collected statistics (so every segment of a sharded corpus
-    decides independently): merge-eligible joins run as set-at-a-time
-    structural merge joins when the cost model favors them — or when
-    ``REPRO_FORCE_JOIN`` forces a side — and fall back to per-binding
-    index probes otherwise."""
-    steps: list = []
-    signatures: list = []
-    signature = None
-    output = None
-    chain = linearize(node)
-    ctx = _Compile(runtime, chain)
-    width = 0
-    for item in chain:
-        if output is not None:
-            raise LPathCompileError(
-                "Distinct/Project must terminate a columnar pipeline"
+    def bind(self, runtime: ColumnarRuntime, injector=None) -> "ColumnarPlan":
+        """The executable plan over ``runtime``'s store.  ``injector`` is
+        the caller's one read of ``REPRO_FAULTS`` (each step bound passes
+        one checkpoint); the forced join mode and the kernel backend stay
+        as the skeleton was built — the plan cache keys on both."""
+        ctx = _Compile(self.knobs._replace(injector=injector), runtime)
+        steps, est = [], None
+        for step in self.steps:
+            step, est = step.bind(ctx, est)
+            steps.append(step)
+        gather = None
+        if self.native_gather:
+            key = self.output[1]
+            gather = NativeGather(
+                ctx.kern, list(key), [ctx.cols[position] for _slot, position in key]
             )
-        if isinstance(item, Scan):
-            steps.append(_ScanStep(item, ctx))
-            width = 1
-        elif isinstance(item, Join):
-            steps.append(ctx.join_step(item, width))
-            width += 1
-        elif isinstance(item, Filter):
-            steps.append(_FilterStep(item, ctx, width))
-        elif isinstance(item, Distinct):
-            output = ("distinct", item.key)
-            continue
-        elif isinstance(item, Project):
-            output = ("project", item.cols)
-            continue
-        else:
-            raise LPathCompileError(f"cannot execute {item!r} as a columnar plan")
-        signature = (signature, _node_signature(item))
-        signatures.append(signature)
-    if not steps or not isinstance(steps[0], _ScanStep):
-        raise LPathCompileError("a columnar pipeline must start at a Scan")
-    return ColumnarPlan(steps, output, runtime, signatures=tuple(signatures))
+        return ColumnarPlan(steps, self.output, runtime, self, gather)
 
 
 def _pred_signature(pred: Pred) -> object:
@@ -335,36 +380,44 @@ class ColumnarPlan:
     returns fresh arrays — so sharing needs no copies)."""
 
     def __init__(
-        self, steps, output, runtime: ColumnarRuntime, signatures=None
+        self, steps, output, runtime: ColumnarRuntime, skeleton=None,
+        native_gather=None,
     ) -> None:
         self.steps = steps
         self.output = output
         self.runtime = runtime
-        self.signatures = signatures
-        self._native_gather = None
-        if output is not None:
-            from .kernels.api import native_output_gather
+        self.skeleton = skeleton
+        self._native_gather = native_gather
 
-            self._native_gather = native_output_gather(
-                output[1], runtime.store
-            )
+    @property
+    def signatures(self):
+        return None if self.skeleton is None else self.skeleton.signatures
+
+    def _checkpoint(self, steps: int = 1) -> None:
+        """``steps`` physical steps are about to run: one read-fault
+        checkpoint each, ``REPRO_FAULTS`` read once for all of them."""
+        injector = active_injector()
+        if injector is not None:
+            for _ in range(steps):
+                self.runtime.store.checkpoint(injector)
 
     def _pipeline(self, shared: Optional[dict] = None) -> list[array]:
         """Run the step pipeline, resuming from the longest shared prefix
         when a ``shared`` cache is supplied (and feeding it)."""
         batch: list[array] = []
         start = 0
-        signatures = self.signatures
-        if shared is not None and signatures:
+        signatures = self.signatures if shared is not None else None
+        if signatures:
             for index in range(len(self.steps), 0, -1):
                 cached = shared.get(signatures[index - 1])
                 if cached is not None:
                     batch = cached
                     start = index
                     break
+        self._checkpoint(len(self.steps) - start)
         for index in range(start, len(self.steps)):
             batch = self.steps[index].run(batch)
-            if shared is not None and signatures:
+            if signatures:
                 shared[signatures[index]] = batch
         return batch
 
@@ -415,6 +468,7 @@ class ColumnarPlan:
         if len(self.steps) == 1 and isinstance(self.steps[0], _ScanStep):
             bounds = self.steps[0].cardinality()
             if bounds is not None:
+                self._checkpoint()
                 return bounds
         batch = self._pipeline()
         if self.output is None:
@@ -451,6 +505,7 @@ class ColumnarPlan:
             or len(self.steps) < 2
         ):
             return sorted(set(self.execute()))[:k]
+        self._checkpoint(len(self.steps))
         seed = self.steps[0].run([])[0]
         if not len(seed):
             return []
@@ -519,63 +574,77 @@ class ColumnarPlan:
 # -- pipeline steps -----------------------------------------------------------
 
 
-def _classify(
-    conditions: Sequence[Pred], cand_slot: int, ctx: _Compile
-) -> tuple[list, list[BindingCheck], list[BindingCheck], tuple]:
-    """Split a node's conditions into vector filters over the candidate
-    column arrays, per-binding prunes, per-row residual checks, and
+class _Conditions:
+    """One node's conditions, classified once per plan: vector filters
+    over the candidate columns (by column *position*), per-binding
+    prunes and per-row residual checks (still IR — their closures
+    capture column arrays, so :meth:`bind` compiles them), and
     set-at-a-time selectors (every condition with an ``exists`` subplan
-    in it, run over the step's whole output batch)."""
-    vector: list = []
-    binding: list[BindingCheck] = []
-    row: list[BindingCheck] = []
-    semi: list = []
-    for condition in conditions:
-        if _has_exists(condition):
-            semi.append(_compile_selector(condition, ctx, cand_slot + 1))
-            continue
-        if cand_slot not in pred_slots(condition):
-            binding.append(compile_pred(condition, ctx))
-            continue
-        filt = _vector_filter(condition, cand_slot, ctx.store)
-        if filt is not None:
-            vector.append(filt)
-        else:
-            row.append(compile_pred(condition, ctx))
-    return vector, binding, row, tuple(semi)
+    in it, run over the step's whole output batch) as sub-skeletons."""
+
+    __slots__ = ("vector", "binding", "row", "semi")
+
+    def __init__(self, conditions: Sequence[Pred], cand_slot: int, ctx: _Compile) -> None:
+        self.vector, self.binding, self.row, semi = [], [], [], []
+        for condition in conditions:
+            if _has_exists(condition):
+                semi.append(_compile_selector(condition, ctx, cand_slot + 1))
+            elif cand_slot not in pred_slots(condition):
+                self.binding.append(condition)
+            else:
+                filt = _vector_filter(condition, cand_slot)
+                if filt is not None:
+                    self.vector.append(filt)
+                else:
+                    self.row.append(condition)
+        self.semi = tuple(semi)
+
+    def bind(self, ctx: _Compile, est) -> tuple[list, list, list, tuple]:
+        """``(vector, binding, row, semi)`` over one store: positions
+        resolved to its column arrays, residuals compiled, selectors
+        bound (``est`` is the owning step's estimated output)."""
+        cols = ctx.cols
+        return (
+            [
+                (cols[column], opf, slot, payload if slot is None else cols[payload])
+                for column, opf, slot, payload in self.vector
+            ],
+            [compile_pred(pred, ctx) for pred in self.binding],
+            [compile_pred(pred, ctx) for pred in self.row],
+            tuple(selector.bind(ctx, est) for selector in self.semi),
+        )
 
 
-def _vector_filter(pred: Pred, cand_slot: int, store: ColumnStore):
+def _vector_filter(pred: Pred, cand_slot: int):
     """``(column, opfunc, rhs_slot, payload)`` for a condition that reads
-    exactly one candidate column, or ``None``.  The right-hand side is
-    pre-resolved once per step: ``rhs_slot is None`` means ``payload`` is a
-    constant, otherwise ``payload`` is the column array the binding slot
-    indexes into — no per-row getter closures on the hot path."""
+    exactly one candidate column, or ``None``; columns are positions in
+    :attr:`ColumnarRuntime.columns`.  ``rhs_slot is None`` means
+    ``payload`` is a constant, otherwise ``payload`` is the column the
+    binding slot indexes into — once bound, no per-row getter closures
+    on the hot path."""
     if isinstance(pred, IsElement) and pred.slot == cand_slot:
-        return store.is_attr, operator.eq, None, 0
+        return A, operator.eq, None, 0
     if isinstance(pred, IsAttr) and pred.slot == cand_slot:
-        return store.is_attr, operator.eq, None, 1
+        return A, operator.eq, None, 1
     if isinstance(pred, RightEdge) and pred.slot == cand_slot:
-        return store.right_edge, operator.eq, None, 1
+        return E, operator.eq, None, 1
     if not isinstance(pred, Cmp):
         return None
     left, right = pred.left, pred.right
     cand_left = isinstance(left, Col) and left.slot == cand_slot
     cand_right = isinstance(right, Col) and right.slot == cand_slot
     if cand_left and not cand_right:
-        return (store.col(left.col), _OPS[pred.op]) + _operand_parts(right, store)
+        return (left.col, _OPS[pred.op]) + _operand_parts(right)
     if cand_right and not cand_left:
-        return (
-            store.col(right.col), _OPS[_FLIPPED[pred.op]]
-        ) + _operand_parts(left, store)
+        return (right.col, _OPS[_FLIPPED[pred.op]]) + _operand_parts(left)
     return None
 
 
-def _operand_parts(operand, store: ColumnStore) -> tuple:
-    """``(slot, column array)`` for a binding column, ``(None, value)``
-    for a constant."""
+def _operand_parts(operand) -> tuple:
+    """``(slot, column)`` for a binding column, ``(None, value)`` for a
+    constant."""
     if isinstance(operand, Col):
-        return operand.slot, store.col(operand.col)
+        return operand.slot, operand.col
     return None, operand.value
 
 
@@ -627,21 +696,32 @@ class _ScanStep:
     def __init__(self, node: Scan, ctx: _Compile) -> None:
         if node.slot != 0:
             raise LPathCompileError("a columnar Scan must bind slot 0")
-        self.probe = compile_access(node.access, ctx.runtime)
-        self.vector, self.binding, self.row, self.semi = _classify(
-            node.conditions, node.slot, ctx
-        )
-        self.take = ctx.take
+        self.node = node
         self.label = node.label
         self.access = node.access
+        self.take = ctx.take
+        self.conds = conds = _Conditions(node.conditions, node.slot, ctx)
         # Scan-side vector filters compare buffer columns against
         # constants (slot 0 binds first, so no binding-column operands
         # exist); when the native backend is active they run as one C
         # pass over the candidate range instead of a list comprehension
         # per condition.
-        from .kernels.api import native_range_filter
+        self.kinds = (
+            classify_checks(conds.vector, require_const=True)
+            if conds.vector and ctx.kern is not None else None
+        )
 
-        self._native_filter = native_range_filter(self.vector)
+    def bind(self, ctx: _Compile, est):
+        ctx.checkpoint()
+        _est_in, est = flow_estimate(self.node, ctx.store, est)
+        bound = _unbound(self)
+        bound.probe = compile_access(self.access, ctx.runtime)
+        bound.vector, bound.binding, bound.row, bound.semi = self.conds.bind(ctx, est)
+        bound._native_filter = (
+            None if self.kinds is None
+            else NativeRangeFilter(ctx.kern, bind_checks(self.kinds, bound.vector))
+        )
+        return bound, est
 
     def run(self, batch: list[array]) -> list[array]:
         empty: Binding = []
@@ -695,11 +775,11 @@ class _ScanStep:
         )
 
 
-def _children_probe(node: Join, runtime: ColumnarRuntime):
-    """``(probe, remaining conditions)`` when a wildcard child step —
-    a whole-tree ``idx_tid_id`` probe plus a ``cand.pid = ctx.id``
-    condition — can instead read one slice of the store's CSR children
-    index, or ``None``."""
+def _children_probe(node: Join):
+    """``(tid slot, id slot, remaining conditions)`` when a wildcard
+    child step — a whole-tree ``idx_tid_id`` probe plus a
+    ``cand.pid = ctx.id`` condition — can instead read one slice of a
+    store's CSR children index, or ``None``."""
     access = node.access
     if not (
         isinstance(access, IndexProbe)
@@ -723,30 +803,77 @@ def _children_probe(node: Join, runtime: ColumnarRuntime):
                 and isinstance(other, Col) and other.slot != cand
                 and other.col == I
             ):
-                store = runtime.store
-                tids, ids = store.tid, store.id
-                children = store.children_rows
-                tid_slot, id_slot = access.eq[0].slot, other.slot
-
-                def probe(
-                    b: Binding, children=children, tids=tids, ids=ids,
-                    tid_slot=tid_slot, id_slot=id_slot,
-                ) -> Sequence[int]:
-                    return children(tids[b[tid_slot]], ids[b[id_slot]])
-
                 remaining = tuple(c for c in node.conditions if c is not condition)
-                return probe, remaining
+                return access.eq[0].slot, other.slot, remaining
     return None
 
 
-def _join_probe(node: Join, runtime: ColumnarRuntime):
-    """``(probe, conditions left to check, via_children)`` for one
-    per-binding join — shared by the batch probe step and the per-row
-    subplan runner."""
-    children = _children_probe(node, runtime)
-    if children is not None:
-        return children + (True,)
-    return compile_access(node.access, runtime), node.conditions, False
+def _join_probe(node: Join, ctx: _Compile, children):
+    """The per-binding candidate probe of one join over ``ctx``'s store —
+    shared by the batch probe step and the per-row subplan runner.
+    ``children`` is the node's :func:`_children_probe` analysis."""
+    if children is None:
+        return compile_access(node.access, ctx.runtime)
+    store = ctx.store
+    tid_slot, id_slot, _remaining = children
+
+    def probe(
+        b: Binding, children=store.children_rows, tids=store.tid, ids=store.id,
+    ) -> Sequence[int]:
+        return children(tids[b[tid_slot]], ids[b[id_slot]])
+
+    return probe
+
+
+class _Join:
+    """One ``Join``'s segment-independent analysis, standing in the
+    skeleton where a bound plan has a :class:`MergeJoinStep` or a
+    :class:`_JoinStep`: the merge shape (or none), the children-index
+    shortcut, the classified conditions and — for the shapes the flat
+    loops cover (no binding prunes, no per-row residuals, no or-self) —
+    the validated native checks or the generated sweep variants.
+
+    :meth:`bind` picks the flavor for one store: a structural merge join
+    when the shape admits one and the cost model (or
+    ``REPRO_FORCE_JOIN``) favors it against *that store's* statistics, a
+    per-binding probe otherwise."""
+
+    def __init__(self, node: Join, ctx: _Compile, expected_slot: int) -> None:
+        if node.slot != expected_slot:
+            raise LPathCompileError(
+                f"columnar join expected slot {expected_slot}, got {node.slot}"
+            )
+        self.node = node
+        self.spec = spec = merge_spec(node)
+        self.children = None if spec is not None else _children_probe(node)
+        self.conds = conds = _Conditions(
+            node.conditions if self.children is None else self.children[2],
+            node.slot, ctx,
+        )
+        self.semi = conds.semi
+        self.kinds = None
+        self.sweep_loops = (None, None)   # indexed by first_match
+        if (
+            spec is not None and spec.self_slot is None
+            and not conds.binding and not conds.row
+        ):
+            if ctx.kern is not None:
+                self.kinds = classify_checks(conds.vector)
+            if self.kinds is None and spec.strategy == SWEEP:
+                self.sweep_loops = tuple(
+                    _compile_sweep(spec, conds.vector, first_match)
+                    for first_match in (False, True)
+                )
+
+    def bind(self, ctx: _Compile, est):
+        ctx.checkpoint()
+        node, spec = self.node, self.spec
+        est_in, est = flow_estimate(node, ctx.store, est)
+        merge = spec is not None and "merge" == (
+            ctx.force or choose_join(est_in, spec.name, ctx.store)
+        )
+        flavor = MergeJoinStep if merge else _JoinStep
+        return flavor(self, ctx, *self.conds.bind(ctx, est)), est
 
 
 class _JoinStep(JoinOutput):
@@ -761,20 +888,19 @@ class _JoinStep(JoinOutput):
     pay for a probe.
     """
 
-    def __init__(self, node: Join, ctx: _Compile) -> None:
+    def __init__(self, join: _Join, ctx: _Compile, vector, binding, row, semi=()) -> None:
+        node = join.node
         self.slot = node.slot
-        self.probe, conditions, self.via_children = _join_probe(node, ctx.runtime)
-        self.vector, self.binding, self.row, self.semi = _classify(
-            conditions, node.slot, ctx
-        )
+        self.probe = _join_probe(node, ctx, join.children)
+        self.via_children = join.children is not None
+        self.vector, self.binding, self.row, self.semi = vector, binding, row, semi
         self.take = ctx.take
         self.label = node.label
-        self.access = node.access
-        access = node.access
+        self.access = access = node.access
         #: (batch slot, store column) naming each binding's tree, when the
         #: probe is a tree-keyed value seed.
         self._seed_tid = (
-            (access.tid.slot, ctx.store.col(access.tid.col))
+            (access.tid.slot, ctx.cols[access.tid.col])
             if isinstance(access, ValueSeed) and isinstance(access.tid, Col)
             else None
         )
@@ -815,16 +941,24 @@ class _FilterStep:
     """Keep batch entries satisfying every condition."""
 
     def __init__(self, node: Filter, ctx: _Compile, width: Optional[int]) -> None:
+        self.node = node
         self.selectors = tuple(
             _compile_selector(condition, ctx, width)
             for condition in node.conditions
         )
-        #: The set-at-a-time ones among them (what ``explain`` expands).
-        self.semi = tuple(
-            s for s in self.selectors if not isinstance(s, _RowSelect)
-        )
         self.take = ctx.take
         self.label = node.label
+
+    @property
+    def semi(self) -> tuple:
+        """The set-at-a-time selectors (what ``explain`` expands)."""
+        return tuple(s for s in self.selectors if not isinstance(s, _RowSelect))
+
+    def bind(self, ctx: _Compile, est):
+        ctx.checkpoint()
+        bound = _unbound(self)
+        bound.selectors = tuple(s.bind(ctx, est) for s in self.selectors)
+        return bound, est
 
     def restrict(self, batch: list[array]):
         """``(passing rows, keep)`` as ``apply_selectors`` returns them."""
@@ -1057,7 +1191,7 @@ def compile_pred(pred: Pred, ctx: _Compile) -> BindingCheck:
     if isinstance(pred, ExistsPred):
         # Only reached from inside a per-binding count()/value subplan:
         # the same semi-join, over a batch of one row.
-        semi = _SemiJoin(pred.subplan, ctx, None)
+        semi = _SemiJoin(pred.subplan, ctx, None).bind(ctx, None)
         one = range(1)
         return lambda b: bool(semi.select([array("q", (row,)) for row in b], one))
     if isinstance(pred, ValueCmpPred):
@@ -1086,8 +1220,9 @@ def _has_exists(pred: Pred) -> bool:
 
 
 def _compile_selector(pred: Pred, ctx: _Compile, width: Optional[int]):
-    """The selector for one condition.  ``width`` is the slot count of
-    the batches it will see (``None`` skips the slot-density check)."""
+    """The selector skeleton for one condition (``bind`` makes it
+    runnable over one store).  ``width`` is the slot count of the
+    batches it will see (``None`` skips the slot-density check)."""
     if isinstance(pred, ExistsPred):
         return _SemiJoin(pred.subplan, ctx, width)
     if _has_exists(pred):
@@ -1097,7 +1232,7 @@ def _compile_selector(pred: Pred, ctx: _Compile, width: Optional[int]):
             return _NotSelect(_compile_selector(pred.part, ctx, width))
         parts = tuple(_compile_selector(part, ctx, width) for part in pred.parts)
         return _AllSelect(parts) if isinstance(pred, AllPred) else _AnySelect(parts)
-    return _RowSelect(compile_pred(pred, ctx))
+    return _RowSelect(pred)
 
 
 def _as_ordinals(sel) -> array:
@@ -1107,8 +1242,12 @@ def _as_ordinals(sel) -> array:
 class _RowSelect:
     """A predicate with no ``exists`` in it, checked binding by binding."""
 
-    def __init__(self, check: BindingCheck) -> None:
+    def __init__(self, pred: Pred, check: Optional[BindingCheck] = None) -> None:
+        self.pred = pred
         self.check = check
+
+    def bind(self, ctx: _Compile, est) -> "_RowSelect":
+        return _RowSelect(self.pred, compile_pred(self.pred, ctx))
 
     def select(self, batch: list, sel) -> array:
         check = self.check
@@ -1127,6 +1266,9 @@ class _NotSelect:
     def __init__(self, part) -> None:
         self.part = part
 
+    def bind(self, ctx: _Compile, est) -> "_NotSelect":
+        return _NotSelect(self.part.bind(ctx, est))
+
     def select(self, batch: list, sel) -> array:
         hit = set(self.part.select(batch, sel))
         return array("q", (i for i in sel if i not in hit))
@@ -1140,6 +1282,9 @@ class _AllSelect:
 
     def __init__(self, parts: tuple) -> None:
         self.parts = parts
+
+    def bind(self, ctx: _Compile, est):
+        return type(self)(tuple(part.bind(ctx, est) for part in self.parts))
 
     def select(self, batch: list, sel) -> array:
         return _as_ordinals(select_all(self.parts, batch, sel))
@@ -1195,7 +1340,7 @@ class _SemiJoin:
                 continue
             if isinstance(item, Join):
                 steps.append(
-                    ctx.join_step(item, item.slot if width is None else width)
+                    _Join(item, ctx, item.slot if width is None else width)
                 )
                 width = item.slot + 1
             elif isinstance(item, Filter):
@@ -1206,7 +1351,18 @@ class _SemiJoin:
                 )
         self.steps = tuple(steps)
         last = steps[-1] if steps else None
-        self.first_match = isinstance(last, JoinOutput) and not last.semi
+        self.first_match = isinstance(last, _Join) and not last.semi
+
+    def bind(self, ctx: _Compile, est) -> "_SemiJoin":
+        """The runnable semi-join over one store; ``est`` is the
+        estimated batch it will see (``None``: one row at a time)."""
+        bound = _unbound(self)
+        steps = []
+        for step in self.steps:
+            step, est = step.bind(ctx, est)
+            steps.append(step)
+        bound.steps = tuple(steps)
+        return bound
 
     def select(self, batch: list, sel) -> array:
         take = self.take
@@ -1278,10 +1434,12 @@ def compile_subplan(node: PlanNode, ctx: _Compile):
         if isinstance(item, Context):
             continue
         if isinstance(item, Join):
-            probe, conditions, _via = _join_probe(item, ctx.runtime)
-            steps.append(
-                ("join", probe, [compile_pred(c, ctx) for c in conditions])
-            )
+            children = _children_probe(item)
+            conditions = item.conditions if children is None else children[2]
+            steps.append((
+                "join", _join_probe(item, ctx, children),
+                [compile_pred(c, ctx) for c in conditions],
+            ))
         elif isinstance(item, Filter):
             steps.append(
                 ("filter", None, [compile_pred(c, ctx) for c in item.conditions])

@@ -9,19 +9,19 @@ The public surface the engine integrates against:
   when the extension is unavailable (so a differential run can never
   silently cross backends); ``python`` never touches the extension.
   The resolved backend participates in the plan-cache key.
-* :func:`native_join` — a pre-validated marshalling plan for one
-  merge-join shape, or ``None`` when the shape (or backend) requires the
-  interpreter: the native path covers exactly the shapes the generated
-  sweep covers (no binding prunes, no per-row residuals, no or-self
-  prepend) for all three strategies, with every residual condition over
-  fixed-width integer buffers.
-* :func:`native_range_filter` — the scan-side vectorized filter over a
-  contiguous row-id range.
-* :func:`native_take` — the per-step gather of batch columns through a
-  join's source-index array.
-* :func:`native_distinct` — a semi-/anti-semi-join's reduction of
-  surviving ordinals to a selection vector.
-* :func:`native_output_gather` — the final emit's column gather.
+* :func:`classify_checks` / :func:`bind_checks` — validate a plan's
+  residual conditions for the C side once, by column position, and
+  resolve them to one store's buffers per bind.  The native path covers
+  exactly the shapes the generated sweep covers (no binding prunes, no
+  per-row residuals, no or-self prepend) for all three strategies, with
+  every residual condition over fixed-width integer buffers.
+* :class:`NativeMergeJoin`, :class:`NativeRangeFilter`,
+  :class:`NativeGather` — the marshalling plans for a merge join, the
+  scan-side filter over a contiguous row-id range and the final emit's
+  column gather; ``NativeKernels.take`` / ``.distinct`` — the per-step
+  gather through a join's source-index array and a semi-join's
+  reduction of surviving ordinals.  The executor reaches all of them
+  through the bundle its compile resolved once (``Knobs.kern``).
 * :func:`merge_packed_pairs` — the sorted disjoint k-way merge over the
   packed int64 ``(tid, id)`` blobs worker processes ship back.
 * :func:`column_pointer` / ``ColumnStore.column_ptr`` — raw
@@ -231,29 +231,42 @@ class CheckSpec(NamedTuple):
     payload: object
 
 
+#: Buffer kind per column *position* (the eight relation columns, then
+#: the ``is_attr``/``right_edge`` bitmaps) — the same for every store, so
+#: a plan's checks are validated once, not once per segment.
+POSITION_KINDS = ("i64",) * 6 + (None, None, "u8", "u8")
+
+
 def classify_checks(vector, require_const: bool = False):
-    """Pre-validate the executor's vector-filter tuples for the C side,
-    or ``None`` when any condition needs the interpreter (non-buffer
-    column, exotic operator, string/float constant, out-of-range int)."""
-    specs: list[CheckSpec] = []
-    for column, opf, rhs_slot, payload in vector:
+    """Pre-validate the executor's *unbound* vector-filter tuples
+    ``(column position, opfunc, rhs_slot, payload)`` for the C side:
+    ``[(column kind, opcode), ...]``, or ``None`` when any condition
+    needs the interpreter (string column, exotic operator, string/float
+    constant, out-of-range int)."""
+    kinds: list[tuple[str, int]] = []
+    for position, opf, rhs_slot, payload in vector:
         op = OPCODES.get(opf)
-        if op is None:
-            return None
-        kind = buffer_kind(column)
-        if kind is None:
+        kind = POSITION_KINDS[position]
+        if op is None or kind is None:
             return None
         if rhs_slot is None:
-            if not isinstance(payload, int):
+            if not isinstance(payload, int) or not _INT64_MIN <= payload <= _INT64_MAX:
                 return None
-            payload = int(payload)  # normalizes bool
-            if not _INT64_MIN <= payload <= _INT64_MAX:
-                return None
-        else:
-            if require_const or buffer_kind(payload) != "i64":
-                return None
-        specs.append(CheckSpec(column, kind, op, rhs_slot, payload))
-    return specs
+        elif require_const or POSITION_KINDS[payload] != "i64":
+            return None
+        kinds.append((kind, op))
+    return kinds
+
+
+def bind_checks(kinds, vector) -> list[CheckSpec]:
+    """The :class:`CheckSpec` list for one store: :func:`classify_checks`'
+    verdict zipped with the same vector once its positions are resolved
+    to that store's columns (``int()`` normalizes a bool constant)."""
+    return [
+        CheckSpec(column, kind, op, rhs_slot,
+                  int(payload) if rhs_slot is None else payload)
+        for (kind, op), (column, _opf, rhs_slot, payload) in zip(kinds, vector)
+    ]
 
 
 # -- the loaded bundle --------------------------------------------------------
@@ -263,11 +276,13 @@ class NativeKernels:
     """The ffi/lib pair plus the marshalling helpers every native plan
     shares.  One instance per process."""
 
-    __slots__ = ("ffi", "lib")
+    __slots__ = ("ffi", "lib", "take", "distinct")
 
     def __init__(self, ffi, lib) -> None:
         self.ffi = ffi
         self.lib = lib
+        self.take = _native_take(self)
+        self.distinct = _native_distinct(self)
 
     def i64(self, column):
         """A read cdata pointer over an int64 buffer (no copy)."""
@@ -356,16 +371,19 @@ class NativeMergeJoin:
         "name_lo", "name_hi", "key_slot", "key_column", "high_column",
     )
 
-    def __init__(self, kern, spec, check_specs, store,
-                 key_slot, key_column, high_column) -> None:
+    def __init__(self, kern, spec, check_specs, store) -> None:
         self.kern = kern
         self.spec = spec
         self.check_specs = check_specs
         self.store = store
         self.name_lo, self.name_hi = store.name_bounds.get(spec.name, (0, 0))
-        self.key_slot = key_slot
-        self.key_column = key_column
-        self.high_column = high_column
+        # Span bounds are always the int64 ``left``/``right`` columns.
+        self.key_slot, key = spec.low if spec.strategy == "sweep" else spec.high
+        self.key_column = store.col(key)
+        self.high_column = (
+            store.col(spec.high[1])
+            if spec.strategy == "sweep" and spec.high is not None else None
+        )
 
     def pairs(self, batch: list, cutoff=None, first_match: bool = False):
         """``(src, cand)``: for every match, the index of its input
@@ -437,38 +455,6 @@ class NativeMergeJoin:
         return src_rows, cand_rows
 
 
-def native_join(spec, vector, store) -> Optional[NativeMergeJoin]:
-    """A :class:`NativeMergeJoin` for this shape, or ``None`` to stay on
-    the interpreted path.  Eligibility mirrors the generated sweep's
-    guard — the caller additionally requires no binding prunes, no
-    per-row residuals and no or-self slot — plus buffer compatibility of
-    every column the C side reads."""
-    kern = active_kernels()
-    if kern is None:
-        return None
-    check_specs = classify_checks(vector)
-    if check_specs is None:
-        return None
-    structural = [store.tid, store.left]
-    if spec.strategy == "stack":
-        structural.append(store.right)
-    if spec.strategy == "sweep":
-        key_slot, key_position = spec.low
-    else:
-        key_slot, key_position = spec.high
-    key_column = store.col(key_position)
-    structural.append(key_column)
-    high_column = None
-    if spec.strategy == "sweep" and spec.high is not None:
-        high_column = store.col(spec.high[1])
-        structural.append(high_column)
-    if any(buffer_kind(column) != "i64" for column in structural):
-        return None
-    return NativeMergeJoin(
-        kern, spec, check_specs, store, key_slot, key_column, high_column
-    )
-
-
 class NativeRangeFilter:
     """The scan-side vectorized filter over a contiguous row-id range."""
 
@@ -492,20 +478,6 @@ class NativeRangeFilter:
         kept.frombytes(ffi.buffer(out, 8 * survivors)[:])
         del keep
         return kept
-
-
-def native_range_filter(vector) -> Optional[NativeRangeFilter]:
-    """A :class:`NativeRangeFilter` when every vector condition is a
-    buffer column against an int constant, else ``None``."""
-    if not vector:
-        return None
-    kern = active_kernels()
-    if kern is None:
-        return None
-    check_specs = classify_checks(vector, require_const=True)
-    if check_specs is None:
-        return None
-    return NativeRangeFilter(kern, check_specs)
 
 
 class NativeGather:
@@ -532,14 +504,10 @@ class NativeGather:
         return zip(*gathered)
 
 
-def native_take():
-    """The batch-column gather ``out[k] = column[src[k]]`` as one C pass
-    when the resolved backend is ``native``, else ``None``.  ``src`` is
-    the index array a native join produced; an interpreted join's index
-    *list* gathers through the interpreter."""
-    kern = active_kernels()
-    if kern is None:
-        return None
+def _native_take(kern):
+    """The batch-column gather ``out[k] = column[src[k]]`` as one C pass.
+    ``src`` is the index array a native join produced; an interpreted
+    join's index *list* gathers through the interpreter."""
     gather, i64, i64_out = kern.lib.repro_gather, kern.i64, kern.i64_out
 
     def take(column, src):
@@ -554,13 +522,9 @@ def native_take():
     return take
 
 
-def native_distinct():
+def _native_distinct(kern):
     """The selection-vector reduction — distinct ordinals ascending, or
-    their complement in ``range(n)`` — as one C marking pass when the
-    resolved backend is ``native``, else ``None``."""
-    kern = active_kernels()
-    if kern is None:
-        return None
+    their complement in ``range(n)`` — as one C marking pass."""
     ffi, reduce, i64, i64_out = kern.ffi, kern.lib.repro_distinct, kern.i64, kern.i64_out
 
     def distinct(ordinals, n: int, negated: bool = False):
@@ -580,20 +544,6 @@ def native_distinct():
         return out
 
     return distinct
-
-
-def native_output_gather(key, store) -> Optional[NativeGather]:
-    """A :class:`NativeGather` for an output key over integer columns,
-    or ``None`` (string output columns gather through the interpreter)."""
-    if not key:
-        return None
-    kern = active_kernels()
-    if kern is None:
-        return None
-    columns = [store.col(position) for _slot, position in key]
-    if any(buffer_kind(column) != "i64" for column in columns):
-        return None
-    return NativeGather(kern, list(key), columns)
 
 
 def merge_packed_pairs(blobs) -> Optional[list]:

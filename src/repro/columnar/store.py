@@ -267,6 +267,9 @@ class ColumnStore:
 
     # -- column access -------------------------------------------------------
 
+    def checkpoint(self, injector) -> None:
+        """A read-fault checkpoint; heap arrays cannot fail to read."""
+
     def col(self, position: int):
         """The backing sequence for one column position."""
         return (
@@ -668,24 +671,17 @@ class MappedColumnStore(ColumnStore):
         """Group on the interned string ids; ``table[0]`` is ``None``."""
         return self.values.ids, self.values.table.__getitem__
 
-    # -- fault checkpoints ----------------------------------------------------
+    # -- fault checkpoint ------------------------------------------------------
     #
     # The mapped store is the one physical layer whose reads can fail at
     # query time (the mapping is page-cache memory over a file another
-    # process — or a dying disk — may invalidate).  The three probe
-    # surfaces every plan passes through carry a ``mmap_read_error``
-    # checkpoint so the serving layer's classify-and-quarantine path can
-    # be driven deterministically; with REPRO_FAULTS unset each is one
-    # extra dict lookup per plan step (never per row).
+    # process — or a dying disk — may invalidate).  Every physical plan
+    # step passes one ``mmap_read_error`` checkpoint when it is bound to
+    # this store and one each time it runs, so the serving layer's
+    # classify-and-quarantine path can be driven deterministically; the
+    # caller resolves ``REPRO_FAULTS`` once per compile/execute, so with
+    # it unset a checkpoint is one ``is None`` test per plan step (never
+    # per column fetch, never per row).
 
-    def col(self, position: int):
-        maybe_mmap_read_error()
-        return ColumnStore.col(self, position)
-
-    def name_block(self, name: str) -> range:
-        maybe_mmap_read_error()
-        return ColumnStore.name_block(self, name)
-
-    def children_rows(self, tid: int, pid: int):
-        maybe_mmap_read_error()
-        return ColumnStore.children_rows(self, tid, pid)
+    def checkpoint(self, injector) -> None:
+        maybe_mmap_read_error(injector)

@@ -33,10 +33,11 @@ matches (see ``_SemiJoin`` in :mod:`repro.columnar.executor`).
 Which joins are *eligible* is a pure IR-shape question (:func:`merge_spec`);
 whether a merge join is *worth it* is a cost question answered from
 collected statistics (:func:`choose_join`), shared by the optimizer's
-annotation pass and the per-segment physical compile so both always agree
-on the model — on the main chain and, with the owner's estimate threaded
-in (:func:`chain_estimates`), inside predicate subplans.  ``REPRO_FORCE_JOIN=merge|probe`` overrides the choice for
-differential testing.
+annotation pass and the per-segment bind so both always agree on the
+model — on the main chain and, with the owner's estimate threaded in
+(:func:`flow_estimate`), inside predicate subplans.
+``REPRO_FORCE_JOIN=merge|probe`` overrides the choice for differential
+testing.
 """
 
 from __future__ import annotations
@@ -52,17 +53,12 @@ from ..lpath.axes import Axis
 from ..plan.ir import (
     Col,
     Const,
-    Context,
-    ExistsPred,
-    Filter,
     IndexProbe,
     Join,
     PlanNode,
     Scan,
     TableScan,
     ValueSeed,
-    linearize,
-    subplan_preds,
     L, R, T,
 )
 
@@ -105,20 +101,28 @@ def force_mode() -> Optional[str]:
     )
 
 
-def decide_join(node: Join, estimates: dict, stats,
-                force: Optional[str]) -> tuple[Optional[MergeSpec], str, float]:
-    """The one join-selection decision shared by the optimizer's
-    annotation pass and the columnar physical compile: analyze the shape,
-    look up the chain estimate, and cost the alternatives (or obey the
-    force override).  Returns ``(spec, choice, est_in)`` with ``spec``
-    ``None`` (and ``choice`` ``"probe"``) for merge-ineligible joins."""
-    spec = merge_spec(node)
-    if spec is None:
-        return None, "probe", 0.0
-    est_in = estimates.get(id(node), 0.0)
-    if force is not None:
-        return spec, force, est_in
-    return spec, choose_join(est_in, spec.name, stats), est_in
+class Knobs(NamedTuple):
+    """The environment a compile depends on, read once per compile (and
+    handed down through it) instead of once per plan step per segment:
+    the forced join mode, the resolved ``REPRO_KERNELS`` bundle (``None``
+    is the pure-Python backend) and the active ``REPRO_FAULTS`` injector."""
+
+    force: Optional[str]
+    kern: object
+    injector: object
+
+    @property
+    def backend(self) -> str:
+        return "python" if self.kern is None else "native"
+
+
+def read_knobs(knobs: Optional[Knobs] = None) -> Knobs:
+    """``knobs`` when the caller was handed them, else three environment
+    reads (raises on an invalid knob value)."""
+    from ..faults import active_injector
+    from .kernels.api import active_kernels
+
+    return knobs or Knobs(force_mode(), active_kernels(), active_injector())
 
 
 class MergeSpec(NamedTuple):
@@ -235,44 +239,24 @@ def join_fanout(node: Join, stats) -> float:
     return 1.0
 
 
-def chain_estimates(chain, stats) -> dict[int, float]:
-    """``id(join) -> estimated input cardinality`` along a pipeline and,
-    recursively, along every predicate subplan hanging off it.
-
-    A ``Context``-rooted subplan starts from the estimated cardinality of
-    the batch its owner hands it (the context slot contributes a factor
-    of one).  ``exists`` subplans run set-at-a-time over their owner's
-    whole output, so they inherit that estimate; ``count()``/value-
-    comparison subplans run once per binding, so everything inside them —
-    nested ``exists`` included — sees one row."""
-    estimates: dict[int, float] = {}
-    _estimate_chain(chain, stats, None, False, estimates)
-    return estimates
-
-
-def _estimate_chain(chain, stats, current, per_row: bool, estimates) -> None:
-    for node in chain:
-        if isinstance(node, Context):
-            continue
-        if isinstance(node, Scan):
-            current = scan_estimate(node, stats)
-        elif isinstance(node, Join):
-            if current is None:
-                return  # a bare subplan with no owner estimate to start from
-            estimates[id(node)] = current
-            current = current * join_fanout(node, stats)
-        elif not isinstance(node, Filter):
-            continue
-        if current is None:
-            return
-        for condition in node.conditions:
-            for pred, _negated in subplan_preds(condition):
-                inner_per_row = per_row or not isinstance(pred, ExistsPred)
-                _estimate_chain(
-                    linearize(pred.subplan), stats,
-                    1.0 if inner_per_row else current,
-                    inner_per_row, estimates,
-                )
+def flow_estimate(node, stats, est: Optional[float]):
+    """``(est_in, est_out)``: the estimated cardinality reaching one chain
+    node and leaving it — the one rule both walks that cost joins thread
+    along a pipeline (the optimizer's over the IR against the catalog,
+    the bind's over the skeleton against each shard).  A ``Scan`` starts
+    the flow, a ``Join`` multiplies it by its fan-out, anything else
+    passes it on.  ``est is None`` means *per row*: the chain belongs to
+    a ``count()``/value subplan, which runs once per binding, so every
+    join in it — nested ``exists`` included — sees one row.  An
+    ``exists`` subplan starts from its owner's ``est_out`` (it runs over
+    the owner's whole output); any other subplan from ``None``."""
+    if isinstance(node, Scan):
+        return est, scan_estimate(node, stats)
+    if isinstance(node, Join):
+        if est is None:
+            return 1.0, None
+        return est, est * join_fanout(node, stats)
+    return est, est
 
 
 def choose_join(est_in: float, name: str, stats) -> str:
@@ -490,61 +474,57 @@ class MergeJoinStep(JoinOutput):
     produces the same slot-per-array batches and applies the same
     classified conditions, but enumerates candidates by merging the sorted
     binding bounds against the sorted partition instead of re-probing per
-    binding.  Construction is done by :mod:`repro.columnar.executor`,
-    which passes in the classified condition lists so both join flavors
-    share one condition compiler.
+    binding.  Construction is done by :mod:`repro.columnar.executor`'s
+    per-segment bind, which passes in the node's segment-independent
+    analysis (``join``) plus the classified condition lists resolved to
+    this store's columns, so both join flavors share one condition
+    compiler.
     """
 
-    def __init__(self, node: Join, runtime, spec: MergeSpec,
-                 vector, binding, row, semi=(), take=python_take) -> None:
-        store = runtime.store
+    def __init__(self, join, ctx, vector, binding, row, semi=()) -> None:
+        node, spec, store = join.node, join.spec, ctx.store
         self.slot = node.slot
         self.label = node.label
         self.access = node.access
         self.spec = spec
-        self.store = store
+        self.binding = binding
+        self.row = row
+        self.semi = semi
+        self.take = ctx.take
+        self.vector_specs = vector
+        # The flat generated loops and the native (cffi) kernel handle
+        # exactly the same shapes — no binding prunes, no per-row
+        # residuals, no or-self prepend — the kernel for all three
+        # strategies when every column involved is a fixed-width integer
+        # buffer.  Which of the two applies is the join skeleton's
+        # verdict (``join.kinds`` / ``join.sweep_loops``: decided once
+        # per plan, under the backend the plan cache keys on); only
+        # column pointers are resolved here.
+        self._native = None
+        self._sweep_loops = join.sweep_loops   # indexed by first_match
+        if join.kinds is not None:
+            from .kernels.api import NativeMergeJoin, bind_checks
+
+            self._native = NativeMergeJoin(
+                ctx.kern, spec, bind_checks(join.kinds, vector), store
+            )
+            return  # the kernel reads the store itself
         self.bounds = store.name_tid_bounds
         self.lefts = store.left
         self.rights = store.right
         self.tids = store.tid
         self.names = store.names
-        self.binding = binding
-        self.row = row
-        self.semi = semi
-        self.take = take
-        # Vector filters pre-resolved to raw column sequences, split by
-        # operand kind: constants bind once here, binding-column
-        # comparisons resolve once per binding inside pairs().
-        self.vector_specs = list(vector)
+        # Vector filters split by operand kind: constants bind once
+        # here, binding-column comparisons resolve once per binding
+        # inside pairs().
         self.const_checks = [
             (column, opf, payload)
             for column, opf, rhs_slot, payload in vector
             if rhs_slot is None
         ]
-        self.col_checks = [
-            (column, opf, rhs_slot, payload)
-            for column, opf, rhs_slot, payload in vector
-            if rhs_slot is not None
-        ]
+        self.col_checks = [check for check in vector if check[2] is not None]
         self.low_arr = None if spec.low is None else store.col(spec.low[1])
         self.high_arr = None if spec.high is None else store.col(spec.high[1])
-        # The flat generated loops and the native (cffi) kernel handle
-        # exactly the same shapes — no binding prunes, no per-row
-        # residuals, no or-self prepend — the kernel for all three
-        # strategies when every column involved is a fixed-width integer
-        # buffer.  The backend is bound at construction; the plan cache
-        # keys on it.
-        self._native = None
-        self._sweep_loops = (None, None)   # indexed by first_match
-        if not binding and not row and spec.self_slot is None:
-            from .kernels.api import native_join
-
-            self._native = native_join(spec, self.vector_specs, store)
-            if self._native is None and spec.strategy == SWEEP:
-                self._sweep_loops = tuple(
-                    _compile_sweep(spec, self.vector_specs, first_match)
-                    for first_match in (False, True)
-                )
 
     # -- candidate enumeration ------------------------------------------------
 
@@ -764,6 +744,6 @@ class MergeJoinStep(JoinOutput):
         return (
             f"StructuralMergeJoin(s{self.slot} <- {self.access}: {self.label}"
             f" | strategy={self.spec.strategy} kernel={kernel}"
-            f" vector={len(self.const_checks) + len(self.col_checks)}"
+            f" vector={len(self.vector_specs)}"
             f"{semi} row={len(self.row)}{' first_match' if first_match else ''})"
         )

@@ -239,10 +239,14 @@ def maybe_delay_segment() -> None:
         time.sleep(SEGMENT_SLOW_SECONDS)
 
 
-def maybe_mmap_read_error() -> None:
+def maybe_mmap_read_error(injector: Optional[Injector] = None) -> None:
     """``mmap_read_error``: fail a mapped-store read the way a dying
-    disk or a revoked mapping would."""
-    if fires("mmap_read_error"):
+    disk or a revoked mapping would.  A caller that passes checkpoints
+    in a loop (one per plan step) resolves :func:`active_injector` once
+    and hands the injector in, so only that costs an environment read."""
+    if injector is None:
+        injector = active_injector()
+    if injector is not None and injector.fires("mmap_read_error"):
         raise OSError("injected fault: mmap read failed (mmap_read_error)")
 
 

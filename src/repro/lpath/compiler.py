@@ -188,47 +188,70 @@ class PlanCompiler:
         ``"volcano"`` (tuple-at-a-time interpreter) or ``"columnar"``
         (batch execution over parallel arrays).  ``limit`` compiles a
         top-k plan; ``agg`` an aggregate plan (mutually exclusive)."""
+        from ..columnar.structural import read_knobs
         from ..plan.lower import lower_and_optimize
 
+        knobs = read_knobs() if executor == "columnar" else None
         root, lowered = lower_and_optimize(
-            self.lowerer, query, pivot, executor, limit=limit, agg=agg
+            self.lowerer, query, pivot, executor, limit=limit, agg=agg,
+            knobs=knobs,
         )
-        return self.compile_physical(root, lowered, executor)
+        return self.compile_physical(root, lowered, executor, knobs)
+
+    def unwrap(self, root: PlanNode, executor: str) -> tuple:
+        """``(inner, limit, agg)``: ``root`` without its ``Limit`` /
+        ``Aggregate`` wrapper and what the wrapper asked for — after
+        checking that this relation can run ``executor`` at all, so a
+        part that is never physical-compiled (a segment pruned by its
+        statistics) rejects what a compiled one would."""
+        if executor not in EXECUTORS:
+            raise LPathCompileError(
+                f"unknown executor {executor!r}; choose from {EXECUTORS}"
+            )
+        if executor == "volcano" and self.runtime is None:
+            raise LPathCompileError(
+                "this engine has no row storage; use executor='columnar'"
+            )
+        if isinstance(root, Limit):
+            return root.input, root.count, None
+        if isinstance(root, Aggregate):
+            return root.input, None, root.op
+        return root, None, None
 
     def compile_physical(
-        self, root: PlanNode, lowered, executor: str = "volcano"
+        self, root: PlanNode, lowered, executor: str = "volcano", knobs=None
     ) -> CompiledQuery:
         """Compile an already optimized logical plan against *this*
         relation.  Split out of :meth:`compile` so a segmented engine can
         lower and optimize a query once and physical-compile it against
         every segment (:mod:`repro.plan.segmented`).
 
+        For the batch executor that is two halves: the first call with a
+        given ``lowered`` builds the plan's segment-independent
+        :class:`~repro.columnar.PlanSkeleton` and leaves it there; this
+        and every later call — another segment, a live corpus's next
+        one — only *bind* it to this relation's column store.  ``knobs``
+        is the caller's one read of the environment
+        (:func:`~repro.columnar.structural.read_knobs`).
+
         A ``Limit``/``Aggregate`` wrapper is peeled off here: the
         physical executors end their pipelines at Distinct/Project, so
         the wrapper becomes an attribute of the compiled query (applied
         in :meth:`CompiledQuery.rows` / :meth:`CompiledQuery.aggregate`)
         while ``explain()`` still renders it from the logical root."""
-        inner, limit, agg = root, None, None
-        if isinstance(inner, Limit):
-            limit, inner = inner.count, inner.input
-        elif isinstance(inner, Aggregate):
-            agg, inner = inner.op, inner.input
+        inner, limit, agg = self.unwrap(root, executor)
         if executor == "columnar":
-            from ..columnar import compile_plan as columnar_compile
+            from ..columnar import PlanSkeleton
+            from ..columnar.structural import read_knobs
 
-            physical = columnar_compile(inner, self.columnar_runtime)
-        elif executor == "volcano":
-            if self.runtime is None:
-                raise LPathCompileError(
-                    "this engine has no row storage; use executor='columnar'"
-                )
+            knobs = read_knobs(knobs)
+            if lowered.skeleton is None:
+                lowered.skeleton = PlanSkeleton(inner, knobs)
+            physical = lowered.skeleton.bind(self.columnar_runtime, knobs.injector)
+        else:
             from ..plan.executor import compile_plan
 
             physical = compile_plan(inner, self.runtime)
-        else:
-            raise LPathCompileError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
         return self.result_class(
             physical, lowered.result_slot * ROW_WIDTH, lowered.description,
             root, limit=limit, agg=agg,

@@ -3,7 +3,8 @@
 The main lexical subtlety is that Penn Treebank tag names contain ``-``
 (``-NONE-``, ``NP-SBJ``, ``ADVP-LOC-CLR``) while ``->`` and ``-->`` are
 axes.  The lexer uses maximal-munch with lookahead: inside a name, ``-`` is
-a name character unless it begins ``->`` or ``-->``.  Genuinely ambiguous
+a name character unless it begins ``->`` or ``-->`` — one compiled master
+regex encodes the whole priority ladder.  Genuinely ambiguous
 tags (``PRP$``, punctuation tags like ``.``) can be written as quoted names
 ``'PRP$'``.
 
@@ -14,7 +15,8 @@ a path continuation (e.g. ``position()<=3``).
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Optional
+import re
+from typing import NamedTuple, Optional
 
 from .axes import ARROWS, Axis
 from .errors import LPathSyntaxError
@@ -48,134 +50,59 @@ NAME = "NAME"
 STRING = "STRING"          # quoted name or literal
 EOF = "EOF"
 
-_SIMPLE = {
-    "[": LBRACKET,
-    "]": RBRACKET,
-    "{": LBRACE,
-    "}": RBRACE,
-    "(": LPAREN,
-    ")": RPAREN,
-    "^": CARET,
-    "$": DOLLAR,
-    ",": COMMA,
+#: Fixed-text tokens.  Order matters only between texts sharing a prefix
+#: (the regex alternation tries them left to right): longest first.
+_FIXED = {
+    "//": DSLASH, "/": SLASH, "\\": BACKSLASH, "::": COLONCOLON,
+    "..": DDOT, ".": DOT, "@": AT,
+    "[": LBRACKET, "]": RBRACKET, "{": LBRACE, "}": RBRACE,
+    "(": LPAREN, ")": RPAREN, "^": CARET, "$": DOLLAR, ",": COMMA,
+    "!=": OP, ">=": OP, "=": OP, "<": OP, ">": OP,
 }
+_ARROW_AXES = dict(ARROWS)
 
 
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char in "_-"
+def _alternation(texts) -> str:
+    return "|".join(re.escape(text) for text in texts)
 
 
-def _name_boundary(text: str, index: int) -> bool:
-    """True when the ``-`` at ``index`` starts an arrow rather than a name."""
-    return text.startswith("->", index) or text.startswith("-->", index)
+#: One master pattern, alternatives in the old ladder's priority order:
+#: arrows (longest first, from the shared table) beat the operators they
+#: start with, a name character is alphanumeric, ``_`` or a ``-`` that
+#: does not begin ``->``/``-->``, and whatever nothing else matches is
+#: the error character (an opening quote there never found its close;
+#: the ``(?!...)`` after a closing quote keeps a string from backtracking
+#: out of a doubled quote to find one — possessive ``*+`` needs 3.11).
+_MASTER = re.compile(
+    r"(?P<SPACE>\s+)"
+    f"|(?P<ARROW>{_alternation(_ARROW_AXES)})"
+    f"|(?P<FIXED>{_alternation(_FIXED)})"
+    r"""|(?P<STRING>'(?:[^']|'')*'(?!')|"(?:[^"]|"")*"(?!"))"""
+    r"|(?P<NAME>(?:\w|-(?!>|->))+)"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
 
 
 def tokenize(query: str) -> list[Token]:
     """Tokenize a full query; raises :class:`LPathSyntaxError`."""
-    return list(_tokens(query))
-
-
-def _tokens(query: str) -> Iterator[Token]:
-    index, length = 0, len(query)
-    while index < length:
-        char = query[index]
-        if char.isspace():
-            index += 1
-            continue
-        # Arrows (longest first, from the shared table).
-        arrow = _match_arrow(query, index)
-        if arrow is not None:
-            text, axis = arrow
-            yield Token(ARROW, text, axis, index)
-            index += len(text)
-            continue
-        if query.startswith("//", index):
-            yield Token(DSLASH, "//", None, index)
-            index += 2
-            continue
-        if char == "/":
-            yield Token(SLASH, "/", None, index)
-            index += 1
-            continue
-        if char == "\\":
-            yield Token(BACKSLASH, "\\", None, index)
-            index += 1
-            continue
-        if query.startswith("::", index):
-            yield Token(COLONCOLON, "::", None, index)
-            index += 2
-            continue
-        if query.startswith("..", index):
-            yield Token(DDOT, "..", None, index)
-            index += 2
-            continue
-        if char == ".":
-            yield Token(DOT, ".", None, index)
-            index += 1
-            continue
-        if char == "@":
-            yield Token(AT, "@", None, index)
-            index += 1
-            continue
-        if char in _SIMPLE:
-            yield Token(_SIMPLE[char], char, None, index)
-            index += 1
-            continue
-        if query.startswith("!=", index):
-            yield Token(OP, "!=", None, index)
-            index += 2
-            continue
-        if query.startswith(">=", index):
-            yield Token(OP, ">=", None, index)
-            index += 2
-            continue
-        if char in "=<>":
-            yield Token(OP, char, None, index)
-            index += 1
-            continue
-        if char in "'\"":
-            text, advance = _read_string(query, index)
-            yield Token(STRING, text, None, index)
-            index += advance
-            continue
-        if _is_name_char(char) and not (char == "-" and _name_boundary(query, index)):
-            text, advance = _read_name(query, index)
-            yield Token(NAME, text, None, index)
-            index += advance
-            continue
-        raise LPathSyntaxError(f"unexpected character {char!r}", query, index)
-    yield Token(EOF, "", None, length)
-
-
-def _match_arrow(query: str, index: int) -> Optional[tuple[str, Axis]]:
-    for text, axis in ARROWS:
-        if query.startswith(text, index):
-            return text, axis
-    return None
-
-
-def _read_string(query: str, index: int) -> tuple[str, int]:
-    """Read a quoted string; a doubled quote escapes itself (``'o''clock'``)."""
-    quote = query[index]
-    parts: list[str] = []
-    end = index + 1
-    while end < len(query):
-        char = query[end]
-        if char == quote:
-            if end + 1 < len(query) and query[end + 1] == quote:
-                parts.append(quote)
-                end += 2
-                continue
-            return "".join(parts), end - index + 1
-        parts.append(char)
-        end += 1
-    raise LPathSyntaxError("unterminated string literal", query, index)
-
-
-def _read_name(query: str, index: int) -> tuple[str, int]:
-    end = index
-    while end < len(query) and _is_name_char(query[end]):
-        if query[end] == "-" and _name_boundary(query, end):
-            break
-        end += 1
-    return query[index:end], end - index
+    tokens: list[Token] = []
+    append = tokens.append
+    for match in _MASTER.finditer(query):
+        group, text, index = match.lastgroup, match.group(), match.start()
+        if group == "NAME":
+            append(Token(NAME, text, None, index))
+        elif group == "FIXED":
+            append(Token(_FIXED[text], text, None, index))
+        elif group == "ARROW":
+            append(Token(ARROW, text, _ARROW_AXES[text], index))
+        elif group == "STRING":
+            # A doubled quote escapes itself (``'o''clock'``).
+            quote = text[0]
+            append(Token(STRING, text[1:-1].replace(quote * 2, quote), None, index))
+        elif group == "BAD":
+            if text in "'\"":
+                raise LPathSyntaxError("unterminated string literal", query, index)
+            raise LPathSyntaxError(f"unexpected character {text!r}", query, index)
+    append(Token(EOF, "", None, len(query)))
+    return tokens

@@ -78,23 +78,29 @@ _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="
 
 @dataclass
 class LoweredQuery:
-    """The logical plan of one query plus its result bookkeeping."""
+    """The logical plan of one query plus its result bookkeeping — and,
+    once it has been physical-compiled for the batch executor, the
+    segment-independent half of that compile (``skeleton``, built inside
+    the first ``compile_physical`` call and bound per segment from then
+    on)."""
 
     root: PlanNode
     result_slot: int
     description: str
+    skeleton: object = None
 
 
 def lower_and_optimize(
     lowerer: "Lowerer", query, pivot: bool = False, executor: str = "volcano",
-    limit: Optional[int] = None, agg: Optional[str] = None,
+    limit: Optional[int] = None, agg: Optional[str] = None, knobs=None,
 ) -> tuple[PlanNode, LoweredQuery]:
     """The logical half of every compile: parse (if text), lower —
     pivoted when requested and applicable, plain otherwise — and
     optimize.  Shared by the monolithic compilers and the segmented
     driver so the pivot-fallback and optimizer invocation can never
     diverge between them.  ``executor`` reaches the optimizer so plans
-    bound for the batch executor carry their physical-join annotations.
+    bound for the batch executor carry their physical-join annotations
+    (made under ``knobs``, the caller's one read of the environment).
 
     ``limit`` wraps the optimized plan in a :class:`~repro.plan.ir.Limit`
     (top-k in output order); ``agg`` wraps it in an
@@ -118,7 +124,9 @@ def lower_and_optimize(
     lowered = lowerer.lower_pivot(path) if pivot else None
     if lowered is None:
         lowered = lowerer.lower(path)
-    root = optimize(lowered.root, lowerer, pivot=pivot, executor=executor)
+    root = optimize(
+        lowered.root, lowerer, pivot=pivot, executor=executor, knobs=knobs
+    )
     slot = lowered.result_slot
     if agg in ("count_by_name", "count_by_depth"):
         group_col = N if agg == "count_by_name" else D

@@ -1,34 +1,29 @@
 """Optimizer passes over the logical IR.
 
-Five passes run between lowering and execution, for both dialects:
+Three walks run between lowering and execution, for both dialects:
 
+* :func:`reorder_exists_subplans` (``pivot=True`` only) — the
+  selectivity-driven join reordering generalized to correlated ``exists``
+  predicate subplans: a downward-only chain is re-lowered to start at its
+  rarest step (main-chain reordering lives in
+  :meth:`repro.plan.lower.Lowerer.lower_pivot`);
 * :func:`push_down` — classic predicate pushdown over the main pipeline:
   every :class:`~repro.plan.ir.Filter` condition sinks to the deepest
   :class:`Scan`/:class:`Join` whose bound slots cover it, and equality
   conditions on the ``name`` column upgrade the access path itself (a
   table scan, or the per-tree ``idx_tid_id`` fallback probe, becomes a
   clustered name probe chosen through the relational planner);
-* :func:`prune_redundant` — drop duplicated and implied comparisons from
-  every node's conditions (scoped steps emit their containment residuals
-  twice), so each join checks a column once;
-* :func:`reorder_exists_subplans` — the selectivity-driven join
-  reordering of ``pivot=True`` generalized to correlated ``exists``
-  predicate subplans: a downward-only chain is re-lowered to start at its
-  rarest step (main-chain reordering lives in
-  :meth:`repro.plan.lower.Lowerer.lower_pivot`);
-* :func:`order_conditions` — evaluate cheap column comparisons before
-  positional checks and correlated subplans on every node; with catalog
-  statistics available, subplan predicates of the same shape additionally
-  order by their estimated seed cardinality (the rarest ``exists`` runs
-  first) instead of the static cost class alone;
-* :func:`annotate_join_physical` (batch executor only) — the cost-based
-  physical-join selection: every merge-eligible ``Join`` — predicate
-  subplans included, seeded with their owner's estimate — is costed as a
-  per-binding probe join vs. a set-at-a-time structural merge join using
-  the collected per-name cardinality/partition/depth statistics, and the
-  winner is recorded on the node (``Join.physical`` / ``Join.est_in``) so
-  ``explain()`` shows the choice.  The per-segment physical compile
-  re-runs the same model against each shard's own statistics.
+* :func:`finish_conditions` — one traversal of the chain and every
+  subplan under it that, per node, drops duplicated and implied
+  comparisons (scoped steps emit their containment residuals twice),
+  orders what is left cheapest-first (the rarest ``exists`` before a
+  common one, from catalog statistics) and, for the batch executor,
+  costs every merge-eligible ``Join`` as a per-binding probe join vs. a
+  set-at-a-time structural merge join from the collected per-name
+  cardinality/partition/depth statistics, recording the winner on the
+  node (``Join.physical`` / ``Join.est_in``) so ``explain()`` shows the
+  choice.  The per-segment bind re-runs the same model against each
+  shard's own statistics.
 
 All passes mutate the IR in place and preserve results exactly; they are
 covered by the cross-backend differential sweeps.
@@ -76,19 +71,24 @@ def optimize(
     lowerer: Lowerer,
     pivot: bool = False,
     executor: str = "volcano",
+    knobs=None,
 ) -> PlanNode:
     """Run every pass; returns the (mutated) root.
 
     ``executor`` names the physical backend the plan is destined for —
     the batch executor additionally gets per-join physical selection
-    (probe vs. structural merge) annotated from catalog statistics."""
+    (probe vs. structural merge) annotated from catalog statistics, under
+    the ``knobs`` (:class:`~repro.columnar.structural.Knobs`) its compile
+    read from the environment."""
     if pivot:
         reorder_exists_subplans(root, lowerer)
     root = push_down(root, lowerer.catalog)
-    prune_redundant(root)
-    order_conditions(root, lowerer.catalog)
-    if executor == "columnar":
-        annotate_join_physical(root, lowerer.catalog)
+    from ..columnar.structural import read_knobs
+
+    finish_conditions(
+        root, lowerer.catalog,
+        read_knobs(knobs) if executor == "columnar" else None,
+    )
     return root
 
 
@@ -244,41 +244,35 @@ def _answered_by_seed(node: PlanNode, condition: Pred) -> bool:
     )
 
 
-def prune_redundant(root: PlanNode) -> None:
-    """Drop conditions the rest of the node already guarantees: exact
-    duplicates, weaker comparisons over the same operand pair
-    (``a >= b`` beside ``a > b``; ``a <= b`` beside ``a = b``), and the
-    ``[@attr = literal]`` test a value-seed access answers by
-    construction.  Scoped steps emit their containment residuals once
-    for the axis and once for the scope, so every ``{...}`` step used to
-    check each column twice.  Recurses into subplans."""
-    for node in linearize(root):
-        if not isinstance(node, (Scan, Join, Filter)):
-            continue
-        keys = [
-            _canonical(c) if isinstance(c, Cmp) else None
-            for c in node.conditions
-        ]
-        held = set(keys)
-        kept: list[Pred] = []
-        seen: set = set()
-        for condition, key in zip(node.conditions, keys):
-            if key is None:
-                if _answered_by_seed(node, condition):
-                    continue
-            else:
-                left, op, right = key
-                if key in seen or any(
-                    (left, stronger, right) in held
-                    for stronger in _IMPLIED_BY.get(op, ())
-                ):
-                    continue
-                seen.add(key)
-            kept.append(condition)
-        node.conditions = tuple(kept)
-        for condition in kept:
-            for pred, _negated in subplan_preds(condition):
-                prune_redundant(pred.subplan)
+def _pruned(node: PlanNode) -> list[Pred]:
+    """``node``'s conditions minus those the rest of the node already
+    guarantees: exact duplicates, weaker comparisons over the same
+    operand pair (``a >= b`` beside ``a > b``; ``a <= b`` beside
+    ``a = b``), and the ``[@attr = literal]`` test a value-seed access
+    answers by construction.  Scoped steps emit their containment
+    residuals once for the axis and once for the scope, so every
+    ``{...}`` step used to check each column twice."""
+    keys = [
+        _canonical(c) if isinstance(c, Cmp) else None
+        for c in node.conditions
+    ]
+    held = set(keys)
+    kept: list[Pred] = []
+    seen: set = set()
+    for condition, key in zip(node.conditions, keys):
+        if key is None:
+            if _answered_by_seed(node, condition):
+                continue
+        else:
+            left, op, right = key
+            if key in seen or any(
+                (left, stronger, right) in held
+                for stronger in _IMPLIED_BY.get(op, ())
+            ):
+                continue
+            seen.add(key)
+        kept.append(condition)
+    return kept
 
 
 # -- join reordering for predicate subplans -----------------------------------
@@ -330,54 +324,54 @@ def _pivoted_subplan(subplan: PlanNode, lowerer: Lowerer) -> Optional[PlanNode]:
     return lowerer.lower_subchain_pivot(steps, ctx, free_slot)
 
 
-# -- physical join selection --------------------------------------------------
+# -- the finishing traversal: prune, order, cost ------------------------------
 
 
-def annotate_join_physical(root: PlanNode, catalog) -> None:
-    """Record the cost-based probe vs. structural-merge choice on every
-    merge-eligible ``Join`` — on the main chain and, with the owner's
-    estimated output threaded in as the subplan's input, inside every
-    predicate subplan — from the catalog's collected statistics
-    (``REPRO_FORCE_JOIN`` pins the choice for differential testing).
-    Merge choices carry the resolved kernel backend (``merge/native`` |
-    ``merge/python``) so ``explain()`` output can never silently cross
-    backends.  The physical compile decides with the same function over
-    the same estimates, so annotation and execution agree."""
-    from ..columnar.kernels.api import kernels_backend
-    from ..columnar.structural import chain_estimates, decide_join, force_mode
+def finish_conditions(
+    root: PlanNode, stats, knobs=None, est: Optional[float] = None,
+    batched: bool = True,
+) -> None:
+    """One walk over a chain and, recursively, every predicate subplan
+    under it.  Per node: drop redundant conditions (:func:`_pruned`);
+    stable-sort the rest cheapest-first (:func:`_condition_key`); and,
+    for the batch executor (``knobs`` given), record the cost-based probe
+    vs. structural-merge choice on every merge-eligible ``Join`` that
+    runs as a batch step — the main chain's and those of ``exists``
+    subplans, each seeded with its owner's estimated output
+    (:func:`~repro.columnar.structural.flow_estimate`); the joins of a
+    ``count()``/value subplan run binding-at-a-time and always probe
+    (``batched`` false).  ``knobs.force`` pins the choice, and merge
+    choices carry the resolved kernel backend (``merge/native`` |
+    ``merge/python``) so ``explain()`` can never silently cross backends.
 
-    chain = linearize(root)
-    if not chain or not isinstance(chain[0], Scan):
-        return
-    estimates = chain_estimates(chain, catalog)
-    force = force_mode()
-    backend = kernels_backend()
-    for node in _all_joins(chain):
-        spec, choice, est_in = decide_join(node, estimates, catalog, force)
-        if spec is None:
-            node.physical = None
-            node.est_in = None
+    The annotation is what ``explain()``'s logical plan shows; every
+    bind decides again with the same functions from the statistics of
+    the store it binds to."""
+    from ..columnar.structural import choose_join, flow_estimate, merge_spec
+
+    for node in linearize(root):
+        if not isinstance(node, (Scan, Join, Filter)):
             continue
-        node.est_in = est_in
-        node.physical = f"merge/{backend}" if choice == "merge" else choice
-
-
-def _all_joins(chain, batched: bool = True):
-    """Every ``Join`` that executes as a batch step: the chain's own and,
-    recursively, those of its ``exists`` subplans (``count()``/value
-    subplans run binding-at-a-time, so their own joins always probe)."""
-    for node in chain:
-        if batched and isinstance(node, Join):
-            yield node
-        if isinstance(node, (Scan, Join, Filter)):
-            for condition in node.conditions:
-                for pred, _negated in subplan_preds(condition):
-                    yield from _all_joins(
-                        linearize(pred.subplan), isinstance(pred, ExistsPred)
-                    )
-
-
-# -- condition ordering -------------------------------------------------------
+        if node.conditions:
+            kept = _pruned(node)
+            if len(kept) > 1:
+                kept.sort(key=lambda pred: _condition_key(pred, stats))
+            node.conditions = tuple(kept)
+        if knobs is not None:
+            est_in, est = flow_estimate(node, stats, est)
+            spec = merge_spec(node) if batched else None
+            if spec is not None:
+                choice = knobs.force or choose_join(est_in, spec.name, stats)
+                node.est_in = est_in
+                node.physical = (
+                    f"merge/{knobs.backend}" if choice == "merge" else choice
+                )
+        for condition in node.conditions:
+            for pred, _negated in subplan_preds(condition):
+                exists = isinstance(pred, ExistsPred)
+                finish_conditions(
+                    pred.subplan, stats, knobs, est if exists else None, exists
+                )
 
 
 def _condition_cost(pred: Pred) -> int:
@@ -400,44 +394,18 @@ def _parts(pred: Pred):
     return pred.parts
 
 
-def _subplan_seed_estimate(pred: Pred, stats) -> float:
-    """Estimated cardinality of a subplan predicate's seeding probe — the
-    statistics-driven tiebreak between same-shape subplan conditions (a
-    rare ``exists`` refutes bindings more cheaply than a common one)."""
-    if not isinstance(pred, (ExistsPred, ValueCmpPred, CountCmpPred)):
-        return 0.0
-    for node in linearize(pred.subplan):
-        if isinstance(node, Join) and isinstance(node.access, IndexProbe):
-            operand = node.access.eq[0] if node.access.eq else None
-            if isinstance(operand, Const) and isinstance(operand.value, str):
-                return float(stats.frequency(operand.value))
-            return float(stats.size())
-    return float(stats.size())
-
-
-def order_conditions(root: PlanNode, stats=None) -> None:
-    """Stable-sort every node's conditions so cheap column comparisons run
-    before correlated subplans; with catalog statistics, subplans of the
-    same cost class additionally order by estimated seed cardinality.
-    Recurses into subplans."""
-    if stats is None:
-        key = _condition_cost
-    else:
-        def key(pred: Pred):
-            return (_condition_cost(pred), _subplan_seed_estimate(pred, stats))
-
-    for node in linearize(root):
-        if isinstance(node, (Scan, Join, Filter)):
-            node.conditions = tuple(sorted(node.conditions, key=key))
-            for condition in node.conditions:
-                _order_in_pred(condition, stats)
-
-
-def _order_in_pred(pred: Pred, stats=None) -> None:
-    if isinstance(pred, (AllPred, AnyPred)):
-        for part in pred.parts:
-            _order_in_pred(part, stats)
-    elif isinstance(pred, NotPred):
-        _order_in_pred(pred.part, stats)
-    elif isinstance(pred, (ExistsPred, ValueCmpPred, CountCmpPred)):
-        order_conditions(pred.subplan, stats)
+def _condition_key(pred: Pred, stats) -> tuple:
+    """``(cost class, estimated cardinality of a subplan predicate's
+    seeding probe)`` — the statistics-driven tiebreak between same-shape
+    subplan conditions (a rare ``exists`` refutes bindings more cheaply
+    than a common one)."""
+    seed = 0.0
+    if isinstance(pred, (ExistsPred, ValueCmpPred, CountCmpPred)):
+        seed = float(stats.size())
+        for node in linearize(pred.subplan):
+            if isinstance(node, Join) and isinstance(node.access, IndexProbe):
+                operand = node.access.eq[0] if node.access.eq else None
+                if isinstance(operand, Const) and isinstance(operand.value, str):
+                    seed = float(stats.frequency(operand.value))
+                break
+    return _condition_cost(pred), seed

@@ -13,8 +13,10 @@ The division of labor:
 * :class:`SegmentedPlanCompiler` — parse → lower → optimize exactly
   **once** (against a :class:`SegmentedCatalog` that sums per-segment
   statistics, so selectivity decisions see the whole corpus), then
-  physical-compile the optimized IR per segment through the regular
-  :meth:`~repro.lpath.compiler.PlanCompiler.compile_physical`.  The
+  bind the optimized IR to every segment whose statistics do not prove
+  its result empty (:func:`required_names`), through the regular
+  :meth:`~repro.lpath.compiler.PlanCompiler.compile_physical` — whose
+  first call builds the plan's segment-independent skeleton.  The
   per-engine plan cache stores the resulting :class:`SegmentedQuery`
   under the same ``(query, pivot, executor)`` key as a monolithic plan —
   the cache is segment-count-agnostic.
@@ -23,7 +25,7 @@ The division of labor:
   per-segment results.  It keeps the optimized IR it was compiled from,
   so :meth:`SegmentedPlanCompiler.rebase` can move it onto a segment
   list that shares most segments with its own (consecutive snapshots of
-  a live corpus, :mod:`repro.live`) by compiling only the new ones.
+  a live corpus, :mod:`repro.live`) by binding only the new ones.
 
 Results are byte-identical to the monolithic engine: each per-segment
 plan yields sorted distinct ``(tid, id)`` pairs, segments partition the
@@ -65,8 +67,11 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from heapq import merge
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from ..faults import maybe_delay_segment, maybe_kill_worker
-from .ir import PlanNode, render
+from ..faults import active_injector, maybe_delay_segment, maybe_kill_worker
+from .ir import (
+    AllPred, Cmp, Col, Const, ExistsPred, IndexProbe, PlanNode, ValueSeed,
+    linearize, render, N,
+)
 from .lower import Lowerer, lower_and_optimize
 
 POOL_MODES = ("thread", "process")
@@ -248,7 +253,7 @@ class RemoteTask(NamedTuple):
     pivot: bool
     executor: str
     force: Optional[str]
-    kernels: Optional[str] = None    # the REPRO_KERNELS mode, same contract
+    kernels: Optional[str] = None    # the resolved REPRO_KERNELS backend, same contract
     limit: Optional[int] = None      # per-segment top-k (parent truncates)
     agg: Optional[str] = None        # aggregate op (parent sums the dicts)
 
@@ -371,6 +376,7 @@ class SegmentedCatalog:
         if not catalogs:
             raise ValueError("a segmented catalog needs at least one segment")
         self._catalogs = list(catalogs)
+        self._name_stats: dict = {}  # shards are immutable: merged once
 
     def size(self) -> int:
         return sum(catalog.size() for catalog in self._catalogs)
@@ -383,13 +389,16 @@ class SegmentedCatalog:
         return sum(catalog.tree_count() for catalog in self._catalogs)
 
     def name_stats(self, name: Optional[str]):
-        """Per-name statistics merged across shards: cardinalities and
-        partition counts add, depth ranges widen, the largest partition is
-        the max — giving the optimizer corpus-wide inputs while each
-        segment still re-decides its physical join from its own stats."""
+        """Per-name statistics merged across shards (once per name):
+        cardinalities and partition counts add, depth ranges widen, the
+        largest partition is the max — giving the optimizer corpus-wide
+        inputs while each segment still re-decides its physical join from
+        its own stats."""
+        merged = self._name_stats.get(name)
+        if merged is not None:
+            return merged
         from ..columnar.store import NameStats
 
-        merged = None
         for catalog in self._catalogs:
             stats = catalog.name_stats(name)
             if stats.rows == 0:
@@ -404,7 +413,10 @@ class SegmentedCatalog:
                     min(merged.min_depth, stats.min_depth),
                     max(merged.max_depth, stats.max_depth),
                 )
-        return merged if merged is not None else NameStats(0, 0, 0, 0, 0)
+        if merged is None:
+            merged = NameStats(0, 0, 0, 0, 0)
+        self._name_stats[name] = merged
+        return merged
 
     def access_path(self, eq_columns, range_column=None):
         return self._catalogs[0].access_path(eq_columns, range_column)
@@ -435,9 +447,18 @@ class SegmentedQuery:
     ) -> None:
         #: The compiler's segment list this plan was built for (the list
         #: object itself: :meth:`SegmentedPlanCompiler.rebase` compares
-        #: identity) and, in the same order, one compiled part each.
+        #: identity) and, in the same order, one compiled part each — a
+        #: part over the :data:`PRUNED` plan where the segment's
+        #: statistics proved its result empty (:func:`required_names`):
+        #: it answers like any other part, with nothing.
         self.segments = segments
         self.parts = list(parts)
+        #: ``(segment position, part)`` of the segments a plan was bound
+        #: to — the only ones worth a worker hand-off.
+        self.bound = [
+            (index, part) for index, part in enumerate(self.parts)
+            if part.plan is not PRUNED
+        ]
         self.description = lowered.description
         self.logical = logical
         #: Kept with ``executor`` so a rebase can physical-compile the
@@ -450,14 +471,16 @@ class SegmentedQuery:
         self.agg = agg
 
     def _map(self, task: Callable) -> list:
-        def run(part):
-            maybe_delay_segment()  # segment_slow bites the thread path too
-            return task(part)
-
+        if active_injector() is not None:  # one read per fan-out
+            def run(part, task=task):
+                maybe_delay_segment()  # segment_slow bites the thread path too
+                return task(part)
+        else:
+            run = task
         pool = self.get_pool() if self.get_pool is not None else None
-        if pool is None or len(self.parts) <= 1:
+        if pool is None or len(self.bound) <= 1:
             return [run(part) for part in self.parts]
-        return list(pool.map(run, self.parts))
+        return list(pool.map(run, [part for _index, part in self.bound]))
 
     def _map_remote(self, kind: str) -> Optional[list]:
         """Fan the query out to worker *processes*, or ``None`` when the
@@ -473,13 +496,13 @@ class SegmentedQuery:
         run in-process, byte-identical), or, with degradation disabled,
         raises a classified
         :class:`~repro.lpath.errors.ExecutorRecoveryError`."""
+        pool_factory = self.get_pool
         if (
             self.remote is None
-            or self.get_pool is None
-            or len(self.parts) <= 1
+            or getattr(pool_factory, "mode", "thread") != "process"
+            or len(self.bound) <= 1
         ):
             return None
-        pool_factory = self.get_pool
         attempts = 1 + process_retries()
         for _attempt in range(attempts):
             if getattr(pool_factory, "mode", "thread") != "process":
@@ -490,7 +513,7 @@ class SegmentedQuery:
             try:
                 futures = [
                     pool.submit(_execute_segment, self.remote, index, kind)
-                    for index in range(len(self.parts))
+                    for index, _part in self.bound
                 ]
                 return [future.result() for future in futures]
             except BrokenExecutor:
@@ -560,21 +583,94 @@ class SegmentedQuery:
         return dict(merged)
 
     def explain(self) -> str:
-        """The shared logical IR plus the first segment's physical plan
-        (all segments compile the same IR against the same design)."""
+        """The shared logical IR plus the first bound segment's physical
+        plan (all segments bind the same skeleton against the same
+        design), and how many segments the statistics pruned."""
         parts = [self.description]
         if self.logical is not None:
             parts.append("logical plan:\n" + render(self.logical, indent=2))
-        mix = ""
+        total = len(self.parts)
+        note = ""
         delta = sum(1 for segment in self.segments if segment.kind == "delta")
         if delta:
-            mix = f": {len(self.segments) - delta} base + {delta} delta"
-        parts.append(
-            f"physical plan (x{len(self.parts)} segments{mix}, "
-            "segment 0 shown):\n"
-            + self.parts[0].plan.explain(indent=2)
-        )
+            note = f": {total - delta} base + {delta} delta"
+        if len(self.bound) < total:
+            note += f", pruned {total - len(self.bound)} of {total}"
+        if self.bound:
+            index, shown = self.bound[0]
+            parts.append(
+                f"physical plan (x{total} segments{note}, segment {index} "
+                "shown):\n" + shown.plan.explain(indent=2)
+            )
+        else:
+            parts.append(
+                f"physical plan (x{total} segments{note}):\n"
+                "  (no segment can hold a result)"
+            )
         return "\n".join(parts)
+
+
+class _Pruned:
+    """The plan of a segment whose statistics prove its result empty: no
+    skeleton was bound to it and it yields nothing, whatever is asked."""
+
+    def __iter__(self):
+        return iter(())
+
+    def count_rows(self) -> int:
+        return 0
+
+    def rows_limited(self, k: int) -> list:
+        return []
+
+
+PRUNED = _Pruned()
+
+
+def required_names(root: PlanNode) -> tuple[frozenset, frozenset]:
+    """``(names, literals)`` a segment must hold for ``root`` to return
+    anything from it: the tag (or ``@attribute`` row name) of every
+    named probe on the main chain and on the chains of *positive*
+    ``exists`` conditions — bare or under ``and``, nested to any depth —
+    plus the literal of every value seed among them.  A segment whose
+    statistics show zero rows for one of the names, or whose value index
+    lacks one of the literals, cannot contribute a row.
+
+    Nothing is ever required from under ``not``/``or``/``count()``/a
+    value comparison (absence can satisfy those), from an or-self probe
+    (the context row itself may match) or from a wildcard step."""
+    names: set = set()
+    literals: set = set()
+    pending = [root]
+    while pending:
+        for node in linearize(pending.pop()):
+            access = getattr(node, "access", None)
+            if isinstance(access, ValueSeed):
+                literals.add(access.literal)
+                names.update(
+                    name for name in (access.attr, access.name_test) if name
+                )
+            elif (
+                isinstance(access, IndexProbe)
+                and access.self_slot is None and access.eq
+                and isinstance(access.eq[0], Const)
+                and isinstance(access.eq[0].value, str)
+            ):
+                names.add(access.eq[0].value)
+            conditions = list(getattr(node, "conditions", ()))
+            while conditions:
+                condition = conditions.pop()
+                if isinstance(condition, AllPred):
+                    conditions.extend(condition.parts)
+                elif isinstance(condition, ExistsPred):
+                    pending.append(condition.subplan)
+                elif (  # sN.name = 'tag': how parent/attribute steps test names
+                    isinstance(condition, Cmp) and condition.op == "="
+                    and isinstance(condition.left, Col) and condition.left.col == N
+                    and isinstance(condition.right, Const)
+                ):
+                    names.add(condition.right.value)
+    return frozenset(names), frozenset(literals)
 
 
 class SegmentedPlanCompiler:
@@ -612,65 +708,88 @@ class SegmentedPlanCompiler:
         self, query, pivot: bool = False, executor: str = "volcano",
         limit: Optional[int] = None, agg: Optional[str] = None,
     ) -> SegmentedQuery:
-        """One logical compile, N physical compiles, one merged result.
+        """One logical compile, one physical skeleton, a bind per segment
+        that can hold a result, one merged result.
 
-        The logical plan's join annotations come from the summed
-        corpus-wide statistics; each per-segment physical compile then
-        re-decides probe vs. merge against its own shard's statistics.
-        Engines built over an ``LPDB0004`` file additionally attach a
-        :class:`RemoteTask` so a process pool can re-run the same query
-        worker-side without pickling any plan or store."""
+        The environment knobs are read once, here.  The logical plan's
+        join annotations come from the summed corpus-wide statistics; the
+        first segment's ``compile_physical`` builds the plan's
+        segment-independent skeleton, and each bind re-decides probe vs.
+        merge against its own shard's statistics.  Segments whose
+        statistics prove their result empty (:func:`required_names`) are
+        not bound at all.  Engines built over an ``LPDB0004`` file
+        additionally attach a :class:`RemoteTask` so a process pool can
+        re-run the same query worker-side without pickling any plan or
+        store."""
+        from ..columnar.structural import read_knobs
+
+        knobs = read_knobs()
         root, lowered = lower_and_optimize(
-            self.lowerer, query, pivot, executor, limit=limit, agg=agg
+            self.lowerer, query, pivot, executor, limit=limit, agg=agg,
+            knobs=knobs,
         )
-        parts = [
-            segment.compiler.compile_physical(root, lowered, executor)
-            for segment in self.segments
-        ]
+        parts = self._bind(root, lowered, executor, knobs)
         remote_task = None
         if self.remote is not None:
-            from ..columnar.kernels.api import KERNELS_ENV
-            from ..columnar.structural import force_mode
-
             remote_task = RemoteTask(
                 self.remote,
                 query if isinstance(query, str) else str(query),
-                pivot,
-                executor,
-                force_mode(),
-                os.environ.get(KERNELS_ENV) or None,
-                limit,
-                agg,
+                pivot, executor, knobs.force, knobs.backend, limit, agg,
             )
         return SegmentedQuery(
             self.segments, parts, root, lowered, executor,
             self.get_pool, remote_task, limit=limit, agg=agg,
         )
 
+    def _bind(self, root, lowered, executor, knobs, known=None) -> list:
+        """One part per segment, in order: the part ``known`` (``id(segment)
+        -> part``) already holds, a part over :data:`PRUNED` for a segment
+        that lacks a required name or literal, else the plan bound to the
+        segment."""
+        names, literals = required_names(root)
+        parts = []
+        for segment in self.segments:
+            compiler = segment.compiler
+            part = known.get(id(segment)) if known else None
+            if part is not None:
+                pass
+            elif any(compiler.catalog.frequency(name) == 0 for name in names) or (
+                literals and compiler.column_store is not None
+                and not literals <= compiler.column_store.by_value.keys()
+            ):
+                _inner, limit, agg = compiler.unwrap(root, executor)
+                part = compiler.result_class(
+                    PRUNED, 0, lowered.description, root, limit=limit, agg=agg
+                )
+            else:
+                part = compiler.compile_physical(root, lowered, executor, knobs)
+            parts.append(part)
+        return parts
+
     def rebase(self, compiled: SegmentedQuery) -> SegmentedQuery:
         """``compiled`` itself when it was built for this compiler's
         segment list; otherwise (a plan carried across a live-corpus
         engine swap) a new :class:`SegmentedQuery` over *this* list that
-        keeps the part of every :class:`Segment` object both lists hold
-        and physical-compiles only the segments that are new, from the
-        plan's retained optimized IR.  ``compiled`` is never mutated — a
-        query in flight on the retired engine still holds it.  The
-        logical plan (and so the estimates ``explain()`` prints) stays as
-        first lowered."""
+        keeps the part — or the pruning verdict — of every
+        :class:`Segment` object both lists hold and binds only the
+        segments that are new, from the skeleton the plan's retained
+        ``lowered`` carries (nothing is lowered, optimized or
+        skeleton-built again).  ``compiled`` is never mutated — a query
+        in flight on the retired engine still holds it.  The logical plan
+        (and so the estimates ``explain()`` prints) stays as first
+        lowered."""
         if compiled.segments is self.segments:
             return compiled
+        from ..columnar.structural import read_knobs
+
         known = {
             id(segment): part
             for segment, part in zip(compiled.segments, compiled.parts)
         }
-        parts = []
-        for segment in self.segments:
-            part = known.get(id(segment))
-            if part is None:
-                part = segment.compiler.compile_physical(
-                    compiled.logical, compiled.lowered, compiled.executor
-                )
-            parts.append(part)
+        parts = self._bind(
+            compiled.logical, compiled.lowered, compiled.executor,
+            read_knobs(), known,
+        )
         with self._rebased_lock:
             self.rebased += 1
         return SegmentedQuery(

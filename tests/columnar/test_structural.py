@@ -236,6 +236,41 @@ class TestForcedEquivalence:
                 with forced(mode):
                     assert sharded.query(query) == expected, (query, mode)
 
+    @pytest.mark.parametrize("kernels", ["python", "native"])
+    @pytest.mark.parametrize("mode", ["merge", "probe", None])
+    def test_bound_segment_plans_equal_fresh_monolithic_compiles(
+        self, trees, monkeypatch, kernels, mode
+    ):
+        """A segment's plan is the shared skeleton bound to its store; it
+        must be the plan a compiler that only knows that one store builds
+        from scratch — same flavor per join (decided from the shard's own
+        statistics, or forced), same kernel, same selectors, same rows."""
+        from repro.columnar.kernels import KERNELS_ENV, native_kernels
+        from repro.lpath.compiler import PlanCompiler
+
+        if kernels == "native" and native_kernels() is None:
+            pytest.skip("cffi extension unavailable")
+        monkeypatch.setenv(KERNELS_ENV, kernels)
+        if mode is None:
+            monkeypatch.delenv(FORCE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(FORCE_ENV, mode)
+        sharded = LPathEngine(
+            trees, keep_trees=False, executor="columnar", segments=2
+        )
+        for query in AXIS_QUERIES:
+            compiled = sharded.compile(query)
+            for segment, part in zip(compiled.segments, compiled.parts):
+                # The shard's own compiler, used monolithically: lowered,
+                # optimized and annotated from this shard's catalog alone.
+                assert type(segment.compiler) is PlanCompiler
+                alone = segment.compiler.compile(query, executor="columnar")
+                if not any(part is bound for _i, bound in compiled.bound):
+                    assert alone.count() == 0, query   # pruned: provably empty
+                    continue
+                assert part.plan.explain() == alone.plan.explain(), query
+                assert list(part.rows()) == list(alone.rows()), query
+
     def test_xpath_engine_forced_modes_agree(self, trees):
         engine = XPathEngine(trees)
         for query in ("//S//NP", "//NP/N", "//Det\\ancestor::S"):

@@ -34,7 +34,9 @@ from repro.columnar.kernels import KERNELS_ENV, native_kernels
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
 from repro.xpath import XPATH_AXES, XPathEngine
-from tests.strategies import corpora, lpath_queries, xpath_queries
+from tests.strategies import (
+    LABELS, corpora, lpath_queries, sparse_corpora, xpath_queries,
+)
 
 FUZZ_EXAMPLES = max(5, int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25")) // 3)
 QUERIES_PER_EXAMPLE = 4
@@ -90,6 +92,39 @@ class TestLPathSegmentEquivalence:
                             f"executor={executor} kernels={kernels} "
                             f"disagrees on {query!r}: {got} != {expected}"
                         )
+
+    @pytest.mark.parametrize("kernels", KERNEL_BACKENDS)
+    @given(data=st.data())
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    def test_pruned_segments_are_invisible_in_the_answers(self, kernels, data):
+        """The pruning-biased sweep: one tag survives in at most two
+        trees, the corpus is sharded so that most segments lack it, and
+        every query is rewritten to name it — as a main-chain step or
+        under ``[...]``/``not``/``or``/``count()``, wherever the
+        generator put the label it replaces.  A segment the statistics
+        prune must be one that could not have contributed a row."""
+        trees, tag = data.draw(sparse_corpora(), label="corpus")
+        monolithic = LPathEngine(trees, keep_trees=False)
+        engines = [
+            LPathEngine(trees, keep_trees=False, segments=segments)
+            for segments in (2, 3, 7)
+        ]
+        with pinned_kernels(kernels):
+            for index in range(QUERIES_PER_EXAMPLE):
+                query = data.draw(lpath_queries(), label=f"query {index}")
+                other = data.draw(st.sampled_from(LABELS), label="replaced")
+                query = query.replace(other, tag)
+                expected = monolithic.query(query)
+                for engine in engines:
+                    for executor in ("volcano", "columnar"):
+                        compiled = engine.compile(query, executor=executor)
+                        got = [tuple(row) for row in compiled.rows()]
+                        assert got == expected, (
+                            f"segments={engine.segments} executor={executor} "
+                            f"kernels={kernels} disagrees on {query!r} "
+                            f"({compiled.explain().splitlines()[-1]})"
+                        )
+                        assert compiled.count() == len(expected)
 
     @given(data=st.data())
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)

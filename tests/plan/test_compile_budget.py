@@ -1,0 +1,247 @@
+"""The compile-work budget of a cold (never-seen) query — no timing.
+
+A segmented compile does the segment-independent work once (the
+``PlanSkeleton``: join shape analysis, condition classification, native
+check validation, step signatures) and per segment only *binds* it.
+These tests count calls: what is per plan must not grow with the
+segment count, what is per plan step per segment (the fault
+checkpoints) must stay exactly that, and the environment is read a
+fixed handful of times per compile however many steps and segments
+there are.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+import repro.columnar
+from repro import faults
+from repro.columnar import executor as columnar_executor
+from repro.columnar import structural
+from repro.columnar.kernels import api as kernels_api
+from repro.corpus import generate_corpus
+from repro.lpath import LPathEngine
+from repro.lpath.compiler import PlanCompiler
+from repro.store import save_corpus
+
+QUERIES = [
+    "//S//NP/NN",
+    "//VP{/VB-->NN}",
+    "//NP[->PP[//IN]=>VP]",
+    "//S[//NP/ADJP and not(//WHPP)]//VB->NP",
+    "//_[@lex=the]\\NP==>VP[//NN]",
+]
+
+
+@pytest.fixture(scope="module")
+def trees():
+    return list(generate_corpus("wsj", sentences=64, seed=5))
+
+
+@pytest.fixture(scope="module")
+def stores(trees, tmp_path_factory):
+    """``{segments: path}`` of the same corpus saved 1- and 8-way."""
+    root = tmp_path_factory.mktemp("budget")
+    paths = {}
+    for segments in (1, 8):
+        paths[segments] = str(root / f"s{segments}.lpdb")
+        save_corpus(trees, paths[segments], segments=segments, format="lpdb0004")
+    return paths
+
+
+class Counter:
+    """Counting wrappers around module/class attributes, undone on exit."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.calls: dict[str, int] = {}
+
+    def wrap(self, owner, name, label=None):
+        label = label or name
+        real = getattr(owner, name)
+        self.calls[label] = 0
+
+        def counting(*args, **kwargs):
+            self.calls[label] += 1
+            return real(*args, **kwargs)
+
+        self.monkeypatch.setattr(owner, name, counting)
+        return self
+
+
+def physical_steps(steps) -> int:
+    """Steps of a bound pipeline, sub-pipelines of its selectors included."""
+    total = 0
+    pending = list(steps)
+    while pending:
+        step = pending.pop()
+        if hasattr(step, "steps"):          # a semi-join
+            pending.extend(step.steps)
+            continue
+        if hasattr(step, "parts"):          # and / or
+            pending.extend(step.parts)
+            continue
+        if hasattr(step, "part"):           # not
+            pending.append(step.part)
+            continue
+        if hasattr(step, "run"):
+            total += 1
+            pending.extend(getattr(step, "selectors", None) or step.semi)
+    return total
+
+
+def cold_compile_counts(path, monkeypatch) -> dict[str, int]:
+    engine = LPathEngine.open(path)
+    try:
+        counter = Counter(monkeypatch)
+        # ``merge_spec`` is reached through two names: the executor's
+        # import and the optimizer's call-time import.
+        counter.wrap(structural, "merge_spec", "merge_spec/optimizer")
+        counter.wrap(columnar_executor, "merge_spec", "merge_spec/skeleton")
+        counter.wrap(columnar_executor, "_Conditions", "classify")
+        counter.wrap(columnar_executor, "_node_signature", "signatures")
+        counter.wrap(columnar_executor, "classify_checks")
+        counter.wrap(columnar_executor, "_compile_sweep", "sweep_variants")
+        counter.wrap(repro.columnar, "PlanSkeleton", "skeletons")
+        counter.wrap(PlanCompiler, "compile_physical", "binds")
+        for query in QUERIES:
+            engine.compile(query)
+        return dict(counter.calls)
+    finally:
+        monkeypatch.undo()
+        engine.close()
+
+
+def test_segment_independent_work_does_not_scale_with_segments(
+    stores, monkeypatch
+):
+    one = cold_compile_counts(stores[1], monkeypatch)
+    eight = cold_compile_counts(stores[8], monkeypatch)
+    for piece in (
+        "merge_spec/optimizer", "merge_spec/skeleton", "classify", "skeletons",
+    ):
+        assert eight[piece] == one[piece] > 0, piece
+    # Native checks are validated under the native backend, sweep loops
+    # generated under the pure-Python one: either way once per plan.
+    for piece in ("classify_checks", "sweep_variants"):
+        assert eight[piece] == one[piece], piece
+    assert one["classify_checks"] + one["sweep_variants"] > 0
+    # Step signatures only exist for batch execution: none at compile.
+    assert one["signatures"] == eight["signatures"] == 0
+    assert one["skeletons"] == len(QUERIES)
+    # What does scale is the bind, and only for segments that can match.
+    assert one["binds"] == len(QUERIES)
+    assert len(QUERIES) < eight["binds"] <= 8 * len(QUERIES)
+
+
+def test_checkpoints_are_per_step_per_bound_segment(stores, monkeypatch):
+    """Prob 0.0: every checkpoint passes and is counted, none fires."""
+    engine = LPathEngine.open(stores[8])
+    try:
+        for seed, query in enumerate(QUERIES):
+            monkeypatch.setenv(faults.FAULTS_ENV, f"mmap_read_error:0.0:{seed}")
+            compiled = engine.compile(query)
+            parts = [part for _index, part in compiled.bound]
+            steps = sum(physical_steps(part.plan.steps) for part in parts)
+            assert parts and steps >= len(parts)
+            assert faults.fault_counts() == {"mmap_read_error": steps}, query
+            compiled.rows()
+            main_chain = sum(len(part.plan.steps) for part in parts)
+            assert faults.fault_counts() == {
+                "mmap_read_error": steps + main_chain
+            }, query
+    finally:
+        engine.close()
+
+
+def test_fault_env_flipped_mid_process_bites_the_next_query(
+    stores, monkeypatch
+):
+    engine = LPathEngine.open(stores[8])
+    try:
+        warm = engine.compile("//S//NP")            # bound fault-free
+        assert warm.count() > 0
+        monkeypatch.setenv(faults.FAULTS_ENV, "mmap_read_error:1.0:3")
+        with pytest.raises(OSError, match="injected fault"):
+            engine.compile("//S//VP")               # bind-time checkpoint
+        with pytest.raises(OSError, match="injected fault"):
+            warm.count()                            # run-time checkpoint
+        monkeypatch.delenv(faults.FAULTS_ENV)
+        assert engine.compile("//S//VP").count() > 0
+        assert warm.count() > 0
+    finally:
+        engine.close()
+
+
+def test_a_cold_compile_reads_the_environment_four_times_at_most(
+    stores, monkeypatch
+):
+    engine = LPathEngine.open(stores[8])
+    try:
+        reads = []
+        real = os._Environ.__getitem__
+
+        def counting(self, key):
+            reads.append(key)
+            return real(self, key)
+
+        compiler = engine._compiler
+        for query in QUERIES:
+            monkeypatch.setattr(os._Environ, "__getitem__", counting)
+            del reads[:]
+            compiled = compiler.compile(query, executor="columnar")
+            monkeypatch.undo()
+            assert len(reads) <= 4, (query, reads)
+            assert sorted(set(reads)) == [
+                "REPRO_FAULTS", "REPRO_FORCE_JOIN", "REPRO_KERNELS",
+            ]
+            bound = len(compiled.bound)
+            monkeypatch.setattr(os._Environ, "__getitem__", counting)
+            del reads[:]
+            compiled.rows()
+            monkeypatch.undo()
+            # One REPRO_FAULTS read per fan-out and per bound segment.
+            assert reads == ["REPRO_FAULTS"] * (1 + bound), (query, reads)
+    finally:
+        monkeypatch.undo()
+        engine.close()
+
+
+def test_rare_word_binds_and_runs_only_where_the_word_lives(trees, stores):
+    """The acceptance shape: a word held by 2 of 8 shards."""
+    engine = LPathEngine.open(stores[8])
+    try:
+        shards = [
+            segment.compiler.column_store for segment in engine._compiler.segments
+        ]
+        words = {}
+        for index, shard in enumerate(shards):
+            for word in shard.by_value:
+                words.setdefault(word, set()).add(index)
+        word = next(
+            w for w, held in sorted(words.items())
+            if len(held) == 2 and w.isalpha()
+        )
+        query = f"//_[@lex={word}]\\ancestor::S"
+        compiled = engine.compile(query)
+        assert {index for index, _part in compiled.bound} == words[word]
+        assert "pruned 6 of 8" in compiled.explain()
+        monolithic = LPathEngine(trees, keep_trees=False, executor="columnar")
+        assert engine.query(query) == monolithic.query(query) != []
+    finally:
+        engine.close()
+
+
+def test_native_checks_are_validated_by_column_position():
+    """``classify_checks`` works on column positions, so it never needs a
+    store — and an unbound vector of a string column stays interpreted."""
+    import operator
+
+    assert kernels_api.classify_checks([(3, operator.gt, 0, 3)]) == [("i64", 4)]
+    assert kernels_api.classify_checks([(8, operator.eq, None, 0)]) == [("u8", 0)]
+    assert kernels_api.classify_checks([(6, operator.eq, None, "NP")]) is None
+    assert kernels_api.classify_checks(
+        [(3, operator.gt, 0, 3)], require_const=True
+    ) is None

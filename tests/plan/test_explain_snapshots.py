@@ -69,6 +69,11 @@ SNAPSHOTS = [
      {"agg": "count_by_name", "executor": "columnar"}),
     ("lpath_aggregate_by_depth", "lpath", "//NP",
      {"agg": "count_by_depth", "executor": "columnar"}),
+    # One tree per segment: ADVP only lives in the last, PP in the first.
+    ("lpath_segmented_pruned", "lpath_sharded", "//S//ADVP",
+     {"executor": "columnar"}),
+    ("lpath_segmented_all_pruned", "lpath_sharded", "//S[//WHNP]",
+     {"executor": "columnar"}),
     ("xpath_child_chain", "xpath", "//NP/N", {}),
     ("xpath_two_step_scan_pivot", "xpath", "//S//V", {"pivot": True}),
     ("xpath_ancestor", "xpath", "//Det\\ancestor::S", {}),
@@ -113,6 +118,7 @@ def engines():
     trees = list(iter_trees(CORPUS))
     return {
         "lpath": LPathEngine(trees, keep_trees=False),
+        "lpath_sharded": LPathEngine(trees, keep_trees=False, segments=3),
         "xpath": XPathEngine(trees),
     }
 

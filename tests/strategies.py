@@ -51,6 +51,27 @@ def corpora(draw, max_trees: int = 4, max_depth: int = 4) -> list[Tree]:
     ]
 
 
+@st.composite
+def sparse_corpora(draw, max_trees: int = 7, max_depth: int = 4):
+    """``(trees, tag)``: a random corpus in which ``tag`` — one of
+    :data:`LABELS` — survives only in a drawn subset of the trees (every
+    other occurrence is relabelled to a tag no query names), so a corpus
+    sharded one tree per segment has shards that provably lack it.  The
+    pruning-biased twin of :func:`corpora`."""
+    count = draw(st.integers(min_value=2, max_value=max_trees))
+    tag = draw(labels)
+    keep = draw(st.sets(st.integers(min_value=0, max_value=count - 1), max_size=2))
+    built = []
+    for tid in range(count):
+        root = draw(tree_nodes(max_depth=max_depth))
+        if tid not in keep:
+            for node in root.preorder():
+                if node.label == tag:
+                    node.label = "ELSEWHERE"
+        built.append(Tree(root, tid=tid))
+    return built, tag
+
+
 # -- random queries -----------------------------------------------------------
 
 #: Step separators of the main chain (surface syntax -> axis):

@@ -494,6 +494,68 @@ class TestEngineSwap:
         finally:
             manager.close()
 
+    def test_rebase_binds_only_the_new_segment(self, corpus_dir, monkeypatch):
+        """A carried plan is moved onto the next snapshot by binding its
+        retained skeleton to the segments that are new — no lowering, no
+        skeleton build, and nothing for the segments both lists hold (a
+        shard the statistics pruned stays pruned without a second look)."""
+        import repro.columnar
+        from repro.lpath.compiler import PlanCompiler
+        from repro.plan import segmented
+
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            before = self.answers(manager.engine)
+            plans = {
+                query: manager.engine.compile(query) for query in self.QUERIES
+            }
+            assert plans["//_[@lex=cat]"].bound == []   # no base shard has it
+            calls = {"skeleton": 0, "lower": 0, "bind": []}
+            real_skeleton = repro.columnar.PlanSkeleton
+            real_lower = segmented.lower_and_optimize
+            real_bind = PlanCompiler.compile_physical
+
+            def skeleton(*args, **kwargs):
+                calls["skeleton"] += 1
+                return real_skeleton(*args, **kwargs)
+
+            def lower(*args, **kwargs):
+                calls["lower"] += 1
+                return real_lower(*args, **kwargs)
+
+            def bind(self, *args, **kwargs):
+                calls["bind"].append(self)
+                return real_bind(self, *args, **kwargs)
+
+            monkeypatch.setattr(repro.columnar, "PlanSkeleton", skeleton)
+            monkeypatch.setattr(segmented, "lower_and_optimize", lower)
+            monkeypatch.setattr(PlanCompiler, "compile_physical", bind)
+            manager.append_trees(MORE)
+            after = self.answers(manager.engine)
+            monkeypatch.undo()
+
+            segments = manager.engine._compiler.segments
+            assert [segment.kind for segment in segments] == [
+                "base", "base", "delta",
+            ]
+            # The one skeleton built belongs to the plan no base shard
+            # could match: its first bind ever is the new tier's.
+            assert (calls["skeleton"], calls["lower"]) == (1, 0)
+            # One bind per carried plan, each against the new tier only.
+            assert calls["bind"] == [segments[-1].compiler] * len(self.QUERIES)
+            for query, old in plans.items():
+                new = manager.engine.compile(query)
+                assert new is not old and new.lowered is old.lowered
+                assert new.parts[:2] == old.parts
+                assert new.bound[-1] == (2, new.parts[2])
+            assert [len(rows) for rows in after] == [
+                len(rows) + added
+                for rows, added in zip(before, (2, 1, 2, 1))
+            ]
+            assert "pruned 2 of 3" in manager.engine.explain("//_[@lex=cat]")
+        finally:
+            manager.close()
+
     def test_tier_count_stays_logarithmic(self, corpus_dir):
         manager = LiveEngineManager(corpus_dir)
         try:
