@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections import Counter
 from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -75,7 +76,6 @@ from ..plan.ir import (
     PlanNode,
     PositionPred,
     Pred,
-    Project,
     RightEdge,
     Scan,
     TableScan,
@@ -86,11 +86,12 @@ from ..plan.ir import (
     semi_join_header,
     subplan_preds,
     COLUMN_NAMES as IR_COLUMN_NAMES,
-    I, L, N, P, R, T, V,
+    I, L, P, R, T, V,
 )
 from ..plan.lower import as_float, numeric_compare
 from ..faults import active_injector
-from .kernels.api import NativeGather, NativeRangeFilter, bind_checks, classify_checks
+from .kernels.api import NativeRangeFilter, bind_checks, classify_checks
+from .result import EMPTY, ResultBatch, python_emit_pairs
 from .store import ColumnStore
 from .structural import (
     SWEEP,
@@ -200,7 +201,8 @@ def _make_string_value(
 class _Compile:
     """One compile's context.  With only the compile's ``knobs`` — the
     forced join mode, the resolved kernel backend and its batch
-    primitives (column gather, ordinal reduction), the fault injector —
+    primitives (column gather, ordinal reduction, result emit), the
+    fault injector —
     it builds the segment-independent :class:`PlanSkeleton`; given a
     ``runtime`` as well it *binds* that skeleton to one store."""
 
@@ -209,6 +211,7 @@ class _Compile:
         self.kern = kern
         self.take = python_take if kern is None else kern.take
         self.distinct = python_distinct if kern is None else kern.distinct
+        self.emit = python_emit_pairs if kern is None else kern.emit_pairs
         self.runtime = runtime
         if runtime is not None:
             self.store = runtime.store
@@ -246,12 +249,15 @@ class PlanSkeleton:
         self.knobs = knobs
         ctx = _Compile(knobs)
         steps: list = []
-        self.output = None
+        #: The terminating ``Distinct`` key — all the lowerers build: the
+        #: result slot's ``(tid, id)``, plus its group column under a
+        #: grouped aggregate.
+        self.key = None
         width = 0
         for item in linearize(node):
-            if self.output is not None:
+            if self.key is not None:
                 raise LPathCompileError(
-                    "Distinct/Project must terminate a columnar pipeline"
+                    "Distinct must terminate a columnar pipeline"
                 )
             if isinstance(item, Scan):
                 steps.append(_ScanStep(item, ctx))
@@ -262,21 +268,14 @@ class PlanSkeleton:
             elif isinstance(item, Filter):
                 steps.append(_FilterStep(item, ctx, width))
             elif isinstance(item, Distinct):
-                self.output = ("distinct", item.key)
-            elif isinstance(item, Project):
-                self.output = ("project", item.cols)
+                self.key = item.key
             else:
                 raise LPathCompileError(f"cannot execute {item!r} as a columnar plan")
         if not steps or not isinstance(steps[0], _ScanStep):
             raise LPathCompileError("a columnar pipeline must start at a Scan")
+        if self.key is None:
+            raise LPathCompileError("a columnar pipeline must end in Distinct")
         self.steps = steps
-        #: Integer-only output keys gather through the native kernel.
-        self.native_gather = (
-            knobs.kern is not None
-            and self.output is not None
-            and bool(self.output[1])
-            and all(position < N for _slot, position in self.output[1])
-        )
         self._signatures = None
 
     @property
@@ -302,13 +301,7 @@ class PlanSkeleton:
         for step in self.steps:
             step, est = step.bind(ctx, est)
             steps.append(step)
-        gather = None
-        if self.native_gather:
-            key = self.output[1]
-            gather = NativeGather(
-                ctx.kern, list(key), [ctx.cols[position] for _slot, position in key]
-            )
-        return ColumnarPlan(steps, self.output, runtime, self, gather)
+        return ColumnarPlan(steps, self.key, runtime, self, ctx.emit)
 
 
 def _pred_signature(pred: Pred) -> object:
@@ -369,7 +362,8 @@ def _chain_signature(node: PlanNode) -> object:
 
 
 class ColumnarPlan:
-    """An executable batch pipeline; iterating yields result tuples.
+    """An executable batch pipeline ending in one emit: the result
+    slot's row ids become a :class:`~repro.columnar.result.ResultBatch`.
 
     ``signatures[i]`` is the cumulative structural fingerprint of steps
     ``0..i`` — two plans whose prefixes carry equal signatures compute
@@ -380,18 +374,17 @@ class ColumnarPlan:
     returns fresh arrays — so sharing needs no copies)."""
 
     def __init__(
-        self, steps, output, runtime: ColumnarRuntime, skeleton=None,
-        native_gather=None,
+        self, steps, key, runtime: ColumnarRuntime, skeleton, emit_pairs
     ) -> None:
         self.steps = steps
-        self.output = output
+        self.key = key
         self.runtime = runtime
         self.skeleton = skeleton
-        self._native_gather = native_gather
+        self.emit_pairs = emit_pairs
 
     @property
     def signatures(self):
-        return None if self.skeleton is None else self.skeleton.signatures
+        return self.skeleton.signatures
 
     def _checkpoint(self, steps: int = 1) -> None:
         """``steps`` physical steps are about to run: one read-fault
@@ -421,94 +414,66 @@ class ColumnarPlan:
                 shared[signatures[index]] = batch
         return batch
 
-    def _gather(self, batch: list[array]):
-        """Result-key tuples for a finished batch (unordered iterable)."""
-        store = self.runtime.store
-        kind, key = self.output
-        if not batch or not len(batch[0]):
-            return []
-        # C-level gather: map each key column over its row-id array and
-        # zip the streams into result tuples (no per-row Python frames);
-        # integer-only keys gather through the native kernel when active.
-        if self._native_gather is not None:
-            return self._native_gather.run(batch)
-        return zip(
-            *(
-                map(store.col(col).__getitem__, batch[slot])
-                for slot, col in key
-            )
-        )
+    def _emit(self, batch: list[array]) -> ResultBatch:
+        """A finished batch's answer: the result slot's ``(tid, id)``
+        gathered, sorted and deduplicated in one kernel call (none for
+        an empty batch)."""
+        rows = batch[self.key[0][0]]
+        if not len(rows):
+            return EMPTY
+        cols = self.runtime.columns
+        return ResultBatch(self.emit_pairs(cols[T], cols[I], rows))
 
-    def execute(self, shared: Optional[dict] = None) -> list[tuple]:
-        batch = self._pipeline(shared)
-        store = self.runtime.store
-        if self.output is None:
-            width = len(batch)
-            columns = [store.col(position) for position in range(8)]
-            count = len(batch[0]) if batch else 0
-            return [
-                tuple(
-                    columns[c][batch[s][i]] for s in range(width) for c in range(8)
-                )
-                for i in range(count)
-            ]
-        kind = self.output[0]
-        rows = self._gather(batch)
-        if kind == "distinct":
-            return list(set(rows))
-        return list(rows)
+    def execute(self, shared: Optional[dict] = None) -> ResultBatch:
+        return self._emit(self._pipeline(shared))
 
     def count_rows(self) -> int:
-        """The result cardinality without materializing a result list.
-
-        A one-step plan whose scan resolves to an unfiltered contiguous
-        clustered range (a name-block probe) is counted straight from the
-        partition bounds; everything else counts the distinct gathered
-        keys from the join output without building the sorted row list."""
-        if len(self.steps) == 1 and isinstance(self.steps[0], _ScanStep):
+        """The result cardinality.  A one-step plan whose scan resolves
+        to an unfiltered contiguous clustered range (a name-block probe)
+        is counted straight from the partition bounds; everything else
+        is the length of the emitted batch."""
+        if len(self.steps) == 1:
             bounds = self.steps[0].cardinality()
             if bounds is not None:
                 self._checkpoint()
                 return bounds
-        batch = self._pipeline()
-        if self.output is None:
-            return len(batch[0]) if batch else 0
-        rows = self._gather(batch)
-        if self.output[0] == "distinct":
-            return len(set(rows))
-        return sum(1 for _ in rows)
+        return len(self.execute())
 
-    def rows_limited(self, k: int) -> list[tuple]:
-        """The first ``k`` distinct result keys in sorted order, without
-        materializing the full result set.
+    def group_counts(self, shared: Optional[dict] = None) -> dict:
+        """``{group: distinct keys}`` of a grouped aggregate: the key's
+        third column (a name or a depth) counted over the distinct
+        ``(tid, id, group)`` keys of the result slot."""
+        slot, group = self.key[2]
+        rows = set(self._pipeline(shared)[slot])
+        cols = self.runtime.columns
+        keys = set(zip(*(map(cols[c].__getitem__, rows) for c in (T, I, group))))
+        return dict(Counter(key[2] for key in keys))
+
+    def rows_limited(self, k: int) -> ResultBatch:
+        """The first ``k`` result pairs, without materializing the full
+        result set.
 
         Every join correlates bindings within one tree, so the pipeline
         restricted to a subset of the scan's trees computes exactly that
         subset's results.  The driver groups the scan's candidates by
         tree, processes tid groups in ascending order in geometrically
         growing chunks, and stops after the first complete chunk that
-        yields >= k distinct keys — all unprocessed trees can only
-        produce larger ``(tid, ...)`` keys, so ``sorted(acc)[:k]`` is
-        exact.  Structural merge joins inside a chunk run under a
-        ``max_rows`` cutoff; a truncated chunk is re-run uncapped (rare:
-        chunks start at 4 trees)."""
+        brings the total to >= k pairs — every chunk's pairs sort after
+        the previous chunk's and all unprocessed trees can only produce
+        larger ``(tid, ...)`` keys still, so the concatenated chunk
+        emits, cut at ``k``, are exact.  Structural merge joins inside a
+        chunk run under a ``max_rows`` cutoff; a truncated chunk is
+        re-run uncapped (rare: chunks start at 4 trees)."""
         from .structural import Cutoff
 
         if k <= 0:
-            return []
-        output = self.output
-        if (
-            output is None
-            or output[0] != "distinct"
-            or not output[1]
-            or output[1][0][1] != T
-            or len(self.steps) < 2
-        ):
-            return sorted(set(self.execute()))[:k]
+            return EMPTY
+        if len(self.steps) < 2:
+            return self.execute()[:k]
         self._checkpoint(len(self.steps))
         seed = self.steps[0].run([])[0]
         if not len(seed):
-            return []
+            return EMPTY
         tids = self.runtime.store.tid
         # One key-based sort orders the candidates by owning tree (stable,
         # so within-tree seed order survives); tree boundaries are then
@@ -518,7 +483,7 @@ class ColumnarPlan:
         ordered = sorted(seed, key=tids.__getitem__)
         total = len(ordered)
         rest = self.steps[1:]
-        acc: set = set()
+        acc = array("q")
         chunk, position = 4, 0
         budget = max(1024, 32 * k)
         while position < total:
@@ -549,21 +514,15 @@ class ColumnarPlan:
                 # The capped run dropped whole trees mid-chunk; its
                 # partial output cannot be merged exactly — redo the
                 # chunk without the cutoff.
-            acc.update(self._gather(batch))
-            if len(acc) >= k:
+            acc.extend(self._emit(batch).pairs)
+            if len(acc) >= 2 * k:
                 break
-        return sorted(acc)[:k]
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self.execute())
+        return ResultBatch(acc[:2 * k])
 
     def explain(self, indent: int = 0) -> str:
-        lines: list[str] = []
-        if self.output is not None:
-            kind, key = self.output
-            cols = ", ".join(f"s{s}.{IR_COLUMN_NAMES[c]}" for s, c in key)
-            lines.append(" " * indent + f"Columnar{kind.capitalize()}[{cols}]")
-            indent += 2
+        cols = ", ".join(f"s{s}.{IR_COLUMN_NAMES[c]}" for s, c in self.key)
+        lines = [" " * indent + f"ColumnarDistinct[{cols}]"]
+        indent += 2
         for step in reversed(self.steps):
             lines.append(" " * indent + step.describe())
             lines.extend(_explain_selectors(step.semi, indent + 2))

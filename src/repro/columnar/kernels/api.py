@@ -15,15 +15,16 @@ The public surface the engine integrates against:
   exactly the shapes the generated sweep covers (no binding prunes, no
   per-row residuals, no or-self prepend) for all three strategies, with
   every residual condition over fixed-width integer buffers.
-* :class:`NativeMergeJoin`, :class:`NativeRangeFilter`,
-  :class:`NativeGather` — the marshalling plans for a merge join, the
-  scan-side filter over a contiguous row-id range and the final emit's
-  column gather; ``NativeKernels.take`` / ``.distinct`` — the per-step
+* :class:`NativeMergeJoin`, :class:`NativeRangeFilter` — the marshalling
+  plans for a merge join and the scan-side filter over a contiguous
+  row-id range; ``NativeKernels.take`` / ``.distinct`` — the per-step
   gather through a join's source-index array and a semi-join's
-  reduction of surviving ordinals.  The executor reaches all of them
-  through the bundle its compile resolved once (``Knobs.kern``).
-* :func:`merge_packed_pairs` — the sorted disjoint k-way merge over the
-  packed int64 ``(tid, id)`` blobs worker processes ship back.
+  reduction of surviving ordinals; ``NativeKernels.emit_pairs`` /
+  ``.merge_pairs`` — a finished batch's result slot to packed distinct
+  sorted ``(tid, id)`` pairs, and the sorted disjoint k-way merge of
+  such arrays across segments (:mod:`repro.columnar.result` holds the
+  pure-Python twins).  The executor reaches all of them through the
+  bundle its compile resolved once (``Knobs.kern``).
 * :func:`column_pointer` / ``ColumnStore.column_ptr`` — raw
   ``(pointer, length)`` access to a column buffer for the C side.
 
@@ -330,32 +331,31 @@ class NativeKernels:
                 keep.append(rhs_col)
         return checks, keep
 
-    def merge_packed(self, blobs) -> list:
-        """Merge packed sorted int64 ``(tid, id)`` blobs into one sorted
-        pair list — the C twin of ``heapq.merge`` over unpacked pairs."""
-        ffi, lib = self.ffi, self.lib
-        k = len(blobs)
-        counts = array("q", (len(blob) // 16 for blob in blobs))
-        total = sum(counts)
-        pointers = ffi.new("int64_t *[]", max(1, k))
-        keep = []
-        for index, blob in enumerate(blobs):
-            if len(blob) == 0:
-                pointers[index] = ffi.NULL
-                continue
-            view = ffi.from_buffer("int64_t[]", blob)
-            keep.append(view)
-            pointers[index] = view
-        out = ffi.new("int64_t[]", max(1, 2 * total))
-        counts_view = self.i64(counts) if k else ffi.NULL
-        written = lib.repro_merge_pairs(pointers, counts_view, k, out)
+    def emit_pairs(self, tids, ids, rows: array) -> array:
+        """``(tids[r], ids[r])`` for every row id in ``rows`` as packed
+        distinct sorted pairs, in an array the caller owns."""
+        count = len(rows)
+        out = array("q", bytes(16 * count))
+        kept = self.lib.repro_emit_pairs(
+            self.i64(tids), self.i64(ids), self.i64(rows), count,
+            self.i64_out(out),
+        )
+        del out[2 * kept:]
+        return out
+
+    def merge_pairs(self, parts) -> array:
+        """Merge non-empty packed sorted pair arrays into one — the C
+        twin of ``heapq.merge`` over the unpacked pairs."""
+        counts = array("q", (len(part) // 2 for part in parts))
+        views = [self.i64(part) for part in parts]
+        out = array("q", bytes(16 * sum(counts)))
+        written = self.lib.repro_merge_pairs(
+            self.ffi.new("int64_t *[]", views), self.i64(counts), len(parts),
+            self.i64_out(out),
+        )
         if written < 0:
             raise MemoryError("native pair merge allocation failed")
-        flat = array("q")
-        flat.frombytes(ffi.buffer(out, 16 * written)[:])
-        del keep
-        pairs = iter(flat)
-        return list(zip(pairs, pairs))
+        return out
 
 
 # -- native plan objects ------------------------------------------------------
@@ -480,30 +480,6 @@ class NativeRangeFilter:
         return kept
 
 
-class NativeGather:
-    """The final emit's column gather: one C pass per output column."""
-
-    __slots__ = ("kern", "key", "columns")
-
-    def __init__(self, kern, key, columns) -> None:
-        self.kern = kern
-        self.key = key
-        self.columns = columns
-
-    def run(self, batch):
-        kern, lib = self.kern, self.kern.lib
-        count = len(batch[0])
-        gathered = []
-        for (slot, _position), column in zip(self.key, self.columns):
-            out = array("q", bytes(8 * count))
-            lib.repro_gather(
-                kern.i64(column), kern.i64(batch[slot]), count,
-                kern.i64_out(out),
-            )
-            gathered.append(out)
-        return zip(*gathered)
-
-
 def _native_take(kern):
     """The batch-column gather ``out[k] = column[src[k]]`` as one C pass.
     ``src`` is the index array a native join produced; an interpreted
@@ -544,15 +520,6 @@ def _native_distinct(kern):
         return out
 
     return distinct
-
-
-def merge_packed_pairs(blobs) -> Optional[list]:
-    """Native k-way merge of the packed per-segment pair blobs, or
-    ``None`` when the resolved backend is ``python``."""
-    kern = active_kernels()
-    if kern is None:
-        return None
-    return kern.merge_packed(blobs)
 
 
 def column_pointer(column, length: int):

@@ -3,10 +3,12 @@
 One translation unit implements the engine's hot inner loops over raw
 int64 column buffers — the per-shape structural sweep join, the
 stack-tree ancestor join, the prefix join, the vectorized range filter,
-batch gather, the selection-vector reduction, and the sorted disjoint
+batch gather, the selection-vector reduction, the result emit (gather,
+sort, dedup into packed ``(tid, id)`` pairs) and the sorted disjoint
 k-way pair merge.  The C code is
 a line-for-line transcription of the pure-Python loops in
-:mod:`repro.columnar.structural` and :mod:`repro.columnar.executor`
+:mod:`repro.columnar.structural`, :mod:`repro.columnar.executor` and
+:mod:`repro.columnar.result`
 (same traversal order, same comparison semantics, same emit order), so
 the two backends stay byte-identical by construction and the dual-backend
 differential suite can hold them to it.
@@ -39,7 +41,7 @@ ffibuilder = FFI()
 #: pre-built ``_native`` artifact whose ``REPRO_KERNEL_ABI`` differs, so a
 #: stale shared object left in a checkout can never be called with the
 #: wrong argument list.
-KERNEL_ABI = 2
+KERNEL_ABI = 3
 
 ffibuilder.cdef(
     """
@@ -93,6 +95,10 @@ void repro_gather(
 
 int64_t repro_distinct(
     const int64_t *ords, int64_t k, int64_t n, int negate, int64_t *out);
+
+int64_t repro_emit_pairs(
+    const int64_t *tids, const int64_t *ids,
+    const int64_t *rows, int64_t n, int64_t *out);
 
 int64_t repro_merge_pairs(
     int64_t **blobs, const int64_t *counts, int32_t k, int64_t *out);
@@ -500,6 +506,56 @@ int64_t repro_distinct(
     }
     free(seen);
     return written;
+}
+
+/* -- result emit: distinct sorted (tid, id) pairs -------------------------- */
+
+typedef struct { int64_t tid; int64_t id; } repro_pair_t;
+
+static int repro_pair_cmp(const void *pa, const void *pb)
+{
+    const repro_pair_t *a = (const repro_pair_t *)pa;
+    const repro_pair_t *b = (const repro_pair_t *)pb;
+    if (a->tid != b->tid) return a->tid < b->tid ? -1 : 1;
+    return a->id < b->id ? -1 : a->id > b->id;
+}
+
+/* Insertion sort, for what a clustered scan or a merge join leaves: tids
+   ascending and ids out of order only locally (nested nodes sharing a
+   left edge), so a pass costs O(n) -- n compares and nothing else when
+   the pairs are already ordered.  Gives up (returns 0, the pairs still a
+   permutation) once it has shifted more than 8n of them. */
+static int repro_sort_nearly_ordered(repro_pair_t *pairs, int64_t n)
+{
+    int64_t k, budget = 8 * n;
+    for (k = 1; k < n && budget >= 0; k++) {
+        repro_pair_t held = pairs[k];
+        int64_t j = k;
+        for (; j > 0 && repro_pair_cmp(&pairs[j - 1], &held) > 0; j--, budget--)
+            pairs[j] = pairs[j - 1];
+        pairs[j] = held;
+    }
+    return budget >= 0;
+}
+
+/* out[0..2n) <- (tids[r], ids[r]) for r in rows, sorted and deduplicated
+   in place; returns the number of pairs kept. */
+int64_t repro_emit_pairs(
+    const int64_t *tids, const int64_t *ids,
+    const int64_t *rows, int64_t n, int64_t *out)
+{
+    repro_pair_t *pairs = (repro_pair_t *)out;
+    int64_t k, kept = 0;
+    for (k = 0; k < n; k++) {
+        pairs[k].tid = tids[rows[k]];
+        pairs[k].id = ids[rows[k]];
+    }
+    if (!repro_sort_nearly_ordered(pairs, n))
+        qsort(pairs, (size_t)n, sizeof(repro_pair_t), repro_pair_cmp);
+    for (k = 0; k < n; k++)
+        if (!kept || repro_pair_cmp(&pairs[kept - 1], &pairs[k]))
+            pairs[kept++] = pairs[k];
+    return kept;
 }
 
 /* -- sorted disjoint k-way merge of packed (tid, id) pairs ---------------- */

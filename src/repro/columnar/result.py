@@ -1,0 +1,92 @@
+"""The one result representation, from the last join to the wire.
+
+A query answer is a :class:`ResultBatch`: its distinct ``(tid, id)``
+pairs in sorted order, packed into one interleaved int64 ``array('q')``
+(``tid0, id0, tid1, id1, ...``) — what the ``repro_emit_pairs`` /
+``repro_merge_pairs`` kernels write, process workers ship as bytes and
+the serving layer caches, digests and pages.  The executor *emits* one
+per segment, a segmented query *merges* them, a page or a top-k is a
+*slice*; tuples only appear when a caller iterates (``list(batch)`` at
+the engines' API boundary).  The kernels' pure-Python twins live here;
+both backends return byte-identical arrays.
+"""
+
+from __future__ import annotations
+
+from array import array
+from itertools import chain
+from typing import Iterable, Iterator
+
+
+def _packed(pairs: Iterable[tuple]) -> array:
+    return array("q", list(chain.from_iterable(pairs)))
+
+
+def python_emit_pairs(tids, ids, rows) -> array:
+    """``(tids[r], ids[r])`` for every row id in ``rows`` as packed
+    distinct sorted pairs.  Sorted first, deduplicated after: a batch
+    comes off a scan or a merge join nearly ordered, the adaptive sort's
+    best case — a set would scramble it."""
+    pairs = sorted(zip(map(tids.__getitem__, rows), map(ids.__getitem__, rows)))
+    return _packed(dict.fromkeys(pairs))
+
+
+def python_merge_pairs(parts) -> array:
+    """Merge packed sorted pair arrays into one: the sort finds each
+    part as one ascending run and only merges them."""
+    return _packed(sorted(chain.from_iterable(map(ResultBatch, parts))))
+
+
+class ResultBatch:
+    """Distinct sorted ``(tid, id)`` pairs, packed.  Immutable by
+    convention, and it owns its memory: ``pairs`` is never a view of a
+    store, so a batch outlives the engine that produced it."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: array) -> None:
+        self.pairs = pairs
+
+    @classmethod
+    def of(cls, rows: Iterable[tuple]) -> "ResultBatch":
+        """Pack already distinct, sorted pairs."""
+        return cls(_packed(rows))
+
+    @classmethod
+    def frombytes(cls, blob: bytes) -> "ResultBatch":
+        pairs = array("q")
+        pairs.frombytes(blob)
+        return cls(pairs)
+
+    def tobytes(self) -> bytes:
+        return self.pairs.tobytes()
+
+    @staticmethod
+    def merge(parts: Iterable["ResultBatch"], kern=None) -> "ResultBatch":
+        """The sorted union of per-segment batches — segments partition
+        the tid space, so no pair repeats — through ``kern``'s k-way
+        merge (``None``: the Python twin).  At most one part holding
+        anything is no merge at all."""
+        held = [part for part in parts if part.pairs]
+        if len(held) <= 1:
+            return held[0] if held else EMPTY
+        merged = python_merge_pairs if kern is None else kern.merge_pairs
+        return ResultBatch(merged([part.pairs for part in held]))
+
+    def __len__(self) -> int:
+        return len(self.pairs) // 2
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        flat = iter(self.pairs)
+        return zip(flat, flat)
+
+    def __getitem__(self, window: slice) -> "ResultBatch":
+        """The contiguous rows ``window`` selects (a page, a top-k)."""
+        start, stop, _step = window.indices(len(self))
+        return ResultBatch(self.pairs[2 * start:2 * stop])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ResultBatch) and self.pairs == other.pairs
+
+
+EMPTY = ResultBatch(array("q"))

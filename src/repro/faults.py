@@ -81,6 +81,7 @@ import hashlib
 import os
 import threading
 import time
+from array import array
 from typing import NamedTuple, Optional
 
 FAULTS_ENV = "REPRO_FAULTS"
@@ -326,18 +327,16 @@ def crash_point(name: str) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def poisoned_rows(rows: tuple) -> tuple:
-    """``cache_poison``: the rows to actually store in the result cache
-    — corrupted when the point fires, ``rows`` unchanged otherwise.
-    Callers digest the *original* rows first, modeling corruption that
-    lands after the checksum was taken."""
+def poisoned_rows(rows):
+    """``cache_poison``: the result to actually store in the result
+    cache — ``rows`` itself, or when the point fires a corrupted copy (a
+    batch with its first id flipped, an empty one with a row, aggregate
+    bytes short of one).  Callers digest the *original* first, modeling
+    corruption that lands after the checksum was taken."""
     if not fires("cache_poison"):
         return rows
-    if not rows:
-        return ((-1, -1),)
-    first = rows[0]
-    if isinstance(first, tuple) and len(first) == 2:
-        poisoned = ((first[0], -1 - first[1]),) + rows[1:]
-    else:  # aggregate shape or anything else: drop the first entry
-        poisoned = rows[1:]
-    return poisoned
+    if isinstance(rows, bytes):
+        return rows[1:]
+    pairs = rows.pairs[:] or array("q", (-1, 0))
+    pairs[1] = -1 - pairs[1]
+    return type(rows)(pairs)

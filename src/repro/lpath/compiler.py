@@ -20,11 +20,12 @@ The :mod:`repro.plan` imports are deliberately lazy: that package lowers
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Union
 
 from collections import Counter
 
-from ..plan.ir import Aggregate, Limit, PlanNode, ROW_WIDTH, render
+from ..columnar.result import ResultBatch
+from ..plan.ir import Aggregate, Limit, PlanNode, render
 from ..relational.operators import Operator
 from ..relational.table import Table
 from .ast import Path
@@ -45,43 +46,41 @@ class CompiledQuery:
     def __init__(
         self,
         plan: Operator,
-        result_base: int,
-        description: str,
+        lowered,
         logical: PlanNode = None,
         limit: int = None,
         agg: str = None,
     ) -> None:
         self.plan = plan
-        self.result_base = result_base
-        self.description = description
+        self.lowered = lowered
         self.logical = logical
         self.limit = limit
         self.agg = agg
 
-    def rows(self) -> Iterable[tuple]:
-        """Distinct ``(tid, id)`` pairs of the result step, sorted —
-        truncated to the top-k when the plan carries a limit (the
+    @property
+    def description(self) -> str:
+        return self.lowered.description
+
+    def rows(self) -> ResultBatch:
+        """The result step's distinct sorted ``(tid, id)`` pairs, packed
+        — truncated to the top-k when the plan carries a limit (the
         columnar executor terminates early instead of truncating)."""
+        execute = getattr(self.plan, "execute", None)
+        if execute is None:  # the Volcano interpreter yields key tuples
+            return ResultBatch.of(sorted(self.plan)[: self.limit])
         if self.limit is not None:
-            limited = getattr(self.plan, "rows_limited", None)
-            if limited is not None:
-                return limited(self.limit)
-            return sorted(self.plan)[: self.limit]
-        return sorted(self.plan)
+            return self.plan.rows_limited(self.limit)
+        return execute()
 
     def count(self) -> int:
         if self.limit is not None:
             return len(self.rows())
         fast = getattr(self.plan, "count_rows", None)
         if fast is not None:
-            # The columnar pipeline counts without materializing a
-            # result list (partition bounds for bare scans, distinct
-            # key cardinality otherwise).
+            # The columnar pipeline counts bare scans from partition
+            # bounds instead of emitting them.
             return fast()
-        total = 0
-        for _ in self.plan:
-            total += 1
-        return total
+        return sum(1 for _ in self.plan)
 
     def aggregate(self) -> dict:
         """Evaluate the plan's aggregate: ``{"count": n}`` for plain
@@ -91,10 +90,10 @@ class CompiledQuery:
             raise LPathCompileError("plan carries no aggregate")
         if self.agg == "count":
             return {"count": self.count()}
-        counts = Counter()
-        for key in self.plan:
-            counts[key[2]] += 1
-        return dict(counts)
+        grouped = getattr(self.plan, "group_counts", None)
+        if grouped is not None:
+            return grouped()
+        return dict(Counter(key[2] for key in self.plan))
 
     def explain(self) -> str:
         """The logical IR (uniform across dialects) plus the physical plan."""
@@ -235,7 +234,7 @@ class PlanCompiler:
         (:func:`~repro.columnar.structural.read_knobs`).
 
         A ``Limit``/``Aggregate`` wrapper is peeled off here: the
-        physical executors end their pipelines at Distinct/Project, so
+        physical executors end their pipelines at Distinct, so
         the wrapper becomes an attribute of the compiled query (applied
         in :meth:`CompiledQuery.rows` / :meth:`CompiledQuery.aggregate`)
         while ``explain()`` still renders it from the logical root."""
@@ -252,7 +251,4 @@ class PlanCompiler:
             from ..plan.executor import compile_plan
 
             physical = compile_plan(inner, self.runtime)
-        return self.result_class(
-            physical, lowered.result_slot * ROW_WIDTH, lowered.description,
-            root, limit=limit, agg=agg,
-        )
+        return self.result_class(physical, lowered, root, limit=limit, agg=agg)

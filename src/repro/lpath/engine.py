@@ -454,7 +454,7 @@ class LPathEngine:
             compiled = self.compile(
                 query, pivot=pivot, executor=executor, limit=limit
             )
-            return [tuple(row) for row in compiled.rows()]
+            return list(compiled.rows())
         if backend == "sqlite":
             sql = self.to_sql(query)
             result = sorted(tuple(row) for row in self.sqlite.execute(sql))

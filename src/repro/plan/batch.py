@@ -5,7 +5,7 @@ concurrent clients) repeats leaf work constantly: the same name-block
 scans, and often the same first joins — ``//S//VP//NP[...]`` and
 ``//S//VP//PP[...]`` agree on everything up to the last step.  The
 columnar executor fingerprints every step prefix with a cumulative
-structural signature (:func:`repro.columnar.executor.compile_plan`), and
+structural signature (:attr:`repro.columnar.PlanSkeleton.signatures`), and
 two plans whose prefixes carry equal signatures compute identical
 intermediate batches.  This module exploits that:
 
@@ -56,33 +56,28 @@ class BatchState:
 
     def execute_one(self, query):
         """Execute one member against the shared cache; returns exactly
-        what the query would produce standalone — the sorted (and
-        top-k-truncated) row list, or the aggregate dict."""
+        what the query would produce standalone — its (top-k-truncated)
+        :class:`~repro.columnar.result.ResultBatch`, or the aggregate
+        dict."""
         signatures = _signatures(query)
         if signatures is None:
-            if query.agg is not None:
-                return query.aggregate()
-            return [tuple(row) for row in query.rows()]
+            return query.rows() if query.agg is None else query.aggregate()
         plan, shared = query.plan, self.shared
         try:
             if query.agg is not None:
                 if query.agg == "count" and len(plan.steps) == 1:
                     # Partition-bounds fast path beats any sharing.
                     return query.aggregate()
-                rows = plan.execute(shared)
                 if query.agg == "count":
-                    return {"count": len(rows)}
-                return dict(Counter(key[2] for key in rows))
-            if query.limit is not None and not any(
-                signature in shared for signature in signatures
-            ):
+                    return {"count": len(plan.execute(shared))}
+                return plan.group_counts(shared)
+            if query.limit is None:
+                return plan.execute(shared)
+            if not any(signature in shared for signature in signatures):
                 # Nothing to reuse: early termination beats materializing
                 # the full result just to seed a cache nobody reads.
-                return [tuple(row) for row in plan.rows_limited(query.limit)]
-            rows = sorted(plan.execute(shared))
-            if query.limit is not None:
-                rows = rows[: query.limit]
-            return [tuple(row) for row in rows]
+                return plan.rows_limited(query.limit)
+            return plan.execute(shared)[: query.limit]
         finally:
             self.remaining.subtract(signatures)
             for signature in signatures:
@@ -92,9 +87,13 @@ class BatchState:
 
 def run_batch(compiled: Sequence) -> list:
     """Execute compiled queries through one shared-prefix batch cache;
-    one result per query, in order."""
+    one result per query, in order — the engines' API boundary, so a
+    batch becomes the row list ``query()`` returns."""
     state = BatchState(compiled)
-    return [state.execute_one(query) for query in compiled]
+    return [
+        result if isinstance(result, dict) else list(result)
+        for result in map(state.execute_one, compiled)
+    ]
 
 
 def explain_batch(compiled: Sequence) -> str:

@@ -26,7 +26,6 @@ from ..relational.operators import (
     Distinct as PhysicalDistinct,
     IndexNestedLoopJoin,
     Operator,
-    Project as PhysicalProject,
     Select,
     Source,
 )
@@ -51,7 +50,6 @@ from .ir import (
     PlanNode,
     PositionPred,
     Pred,
-    Project,
     RightEdge,
     ROW_WIDTH,
     Scan,
@@ -146,10 +144,6 @@ def compile_plan(node: PlanNode, runtime: Runtime) -> Operator:
         child = compile_plan(node.input, runtime)
         positions = tuple(slot * ROW_WIDTH + col for slot, col in node.key)
         return PhysicalDistinct(child, positions=positions)
-    if isinstance(node, Project):
-        child = compile_plan(node.input, runtime)
-        positions = tuple(slot * ROW_WIDTH + col for slot, col in node.cols)
-        return PhysicalProject(child, positions)
     raise TypeError(f"cannot execute {node!r} as a top-level plan")
 
 

@@ -8,7 +8,8 @@ value)``:
   (8 binding columns), driven by an access spec (:class:`IndexProbe`,
   :class:`TableScan` or :class:`ValueSeed`);
 * :class:`Filter` — residual conditions over already-bound slots;
-* :class:`Project` / :class:`Distinct` — output shaping;
+* :class:`Distinct` — the output: every plan ends in the distinct
+  ``(tid, id)`` key of its result slot;
 * :class:`Context` — the leaf of a correlated predicate subplan: it yields
   the incoming binding unchanged.
 
@@ -334,14 +335,6 @@ class Filter(PlanNode):
 
 
 @dataclass(eq=False)
-class Project(PlanNode):
-    """Keep only the named ``(slot, column)`` positions, in order."""
-
-    input: PlanNode
-    cols: tuple[tuple[int, int], ...]
-
-
-@dataclass(eq=False)
 class Distinct(PlanNode):
     """Drop duplicate bindings keyed on ``(slot, column)`` positions (and
     project to that key)."""
@@ -473,8 +466,8 @@ def subplan_outer_slots(node: PlanNode) -> set[int]:
         elif isinstance(item, Filter):
             for pred in item.conditions:
                 referenced |= pred_slots(pred)
-        elif isinstance(item, (Project, Distinct)):
-            referenced |= {slot for slot, _ in (item.cols if isinstance(item, Project) else item.key)}
+        elif isinstance(item, Distinct):
+            referenced |= {slot for slot, _ in item.key}
     return referenced - introduced
 
 
@@ -549,9 +542,6 @@ def render(node: PlanNode, indent: int = 0) -> str:
             f"{_render_semi_joins(node.conditions, indent + 2)}"
         )
         return head + "\n" + render(node.input, indent + 2)
-    if isinstance(node, Project):
-        cols = ", ".join(f"s{s}.{COLUMN_NAMES[c]}" for s, c in node.cols)
-        return f"{pad}Project[{cols}]\n" + render(node.input, indent + 2)
     if isinstance(node, Distinct):
         key = ", ".join(f"s{s}.{COLUMN_NAMES[c]}" for s, c in node.key)
         return f"{pad}Distinct[{key}]\n" + render(node.input, indent + 2)

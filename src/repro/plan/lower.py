@@ -82,12 +82,18 @@ class LoweredQuery:
     once it has been physical-compiled for the batch executor, the
     segment-independent half of that compile (``skeleton``, built inside
     the first ``compile_physical`` call and bound per segment from then
-    on)."""
+    on).  ``description`` — the header ``explain()`` prints — unparses
+    the AST when it is read, not on every compile."""
 
     root: PlanNode
     result_slot: int
-    description: str
+    header: str          # ``"LPath plan for {}"``: the slot takes the query
+    path: Path
     skeleton: object = None
+
+    @property
+    def description(self) -> str:
+        return self.header.format(self.path)
 
 
 def lower_and_optimize(
@@ -161,7 +167,9 @@ class Lowerer:
         node = self._chain(node, items[1:], ctx=0, next_slot=1, scope=None)
         result_slot = self._result_slot(items)
         root = Distinct(node, key=((result_slot, T), (result_slot, I)))
-        return LoweredQuery(root, result_slot, f"{self.dialect} plan for {path}")
+        return LoweredQuery(
+            root, result_slot, f"{self.dialect} plan for {{}}", path
+        )
 
     def lower_pivot(self, path: Path) -> Optional[LoweredQuery]:
         """Selectivity-pivoted plan for a plain step chain, or ``None``.
@@ -214,7 +222,8 @@ class Lowerer:
         return LoweredQuery(
             root,
             result_slot,
-            f"{self.dialect} pivot plan for {path} (pivot step {pivot_index + 1})",
+            f"{self.dialect} pivot plan for {{}} (pivot step {pivot_index + 1})",
+            path,
         )
 
     def lower_subchain_pivot(

@@ -28,8 +28,9 @@ The division of labor:
   a live corpus, :mod:`repro.live`) by binding only the new ones.
 
 Results are byte-identical to the monolithic engine: each per-segment
-plan yields sorted distinct ``(tid, id)`` pairs, segments partition the
-tid space, and ``heapq.merge`` preserves global order.
+plan emits its sorted distinct ``(tid, id)`` pairs as one packed
+:class:`~repro.columnar.result.ResultBatch`, segments partition the tid
+space, and the k-way merge of the batches preserves global order.
 
 Fan-out comes in two pool flavors (:class:`SegmentPool`):
 
@@ -40,9 +41,9 @@ Fan-out comes in two pool flavors (:class:`SegmentPool`):
   engines.  Nothing heavy crosses the process boundary: each worker opens
   the ``LPDB0004`` store by ``(path, segment index)`` itself (the OS page
   cache makes the second and every later map of the same file free),
-  compiles the query against its own segment, and ships results back as
-  packed ``array('q')`` bytes.  The parent merges the sorted per-segment
-  results exactly as in thread mode.
+  compiles the query against its own segment, and ships its batch back
+  as bytes.  The parent merges the per-segment batches exactly as in
+  thread mode.
 
 The process path is additionally **self-healing**: a worker that dies
 mid-query (OOM-killed, SIGKILLed, crashed interpreter) surfaces as
@@ -62,11 +63,10 @@ from __future__ import annotations
 
 import os
 import threading
-from array import array
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from heapq import merge
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
+from ..columnar.result import EMPTY, ResultBatch
 from ..faults import active_injector, maybe_delay_segment, maybe_kill_worker
 from .ir import (
     AllPred, Cmp, Col, Const, ExistsPred, IndexProbe, PlanNode, ValueSeed,
@@ -298,7 +298,7 @@ def _worker_segment(spec: RemoteSpec, index: int):
 
 def _execute_segment(task: RemoteTask, index: int, kind: str):
     """Worker-process entry point: open (cached), compile (cached), run
-    one segment, return a count or packed ``(tid, id)`` int64 bytes."""
+    one segment, return a count, an aggregate or the batch's bytes."""
     from ..columnar.kernels.api import KERNELS_ENV
     from ..columnar.structural import FORCE_ENV
     from .cache import cached_compile
@@ -324,24 +324,13 @@ def _execute_segment(task: RemoteTask, index: int, kind: str):
             return compiled.count()
         if kind == "agg":
             return compiled.aggregate()
-        packed = array("q")
-        for tid, node_id in compiled.rows():
-            packed.append(tid)
-            packed.append(node_id)
-        return packed.tobytes()
+        return compiled.rows().tobytes()
     finally:
         for env, value in previous.items():
             if value is None:
                 os.environ.pop(env, None)
             else:
                 os.environ[env] = value
-
-
-def _unpack_pairs(blob: bytes) -> list[tuple[int, int]]:
-    flat = array("q")
-    flat.frombytes(blob)
-    pairs = iter(flat)
-    return list(zip(pairs, pairs))
 
 
 class Segment:
@@ -444,6 +433,7 @@ class SegmentedQuery:
         remote: Optional[RemoteTask] = None,
         limit: Optional[int] = None,
         agg: Optional[str] = None,
+        kern=None,
     ) -> None:
         #: The compiler's segment list this plan was built for (the list
         #: object itself: :meth:`SegmentedPlanCompiler.rebase` compares
@@ -459,7 +449,6 @@ class SegmentedQuery:
             (index, part) for index, part in enumerate(self.parts)
             if part.plan is not PRUNED
         ]
-        self.description = lowered.description
         self.logical = logical
         #: Kept with ``executor`` so a rebase can physical-compile the
         #: same optimized plan against a segment that did not exist yet.
@@ -469,6 +458,11 @@ class SegmentedQuery:
         self.remote = remote
         self.limit = limit
         self.agg = agg
+        self.kern = kern  # the compile's ``Knobs.kern``: merges the batches
+
+    @property
+    def description(self) -> str:
+        return self.lowered.description
 
     def _map(self, task: Callable) -> list:
         if active_injector() is not None:  # one read per fan-out
@@ -534,8 +528,10 @@ class SegmentedQuery:
             "produced no results and is safe to retry"
         )
 
-    def rows(self) -> Iterable[tuple]:
-        """Distinct, sorted ``(tid, id)`` pairs across every segment.
+    def rows(self) -> ResultBatch:
+        """Distinct, sorted ``(tid, id)`` pairs across every segment: the
+        per-segment batches (shipped as bytes by process workers) merged
+        by one kernel call.
 
         Under a top-k limit every segment already stops at its own first
         k results (each could hold the k globally-smallest keys), so the
@@ -543,22 +539,17 @@ class SegmentedQuery:
         top-k because the segments partition the tid space."""
         packed = self._map_remote("rows")
         if packed is not None:
-            from ..columnar.kernels.api import merge_packed_pairs
-
-            merged = merge_packed_pairs(packed)
-            if merged is None:
-                merged = merge(*(_unpack_pairs(blob) for blob in packed))
+            parts = [ResultBatch.frombytes(blob) for blob in packed]
         else:
-            merged = merge(*self._map(lambda part: part.rows()))
-        if self.limit is not None:
-            return list(merged)[: self.limit]
-        return merged
+            parts = self._map(lambda part: part.rows())
+        merged = ResultBatch.merge(parts, self.kern)
+        return merged if self.limit is None else merged[: self.limit]
 
     def count(self) -> int:
         """Total result size — per-segment counts simply add because the
         segments partition the tid space."""
         if self.limit is not None:
-            return len(list(self.rows()))
+            return len(self.rows())
         counts = self._map_remote("count")
         if counts is not None:
             return sum(counts)
@@ -614,14 +605,17 @@ class _Pruned:
     """The plan of a segment whose statistics prove its result empty: no
     skeleton was bound to it and it yields nothing, whatever is asked."""
 
-    def __iter__(self):
-        return iter(())
+    def execute(self) -> ResultBatch:
+        return EMPTY
 
     def count_rows(self) -> int:
         return 0
 
-    def rows_limited(self, k: int) -> list:
-        return []
+    def rows_limited(self, k: int) -> ResultBatch:
+        return EMPTY
+
+    def group_counts(self) -> dict:
+        return {}
 
 
 PRUNED = _Pruned()
@@ -738,7 +732,7 @@ class SegmentedPlanCompiler:
             )
         return SegmentedQuery(
             self.segments, parts, root, lowered, executor,
-            self.get_pool, remote_task, limit=limit, agg=agg,
+            self.get_pool, remote_task, limit=limit, agg=agg, kern=knobs.kern,
         )
 
     def _bind(self, root, lowered, executor, knobs, known=None) -> list:
@@ -759,7 +753,7 @@ class SegmentedPlanCompiler:
             ):
                 _inner, limit, agg = compiler.unwrap(root, executor)
                 part = compiler.result_class(
-                    PRUNED, 0, lowered.description, root, limit=limit, agg=agg
+                    PRUNED, lowered, root, limit=limit, agg=agg
                 )
             else:
                 part = compiler.compile_physical(root, lowered, executor, knobs)
@@ -795,5 +789,5 @@ class SegmentedPlanCompiler:
         return SegmentedQuery(
             self.segments, parts, compiled.logical, compiled.lowered,
             compiled.executor, self.get_pool, compiled.remote,
-            limit=compiled.limit, agg=compiled.agg,
+            limit=compiled.limit, agg=compiled.agg, kern=compiled.kern,
         )

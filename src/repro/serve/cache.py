@@ -4,8 +4,11 @@ A long-lived daemon sees the same hot queries over and over (the fig6b
 "rare tag" pattern: many users, few distinct queries), so the service
 memoizes *result sets*, not just compiled plans.  The cache is a
 :class:`~repro.plan.cache.PlanCache` — the same lock-protected LRU with
-hit/miss/eviction counters the engines use for plans — holding immutable
-tuples of ``(tid, id)`` pairs.
+hit/miss/eviction counters the engines use for plans — and every entry
+is **one buffer**: a :class:`~repro.columnar.result.ResultBatch` (the
+packed ``(tid, id)`` pairs exactly as the executor emitted them, 16 bytes
+a row; a page is a slice of it) or, for an aggregate, the JSON bytes of
+its sorted ``[group, count]`` pairs.
 
 Keying mirrors :func:`repro.plan.cache.compile_options_key` and adds the
 serving dimensions: the **store fingerprint**
@@ -18,11 +21,11 @@ test layer deliberately queries the same store under both backends, and
 a result cached under one backend must never mask a divergence in the
 other.
 
-Every entry additionally carries a CRC-32 **integrity digest** taken at
-insert time and re-checked on every hit: a poisoned or torn entry (the
-``cache_poison`` fault point in :mod:`repro.faults`, or any real
-in-process corruption) is dropped and served as a miss — the query
-re-executes and the ``integrity_failures`` counter records the save.
+Every entry additionally carries a CRC-32 **integrity digest** of that
+buffer, taken at insert time and re-checked on every hit: a poisoned or
+torn entry (the ``cache_poison`` fault point in :mod:`repro.faults`, or
+any real in-process corruption) is dropped and served as a miss — the
+query re-executes and the ``integrity_failures`` counter records the save.
 The cache can return a stale-but-correct result or nothing; it can
 never return corrupted rows.
 """
@@ -36,11 +39,15 @@ from ..faults import poisoned_rows
 from ..plan.cache import PlanCache, compile_options_key
 
 
-def rows_digest(rows: tuple) -> int:
-    """A CRC-32 over the canonical text of a result tuple.  Results are
-    tuples of ``(tid, id)`` int pairs or sorted ``(group, count)`` pairs
-    — ``repr`` is deterministic for both."""
-    return zlib.crc32(repr(rows).encode("utf-8"))
+def _buffer(rows):
+    """The one buffer behind a cached result: a batch's packed pairs, or
+    an aggregate's JSON bytes as they are."""
+    return rows if isinstance(rows, bytes) else rows.pairs
+
+
+def rows_digest(rows) -> int:
+    """The CRC-32 of a cached result's buffer."""
+    return zlib.crc32(_buffer(rows))
 
 
 class ResultCache(PlanCache):
@@ -76,13 +83,13 @@ class ResultCache(PlanCache):
             query, pivot, executor, limit=limit, agg=agg
         )
 
-    def put_rows(self, key: tuple, rows: tuple) -> bool:
+    def put_rows(self, key: tuple, rows) -> bool:
         """Cache a result set unless it exceeds ``max_rows``; returns
         whether the entry was stored.  The entry carries a digest of the
         rows as handed in — taken *before* the ``cache_poison`` fault
         point gets a chance to corrupt what is stored, so injected
         corruption is guaranteed detectable on the way out."""
-        if len(rows) > self.max_rows:
+        if not isinstance(rows, bytes) and len(rows) > self.max_rows:
             with self._lock:
                 self.oversize += 1
             return False
@@ -110,18 +117,16 @@ class ResultCache(PlanCache):
     @property
     def stats(self) -> dict[str, int]:
         """The PlanCache counters plus the oversize-rejection and
-        integrity-failure counts."""
+        integrity-failure counts, and what the entries hold right now:
+        ``rows`` of ``(tid, id)`` results and ``bytes`` of buffers."""
         snapshot = PlanCache.stats.fget(self)
         with self._lock:
             snapshot["oversize"] = self.oversize
             snapshot["integrity_failures"] = self.integrity_failures
             snapshot["max_rows"] = self.max_rows
+            held = [rows for _digest, rows in self._entries.values()]
+            snapshot["bytes"] = sum(memoryview(_buffer(r)).nbytes for r in held)
+            snapshot["rows"] = sum(
+                len(r) for r in held if not isinstance(r, bytes)
+            )
         return snapshot
-
-
-def cached_rows(cache: Optional[ResultCache], key: tuple):
-    """The cached result set for ``key``, or ``None`` (a disabled cache
-    — ``maxsize=0`` still counts lookups, keeping hit-rate math honest)."""
-    if cache is None:
-        return None
-    return cache.get_rows(key)

@@ -48,6 +48,7 @@ their retry policies never hammer a permanent 400):
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -850,9 +851,7 @@ class QueryService:
                                 member.query, pivot=member.pivot,
                                 limit=member.top_k, agg=member.agg,
                             )
-                            rows = self._shape(state.execute_one(plan))
-                        else:
-                            rows = self._shape(state.execute_one(plan))
+                        rows = self._shape(state.execute_one(plan))
                         self.results.put_rows(keys[index], rows)
                         with self._lock:
                             self.served += 1
@@ -891,12 +890,13 @@ class QueryService:
             self._release()
 
     @staticmethod
-    def _shape(result) -> tuple:
-        """Normalize a batch member's result to the cacheable tuple shape
-        (:meth:`_evaluate`'s contract)."""
+    def _shape(result):
+        """An engine result in its cacheable one-buffer shape: a
+        :class:`~repro.columnar.result.ResultBatch` as it is, an aggregate
+        dict as the JSON bytes of its sorted ``[group, count]`` pairs."""
         if isinstance(result, dict):
-            return tuple(sorted(result.items()))
-        return tuple(result)
+            return json.dumps(sorted(result.items())).encode("utf-8")
+        return result
 
     def record_latency(self, route: str, seconds: float) -> None:
         """Feed one request's wall time into the per-endpoint window
@@ -926,7 +926,7 @@ class QueryService:
 
     def _execute_uncached(
         self, handle: StoreHandle, request: QueryRequest, key: tuple
-    ) -> tuple:
+    ):
         budget = self.timeout
         if request.timeout is not None:
             budget = min(budget, request.timeout)
@@ -990,21 +990,18 @@ class QueryService:
         ticket.check()  # abandoned mid-flight: never cache, never return
         return rows
 
-    @staticmethod
-    def _evaluate(handle: StoreHandle, request: QueryRequest) -> tuple:
-        """One engine call to the cacheable result shape: ``(tid, id)``
-        rows (already top-k-truncated under ``top_k``), or sorted
-        ``(group, count)`` pairs for an aggregate — the key's ``agg``
-        dimension disambiguates the two shapes on the way back out."""
-        if request.agg is not None:
-            result = handle.engine.aggregate(
-                request.query, agg=request.agg, pivot=request.pivot
-            )
-            return tuple(sorted(result.items()))
-        return tuple(
-            handle.engine.query(
-                request.query, pivot=request.pivot, limit=request.top_k
-            )
+    @classmethod
+    def _evaluate(cls, handle: StoreHandle, request: QueryRequest):
+        """One plan run to the cacheable shape (:meth:`_shape`): the
+        batch of ``(tid, id)`` rows as the executor emitted it (already
+        top-k-truncated under ``top_k``), or an aggregate — the key's
+        ``agg`` dimension tells the two apart on the way back out."""
+        compiled = handle.engine.compile(
+            request.query, pivot=request.pivot,
+            limit=request.top_k, agg=request.agg,
+        )
+        return cls._shape(
+            compiled.rows() if request.agg is None else compiled.aggregate()
         )
 
     def _admit(self, ticket: _Ticket) -> None:
@@ -1046,12 +1043,12 @@ class QueryService:
 
     @staticmethod
     def _page(
-        rows: tuple, request: QueryRequest, cached: bool, elapsed_ms: float
+        rows, request: QueryRequest, cached: bool, elapsed_ms: float
     ) -> dict:
         if request.agg is not None:
             return {
                 "agg": request.agg,
-                "aggregate": [[group, count] for group, count in rows],
+                "aggregate": json.loads(rows),
                 "cached": cached,
                 "elapsed_ms": round(elapsed_ms, 3),
             }

@@ -201,7 +201,7 @@ class XPathEngine:
         compiled = self.compile(
             query, pivot=pivot, executor=executor, limit=limit
         )
-        return [tuple(row) for row in compiled.rows()]
+        return list(compiled.rows())
 
     def aggregate(
         self,

@@ -54,6 +54,21 @@ class TestQuerySet:
         with pytest.raises(KeyError):
             by_id(99)
 
+    def test_benchmark_suite_copy_has_not_drifted(self):
+        # benchmarks/suite/ keeps a frozen copy of the 23 texts (it must
+        # not import the product); the two lists have to stay equal.
+        import importlib.util
+        import os
+
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "suite_queries",
+            os.path.join(root, "benchmarks", "suite", "queries.py"),
+        )
+        suite = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(suite)
+        assert list(suite.PAPER_QUERIES) == [q.lpath for q in QUERY_SET]
+
     def test_queries_match_figure6c_text(self):
         assert by_id(1).lpath == "//S[//_[@lex=saw]]"
         assert by_id(7).lpath == "//VP[{//^VB->NP->PP$}]"

@@ -31,6 +31,7 @@ from repro.columnar.kernels import (
     native_kernels,
 )
 from repro.columnar.kernels import api
+from repro.columnar.result import ResultBatch
 from repro.columnar.structural import FORCE_ENV
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
@@ -246,6 +247,12 @@ class TestMergePacked:
             )
         return list(heapq.merge(*unpacked))
 
+    @staticmethod
+    def _merge(blobs, mode):
+        with kernels_env(mode):
+            kern = api.active_kernels()
+        return list(ResultBatch.merge(map(ResultBatch.frombytes, blobs), kern))
+
     @needs_native
     def test_matches_heapq_merge(self):
         blobs = [
@@ -254,19 +261,16 @@ class TestMergePacked:
             self._pack([]),
             self._pack([(2, 9)]),
         ]
-        with kernels_env("native"):
-            merged = api.merge_packed_pairs(blobs)
-        assert merged == self._heap_reference(blobs)
+        assert self._merge(blobs, "native") == self._heap_reference(blobs)
 
     @needs_native
     def test_empty_inputs(self):
-        with kernels_env("native"):
-            assert api.merge_packed_pairs([]) == []
-            assert api.merge_packed_pairs([self._pack([])]) == []
+        assert self._merge([], "native") == []
+        assert self._merge([self._pack([])], "native") == []
 
-    def test_python_backend_declines(self):
-        with kernels_env("python"):
-            assert api.merge_packed_pairs([self._pack([(1, 2)])]) is None
+    def test_python_backend_merges_with_the_twin(self):
+        blobs = [self._pack([(1, 2), (4, 0)]), self._pack([(3, 9)])]
+        assert self._merge(blobs, "python") == self._heap_reference(blobs)
 
     @needs_native
     def test_negative_and_large_values(self):
@@ -274,8 +278,7 @@ class TestMergePacked:
             self._pack([(-(1 << 40), 1), (1 << 40, -2)]),
             self._pack([(-(1 << 40), 0)]),
         ]
-        with kernels_env("native"):
-            assert api.merge_packed_pairs(blobs) == self._heap_reference(blobs)
+        assert self._merge(blobs, "native") == self._heap_reference(blobs)
 
 
 class TestColumnPtr:

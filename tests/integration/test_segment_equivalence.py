@@ -293,7 +293,7 @@ class TestProcessWorkerEntryPoints:
                                         None)
             blob = segmented._execute_segment(task, index, "rows")
             assert isinstance(blob, bytes)
-            merged.extend(segmented._unpack_pairs(blob))
+            merged.extend(segmented.ResultBatch.frombytes(blob))
             total += segmented._execute_segment(task, index, "count")
         assert sorted(merged) == expected
         assert total == len(expected)
@@ -349,7 +349,7 @@ class TestProcessWorkerEntryPoints:
             task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
                                         None)
             merged.extend(
-                segmented._unpack_pairs(
+                segmented.ResultBatch.frombytes(
                     segmented._execute_segment(task, index, "rows")
                 )
             )

@@ -1,0 +1,139 @@
+"""The output-path work budget of a large answer — no timing.
+
+Beside :mod:`test_compile_budget`: that one counts what a cold compile
+does, this one what happens between the last join and the caller for a
+5 000-row answer on two segments.  The answer travels as packed
+``ResultBatch``\\ es, so: nothing builds per-row tuples before the API
+boundary, each non-empty segment costs one emit call, the merge runs once
+— and not at all when at most one segment holds anything — and the
+environment is read exactly where it was before (the ``REPRO_FAULTS``
+checkpoints); the kernel bundle comes from the bind's ``Knobs``.  Runs
+under whichever ``REPRO_KERNELS`` backend is active (CI runs both).
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.columnar import executor as columnar_executor
+from repro.columnar import result
+from repro.columnar.kernels.api import NativeKernels, kernels_backend
+from repro.columnar.result import ResultBatch
+from repro.corpus import generate_corpus
+from repro.lpath import LPathEngine
+from repro.store import save_corpus
+
+BIG = "//_"          # every element: > 5 000 rows on this corpus
+
+
+@pytest.fixture(scope="module")
+def store_path(tmp_path_factory):
+    trees = list(generate_corpus("wsj", sentences=320, seed=5))
+    path = str(tmp_path_factory.mktemp("output") / "s2.lpdb")
+    save_corpus(trees, path, segments=2, format="lpdb0004")
+    return path
+
+
+@pytest.fixture()
+def engine(store_path):
+    with LPathEngine.open(store_path) as opened:
+        yield opened
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """``{"emit": n, "merge": n}`` over the active backend's kernels
+    (patched before any plan is bound, so every bind sees the counters),
+    with the old per-row tuple gather rigged to fail the test."""
+    counts = {"emit": 0, "merge": 0}
+
+    def counting(real, label):
+        def call(*args, **kwargs):
+            counts[label] += 1
+            return real(*args, **kwargs)
+        return call
+
+    if kernels_backend() == "native":
+        targets = [(NativeKernels, "emit_pairs", "emit"),
+                   (NativeKernels, "merge_pairs", "merge")]
+    else:
+        targets = [(columnar_executor, "python_emit_pairs", "emit"),
+                   (result, "python_merge_pairs", "merge")]
+    for owner, name, label in targets:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), label))
+
+    def no_tuple_gather(*args, **kwargs):
+        raise AssertionError("the per-row tuple gather is back")
+
+    monkeypatch.setattr(
+        columnar_executor.ColumnarPlan, "_gather", no_tuple_gather,
+        raising=False,
+    )
+    return counts
+
+
+def test_one_emit_per_segment_and_one_merge(engine, calls):
+    compiled = engine.compile(BIG)
+    assert len(compiled.bound) == 2
+    batch = compiled.rows()
+    assert isinstance(batch, ResultBatch) and len(batch) >= 5_000
+    assert calls == {"emit": 2, "merge": 1}
+    # count() and a page reuse the same path: one more emit per segment,
+    # no merge for a count, no kernel call at all for a slice.
+    assert compiled.count() == len(batch)
+    assert calls == {"emit": 4, "merge": 1}
+    assert len(batch[1_000:2_000]) == 1_000
+    assert calls == {"emit": 4, "merge": 1}
+    rows = engine.query(BIG)
+    assert rows == list(batch) and type(rows[0]) is tuple
+    assert calls == {"emit": 6, "merge": 2}
+
+
+def test_no_merge_when_at_most_one_segment_holds_rows(engine, calls):
+    shards = [
+        segment.compiler.column_store for segment in engine._compiler.segments
+    ]
+    word = next(
+        w for w in sorted(shards[0].by_value)
+        if w.isalpha() and w not in shards[1].by_value
+    )
+    found = engine.compile(f"//_[@lex={word}]").rows()
+    assert len(found) > 0
+    assert calls == {"emit": 1, "merge": 0}
+    # Both segments are bound and run, but nothing reaches the end.
+    empty = engine.compile("//NP[//NP//NP//NP//NP//NP//NP]")
+    assert len(empty.bound) == 2 and len(empty.rows()) == 0
+    assert calls == {"emit": 1, "merge": 0}
+
+
+def test_top_k_goes_through_the_same_emit_and_merge(engine, calls):
+    batch = engine.compile("//S//NP", limit=5).rows()
+    # Each segment emits its first tree chunk(s) and stops; the merge of
+    # the two five-row batches is cut at five.
+    assert 2 <= calls["emit"] <= 4 and calls["merge"] == 1
+    assert len(batch) == 5
+    assert list(batch) == engine.query("//S//NP")[:5]
+
+
+def test_the_output_path_reads_no_environment_of_its_own(
+    engine, calls, monkeypatch
+):
+    compiled = engine.compile(BIG)
+    bound = len(compiled.bound)
+    reads = []
+    real = os._Environ.__getitem__
+
+    def counting(self, key):
+        reads.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(os._Environ, "__getitem__", counting)
+    batch = compiled.rows()
+    page = list(batch[:1_000])
+    monkeypatch.setattr(os._Environ, "__getitem__", real)
+    assert len(page) == 1_000
+    # One REPRO_FAULTS read per fan-out and per bound segment, as before
+    # the batch existed; emit, merge and slicing add none.
+    assert reads == ["REPRO_FAULTS"] * (1 + bound)

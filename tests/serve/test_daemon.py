@@ -214,6 +214,22 @@ class TestObservability:
         assert described["fingerprint"].startswith("lpdb0004-")
         assert stats["kernels"]["backend"] in ("python", "native")
 
+    def test_stats_sizes_the_result_cache(self, client, expected):
+        # An entry is one buffer: 16 bytes a cached (tid, id) row, plus
+        # the few JSON bytes of an aggregate (which holds no rows).
+        assert client.stats()["result_cache"]["rows"] == 0
+        assert client.stats()["result_cache"]["bytes"] == 0
+        client.query_page("//NP", limit=3)       # caches the whole answer
+        client.query("//VP//NP", top_k=2)        # caches the two rows
+        held = len(expected["//NP"]) + 2
+        cache = client.stats()["result_cache"]
+        assert cache["size"] == 2
+        assert cache["rows"] == held and cache["bytes"] == 16 * held
+        client.aggregate("//NP")
+        cache = client.stats()["result_cache"]
+        assert cache["size"] == 3 and cache["rows"] == held
+        assert 16 * held < cache["bytes"] < 16 * held + 64
+
     def test_stats_reports_per_endpoint_latency(self, client):
         client.query_page("//NP")
         client.query_batch(["//VP//NP"])

@@ -101,18 +101,19 @@ class TestDrain:
     def test_close_waits_for_inflight_queries(self, store_path):
         service = QueryService(store_path)
         handle = next(iter(service._stores.values()))
-        inner_query = handle.engine.query
+        inner_compile = handle.engine.compile
         entered = threading.Event()
         finished = threading.Event()
 
-        def slow_query(*args, **kwargs):
+        def slow_compile(*args, **kwargs):
+            # The service runs every query through ``engine.compile``.
             entered.set()
             time.sleep(0.3)
-            rows = inner_query(*args, **kwargs)
+            compiled = inner_compile(*args, **kwargs)
             finished.set()
-            return rows
+            return compiled
 
-        handle.engine.query = slow_query
+        handle.engine.compile = slow_compile
         outcome = {}
 
         def run():
@@ -135,12 +136,14 @@ class TestDrain:
         handle = next(iter(service._stores.values()))
         entered = threading.Event()
 
-        def wedged_query(*args, **kwargs):
+        inner_compile = handle.engine.compile
+
+        def wedged_compile(*args, **kwargs):
             entered.set()
             time.sleep(5.0)
-            return ()
+            return inner_compile(*args, **kwargs)
 
-        handle.engine.query = wedged_query
+        handle.engine.compile = wedged_compile
 
         def run():
             # The wedged query may still complete (close only stopped

@@ -372,10 +372,11 @@ class _SlowEngine:
     def __getattr__(self, name):
         return getattr(self._engine, name)
 
-    def query(self, *args, **kwargs):
+    def compile(self, *args, **kwargs):
+        # The service runs every query through ``engine.compile``.
         self.entered.set()
         time.sleep(self._delay)
-        return self._engine.query(*args, **kwargs)
+        return self._engine.compile(*args, **kwargs)
 
 
 def _slow_service(store_path, delay, **kwargs):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.columnar.result import ResultBatch
 from repro.faults import (
     FAULT_POINTS,
     FAULTS_ENV,
@@ -102,7 +103,7 @@ class TestEnvironmentActivation:
         faults.maybe_delay_segment()
         faults.maybe_mmap_read_error()
         assert faults.maybe_reset_socket() is False
-        rows = ((1, 2), (3, 4))
+        rows = ResultBatch.of([(1, 2), (3, 4)])
         assert faults.poisoned_rows(rows) is rows
 
     def test_env_change_rebuilds_injector(self, monkeypatch):
@@ -128,14 +129,15 @@ class TestHelpers:
 
     def test_poisoned_rows_differ_but_keep_shape(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "cache_poison:1.0:1")
-        rows = ((1, 2), (3, 4))
+        rows = ResultBatch.of([(1, 2), (3, 4)])
         poisoned = faults.poisoned_rows(rows)
         assert poisoned != rows
         assert len(poisoned) == len(rows)
+        assert list(rows) == [(1, 2), (3, 4)]  # the copy was flipped
         # Aggregate-shaped and empty results are corrupted too: any
         # cached entry must be detectably wrong when the point fires.
-        assert faults.poisoned_rows((("NP", 7),)) != (("NP", 7),)
-        assert faults.poisoned_rows(()) != ()
+        assert faults.poisoned_rows(b'[["NP", 7]]') != b'[["NP", 7]]'
+        assert faults.poisoned_rows(ResultBatch.of([])) != ResultBatch.of([])
 
     def test_reset_socket_reports_the_draw(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "socket_reset:1.0:1")
