@@ -6,6 +6,13 @@ server error documents into :class:`ServeClientError` — an
 :class:`~repro.lpath.errors.LPathError`, so the CLI reports daemon
 failures through the same clean one-line path as local engine errors.
 
+The connection is a plain socket, the mirror image of the daemon's
+loop: a request is one ``sendall`` (request line, headers and JSON body
+together); the response is read through a buffered reader — status
+line, headers split by hand, a body framed by ``Content-Length``, by
+chunked transfer encoding (``/batch``) or by the server closing.  An
+announced close (``Connection: close``, HTTP/1.0) is not a failure.
+
 The transport is fault-tolerant in two layers:
 
 1. A request that dies on a **reused** keep-alive connection before any
@@ -32,12 +39,13 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import time
-from http.client import HTTPConnection, HTTPException
 from typing import Optional
 from urllib.parse import urlencode, urlsplit
 
 from ..lpath.errors import LPathError
+from .wire import BadMessage, read_headers, read_line
 
 #: Statuses worth retrying: the condition is declared transient by the
 #: server (overload sheds, drains and quarantines end).
@@ -96,7 +104,8 @@ class ServeClient:
         self._host = parts.hostname
         self._port = parts.port or 80
         self._timeout = timeout
-        self._connection: Optional[HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._reader = None  # the buffered read side of ``_sock``
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -122,29 +131,79 @@ class ServeClient:
                 pass
         return min(delay, self.backoff_cap)
 
+    def _connect(self) -> None:
+        sock = socket.create_connection(
+            (self._host, self._port), timeout=self._timeout
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def _read(self, size: int) -> bytes:
+        data = self._reader.read(size) if size >= 0 else b""
+        if len(data) != size:
+            raise BadMessage(0, "connection closed mid-response")
+        return data
+
+    def _exchange(self, request: bytes) -> "tuple[int, dict, bytes]":
+        """One request out in one ``sendall``, one response back:
+        ``(status, headers, body)``.  The body is framed by chunked
+        transfer encoding, by ``Content-Length`` or — failing both — by
+        the server closing."""
+        self._sock.sendall(request)
+        try:
+            version, status = read_line(self._reader).split(None, 2)[:2]
+            status = int(status)
+            headers = read_headers(self._reader)
+            closing = (
+                version == b"HTTP/1.0"
+                or "close" in headers.get("connection", "").lower()
+            )
+            if "chunked" in headers.get("transfer-encoding", "").lower():
+                chunks = []
+                while size := int(read_line(self._reader).split(b";")[0], 16):
+                    chunks.append(self._read(size + 2)[:size])  # + CRLF
+                while read_line(self._reader).strip():  # trailers, blank line
+                    pass
+                body = b"".join(chunks)
+            elif "content-length" in headers:
+                body = self._read(int(headers["content-length"]))
+            else:
+                body, closing = self._reader.read(), True
+        except ValueError as error:
+            raise BadMessage(0, f"malformed response: {error}") from None
+        if closing:
+            self.close()
+        return status, headers, body
+
     def _roundtrip(
         self,
         method: str,
         path: str,
         payload: Optional[bytes],
-        headers: dict,
+        accept: str = "application/json",
         retry_transient: bool = True,
-    ):
+    ) -> "tuple[int, Optional[str], bytes]":
         """One HTTP exchange under the full retry policy; returns
-        ``(response, raw_body)`` for any status the policy lets
-        through."""
+        ``(status, Retry-After value, raw_body)`` for any status the
+        policy lets through."""
+        request = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self._host}:{self._port}\r\n"
+            f"Accept: {accept}\r\n"
+        )
+        if payload is not None:
+            request += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n"
+            )
+        message = request.encode("latin-1") + b"\r\n" + (payload or b"")
         attempt = 0
         while True:
-            fresh = self._connection is None
-            if fresh:
-                self._connection = HTTPConnection(
-                    self._host, self._port, timeout=self._timeout
-                )
+            fresh = self._sock is None
             try:
-                self._connection.request(method, path, payload, headers)
-                response = self._connection.getresponse()
-                raw = response.read()
-            except (ConnectionError, HTTPException, OSError) as error:
+                if fresh:
+                    self._connect()
+                status, headers, raw = self._exchange(message)
+            except OSError as error:
                 self.close()
                 if not fresh:
                     # Stale keep-alive: retry immediately on a fresh
@@ -161,29 +220,27 @@ class ServeClient:
                 time.sleep(self._backoff_delay(attempt, None))
                 attempt += 1
                 continue
+            retry_after = headers.get("retry-after")
             if (
                 retry_transient
-                and response.status in TRANSIENT_STATUSES
+                and status in TRANSIENT_STATUSES
                 and attempt < self.max_retries
             ):
                 self.backoffs += 1
-                time.sleep(
-                    self._backoff_delay(
-                        attempt, response.getheader("Retry-After")
-                    )
-                )
+                time.sleep(self._backoff_delay(attempt, retry_after))
                 attempt += 1
                 continue
-            return response, raw
+            return status, retry_after, raw
 
     @staticmethod
-    def _error(response, document) -> "ServeClientError":
+    def _error(
+        status: int, retry_after: Optional[str], document
+    ) -> "ServeClientError":
         message = document.get("error", "") if isinstance(document, dict) \
             else str(document)
-        retry_after = response.getheader("Retry-After")
         return ServeClientError(
-            response.status,
-            f"daemon error {response.status}: {message}",
+            status,
+            f"daemon error {status}: {message}",
             transient=(
                 document.get("transient")
                 if isinstance(document, dict) and "transient" in document
@@ -198,24 +255,21 @@ class ServeClient:
         path: str,
         body: Optional[dict] = None,
         retry_transient: bool = True,
+        answers: tuple = (200,),
     ):
-        payload = None
-        headers = {"Accept": "application/json"}
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        response, raw = self._roundtrip(
-            method, path, payload, headers, retry_transient=retry_transient
+        """One JSON exchange; a status outside ``answers`` raises."""
+        payload = None if body is None else json.dumps(body).encode("utf-8")
+        status, retry_after, raw = self._roundtrip(
+            method, path, payload, retry_transient=retry_transient
         )
         try:
             document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise ServeClientError(
-                response.status,
-                f"daemon returned non-JSON ({response.status}): {raw[:200]!r}",
+                status, f"daemon returned non-JSON ({status}): {raw[:200]!r}"
             )
-        if response.status != 200:
-            raise self._error(response, document)
+        if status not in answers:
+            raise self._error(status, retry_after, document)
         return document
 
     def _request_ndjson(
@@ -225,12 +279,10 @@ class ServeClient:
         the de-chunked body is split on newlines and each line parsed as
         its own document.  Error responses are plain JSON and surface
         exactly as they do for ``_request``."""
-        payload = None
-        headers = {"Accept": "application/x-ndjson"}
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        response, raw = self._roundtrip(method, path, payload, headers)
+        payload = None if body is None else json.dumps(body).encode("utf-8")
+        status, retry_after, raw = self._roundtrip(
+            method, path, payload, accept="application/x-ndjson"
+        )
         try:
             documents = [
                 json.loads(line)
@@ -239,13 +291,12 @@ class ServeClient:
             ]
         except (UnicodeDecodeError, json.JSONDecodeError):
             raise ServeClientError(
-                response.status,
-                f"daemon returned non-NDJSON ({response.status}): "
-                f"{raw[:200]!r}",
+                status,
+                f"daemon returned non-NDJSON ({status}): {raw[:200]!r}",
             )
-        if response.status != 200:
+        if status != 200:
             raise self._error(
-                response, documents[0] if documents else {}
+                status, retry_after, documents[0] if documents else {}
             )
         return documents
 
@@ -389,25 +440,15 @@ class ServeClient:
         status — a not-ready 503 is an *answer* here, not a failure, so
         it is returned (``{"ready": false, ...}``) instead of raising or
         retrying."""
-        response, raw = self._roundtrip(
-            "GET", "/readyz", None, {"Accept": "application/json"},
-            retry_transient=False,
+        return self._request(
+            "GET", "/readyz", retry_transient=False, answers=(200, 503)
         )
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            raise ServeClientError(
-                response.status,
-                f"daemon returned non-JSON ({response.status}): {raw[:200]!r}",
-            )
-        if response.status not in (200, 503):
-            raise self._error(response, document)
-        return document
 
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -1,8 +1,22 @@
-"""The HTTP face of the query service (stdlib ``http.server`` only).
+"""The HTTP face of the query service: a minimal HTTP/1.1 keep-alive loop.
 
 ``QueryServer`` wraps a :class:`~repro.serve.service.QueryService` in a
-``ThreadingHTTPServer``: one handler thread per connection, HTTP/1.1
-keep-alive (every response carries ``Content-Length``), JSON in and out.
+``socketserver.ThreadingTCPServer``: one handler thread per connection,
+JSON in and out.  The handler speaks the subset of HTTP/1.1 a query
+daemon needs — ``GET``/``POST``, request line and headers split by hand,
+only ``Content-Length``, ``Connection``, ``Expect: 100-continue`` and (to
+refuse it) ``Transfer-Encoding`` interpreted, keep-alive by default,
+HTTP/1.0 and ``Connection: close`` honoured — and every response leaves
+in **one** ``sendall``: status line, ``Server``, ``Date`` (formatted once
+a second), ``Content-Type``, ``Content-Length`` [, ``Retry-After``],
+body.  ``curl``, ``http.client`` or any other HTTP client works with it.
+
+Framing is what the loop is strict about.  A request that cannot be
+consumed to its end (a ``Content-Length`` that is not a plain number or
+is past ``_MAX_BODY_BYTES``, a body that stops early, an over-long line,
+too many headers, a chunked body, a method other than GET/POST) is
+answered once, with ``Connection: close``, and the connection closes
+behind the answer: leftover bytes are never parsed as the next request.
 
 Endpoints::
 
@@ -30,9 +44,8 @@ service chose (400 bad request, 404 unknown store/path, 429 over
 capacity or breaker open, 503 draining/closed/quarantined, 504
 deadline) — clients never see a traceback.  Transient errors (429/503)
 carry ``"transient": true`` and, when the service knows how long the
-condition lasts, a ``Retry-After`` header in seconds.  Large result
-pages are written to the socket in bounded chunks rather than one giant
-``bytes``.
+condition lasts, a ``Retry-After`` header in seconds.  A result page
+past ``_CHUNK_BYTES`` follows its first write in bounded slices.
 
 The ``socket_reset`` fault point (:mod:`repro.faults`) bites here: a
 fired checkpoint abandons a ``/query``/``/batch`` response before a
@@ -45,28 +58,46 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import struct
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qsl, urlsplit
+from http import HTTPStatus
+from urllib.parse import parse_qsl
 
 from ..faults import maybe_reset_socket
 from ..lpath.errors import LPathError
 from .service import QueryService, ServeError
+from .wire import MAX_LINE, BadMessage, read_headers
 
 #: Socket-write granularity for big pages.
 _CHUNK_BYTES = 64 * 1024
 #: Request bodies past this are refused (a query is text, not a corpus).
 _MAX_BODY_BYTES = 1 << 20
+#: After refusing a request unread, swallow what the peer is still
+#: sending for at most this long (twice that, if the peer stalls).
+_LINGER_SECONDS = 1.0
+
+_ROUTES = ("/healthz", "/readyz", "/stats", "/query", "/batch", "/append")
+_STATUS_LINES = {
+    status.value: (
+        f"HTTP/1.1 {status.value} {status.phrase}\r\n"
+        "Server: repro-serve/1\r\n"
+    ).encode("ascii")
+    for status in HTTPStatus
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/1"
-    # Status line, headers and body leave in separate send() calls;
-    # with Nagle on, the tail of the response sits behind the peer's
-    # delayed ACK (~40ms) — fatal for a sub-millisecond cache hit.
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read a request, answer it, repeat until either
+    side asks to close or the framing can no longer be trusted."""
+
+    # A streamed batch and a big page are several sends; with Nagle on,
+    # their tails sit behind the peer's delayed ACK (~40ms).
     disable_nagle_algorithm = True
 
     # -- plumbing -----------------------------------------------------------
@@ -75,23 +106,56 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            BaseHTTPRequestHandler.log_message(self, format, *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._handle_one()
+        except OSError:  # the peer went away; nobody left to answer
+            pass
+
+    def _head(self, status: int, content_type: bytes, framing: bytes) -> bytes:
+        self.answered = True
+        if self.server.verbose:  # type: ignore[attr-defined]
+            sys.stderr.write(
+                f"{self.client_address[0]} "
+                f"{self.request_line.decode('latin-1').rstrip()!r} {status}\n"
+            )
+        return b"%b%bContent-Type: %b\r\n%b%b\r\n" % (
+            _STATUS_LINES[status],
+            self.server.date_header(),  # type: ignore[attr-defined]
+            content_type,
+            framing,
+            b"Connection: close\r\n" if self.close_connection else b"",
+        )
 
     def _respond(
         self, status: int, payload: dict, retry_after: "float | None" = None
     ) -> None:
+        """Head and body leave in one ``sendall`` (one packet, one
+        wake-up of the peer); only a page past ``_CHUNK_BYTES`` takes
+        more, in bounded slices."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        framing = b"Content-Length: %d\r\n" % len(body)
         if retry_after is not None:
             # Whole seconds per RFC 9110; never 0, or clients busy-loop.
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
-        self.end_headers()
-        for start in range(0, len(body), _CHUNK_BYTES):
-            self.wfile.write(body[start:start + _CHUNK_BYTES])
+            framing += b"Retry-After: %d\r\n" % max(1, round(retry_after))
+        head = self._head(status, b"application/json", framing)
+        self.connection.sendall(head + body[:_CHUNK_BYTES])
+        for start in range(_CHUNK_BYTES, len(body), _CHUNK_BYTES):
+            self.connection.sendall(body[start:start + _CHUNK_BYTES])
+
+    def _respond_stream(self, documents) -> None:
+        """Stream NDJSON documents with chunked transfer encoding — one
+        chunk, one ``sendall`` per document as each batch member
+        completes, so clients see results incrementally."""
+        self.connection.sendall(self._head(
+            200, b"application/x-ndjson", b"Transfer-Encoding: chunked\r\n"
+        ))
+        for document in documents:
+            data = (json.dumps(document) + "\n").encode("utf-8")
+            self.connection.sendall(b"%x\r\n%b\r\n" % (len(data), data))
+        self.connection.sendall(b"0\r\n\r\n")
 
     def _abandon(self) -> None:
         """The fired ``socket_reset`` path: drop the connection without
@@ -106,32 +170,82 @@ class _Handler(BaseHTTPRequestHandler):
         except OSError:  # pragma: no cover - best effort
             pass
 
-    def _respond_stream(self, documents) -> None:
-        """Stream NDJSON documents with chunked transfer encoding — one
-        chunk per document, flushed as each batch member completes, so
-        clients see results incrementally (``http.client`` de-chunks
-        transparently)."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-        for document in documents:
-            data = (json.dumps(document) + "\n").encode("utf-8")
-            self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-            self.wfile.write(data)
-            self.wfile.write(b"\r\n")
-            self.wfile.flush()
-        self.wfile.write(b"0\r\n\r\n")
-
-    def _handle(self, params_from) -> None:
-        route = None
-        started = time.perf_counter()
+    def _linger(self) -> None:
+        """Half-close, then swallow what the peer is still sending.
+        Closing a socket with unread bytes makes the kernel send RST,
+        which can destroy the refusal just written before the peer reads
+        it (and fails the peer's send with EPIPE)."""
         try:
-            route, params = params_from()
+            self.connection.shutdown(socket.SHUT_WR)
+            self.connection.settimeout(_LINGER_SECONDS)
+            deadline = time.monotonic() + _LINGER_SECONDS
+            while self.connection.recv(_CHUNK_BYTES):
+                if time.monotonic() > deadline:
+                    break
+        except OSError:
+            pass
+
+    # -- one request --------------------------------------------------------
+
+    def _read_request(self, line: bytes) -> "tuple[str, str, dict]":
+        """The rest of the request whose first line is ``line``:
+        ``(method, route, params)``.  Raises :class:`BadMessage` when
+        the request cannot be consumed to its end — the caller must then
+        close, or the leftover bytes would be read as the next request."""
+        if len(line) > MAX_LINE:
+            raise BadMessage(414, "request line too long")
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or not words[2].startswith("HTTP/1."):
+            raise BadMessage(400, f"malformed request line {line[:80]!r}")
+        method, target, version = words
+        headers = read_headers(self.rfile)
+        connection = headers.get("connection", "").lower()
+        self.close_connection = "close" in connection or (
+            version == "HTTP/1.0" and "keep-alive" not in connection
+        )
+        if "transfer-encoding" in headers:
+            raise BadMessage(501, "chunked request bodies are not supported")
+        declared = headers.get("content-length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            raise BadMessage(400, f"bad Content-Length {declared[:40]!r}")
+        length = int(declared) if len(declared) <= 18 else _MAX_BODY_BYTES + 1
+        if length > _MAX_BODY_BYTES:
+            raise BadMessage(
+                400, f"request body too large ({declared[:20]} bytes)"
+            )
+        if method not in ("GET", "POST"):
+            raise BadMessage(501, f"unsupported method {method[:40]!r}")
+        if headers.get("expect", "").lower() == "100-continue":
+            # curl announces any body past 1 KiB this way and waits.
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw = self.rfile.read(length)
+        if len(raw) < length:
+            raise BadMessage(400, "request body ended early")
+        route, _, query = target.partition("?")
+        if method == "GET":
+            return method, route, dict(parse_qsl(query))
+        try:
+            body = json.loads((raw or b"{}").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise ServeError(400, f"invalid JSON body: {error}")
+        if not isinstance(body, dict):
+            raise ServeError(400, "JSON body must be an object")
+        return method, route, body
+
+    def _handle_one(self) -> None:
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            self.close_connection = True
+            return
+        started = time.perf_counter()
+        route = None
+        self.request_line = line
+        self.answered = False
+        try:
+            method, route, params = self._read_request(line)
             if route in ("/query", "/batch") and maybe_reset_socket():
                 self._abandon()
-                return
-            if route == "/healthz":
+            elif route == "/healthz":
                 self._respond(200, self.service.health())
             elif route == "/readyz":
                 ready, payload = self.service.readiness()
@@ -149,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif route == "/batch":
                 self._respond_stream(self.service.execute_batch(params))
             elif route == "/append":
-                if self.command != "POST":
+                if method != "POST":
                     self._respond(
                         405, {"error": "/append takes POST with a JSON body"}
                     )
@@ -157,6 +271,10 @@ class _Handler(BaseHTTPRequestHandler):
                     self._respond(200, self.service.execute_append(params))
             else:
                 self._respond(404, {"error": f"unknown path {route!r}"})
+        except BadMessage as error:
+            self.close_connection = True
+            self._respond(error.status, {"error": str(error)})
+            self._linger()
         except ServeError as error:
             payload = {"error": str(error)}
             if error.transient:
@@ -166,48 +284,43 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except LPathError as error:
             self._respond(400, {"error": str(error)})
-        except BrokenPipeError:  # client went away mid-response
-            self.close_connection = True
         except Exception as error:  # noqa: BLE001 — no tracebacks to clients
-            self._respond(
-                500, {"error": f"{type(error).__name__}: {error}"}
-            )
+            if self.answered:
+                # Mid-response (the client went away, a stream broke):
+                # a second head would desynchronise what follows.
+                self.close_connection = True
+            else:
+                self._respond(
+                    500, {"error": f"{type(error).__name__}: {error}"}
+                )
         finally:
-            if route in (
-                "/healthz", "/readyz", "/stats", "/query", "/batch",
-                "/append",
-            ):
+            if route in _ROUTES:
                 self.service.record_latency(
                     route, time.perf_counter() - started
                 )
 
-    # -- verbs --------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        def params():
-            parts = urlsplit(self.path)
-            return parts.path, dict(parse_qsl(parts.query))
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    daemon_threads = True
 
-        self._handle(params)
+    def __init__(self, address, service: QueryService, verbose: bool) -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        self.verbose = verbose
+        self._date = (0, b"")
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        def params():
-            route = urlsplit(self.path).path
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > _MAX_BODY_BYTES:
-                raise ServeError(
-                    400, f"request body too large ({length} bytes)"
-                )
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                body = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise ServeError(400, f"invalid JSON body: {error}")
-            if not isinstance(body, dict):
-                raise ServeError(400, "JSON body must be an object")
-            return route, body
-
-        self._handle(params)
+    def date_header(self) -> bytes:
+        """The ``Date`` header line, formatted once a second rather than
+        once a response (a race between threads costs a second format)."""
+        second = int(time.time())
+        if self._date[0] != second:
+            now = time.gmtime(second)  # names by table: %a/%b follow the locale
+            self._date = (second, time.strftime(
+                f"Date: {_DAYS[now.tm_wday]}, %d {_MONTHS[now.tm_mon - 1]} "
+                "%Y %H:%M:%S GMT\r\n", now,
+            ).encode("ascii"))
+        return self._date[1]
 
 
 class QueryServer:
@@ -229,10 +342,7 @@ class QueryServer:
         verbose: bool = False,
     ) -> None:
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.service = service  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), service, verbose)
         self._thread: "threading.Thread | None" = None
         self._serving = threading.Event()
         self._closed = False

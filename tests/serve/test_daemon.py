@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -40,10 +41,11 @@ class TestQueryEndpoint:
 
     def test_keep_alive_reuses_one_connection(self, client):
         client.query_page("//NP")
-        connection = client._connection
+        connection = client._sock
         client.query_page("//VP//NP")
         client.stats()
-        assert client._connection is connection
+        assert client._sock is connection
+        assert client.reconnects == 0
 
     def test_repeat_query_is_served_from_cache(self, client):
         first = client.query_page("//NP")
@@ -111,20 +113,27 @@ class TestErrorDocuments:
             connection.close()
 
     def test_oversized_body_is_refused(self, server):
-        connection = http.client.HTTPConnection(
-            server.host, server.port, timeout=10
-        )
-        try:
-            connection.request(
-                "POST", "/query", b" " * (2 << 20),
-                {"Content-Type": "application/json"},
+        # Refused unread, so the connection must close (or the unread
+        # body would be parsed as the next request) — and close without
+        # racing the client's send: 50 rounds, each pushing the whole
+        # 2 MiB body in one request() the way stock http.client does.
+        for _ in range(50):
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
             )
-            response = connection.getresponse()
-            document = json.loads(response.read())
-            assert response.status == 400
-            assert "too large" in document["error"]
-        finally:
-            connection.close()
+            try:
+                connection.request(
+                    "POST", "/query", b" " * (2 << 20),
+                    {"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                document = json.loads(response.read())
+                assert response.status == 400
+                assert "too large" in document["error"]
+                assert response.getheader("Connection") == "close"
+                assert response.will_close
+            finally:
+                connection.close()
 
     def test_errors_never_leak_tracebacks(self, client):
         for exercise in (
@@ -264,5 +273,6 @@ class TestClientTransport:
         client.query_page("//NP")
         # Kill the idle connection out from under the client; the next
         # request must transparently reconnect.
-        client._connection.close()
+        client._sock.shutdown(socket.SHUT_RDWR)
         assert client.query_page("//NP")["cached"] is True
+        assert client.reconnects == 1 and client.backoffs == 0
