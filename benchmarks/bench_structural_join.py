@@ -12,9 +12,12 @@ Assertions:
 
 * the structural merge join beats the per-binding probe join by >= 2x in
   aggregate over the deep-axis suite;
+* the same 2x holds for value-seeded joins — fig. 6(c) Q1 and Q10, whose
+  predicate step is driven from the ``{value, tid, id}`` index: merged
+  against the seed's sorted row list instead of probed per binding;
 * the optimizer's *unforced* cost-based choice picks ``merge`` for every
-  deep-axis query here (the statistics say the bindings are plentiful),
-  visible in ``explain()``;
+  deep-axis and value-seeded query here (the statistics say the bindings
+  are plentiful), visible in ``explain()``;
 * both join algorithms agree on every result size;
 * a ``[...]`` predicate costs no more than 3x its predicate-free twin —
   the same joins on the main chain — under *both* kernel backends.
@@ -43,6 +46,9 @@ LARGE_SENTENCES = max(1000, bench_sentences())
 #: (reported, not asserted — their cost is output-dominated).
 DEEP_QUERIES = ("//S//NP//NN", "//NP//NP", "//S//VP//NP//NN", "//VP//NP//PP")
 SCAN_QUERIES = ("//S//NP", "//S//VP//NP")
+#: Joins whose candidates are a value seed's row list (asserted like the
+#: deep-axis suite: same floor, same cost-based choice).
+SEEDED_QUERIES = ("//S[//_[@lex=saw]]", "//NP[->PP[//IN[@lex=of]]=>VP]")
 
 SPEEDUP_FLOOR = 2.0
 
@@ -144,8 +150,11 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
 
     rows = []
     payload = []
-    deep_probe = deep_merge = 0.0
-    for suite, queries in (("deep-axis", DEEP_QUERIES), ("fig9 scan", SCAN_QUERIES)):
+    asserted = {"deep-axis": [0.0, 0.0], "value-seed": [0.0, 0.0]}
+    for suite, queries in (
+        ("deep-axis", DEEP_QUERIES), ("fig9 scan", SCAN_QUERIES),
+        ("value-seed", SEEDED_QUERIES),
+    ):
         for query in queries:
             probe_s, probe_n = _forced(engine, query, "probe", repeats)
             merge_s, merge_n = _forced(engine, query, "merge", repeats)
@@ -163,16 +172,22 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
                     "rows": probe_n,
                 }
             )
-            if suite == "deep-axis":
-                deep_probe += probe_s
-                deep_merge += merge_s
+            if suite in asserted:
+                asserted[suite][0] += probe_s
+                asserted[suite][1] += merge_s
+    (deep_probe, deep_merge), (seed_probe, seed_merge) = asserted.values()
 
     # The optimizer's own statistics-driven choice must pick the merge
-    # join for the deep-axis chains (no forcing involved).
+    # join for the deep-axis chains and for every value-seeded join (no
+    # forcing involved).
     choices = []
-    for query in DEEP_QUERIES:
+    for query in DEEP_QUERIES + SEEDED_QUERIES:
         plan = engine.explain(query)
-        assert "[merge" in plan, (
+        lines = [  # a seeded query shows the choice on the seeded join itself
+            line for line in plan.splitlines()
+            if query in DEEP_QUERIES or "<- ValueSeed" in line
+        ]
+        assert any("Join[merge" in line for line in lines), (
             f"cost model did not pick the structural merge join for {query}:\n{plan}"
         )
         choices.append(f"{query}: merge (cost-based)")
@@ -180,10 +195,13 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
     pairs = _predicate_pairs(engine, repeats)
 
     speedup = deep_probe / deep_merge if deep_merge else float("inf")
+    seed_speedup = seed_probe / seed_merge if seed_merge else float("inf")
     table = _format(rows)
     summary = (
         f"\ndeep-axis suite: probe {deep_probe:.5f}s, merge {deep_merge:.5f}s "
         f"({speedup:.2f}x) over {LARGE_SENTENCES} sentences\n"
+        f"value-seed suite: probe {seed_probe:.5f}s, merge {seed_merge:.5f}s "
+        f"({seed_speedup:.2f}x)\n"
         + "\n".join(choices)
     )
     write_result(
@@ -198,6 +216,7 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
             "sentences": LARGE_SENTENCES,
             "queries": payload,
             "deep_axis_speedup": speedup,
+            "value_seed_speedup": seed_speedup,
             "predicate_pairs": pairs,
         },
     )
@@ -213,6 +232,10 @@ def test_structural_join_ab(benchmark, write_result, write_json, repeats):
         f"structural merge join fell below the {SPEEDUP_FLOOR}x floor on the "
         f"deep-axis suite: probe {deep_probe:.5f}s vs merge {deep_merge:.5f}s "
         f"({speedup:.2f}x)"
+    )
+    assert seed_speedup >= SPEEDUP_FLOOR, (
+        f"value-seeded merge joins fell below the {SPEEDUP_FLOOR}x floor: "
+        f"probe {seed_probe:.5f}s vs merge {seed_merge:.5f}s ({seed_speedup:.2f}x)"
     )
     for pair in pairs:
         assert pair["ratio"] <= PREDICATE_CEILING, (

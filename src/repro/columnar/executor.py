@@ -335,17 +335,19 @@ def _node_signature(node: PlanNode) -> object:
     """The structural fingerprint of one chain node — only fields that
     determine the node's *output* (slot layout, access, conditions), not
     annotations like ``label``/``step``/``est_in`` that vary between
-    otherwise identical plans."""
+    otherwise identical plans.  The access spec itself is the key, not
+    its rendering: two value seeds that differ in their name test print
+    alike."""
     if isinstance(node, Context):
         return ("context",)
     if isinstance(node, Scan):
         return (
-            "scan", node.slot, str(node.access),
+            "scan", node.slot, node.access,
             tuple(_pred_signature(c) for c in node.conditions),
         )
     if isinstance(node, Join):
         return (
-            "join", node.slot, str(node.access), str(node.axis),
+            "join", node.slot, node.access, str(node.axis),
             node.ctx_slot, node.scope_slot,
             tuple(_pred_signature(c) for c in node.conditions),
         )
@@ -662,12 +664,14 @@ class _ScanStep:
         self.conds = conds = _Conditions(node.conditions, node.slot, ctx)
         # Scan-side vector filters compare buffer columns against
         # constants (slot 0 binds first, so no binding-column operands
-        # exist); when the native backend is active they run as one C
-        # pass over the candidate range instead of a list comprehension
-        # per condition.
+        # exist); when the native backend is active a contiguous
+        # candidate range is materialized — and filtered, when there are
+        # any — in one C pass instead of an interpreted loop over it (a
+        # value seed lists its rows itself).
         self.kinds = (
             classify_checks(conds.vector, require_const=True)
-            if conds.vector and ctx.kern is not None else None
+            if ctx.kern is not None and not isinstance(node.access, ValueSeed)
+            else None
         )
 
     def bind(self, ctx: _Compile, est):
@@ -701,8 +705,10 @@ class _ScanStep:
                         if all(check([j]) for check in self.row)
                     ),
                 )
-        else:
+        elif self.vector or self.row:
             kept = array("q", _apply_filters(cands, empty, self.vector, self.row))
+        else:  # batches are never mutated, so a seed's own list will do
+            kept = cands if isinstance(cands, array) else array("q", cands)
         return apply_selectors(self.semi, [kept], self.take)[0]
 
     def cardinality(self) -> Optional[int]:
@@ -829,10 +835,15 @@ class _Join:
         node, spec = self.node, self.spec
         est_in, est = flow_estimate(node, ctx.store, est)
         merge = spec is not None and "merge" == (
-            ctx.force or choose_join(est_in, spec.name, ctx.store)
+            ctx.force or choose_join(est_in, spec.name or node.access, ctx.store)
         )
-        flavor = MergeJoinStep if merge else _JoinStep
-        return flavor(self, ctx, *self.conds.bind(ctx, est)), est
+        conds = self.conds.bind(ctx, est)
+        if not merge:
+            return _JoinStep(self, ctx, *conds), est
+        seed = (
+            _ValueSeedProbe(node.access, ctx.store) if spec.name is None else None
+        )
+        return MergeJoinStep(self, ctx, *conds, seed=seed), est
 
 
 class _JoinStep(JoinOutput):
@@ -875,8 +886,8 @@ class _JoinStep(JoinOutput):
         indexes: Iterable[int] = range(count)
         if self._seed_tid is not None and count:
             slot, tids = self._seed_tid
-            trees, column = probe.trees(), batch[slot]
-            indexes = [i for i in indexes if tids[column[i]] in trees]
+            trees, column = probe.partition()[1], batch[slot]
+            indexes = [i for i in indexes if (None, tids[column[i]]) in trees]
         for i in indexes:
             b = [column[i] for column in batch]
             if binding_checks and not all(check(b) for check in binding_checks):
@@ -943,7 +954,8 @@ def compile_access(access, runtime: ColumnarRuntime) -> RowProbe:
     if isinstance(access, IndexProbe):
         return _compile_index_probe(access, runtime)
     if isinstance(access, ValueSeed):
-        return _ValueSeedProbe(access, runtime.store)
+        seed = _ValueSeedProbe(access, runtime.store)
+        return seed.scan if access.tid is None else seed
     raise LPathCompileError(f"unknown access spec {access!r}")
 
 
@@ -1054,10 +1066,11 @@ class _ValueSeedProbe:
     """``[@attr = literal]`` answered from the value index.
 
     The literal's element rows (attribute hit → owning element, name
-    test applied) are resolved once per compiled plan and grouped by
-    tree, so a tree-keyed probe is one dictionary lookup per binding —
-    and :meth:`trees` tells a join which bindings can match at all
-    before it probes any of them."""
+    test applied) are resolved once per bound plan into a candidate list
+    in ``(tid, left)`` order with per-tree bounds: what a structural
+    merge join sweeps (:meth:`rows`), one dictionary lookup and a slice
+    per binding for a tree-keyed probe — and the bounds tell a probe join
+    which bindings can match at all before it probes any of them."""
 
     def __init__(self, access: ValueSeed, store: ColumnStore) -> None:
         self.access = access
@@ -1065,39 +1078,63 @@ class _ValueSeedProbe:
         self.tid_of = (
             None if access.tid is None else _operand_getter(access.tid, store)
         )
-        self._by_tree: Optional[dict] = None
+        self._rows: Optional[array] = None
+        self._partition: Optional[tuple] = None
 
-    def trees(self) -> dict:
-        """``tid -> element rows`` holding the literal, in ``(tid, id)``
-        order.  Built on first use; the store is immutable, so racing
-        builders only duplicate work."""
-        by_tree = self._by_tree
-        if by_tree is None:
+    def rows(self) -> array:
+        """The element rows holding the literal, by ``(tid, left)`` (ties
+        in clustered order).  Built on first use; the store is immutable,
+        so racing builders only duplicate work."""
+        rows = self._rows
+        if rows is None:
             access, store = self.access, self.store
             names, tids, ids, is_attr = store.names, store.tid, store.id, store.is_attr
             attr, name_test = access.attr, access.name_test
-            by_tree = {}
+            found = []
             for attr_row in store.value_rows(access.literal):
                 if names[attr_row] != attr:
                     continue
-                tid = tids[attr_row]
-                for element in store.tid_id_rows(tid, ids[attr_row]):
+                for element in store.tid_id_rows(tids[attr_row], ids[attr_row]):
                     if is_attr[element]:
                         continue
                     if name_test is not None and names[element] != name_test:
                         continue
-                    by_tree.setdefault(tid, []).append(element)
-            self._by_tree = by_tree
-        return by_tree
+                    found.append(element)
+            lefts = store.left
+            found.sort(key=lambda row: (tids[row], lefts[row], row))
+            rows = self._rows = array("q", found)
+        return rows
+
+    def partition(self) -> tuple:
+        """``(rows, bounds, lefts)``: :meth:`rows`, each tree's positions
+        in it as ``(None, tid) -> (lo, hi)`` — keyed like the store's
+        ``(name, tid)`` partitions — and its ``left`` column by position:
+        what the interpreted merge loops and the probe read."""
+        partition = self._partition
+        if partition is None:
+            rows, tids = self.rows(), self.store.tid
+            bounds, start = {}, 0
+            for end in range(1, len(rows) + 1):
+                if end == len(rows) or tids[rows[end]] != tids[rows[start]]:
+                    bounds[None, tids[rows[start]]] = (start, end)
+                    start = end
+            partition = self._partition = (
+                rows, bounds, python_take(self.store.left, rows)
+            )
+        return partition
 
     def __call__(self, b: Binding) -> Sequence[int]:
-        by_tree = self.trees()
-        if self.tid_of is not None:
-            return by_tree.get(self.tid_of(b), ())
-        rows = [row for found in by_tree.values() for row in found]
+        """The seed's rows in the binding's tree (a tree-keyed seed)."""
+        rows, bounds, _lefts = self.partition()
+        lo, hi = bounds.get((None, self.tid_of(b)), (0, 0))
+        return rows[lo:hi]
+
+    def scan(self, b: Binding) -> Sequence[int]:
+        """Every seed row of the corpus (a first step's seed)."""
+        rows = self.rows()
         if self.access.root_only:
             pids = self.store.pid
-            rows = [row for row in rows if pids[row] == 0]
+            return [row for row in rows if pids[row] == 0]
         return rows
 
 

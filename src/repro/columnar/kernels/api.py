@@ -367,15 +367,18 @@ class NativeMergeJoin:
     the (src, cand) result out."""
 
     __slots__ = (
-        "kern", "spec", "check_specs", "store",
+        "kern", "spec", "check_specs", "store", "seed",
         "name_lo", "name_hi", "key_slot", "key_column", "high_column",
     )
 
-    def __init__(self, kern, spec, check_specs, store) -> None:
+    def __init__(self, kern, spec, check_specs, store, seed=None) -> None:
         self.kern = kern
         self.spec = spec
         self.check_specs = check_specs
         self.store = store
+        #: The value seed whose ``rows()`` are the candidate list, or
+        #: ``None``: the identity list over the name block's positions.
+        self.seed = seed
         self.name_lo, self.name_hi = store.name_bounds.get(spec.name, (0, 0))
         # Span bounds are always the int64 ``left``/``right`` columns.
         self.key_slot, key = spec.low if spec.strategy == "sweep" else spec.high
@@ -396,6 +399,12 @@ class NativeMergeJoin:
             return src_rows, cand_rows
         spec = self.spec
         store = self.store
+        rows, name_lo, name_hi = ffi.NULL, self.name_lo, self.name_hi
+        if self.seed is not None:
+            seeded = self.seed.rows()
+            if not len(seeded):
+                return src_rows, cand_rows
+            rows, name_lo, name_hi = kern.i64(seeded), 0, len(seeded)
         tids = kern.i64(store.tid)
         lefts = kern.i64(store.left)
         tid_col = kern.i64(batch[spec.tid_slot])
@@ -415,7 +424,7 @@ class NativeMergeJoin:
                 high_arr = kern.i64(self.high_column)
                 high_col = kern.i64(batch[spec.high[0]])
             matched = lib.repro_sweep_join(
-                tids, lefts, self.name_lo, self.name_hi,
+                tids, lefts, rows, name_lo, name_hi,
                 tid_col, key_col, count,
                 key_arr, int(spec.include_low),
                 high_arr, high_col, int(spec.include_high),
@@ -425,7 +434,7 @@ class NativeMergeJoin:
         elif spec.strategy == "stack":
             rights = kern.i64(store.right)
             matched = lib.repro_stack_join(
-                tids, lefts, rights, self.name_lo, self.name_hi,
+                tids, lefts, rights, rows, name_lo, name_hi,
                 tid_col, key_col, count,
                 key_arr, int(spec.include_high),
                 checks, n_checks, first, max_rows, truncated,
@@ -433,7 +442,7 @@ class NativeMergeJoin:
             )
         else:
             matched = lib.repro_prefix_join(
-                tids, lefts, self.name_lo, self.name_hi,
+                tids, lefts, rows, name_lo, name_hi,
                 tid_col, key_col, count,
                 key_arr, int(spec.include_high),
                 checks, n_checks, first, max_rows, truncated,
@@ -456,7 +465,8 @@ class NativeMergeJoin:
 
 
 class NativeRangeFilter:
-    """The scan-side vectorized filter over a contiguous row-id range."""
+    """The scan-side vectorized filter over a contiguous row-id range —
+    with no checks, the range's row ids materialized in one C pass."""
 
     __slots__ = ("kern", "check_specs")
 
@@ -466,17 +476,15 @@ class NativeRangeFilter:
 
     def run(self, start: int, stop: int):
         kern = self.kern
-        ffi, lib = kern.ffi, kern.lib
-        kept = array("q")
         if stop <= start:
-            return kept
+            return array("q")
+        kept = array("q", bytes(8 * (stop - start)))
         checks, keep = kern.pack_checks(self.check_specs, ())
-        out = ffi.new("int64_t[]", stop - start)
-        survivors = lib.repro_filter_range(
-            start, stop, checks, len(self.check_specs), out
+        survivors = kern.lib.repro_filter_range(
+            start, stop, checks, len(self.check_specs), kern.i64_out(kept)
         )
-        kept.frombytes(ffi.buffer(out, 8 * survivors)[:])
         del keep
+        del kept[survivors:]
         return kept
 
 

@@ -26,6 +26,12 @@ opcode, and a right-hand side that is either an inline constant or a
 per-binding lookup (``rhs_arr[rhs_col[i]]`` — the store column the
 binding slot indexes into).
 
+The three join kernels enumerate candidates from a *candidate list*:
+positions ``[lo, hi)`` of a ``rows`` array of row ids in ``(tid, left)``
+order — a value seed's element rows — or, with ``rows`` NULL, of the
+identity list, where a position is the row itself and ``[lo, hi)`` a name
+block of the clustered order.
+
 The three join kernels take a ``first_match`` flag: when set, a binding
 stops at its first candidate that passes every residual check, so the
 output holds at most one pair per input binding.  That is the shape the
@@ -41,7 +47,7 @@ ffibuilder = FFI()
 #: pre-built ``_native`` artifact whose ``REPRO_KERNEL_ABI`` differs, so a
 #: stale shared object left in a checkout can never be called with the
 #: wrong argument list.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 ffibuilder.cdef(
     """
@@ -59,7 +65,7 @@ typedef struct {
 
 int64_t repro_sweep_join(
     const int64_t *tids, const int64_t *lefts,
-    int64_t name_lo, int64_t name_hi,
+    const int64_t *rows, int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_low,
     const int64_t *high_arr, const int64_t *high_col, int include_high,
@@ -69,7 +75,7 @@ int64_t repro_sweep_join(
 
 int64_t repro_stack_join(
     const int64_t *tids, const int64_t *lefts, const int64_t *rights,
-    int64_t name_lo, int64_t name_hi,
+    const int64_t *rows, int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
     const repro_check_t *checks, int32_t n_checks, int first_match,
@@ -78,7 +84,7 @@ int64_t repro_stack_join(
 
 int64_t repro_prefix_join(
     const int64_t *tids, const int64_t *lefts,
-    int64_t name_lo, int64_t name_hi,
+    const int64_t *rows, int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
     const repro_check_t *checks, int32_t n_checks, int first_match,
@@ -201,28 +207,32 @@ static repro_keyed_t *repro_build_keyed(
 
 /* -- per-tree partition lookup -------------------------------------------- */
 
-/* The clustered order sorts tids ascending inside a name block, so the
-   (name, tid) partition is a binary-searched run — the C twin of the
+/* A candidate list sorts tids ascending (as the clustered order does
+   inside a name block), so the per-tree partition is a binary-searched run — the C twin of the
    store's name_tid_bounds lookup.  ``base`` exploits the sorted binding
    order: later (larger) tids can only start at or after the previous
    partition's end, shrinking every search. */
 
-static int64_t repro_lower(const int64_t *arr, int64_t value,
-                           int64_t lo, int64_t hi)
+/* Position p of a candidate list names row rows[p]; the identity list
+   (rows == NULL: a name block of the clustered order) names row p. */
+#define REPRO_ROW(p) (rows ? rows[p] : (p))
+
+static int64_t repro_lower(const int64_t *arr, const int64_t *rows,
+                           int64_t value, int64_t lo, int64_t hi)
 {
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
-        if (arr[mid] < value) lo = mid + 1; else hi = mid;
+        if (arr[REPRO_ROW(mid)] < value) lo = mid + 1; else hi = mid;
     }
     return lo;
 }
 
-static int64_t repro_upper(const int64_t *arr, int64_t value,
-                           int64_t lo, int64_t hi)
+static int64_t repro_upper(const int64_t *arr, const int64_t *rows,
+                           int64_t value, int64_t lo, int64_t hi)
 {
     while (lo < hi) {
         int64_t mid = lo + ((hi - lo) >> 1);
-        if (arr[mid] <= value) lo = mid + 1; else hi = mid;
+        if (arr[REPRO_ROW(mid)] <= value) lo = mid + 1; else hi = mid;
     }
     return lo;
 }
@@ -255,7 +265,7 @@ static int repro_push(repro_pairs_t *p, int64_t src, int64_t cand)
 
 int64_t repro_sweep_join(
     const int64_t *tids, const int64_t *lefts,
-    int64_t name_lo, int64_t name_hi,
+    const int64_t *rows, int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_low,
     const int64_t *high_arr, const int64_t *high_col, int include_high,
@@ -286,13 +296,13 @@ int64_t repro_sweep_join(
             }
             have_tid = 1;
             cur_tid = tid;
-            lo = repro_lower(tids, tid, base, name_hi);
-            hi = repro_upper(tids, tid, lo, name_hi);
+            lo = repro_lower(tids, rows, tid, base, name_hi);
+            hi = repro_upper(tids, rows, tid, lo, name_hi);
             base = hi;
             ptr = lo;
         }
         start = include_low ? low_val : low_val + 1;
-        while (ptr < hi && lefts[ptr] < start)
+        while (ptr < hi && lefts[REPRO_ROW(ptr)] < start)
             ptr++;
         if (!high_arr) {
             limit = REPRO_NO_LIMIT;
@@ -300,10 +310,11 @@ int64_t repro_sweep_join(
             int64_t high_val = high_arr[high_col[i]];
             limit = include_high ? high_val + 1 : high_val;
         }
-        for (j = ptr; j < hi && lefts[j] < limit; j++) {
-            if (!repro_checks_pass(checks, n_checks, i, j))
+        for (j = ptr; j < hi && lefts[REPRO_ROW(j)] < limit; j++) {
+            int64_t row = REPRO_ROW(j);
+            if (!repro_checks_pass(checks, n_checks, i, row))
                 continue;
-            if (repro_push(&pairs, i, j))
+            if (repro_push(&pairs, i, row))
                 goto oom;
             if (first_match)
                 break;
@@ -322,7 +333,7 @@ oom:
 
 int64_t repro_stack_join(
     const int64_t *tids, const int64_t *lefts, const int64_t *rights,
-    int64_t name_lo, int64_t name_hi,
+    const int64_t *rows, int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
     const repro_check_t *checks, int32_t n_checks, int first_match,
@@ -340,8 +351,8 @@ int64_t repro_stack_join(
     *out_truncated = 0;
     if (!keyed)
         return -1;
-    /* A stack entry is only ever pushed once per partition, so the name
-       block's row count bounds the stack depth. */
+    /* A stack entry (a row, not a position) is only ever pushed once per
+       partition, so the candidate count bounds the stack depth. */
     stack = (int64_t *)malloc((size_t)(block > 0 ? block : 1)
                               * sizeof(int64_t));
     if (!stack) {
@@ -360,15 +371,15 @@ int64_t repro_stack_join(
             }
             have_tid = 1;
             cur_tid = tid;
-            lo = repro_lower(tids, tid, base, name_hi);
-            hi = repro_upper(tids, tid, lo, name_hi);
+            lo = repro_lower(tids, rows, tid, base, name_hi);
+            hi = repro_upper(tids, rows, tid, lo, name_hi);
             base = hi;
             ptr = lo;
             stack_n = 0;
         }
         limit = include_high ? edge + 1 : edge;
-        while (ptr < hi && lefts[ptr] < limit) {
-            stack[stack_n++] = ptr;
+        while (ptr < hi && lefts[REPRO_ROW(ptr)] < limit) {
+            stack[stack_n++] = REPRO_ROW(ptr);
             ptr++;
         }
         while (stack_n && rights[stack[stack_n - 1]] <= edge)
@@ -398,7 +409,7 @@ oom:
 
 int64_t repro_prefix_join(
     const int64_t *tids, const int64_t *lefts,
-    int64_t name_lo, int64_t name_hi,
+    const int64_t *rows, int64_t name_lo, int64_t name_hi,
     const int64_t *tid_col, const int64_t *key_col, int64_t count,
     const int64_t *key_arr, int include_high,
     const repro_check_t *checks, int32_t n_checks, int first_match,
@@ -425,18 +436,19 @@ int64_t repro_prefix_join(
             }
             have_tid = 1;
             cur_tid = tid;
-            lo = repro_lower(tids, tid, base, name_hi);
-            hi = repro_upper(tids, tid, lo, name_hi);
+            lo = repro_lower(tids, rows, tid, base, name_hi);
+            hi = repro_upper(tids, rows, tid, lo, name_hi);
             base = hi;
             end = lo;
         }
         limit = include_high ? edge + 1 : edge;
-        while (end < hi && lefts[end] < limit)
+        while (end < hi && lefts[REPRO_ROW(end)] < limit)
             end++;
         for (j = lo; j < end; j++) {
-            if (!repro_checks_pass(checks, n_checks, i, j))
+            int64_t row = REPRO_ROW(j);
+            if (!repro_checks_pass(checks, n_checks, i, row))
                 continue;
-            if (repro_push(&pairs, i, j))
+            if (repro_push(&pairs, i, row))
                 goto oom;
             if (first_match)
                 break;

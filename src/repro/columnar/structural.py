@@ -25,6 +25,12 @@ columnar executor:
   genuinely are a prefix of the partition: a monotone end pointer replaces
   the per-binding binary search.
 
+What they merge against is a *candidate list* — row ids in ``(tid,
+left)`` order with a position range per tree: the identity list over a
+name block of the clustered order for a named step, the literal's element
+rows (resolved once per bound plan) for a step driven from the value
+index.  One :class:`MergeJoinStep`, one set of loops and kernels for both.
+
 All three also run in ``first_match`` mode — a binding stops at its first
 passing candidate — which is what the last step of a predicate
 sub-pipeline needs: an ``exists`` semi-join only asks whether a binding
@@ -129,7 +135,8 @@ class MergeSpec(NamedTuple):
     """The analyzed shape of a merge-eligible join."""
 
     strategy: str                     # SWEEP / STACK / PREFIX
-    name: str                         # candidate partition name
+    name: Optional[str]               # candidate partition name; None: the
+                                      # join's value seed lists the candidates
     tid_slot: int                     # binding slot supplying the tree id
     low: Optional[tuple[int, int]]    # (slot, column) of the lower bound
     high: Optional[tuple[int, int]]   # (slot, column) of the upper bound
@@ -149,24 +156,34 @@ def _bound(operand) -> tuple[Optional[tuple[int, int]], bool]:
 
 def merge_spec(node: PlanNode) -> Optional[MergeSpec]:
     """A :class:`MergeSpec` when ``node`` is a structural-join-eligible
-    ``Join`` (clustered ``(name, tid)`` probe with span-column bounds),
-    else ``None``."""
+    ``Join`` — a clustered ``(name, tid)`` probe, or a tree-keyed value
+    seed carrying its axis window, with span-column bounds — else
+    ``None``."""
     if not isinstance(node, Join):
         return None
     access = node.access
-    if not isinstance(access, IndexProbe):
-        return None
-    if access.index != "clustered" and not access.index.endswith("_clustered"):
-        return None
-    if len(access.eq) != 2:
-        return None
-    name_op, tid_op = access.eq
-    if not isinstance(name_op, Const) or not isinstance(name_op.value, str):
+    if isinstance(access, ValueSeed):
+        if access.window is None:
+            return None
+        name, tid_op, self_slot, self_name = None, access.tid, None, None
+        low_op, high_op, include_low, include_high = access.window
+    elif isinstance(access, IndexProbe):
+        if access.index != "clustered" and not access.index.endswith("_clustered"):
+            return None
+        if len(access.eq) != 2:
+            return None
+        name_op, tid_op = access.eq
+        if not isinstance(name_op, Const) or not isinstance(name_op.value, str):
+            return None
+        name, self_slot, self_name = name_op.value, access.self_slot, access.self_name
+        low_op, high_op = access.low, access.high
+        include_low, include_high = access.include_low, access.include_high
+    else:
         return None
     if not isinstance(tid_op, Col) or tid_op.col != T:
         return None
-    low, low_ok = _bound(access.low)
-    high, high_ok = _bound(access.high)
+    low, low_ok = _bound(low_op)
+    high, high_ok = _bound(high_op)
     if not low_ok or not high_ok:
         return None
     if low is None and high is None:
@@ -178,15 +195,8 @@ def merge_spec(node: PlanNode) -> Optional[MergeSpec]:
     else:
         strategy = PREFIX
     return MergeSpec(
-        strategy,
-        name_op.value,
-        tid_op.slot,
-        low,
-        high,
-        access.include_low,
-        access.include_high,
-        access.self_slot,
-        access.self_name,
+        strategy, name, tid_op.slot, low, high, include_low, include_high,
+        self_slot, self_name,
     )
 
 
@@ -198,16 +208,20 @@ def _avg_partition(stats, name: str) -> float:
     return ns.rows / ns.partitions if ns.partitions else 0.0
 
 
+def _seed_guess(access: ValueSeed, stats) -> float:
+    """Value seeds hit the {value, tid, id} index: typically a small
+    fraction of the attribute rows; the square root keeps the guess
+    between "constant" and "everything" without per-value stats."""
+    return max(1.0, float(stats.frequency(access.attr)) ** 0.5)
+
+
 def scan_estimate(node: Scan, stats) -> float:
     """Estimated cardinality of a pipeline's first step."""
     access = node.access
     if isinstance(access, TableScan):
         return float(stats.size())
     if isinstance(access, ValueSeed):
-        # Value seeds hit the {value, tid, id} index: typically a small
-        # fraction of the attribute rows; the square root keeps the guess
-        # between "constant" and "everything" without per-value stats.
-        return max(1.0, float(stats.frequency(access.attr)) ** 0.5)
+        return _seed_guess(access, stats)
     if isinstance(access, IndexProbe) and access.eq and isinstance(access.eq[0], Const):
         return float(stats.frequency(access.eq[0].value))
     return float(stats.size())
@@ -259,12 +273,26 @@ def flow_estimate(node, stats, est: Optional[float]):
     return est, est
 
 
-def choose_join(est_in: float, name: str, stats) -> str:
-    """Pick the cheaper physical join under the module's cost units."""
-    ns = stats.name_stats(name)
-    avg_part = _avg_partition(stats, name)
+def choose_join(est_in: float, candidates, stats) -> str:
+    """Pick the cheaper physical join under the module's cost units.
+    ``candidates`` names the candidate side: a partition name, or the
+    :class:`ValueSeed` whose element rows are the candidate list — sized
+    from the literal's entry in a store's value index (a bind), or like a
+    seeded scan where ``stats`` keeps no per-value statistics (the
+    optimizer's catalog); either way assumed spread one tree per row."""
+    if isinstance(candidates, ValueSeed):
+        by_value = getattr(stats, "by_value", None)
+        if by_value is None:
+            rows = _seed_guess(candidates, stats)
+        else:
+            rows = float(len(by_value.get(candidates.literal, ((), ()))[1]))
+        partitions = min(rows, float(stats.tree_count()))
+    else:
+        ns = stats.name_stats(candidates)
+        rows, partitions = float(ns.rows), float(ns.partitions)
+    avg_part = rows / partitions if partitions else 0.0
     probe = PROBE_SETUP + est_in * (PROBE_BINDING + log2(avg_part + 2.0))
-    touched = min(est_in, float(ns.partitions))
+    touched = min(est_in, partitions)
     merge = (
         MERGE_SETUP
         + est_in * (MERGE_BINDING + SORT_UNIT * log2(est_in + 2.0))
@@ -327,17 +355,23 @@ def _compile_sweep(spec: MergeSpec, checks, first_match: bool) -> Optional[objec
         if token is None:
             return None
         tokens.append((token, rhs_slot is None))
+    seeded = spec.name is None
     shape = (
         tuple(tokens),
         spec.include_low,
         spec.high is not None,
         spec.include_high,
         first_match,
+        seeded,
     )
     cached = _SWEEP_CACHE.get(shape)
     if cached is not None:
         return cached
 
+    # Position -> row through the candidate list (``lefts`` is by
+    # position already); a name block is the identity list, so its
+    # variant indexes the columns directly.
+    row = "rows[{}]".format if seeded else "{}".format
     unpack, resolve, conds = [], [], []
     for k, (token, is_const) in enumerate(tokens):
         unpack.append(f"    c{k}, _o{k}, s{k}, p{k} = checks[{k}]")
@@ -346,7 +380,7 @@ def _compile_sweep(spec: MergeSpec, checks, first_match: bool) -> Optional[objec
         else:
             unpack.append(f"    b{k} = batch[s{k}]")
             resolve.append(f"        v{k} = p{k}[b{k}[i]]")
-        conds.append(f"c{k}[j] {token} v{k}")
+        conds.append(f"c{k}[{row('j')}] {token} v{k}")
     start = "low_val" if spec.include_low else "low_val + 1"
     if spec.high is None:
         limit = f"        limit = {_NO_LIMIT}"
@@ -355,7 +389,7 @@ def _compile_sweep(spec: MergeSpec, checks, first_match: bool) -> Optional[objec
     else:
         limit = "        limit = high_arr[high_col[i]]"
     pad = "                " if conds else "            "
-    emit = f"{pad}res_append(j)\n{pad}src_append(i)\n"
+    emit = f"{pad}res_append({row('j')})\n{pad}src_append(i)\n"
     if first_match:
         emit += f"{pad}break\n"
     guard = f"            if {' and '.join(conds)}:\n" if conds else ""
@@ -365,7 +399,7 @@ def _compile_sweep(spec: MergeSpec, checks, first_match: bool) -> Optional[objec
     # per slot — two list appends per match beat an extend/repeat pair
     # per binding for the typical 1-3 matches a binding produces.
     source = f"""\
-def sweep(keyed, batch, bounds, lefts, name, high_col, high_arr, checks, max_rows):
+def sweep(keyed, batch, rows, bounds, lefts, name, high_col, high_arr, checks, max_rows):
 {chr(10).join(unpack) if unpack else '    pass'}
     src = []
     src_append = src.append
@@ -479,9 +513,15 @@ class MergeJoinStep(JoinOutput):
     analysis (``join``) plus the classified condition lists resolved to
     this store's columns, so both join flavors share one condition
     compiler.
+
+    The partition merged against is a *candidate list*: positions
+    ``lo..hi`` per tree of a row-id sequence in ``(tid, left)`` order.  A
+    named step's list is the identity over the store (a name block's
+    positions are its rows); a value-seeded step's is ``seed.rows()``,
+    the literal's element rows, resolved at the first execution.
     """
 
-    def __init__(self, join, ctx, vector, binding, row, semi=()) -> None:
+    def __init__(self, join, ctx, vector, binding, row, semi=(), seed=None) -> None:
         node, spec, store = join.node, join.spec, ctx.store
         self.slot = node.slot
         self.label = node.label
@@ -506,10 +546,13 @@ class MergeJoinStep(JoinOutput):
             from .kernels.api import NativeMergeJoin, bind_checks
 
             self._native = NativeMergeJoin(
-                ctx.kern, spec, bind_checks(join.kinds, vector), store
+                ctx.kern, spec, bind_checks(join.kinds, vector), store, seed
             )
             return  # the kernel reads the store itself
-        self.bounds = store.name_tid_bounds
+        self.seed = seed
+        #: A name block's candidate list: (rows, per-tree bounds, ``left``
+        #: by position) — positions are rows.
+        self.block = (range(store.n), store.name_tid_bounds, store.left)
         self.lefts = store.left
         self.rights = store.right
         self.tids = store.tid
@@ -556,23 +599,27 @@ class MergeJoinStep(JoinOutput):
             )
         )
         keyed.sort()
+        rows, bounds, edges = (
+            self.block if self.seed is None else self.seed.partition()
+        )
         if spec.strategy == SWEEP:
             loop = self._sweep_loops[first_match]
             if loop is not None:
                 high_col = None if spec.high is None else batch[spec.high[0]]
                 src, res, truncated = loop(
-                    keyed, batch, self.bounds, self.lefts,
+                    keyed, batch, rows, bounds, edges,
                     spec.name, high_col, self.high_arr, self.vector_specs,
                     None if cutoff is None else cutoff.max_rows,
                 )
                 if truncated:
                     cutoff.hit = True
                 return src, res
-            self._run_sweep(batch, keyed, src, res, cutoff, first_match)
+            run = self._run_sweep
         elif spec.strategy == STACK:
-            self._run_stack(batch, keyed, src, res, cutoff, first_match)
+            run = self._run_stack
         else:
-            self._run_prefix(batch, keyed, src, res, cutoff, first_match)
+            run = self._run_prefix
+        run(batch, keyed, rows, bounds, edges, src, res, cutoff, first_match)
         return src, res
 
     def _resolved_checks(self, batch, i):
@@ -616,9 +663,9 @@ class MergeJoinStep(JoinOutput):
         b = [column[i] for column in batch]
         return all(check(b) for check in checks)
 
-    def _run_sweep(self, batch, keyed, src, res, cutoff, first_match) -> None:
+    def _run_sweep(self, batch, keyed, rows, bounds, edges, src, res, cutoff, first_match) -> None:
         spec = self.spec
-        lefts, bounds, name = self.lefts, self.bounds, spec.name
+        name = spec.name
         include_low, include_high = spec.include_low, spec.include_high
         high = spec.high
         high_arr = self.high_arr
@@ -636,24 +683,35 @@ class MergeJoinStep(JoinOutput):
                 lo, hi = bounds.get((name, tid_val), _EMPTY)
                 ptr = lo
             start = low_val if include_low else low_val + 1
-            while ptr < hi and lefts[ptr] < start:
+            while ptr < hi and edges[ptr] < start:
                 ptr += 1
             if high is None:
                 limit = _NO_LIMIT
             else:
                 high_val = high_arr[high_col[i]]
                 limit = high_val + 1 if include_high else high_val
-            matched = self._scan(batch, i, ptr, hi, limit)
+            matched = self._scan(batch, i, rows, ptr, hi, limit)
             self._emit(batch, i, src, res, matched, first_match)
 
-    def _scan(self, batch, i, start, hi, limit) -> list:
-        """Collect candidates from ``start`` up to the span limit, running
-        the pre-resolved comparisons inline (specialized for the common
-        0/1/2-condition shapes so the hot loop stays call-free)."""
+    def _scan(self, batch, i, rows, start, hi, limit) -> list:
+        """Collect candidates from position ``start`` up to the span
+        limit, running the pre-resolved comparisons inline (specialized
+        for the common 0/1/2-condition shapes of a name block, whose
+        positions are its rows, so the hot loop stays call-free)."""
         lefts = self.lefts
         checks = self._resolved_checks(batch, i)
         matched: list[int] = []
         append = matched.append
+        if self.seed is not None:
+            # Through a seed's list, positions name rows; not unrolled —
+            # a seeded join only lands here with a per-row residual, or
+            # for the stack and prefix strategies of the Python backend.
+            for j in rows[start:hi]:
+                if lefts[j] >= limit:
+                    break
+                if all(opf(column[j], value) for column, opf, value in checks):
+                    append(j)
+            return matched
         j = start
         n_checks = len(checks)
         if n_checks == 0:
@@ -679,14 +737,14 @@ class MergeJoinStep(JoinOutput):
                 j += 1
         return matched
 
-    def _run_stack(self, batch, keyed, src, res, cutoff, first_match) -> None:
+    def _run_stack(self, batch, keyed, rows, bounds, edges, src, res, cutoff, first_match) -> None:
         """Stack-tree ancestors: spans still open at the context's left
         edge are the only possible ancestors; each partition row is pushed
         once per tid group and popped once its span closes (spans are
         strict — ``right > left`` in both labeling schemes — so a span
         ending at the context edge can never contain it)."""
         spec = self.spec
-        lefts, rights, bounds, name = self.lefts, self.rights, self.bounds, spec.name
+        rights, name = self.rights, spec.name
         include_high = spec.include_high
         current_tid = None
         lo = hi = ptr = 0
@@ -704,8 +762,8 @@ class MergeJoinStep(JoinOutput):
                 ptr = lo
                 del stack[:]
             limit = edge + 1 if include_high else edge
-            while ptr < hi and lefts[ptr] < limit:
-                push(ptr)
+            while ptr < hi and edges[ptr] < limit:
+                push(rows[ptr])
                 ptr += 1
             while stack and rights[stack[-1]] <= edge:
                 stack.pop()
@@ -716,9 +774,9 @@ class MergeJoinStep(JoinOutput):
             ]
             self._emit(batch, i, src, res, matched, first_match)
 
-    def _run_prefix(self, batch, keyed, src, res, cutoff, first_match) -> None:
+    def _run_prefix(self, batch, keyed, rows, bounds, edges, src, res, cutoff, first_match) -> None:
         spec = self.spec
-        lefts, bounds, name = self.lefts, self.bounds, spec.name
+        name = spec.name
         include_high = spec.include_high
         current_tid = None
         lo = hi = end = 0
@@ -733,9 +791,9 @@ class MergeJoinStep(JoinOutput):
                 lo, hi = bounds.get((name, tid_val), _EMPTY)
                 end = lo
             limit = edge + 1 if include_high else edge
-            while end < hi and lefts[end] < limit:
+            while end < hi and edges[end] < limit:
                 end += 1
-            matched = self._scan(batch, i, lo, end, _NO_LIMIT)
+            matched = self._scan(batch, i, rows, lo, end, _NO_LIMIT)
             self._emit(batch, i, src, res, matched, first_match)
 
     def describe(self, first_match: bool = False) -> str:

@@ -262,13 +262,19 @@ class IndexProbe(Access):
 class ValueSeed(Access):
     """Drive a step from the value index: find ``[@attr = literal]`` rows,
     then look up their element rows.  ``tid is None`` seeds a whole-corpus
-    scan (first step); a :class:`Col` correlates it with the binding."""
+    scan (first step); a :class:`Col` correlates it with the binding.
+    ``window`` is the step axis's ``(low, high, include_low,
+    include_high)`` range of ``left`` (the bounds a named step's
+    :class:`IndexProbe` carries) — a superset of the axis relation that a
+    structural merge join over the seed's sorted rows sweeps; a per-tree
+    probe ignores it."""
 
     attr: str                    # "@"-prefixed attribute row name
     literal: str
     name_test: Optional[str]     # element name filter, None for wildcard
     root_only: bool = False
     tid: Optional[Operand] = None
+    window: Optional[tuple] = None
 
     def __str__(self) -> str:
         scope = "corpus" if self.tid is None else f"tree {self.tid}"

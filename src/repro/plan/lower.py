@@ -40,7 +40,7 @@ from ..lpath.ast import (
     Scope,
     Step,
 )
-from ..lpath.axes import Axis
+from ..lpath.axes import OR_SELF_BASES, Axis
 from ..lpath.errors import LPathCompileError
 from .ir import (
     AGGREGATE_OPS,
@@ -486,7 +486,15 @@ class Lowerer:
             if found is not None:
                 attr, literal = found
                 name_test = None if test.is_wildcard else test.name
-                access = ValueSeed(attr, literal, name_test, tid=Col(ctx, T))
+                # The axis's span window makes the join merge-eligible; the
+                # or-self axes (a disjunction, no window) stay per-binding.
+                window = (
+                    None if axis in OR_SELF_BASES
+                    else self.scheme.window(axis, ctx, scope)
+                )
+                access = ValueSeed(
+                    attr, literal, name_test, tid=Col(ctx, T), window=window
+                )
                 return access, self.scheme.axis_conditions(axis, ctx, cand)
 
         if axis is Axis.PARENT:

@@ -59,7 +59,7 @@ from .ir import (
     pred_slots,
     set_child,
     subplan_preds,
-    N,
+    D, L, N, R,
 )
 from ..lpath.axes import Axis
 from .lower import _FLIPPED_OPS, Lowerer, seed_text
@@ -220,11 +220,39 @@ def _canonical(cmp: Cmp) -> tuple:
     return left, op, right
 
 
-def _answered_by_seed(node: PlanNode, condition: Pred) -> bool:
+def _implied(key: tuple, held: set) -> bool:
+    """Is a stronger comparison over ``key``'s operand pair among ``held``?"""
+    left, op, right = key
+    return any(
+        (left, stronger, right) in held for stronger in _IMPLIED_BY.get(op, ())
+    )
+
+
+def _on_element(cmp: Pred, attr_slot: int, slot: int) -> Optional[Cmp]:
+    """A span/depth comparison on an attribute row, re-addressed to the
+    row's element at ``slot`` — Definition-4.1 attribute rows share their
+    element's positional fields — or ``None`` for anything else."""
+    if not isinstance(cmp, Cmp):
+        return None
+    moved = []
+    for operand in (cmp.left, cmp.right):
+        if isinstance(operand, Col) and operand.slot == attr_slot:
+            if operand.col not in (L, R, D):
+                return None
+            operand = Col(slot, operand.col)
+        moved.append(operand)
+    return Cmp(moved[0], cmp.op, moved[1])
+
+
+def _answered_by_seed(node: PlanNode, condition: Pred, held: set) -> bool:
     """Is ``condition`` the ``[@attr = literal]`` test that ``node``'s
     :class:`ValueSeed` access was built from?  Every seeded row has an
     ``attr`` row whose value is the literal, so re-running the one-step
-    attribute subplan per row can only say yes."""
+    attribute subplan per row can only say yes.  Inside a scope the
+    attribute step also repeats the scope's containment; that holds for
+    the attribute row exactly when it does for the seeded element, so it
+    is no obstacle when ``node`` (canonical comparisons ``held``) checks
+    it, or something stronger, itself."""
     access = getattr(node, "access", None)
     if not (
         isinstance(access, ValueSeed)
@@ -237,11 +265,20 @@ def _answered_by_seed(node: PlanNode, condition: Pred) -> bool:
     if len(chain) != 2 or not isinstance(chain[1], Join):
         return False
     step = chain[1]
-    return (
-        step.axis is Axis.ATTRIBUTE
-        and step.ctx_slot == node.slot
-        and step.conditions == (Cmp(Col(step.slot, N), "=", Const(access.attr)),)
-    )
+    if step.axis is not Axis.ATTRIBUTE or step.ctx_slot != node.slot:
+        return False
+    name_test = Cmp(Col(step.slot, N), "=", Const(access.attr))
+    rest = [c for c in step.conditions if c != name_test]
+    if len(rest) == len(step.conditions):
+        return False
+    for extra in rest:
+        moved = _on_element(extra, step.slot, node.slot)
+        if moved is None:
+            return False
+        key = _canonical(moved)
+        if key not in held and not _implied(key, held):
+            return False
+    return True
 
 
 def _pruned(node: PlanNode) -> list[Pred]:
@@ -261,14 +298,10 @@ def _pruned(node: PlanNode) -> list[Pred]:
     seen: set = set()
     for condition, key in zip(node.conditions, keys):
         if key is None:
-            if _answered_by_seed(node, condition):
+            if _answered_by_seed(node, condition, held):
                 continue
         else:
-            left, op, right = key
-            if key in seen or any(
-                (left, stronger, right) in held
-                for stronger in _IMPLIED_BY.get(op, ())
-            ):
+            if key in seen or _implied(key, held):
                 continue
             seen.add(key)
         kept.append(condition)
@@ -361,7 +394,9 @@ def finish_conditions(
             est_in, est = flow_estimate(node, stats, est)
             spec = merge_spec(node) if batched else None
             if spec is not None:
-                choice = knobs.force or choose_join(est_in, spec.name, stats)
+                choice = knobs.force or choose_join(
+                    est_in, spec.name or node.access, stats
+                )
                 node.est_in = est_in
                 node.physical = (
                     f"merge/{knobs.backend}" if choice == "merge" else choice

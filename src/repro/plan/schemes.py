@@ -112,6 +112,15 @@ _LPATH_INVERSES = {
     Axis.PRECEDING_SIBLING_OR_SELF: Axis.FOLLOWING_SIBLING_OR_SELF,
 }
 
+_PRECEDING_AXES = (
+    Axis.IMMEDIATE_PRECEDING,
+    Axis.PRECEDING,
+    Axis.PRECEDING_OR_SELF,
+    Axis.IMMEDIATE_PRECEDING_SIBLING,
+    Axis.PRECEDING_SIBLING,
+    Axis.PRECEDING_SIBLING_OR_SELF,
+)
+
 _COLUMN_POSITIONS = {"tid": T, "left": L, "right": R, "depth": D, "id": I, "pid": P}
 
 
@@ -222,6 +231,13 @@ class LabelScheme:
     def axis_conditions(self, axis: Axis, ctx: int, cand: int) -> list[Pred]:
         raise NotImplementedError
 
+    def window(self, axis: Axis, ctx: int, scope: Optional[int]) -> tuple:
+        """``(low, high, include_low, include_high)``: the range of the
+        low span column that holds every ``axis`` candidate of the context
+        (within the scope, when there is one) — the bounds of a named
+        step's clustered probe and of a value-seeded merge join alike."""
+        raise NotImplementedError
+
     def inverse(self, axis: Axis) -> Optional[Axis]:
         return None
 
@@ -288,6 +304,29 @@ class LPathScheme(LabelScheme):
             )
         return checks
 
+    def window(self, axis: Axis, ctx: int, scope: Optional[int]) -> tuple:
+        scope_low = None if scope is None else Col(scope, L)
+        if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
+            return Col(ctx, L), Col(ctx, R), True, False
+        if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+            return scope_low, Col(ctx, L), True, True
+        if axis in (Axis.IMMEDIATE_FOLLOWING, Axis.IMMEDIATE_FOLLOWING_SIBLING):
+            return Col(ctx, R), Col(ctx, R), True, True
+        if axis is Axis.FOLLOWING_SIBLING:
+            return Col(ctx, R), None, True, True
+        if axis in (
+            Axis.FOLLOWING, Axis.FOLLOWING_OR_SELF, Axis.FOLLOWING_SIBLING_OR_SELF
+        ):
+            scope_high = None if scope is None else Col(scope, R)
+            return Col(ctx, R), scope_high, True, False
+        if axis in _PRECEDING_AXES:
+            # The paper's physical design has no index leading on
+            # ``right``: the preceding axes range over ``left < c.left``
+            # and filter on ``right``.
+            return scope_low, Col(ctx, L), True, False
+        # SELF/ATTRIBUTE/PARENT are handled by the lowerer
+        raise LPathCompileError(f"unsupported axis {axis.value}")
+
     def named_probe(
         self,
         axis: Axis,
@@ -297,123 +336,51 @@ class LPathScheme(LabelScheme):
         scope: Optional[int],
         catalog: Catalog,
     ) -> tuple[Access, list[Pred]]:
-        clustered = self._clustered_range(catalog)
         eq = (Const(name), Col(ctx, T))
-        scope_low = None if scope is None else Col(scope, L)
-        scope_high = None if scope is None else Col(scope, R)
+        or_self = axis in OR_SELF_BASES
+        access = IndexProbe(
+            self._clustered_range(catalog), eq, *self.window(axis, ctx, scope),
+            self_slot=ctx if or_self else None,
+            self_name=name if or_self else None,
+        )
         conds: list[Pred] = []
-
-        if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-            access = IndexProbe(
-                clustered, eq, low=Col(ctx, L), high=Col(ctx, R), include_high=False
-            )
-            if axis is Axis.CHILD:
-                conds.append(Cmp(Col(cand, P), "=", Col(ctx, I)))
-            elif axis is Axis.DESCENDANT:
-                conds += [Cmp(Col(cand, R), "<=", Col(ctx, R)), Cmp(Col(cand, D), ">", Col(ctx, D))]
-            else:
-                conds += [Cmp(Col(cand, R), "<=", Col(ctx, R)), Cmp(Col(cand, D), ">=", Col(ctx, D))]
-        elif axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-            access = IndexProbe(clustered, eq, low=scope_low, high=Col(ctx, L))
-            if axis is Axis.ANCESTOR:
-                conds += [Cmp(Col(cand, R), ">=", Col(ctx, R)), Cmp(Col(cand, D), "<", Col(ctx, D))]
-            else:
-                conds += [Cmp(Col(cand, R), ">=", Col(ctx, R)), Cmp(Col(cand, D), "<=", Col(ctx, D))]
-        elif axis is Axis.IMMEDIATE_FOLLOWING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), high=Col(ctx, R))
-        elif axis in (
-            Axis.FOLLOWING,
-            Axis.FOLLOWING_OR_SELF,
-            Axis.FOLLOWING_SIBLING_OR_SELF,
-        ):
-            access = IndexProbe(
-                clustered,
-                eq,
-                low=Col(ctx, R),
-                high=scope_high,
-                include_high=False,
-                self_slot=None if axis is Axis.FOLLOWING else ctx,
-                self_name=None if axis is Axis.FOLLOWING else name,
-            )
-            if axis is Axis.FOLLOWING_SIBLING_OR_SELF:
-                conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
+        if axis is Axis.CHILD:
+            conds.append(Cmp(Col(cand, P), "=", Col(ctx, I)))
+        elif axis is Axis.DESCENDANT:
+            conds += [Cmp(Col(cand, R), "<=", Col(ctx, R)), Cmp(Col(cand, D), ">", Col(ctx, D))]
+        elif axis is Axis.DESCENDANT_OR_SELF:
+            conds += [Cmp(Col(cand, R), "<=", Col(ctx, R)), Cmp(Col(cand, D), ">=", Col(ctx, D))]
+        elif axis is Axis.ANCESTOR:
+            conds += [Cmp(Col(cand, R), ">=", Col(ctx, R)), Cmp(Col(cand, D), "<", Col(ctx, D))]
+        elif axis is Axis.ANCESTOR_OR_SELF:
+            conds += [Cmp(Col(cand, R), ">=", Col(ctx, R)), Cmp(Col(cand, D), "<=", Col(ctx, D))]
         elif axis in (Axis.PRECEDING_OR_SELF, Axis.PRECEDING_SIBLING_OR_SELF):
-            access = self._preceding_probe(
-                name, ctx, scope_low, equality=False, catalog=catalog,
-                self_slot=ctx, self_name=name,
-            )
-            or_self = AnyPred(
+            if axis is Axis.PRECEDING_SIBLING_OR_SELF:
+                conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
+            conds.append(AnyPred(
                 (Cmp(Col(cand, R), "<=", Col(ctx, L)), Cmp(Col(cand, I), "=", Col(ctx, I)))
-            )
-            if axis is Axis.PRECEDING_OR_SELF:
-                conds.append(or_self)
-            else:
-                conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), or_self]
-        elif axis is Axis.IMMEDIATE_PRECEDING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=True, catalog=catalog)
-            if not self._has_reverse_range(catalog):
-                conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
-        elif axis is Axis.PRECEDING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=False, catalog=catalog)
-            conds.append(Cmp(Col(cand, R), "<=", Col(ctx, L)))
-        elif axis is Axis.IMMEDIATE_FOLLOWING_SIBLING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), high=Col(ctx, R))
-            conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
-        elif axis is Axis.FOLLOWING_SIBLING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R))
-            conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
-        elif axis is Axis.IMMEDIATE_PRECEDING_SIBLING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=True, catalog=catalog)
-            conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
-            if not self._has_reverse_range(catalog):
-                conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
-        elif axis is Axis.PRECEDING_SIBLING:
-            access = self._preceding_probe(name, ctx, scope_low, equality=False, catalog=catalog)
-            conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<=", Col(ctx, L))]
-        else:  # pragma: no cover - SELF/ATTRIBUTE/PARENT handled by the lowerer
-            raise LPathCompileError(f"unsupported axis {axis.value}")
-        return access, conds
-
-    def _has_reverse_range(self, catalog: Catalog) -> bool:
-        """Does an index lead on ``(name, tid, right)`` (the ablation index)?"""
-        path = catalog.access_path(("name", "tid"), self.high_column)
-        return path is not None and path.range_column == self.high_column
-
-    def _preceding_probe(
-        self,
-        name: str,
-        ctx: int,
-        scope_low,
-        equality: bool,
-        catalog: Catalog,
-        self_slot: Optional[int] = None,
-        self_name: Optional[str] = None,
-    ) -> Access:
-        """Access path for the preceding axes.
-
-        The paper's physical design has no index leading on ``right``, so
-        preceding probes range-scan ``left < c.left`` and filter on
-        ``right`` — unless the ablation index ``{name, tid, right}`` exists,
-        in which case immediate-preceding becomes an equality probe.
-        """
-        if equality:
+            ))
+        elif axis in (Axis.IMMEDIATE_PRECEDING, Axis.IMMEDIATE_PRECEDING_SIBLING):
+            if axis is Axis.IMMEDIATE_PRECEDING_SIBLING:
+                conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
+            # With the ablation index ``{name, tid, right}`` the immediate
+            # preceding axes are an equality probe instead.
             path = catalog.access_path(("name", "tid"), self.high_column)
             if path is not None and path.range_column == self.high_column:
-                return IndexProbe(
-                    path.index.name,
-                    (Const(name), Col(ctx, T)),
-                    low=Col(ctx, L),
-                    high=Col(ctx, L),
-                )
-        return IndexProbe(
-            self._clustered_range(catalog),
-            (Const(name), Col(ctx, T)),
-            low=scope_low,
-            high=Col(ctx, L),
-            include_high=False,
-            self_slot=self_slot,
-            self_name=self_name,
-        )
+                access = IndexProbe(path.index.name, eq, low=Col(ctx, L), high=Col(ctx, L))
+            else:
+                conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
+        elif axis is Axis.PRECEDING:
+            conds.append(Cmp(Col(cand, R), "<=", Col(ctx, L)))
+        elif axis in (
+            Axis.IMMEDIATE_FOLLOWING_SIBLING,
+            Axis.FOLLOWING_SIBLING,
+            Axis.FOLLOWING_SIBLING_OR_SELF,
+        ):
+            conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
+        elif axis is Axis.PRECEDING_SIBLING:
+            conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<=", Col(ctx, L))]
+        return access, conds
 
 
 class StartEndScheme(LabelScheme):
@@ -485,6 +452,18 @@ class StartEndScheme(LabelScheme):
             return [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<", Col(ctx, L))]
         raise LPathCompileError(f"unsupported axis {axis.value}")
 
+    def window(self, axis: Axis, ctx: int, scope: Optional[int]) -> tuple:
+        if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
+            return Col(ctx, L), Col(ctx, R), axis is Axis.DESCENDANT_OR_SELF, False
+        if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+            return None, Col(ctx, L), True, axis is Axis.ANCESTOR_OR_SELF
+        if axis in (Axis.FOLLOWING, Axis.FOLLOWING_SIBLING):
+            return Col(ctx, R), None, False, True
+        if axis in (Axis.PRECEDING, Axis.PRECEDING_SIBLING):
+            return None, Col(ctx, L), True, False
+        # everything else is rejected by validate() or handled by the lowerer
+        raise LPathCompileError(f"unsupported axis {axis.value}")
+
     def named_probe(
         self,
         axis: Axis,
@@ -494,46 +473,26 @@ class StartEndScheme(LabelScheme):
         scope: Optional[int],
         catalog: Catalog,
     ) -> tuple[Access, list[Pred]]:
-        clustered = self._clustered_range(catalog)
-        eq = (Const(name), Col(ctx, T))
+        access = IndexProbe(
+            self._clustered_range(catalog),
+            (Const(name), Col(ctx, T)),
+            *self.window(axis, ctx, scope),
+        )
         conds: list[Pred] = []
-        if axis in (Axis.CHILD, Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-            access = IndexProbe(
-                clustered,
-                eq,
-                low=Col(ctx, L),
-                high=Col(ctx, R),
-                include_low=axis is Axis.DESCENDANT_OR_SELF,
-                include_high=False,
-            )
-            if axis is Axis.CHILD:
-                conds.append(Cmp(Col(cand, P), "=", Col(ctx, I)))
-            elif axis is Axis.DESCENDANT:
-                conds.append(Cmp(Col(cand, R), "<", Col(ctx, R)))
-            else:
-                conds.append(Cmp(Col(cand, R), "<=", Col(ctx, R)))
-        elif axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-            access = IndexProbe(
-                clustered,
-                eq,
-                high=Col(ctx, L),
-                include_high=axis is Axis.ANCESTOR_OR_SELF,
-            )
-            if axis is Axis.ANCESTOR:
-                conds.append(Cmp(Col(cand, R), ">", Col(ctx, R)))
-            else:
-                conds.append(Cmp(Col(cand, R), ">=", Col(ctx, R)))
-        elif axis is Axis.FOLLOWING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), include_low=False)
+        if axis is Axis.CHILD:
+            conds.append(Cmp(Col(cand, P), "=", Col(ctx, I)))
+        elif axis is Axis.DESCENDANT:
+            conds.append(Cmp(Col(cand, R), "<", Col(ctx, R)))
+        elif axis is Axis.DESCENDANT_OR_SELF:
+            conds.append(Cmp(Col(cand, R), "<=", Col(ctx, R)))
+        elif axis is Axis.ANCESTOR:
+            conds.append(Cmp(Col(cand, R), ">", Col(ctx, R)))
+        elif axis is Axis.ANCESTOR_OR_SELF:
+            conds.append(Cmp(Col(cand, R), ">=", Col(ctx, R)))
         elif axis is Axis.PRECEDING:
-            access = IndexProbe(clustered, eq, high=Col(ctx, L), include_high=False)
             conds.append(Cmp(Col(cand, R), "<", Col(ctx, L)))
         elif axis is Axis.FOLLOWING_SIBLING:
-            access = IndexProbe(clustered, eq, low=Col(ctx, R), include_low=False)
             conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
         elif axis is Axis.PRECEDING_SIBLING:
-            access = IndexProbe(clustered, eq, high=Col(ctx, L), include_high=False)
             conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<", Col(ctx, L))]
-        else:  # pragma: no cover - rejected by validate()
-            raise LPathCompileError(f"unsupported axis {axis.value}")
         return access, conds

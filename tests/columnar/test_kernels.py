@@ -36,7 +36,7 @@ from repro.columnar.structural import FORCE_ENV
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
 from repro.lpath.errors import LPathError
-from repro.tree import iter_trees
+from repro.tree import Tree, TreeNode, iter_trees
 
 NATIVE = native_kernels() is not None
 
@@ -70,6 +70,11 @@ QUERIES = [
     "//S//NOPE",                  # empty partition on the join side
     "//S//NP[//Det]",             # row-level residual (python fallback)
     "//N[@lex=rice]",             # attribute filter
+    "//S//N[@lex=dog]",           # value-seeded candidate list: sweep
+    "//N\\ancestor-or-self::_[@lex=dog]",   # ... stack
+    "//V<--_[@lex=dog]",          # ... prefix
+    "//S//N[@lex=zebra]",         # ... empty list
+    "//S//_[@lex=dog][count(//Det)=0]",   # ... with a row-level residual
 ]
 
 
@@ -213,6 +218,165 @@ class TestDualBackendIdentity:
             assert "kernel=python" not in plan
             assert plan.count("kernel=native") == 2
             assert "first_match" in plan
+
+
+def _word(label, lex):
+    return TreeNode(label, attributes={"lex": lex})
+
+
+def _seed_corpus():
+    """``dog`` wherever a seeded candidate list can go wrong: on an NP
+    whose unary chain shares its left edge with the ``N dog`` below it
+    (ties, and an *ancestor* holding the literal), after and before a V,
+    as an only node, and in two trees of five only; ``cat`` in none."""
+    node = TreeNode
+    roots = [
+        node("S", children=[
+            node("NP", attributes={"lex": "dog"}, children=[
+                node("NP", children=[_word("N", "dog")]),
+            ]),
+            node("VP", children=[
+                _word("V", "saw"),
+                node("NP", children=[_word("Det", "the"), _word("N", "dog")]),
+                node("PP", children=[_word("P", "with"), _word("N", "dog")]),
+            ]),
+        ]),
+        node("S", children=[_word("NP", "I"), node("VP", children=[_word("V", "ran")])]),
+        node("S", children=[_word("N", "dog")]),
+        node("S", children=[
+            node("NP", children=[_word("N", "man")]),
+            node("VP", children=[_word("V", "saw")]),
+        ]),
+        _word("N", "dog"),
+    ]
+    return [Tree(root, tid=tid) for tid, root in enumerate(roots)]
+
+
+#: ``query -> strategy`` of its last step, a value-seeded join.
+SEEDED = {
+    "//S//N[@lex=dog]": "sweep",
+    "//S//_[@lex=dog]": "sweep",
+    "//NP/_[@lex=dog]": "sweep",             # left ties on the unary chain
+    "//V->_[@lex=the]": "sweep",
+    "//V-->N[@lex=dog]": "sweep",
+    "//Det==>_[@lex=dog]": "sweep",          # no high bound
+    "//VP{//N$[@lex=dog]}": "sweep",         # scoped and right-aligned
+    "//S{//N\\ancestor::_[@lex=dog]}": "sweep",   # a scope bounds the ancestors
+    "//N\\ancestor::_[@lex=dog]": "stack",
+    "//N\\ancestor-or-self::_[@lex=dog]": "stack",
+    "//V<--_[@lex=dog]": "prefix",
+    "//P<-N[@lex=dog]": "prefix",
+    "//S//_[@lex=cat]": "sweep",             # the literal is nowhere
+}
+
+
+class TestSeededCandidateList:
+    """A value-seeded merge join runs the same three kernels over the
+    seed's own ``(tid, left)``-sorted row list: python == native pair
+    for pair, for every strategy x ``first_match`` x ``Cutoff``."""
+
+    @pytest.fixture(scope="class")
+    def seeded(self):
+        return LPathEngine(_seed_corpus(), executor="columnar")
+
+    @staticmethod
+    def _last_join(engine, query):
+        plan = engine.compile(query).plan
+        batch = []
+        for step in plan.steps[:-1]:
+            batch = step.run(batch)
+        return plan, plan.steps[-1], batch
+
+    @pytest.mark.parametrize("query", SEEDED, ids=list(SEEDED))
+    def test_pairs_identical_across_backends(self, seeded, query):
+        from repro.columnar.structural import Cutoff, MergeJoinStep
+
+        expected = seeded.query(query, backend="treewalk")
+        seen = {}
+        for backend in BACKENDS:
+            with kernels_env(backend), forced_join("merge"):
+                plan, step, batch = self._last_join(seeded, query)
+                assert isinstance(step, MergeJoinStep)
+                assert str(step.access).startswith("ValueSeed")
+                assert step.spec.strategy == SEEDED[query]
+                assert f"kernel={backend}" in step.describe()
+                store = plan.runtime.store
+                for first_match in (False, True):
+                    for budget in (None, 1):
+                        cutoff = None if budget is None else Cutoff(budget)
+                        src, cand = step.pairs(batch, cutoff, first_match)
+                        got = (list(src), list(cand), cutoff and cutoff.hit)
+                        if first_match:
+                            assert len(set(src)) == len(src)
+                        # Element rows holding the literal, never its
+                        # attribute rows.
+                        assert not any(store.is_attr[row] for row in cand)
+                        first = seen.setdefault((first_match, budget), got)
+                        assert got == first, (query, backend, first_match, budget)
+                assert list(plan.execute()) == expected
+            # The per-binding flavor is the oracle: same pair set.
+            with kernels_env(backend), forced_join("probe"):
+                _plan, probe, batch = self._last_join(seeded, query)
+                assert not isinstance(probe, MergeJoinStep)
+                src, cand = probe.pairs(batch)
+                full = seen[False, None]
+                assert sorted(zip(src, cand)) == sorted(zip(full[0], full[1]))
+        assert expected or "cat" in query, "the corpus should exercise this shape"
+
+    def test_limit_is_a_prefix_and_segments_lacking_the_literal_agree(self):
+        trees = _seed_corpus()
+        whole = LPathEngine(trees)
+        queries = list(SEEDED) + [
+            "//S[not(//N[@lex=dog])]",       # never pruned: empty lists run
+            "//S[//_[@lex=dog]-->_[@lex=dog]]",
+        ]
+        for backend in BACKENDS:
+            with kernels_env(backend), forced_join("merge"):
+                sharded = LPathEngine(
+                    trees, keep_trees=False, executor="columnar", segments=5
+                )
+                for query in queries:
+                    full = whole.query(query, backend="treewalk")
+                    assert sharded.query(query) == full, (query, backend)
+                    for k in (1, 2):
+                        assert sharded.query(query, limit=k) == full[:k]
+
+
+class TestStaleArtifact:
+    def test_an_abi_3_artifact_is_rebuilt_not_called(self, monkeypatch):
+        """A ``_native`` left by an older checkout takes other argument
+        lists (ABI 4 added the candidate list): ``_load`` must build a
+        fresh one instead of binding the stale functions."""
+        import sys
+        from types import SimpleNamespace
+
+        from repro.columnar import kernels
+        from repro.columnar.kernels.build import KERNEL_ABI
+
+        assert KERNEL_ABI == 4
+
+        def stale_call(*_args):
+            raise AssertionError("a stale kernel was called")
+
+        def artifact(abi, call):
+            lib = SimpleNamespace(
+                REPRO_KERNEL_ABI=abi, repro_gather=call, repro_distinct=call,
+                repro_sweep_join=call,
+            )
+            return SimpleNamespace(ffi=SimpleNamespace(), lib=lib)
+
+        stale = artifact(3, stale_call)
+        fresh = artifact(KERNEL_ABI, lambda *_args: 0)
+        builds = []
+        monkeypatch.setattr(kernels, "_native", stale, raising=False)
+        monkeypatch.setitem(sys.modules, kernels.__name__ + "._native", stale)
+        monkeypatch.setattr(api, "_build", lambda: builds.append(1) or fresh)
+        loaded = api._load()
+        assert builds == [1] and loaded.lib is fresh.lib
+        # An artifact of the current ABI is used as found.
+        monkeypatch.setattr(kernels, "_native", fresh, raising=False)
+        monkeypatch.setitem(sys.modules, kernels.__name__ + "._native", fresh)
+        assert api._load().lib is fresh.lib and builds == [1]
 
 
 class TestPlanCacheKey:

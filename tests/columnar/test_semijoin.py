@@ -59,10 +59,23 @@ CASES = [
     ("//NP[//PP or not(//Det)]", [(0, 7), (0, 14), (1, 2), (2, 8)]),
     # scoped and edge-aligned sub-pipeline
     ("//VP[{//^V->NP$}]", [(0, 5)]),
-    # value seeds (the tree prefilter)
+    # value seeds (a merge over the seed's row list, or the per-binding
+    # probe behind its tree prefilter): in predicates, negated — 'ran'
+    # lives in the middle tree only, so the other segments sweep an empty
+    # list — on the main chain, on every strategy, scoped and aligned
     ("//S[//_[@lex=saw]]", [(0, 1), (2, 1)]),
     ("//NP[//N[@lex=dog]]", [(0, 2), (2, 8)]),
     ("//S[//_[@lex=ran] or //ADVP]", [(1, 1), (2, 1)]),
+    ("//S[not(//_[@lex=ran])]", [(0, 1), (2, 1)]),
+    ("//S[{//_[@lex=saw]->_[@lex=dog]}]", [(2, 1)]),
+    ("//NP/N[@lex=dog]", [(0, 4), (2, 9)]),
+    ("//S//_[@lex=dog]", [(0, 4), (2, 9)]),       # never the @lex rows
+    ("//S//V[@lex=dog]", []),                     # the name test holds
+    ("//V<--N[@lex=dog]", [(0, 4)]),
+    ("//Adj<-_[@lex=the]", [(2, 3)]),
+    ("//N\\ancestor-or-self::_[@lex=man]", [(0, 11), (2, 5)]),
+    ("//NP{//N$[@lex=man]}", [(0, 11), (2, 5)]),
+    ("//VP{//^V[@lex=saw]}", [(0, 6), (2, 7)]),
     # a predicate on a join step, mid-chain
     ("//S//NP[not(//PP)]/N", [(0, 4), (0, 11), (0, 15), (2, 5), (2, 9)]),
     ("//VP/NP[//Adj]", [(0, 7)]),
@@ -256,6 +269,8 @@ class TestPerRowPaths:
         "//NP[//Adj or //PP]", "//NP[not(//Det or //N)]",
         "//V[->NP[//N]=>ADVP]", "//S//NP[not(//PP)]/N", "//VP[{//^V->NP$}]",
         "//S[//_[@lex=saw]]", "//NP[self::NP[//Adj]]",
+        # a scoped seed's own @lex test is answered by the seed, not re-read
+        "//S[{//_[@lex=saw]->_[@lex=dog]}]", "//NP{//N$[@lex=man]}",
     ]
 
     @pytest.fixture()
@@ -331,7 +346,20 @@ class TestEstimatesCrossThePredicateBoundary:
             )
             assert (label, physical) == ("descendant::NP", "probe")
             assert est_in == engine.compile(f"//{rare}").count()
-            for query in ("//_[@lex=1929][\\NP]", f"//{rare}[//NP]"):
+            # The same holds for a value-seeded step: merge-eligible, but
+            # a handful of bindings keeps the per-binding probe, while a
+            # batch of S nodes merges against the seed's row list.
+            ((label, physical, _est),) = _subplan_joins(
+                engine, f"//{rare}[//_[@lex=of]]"
+            )
+            assert (label, physical) == ("descendant::_", "probe")
+            ((label, physical, _est),) = _subplan_joins(engine, "//S[//_[@lex=of]]")
+            assert physical.startswith("merge/")
+            (semi,) = _semi_joins(engine.compile("//S[//_[@lex=of]]").plan)
+            assert all(isinstance(step, MergeJoinStep) for step in semi.steps)
+            for query in (
+                "//_[@lex=1929][\\NP]", f"//{rare}[//NP]", f"//{rare}[//_[@lex=of]]",
+            ):
                 (semi,) = _semi_joins(engine.compile(query).plan)
                 assert all(isinstance(step, _JoinStep) for step in semi.steps)
 

@@ -48,6 +48,12 @@ AXIS_QUERIES = [
     "//NP/N[position()=1]",         # sweep with a positional row check
     "//Det\\ancestor::NP[//Adj]",   # stack with a semi-join selector
     "//V\\ancestor-or-self::V",     # stack with or-self conditions
+    "//S//N[@lex=dog]",             # value-seeded sweep
+    "//N\\ancestor-or-self::_[@lex=dog]",   # value-seeded stack
+    "//V<--_[@lex=dog]",            # value-seeded prefix
+    "//VP{//^V[@lex=saw]->NP$}",    # value-seeded, scoped and aligned
+    "//S[not(//_[@lex=rice])]",     # value-seeded anti-semi-join
+    "//V/following-or-self::N[@lex=dog]",   # or-self seed: probe only
 ]
 
 
@@ -113,6 +119,28 @@ class TestMergeSpec:
         (join,) = self._joins(engine, "//N\\_")
         assert merge_spec(join) is None          # (tid, id) parent probe
 
+    def test_value_seeded_joins_take_their_axis_window(self, engine):
+        # The candidate side is the seed's row list (no partition name);
+        # the window is the one the named step's clustered probe carries.
+        for query, named, strategy in [
+            ("//S//N[@lex=dog]", "//S//N", SWEEP),
+            ("//NP/_[@lex=dog]", "//NP/N", SWEEP),
+            ("//V->_[@lex=a]", "//V->N", SWEEP),
+            ("//V==>_[@lex=a]", "//V==>N", SWEEP),
+            ("//N\\ancestor::_[@lex=dog]", "//N\\ancestor::NP", STACK),
+            ("//V<--N[@lex=dog]", "//V<--N", PREFIX),
+            ("//V<=N[@lex=dog]", "//V<=N", PREFIX),
+            ("//S{//N\\ancestor::_[@lex=x]}", "//S{//N\\ancestor::NP}", SWEEP),
+        ]:
+            seeded = merge_spec(self._joins(engine, query)[-1])
+            plain = merge_spec(self._joins(engine, named)[-1])
+            assert seeded.strategy == plain.strategy == strategy, query
+            assert seeded.name is None and seeded.self_slot is None
+            assert seeded[2:7] == plain[2:7], query   # tid slot, bounds
+        # The or-self family is a disjunction: no window, no merge.
+        (join,) = self._joins(engine, "//V/following-or-self::N[@lex=dog]")
+        assert join.access.window is None and merge_spec(join) is None
+
     def test_or_self_carries_self_slot(self, engine):
         joins = self._joins(engine, "//V\\ancestor-or-self::V")
         spec = merge_spec(joins[0])
@@ -170,6 +198,31 @@ class TestCostModel:
         store = ColumnStore.from_rows(label_corpus(trees))
         assert choose_join(2.0, "NP", store) == "probe"
         assert choose_join(5000.0, "NP", store) == "merge"
+
+    def test_a_seeded_candidate_side_is_sized_from_the_value_index(self, trees):
+        from repro.plan.ir import Col, ValueSeed, T
+
+        store = ColumnStore.from_rows(label_corpus(trees))
+        catalog = Catalog(LPathEngine(trees).node_table)
+        for literal in ("dog", "nowhere"):
+            seed = ValueSeed("@lex", literal, None, tid=Col(0, T))
+            for stats in (store, catalog):   # exact at a bind, guessed before
+                assert choose_join(2.0, seed, stats) == "probe"
+                assert choose_join(5000.0, seed, stats) == "merge"
+
+    def test_a_seeded_merge_join_is_annotated_and_rendered(self, engine):
+        with forced("merge"):
+            plan = engine.explain("//S[//_[@lex=saw]]", executor="columnar")
+        assert "Join[merge/" in plan and " est_in=" in plan
+        assert (
+            "StructuralMergeJoin(s1 <- ValueSeed(@lex='saw' over tree s0.tid):"
+            " descendant::_ | strategy=sweep kernel="
+        ) in plan
+        assert plan.rstrip().endswith("row=0 first_match)")
+        with forced("probe"):
+            plan = engine.explain("//S[//_[@lex=saw]]", executor="columnar")
+        assert "Join[probe est_in=" in plan
+        assert "ColumnarJoin(s1 <- ValueSeed(" in plan
 
     def test_annotation_recorded_and_rendered(self, engine):
         plan = engine.explain("//S//NP", executor="columnar")
@@ -273,7 +326,11 @@ class TestForcedEquivalence:
 
     def test_xpath_engine_forced_modes_agree(self, trees):
         engine = XPathEngine(trees)
-        for query in ("//S//NP", "//NP/N", "//Det\\ancestor::S"):
+        for query in (
+            "//S//NP", "//NP/N", "//Det\\ancestor::S",
+            "//S//N[@lex='dog']", "//N\\ancestor::_[@lex='dog']",
+            "//S[not(.//N[@lex='dog'])]",
+        ):
             expected = engine.query(query)
             for mode in ("merge", "probe"):
                 with forced(mode):

@@ -137,6 +137,11 @@ def _assert_agreement(
                 results[f"columnar+merge+{backend}"] = engine.query(
                     query, executor="columnar"
                 )
+        # Merge joins over mapped segments too (a seeded step's row list
+        # is per segment, and empty where the segment lacks the word);
+        # their cost-based plans run with the other extras below.
+        if extra_engines and "mmap" in extra_engines:
+            results["mmap+merge"] = extra_engines["mmap"].query(query)
     with forced_join("probe"):
         results["columnar+probe"] = engine.query(query, executor="columnar")
     for label, extra in (extra_engines or {}).items():

@@ -31,6 +31,7 @@ from hypothesis import given, settings
 
 from repro import store
 from repro.columnar.kernels import KERNELS_ENV, native_kernels
+from repro.columnar.structural import FORCE_ENV
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
 from repro.xpath import XPATH_AXES, XPathEngine
@@ -65,6 +66,21 @@ def pinned_kernels(backend: str):
             os.environ[KERNELS_ENV] = previous
 
 
+@contextmanager
+def forced_join(mode):
+    """Pin ``REPRO_FORCE_JOIN`` (``None``: leave the cost model alone)."""
+    previous = os.environ.get(FORCE_ENV)
+    if mode is not None:
+        os.environ[FORCE_ENV] = mode
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(FORCE_ENV, None)
+        else:
+            os.environ[FORCE_ENV] = previous
+
+
 class TestLPathSegmentEquivalence:
     @pytest.mark.parametrize("kernels", KERNEL_BACKENDS)
     @given(data=st.data())
@@ -85,11 +101,18 @@ class TestLPathSegmentEquivalence:
                 query = data.draw(lpath_queries(), label=f"query {index}")
                 expected = monolithic.query(query)
                 for (segments, workers), engine in engines.items():
-                    for executor in ("volcano", "columnar"):
-                        got = engine.query(query, executor=executor)
+                    # columnar twice: the shard's cost-based joins (probes,
+                    # on corpora this small), then every eligible join —
+                    # named or value-seeded — as a structural merge.
+                    for executor, force in (
+                        ("volcano", None), ("columnar", None), ("columnar", "merge"),
+                    ):
+                        with forced_join(force):
+                            got = engine.query(query, executor=executor)
                         assert got == expected, (
                             f"segments={segments} workers={workers} "
-                            f"executor={executor} kernels={kernels} "
+                            f"executor={executor} force={force} "
+                            f"kernels={kernels} "
                             f"disagrees on {query!r}: {got} != {expected}"
                         )
 

@@ -59,6 +59,10 @@ SNAPSHOTS = [
      {"executor": "columnar"}),
     ("lpath_columnar_join_predicate", "lpath", "//S//NP[not(//PP)]/N",
      {"executor": "columnar"}),
+    # A value-seeded join is merge-eligible: costed and annotated like a
+    # named step (three bindings: the per-binding probe wins).
+    ("lpath_columnar_value_seed", "lpath", "//S[//_[@lex=saw]]",
+     {"executor": "columnar"}),
     ("lpath_columnar_deep_chain", "lpath", "//S//NP//N", {"executor": "columnar"}),
     ("lpath_columnar_ancestor", "lpath", "//Det\\ancestor::S", {"executor": "columnar"}),
     ("lpath_columnar_wildcard_child", "lpath", "//S/_", {"executor": "columnar"}),

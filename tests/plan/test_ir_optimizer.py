@@ -15,6 +15,8 @@ from repro.plan.ir import (
     Join,
     Scan,
     TableScan,
+    ValueCmpPred,
+    ValueSeed,
     linearize,
     pred_slots,
     render,
@@ -229,3 +231,81 @@ class TestRedundantResiduals:
         scan = linearize(
             lpath_engine.compile("//_[@lex=saw][@lex!=dog]").logical)[0]
         assert [str(c) for c in scan.conditions] == ["value{...} != 'dog'"]
+
+    @staticmethod
+    def _seeded_conditions(engine, query):
+        """The conditions of every value-seeded join of ``query``'s first
+        predicate subplan (or of its main chain), as text."""
+        logical = engine.compile(query).logical
+        chain = linearize(logical)
+        for condition in chain[0].conditions:
+            if isinstance(condition, ExistsPred):
+                chain = linearize(condition.subplan)
+        return [
+            [str(c) for c in node.conditions] for node in chain
+            if isinstance(node, Join) and isinstance(node.access, ValueSeed)
+        ]
+
+    def test_a_scoped_seed_still_drops_the_test_it_answers(self, engines):
+        lpath_engine, _ = engines
+        # Inside a scope the attribute step repeats the scope's containment
+        # beside name = '@lex'; attribute rows share their element's span
+        # and depth, and both seeded joins hold that containment (the
+        # first one something stronger: depth >).
+        what, building = self._seeded_conditions(
+            lpath_engine, "//S[{//_[@lex=saw]->_[@lex=dog]}]")
+        assert what == [
+            "s1.left >= s0.left", "s1.right <= s0.right", "s1.depth > s0.depth",
+        ]
+        assert building == [
+            "s2.left = s1.right", "s0.left <= s2.left",
+            "s2.right <= s0.right", "s2.depth >= s0.depth",
+        ]
+        # It must not fire for another literal, for !=, ...
+        (kept,) = self._seeded_conditions(
+            lpath_engine, "//S{//_[@lex=saw][@lex=dog]}")
+        assert kept[-1] == "value{...} = 'dog'" and len(kept) == 4
+        (kept,) = self._seeded_conditions(
+            lpath_engine, "//S{//_[@lex=saw][@lex!=saw]}")
+        assert kept[-1] == "value{...} != 'saw'" and len(kept) == 4
+
+    def test_a_seed_keeps_a_test_with_any_other_residual(self):
+        # ... nor when the attribute step carries a residual that is not
+        # the seeded element's own containment: a comparison the node does
+        # not hold, or one outside span and depth.
+        from repro.lpath.axes import Axis
+        from repro.plan.ir import D, I, L, N, P, R, T, Context
+        from repro.plan.optimizer import _pruned
+
+        containment = [
+            Cmp(Col(0, L), "<=", Col(1, L)),
+            Cmp(Col(1, R), "<=", Col(0, R)),
+            Cmp(Col(1, D), ">", Col(0, D)),
+        ]
+
+        def seeded(extra):
+            step = Join(
+                Context(), slot=2,
+                access=IndexProbe("idx_tid_id", (Col(1, T), Col(1, I))),
+                conditions=(Cmp(Col(2, N), "=", Const("@lex")),) + tuple(extra),
+                label="attribute::lex", axis=Axis.ATTRIBUTE, ctx_slot=1,
+            )
+            test = ValueCmpPred(step, "=", "saw", False)
+            node = Join(
+                Context(), slot=1,
+                access=ValueSeed("@lex", "saw", None, tid=Col(0, T)),
+                conditions=tuple(containment) + (test,),
+                label="descendant::_", axis=Axis.DESCENDANT, ctx_slot=0,
+            )
+            return test in _pruned(node)
+
+        assert not seeded([])
+        assert not seeded([                  # the scope's bounds, re-addressed
+            Cmp(Col(0, L), "<=", Col(2, L)),
+            Cmp(Col(2, R), "<=", Col(0, R)),
+            Cmp(Col(2, D), ">=", Col(0, D)),     # weaker than the node's >
+        ])
+        assert seeded([Cmp(Col(2, L), "=", Col(0, L))])    # not held
+        assert seeded([Cmp(Col(2, D), ">", Col(0, R))])    # another pair
+        assert seeded([Cmp(Col(2, P), "=", Col(0, I))])    # not span/depth
+        assert seeded([ExistsPred(Context())])             # not a comparison

@@ -137,3 +137,62 @@ def test_the_output_path_reads_no_environment_of_its_own(
     # One REPRO_FAULTS read per fan-out and per bound segment, as before
     # the batch existed; emit, merge and slicing add none.
     assert reads == ["REPRO_FAULTS"] * (1 + bound)
+
+
+# -- the row-loop budget of the Fig. 6(c) suite ------------------------------
+
+#: ``len(engine.query(q))`` for the 23 queries on this corpus (pinned:
+#: the generator is seeded).
+FIG_6C_COUNTS = [
+    30, 326, 489, 467, 181, 348, 90, 32, 569, 1, 0, 0,
+    1, 1, 2, 0, 1, 3, 6, 9, 1, 6, 5,
+]
+
+#: What the cost model may hand to the per-binding probe join: the
+#: one or two bindings of a rare-tag step (Q16, Q17), never a batch.
+HANDFUL = 4
+
+
+def test_the_fig_6c_suite_runs_no_per_binding_loop(engine, monkeypatch):
+    """Warm, on two segments: no query re-enters the per-row runner
+    (``_run_steps``, a ``_RowSelect``) or probes a value seed binding by
+    binding, and the per-binding candidate filters run for a rare tag's
+    handful of bindings at most — every large batch, the value-seeded
+    predicate joins of Q1, Q10 and Q11 included, goes through a structural
+    merge join, and every scan materializes without a filter pass.  A
+    regression names the query that fell back."""
+    from repro.bench import QUERY_SET
+
+    texts = [query.lpath for query in QUERY_SET]
+    for text in texts:   # warm: plans bound, seed lists built
+        engine.query(text)
+
+    def refuse(name):
+        def call(*_args, **_kwargs):
+            raise AssertionError(f"{name} reached: a per-binding loop is back")
+        return call
+
+    per_binding = {"_first_passing": 0, "_apply_filters": 0}
+
+    def counting(name):
+        real = getattr(columnar_executor, name)
+
+        def call(*args, **kwargs):
+            per_binding[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(columnar_executor, "_run_steps", refuse("_run_steps"))
+    monkeypatch.setattr(
+        columnar_executor._RowSelect, "select", refuse("_RowSelect.select"))
+    monkeypatch.setattr(
+        columnar_executor._ValueSeedProbe, "__call__",
+        refuse("_ValueSeedProbe.__call__"))
+    for name in per_binding:
+        monkeypatch.setattr(columnar_executor, name, counting(name))
+    for number, (text, expected) in enumerate(zip(texts, FIG_6C_COUNTS), 1):
+        per_binding.update(_first_passing=0, _apply_filters=0)
+        assert len(engine.query(text)) == expected, f"Q{number} {text}"
+        assert sum(per_binding.values()) <= HANDFUL, (
+            f"Q{number} {text} filtered candidates per binding: {per_binding}"
+        )

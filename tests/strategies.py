@@ -99,6 +99,19 @@ name_tests = st.sampled_from(LABELS + ["_"])
 
 
 @st.composite
+def _step_test(draw, edges: str = "{}") -> str:
+    """A name test (``edges`` wraps it in a scope's ``^``/``$``), one time
+    in four narrowed to a word: ``N[@lex=dog]``.  Past the first step of a
+    path that is a *value-seeded* join — the candidates come from the
+    value index, merged against their sorted row list or probed per
+    binding — behind whatever separator (axis) precedes it."""
+    text = edges.format(draw(name_tests))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        text += f"[@lex={draw(words)}]"
+    return text
+
+
+@st.composite
 def _predicate(draw, depth: int, separators: list[str]) -> str:
     """One ``[...]`` predicate body, nesting bounded by ``depth``."""
     # "path" is listed twice: existence subplans are the predicates the
@@ -138,9 +151,9 @@ def _relative_path(draw, separators: list[str]) -> str:
     """A 1-2 step relative path for use inside a predicate."""
     steps = draw(st.integers(min_value=1, max_value=2))
     first = draw(st.sampled_from(["/", "//"]))
-    text = first + draw(name_tests)
+    text = first + draw(_step_test())
     for _ in range(steps - 1):
-        text += draw(st.sampled_from(separators)) + draw(name_tests)
+        text += draw(st.sampled_from(separators)) + draw(_step_test())
     return text
 
 
@@ -149,12 +162,13 @@ def _scope(draw, max_pred_depth: int) -> str:
     """A trailing ``{...}`` scope with optional edge alignment on its
     final step."""
     sep = draw(st.sampled_from(["/", "//"]))
-    caret = "^" if draw(st.booleans()) else ""
-    body = f"{sep}{caret}{draw(name_tests)}"
+    caret = "^{}" if draw(st.booleans()) else "{}"
+    dollar = "{}$" if draw(st.booleans()) else "{}"
     if draw(st.booleans()):
-        body += draw(st.sampled_from(["/", "//", "->", "=>"])) + draw(name_tests)
-    if draw(st.booleans()):
-        body += "$"
+        body = sep + draw(_step_test(caret))
+        body += draw(st.sampled_from(["/", "//", "->", "=>"])) + draw(_step_test(dollar))
+    else:
+        body = sep + draw(_step_test(dollar.format(caret)))
     return "{" + body + "}"
 
 
@@ -168,7 +182,7 @@ def lpath_queries(draw, max_steps: int = 3, max_pred_depth: int = 2) -> str:
         if draw(st.booleans()):
             text += f"[{draw(_predicate(max_pred_depth, _PRED_SEPARATORS))}]"
         if index < step_count - 1:
-            text += draw(st.sampled_from(_LPATH_SEPARATORS)) + draw(name_tests)
+            text += draw(st.sampled_from(_LPATH_SEPARATORS)) + draw(_step_test())
     if draw(st.integers(min_value=0, max_value=4)) == 0:
         text += draw(_scope(max_pred_depth))
     return text
