@@ -22,9 +22,11 @@ The public surface the engine integrates against:
   reduction of surviving ordinals; ``NativeKernels.emit_pairs`` /
   ``.merge_pairs`` — a finished batch's result slot to packed distinct
   sorted ``(tid, id)`` pairs, and the sorted disjoint k-way merge of
-  such arrays across segments (:mod:`repro.columnar.result` holds the
-  pure-Python twins).  The executor reaches all of them through the
-  bundle its compile resolved once (``Knobs.kern``).
+  such arrays across segments; ``NativeKernels.encode_pairs`` — such an
+  array as the JSON bytes of its pairs, for the serving layer
+  (:mod:`repro.columnar.result` holds the pure-Python twins).  The
+  executor reaches the others through the bundle its compile resolved
+  once (``Knobs.kern``).
 * :func:`column_pointer` / ``ColumnStore.column_ptr`` — raw
   ``(pointer, length)`` access to a column buffer for the C side.
 
@@ -356,6 +358,14 @@ class NativeKernels:
         if written < 0:
             raise MemoryError("native pair merge allocation failed")
         return out
+
+    def encode_pairs(self, pairs: array) -> bytes:
+        """Packed pairs as the bytes ``json.dumps`` gives the list of
+        their ``[tid, id]`` lists."""
+        count = len(pairs) // 2
+        out = self.ffi.new("char[]", 2 + 46 * count)  # the int64 worst case
+        written = self.lib.repro_encode_pairs(self.i64(pairs), count, out)
+        return self.ffi.buffer(out, written)[:]
 
 
 # -- native plan objects ------------------------------------------------------

@@ -4,8 +4,8 @@ One translation unit implements the engine's hot inner loops over raw
 int64 column buffers — the per-shape structural sweep join, the
 stack-tree ancestor join, the prefix join, the vectorized range filter,
 batch gather, the selection-vector reduction, the result emit (gather,
-sort, dedup into packed ``(tid, id)`` pairs) and the sorted disjoint
-k-way pair merge.  The C code is
+sort, dedup into packed ``(tid, id)`` pairs), the sorted disjoint
+k-way pair merge and the packed-pairs-to-JSON encoder.  The C code is
 a line-for-line transcription of the pure-Python loops in
 :mod:`repro.columnar.structural`, :mod:`repro.columnar.executor` and
 :mod:`repro.columnar.result`
@@ -47,7 +47,7 @@ ffibuilder = FFI()
 #: pre-built ``_native`` artifact whose ``REPRO_KERNEL_ABI`` differs, so a
 #: stale shared object left in a checkout can never be called with the
 #: wrong argument list.
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 ffibuilder.cdef(
     """
@@ -108,6 +108,8 @@ int64_t repro_emit_pairs(
 
 int64_t repro_merge_pairs(
     int64_t **blobs, const int64_t *counts, int32_t k, int64_t *out);
+
+int64_t repro_encode_pairs(const int64_t *pairs, int64_t n, char *out);
 
 void repro_free(int64_t *p);
 """
@@ -606,6 +608,43 @@ int64_t repro_merge_pairs(
     }
     free(pos);
     return written;
+}
+
+/* -- packed (tid, id) pairs to the bytes json.dumps gives their lists ---- */
+
+static char *repro_put_i64(char *p, int64_t v)
+{
+    char digits[20];
+    int k = 0;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    if (v < 0)
+        *p++ = '-';
+    do {
+        digits[k++] = (char)('0' + u %% 10);
+        u /= 10;
+    } while (u);
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+/* out <- "[[t0, i0], [t1, i1]]" ("[]" for n == 0); out holds 2 + 46n
+   bytes, two 20-character int64 to a pair.  Returns the bytes written. */
+int64_t repro_encode_pairs(const int64_t *pairs, int64_t n, char *out)
+{
+    char *p = out;
+    int64_t k;
+    *p++ = '[';
+    for (k = 0; k < n; k++) {
+        if (k) { *p++ = ','; *p++ = ' '; }
+        *p++ = '[';
+        p = repro_put_i64(p, pairs[2 * k]);
+        *p++ = ','; *p++ = ' ';
+        p = repro_put_i64(p, pairs[2 * k + 1]);
+        *p++ = ']';
+    }
+    *p++ = ']';
+    return p - out;
 }
 
 void repro_free(int64_t *p)

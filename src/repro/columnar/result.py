@@ -4,8 +4,9 @@ A query answer is a :class:`ResultBatch`: its distinct ``(tid, id)``
 pairs in sorted order, packed into one interleaved int64 ``array('q')``
 (``tid0, id0, tid1, id1, ...``) — what the ``repro_emit_pairs`` /
 ``repro_merge_pairs`` kernels write, process workers ship as bytes and
-the serving layer caches, digests and pages.  The executor *emits* one
-per segment, a segmented query *merges* them, a page or a top-k is a
+the serving layer caches, digests, pages and — ``repro_encode_pairs`` —
+sends as JSON bytes without a pair built.  The executor *emits* one per
+segment, a segmented query *merges* them, a page or a top-k is a
 *slice*; tuples only appear when a caller iterates (``list(batch)`` at
 the engines' API boundary).  The kernels' pure-Python twins live here;
 both backends return byte-identical arrays.
@@ -35,6 +36,14 @@ def python_merge_pairs(parts) -> array:
     """Merge packed sorted pair arrays into one: the sort finds each
     part as one ascending run and only merges them."""
     return _packed(sorted(chain.from_iterable(map(ResultBatch, parts))))
+
+
+def python_encode_pairs(pairs: array) -> bytes:
+    """Packed pairs as the bytes ``json.dumps`` gives the list of their
+    ``[tid, id]`` lists."""
+    flat = iter(pairs)
+    rows = "], [".join(map("%d, %d".__mod__, zip(flat, flat)))
+    return (f"[[{rows}]]" if rows else "[]").encode("ascii")
 
 
 class ResultBatch:
@@ -72,6 +81,12 @@ class ResultBatch:
             return held[0] if held else EMPTY
         merged = python_merge_pairs if kern is None else kern.merge_pairs
         return ResultBatch(merged([part.pairs for part in held]))
+
+    def encode(self, kern=None) -> bytes:
+        """``json.dumps([list(pair) for pair in self])`` as bytes, with
+        no pair ever built, through ``kern`` (``None``: the Python twin)."""
+        encoded = python_encode_pairs if kern is None else kern.encode_pairs
+        return encoded(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs) // 2

@@ -68,7 +68,7 @@ from urllib.parse import parse_qsl
 
 from ..faults import maybe_reset_socket
 from ..lpath.errors import LPathError
-from .service import QueryService, ServeError
+from .service import Answer, QueryService, ServeError
 from .wire import MAX_LINE, BadMessage, read_headers
 
 #: Socket-write granularity for big pages.
@@ -130,12 +130,16 @@ class _Handler(socketserver.StreamRequestHandler):
         )
 
     def _respond(
-        self, status: int, payload: dict, retry_after: "float | None" = None
+        self, status: int, payload: "dict | Answer",
+        retry_after: "float | None" = None,
     ) -> None:
         """Head and body leave in one ``sendall`` (one packet, one
         wake-up of the peer); only a page past ``_CHUNK_BYTES`` takes
         more, in bounded slices."""
-        body = json.dumps(payload).encode("utf-8")
+        body = memoryview(
+            payload.encode() if isinstance(payload, Answer)
+            else json.dumps(payload).encode("utf-8")
+        )
         framing = b"Content-Length: %d\r\n" % len(body)
         if retry_after is not None:
             # Whole seconds per RFC 9110; never 0, or clients busy-loop.
@@ -145,16 +149,16 @@ class _Handler(socketserver.StreamRequestHandler):
         for start in range(_CHUNK_BYTES, len(body), _CHUNK_BYTES):
             self.connection.sendall(body[start:start + _CHUNK_BYTES])
 
-    def _respond_stream(self, documents) -> None:
+    def _respond_stream(self, answers) -> None:
         """Stream NDJSON documents with chunked transfer encoding — one
         chunk, one ``sendall`` per document as each batch member
         completes, so clients see results incrementally."""
         self.connection.sendall(self._head(
             200, b"application/x-ndjson", b"Transfer-Encoding: chunked\r\n"
         ))
-        for document in documents:
-            data = (json.dumps(document) + "\n").encode("utf-8")
-            self.connection.sendall(b"%x\r\n%b\r\n" % (len(data), data))
+        for answer in answers:
+            data = answer.encode()
+            self.connection.sendall(b"%x\r\n%b\n\r\n" % (len(data) + 1, data))
         self.connection.sendall(b"0\r\n\r\n")
 
     def _abandon(self) -> None:
@@ -259,9 +263,9 @@ class _Handler(socketserver.StreamRequestHandler):
             elif route == "/stats":
                 self._respond(200, self.service.stats())
             elif route == "/query":
-                self._respond(200, self.service.execute(params))
+                self._respond(200, self.service.answer(params))
             elif route == "/batch":
-                self._respond_stream(self.service.execute_batch(params))
+                self._respond_stream(self.service.answer_batch(params))
             elif route == "/append":
                 if method != "POST":
                     self._respond(

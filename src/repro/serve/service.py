@@ -56,9 +56,9 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from ..columnar.kernels import kernel_info
+from ..columnar.kernels import kernel_info, native_kernels
 from ..lpath.errors import LPathError
 from ..plan.ir import AGGREGATE_OPS
 from .cache import ResultCache
@@ -342,8 +342,8 @@ class QueryRequest:
 
 def _flag(params: dict, name: str) -> bool:
     value = params.get(name, False)
-    if isinstance(value, bool):
-        return value
+    if isinstance(value, int) and value in (0, 1):  # bools too; 1.0 is a float
+        return bool(value)
     if isinstance(value, str):
         if value.lower() in ("1", "true", "yes", "on"):
             return True
@@ -373,6 +373,40 @@ def _bounded_int(
     if ceiling is not None and number > ceiling:
         raise ServeError(400, f"{name} must be <= {ceiling} (got {number})")
     return number
+
+
+class Answer(NamedTuple):
+    """One response document whose row-bearing value (``head[slot]``: a
+    page's :class:`~repro.columnar.result.ResultBatch` window, an
+    aggregate's JSON bytes) is still the buffer the result cache holds.
+    In-process callers take :meth:`document`; the daemon sends
+    :meth:`encode`, the same JSON byte for byte with no row ever built."""
+
+    head: dict
+    slot: Optional[str] = None
+    kern: object = None  # the native bundle encoding "matches", if any
+
+    def document(self) -> dict:
+        head, slot = self.head, self.slot
+        if slot == "matches":
+            head[slot] = [list(pair) for pair in head[slot]]
+        elif slot is not None:
+            head[slot] = json.loads(head[slot])
+        return head
+
+    def encode(self) -> bytes:
+        head, slot = self.head, self.slot
+        if slot is None:
+            return json.dumps(head).encode("utf-8")
+        value = head[slot]
+        if slot == "matches":
+            value = value.encode(self.kern)
+        # Keys are ours and a quote inside a JSON string is escaped, so
+        # the placeholder's text can only be the slot itself.
+        mark = b'"%b": ' % slot.encode("ascii")
+        return json.dumps({**head, slot: None}).encode("utf-8").replace(
+            mark + b"null", mark + value, 1
+        )
 
 
 class _Ticket:
@@ -580,7 +614,11 @@ class QueryService:
     # -- the request path ---------------------------------------------------
 
     def execute(self, params: dict) -> dict:
-        """Run one validated request to a JSON-shaped response dict.
+        """Run one validated request to a JSON-shaped response dict."""
+        return self.answer(params).document()
+
+    def answer(self, params: dict) -> Answer:
+        """Run one validated request to its :class:`Answer`.
 
         Raises :class:`ServeError` for every failure mode (bad request,
         overload, timeout, draining); any other exception is a server
@@ -596,7 +634,7 @@ class QueryService:
             self._check_breaker()
             rows = self._execute_uncached(handle, request, key)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return self._page(rows, request, cached, elapsed_ms)
+        return self._page(rows, request, cached, elapsed_ms, key)
 
     def execute_append(self, params: dict) -> dict:
         """Durably append bracketed trees to a served live store and
@@ -750,8 +788,12 @@ class QueryService:
         return key
 
     def execute_batch(self, params: dict):
+        """:meth:`answer_batch` as JSON-shaped dicts."""
+        return (answer.document() for answer in self.answer_batch(params))
+
+    def answer_batch(self, params: dict):
         """Admit a whole batch of queries as one unit and return a
-        generator streaming one response document per query, in order,
+        generator streaming one :class:`Answer` per query, in order,
         as each completes (plus a final summary document).
 
         The batch shares one admission ticket and one deadline; uncached
@@ -828,15 +870,15 @@ class QueryService:
                 if failures.get(index) is not None:
                     with self._lock:
                         self.errors += 1
-                    yield {"index": index, "error": failures[index]}
+                    yield Answer({"index": index, "error": failures[index]})
                     continue
                 if ticket.remaining() <= 0:
                     with self._lock:
                         self.timeouts += 1
-                    yield {
+                    yield Answer({
                         "index": index,
                         "error": "batch exceeded its deadline",
-                    }
+                    })
                     break
                 rows = self.results.get_rows(keys[index])
                 cached = rows is not None
@@ -859,7 +901,7 @@ class QueryService:
                 except LPathError as error:
                     with self._lock:
                         self.errors += 1
-                    yield {"index": index, "error": str(error)}
+                    yield Answer({"index": index, "error": str(error)})
                     continue
                 except (OSError, ValueError) as error:
                     # Same classification as the single-query path: a
@@ -869,23 +911,25 @@ class QueryService:
                     with self._lock:
                         self.errors += 1
                     message = self._store_failure(handle, error)
-                    yield {
+                    yield Answer({
                         "index": index, "error": message, "transient": True,
-                    }
+                    })
                     continue
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
-                document = self._page(rows, member, cached, elapsed_ms)
-                document["index"] = index
+                answer = self._page(
+                    rows, member, cached, elapsed_ms, keys[index]
+                )
+                answer.head["index"] = index
                 completed += 1
-                yield document
-            yield {
+                yield answer
+            yield Answer({
                 "done": completed == len(members),
                 "queries": len(members),
                 "completed": completed,
                 "elapsed_ms": round(
                     (time.perf_counter() - batch_started) * 1000.0, 3
                 ),
-            }
+            })
         finally:
             self._release()
 
@@ -1043,34 +1087,38 @@ class QueryService:
 
     @staticmethod
     def _page(
-        rows, request: QueryRequest, cached: bool, elapsed_ms: float
-    ) -> dict:
+        rows, request: QueryRequest, cached: bool, elapsed_ms: float,
+        key: tuple,
+    ) -> Answer:
         if request.agg is not None:
-            return {
+            return Answer({
                 "agg": request.agg,
-                "aggregate": json.loads(rows),
+                "aggregate": rows,
                 "cached": cached,
                 "elapsed_ms": round(elapsed_ms, 3),
-            }
+            }, "aggregate")
         total = len(rows)
         if request.count:
-            return {
+            return Answer({
                 "total": total,
                 "count": total,
                 "cached": cached,
                 "elapsed_ms": round(elapsed_ms, 3),
-            }
+            })
         window = rows[request.offset:request.offset + request.limit]
         next_offset = request.offset + len(window)
-        return {
+        # The page is encoded by the backend its result key resolved
+        # (``compile_options_key`` ends in it).
+        kern = native_kernels() if key[-1] == "native" else None
+        return Answer({
             "total": total,
             "offset": request.offset,
             "limit": request.limit,
-            "matches": [list(pair) for pair in window],
+            "matches": window,
             "next_offset": next_offset if next_offset < total else None,
             "cached": cached,
             "elapsed_ms": round(elapsed_ms, 3),
-        }
+        }, "matches", kern)
 
     # -- observability ------------------------------------------------------
 

@@ -343,17 +343,18 @@ class TestSeededCandidateList:
 
 
 class TestStaleArtifact:
-    def test_an_abi_3_artifact_is_rebuilt_not_called(self, monkeypatch):
-        """A ``_native`` left by an older checkout takes other argument
-        lists (ABI 4 added the candidate list): ``_load`` must build a
-        fresh one instead of binding the stale functions."""
+    def test_an_abi_4_artifact_is_rebuilt_not_called(self, monkeypatch):
+        """A ``_native`` left by an older checkout lacks kernels or takes
+        other argument lists (ABI 4 added the candidate list, ABI 5 the
+        page encoder): ``_load`` must build a fresh one instead of
+        binding the stale functions."""
         import sys
         from types import SimpleNamespace
 
         from repro.columnar import kernels
         from repro.columnar.kernels.build import KERNEL_ABI
 
-        assert KERNEL_ABI == 4
+        assert KERNEL_ABI == 5
 
         def stale_call(*_args):
             raise AssertionError("a stale kernel was called")
@@ -365,7 +366,7 @@ class TestStaleArtifact:
             )
             return SimpleNamespace(ffi=SimpleNamespace(), lib=lib)
 
-        stale = artifact(3, stale_call)
+        stale = artifact(4, stale_call)
         fresh = artifact(KERNEL_ABI, lambda *_args: 0)
         builds = []
         monkeypatch.setattr(kernels, "_native", stale, raising=False)

@@ -5,23 +5,26 @@ wire, so everything a list of tuples used to guarantee is pinned here on
 the packed form: the native ``emit``/``merge`` kernels equal their
 pure-Python twins equal the obvious ``sorted(set(...))`` /
 ``heapq.merge`` references — id by id, over duplicate-heavy, pre-sorted,
-empty and single-part inputs — slices tile the full answer, bytes round
-trip, the integrity digest sees every single-id flip, a batch outlives
-the mmap it was gathered from, and top-k / ``query_batch`` / the
-aggregates agree with the plain query.  ``REPRO_FUZZ_EXAMPLES`` scales
+empty and single-part inputs — the native JSON encoder equals its twin
+equals ``json.dumps`` over the whole int64 range and stays inside its
+buffer, slices tile the full answer, bytes round trip, the integrity
+digest sees every single-id flip, a batch outlives the mmap it was
+gathered from, and top-k / ``query_batch`` / the aggregates agree with
+the plain query.  ``REPRO_FUZZ_EXAMPLES`` scales
 the hypothesis examples (the nightly job runs it at 400).
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import os
 from array import array
 from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import store
 from repro.columnar.kernels import native_kernels
@@ -29,6 +32,7 @@ from repro.columnar.result import (
     EMPTY,
     ResultBatch,
     python_emit_pairs,
+    python_encode_pairs,
     python_merge_pairs,
 )
 from repro.corpus import generate_corpus
@@ -111,6 +115,43 @@ class TestMerge:
         assert ResultBatch.merge([only]) is only
         assert len(ResultBatch.merge([])) == 0
         assert len(ResultBatch.merge([EMPTY, EMPTY])) == 0
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+int64 = st.integers(INT64_MIN, INT64_MAX) | st.sampled_from(
+    [0, -1, INT64_MAX, -INT64_MAX, INT64_MIN])
+
+
+class TestEncode:
+    @given(st.lists(st.tuples(int64, int64), max_size=40))
+    @example([])
+    @example([(3, 14)])
+    @example([(3, 14), (3, 27)])
+    @example([(-7, -1), (INT64_MIN, INT64_MAX), (-INT64_MAX, INT64_MIN)])
+    @settings(max_examples=4 * FUZZ_EXAMPLES, deadline=None)
+    def test_every_backend_equals_json_dumps(self, rows):
+        batch = ResultBatch.of(rows)
+        expected = json.dumps([list(pair) for pair in rows]).encode()
+        assert python_encode_pairs(batch.pairs) == expected
+        assert batch.encode() == expected
+        if NATIVE is not None:
+            assert NATIVE.encode_pairs(batch.pairs) == expected
+            assert batch.encode(NATIVE) == expected
+
+    @pytest.mark.skipif(NATIVE is None, reason="native kernels unavailable")
+    @pytest.mark.parametrize("count", [0, 1, 2, 257])
+    def test_the_kernel_stays_inside_its_buffer(self, count):
+        # Every value at its widest: 20 characters, twice a pair.
+        pairs = array("q", [INT64_MIN] * (2 * count))
+        room = 2 + 46 * count
+        out = bytearray(b"\xaa" * (room + 64))
+        written = NATIVE.lib.repro_encode_pairs(
+            NATIVE.i64(pairs), count,
+            NATIVE.ffi.from_buffer("char[]", out, require_writable=True),
+        )
+        assert written == max(2, 46 * count) <= room
+        assert bytes(out[:written]) == python_encode_pairs(pairs)
+        assert out[written:] == b"\xaa" * (room + 64 - written)
 
 
 class TestBatchSurface:

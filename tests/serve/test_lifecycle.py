@@ -135,12 +135,13 @@ class TestDrain:
         service = QueryService(store_path)
         handle = next(iter(service._stores.values()))
         entered = threading.Event()
+        release = threading.Event()
 
         inner_compile = handle.engine.compile
 
         def wedged_compile(*args, **kwargs):
             entered.set()
-            time.sleep(5.0)
+            release.wait(timeout=5.0)
             return inner_compile(*args, **kwargs)
 
         handle.engine.compile = wedged_compile
@@ -160,6 +161,7 @@ class TestDrain:
         started = time.monotonic()
         service.close(drain_timeout=0.2)
         assert time.monotonic() - started < 2.0
+        release.set()
         runner.join(timeout=10.0)
 
     def test_new_queries_rejected_while_draining(self, server, client):

@@ -75,6 +75,12 @@ class TestExecute:
         page = service.execute({"q": "//NP", "count": "1", "limit": "5"})
         assert page["count"] == page["total"]
 
+    def test_integer_flags_from_json_bodies(self, service):
+        page = service.execute({"query": "//VP//NP", "count": 1, "pivot": 0})
+        assert page["count"] == page["total"] and page["cached"] is False
+        page = service.execute({"query": "//VP//NP", "count": 0, "pivot": 1})
+        assert "matches" in page and page["cached"] is False  # pivot: own key
+
 
 class TestResultCache:
     def test_repeat_query_is_a_cache_hit(self, service):
@@ -283,6 +289,10 @@ class TestValidation:
             {"query": "//NP", "timeout_ms": 0},
             {"query": "//NP", "timeout_ms": "fast"},
             {"query": "//NP", "pivot": "maybe"},
+            {"query": "//NP", "count": 2},             # only 0/1 are flags
+            {"query": "//NP", "count": 1.0},
+            {"query": "//NP", "pivot": -1},
+            {"query": "//NP", "pivot": [True]},
         ],
     )
     def test_bad_requests_are_400(self, service, params):
@@ -362,12 +372,13 @@ class TestXPathDialect:
 
 
 class _SlowEngine:
-    """Wraps a served engine so queries block until released."""
+    """Wraps a served engine so queries block until the test releases
+    them (or, as a backstop, for five seconds)."""
 
-    def __init__(self, engine, delay: float) -> None:
+    def __init__(self, engine) -> None:
         self._engine = engine
-        self._delay = delay
         self.entered = threading.Event()
+        self.release = threading.Event()
 
     def __getattr__(self, name):
         return getattr(self._engine, name)
@@ -375,21 +386,21 @@ class _SlowEngine:
     def compile(self, *args, **kwargs):
         # The service runs every query through ``engine.compile``.
         self.entered.set()
-        time.sleep(self._delay)
+        self.release.wait(timeout=5.0)
         return self._engine.compile(*args, **kwargs)
 
 
-def _slow_service(store_path, delay, **kwargs):
+def _slow_service(store_path, **kwargs):
     service = QueryService(store_path, **kwargs)
     handle = service._stores[store_path]
-    handle.engine = _SlowEngine(handle.engine, delay)
+    handle.engine = _SlowEngine(handle.engine)
     return service
 
 
 class TestAdmissionControl:
     def test_overload_rejects_with_429(self, store_path):
         with _slow_service(
-            store_path, delay=1.0, max_inflight=1, max_queue=0
+            store_path, max_inflight=1, max_queue=0
         ) as service:
             slow = service._stores[store_path].engine
             runner = threading.Thread(
@@ -403,23 +414,26 @@ class TestAdmissionControl:
                 assert failure.value.status == 429
                 assert service.rejected == 1
             finally:
+                slow.release.set()
                 runner.join()
 
     def test_deadline_expiry_is_504(self, store_path):
-        with _slow_service(store_path, delay=1.0) as service:
+        with _slow_service(store_path) as service:
             started = time.monotonic()
             with pytest.raises(ServeError) as failure:
                 service.execute({"query": "//NP", "timeout_ms": 50})
             assert failure.value.status == 504
             assert time.monotonic() - started < 0.9  # gave up, not slept
             assert service.timeouts == 1
-            # The abandoned query must never have populated the cache.
-            time.sleep(1.2)
+            # The abandoned query must never have populated the cache,
+            # not even once its worker has run to the end.
+            service._stores[store_path].engine.release.set()
+            service._pool.shutdown(wait=True)
             assert service.results.stats["size"] == 0
 
     def test_queued_query_expires_while_waiting(self, store_path):
         with _slow_service(
-            store_path, delay=1.0, max_inflight=1, max_queue=4
+            store_path, max_inflight=1, max_queue=4
         ) as service:
             slow = service._stores[store_path].engine
             runner = threading.Thread(
@@ -433,17 +447,19 @@ class TestAdmissionControl:
                 assert failure.value.status == 504
                 assert "queued" in str(failure.value)
             finally:
+                slow.release.set()
                 runner.join()
 
     def test_cache_hits_bypass_admission(self, store_path):
         # Fill the cache, then wedge the only execution slot: the cached
         # query must still answer instantly.
         with _slow_service(
-            store_path, delay=0.0, max_inflight=1, max_queue=0
+            store_path, max_inflight=1, max_queue=0
         ) as service:
-            service.execute({"query": "//NP"})
             slow = service._stores[store_path].engine
-            slow._delay = 1.0
+            slow.release.set()
+            service.execute({"query": "//NP"})
+            slow.release.clear()
             slow.entered.clear()
             runner = threading.Thread(
                 target=service.execute, args=({"query": "//VP//NP"},)
@@ -454,6 +470,7 @@ class TestAdmissionControl:
                 page = service.execute({"query": "//NP"})
                 assert page["cached"] is True
             finally:
+                slow.release.set()
                 runner.join()
 
 

@@ -8,16 +8,21 @@ wake-up of the peer) and arrives in at most two reads; neither loop
 builds an ``email.message.Message`` to hold five headers; and importing
 the serving layer loads none of the stdlib HTTP stacks it replaced.
 
+A page costs one encoder call on the daemon's side: the cached packed
+batch goes to the socket as JSON bytes, no ``[tid, id]`` list is ever
+built and ``json.dumps`` only sees the O(1) head.
+
 The second half pins the documents themselves: the bytes on the wire
 are ``json.dumps`` of what the service answered, as before the loops
 were rewritten — key order, separators, error shapes, the whole-second
-``Retry-After``.
+``Retry-After`` — and as before pages stopped passing through it.
 """
 
 from __future__ import annotations
 
 import collections
 import email.message
+import http.client
 import json
 import re
 import socket
@@ -26,7 +31,11 @@ import sys
 
 import pytest
 
-from repro.serve import ServeClientError
+from repro import store
+from repro.columnar import result
+from repro.columnar.kernels import native_kernels
+from repro.corpus import generate_corpus
+from repro.serve import QueryServer, QueryService, ServeClientError
 from repro.serve.service import ServeError
 
 QUERY = "//NP"
@@ -96,6 +105,53 @@ def test_a_small_page_and_an_error_are_one_write_too(client, wire):
     with pytest.raises(ServeClientError, match="daemon error 400"):
         client.query_page("//NP[@")
     assert wire["client", "send"] == 2 and wire["daemon", "send"] == 2
+
+
+@pytest.mark.parametrize(
+    "backend", ["python"] + (["native"] if native_kernels() else []))
+def test_a_page_is_one_encoder_call_and_no_row_objects(
+    backend, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_KERNELS", backend)
+    path = str(tmp_path / "pages.lpdb")
+    store.save_corpus(
+        list(generate_corpus("wsj", sentences=70, seed=3)), path,
+        segments=2, format="lpdb0004",
+    )
+    calls: collections.Counter = collections.Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    with QueryService(path) as service, QueryServer(service).start() as server:
+        expected = service.execute({"query": "//_", "limit": 1000})
+        assert len(expected["matches"]) == 1000
+
+        def iterated(self):
+            raise AssertionError("the daemon iterated a ResultBatch")
+
+        def dumped(document, *args, **kwargs):
+            assert not isinstance(document.get("matches"), list)
+            return real_dumps(document, *args, **kwargs)
+
+        monkeypatch.setattr(result.ResultBatch, "__iter__", iterated)
+        counted(result, "python_encode_pairs")
+        if native_kernels() is not None:
+            counted(type(native_kernels()), "encode_pairs")
+        real_dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", dumped)
+        _, _, _, body = exchange(server, "GET", "/query?q=//_&limit=1000")
+    monkeypatch.undo()
+    assert calls == {
+        "encode_pairs" if backend == "native" else "python_encode_pairs": 1}
+    assert timeless(body) == timeless(
+        json.dumps({**expected, "cached": True}).encode())
 
 
 def test_importing_the_serving_layer_loads_no_stdlib_http_stack():
@@ -170,6 +226,43 @@ def test_golden_result_documents(server, service):
     }).encode()
 
 
+def test_row_bearing_documents_equal_json_dumps_of_execute(server, service):
+    """What the encoder splices in is what ``json.dumps`` would have
+    written, read back through a stock ``http.client``."""
+    total = service.execute({"query": QUERY})["total"]
+    members = [
+        {"query": QUERY},                               # a page
+        {"query": QUERY, "offset": total + 5},          # an empty page
+        {"query": QUERY, "limit": 1, "offset": 3},      # a one-row page
+        {"query": QUERY, "top_k": 4},
+        {"query": QUERY, "agg": "count_by_name"},       # cached JSON bytes
+    ]
+    for params in members:                  # every answer below is a hit
+        service.execute(params)
+    connection = http.client.HTTPConnection(
+        server.host, server.port, timeout=10)
+
+    def post(path, document):
+        connection.request("POST", path, json.dumps(document))
+        response = connection.getresponse()
+        assert response.status == 200
+        return timeless(response.read())
+
+    try:
+        lines = post("/batch", {"queries": members}).split(b"\n")
+        for index, params in enumerate(members):
+            expected = service.execute(params)
+            assert ("matches" in expected) == ("agg" not in params)
+            assert post("/query", params) == timeless(
+                json.dumps(expected).encode())
+            assert lines[index] == timeless(
+                json.dumps({**expected, "index": index}).encode())
+        assert json.loads(lines[len(members)])["done"] is True
+        assert lines[len(members) + 1:] == [b""]
+    finally:
+        connection.close()
+
+
 def test_golden_error_documents(server, service, monkeypatch):
     head = ["Server", "Date", "Content-Type", "Content-Length"]
 
@@ -193,7 +286,7 @@ def test_golden_error_documents(server, service, monkeypatch):
     def shed(params):
         raise ServeError(429, "over capacity: 2 running, 0 queued", retry_after=0.4)
 
-    monkeypatch.setattr(service, "execute", shed)
+    monkeypatch.setattr(service, "answer", shed)
     status, names, headers, body = exchange(server, "POST", "/query", {"query": QUERY})
     assert (status, names) == \
         ("HTTP/1.1 429 Too Many Requests", head + ["Retry-After"])
@@ -204,7 +297,7 @@ def test_golden_error_documents(server, service, monkeypatch):
     def draining(params):
         raise ServeError(503, "draining")
 
-    monkeypatch.setattr(service, "execute", draining)
+    monkeypatch.setattr(service, "answer", draining)
     status, names, _, body = exchange(server, "POST", "/query", {"query": QUERY})
     assert (status, names) == ("HTTP/1.1 503 Service Unavailable", head)
     assert body == b'{"error": "draining", "transient": true}'
@@ -212,7 +305,7 @@ def test_golden_error_documents(server, service, monkeypatch):
     def broken(params):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(service, "execute", broken)
+    monkeypatch.setattr(service, "answer", broken)
     status, _, _, body = exchange(server, "POST", "/query", {"query": QUERY})
     assert status == "HTTP/1.1 500 Internal Server Error"
     assert body == b'{"error": "RuntimeError: boom"}'
