@@ -15,14 +15,23 @@ Assertions:
   without a working toolchain the ratio is recorded, not asserted
   (the claim is about the kernels, not about the runner's compiler);
 * both backends agree on every result size (byte-identity is the fuzz
-  suite's job; the size check here catches a silently wrong build).
+  suite's job; the size check here catches a silently wrong build);
+* arrival order costs one pass: the native sweep of Q22's first join
+  (``//NP=>NP``) over NP bindings as the clustered scan emits them —
+  ``(tid, left)`` order, swept on their ``right`` edges, so nested NPs
+  arrive out of key order inside each tree — costs <= 1.3x the same join
+  over the batch presorted by ``(tid, key)`` (asserted when the
+  extension built).
 
-``BENCH_kernels.json`` carries the per-query timings plus the kernel
-provenance block (backend, cffi and compiler versions) so CI can diff
-runs against the uploaded baseline artifact (``benchmarks/diff_bench.py``).
+``BENCH_kernels.json`` carries the per-query timings, both arrival-order
+timings and the kernel provenance block (backend, cffi and compiler
+versions) so CI can diff runs against the uploaded baseline artifact
+(``benchmarks/diff_bench.py``).
 """
 
 import os
+import time
+from array import array
 from contextlib import contextmanager
 
 from repro.bench import datasets
@@ -41,6 +50,11 @@ DEEP_QUERIES = ("//S//NP//NN", "//NP//NP", "//S//VP//NP//NN", "//VP//NP//PP")
 SCAN_QUERIES = ("//S//NP", "//S//VP//NP")
 
 SPEEDUP_FLOOR = 3.0
+
+#: Q22's first join and the most its arrival-order batch may cost over
+#: the same batch presorted.
+ARRIVAL_QUERY = "//NP=>NP"
+ARRIVAL_CEILING = 1.3
 
 
 @contextmanager
@@ -65,6 +79,32 @@ def _timed(engine: LPathEngine, query: str, backend: str, repeats: int):
     with _pinned("REPRO_FORCE_JOIN", "merge"), _pinned(KERNELS_ENV, backend):
         engine.count(query)  # warm the plan cache for this backend
         return paper_timing(lambda: engine.count(query), repeats)
+
+
+def _arrival_order(engine: LPathEngine) -> dict:
+    """Per-call seconds of the native sweep over the batch its scan emits
+    and over that batch presorted by ``(tid, key)``: best of interleaved
+    rounds of 20 calls, so the ratio compares like with like."""
+    with _pinned("REPRO_FORCE_JOIN", "merge"), _pinned(KERNELS_ENV, "native"):
+        plan = engine.compile(ARRIVAL_QUERY).plan
+    *before, join = plan.steps
+    arrival = []
+    for step in before:
+        arrival = step.run(arrival)
+    slot, key = join.spec.low
+    tids, keys = plan.runtime.store.tid, plan.runtime.store.col(key)
+    rows = arrival[slot]
+    order = sorted(range(len(rows)), key=lambda i: (tids[rows[i]], keys[rows[i]]))
+    presorted = [array("q", map(column.__getitem__, order)) for column in arrival]
+    best = {"arrival_seconds": float("inf"), "presorted_seconds": float("inf")}
+    for _ in range(9):
+        for name, batch in zip(best, (arrival, presorted)):
+            started = time.perf_counter()
+            for _ in range(20):
+                join.pairs(batch)
+            best[name] = min(best[name], (time.perf_counter() - started) / 20)
+    ratio = best["arrival_seconds"] / best["presorted_seconds"]
+    return {"query": ARRIVAL_QUERY, "bindings": len(rows), **best, "ratio": ratio}
 
 
 def _format(rows) -> str:
@@ -115,15 +155,21 @@ def test_native_kernels_ab(benchmark, write_result, write_json, repeats):
                 deep_native += native_s
 
     speedup = deep_python / deep_native if deep_native else float("inf")
+    arrival = _arrival_order(engine) if native_built else None
     table = _format(rows)
     summary = (
         f"\ndeep-chain suite: python {deep_python:.5f}s, native "
         f"{deep_native:.5f}s ({speedup:.2f}x) over {LARGE_SENTENCES} "
         f"sentences\n"
         + (
-            f"gate: native must win >= {SPEEDUP_FLOOR:g}x"
+            f"arrival order {ARRIVAL_QUERY}: {arrival['bindings']} bindings, "
+            f"{arrival['arrival_seconds'] * 1e3:.3f} ms vs presorted "
+            f"{arrival['presorted_seconds'] * 1e3:.3f} ms "
+            f"({arrival['ratio']:.2f}x)\n"
+            f"gates: native must win >= {SPEEDUP_FLOOR:g}x; arrival order "
+            f"<= {ARRIVAL_CEILING:g}x presorted"
             if native_built
-            else "gate skipped: cffi extension unavailable (recorded only)"
+            else "gates skipped: cffi extension unavailable (recorded only)"
         )
     )
     write_result(
@@ -137,6 +183,7 @@ def test_native_kernels_ab(benchmark, write_result, write_json, repeats):
             "native_built": native_built,
             "queries": payload,
             "deep_chain_speedup": speedup if native_built else None,
+            "arrival_order": arrival,
             "gated": native_built,
         },
     )
@@ -150,4 +197,9 @@ def test_native_kernels_ab(benchmark, write_result, write_json, repeats):
             f"native kernels fell below the {SPEEDUP_FLOOR}x floor on the "
             f"deep-chain suite: python {deep_python:.5f}s vs native "
             f"{deep_native:.5f}s ({speedup:.2f}x)"
+        )
+        assert arrival["ratio"] <= ARRIVAL_CEILING, (
+            f"the native sweep over {ARRIVAL_QUERY}'s arrival-order batch "
+            f"costs {arrival['ratio']:.2f}x the presorted batch "
+            f"(ceiling {ARRIVAL_CEILING:g}x)"
         )

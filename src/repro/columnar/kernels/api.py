@@ -118,15 +118,19 @@ def native_error() -> Optional[str]:
 
 
 def _load() -> "NativeKernels":
-    from .build import KERNEL_ABI
+    from .build import KERNEL_ABI, KERNEL_DIGEST
 
     try:
         from . import _native  # pre-built by setup.py or a prior import
     except ImportError:
         _native = None
     # An artifact left behind by an older checkout has other kernel
-    # signatures; rebuild instead of calling it with the wrong arguments.
-    if _native is None or getattr(_native.lib, "REPRO_KERNEL_ABI", 0) != KERNEL_ABI:
+    # signatures, or the same ones over other code; rebuild instead of
+    # calling it.
+    if _native is None or (
+        getattr(_native.lib, "REPRO_KERNEL_ABI", 0),
+        getattr(_native.lib, "REPRO_KERNEL_DIGEST", 0),
+    ) != (KERNEL_ABI, KERNEL_DIGEST):
         _native = _build()
     return NativeKernels(_native.ffi, _native.lib)
 

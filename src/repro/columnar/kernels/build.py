@@ -39,6 +39,8 @@ last step of a predicate sub-pipeline needs (an exists/not-exists
 semi-join only asks *whether* a binding matches).
 """
 
+import hashlib
+
 from cffi import FFI
 
 ffibuilder = FFI()
@@ -47,11 +49,12 @@ ffibuilder = FFI()
 #: pre-built ``_native`` artifact whose ``REPRO_KERNEL_ABI`` differs, so a
 #: stale shared object left in a checkout can never be called with the
 #: wrong argument list.
-KERNEL_ABI = 5
+KERNEL_ABI = 6
 
 ffibuilder.cdef(
     """
 #define REPRO_KERNEL_ABI ...
+#define REPRO_KERNEL_DIGEST ...
 
 typedef struct {
     const int64_t *i64;      /* candidate int64 column, or NULL        */
@@ -118,8 +121,10 @@ void repro_free(int64_t *p);
 CSOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define REPRO_KERNEL_ABI %d
+#define REPRO_KERNEL_DIGEST %d
 
 typedef struct {
     const int64_t *i64;
@@ -163,6 +168,38 @@ static int repro_checks_pass(const repro_check_t *checks, int32_t n_checks,
     return 1;
 }
 
+/* -- ordering nearly ordered records ------------------------------------ */
+
+/* qsort(base, n, size, cmp) for what a clustered scan or a merge join
+   hands over: tid-ascending and out of order only inside a tree (nested
+   nodes sharing a left edge, the right edges of nested spans).  An
+   insertion pass costs O(n) there -- n compares and nothing else when
+   the records are already ordered; once it has shifted more than 8n
+   records, qsort finishes from the permutation it leaves.  Records are
+   at most three int64 wide; inline, so every caller's size and
+   comparator are constants. */
+static inline void repro_sort_records(
+    void *base, int64_t n, size_t size,
+    int (*cmp)(const void *, const void *))
+{
+    char *recs = (char *)base;
+    int64_t held[3], k, budget = 8 * n;
+    for (k = 1; k < n && budget >= 0; k++) {
+        char *slot = recs + k * size;
+        if (cmp(slot - size, slot) <= 0)
+            continue;
+        memcpy(held, slot, size);
+        do {
+            memcpy(slot, slot - size, size);
+            slot -= size;
+            budget--;
+        } while (slot > recs && cmp(slot - size, held) > 0);
+        memcpy(slot, held, size);
+    }
+    if (budget < 0)
+        qsort(base, (size_t)n, size, cmp);
+}
+
 /* -- keyed binding order (the Python side's keyed.sort()) ----------------- */
 
 typedef struct { int64_t tid; int64_t key; int64_t idx; } repro_keyed_t;
@@ -177,12 +214,14 @@ static int repro_keyed_cmp(const void *pa, const void *pb)
     return 0;
 }
 
+/* The comparator totally orders entries (idx tiebreak), so no sort can
+   reorder equal keys -- emit order matches the interpreter's stable
+   tuple sort exactly. */
 static repro_keyed_t *repro_build_keyed(
     const int64_t *tids, const int64_t *tid_col,
     const int64_t *key_arr, const int64_t *key_col, int64_t count)
 {
     int64_t i;
-    int ordered = 1;
     repro_keyed_t *keyed =
         (repro_keyed_t *)malloc((size_t)count * sizeof(repro_keyed_t));
     if (!keyed)
@@ -191,19 +230,8 @@ static repro_keyed_t *repro_build_keyed(
         keyed[i].tid = tids[tid_col[i]];
         keyed[i].key = key_arr[key_col[i]];
         keyed[i].idx = i;
-        if (i && (keyed[i - 1].tid > keyed[i].tid
-                  || (keyed[i - 1].tid == keyed[i].tid
-                      && keyed[i - 1].key > keyed[i].key)))
-            ordered = 0;
     }
-    /* A batch straight off a clustered scan (or off a previous merge
-       join on the same key) is already in (tid, key, idx) order; only
-       the others pay for the sort.  The comparator totally orders
-       entries (idx tiebreak), so qsort's instability cannot reorder
-       equal keys — emit order matches the interpreter's stable tuple
-       sort exactly. */
-    if (!ordered)
-        qsort(keyed, (size_t)count, sizeof(repro_keyed_t), repro_keyed_cmp);
+    repro_sort_records(keyed, count, sizeof(repro_keyed_t), repro_keyed_cmp);
     return keyed;
 }
 
@@ -534,24 +562,6 @@ static int repro_pair_cmp(const void *pa, const void *pb)
     return a->id < b->id ? -1 : a->id > b->id;
 }
 
-/* Insertion sort, for what a clustered scan or a merge join leaves: tids
-   ascending and ids out of order only locally (nested nodes sharing a
-   left edge), so a pass costs O(n) -- n compares and nothing else when
-   the pairs are already ordered.  Gives up (returns 0, the pairs still a
-   permutation) once it has shifted more than 8n of them. */
-static int repro_sort_nearly_ordered(repro_pair_t *pairs, int64_t n)
-{
-    int64_t k, budget = 8 * n;
-    for (k = 1; k < n && budget >= 0; k++) {
-        repro_pair_t held = pairs[k];
-        int64_t j = k;
-        for (; j > 0 && repro_pair_cmp(&pairs[j - 1], &held) > 0; j--, budget--)
-            pairs[j] = pairs[j - 1];
-        pairs[j] = held;
-    }
-    return budget >= 0;
-}
-
 /* out[0..2n) <- (tids[r], ids[r]) for r in rows, sorted and deduplicated
    in place; returns the number of pairs kept. */
 int64_t repro_emit_pairs(
@@ -564,8 +574,7 @@ int64_t repro_emit_pairs(
         pairs[k].tid = tids[rows[k]];
         pairs[k].id = ids[rows[k]];
     }
-    if (!repro_sort_nearly_ordered(pairs, n))
-        qsort(pairs, (size_t)n, sizeof(repro_pair_t), repro_pair_cmp);
+    repro_sort_records(pairs, n, sizeof(repro_pair_t), repro_pair_cmp);
     for (k = 0; k < n; k++)
         if (!kept || repro_pair_cmp(&pairs[kept - 1], &pairs[k]))
             pairs[kept++] = pairs[k];
@@ -653,9 +662,16 @@ void repro_free(int64_t *p)
 }
 """
 
+#: A digest of the C source, compiled in beside ``REPRO_KERNEL_ABI``:
+#: :mod:`.api` also rebuilds an artifact built from other source, so a
+#: kernel change that keeps every signature still replaces an old build.
+KERNEL_DIGEST = int.from_bytes(
+    hashlib.blake2b(CSOURCE.encode(), digest_size=7).digest(), "big"
+)
+
 ffibuilder.set_source(
     "repro.columnar.kernels._native",
-    CSOURCE % KERNEL_ABI,
+    CSOURCE % (KERNEL_ABI, KERNEL_DIGEST),
     extra_compile_args=["-O2"],
 )
 

@@ -55,6 +55,7 @@ from itertools import compress, islice, repeat
 from math import log2
 from typing import NamedTuple, Optional
 
+from ..faults import active_injector
 from ..lpath.axes import Axis
 from ..plan.ir import (
     Col,
@@ -67,6 +68,7 @@ from ..plan.ir import (
     ValueSeed,
     L, R, T,
 )
+from .kernels.api import NativeMergeJoin, active_kernels, bind_checks
 
 SWEEP, STACK, PREFIX = "sweep", "stack", "prefix"
 
@@ -77,7 +79,9 @@ _CHILD_LIKE = (Axis.CHILD, Axis.IMMEDIATE_FOLLOWING_SIBLING, Axis.IMMEDIATE_FOLL
 #: pays per binding for the binding-list build, the access closures, one
 #: dict lookup and two bisects; a merge pays a sort (C-level tuple sort,
 #: hence the small per-element unit), a flat per-binding bookkeeping cost
-#: and an amortized pointer advance over each touched partition.
+#: and an amortized pointer advance over each touched partition.  The
+#: native kernels order a tid-ordered batch in one insertion pass, so for
+#: them ``SORT_UNIT`` overstates the sort; it predates that and is kept.
 PROBE_SETUP = 5.0
 PROBE_BINDING = 12.0
 MERGE_SETUP = 40.0
@@ -125,9 +129,6 @@ class Knobs(NamedTuple):
 def read_knobs(knobs: Optional[Knobs] = None) -> Knobs:
     """``knobs`` when the caller was handed them, else three environment
     reads (raises on an invalid knob value)."""
-    from ..faults import active_injector
-    from .kernels.api import active_kernels
-
     return knobs or Knobs(force_mode(), active_kernels(), active_injector())
 
 
@@ -543,8 +544,6 @@ class MergeJoinStep(JoinOutput):
         self._native = None
         self._sweep_loops = join.sweep_loops   # indexed by first_match
         if join.kinds is not None:
-            from .kernels.api import NativeMergeJoin, bind_checks
-
             self._native = NativeMergeJoin(
                 ctx.kern, spec, bind_checks(join.kinds, vector), store, seed
             )

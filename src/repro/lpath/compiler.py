@@ -24,7 +24,12 @@ from typing import Union
 
 from collections import Counter
 
+# ``columnar.PlanSkeleton`` and ``plan_lower.lower_and_optimize`` are read
+# per call, so a wrapper installed on the module (a test, a tracer) applies.
+from .. import columnar
 from ..columnar.result import ResultBatch
+from ..columnar.structural import read_knobs
+from ..plan import lower as plan_lower
 from ..plan.ir import Aggregate, Limit, PlanNode, render
 from ..relational.operators import Operator
 from ..relational.table import Table
@@ -187,11 +192,8 @@ class PlanCompiler:
         ``"volcano"`` (tuple-at-a-time interpreter) or ``"columnar"``
         (batch execution over parallel arrays).  ``limit`` compiles a
         top-k plan; ``agg`` an aggregate plan (mutually exclusive)."""
-        from ..columnar.structural import read_knobs
-        from ..plan.lower import lower_and_optimize
-
         knobs = read_knobs() if executor == "columnar" else None
-        root, lowered = lower_and_optimize(
+        root, lowered = plan_lower.lower_and_optimize(
             self.lowerer, query, pivot, executor, limit=limit, agg=agg,
             knobs=knobs,
         )
@@ -240,12 +242,9 @@ class PlanCompiler:
         while ``explain()`` still renders it from the logical root."""
         inner, limit, agg = self.unwrap(root, executor)
         if executor == "columnar":
-            from ..columnar import PlanSkeleton
-            from ..columnar.structural import read_knobs
-
             knobs = read_knobs(knobs)
             if lowered.skeleton is None:
-                lowered.skeleton = PlanSkeleton(inner, knobs)
+                lowered.skeleton = columnar.PlanSkeleton(inner, knobs)
             physical = lowered.skeleton.bind(self.columnar_runtime, knobs.injector)
         else:
             from ..plan.executor import compile_plan

@@ -26,6 +26,8 @@ import threading
 from collections import OrderedDict
 from typing import Hashable, Optional
 
+from ..columnar.kernels.api import kernels_backend
+
 
 class PlanCache:
     """A lock-protected LRU cache with hit/miss/eviction statistics."""
@@ -124,8 +126,6 @@ def compile_options_key(
     Resolving the kernel backend raises
     :class:`~repro.lpath.errors.LPathError` on an invalid or
     forced-but-unavailable ``REPRO_KERNELS`` value."""
-    from ..columnar.kernels.api import kernels_backend
-
     return (
         (query if isinstance(query, str) else str(query)),
         pivot,

@@ -40,6 +40,7 @@ from ..lpath.ast import (
     Scope,
     Step,
 )
+from ..lpath import parser  # ``parser.parse`` read per call: tracers wrap it
 from ..lpath.axes import OR_SELF_BASES, Axis
 from ..lpath.errors import LPathCompileError
 from .ir import (
@@ -115,9 +116,6 @@ def lower_and_optimize(
     dependent on ``(tid, id)`` and so never changes the distinct result
     cardinality.  The two are mutually exclusive (a truncated aggregate
     has no defined semantics)."""
-    from ..lpath.parser import parse
-    from .optimizer import optimize
-
     if limit is not None and agg is not None:
         raise LPathCompileError("limit and agg cannot be combined")
     if limit is not None and limit < 0:
@@ -126,11 +124,11 @@ def lower_and_optimize(
         raise LPathCompileError(
             f"unknown aggregate {agg!r} (expected one of {', '.join(AGGREGATE_OPS)})"
         )
-    path = parse(query) if isinstance(query, str) else query
+    path = parser.parse(query) if isinstance(query, str) else query
     lowered = lowerer.lower_pivot(path) if pivot else None
     if lowered is None:
         lowered = lowerer.lower(path)
-    root = optimize(
+    root = optimizer.optimize(
         lowered.root, lowerer, pivot=pivot, executor=executor, knobs=knobs
     )
     slot = lowered.result_slot
@@ -820,3 +818,7 @@ def as_float(value) -> Optional[float]:
         return float(str(value).strip())
     except (TypeError, ValueError):
         return None
+
+
+# Last: the optimizer imports this module's names.
+from . import optimizer  # noqa: E402

@@ -61,6 +61,7 @@ from .ir import (
     subplan_preds,
     D, L, N, R,
 )
+from ..columnar import structural
 from ..lpath.axes import Axis
 from .lower import _FLIPPED_OPS, Lowerer, seed_text
 from .schemes import Catalog
@@ -83,11 +84,9 @@ def optimize(
     if pivot:
         reorder_exists_subplans(root, lowerer)
     root = push_down(root, lowerer.catalog)
-    from ..columnar.structural import read_knobs
-
     finish_conditions(
         root, lowerer.catalog,
-        read_knobs(knobs) if executor == "columnar" else None,
+        structural.read_knobs(knobs) if executor == "columnar" else None,
     )
     return root
 
@@ -380,8 +379,6 @@ def finish_conditions(
     The annotation is what ``explain()``'s logical plan shows; every
     bind decides again with the same functions from the statistics of
     the store it binds to."""
-    from ..columnar.structural import choose_join, flow_estimate, merge_spec
-
     for node in linearize(root):
         if not isinstance(node, (Scan, Join, Filter)):
             continue
@@ -391,10 +388,10 @@ def finish_conditions(
                 kept.sort(key=lambda pred: _condition_key(pred, stats))
             node.conditions = tuple(kept)
         if knobs is not None:
-            est_in, est = flow_estimate(node, stats, est)
-            spec = merge_spec(node) if batched else None
+            est_in, est = structural.flow_estimate(node, stats, est)
+            spec = structural.merge_spec(node) if batched else None
             if spec is not None:
-                choice = knobs.force or choose_join(
+                choice = knobs.force or structural.choose_join(
                     est_in, spec.name or node.access, stats
                 )
                 node.est_in = est_in

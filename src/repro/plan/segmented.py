@@ -67,6 +67,8 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..columnar.result import EMPTY, ResultBatch
+from ..columnar.store import NameStats
+from ..columnar.structural import read_knobs
 from ..faults import active_injector, maybe_delay_segment, maybe_kill_worker
 from .ir import (
     AllPred, Cmp, Col, Const, ExistsPred, IndexProbe, PlanNode, ValueSeed,
@@ -386,8 +388,6 @@ class SegmentedCatalog:
         merged = self._name_stats.get(name)
         if merged is not None:
             return merged
-        from ..columnar.store import NameStats
-
         for catalog in self._catalogs:
             stats = catalog.name_stats(name)
             if stats.rows == 0:
@@ -715,8 +715,6 @@ class SegmentedPlanCompiler:
         additionally attach a :class:`RemoteTask` so a process pool can
         re-run the same query worker-side without pickling any plan or
         store."""
-        from ..columnar.structural import read_knobs
-
         knobs = read_knobs()
         root, lowered = lower_and_optimize(
             self.lowerer, query, pivot, executor, limit=limit, agg=agg,
@@ -774,8 +772,6 @@ class SegmentedPlanCompiler:
         lowered."""
         if compiled.segments is self.segments:
             return compiled
-        from ..columnar.structural import read_knobs
-
         known = {
             id(segment): part
             for segment, part in zip(compiled.segments, compiled.parts)

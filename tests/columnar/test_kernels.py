@@ -20,6 +20,8 @@ from array import array
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import ColumnStore
 from repro.columnar.kernels import (
@@ -32,7 +34,7 @@ from repro.columnar.kernels import (
 )
 from repro.columnar.kernels import api
 from repro.columnar.result import ResultBatch
-from repro.columnar.structural import FORCE_ENV
+from repro.columnar.structural import FORCE_ENV, Cutoff
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
 from repro.lpath.errors import LPathError
@@ -252,6 +254,15 @@ def _seed_corpus():
     return [Tree(root, tid=tid) for tid, root in enumerate(roots)]
 
 
+def last_join(engine, query):
+    """``(plan, last step, the batch the steps before it produce)``."""
+    plan = engine.compile(query).plan
+    batch = []
+    for step in plan.steps[:-1]:
+        batch = step.run(batch)
+    return plan, plan.steps[-1], batch
+
+
 #: ``query -> strategy`` of its last step, a value-seeded join.
 SEEDED = {
     "//S//N[@lex=dog]": "sweep",
@@ -279,14 +290,6 @@ class TestSeededCandidateList:
     def seeded(self):
         return LPathEngine(_seed_corpus(), executor="columnar")
 
-    @staticmethod
-    def _last_join(engine, query):
-        plan = engine.compile(query).plan
-        batch = []
-        for step in plan.steps[:-1]:
-            batch = step.run(batch)
-        return plan, plan.steps[-1], batch
-
     @pytest.mark.parametrize("query", SEEDED, ids=list(SEEDED))
     def test_pairs_identical_across_backends(self, seeded, query):
         from repro.columnar.structural import Cutoff, MergeJoinStep
@@ -295,7 +298,7 @@ class TestSeededCandidateList:
         seen = {}
         for backend in BACKENDS:
             with kernels_env(backend), forced_join("merge"):
-                plan, step, batch = self._last_join(seeded, query)
+                plan, step, batch = last_join(seeded, query)
                 assert isinstance(step, MergeJoinStep)
                 assert str(step.access).startswith("ValueSeed")
                 assert step.spec.strategy == SEEDED[query]
@@ -316,7 +319,7 @@ class TestSeededCandidateList:
                 assert list(plan.execute()) == expected
             # The per-binding flavor is the oracle: same pair set.
             with kernels_env(backend), forced_join("probe"):
-                _plan, probe, batch = self._last_join(seeded, query)
+                _plan, probe, batch = last_join(seeded, query)
                 assert not isinstance(probe, MergeJoinStep)
                 src, cand = probe.pairs(batch)
                 full = seen[False, None]
@@ -342,42 +345,201 @@ class TestSeededCandidateList:
                         assert sharded.query(query, limit=k) == full[:k]
 
 
+def _wide_tree(tid):
+    """60 x ``VP(VB NP(NP(NN) NP(NN)))`` under one S: name runs long
+    enough that reversing one tree's bindings costs the kernels'
+    insertion pass more than its 8n-shift budget."""
+    node = TreeNode
+    return Tree(node("S", children=[
+        node("VP", children=[
+            _word("VB", f"v{k}"),
+            node("NP", children=[
+                node("NP", children=[_word("NN", f"n{k}")]),
+                node("NP", children=[_word("NN", f"m{k}")]),
+            ]),
+        ])
+        for k in range(60)
+    ]), tid=tid)
+
+
+#: ``query -> strategy`` of its join; residual checks on the first two.
+ORDERED = {
+    "//NP=>NP": "sweep",             # keyed on right: nested spans disagree
+    "//VP/NP": "sweep",              # child: a binding-resolved depth check
+    "//NP//NN": "sweep",
+    "//NN\\ancestor::NP": "stack",
+    "//VB<--NP": "prefix",
+}
+
+#: Batch orders a join can be handed.  All but ``budget`` leave the wide
+#: tree out; ``budget`` is the arrival order with the wide tree reversed.
+ORDERS = ("arrival", "presorted", "shuffled", "reversed", "tids", "budget")
+
+WIDE_TID = 8
+
+
+def _keys(store, step, batch):
+    """Each binding's ``(tid, key)``: what the kernels sort by."""
+    spec = step.spec
+    key_slot, key = spec.low if spec.strategy == "sweep" else spec.high
+    column = store.col(key)
+    return list(zip(
+        map(store.tid.__getitem__, batch[spec.tid_slot]),
+        map(column.__getitem__, batch[key_slot]),
+    ))
+
+
+def _order(keys, order, rng):
+    """Binding indexes of the batch, in ``order``."""
+    runs = {}
+    for i, (tid, _key) in enumerate(keys):
+        runs.setdefault(tid, []).append(i)
+    wide = runs.pop(WIDE_TID)
+    if order == "budget":
+        runs[WIDE_TID] = wide[::-1]
+    groups = [runs[tid] for tid in sorted(runs)]
+    if order == "presorted":
+        return sorted((i for run in groups for i in run), key=keys.__getitem__)
+    for run in groups:
+        if order == "shuffled":
+            rng.shuffle(run)
+        elif order == "reversed":
+            run.reverse()
+    if order == "tids":
+        rng.shuffle(groups)
+    return [i for run in groups for i in run]
+
+
+def _permuted(batch, perm):
+    return [array("q", map(column.__getitem__, perm)) for column in batch]
+
+
+def _shifts(keys, perm):
+    """The records an insertion pass over ``perm`` moves (its inversions:
+    ties keep their position order, as the ``idx`` tiebreak does)."""
+    ordered = [keys[i] for i in perm]
+    return sum(
+        ordered[a] > ordered[b]
+        for a in range(len(ordered)) for b in range(a + 1, len(ordered))
+    )
+
+
+class TestBindingOrder:
+    """Axis by axis, node id by node id: whatever order a batch arrives
+    in, the native kernels emit the Python twins' ``(src, cand)`` arrays
+    byte for byte — the one-pass insertion sort, and its ``qsort``
+    fallback once a tree's disorder spends the 8n budget, order bindings
+    exactly as Timsort over ``(tid, key, idx)`` does."""
+
+    @pytest.fixture(scope="class")
+    def joins(self):
+        """``query -> (binding keys, {backend: (join step, its batch)})``."""
+        from repro.corpus import generate_corpus
+
+        trees = (
+            generate_corpus("wsj", sentences=WIDE_TID, seed=3)
+            + [_wide_tree(WIDE_TID)]
+            + generate_corpus("wsj", sentences=8, seed=4, start_tid=WIDE_TID + 1)
+        )
+        engine = LPathEngine(trees, keep_trees=False, executor="columnar")
+        joins = {}
+        for query, strategy in ORDERED.items():
+            steps = {}
+            for backend in BACKENDS:
+                with kernels_env(backend), forced_join("merge"):
+                    plan, step, batch = last_join(engine, query)
+                assert step.spec.strategy == strategy
+                assert f"kernel={backend}" in step.describe()
+                steps[backend] = (step, batch)
+            keys = _keys(plan.runtime.store, step, batch)
+            joins[query] = keys, steps
+            # Every shape matches outside the wide tree; reversed trees
+            # stay inside the insertion pass's budget, the reversed wide
+            # tree alone out-spends it.
+            assert len(step.pairs(_permuted(batch, _order(keys, "arrival", None)))[0])
+            for order, over in (("reversed", False), ("budget", True)):
+                perm = _order(keys, order, None)
+                assert (_shifts(keys, perm) > 8 * len(perm)) is over, (query, order)
+        return joins
+
+    @given(
+        query=st.sampled_from(sorted(ORDERED)),
+        first_match=st.booleans(),
+        budget=st.sampled_from([None, 1, 25]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_native_pairs_equal_the_twin_in_any_order(
+        self, joins, query, first_match, budget, seed
+    ):
+        import random
+
+        keys, steps = joins[query]
+        for order in ORDERS:
+            perm = _order(keys, order, random.Random(seed))
+            _step, batch = steps[BACKENDS[0]]
+            permuted = _permuted(batch, perm)
+            seen = []
+            for step, _batch in steps.values():
+                cutoff = None if budget is None else Cutoff(budget)
+                src, cand = step.pairs(permuted, cutoff, first_match)
+                seen.append((
+                    array("q", src).tobytes(), array("q", cand).tobytes(),
+                    cutoff and cutoff.hit,
+                ))
+            assert seen[-1] == seen[0], (query, order, first_match, budget)
+
+
 class TestStaleArtifact:
-    def test_an_abi_4_artifact_is_rebuilt_not_called(self, monkeypatch):
-        """A ``_native`` left by an older checkout lacks kernels or takes
-        other argument lists (ABI 4 added the candidate list, ABI 5 the
-        page encoder): ``_load`` must build a fresh one instead of
-        binding the stale functions."""
+    @pytest.mark.parametrize("stale", ["abi", "digest"])
+    def test_a_stale_artifact_is_rebuilt_not_called(self, monkeypatch, stale):
+        """A ``_native`` left by an older checkout lacks kernels, takes
+        other argument lists (ABI 5 added the page encoder) or runs other
+        code behind the same ones (ABI 6 sorts bindings in one pass):
+        ``_load`` must build a fresh one instead of binding the stale
+        functions, whichever of the two stamps differs."""
         import sys
         from types import SimpleNamespace
 
         from repro.columnar import kernels
-        from repro.columnar.kernels.build import KERNEL_ABI
+        from repro.columnar.kernels.build import KERNEL_ABI, KERNEL_DIGEST
 
-        assert KERNEL_ABI == 5
+        assert KERNEL_ABI == 6
 
         def stale_call(*_args):
             raise AssertionError("a stale kernel was called")
 
-        def artifact(abi, call):
+        def artifact(abi, digest, call):
             lib = SimpleNamespace(
-                REPRO_KERNEL_ABI=abi, repro_gather=call, repro_distinct=call,
-                repro_sweep_join=call,
+                REPRO_KERNEL_ABI=abi, REPRO_KERNEL_DIGEST=digest,
+                repro_gather=call, repro_distinct=call, repro_sweep_join=call,
             )
             return SimpleNamespace(ffi=SimpleNamespace(), lib=lib)
 
-        stale = artifact(4, stale_call)
-        fresh = artifact(KERNEL_ABI, lambda *_args: 0)
+        if stale == "abi":
+            old = artifact(KERNEL_ABI - 1, KERNEL_DIGEST, stale_call)
+        else:
+            old = artifact(KERNEL_ABI, KERNEL_DIGEST ^ 1, stale_call)
+        fresh = artifact(KERNEL_ABI, KERNEL_DIGEST, lambda *_args: 0)
         builds = []
-        monkeypatch.setattr(kernels, "_native", stale, raising=False)
-        monkeypatch.setitem(sys.modules, kernels.__name__ + "._native", stale)
+        monkeypatch.setattr(kernels, "_native", old, raising=False)
+        monkeypatch.setitem(sys.modules, kernels.__name__ + "._native", old)
         monkeypatch.setattr(api, "_build", lambda: builds.append(1) or fresh)
         loaded = api._load()
         assert builds == [1] and loaded.lib is fresh.lib
-        # An artifact of the current ABI is used as found.
+        # An artifact of the current ABI and source is used as found.
         monkeypatch.setattr(kernels, "_native", fresh, raising=False)
         monkeypatch.setitem(sys.modules, kernels.__name__ + "._native", fresh)
         assert api._load().lib is fresh.lib and builds == [1]
+
+    @needs_native
+    def test_the_loaded_kernels_were_built_from_this_source(self):
+        from repro.columnar.kernels.build import KERNEL_ABI, KERNEL_DIGEST
+
+        with kernels_env("native"):
+            lib = api.active_kernels().lib
+        assert lib.REPRO_KERNEL_ABI == KERNEL_ABI
+        assert lib.REPRO_KERNEL_DIGEST == KERNEL_DIGEST
 
 
 class TestPlanCacheKey:

@@ -12,6 +12,7 @@ there are.
 
 from __future__ import annotations
 
+import builtins
 import os
 
 import pytest
@@ -42,10 +43,10 @@ def trees():
 
 @pytest.fixture(scope="module")
 def stores(trees, tmp_path_factory):
-    """``{segments: path}`` of the same corpus saved 1- and 8-way."""
+    """``{segments: path}`` of the same corpus saved 1-, 2- and 8-way."""
     root = tmp_path_factory.mktemp("budget")
     paths = {}
-    for segments in (1, 8):
+    for segments in (1, 2, 8):
         paths[segments] = str(root / f"s{segments}.lpdb")
         save_corpus(trees, paths[segments], segments=segments, format="lpdb0004")
     return paths
@@ -204,6 +205,30 @@ def test_a_cold_compile_reads_the_environment_four_times_at_most(
             monkeypatch.undo()
             # One REPRO_FAULTS read per fan-out and per bound segment.
             assert reads == ["REPRO_FAULTS"] * (1 + bound), (query, reads)
+    finally:
+        monkeypatch.undo()
+        engine.close()
+
+
+def test_a_cold_compile_executes_no_import_statement(stores, monkeypatch):
+    """A function-local ``import`` costs ~1.7 us every time it runs; what
+    a compile needs is bound when the module that needs it is imported."""
+    engine = LPathEngine.open(stores[2])
+    try:
+        engine.compile("//S//NP")           # loads the kernels, if any
+        imports = []
+        real = builtins.__import__
+
+        def counting(name, *args, **kwargs):
+            imports.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting)
+        compiled = engine.compile("//_[@lex=the]\\NP==>VP[//NN]")
+        monkeypatch.undo()
+        assert imports == []
+        assert len(compiled.bound) == 2
+        assert "ValueSeed" in compiled.explain()
     finally:
         monkeypatch.undo()
         engine.close()
