@@ -141,7 +141,7 @@ def _print_batch_results(entries, results, show, out: TextIO) -> None:
         else:
             total, rows = len(result), result
         print(f"[q{index}] {text}: {total} match(es)", file=out)
-        for tid, node_id in list(rows)[: show or 10]:
+        for tid, node_id in rows[: show or 10]:
             print(f"  tree {tid}\tnode {node_id}", file=out)
 
 

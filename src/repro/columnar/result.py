@@ -7,16 +7,24 @@ pairs in sorted order, packed into one interleaved int64 ``array('q')``
 the serving layer caches, digests, pages and — ``repro_encode_pairs`` —
 sends as JSON bytes without a pair built.  The executor *emits* one per
 segment, a segmented query *merges* them, a page or a top-k is a
-*slice*; tuples only appear when a caller iterates (``list(batch)`` at
-the engines' API boundary).  The kernels' pure-Python twins live here;
-both backends return byte-identical arrays.
+*slice*, and ``engine.query()`` hands the batch itself to its caller: a
+read-only sequence of ``(tid, id)`` tuples that compares equal to the
+list of them (``list(batch)`` when a list is needed).  Tuples only
+appear when a caller indexes or iterates.  The kernels' pure-Python
+twins live here; both backends return byte-identical arrays.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from itertools import chain
 from typing import Iterable, Iterator
+
+
+def _rows(pairs: array) -> Iterator[tuple[int, int]]:
+    flat = iter(pairs)
+    return zip(flat, flat)
 
 
 def _packed(pairs: Iterable[tuple]) -> array:
@@ -35,19 +43,19 @@ def python_emit_pairs(tids, ids, rows) -> array:
 def python_merge_pairs(parts) -> array:
     """Merge packed sorted pair arrays into one: the sort finds each
     part as one ascending run and only merges them."""
-    return _packed(sorted(chain.from_iterable(map(ResultBatch, parts))))
+    return _packed(sorted(chain.from_iterable(map(_rows, parts))))
 
 
 def python_encode_pairs(pairs: array) -> bytes:
     """Packed pairs as the bytes ``json.dumps`` gives the list of their
     ``[tid, id]`` lists."""
-    flat = iter(pairs)
-    rows = "], [".join(map("%d, %d".__mod__, zip(flat, flat)))
+    rows = "], [".join(map("%d, %d".__mod__, _rows(pairs)))
     return (f"[[{rows}]]" if rows else "[]").encode("ascii")
 
 
-class ResultBatch:
-    """Distinct sorted ``(tid, id)`` pairs, packed.  Immutable by
+class ResultBatch(Sequence):
+    """Distinct sorted ``(tid, id)`` pairs, packed: a read-only sequence
+    of tuples, equal to the list of the same tuples.  Immutable by
     convention, and it owns its memory: ``pairs`` is never a view of a
     store, so a batch outlives the engine that produced it."""
 
@@ -92,16 +100,32 @@ class ResultBatch:
         return len(self.pairs) // 2
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        flat = iter(self.pairs)
-        return zip(flat, flat)
+        return _rows(self.pairs)
 
-    def __getitem__(self, window: slice) -> "ResultBatch":
-        """The contiguous rows ``window`` selects (a page, a top-k)."""
-        start, stop, _step = window.indices(len(self))
-        return ResultBatch(self.pairs[2 * start:2 * stop])
+    def __getitem__(self, index):
+        """Row ``index`` as a tuple (negative counts from the end), or the
+        contiguous rows a unit-step slice selects as a batch (a page, a
+        top-k)."""
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                raise ValueError(
+                    "a ResultBatch slices contiguously; take list(batch) "
+                    "for a stepped slice"
+                )
+            return ResultBatch(self.pairs[2 * start:2 * stop])
+        row = 2 * range(len(self))[index]
+        return self.pairs[row], self.pairs[row + 1]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ResultBatch) and self.pairs == other.pairs
+        if isinstance(other, ResultBatch):
+            return self.pairs == other.pairs
+        if isinstance(other, list):
+            return len(other) == len(self) and other == list(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ResultBatch({list(self)!r})"
 
 
 EMPTY = ResultBatch(array("q"))

@@ -81,7 +81,6 @@ import hashlib
 import os
 import threading
 import time
-from array import array
 from typing import NamedTuple, Optional
 
 FAULTS_ENV = "REPRO_FAULTS"
@@ -329,14 +328,12 @@ def crash_point(name: str) -> None:
 
 def poisoned_rows(rows):
     """``cache_poison``: the result to actually store in the result
-    cache — ``rows`` itself, or when the point fires a corrupted copy (a
-    batch with its first id flipped, an empty one with a row, aggregate
-    bytes short of one).  Callers digest the *original* first, modeling
-    corruption that lands after the checksum was taken."""
+    cache — ``rows`` itself, or when the point fires a copy with the
+    first byte of its buffer flipped (an empty one gains a zero row
+    first).  Callers digest the *original* first, modeling corruption
+    that lands after the checksum was taken."""
     if not fires("cache_poison"):
         return rows
-    if isinstance(rows, bytes):
-        return rows[1:]
-    pairs = rows.pairs[:] or array("q", (-1, 0))
-    pairs[1] = -1 - pairs[1]
-    return type(rows)(pairs)
+    blob = bytearray(rows.tobytes() or bytes(16))
+    blob[0] ^= 0xFF
+    return type(rows).frombytes(bytes(blob))

@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import ChainMap
 from typing import Optional, Sequence, Union
 
+from ..columnar.result import ResultBatch
 from ..labeling.lpath_scheme import label_corpus, root_spans
 from ..plan.cache import PlanCache, cached_compile
 from ..plan.segmented import (
@@ -44,7 +45,7 @@ from ..relational.sqlite_backend import SQLiteBackend
 from ..store import partition_columns, partition_rows_by_tid
 from ..tree.node import Tree, TreeNode
 from .ast import Path
-from .compiler import CompiledQuery, EXECUTORS, PlanCompiler
+from .compiler import EXECUTORS, PlanCompiler
 from .errors import LPathError
 from .parser import parse
 from .sql import SQLGenerator
@@ -60,7 +61,150 @@ COLUMN_BUNDLE_ATTRS = (
 )
 
 
-class LPathEngine:
+class PlanEngine:
+    """The plan-backend query surface both dialects' engines share:
+    compile through the engine's plan cache, then hand back what the
+    plan produces — a :class:`~repro.columnar.result.ResultBatch`, a
+    count, an aggregate dict — never a copy of it.  A subclass sets
+    ``_compiler`` (``None`` once closed), ``plan_cache`` and
+    ``executor``."""
+
+    def compile(
+        self,
+        query: Query,
+        pivot: bool = False,
+        executor: Optional[str] = None,
+        limit: Optional[int] = None,
+        agg: Optional[str] = None,
+    ):
+        """Compile to a shared-IR plan, via the per-engine plan cache."""
+        if self._compiler is None:
+            raise LPathError("engine is closed")
+        return cached_compile(
+            self.plan_cache,
+            self._compiler,
+            query,
+            pivot,
+            executor=executor if executor is not None else self.executor,
+            limit=limit,
+            agg=agg,
+        )
+
+    def query(
+        self,
+        query: Query,
+        pivot: bool = False,
+        executor: Optional[str] = None,
+        limit: Optional[int] = None,
+    ) -> ResultBatch:
+        """Distinct, sorted ``(tid, id)`` pairs matching the query, as a
+        :class:`~repro.columnar.result.ResultBatch` (``limit=k`` compiles
+        an early-terminating top-k plan)."""
+        return self.compile(
+            query, pivot=pivot, executor=executor, limit=limit
+        ).rows()
+
+    def count(
+        self, query: Query, pivot: bool = False, executor: Optional[str] = None
+    ) -> int:
+        """Result-set size, counted through the compiled plan: a
+        segmented engine adds per-segment counts, and a process-mode
+        engine ships back one integer per worker instead of the rows."""
+        return self.compile(query, pivot=pivot, executor=executor).count()
+
+    def aggregate(
+        self,
+        query: Query,
+        agg: str = "count",
+        pivot: bool = False,
+        executor: Optional[str] = None,
+    ) -> dict:
+        """Evaluate an aggregate over the result set without returning
+        rows: ``{"count": n}``, or ``{group: n}`` keyed by node name
+        (``count_by_name``) / depth (``count_by_depth``).  The plan
+        counts from partition bounds and join output cardinality instead
+        of materializing node lists."""
+        return self.compile(
+            query, pivot=pivot, executor=executor, agg=agg
+        ).aggregate()
+
+    def query_batch(
+        self,
+        queries: Sequence,
+        pivot: bool = False,
+        executor: Optional[str] = None,
+    ) -> list:
+        """Execute a batch of queries through one shared-scan cache:
+        identical scans and common step prefixes across the batch run
+        once and fan out to every consumer (:mod:`repro.plan.batch`).
+
+        Each entry is a query (string or AST) or a mapping with keys
+        ``query`` and optionally ``limit`` / ``agg`` / ``pivot``.
+        Returns one result per entry — the same batch (or aggregate
+        dict) the equivalent :meth:`query` / :meth:`aggregate` call
+        produces."""
+        from ..plan.batch import run_batch
+
+        return run_batch(self._compile_batch(queries, pivot, executor))
+
+    def explain_batch(
+        self,
+        queries: Sequence,
+        pivot: bool = False,
+        executor: Optional[str] = None,
+    ) -> str:
+        """Render the shared-scan DAG :meth:`query_batch` would execute,
+        with reuse annotations on every shared step prefix."""
+        from ..plan.batch import explain_batch
+
+        return explain_batch(self._compile_batch(queries, pivot, executor))
+
+    def _compile_batch(
+        self, queries: Sequence, pivot: bool, executor: Optional[str]
+    ) -> list:
+        if self._compiler is None:
+            raise LPathError("engine is closed")
+        compiled = []
+        for entry in queries:
+            options = {"pivot": pivot}
+            if isinstance(entry, dict):
+                spec = dict(entry)
+                query = spec.pop("query", None)
+                if query is None:
+                    raise LPathError("batch entry mapping needs a 'query' key")
+                unknown = set(spec) - {"limit", "agg", "pivot"}
+                if unknown:
+                    raise LPathError(
+                        f"unknown batch entry keys: {', '.join(sorted(unknown))}"
+                    )
+                options.update(spec)
+            else:
+                query = entry
+            compiled.append(self.compile(query, executor=executor, **options))
+        return compiled
+
+    def cache_stats(self) -> dict[str, int]:
+        """Plan-cache observability: hits, misses, evictions, size and
+        capacity of this engine's LRU plan cache."""
+        return self.plan_cache.stats
+
+    def explain(
+        self, query: Query, pivot: bool = False, executor: Optional[str] = None,
+        limit: Optional[int] = None, agg: Optional[str] = None,
+    ) -> str:
+        """Logical-IR and physical plan description."""
+        return self.compile(
+            query, pivot=pivot, executor=executor, limit=limit, agg=agg
+        ).explain()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class LPathEngine(PlanEngine):
     """Query a corpus of linguistic trees with LPath."""
 
     def __init__(
@@ -438,8 +582,10 @@ class LPathEngine:
         pivot: bool = False,
         executor: Optional[str] = None,
         limit: Optional[int] = None,
-    ) -> list[tuple[int, int]]:
-        """Distinct, sorted ``(tid, id)`` pairs matching the query.
+    ) -> ResultBatch:
+        """Distinct, sorted ``(tid, id)`` pairs matching the query, as
+        one :class:`~repro.columnar.result.ResultBatch` whatever the
+        backend.
 
         ``pivot=True`` (plan backend only, ignored elsewhere) enables
         selectivity-driven join ordering; ``executor`` overrides the
@@ -451,10 +597,9 @@ class LPathEngine:
         if self._compiler is None:
             raise LPathError("engine is closed")
         if backend == "plan":
-            compiled = self.compile(
+            return super().query(
                 query, pivot=pivot, executor=executor, limit=limit
             )
-            return list(compiled.rows())
         if backend == "sqlite":
             sql = self.to_sql(query)
             result = sorted(tuple(row) for row in self.sqlite.execute(sql))
@@ -464,7 +609,7 @@ class LPathEngine:
             raise LPathError(
                 f"unknown backend {backend!r}; choose from {BACKENDS}"
             )
-        return result[:limit] if limit is not None else result
+        return ResultBatch.of(result[:limit])
 
     def count(
         self,
@@ -480,79 +625,8 @@ class LPathEngine:
         engine ships back one integer per worker instead of packing,
         unpacking and merging every result row just to take its length."""
         if backend == "plan":
-            return self.compile(query, pivot=pivot, executor=executor).count()
+            return super().count(query, pivot=pivot, executor=executor)
         return len(self.query(query, backend=backend, pivot=pivot, executor=executor))
-
-    def aggregate(
-        self,
-        query: Query,
-        agg: str = "count",
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> dict:
-        """Evaluate an aggregate over the result set without returning
-        rows: ``{"count": n}``, or ``{group: n}`` keyed by node name
-        (``count_by_name``) / depth (``count_by_depth``).  The plan
-        counts from partition bounds and join output cardinality instead
-        of materializing node lists."""
-        return self.compile(
-            query, pivot=pivot, executor=executor, agg=agg
-        ).aggregate()
-
-    def query_batch(
-        self,
-        queries: Sequence,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> list:
-        """Execute a batch of queries through one shared-scan cache:
-        identical scans and common step prefixes across the batch run
-        once and fan out to every consumer (:mod:`repro.plan.batch`).
-
-        Each entry is a query (string or AST) or a mapping with keys
-        ``query`` and optionally ``limit`` / ``agg`` / ``pivot``.
-        Returns one result per entry — the same row list (or aggregate
-        dict) the equivalent :meth:`query` / :meth:`aggregate` call
-        produces."""
-        from ..plan.batch import run_batch
-
-        return run_batch(self._compile_batch(queries, pivot, executor))
-
-    def explain_batch(
-        self,
-        queries: Sequence,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> str:
-        """Render the shared-scan DAG :meth:`query_batch` would execute,
-        with reuse annotations on every shared step prefix."""
-        from ..plan.batch import explain_batch
-
-        return explain_batch(self._compile_batch(queries, pivot, executor))
-
-    def _compile_batch(
-        self, queries: Sequence, pivot: bool, executor: Optional[str]
-    ) -> list:
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        compiled = []
-        for entry in queries:
-            options = {"pivot": pivot}
-            if isinstance(entry, dict):
-                spec = dict(entry)
-                query = spec.pop("query", None)
-                if query is None:
-                    raise LPathError("batch entry mapping needs a 'query' key")
-                unknown = set(spec) - {"limit", "agg", "pivot"}
-                if unknown:
-                    raise LPathError(
-                        f"unknown batch entry keys: {', '.join(sorted(unknown))}"
-                    )
-                options.update(spec)
-            else:
-                query = entry
-            compiled.append(self.compile(query, executor=executor, **options))
-        return compiled
 
     def nodes(
         self, query: Query, pivot: bool = False, executor: Optional[str] = None
@@ -567,45 +641,10 @@ class LPathEngine:
 
     # -- compilation artifacts -------------------------------------------------
 
-    def compile(
-        self,
-        query: Query,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-        limit: Optional[int] = None,
-        agg: Optional[str] = None,
-    ):
-        """Compile to a shared-IR plan, via the per-engine plan cache."""
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        return cached_compile(
-            self.plan_cache,
-            self._compiler,
-            query,
-            pivot,
-            executor=executor if executor is not None else self.executor,
-            limit=limit,
-            agg=agg,
-        )
-
     def to_sql(self, query: Query) -> str:
         """The SQL text the paper's translation module would emit."""
         path = parse(query) if isinstance(query, str) else query
         return self._sql.generate(path)
-
-    def cache_stats(self) -> dict[str, int]:
-        """Plan-cache observability: hits, misses, evictions, size and
-        capacity of this engine's LRU plan cache."""
-        return self.plan_cache.stats
-
-    def explain(
-        self, query: Query, pivot: bool = False, executor: Optional[str] = None,
-        limit: Optional[int] = None, agg: Optional[str] = None,
-    ) -> str:
-        """Logical-IR and physical plan description."""
-        return self.compile(
-            query, pivot=pivot, executor=executor, limit=limit, agg=agg
-        ).explain()
 
     # -- backends ---------------------------------------------------------------
 
@@ -655,11 +694,6 @@ class LPathEngine:
             mapped.close()
             self._mapped = None
 
-    def __enter__(self) -> "LPathEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def engine_from_bracketed(text: str, **kwargs) -> LPathEngine:

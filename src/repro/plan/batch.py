@@ -87,13 +87,9 @@ class BatchState:
 
 def run_batch(compiled: Sequence) -> list:
     """Execute compiled queries through one shared-prefix batch cache;
-    one result per query, in order — the engines' API boundary, so a
-    batch becomes the row list ``query()`` returns."""
-    state = BatchState(compiled)
-    return [
-        result if isinstance(result, dict) else list(result)
-        for result in map(state.execute_one, compiled)
-    ]
+    one result per query, in order: the batch (or aggregate dict)
+    ``query()`` (or ``aggregate()``) returns."""
+    return list(map(BatchState(compiled).execute_one, compiled))
 
 
 def explain_batch(compiled: Sequence) -> str:

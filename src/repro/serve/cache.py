@@ -5,10 +5,12 @@ A long-lived daemon sees the same hot queries over and over (the fig6b
 memoizes *result sets*, not just compiled plans.  The cache is a
 :class:`~repro.plan.cache.PlanCache` — the same lock-protected LRU with
 hit/miss/eviction counters the engines use for plans — and every entry
-is **one buffer**: a :class:`~repro.columnar.result.ResultBatch` (the
-packed ``(tid, id)`` pairs exactly as the executor emitted them, 16 bytes
-a row; a page is a slice of it) or, for an aggregate, the JSON bytes of
-its sorted ``[group, count]`` pairs.
+is **one buffer** behind one interface — ``pairs`` (the buffer),
+``len`` (its result rows), ``tobytes``/``frombytes`` and ``encode`` (its
+JSON bytes): a :class:`~repro.columnar.result.ResultBatch` (the packed
+``(tid, id)`` pairs exactly as the executor emitted them, 16 bytes a
+row; a page is a slice of it) or an :class:`EncodedAggregate` (the JSON
+bytes of an aggregate's sorted ``[group, count]`` pairs, no rows).
 
 Keying mirrors :func:`repro.plan.cache.compile_options_key` and adds the
 serving dimensions: the **store fingerprint**
@@ -32,6 +34,7 @@ never return corrupted rows.
 
 from __future__ import annotations
 
+import json
 import zlib
 from typing import Optional
 
@@ -39,15 +42,37 @@ from ..faults import poisoned_rows
 from ..plan.cache import PlanCache, compile_options_key
 
 
-def _buffer(rows):
-    """The one buffer behind a cached result: a batch's packed pairs, or
-    an aggregate's JSON bytes as they are."""
-    return rows if isinstance(rows, bytes) else rows.pairs
+class EncodedAggregate:
+    """An aggregate result in its cached form: the JSON bytes of its
+    sorted ``[group, count]`` pairs, held in ``pairs`` and encoded as
+    they are.  It holds no ``(tid, id)`` rows, so its ``len`` is 0."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: bytes) -> None:
+        self.pairs = pairs
+
+    @classmethod
+    def of(cls, groups: dict) -> "EncodedAggregate":
+        return cls(json.dumps(sorted(groups.items())).encode("utf-8"))
+
+    @classmethod
+    def frombytes(cls, blob: bytes) -> "EncodedAggregate":
+        return cls(blob)
+
+    def tobytes(self) -> bytes:
+        return self.pairs
+
+    def encode(self, kern=None) -> bytes:
+        return self.pairs
+
+    def __len__(self) -> int:
+        return 0
 
 
 def rows_digest(rows) -> int:
     """The CRC-32 of a cached result's buffer."""
-    return zlib.crc32(_buffer(rows))
+    return zlib.crc32(rows.pairs)
 
 
 class ResultCache(PlanCache):
@@ -89,7 +114,7 @@ class ResultCache(PlanCache):
         rows as handed in — taken *before* the ``cache_poison`` fault
         point gets a chance to corrupt what is stored, so injected
         corruption is guaranteed detectable on the way out."""
-        if not isinstance(rows, bytes) and len(rows) > self.max_rows:
+        if len(rows) > self.max_rows:
             with self._lock:
                 self.oversize += 1
             return False
@@ -125,8 +150,6 @@ class ResultCache(PlanCache):
             snapshot["integrity_failures"] = self.integrity_failures
             snapshot["max_rows"] = self.max_rows
             held = [rows for _digest, rows in self._entries.values()]
-            snapshot["bytes"] = sum(memoryview(_buffer(r)).nbytes for r in held)
-            snapshot["rows"] = sum(
-                len(r) for r in held if not isinstance(r, bytes)
-            )
+            snapshot["bytes"] = sum(memoryview(r.pairs).nbytes for r in held)
+            snapshot["rows"] = sum(map(len, held))
         return snapshot

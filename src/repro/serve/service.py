@@ -61,7 +61,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from ..columnar.kernels import kernel_info, native_kernels
 from ..lpath.errors import LPathError
 from ..plan.ir import AGGREGATE_OPS
-from .cache import ResultCache
+from .cache import EncodedAggregate, ResultCache
 
 DIALECTS = ("lpath", "xpath")
 
@@ -378,9 +378,10 @@ def _bounded_int(
 class Answer(NamedTuple):
     """One response document whose row-bearing value (``head[slot]``: a
     page's :class:`~repro.columnar.result.ResultBatch` window, an
-    aggregate's JSON bytes) is still the buffer the result cache holds.
-    In-process callers take :meth:`document`; the daemon sends
-    :meth:`encode`, the same JSON byte for byte with no row ever built."""
+    :class:`~repro.serve.cache.EncodedAggregate`) is still the buffer the
+    result cache holds.  In-process callers take :meth:`document`; the
+    daemon sends :meth:`encode`, the same JSON byte for byte with no row
+    ever built."""
 
     head: dict
     slot: Optional[str] = None
@@ -391,16 +392,14 @@ class Answer(NamedTuple):
         if slot == "matches":
             head[slot] = [list(pair) for pair in head[slot]]
         elif slot is not None:
-            head[slot] = json.loads(head[slot])
+            head[slot] = json.loads(head[slot].encode())
         return head
 
     def encode(self) -> bytes:
         head, slot = self.head, self.slot
         if slot is None:
             return json.dumps(head).encode("utf-8")
-        value = head[slot]
-        if slot == "matches":
-            value = value.encode(self.kern)
+        value = head[slot].encode(self.kern)
         # Keys are ours and a quote inside a JSON string is escaped, so
         # the placeholder's text can only be the slot itself.
         mark = b'"%b": ' % slot.encode("ascii")
@@ -787,10 +786,6 @@ class QueryService:
             )
         return key
 
-    def execute_batch(self, params: dict):
-        """:meth:`answer_batch` as JSON-shaped dicts."""
-        return (answer.document() for answer in self.answer_batch(params))
-
     def answer_batch(self, params: dict):
         """Admit a whole batch of queries as one unit and return a
         generator streaming one :class:`Answer` per query, in order,
@@ -937,9 +932,9 @@ class QueryService:
     def _shape(result):
         """An engine result in its cacheable one-buffer shape: a
         :class:`~repro.columnar.result.ResultBatch` as it is, an aggregate
-        dict as the JSON bytes of its sorted ``[group, count]`` pairs."""
+        dict as an :class:`~repro.serve.cache.EncodedAggregate`."""
         if isinstance(result, dict):
-            return json.dumps(sorted(result.items())).encode("utf-8")
+            return EncodedAggregate.of(result)
         return result
 
     def record_latency(self, route: str, seconds: float) -> None:

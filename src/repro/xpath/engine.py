@@ -14,8 +14,9 @@ from typing import Optional, Sequence, Union
 
 from ..labeling import xpath_scheme
 from ..lpath.ast import Path
+from ..lpath.engine import PlanEngine
 from ..lpath.errors import LPathError
-from ..plan.cache import PlanCache, cached_compile
+from ..plan.cache import PlanCache
 from ..plan.segmented import (
     RemoteSpec,
     Segment,
@@ -27,12 +28,7 @@ from ..relational.database import Database
 from ..relational.table import Table
 from ..store import partition_rows_by_tid
 from ..tree.node import Tree
-from .compiler import (
-    VERTICAL_FRAGMENT,
-    XPATH_AXES,
-    XPathCompiledQuery,
-    XPathPlanCompiler,
-)
+from .compiler import VERTICAL_FRAGMENT, XPathPlanCompiler
 
 XNODE_COLUMNS = ("tid", "start", "end", "depth", "id", "pid", "name", "value")
 XNODE_CLUSTERED_KEY = ("name", "tid", "start", "end", "depth", "id", "pid")
@@ -54,7 +50,7 @@ def create_xnode_table(db: Database, rows, name: str = "xnode") -> Table:
     return table
 
 
-class XPathEngine:
+class XPathEngine(PlanEngine):
     """Query a corpus with the XPath-expressible fragment of LPath syntax."""
 
     def __init__(
@@ -120,7 +116,6 @@ class XPathEngine:
         when ``workers > 1``); :meth:`close` unmaps the file."""
         from ..columnar.store import MappedColumnStore
         from ..store import open_mapped_corpus
-        from .compiler import XPathPlanCompiler
 
         validate_segmentation(1, workers, mode)
         if mode is None:
@@ -168,124 +163,6 @@ class XPathEngine:
             raise
         return engine
 
-    def compile(
-        self,
-        query: Query,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-        limit: Optional[int] = None,
-        agg: Optional[str] = None,
-    ):
-        """Compile to a shared-IR plan, via the per-engine plan cache."""
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        return cached_compile(
-            self.plan_cache,
-            self._compiler,
-            query,
-            pivot,
-            executor=executor if executor is not None else self.executor,
-            limit=limit,
-            agg=agg,
-        )
-
-    def query(
-        self,
-        query: Query,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-        limit: Optional[int] = None,
-    ) -> list[tuple[int, int]]:
-        """Distinct, sorted ``(tid, id)`` pairs matching the query
-        (``limit=k`` compiles an early-terminating top-k plan)."""
-        compiled = self.compile(
-            query, pivot=pivot, executor=executor, limit=limit
-        )
-        return list(compiled.rows())
-
-    def aggregate(
-        self,
-        query: Query,
-        agg: str = "count",
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> dict:
-        """Evaluate an aggregate without materializing rows (same
-        contract as :meth:`repro.lpath.LPathEngine.aggregate`)."""
-        return self.compile(
-            query, pivot=pivot, executor=executor, agg=agg
-        ).aggregate()
-
-    def query_batch(
-        self,
-        queries: Sequence,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> list:
-        """Shared-scan batch execution (same contract as
-        :meth:`repro.lpath.LPathEngine.query_batch`)."""
-        from ..plan.batch import run_batch
-
-        return run_batch(self._compile_batch(queries, pivot, executor))
-
-    def explain_batch(
-        self,
-        queries: Sequence,
-        pivot: bool = False,
-        executor: Optional[str] = None,
-    ) -> str:
-        """Render the shared-scan DAG :meth:`query_batch` would execute."""
-        from ..plan.batch import explain_batch
-
-        return explain_batch(self._compile_batch(queries, pivot, executor))
-
-    def _compile_batch(
-        self, queries: Sequence, pivot: bool, executor: Optional[str]
-    ) -> list:
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        compiled = []
-        for entry in queries:
-            options = {"pivot": pivot}
-            if isinstance(entry, dict):
-                spec = dict(entry)
-                query = spec.pop("query", None)
-                if query is None:
-                    raise LPathError("batch entry mapping needs a 'query' key")
-                unknown = set(spec) - {"limit", "agg", "pivot"}
-                if unknown:
-                    raise LPathError(
-                        f"unknown batch entry keys: {', '.join(sorted(unknown))}"
-                    )
-                options.update(spec)
-            else:
-                query = entry
-            compiled.append(self.compile(query, executor=executor, **options))
-        return compiled
-
-    def count(
-        self, query: Query, pivot: bool = False, executor: Optional[str] = None
-    ) -> int:
-        """Result-set size, counted through the compiled plan (segmented
-        engines add per-segment counts; process-mode engines return one
-        integer per worker instead of shipping the rows)."""
-        return self.compile(query, pivot=pivot, executor=executor).count()
-
-    def explain(
-        self, query: Query, pivot: bool = False, executor: Optional[str] = None,
-        limit: Optional[int] = None, agg: Optional[str] = None,
-    ) -> str:
-        """Logical-IR and physical plan description (same IR format as the
-        LPath engine)."""
-        return self.compile(
-            query, pivot=pivot, executor=executor, limit=limit, agg=agg
-        ).explain()
-
-    def cache_stats(self) -> dict[str, int]:
-        """Plan-cache observability: hits, misses, evictions, size and
-        capacity of this engine's LRU plan cache."""
-        return self.plan_cache.stats
-
     def close(self) -> None:
         """Release the worker pool, cached plans, relational stores and
         (for mmap-backed engines) the file mapping, so a closed engine is
@@ -300,9 +177,3 @@ class XPathEngine:
         if mapped is not None:
             mapped.close()
             self._mapped = None
-
-    def __enter__(self) -> "XPathEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

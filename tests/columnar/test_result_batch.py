@@ -10,7 +10,11 @@ equals ``json.dumps`` over the whole int64 range and stays inside its
 buffer, slices tile the full answer, bytes round trip, the integrity
 digest sees every single-id flip, a batch outlives the mmap it was
 gathered from, and top-k / ``query_batch`` / the aggregates agree with
-the plain query.  ``REPRO_FUZZ_EXAMPLES`` scales
+the plain query.  ``engine.query()`` returns the batch itself, so its
+sequence contract — length, iteration, truth, indexing, unit-step
+slices, equality with the list in both directions — is checked pair by
+pair against that list, and its lifetime across ``close()`` and a live
+engine swap.  ``REPRO_FUZZ_EXAMPLES`` scales
 the hypothesis examples (the nightly job runs it at 400).
 """
 
@@ -21,6 +25,7 @@ import json
 import os
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 
 import hypothesis.strategies as st
 import pytest
@@ -262,3 +267,105 @@ class TestThroughTheEngine:
         assert all(
             isinstance(row, tuple) for rows in results[:-1] for row in rows
         )
+
+
+sorted_pairs = st.lists(
+    st.tuples(small | values, small | values), max_size=40, unique=True
+).map(sorted)
+bounds = st.none() | st.integers(min_value=-50, max_value=50)
+
+
+class TestBatchContract:
+    """The public result type, pair by pair against the list it stands
+    for: whatever a caller does with ``engine.query(q)`` it may do with
+    the list of the same tuples and get the same answer — or, for a
+    stepped slice, a clear refusal instead of a wrong one."""
+
+    @given(sorted_pairs, st.data())
+    @settings(max_examples=4 * FUZZ_EXAMPLES, deadline=None)
+    def test_a_batch_behaves_as_its_list(self, rows, data):
+        batch = ResultBatch.of(rows)
+        assert isinstance(batch, Sequence)
+        assert len(batch) == len(rows) and bool(batch) is bool(rows)
+        assert list(batch) == rows and list(reversed(batch)) == rows[::-1]
+        for index in range(-len(rows), len(rows)):
+            assert batch[index] == rows[index]
+            assert type(batch[index]) is tuple
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                batch[index]
+        start, stop = data.draw(bounds), data.draw(bounds)
+        for step in (None, 1):
+            window = batch[start:stop:step]
+            assert type(window) is ResultBatch
+            assert window == rows[start:stop] and rows[start:stop] == window
+        if rows:
+            assert rows[0] in batch and batch.index(rows[-1]) == len(rows) - 1
+
+    @given(sorted_pairs, st.sampled_from([2, 3, -1, -2]))
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    def test_a_stepped_slice_is_refused_not_wrong(self, rows, step):
+        batch = ResultBatch.of(rows)
+        with pytest.raises(ValueError, match=r"list\(batch\)"):
+            batch[::step]
+        assert list(batch)[::step] == rows[::step]
+
+    @given(sorted_pairs)
+    @settings(max_examples=2 * FUZZ_EXAMPLES, deadline=None)
+    def test_equality_with_a_list_in_both_directions(self, rows):
+        batch = ResultBatch.of(rows)
+        assert batch == rows and rows == batch
+        assert not batch != rows and not rows != batch
+        assert batch == ResultBatch.of(rows)
+        longer = rows + [(1 << 62, 1 << 62)]
+        assert batch != longer and longer != batch
+        if rows:
+            assert batch != rows[1:] and rows[:-1] != batch
+            assert batch != [list(pair) for pair in rows]  # lists, not tuples
+        assert batch != tuple(rows)
+
+    def test_unhashable_with_a_readable_repr(self):
+        batch = ResultBatch.of([(1, 2), (3, 4)])
+        with pytest.raises(TypeError):
+            hash(batch)
+        assert repr(batch) == "ResultBatch([(1, 2), (3, 4)])"
+        assert repr(EMPTY) == "ResultBatch([])"
+
+
+class TestBatchLifetime:
+    def test_query_results_outlive_a_closed_mmap_engine(self, trees, store_path):
+        oracle = LPathEngine(trees)
+        engine = LPathEngine.open(store_path)
+        assert len(engine._compiler.segments) == 2
+        held = {query: engine.query(query) for query in QUERIES}
+        engine.close()
+        for query, batch in held.items():
+            assert batch == oracle.query(query, backend="treewalk")
+
+    def test_a_live_result_outlives_the_engine_swap(self, trees, tmp_path):
+        from repro.live import LiveEngineManager
+        from repro.tree.bracket import format_tree
+
+        path = str(tmp_path / "live.lpdb")
+        store.save_corpus(trees[:30], path, format="lpdb0005")
+        manager = LiveEngineManager(path, compact_rows=0)
+        try:
+            before = manager.engine
+            held = before.query("//NP")
+            snapshot = list(held)
+            manager.append_trees("\n".join(map(format_tree, trees[30:])))
+            assert manager.engine is not before
+            before.close()                      # as the grace reaper would
+            assert held == snapshot and len(held) == len(snapshot)
+            assert manager.engine.query("//NP")[:len(held)] == held
+        finally:
+            manager.close()
+
+    def test_a_duplicated_batch_entry_gets_two_equal_results(self, store_path):
+        with LPathEngine.open(store_path) as engine:
+            first, second, limited, again = engine.query_batch(
+                ["//S//NP", "//S//NP", {"query": "//NP", "limit": 3},
+                 {"query": "//NP", "limit": 3}]
+            )
+            assert first == second == engine.query("//S//NP") and first
+            assert limited == again == engine.query("//NP")[:3]

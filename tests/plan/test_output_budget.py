@@ -3,8 +3,9 @@
 Beside :mod:`test_compile_budget`: that one counts what a cold compile
 does, this one what happens between the last join and the caller for a
 5 000-row answer on two segments.  The answer travels as packed
-``ResultBatch``\\ es, so: nothing builds per-row tuples before the API
-boundary, each non-empty segment costs one emit call, the merge runs once
+``ResultBatch``\\ es all the way to the caller, so: nothing builds
+per-row tuples (``query()`` and ``query_batch()`` return the batch, not
+a list), each non-empty segment costs one emit call, the merge runs once
 — and not at all when at most one segment holds anything — and the
 environment is read exactly where it was before (the ``REPRO_FAULTS``
 checkpoints); the kernel bundle comes from the bind's ``Knobs``.  Runs
@@ -87,7 +88,7 @@ def test_one_emit_per_segment_and_one_merge(engine, calls):
     assert len(batch[1_000:2_000]) == 1_000
     assert calls == {"emit": 4, "merge": 1}
     rows = engine.query(BIG)
-    assert rows == list(batch) and type(rows[0]) is tuple
+    assert type(rows) is ResultBatch and rows == batch
     assert calls == {"emit": 6, "merge": 2}
 
 
@@ -115,6 +116,50 @@ def test_top_k_goes_through_the_same_emit_and_merge(engine, calls):
     assert 2 <= calls["emit"] <= 4 and calls["merge"] == 1
     assert len(batch) == 5
     assert list(batch) == engine.query("//S//NP")[:5]
+
+
+@pytest.fixture(scope="module")
+def xpath_store_path(tmp_path_factory):
+    from repro.labeling.xpath_scheme import label_corpus
+    from repro.store import save_labels
+
+    trees = list(generate_corpus("wsj", sentences=80, seed=5))
+    path = str(tmp_path_factory.mktemp("output") / "x2.lpdb")
+    with open(path, "wb") as stream:
+        save_labels(list(label_corpus(trees)), stream, segments=2,
+                    format="lpdb0004")
+    return path
+
+
+@pytest.mark.parametrize("backend", ["python", "native"])
+def test_no_tuple_is_built_at_the_api_boundary(
+    store_path, xpath_store_path, backend, monkeypatch
+):
+    """``query()`` and ``query_batch()`` hand back the packed batch: with
+    the batch's tuple iterator rigged to fail, both engines still answer
+    on a segmented mmap store."""
+    from repro.columnar.kernels import native_kernels
+    from repro.xpath import XPathEngine
+
+    if backend == "native" and native_kernels() is None:
+        pytest.skip("native kernels unavailable")
+    monkeypatch.setenv("REPRO_KERNELS", backend)
+
+    def no_tuples(self):
+        raise AssertionError("a result was unpacked into tuples")
+
+    monkeypatch.setattr(ResultBatch, "__iter__", no_tuples)
+    with LPathEngine.open(store_path) as engine:
+        assert len(engine._compiler.segments) == 2
+        assert len(engine.query(BIG)) >= 5_000
+        assert len(engine.query("//S//NP", limit=5)) == 5
+        batch = engine.query_batch([BIG, "//S//NP", {"query": BIG, "limit": 3}])
+        assert [len(result) for result in batch[1:]] == [
+            engine.count("//S//NP"), 3]
+    with XPathEngine.from_store_mmap(xpath_store_path) as engine:
+        assert len(engine._compiler.segments) == 2
+        assert len(engine.query("//NP")) == engine.count("//NP") > 0
+        assert len(engine.query_batch(["//NP", "//S//NP"])[1]) > 0
 
 
 def test_the_output_path_reads_no_environment_of_its_own(

@@ -21,6 +21,12 @@ from repro.xpath import XPathEngine
 QUERIES = ("//NP", "//VP//NP", "//S//NP//WHPP", "//_[.//NP]//VB")
 
 
+def batch_documents(service, params) -> list[dict]:
+    """A streamed batch as the JSON-shaped documents an in-process
+    caller reads off its answers."""
+    return [answer.document() for answer in service.answer_batch(params)]
+
+
 @pytest.fixture(scope="module")
 def reference(store_path):
     with LPathEngine.open(store_path) as engine:
@@ -183,7 +189,7 @@ class TestBatchExecution:
             {"query": "//VP//NP", "top_k": 3},
             {"query": "//NP", "agg": "count"},
         ]
-        documents = list(service.execute_batch({"queries": queries}))
+        documents = batch_documents(service, {"queries": queries})
         summary = documents.pop()
         assert summary["done"] is True
         assert summary["completed"] == summary["queries"] == 3
@@ -198,20 +204,18 @@ class TestBatchExecution:
 
     def test_batch_members_use_the_result_cache_individually(self, service):
         service.execute({"query": "//NP"})
-        documents = list(
-            service.execute_batch({"queries": ["//NP", "//VP//NP"]})
-        )
+        documents = batch_documents(service, {"queries": ["//NP", "//VP//NP"]})
         assert documents[0]["cached"] is True
         assert documents[1]["cached"] is False
         # ...and a batch populates the cache for later singles/batches.
-        documents = list(service.execute_batch({"queries": ["//VP//NP"]}))
+        documents = batch_documents(service, {"queries": ["//VP//NP"]})
         assert documents[0]["cached"] is True
 
     def test_member_failure_is_a_document_not_an_abort(
         self, service, reference
     ):
-        documents = list(
-            service.execute_batch({"queries": ["//NP", "//(", "//VP//NP"]})
+        documents = batch_documents(
+            service, {"queries": ["//NP", "//(", "//VP//NP"]}
         )
         summary = documents.pop()
         assert summary["done"] is False
@@ -236,20 +240,20 @@ class TestBatchExecution:
     )
     def test_bad_batches_are_400_before_streaming(self, service, params):
         with pytest.raises(ServeError) as failure:
-            service.execute_batch(params)
+            service.answer_batch(params)
         assert failure.value.status == 400
 
     def test_batch_is_admitted_as_one_unit(self, store_path):
         with QueryService(
             store_path, max_inflight=1, max_queue=0
         ) as service:
-            stream = service.execute_batch({"queries": ["//NP", "//VP//NP"]})
+            stream = service.answer_batch({"queries": ["//NP", "//VP//NP"]})
             next(stream)
             # The in-flight batch holds the only slot...
             with pytest.raises(ServeError) as failure:
                 service.execute({"query": "//S//NP//WHPP"})
             assert failure.value.status == 429
-            assert list(stream)[-1]["done"] is True
+            assert list(stream)[-1].document()["done"] is True
             # ...and releases it when the stream completes.
             assert service.execute({"query": "//S//NP//WHPP"})["total"] >= 0
 

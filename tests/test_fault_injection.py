@@ -16,6 +16,7 @@ from repro.faults import (
     Injector,
     parse_fault_specs,
 )
+from repro.serve.cache import EncodedAggregate
 
 
 class TestSpecParsing:
@@ -136,7 +137,10 @@ class TestHelpers:
         assert list(rows) == [(1, 2), (3, 4)]  # the copy was flipped
         # Aggregate-shaped and empty results are corrupted too: any
         # cached entry must be detectably wrong when the point fires.
-        assert faults.poisoned_rows(b'[["NP", 7]]') != b'[["NP", 7]]'
+        aggregate = EncodedAggregate.of({"NP": 7})
+        poisoned = faults.poisoned_rows(aggregate)
+        assert type(poisoned) is EncodedAggregate
+        assert poisoned.pairs != aggregate.pairs == b'[["NP", 7]]'
         assert faults.poisoned_rows(ResultBatch.of([])) != ResultBatch.of([])
 
     def test_reset_socket_reports_the_draw(self, monkeypatch):

@@ -1,0 +1,52 @@
+"""Minimal is a gate: the source may not grow past its recorded ceiling,
+and ``import repro`` may not load more of the package than it does now.
+
+``SOURCE_BUDGET.json`` at the repository root holds both.  A change that
+deletes code lowers ``src_repro_py_lines`` to its own count; one that has
+to grow the source, or to load a module at import time, raises the
+number or extends the list in the same diff, where it is seen and argued.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+BUDGET = json.loads((ROOT / "SOURCE_BUDGET.json").read_text())
+
+#: Prints the ``repro`` modules a bare ``import repro`` leaves loaded.
+LOADED = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); import repro; "
+    "print(json.dumps(sorted(m for m in sys.modules "
+    "if m.split('.')[0] == 'repro')))"
+)
+
+
+def test_the_source_stays_under_its_line_ceiling():
+    lines = sum(  # what `wc -l` counts: newlines
+        path.read_bytes().count(b"\n")
+        for path in (SRC / "repro").rglob("*.py")
+    )
+    ceiling = BUDGET["src_repro_py_lines"]
+    assert lines <= ceiling, (
+        f"src/repro/**/*.py is {lines} lines, over the {ceiling} ceiling in "
+        "SOURCE_BUDGET.json: delete code, or raise the ceiling in this "
+        "change and say why"
+    )
+
+
+def test_import_repro_loads_no_new_module():
+    found = subprocess.run(
+        [sys.executable, "-I", "-c", LOADED, str(SRC)],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(found.stdout))
+    grown = sorted(loaded - set(BUDGET["import_repro_modules"]))
+    assert not grown, (
+        f"`import repro` now also loads {grown}: import them where they are "
+        "used, or add them to SOURCE_BUDGET.json in this change and say why"
+    )
