@@ -52,7 +52,7 @@ TOPK_SPEEDUP_FLOOR = 3.0
 
 def _engine() -> LPathEngine:
     trees = datasets.corpus("wsj", LARGE_SENTENCES)
-    return LPathEngine(list(trees), keep_trees=False, executor="columnar")
+    return LPathEngine(list(trees), keep_trees=False)
 
 
 def test_batch_and_topk(benchmark, write_result, write_json, repeats):

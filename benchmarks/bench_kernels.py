@@ -72,7 +72,7 @@ def _pinned(variable: str, value: str):
 
 def _engine() -> LPathEngine:
     trees = datasets.corpus("wsj", LARGE_SENTENCES)
-    return LPathEngine(list(trees), keep_trees=False, executor="columnar")
+    return LPathEngine(list(trees), keep_trees=False)
 
 
 def _timed(engine: LPathEngine, query: str, backend: str, repeats: int):

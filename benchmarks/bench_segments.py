@@ -5,17 +5,18 @@ query time grow; this module reruns that sweep with the corpus sharded
 into 1/2/4/8 independent segments and the per-segment plans fanned out on
 a worker pool.  Two views:
 
-* a **scaling series** per Figure 9 query: the single-segment default
-  engine (Volcano — the pre-segmentation baseline configuration), the
-  single-segment columnar engine, and the sharded multi-worker columnar
-  engine across every replication factor;
-* a **segment x worker grid** at the largest factor for the columnar
-  executor, showing where sharding pays and where it just adds per-shard
-  constant costs (tiny shards, sequential drivers).
+* a **scaling series** per Figure 9 query: the single-segment engine
+  (the pre-segmentation baseline configuration) and the sharded
+  multi-worker engine across every replication factor;
+* a **segment x worker grid** at the largest factor, showing where
+  sharding pays and where it just adds per-shard constant costs (tiny
+  shards, sequential drivers).
 
-Acceptance: the multi-worker columnar configuration must beat the
-single-segment baseline on the largest dataset (summed over the Figure 9
-queries), and every configuration must agree on every result size.
+Acceptance: every configuration must agree on every result size.  The
+timings are recorded, not asserted: the thread fan-out is GIL-bound, so
+on the corpus sizes CI can afford sharding shows its per-shard constant
+costs, not a speed-up (its old gate compared against the retired
+tuple-at-a-time executor, which measured executors, not sharding).
 Results also land in machine-readable ``BENCH_segments.json`` so CI can
 track the trajectory across commits.
 """
@@ -37,24 +38,22 @@ def _timed(engine, query: str, repeats: int) -> tuple[float, int]:
     return paper_timing(lambda: engine.count(query), repeats)
 
 
-def _engine(factor: float, executor: str, segments: int, workers: int):
+def _engine(factor: float, segments: int, workers: int):
     # workers only sizes the fan-out pool; normalize the sequential cases
     # to None so this module shares lru_cache entries (and engines) with
     # the other bench modules instead of rebuilding identical ones.
     effective = workers if segments > 1 and workers > 1 else None
     return datasets.lpath_engine(
-        "wsj", factor, executor, segments=segments, workers=effective
+        "wsj", factor, segments=segments, workers=effective
     )
 
 
 def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
     configs = {
-        "1seg-volcano": ("volcano", 1, 1),
-        "1seg-columnar": ("columnar", 1, 1),
-        f"{SEGMENTS}seg-columnar-w{WORKERS}": ("columnar", SEGMENTS, WORKERS),
+        "1seg": (1, 1),
+        f"{SEGMENTS}seg-w{WORKERS}": (SEGMENTS, WORKERS),
     }
-    baseline_name = "1seg-volcano"
-    sharded_name = f"{SEGMENTS}seg-columnar-w{WORKERS}"
+    sharded_name = f"{SEGMENTS}seg-w{WORKERS}"
 
     sections, json_series = [], {}
     totals = {name: 0.0 for name in configs}
@@ -63,9 +62,9 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
         series = {name: [] for name in configs}
         sizes = {}
         for factor in FACTORS:
-            for name, (executor, segments, workers) in configs.items():
+            for name, (segments, workers) in configs.items():
                 seconds, size = _timed(
-                    _engine(factor, executor, segments, workers), query, repeats
+                    _engine(factor, segments, workers), query, repeats
                 )
                 series[name].append((factor, seconds))
                 sizes.setdefault(factor, size)
@@ -86,13 +85,13 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
             for name, points in series.items()
         }
 
-    # Segment x worker grid at the largest factor (columnar executor).
+    # Segment x worker grid at the largest factor.
     grid_query = by_id(FIGURE9_QUERIES[-1]).lpath
     grid_rows, json_grid = [], []
     for segments in SEGMENT_SWEEP:
         for workers in WORKER_SWEEP:
             seconds, size = _timed(
-                _engine(FACTORS[-1], "columnar", segments, workers),
+                _engine(FACTORS[-1], segments, workers),
                 grid_query,
                 repeats,
             )
@@ -104,8 +103,8 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
                 {"segments": segments, "workers": workers, "seconds": seconds}
             )
     sections.append(
-        f"Segment x worker grid at {FACTORS[-1]:g}x (columnar, "
-        f"Q{FIGURE9_QUERIES[-1]}):\n" + "\n".join(grid_rows)
+        f"Segment x worker grid at {FACTORS[-1]:g}x "
+        f"(Q{FIGURE9_QUERIES[-1]}):\n" + "\n".join(grid_rows)
     )
 
     summary = "".join(
@@ -120,12 +119,8 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
         "segments",
         {
             "configs": {
-                name: {
-                    "executor": executor,
-                    "segments": segments,
-                    "workers": workers,
-                }
-                for name, (executor, segments, workers) in configs.items()
+                name: {"segments": segments, "workers": workers}
+                for name, (segments, workers) in configs.items()
             },
             "scaling": json_series,
             "grid": json_grid,
@@ -136,11 +131,3 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
     # Regression benchmark: the sharded engine on the largest dataset.
     sharded = _engine(FACTORS[-1], *configs[sharded_name])
     benchmark(lambda: sharded.count(grid_query))
-
-    # Acceptance: the multi-worker columnar configuration beats the
-    # single-segment baseline on the largest fig. 9 dataset.
-    assert totals[sharded_name] < totals[baseline_name], (
-        f"sharded columnar ({totals[sharded_name]:.5f}s) did not beat the "
-        f"single-segment baseline ({totals[baseline_name]:.5f}s) at "
-        f"{FACTORS[-1]:g}x"
-    )

@@ -64,7 +64,7 @@ PREDICATE_CEILING = 3.0
 
 def _engine() -> LPathEngine:
     trees = datasets.corpus("wsj", LARGE_SENTENCES)
-    return LPathEngine(list(trees), keep_trees=False, executor="columnar")
+    return LPathEngine(list(trees), keep_trees=False)
 
 
 def _forced(engine: LPathEngine, query: str, mode: str, repeats: int):

@@ -24,7 +24,7 @@ from repro.bench.datasets import generate_corpus
 
 def main() -> None:
     trees = list(generate_corpus("wsj", sentences=200, seed=7))
-    engine = LPathEngine(trees, keep_trees=False, executor="columnar")
+    engine = LPathEngine(trees, keep_trees=False)
 
     # A fig. 6c-style suite: one expensive shared spine, cheap tails.
     suite = ["//S//VP//NP", "//S//VP//NP//NN", "//S//VP//NP//DT"]

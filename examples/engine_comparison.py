@@ -35,7 +35,7 @@ def main() -> None:
     print("Loading engines (LPath / TGrep2 / CorpusSearch / XPath-labels)...")
     load, lpath = timed(lambda: LPathEngine(corpus, keep_trees=False))
     print(f"  LPath engine loaded in {load:.2f}s "
-          f"({len(lpath.node_table)} label rows)")
+          f"({lpath.count('//_')} element nodes)")
     tgrep = TGrep2Engine(corpus)
     corpussearch = CorpusSearchEngine(corpus)
     xpath = XPathEngine(corpus)

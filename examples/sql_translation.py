@@ -2,8 +2,8 @@
 """Peek inside the engine: LPath -> SQL translation and physical plans.
 
 Shows, for a few representative queries, the SQL text the translation
-module emits (Section 4 of the paper) and the physical plan the mini
-relational engine executes, then cross-checks both backends.
+module emits (Section 4 of the paper) and the physical plan the columnar
+executor runs, then cross-checks both backends.
 
 Run:  python examples/sql_translation.py
 """

@@ -44,7 +44,6 @@ def scaled_corpus(profile: str, factor: float) -> tuple[Tree, ...]:
 def lpath_engine(
     profile: str,
     factor: float = 1.0,
-    executor: str = "volcano",
     segments: int = 1,
     workers: int | None = None,
 ) -> LPathEngine:
@@ -54,8 +53,7 @@ def lpath_engine(
     segment-scaling benchmark sweeps."""
     trees = corpus(profile) if factor == 1.0 else scaled_corpus(profile, factor)
     return LPathEngine(
-        list(trees), keep_trees=False, executor=executor,
-        segments=segments, workers=workers,
+        list(trees), keep_trees=False, segments=segments, workers=workers,
     )
 
 

@@ -7,7 +7,7 @@ Usage (also via ``python -m repro``)::
     repro query corpus.mrg '//VP{//NP$}' --show 3
     repro query corpus.mrg '//S//NP' --limit 10
     repro query corpus.mrg '//NP' --agg count_by_name
-    repro query corpus.mrg --batch queries.txt --executor columnar
+    repro query corpus.mrg --batch queries.txt
     repro query corpus.mrg 'NP , VB' --engine tgrep2
     repro sql '//NP[not(//JJ)]'
     repro stats corpus.mrg
@@ -79,7 +79,7 @@ def _print_cache_stats(args: argparse.Namespace, engine, out: TextIO) -> None:
 #: Query flags that configure a *local* engine and are meaningless when
 #: the engine lives in a daemon on the other side of ``--url``.
 _LOCAL_ONLY_QUERY_FLAGS = (
-    ("--executor", "executor"), ("--segments", "segments"),
+    ("--segments", "segments"),
     ("--workers", "workers"), ("--mmap", "mmap"), ("--mode", "mode"),
     ("--kernels", "kernels"), ("--explain", "explain"),
     ("--cache-stats", "cache_stats"),
@@ -241,8 +241,6 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    executor_flag = getattr(args, "executor", None)
-    executor = executor_flag if executor_flag is not None else "volcano"
     segments = getattr(args, "segments", None)
     workers = getattr(args, "workers", None)
     mode = getattr(args, "mode", None)
@@ -284,31 +282,21 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    if use_mmap and executor_flag == "volcano":
-        print(
-            "error: mmap-backed engines are columnar-only; --executor "
-            "volcano needs row storage (drop --mmap or the flag)",
-            file=sys.stderr,
-        )
-        return 1
     if mode is not None and not use_mmap:
         print("error: --mode requires --mmap", file=sys.stderr)
         return 1
     if engine_name in ("lpath", "treewalk", "sqlite"):
-        # Only the plan backend runs a physical executor; don't build
-        # columnar structures for treewalk/sqlite queries.
-        plan_executor = executor if engine_name == "lpath" else "volcano"
         if compiled:
             if use_mmap:
-                # Zero-copy adoption of an LPDB0004 store; columnar-only.
+                # Zero-copy adoption of an LPDB0004 store.
                 engine = LPathEngine.from_store_mmap(
                     args.corpus, workers=workers, mode=mode
                 )
-            elif live_dir and engine_name == "lpath" and executor == "columnar":
+            elif live_dir and engine_name == "lpath":
                 # mmap'd base segments + the WAL replayed into an
                 # in-memory delta store, merged like any segmented engine.
                 engine = LPathEngine.open(args.corpus, workers=workers)
-            elif engine_name == "lpath" and executor == "columnar":
+            elif engine_name == "lpath":
                 # Straight into columns — no per-row Label objects.  An
                 # LPDB0003 file keeps its on-disk shards unless an explicit
                 # --segments asks for a different split, in which case the
@@ -325,10 +313,9 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
                         segments=segments,
                         workers=workers,
                     )
-            else:
+            else:  # the SQLite oracle loads the label rows themselves
                 engine = LPathEngine.from_labels(
                     store.load_corpus_labels(args.corpus),
-                    executor=plan_executor,
                     segments=1 if segments is None else segments,
                     workers=workers,
                 )
@@ -336,8 +323,8 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         else:
             trees = _load_trees(args.corpus)
             engine = LPathEngine(
-                trees, executor=plan_executor,
-                segments=1 if segments is None else segments, workers=workers,
+                trees, segments=1 if segments is None else segments,
+                workers=workers,
             )
         if batch_path is not None:
             return _run_batch_query(args, engine, out)
@@ -385,8 +372,8 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             matches = CorpusSearchEngine(trees).query(args.query)
         else:
             engine = XPathEngine(
-                trees, executor=executor,
-                segments=1 if segments is None else segments, workers=workers,
+                trees, segments=1 if segments is None else segments,
+                workers=workers,
             )
             if batch_path is not None:
                 return _run_batch_query(args, engine, out)
@@ -859,12 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--pivot", action="store_true",
                        help="selectivity-driven join ordering "
                             "(lpath and xpath plan engines)")
-    query.add_argument("--executor", choices=("volcano", "columnar"),
-                       default=None,
-                       help="physical executor for the plan engines: "
-                            "tuple-at-a-time interpreter or batch "
-                            "columnar execution (default volcano; "
-                            "--mmap engines are always columnar)")
     query.add_argument("--segments", type=int, default=None, metavar="N",
                        help="shard the corpus by tree into N independent "
                             "segments (lpath and xpath plan engines; "
@@ -875,8 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "across segments (default: sequential)")
     query.add_argument("--mmap", action="store_true",
                        help="open a compiled LPDB0004 corpus zero-copy "
-                            "via mmap (lpath engine; columnar-only, "
-                            "O(1) cold start)")
+                            "via mmap (lpath engine; O(1) cold start)")
     query.add_argument("--kernels", choices=KERNEL_MODES, default=None,
                        help="columnar hot-loop backend: native cffi "
                             "kernels, the pure-Python loops, or pick "

@@ -1,11 +1,11 @@
 """Columnar backend: parallel-array storage + batch plan execution.
 
-A second physical layer for the shared logical IR in :mod:`repro.plan`:
+The physical layer for the shared logical IR in :mod:`repro.plan`:
 :class:`ColumnStore` holds the label relation as clustered parallel
-arrays, :class:`ColumnarRuntime`/:class:`PlanSkeleton` compile optimized plans
-once and bind them per store for batch-at-a-time execution over row ids, and :class:`ColumnarCatalog` lets the
-lowerer compile against a store with no row table at all.  Engines expose
-it behind ``executor="columnar"``.
+arrays, :class:`ColumnarRuntime`/:class:`PlanSkeleton` compile optimized
+plans once and bind them per store for batch-at-a-time execution over
+row ids.  The store itself is the lowerer's statistics catalog (size,
+name frequency, per-name :class:`NameStats`).  Every engine runs here.
 
 Hierarchical joins additionally come in a *set-at-a-time* flavor
 (:mod:`repro.columnar.structural`): merge-eligible axis steps evaluate as
@@ -14,14 +14,12 @@ statistics-driven cost model picks them (``REPRO_FORCE_JOIN`` forces a
 side for differential testing).
 """
 
-from .catalog import ColumnarCatalog
 from .executor import ColumnarPlan, ColumnarRuntime, PlanSkeleton
 from .store import ColumnStore, MappedColumnStore, NameStats, StringColumn
 from .structural import MergeJoinStep, MergeSpec, choose_join, merge_spec
 
 __all__ = [
     "ColumnStore",
-    "ColumnarCatalog",
     "ColumnarPlan",
     "ColumnarRuntime",
     "MappedColumnStore",

@@ -1,11 +1,10 @@
 """Batch-at-a-time physical compiler for the shared logical IR.
 
-This is the second physical backend for :mod:`repro.plan` (the first is
-the tuple-at-a-time Volcano interpreter in :mod:`repro.plan.executor`).
-Both compile the *same* optimized IR; the difference is entirely physical:
+This is the physical backend of :mod:`repro.plan`; every engine runs its
+optimized IR here:
 
 * a pipeline intermediate is a **batch** — one ``array('q')`` of row ids
-  per bound slot — instead of a stream of concatenated 8-wide tuples;
+  per bound slot — never a stream of concatenated 8-wide tuples;
 * :class:`~repro.plan.ir.IndexProbe` becomes binary-search range slicing
   over the clustered column arrays (a candidate set is usually a plain
   ``range`` of row ids);
@@ -30,8 +29,7 @@ Both compile the *same* optimized IR; the difference is entirely physical:
   bindings that are short lists of row ids.
 
 Compiled plans are stateless and re-iterable, so they are safe to keep in
-the per-engine plan cache alongside Volcano plans (the cache keys on the
-executor choice).
+the per-engine plan cache.
 
 Operand access is **sequence-protocol only** — a deliberate contract
 since the zero-copy store arrived: every column reference compiled here
@@ -51,7 +49,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import Counter
-from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..lpath.axes import Axis
@@ -60,6 +57,7 @@ from ..plan.ir import (
     AllPred,
     AnyPred,
     BoolConst,
+    CLUSTERED,
     Cmp,
     Col,
     Const,
@@ -78,6 +76,7 @@ from ..plan.ir import (
     Pred,
     RightEdge,
     Scan,
+    TID_ID,
     TableScan,
     ValueCmpPred,
     ValueSeed,
@@ -134,15 +133,9 @@ class ColumnarRuntime:
         self,
         store: ColumnStore,
         scheme,
-        root_right: Optional[dict[int, int]] = None,
-        index_columns: Optional[dict[str, tuple[str, ...]]] = None,
     ) -> None:
         self.store = store
         self.scheme = scheme
-        self.root_right = root_right if root_right is not None else store.root_right
-        #: Secondary-index column layouts of the owning engine's row table,
-        #: so probes against ablation indexes resolve to generic projections.
-        self.index_columns = dict(index_columns or {})
         #: Hot-path string resolution: one closure with the column arrays
         #: and the per-tree ``@lex`` bounds pre-resolved, instead of
         #: re-walking store attributes and bound dictionaries per row.
@@ -721,10 +714,7 @@ class _ScanStep:
             return None
         if not (
             isinstance(self.access, IndexProbe)
-            and (
-                self.access.index == "clustered"
-                or self.access.index.endswith("_clustered")
-            )
+            and self.access.index == CLUSTERED
         ):
             return None
         cands = self.probe([])
@@ -748,7 +738,7 @@ def _children_probe(node: Join):
     access = node.access
     if not (
         isinstance(access, IndexProbe)
-        and access.index == "idx_tid_id"
+        and access.index == TID_ID
         and len(access.eq) == 1
         and access.low is None
         and access.high is None
@@ -962,17 +952,12 @@ def compile_access(access, runtime: ColumnarRuntime) -> RowProbe:
 def _compile_index_probe(access: IndexProbe, runtime: ColumnarRuntime) -> RowProbe:
     store = runtime.store
     name = access.index
-    if name == "clustered" or name.endswith("_clustered"):
+    if name == CLUSTERED:
         probe = _clustered_probe(access, store)
-    elif name == "idx_tid_id":
+    elif name == TID_ID:
         probe = _tid_id_probe(access, store)
     else:
-        columns = runtime.index_columns.get(name)
-        if columns is None:
-            raise LPathCompileError(
-                f"columnar executor cannot resolve index {name!r}"
-            )
-        probe = _projection_probe(access, store, columns)
+        raise LPathCompileError(f"columnar executor cannot resolve index {name!r}")
 
     if access.self_slot is None:
         return probe
@@ -1028,38 +1013,6 @@ def _tid_id_probe(access: IndexProbe, store: ColumnStore) -> RowProbe:
         return lambda b: store.tid_rows(tid_of(b))
     id_of = _operand_getter(access.eq[1], store)
     return lambda b: store.tid_id_rows(tid_of(b), id_of(b))
-
-
-def _projection_probe(
-    access: IndexProbe, store: ColumnStore, columns: tuple[str, ...]
-) -> RowProbe:
-    """Generic eq-prefix + range probe over a lazily built sorted
-    projection (serves ablation indexes like ``{name, tid, right, ...}``;
-    range columns must be numeric)."""
-    positions = tuple(store.column_names.index(column) for column in columns)
-    eq_getters = [_operand_getter(op, store) for op in access.eq]
-    low = None if access.low is None else _operand_getter(access.low, store)
-    high = None if access.high is None else _operand_getter(access.high, store)
-    include_low, include_high = access.include_low, access.include_high
-
-    def probe(b: Binding) -> Sequence[int]:
-        keys, perm = store.projection(positions)
-        prefix = tuple(getter(b) for getter in eq_getters)
-        if low is None:
-            start = bisect_left(keys, prefix)
-        elif include_low:
-            start = bisect_left(keys, prefix + (low(b),))
-        else:
-            start = bisect_left(keys, prefix + (low(b), inf))
-        if high is None:
-            end = bisect_left(keys, prefix + (inf,))
-        elif include_high:
-            end = bisect_left(keys, prefix + (high(b), inf))
-        else:
-            end = bisect_left(keys, prefix + (high(b),))
-        return perm[start:end]
-
-    return probe
 
 
 class _ValueSeedProbe:

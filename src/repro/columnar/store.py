@@ -1,9 +1,7 @@
 """Column-oriented storage for the label relation.
 
-The Volcano interpreter materializes every intermediate binding as a wide
-Python tuple and probes sorted indexes of encoded key tuples.  This module
-stores the relation ``node(tid, left, right, depth, id, pid, name, value)``
-as parallel arrays instead:
+This module stores the relation ``node(tid, left, right, depth, id, pid,
+name, value)`` as parallel arrays rather than row tuples:
 
 * the six integer columns live in ``array('q')`` buffers, physically
   ordered by the paper's clustered key ``{name, tid, left, right, depth,
@@ -96,7 +94,6 @@ class ColumnStore:
         "children_bounds",
         "_perm_ids",
         "_by_value",
-        "_projections",
         "_name_stats",
     )
 
@@ -148,7 +145,6 @@ class ColumnStore:
         self._build_tid_id_projection()
         self._build_children_index()
         self._by_value: Optional[dict] = None       # built on first value seed
-        self._projections: dict[tuple, tuple] = {}  # generic index projections
         self._name_stats: dict[Optional[str], NameStats] = {}
 
     # -- constructors --------------------------------------------------------
@@ -211,9 +207,7 @@ class ColumnStore:
         for row in range(self.n):
             if names[row].startswith(ATTRIBUTE_PREFIX):
                 is_attr[row] = 1
-            elif pids[row] == 0:
-                # labeling.lpath_scheme.is_root_row over column arrays
-                # (kept tuple-free: this runs on every cold start).
+            elif pids[row] == 0:  # a tree's root element row
                 root_right[tids[row]] = rights[row]
         right_edge = bytearray(self.n)
         for row in range(self.n):
@@ -399,48 +393,6 @@ class ColumnStore:
         lo = bisect_left(tids, tid)
         hi = bisect_right(tids, tid, lo)
         return rows[lo:hi]
-
-    # -- generic projections (ablation indexes) ------------------------------
-
-    def projection(self, positions: tuple[int, ...]):
-        """A sorted permutation over arbitrary column positions, for index
-        probes outside the built-in clustered/(tid, id) layouts (e.g. the
-        ablation index ``{name, tid, right, ...}``).  Built lazily, once
-        per column tuple."""
-        cached = self._projections.get(positions)
-        if cached is None:
-            cols = [self.col(position) for position in positions]
-            keys = [tuple(column[row] for column in cols) for row in range(self.n)]
-            perm = sorted(range(self.n), key=keys.__getitem__)
-            keys.sort()
-            cached = self._projections[positions] = (keys, array("q", perm))
-        return cached
-
-    # -- string values -------------------------------------------------------
-
-    def string_value(self, row: int, element_values: bool = True) -> Optional[str]:
-        """The string value of one row: attribute rows carry it directly;
-        element rows concatenate their ``@lex`` leaf descendants (``None``
-        when ``element_values`` is off — the start/end scheme loses leaf
-        order)."""
-        if self.is_attr[row]:
-            value = self.values[row]
-            return value if value is not None else ""
-        if not element_values:
-            return None
-        lo, hi = self.name_tid_bounds.get(("@lex", self.tid[row]), (0, 0))
-        if lo == hi:
-            return ""
-        lefts, rights, values = self.left, self.right, self.values
-        low, high = lefts[row], rights[row]
-        lo = bisect_left(lefts, low, lo, hi)
-        hi = bisect_left(lefts, high, lo, hi)
-        words = [
-            values[leaf]
-            for leaf in range(lo, hi)
-            if rights[leaf] <= high and values[leaf] is not None
-        ]
-        return " ".join(words)
 
     def frequency(self, name: Optional[str]) -> int:
         """Rows carrying ``name`` (store size for the wildcard)."""
@@ -665,7 +617,6 @@ class MappedColumnStore(ColumnStore):
         stats[None] = NameStats(*segment.store_stats)
         self._name_stats = stats
         self._by_value = None
-        self._projections = {}
 
     def _value_keys(self):
         """Group on the interned string ids; ``table[0]`` is ``None``."""

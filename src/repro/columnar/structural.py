@@ -58,6 +58,7 @@ from typing import NamedTuple, Optional
 from ..faults import active_injector
 from ..lpath.axes import Axis
 from ..plan.ir import (
+    CLUSTERED,
     Col,
     Const,
     IndexProbe,
@@ -169,7 +170,7 @@ def merge_spec(node: PlanNode) -> Optional[MergeSpec]:
         name, tid_op, self_slot, self_name = None, access.tid, None, None
         low_op, high_op, include_low, include_high = access.window
     elif isinstance(access, IndexProbe):
-        if access.index != "clustered" and not access.index.endswith("_clustered"):
+        if access.index != CLUSTERED:
             return None
         if len(access.eq) != 2:
             return None

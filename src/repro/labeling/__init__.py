@@ -6,11 +6,9 @@ from .lpath_scheme import (
     COLUMNS,
     Label,
     attribute_labels,
-    is_root_row,
     label_corpus,
     label_node,
     label_tree,
-    root_spans,
 )
 
 __all__ = [
@@ -18,11 +16,9 @@ __all__ = [
     "COLUMNS",
     "Label",
     "attribute_labels",
-    "is_root_row",
     "label_corpus",
     "label_node",
     "label_tree",
     "predicates",
-    "root_spans",
     "xpath_scheme",
 ]

@@ -15,8 +15,8 @@ Every node of a linguistic tree is assigned a tuple
   ``name`` prefixed by ``@`` and the attribute value in ``value``.
 
 Labels for a whole corpus form the relation
-``node(tid, left, right, depth, id, pid, name, value)`` stored in the
-relational engine (Section 5's schema).
+``node(tid, left, right, depth, id, pid, name, value)`` (Section 5's
+schema), stored as a clustered column store (:mod:`repro.columnar`).
 """
 
 from __future__ import annotations
@@ -47,27 +47,6 @@ class Label(NamedTuple):
     def is_attribute(self) -> bool:
         """True for attribute rows (``name`` starts with ``@``)."""
         return self.name.startswith(ATTRIBUTE_PREFIX)
-
-
-_TID, _RIGHT = COLUMNS.index("tid"), COLUMNS.index("right")
-_PID, _NAME = COLUMNS.index("pid"), COLUMNS.index("name")
-
-
-def is_root_row(row) -> bool:
-    """True for the element row of a tree root (``pid == 0``).
-
-    Works on :class:`Label` instances and plain tuples in ``COLUMNS``
-    order — the scheme's own notion of what a root row looks like, so
-    engines rebuilding state from raw label rows need not poke at tuple
-    positions themselves.
-    """
-    return row[_PID] == 0 and not row[_NAME].startswith(ATTRIBUTE_PREFIX)
-
-
-def root_spans(rows: Iterable) -> dict[int, int]:
-    """``{tid: root.right}`` for every root row in ``rows`` — the spans the
-    engine needs to answer right-edge alignment (``$``) outside a scope."""
-    return {row[_TID]: row[_RIGHT] for row in rows if is_root_row(row)}
 
 
 def label_node(node: TreeNode, tid: int) -> Label:

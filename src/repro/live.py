@@ -925,7 +925,7 @@ def _segment(store, index: int, kind: str):
     from .lpath.compiler import PlanCompiler
     from .plan.segmented import Segment
 
-    compiler = PlanCompiler(column_store=store, root_right=store.root_right)
+    compiler = PlanCompiler(store)
     compiler.columnar_runtime  # built here, not raced for by first queries
     return Segment(index, compiler, len(store), kind)
 

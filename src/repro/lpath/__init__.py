@@ -8,7 +8,7 @@ Public surface:
 * :mod:`repro.lpath.axes` — the Table 1 axis inventory.
 
 The plan backend compiles through the shared logical IR in
-:mod:`repro.plan` (one lowerer/optimizer/interpreter for both the LPath
+:mod:`repro.plan` (one lowerer/optimizer/executor for both the LPath
 and XPath engines).
 """
 

@@ -1,7 +1,7 @@
 """The LPath axis inventory (Table 1) and its label-comparison conditions.
 
 This module is the single source of truth shared by the tree-walk
-evaluator, the relational compiler and the SQL generator:
+evaluator, the plan compiler and the SQL generator:
 
 * :class:`Axis` enumerates every LPath axis with its abbreviation,
   navigation type, transitive-closure relationships and Core-XPath support

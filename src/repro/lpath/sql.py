@@ -10,9 +10,11 @@ Generates one SQL statement per query over the Section 5 schema
   scope alias (or the tree root for unscoped alignment);
 * restricted positional predicates become correlated sibling counts.
 
-The emitted text is executed verbatim by the SQLite backend and
-differential-tested against the plan compiler and the tree-walk evaluator.
-``left``/``right`` are SQL keywords, hence the quoting throughout.
+The emitted text is executed verbatim by :class:`SQLiteBackend` — the
+standard library's SQLite as an *independent executor of the same SQL
+text* — and differential-tested against the plan compiler and the
+tree-walk evaluator.  ``left``/``right`` are SQL keywords, hence the
+quoting throughout.
 """
 
 from __future__ import annotations
@@ -445,3 +447,51 @@ def _mentions_position(expr: PredicateExpr) -> bool:
     if isinstance(expr, FunctionCall):
         return expr.name in ("position", "last")
     return False
+
+
+#: The Section 5 label relation and its physical design, as SQLite DDL.
+_NODE_COLUMNS = (
+    ("tid", "INTEGER"), ("left", "INTEGER"), ("right", "INTEGER"),
+    ("depth", "INTEGER"), ("id", "INTEGER"), ("pid", "INTEGER"),
+    ("name", "TEXT"), ("value", "TEXT"),
+)
+_NODE_INDEXES = {
+    "idx_clustered": ("name", "tid", "left", "right", "depth", "id", "pid"),
+    "idx_tid_value_id": ("tid", "value", "id"),
+    "idx_value_tid_id": ("value", "tid", "id"),
+    "idx_tid_id": ("tid", "id", "left", "right", "depth", "pid"),
+}
+
+
+def _quote_identifier(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+class SQLiteBackend:
+    """An in-memory SQLite database holding the label relation."""
+
+    def __init__(self, rows, table_name: str = "node") -> None:
+        import sqlite3
+
+        self.connection = sqlite3.connect(":memory:")
+        table = _quote_identifier(table_name)
+        columns = ", ".join(
+            f"{_quote_identifier(column)} {kind}" for column, kind in _NODE_COLUMNS
+        )
+        self.connection.execute(f"CREATE TABLE {table} ({columns})")
+        placeholders = ", ".join("?" for _ in _NODE_COLUMNS)
+        self.connection.executemany(
+            f"INSERT INTO {table} VALUES ({placeholders})", rows
+        )
+        for index_name, index_columns in _NODE_INDEXES.items():
+            body = ", ".join(_quote_identifier(c) for c in index_columns)
+            self.connection.execute(f"CREATE INDEX {index_name} ON {table} ({body})")
+        self.connection.commit()
+
+    def execute(self, sql: str, parameters: Sequence = ()) -> list[tuple]:
+        """Run a query and fetch all rows."""
+        return self.connection.execute(sql, parameters).fetchall()
+
+    def close(self) -> None:
+        """Release the connection."""
+        self.connection.close()

@@ -2,8 +2,8 @@
 
 This evaluator defines the reference semantics of the language: it walks
 :class:`~repro.tree.Tree` objects using their Definition 4.1 spans, with no
-relational machinery.  The relational and SQLite backends are differential-
-tested against it.  It also implements the full XPath positional semantics
+label relation.  The plan and SQLite backends are differential-tested
+against it.  It also implements the full XPath positional semantics
 (``position()``/``last()`` with reverse-axis ordering), which the SQL
 backends only support in restricted forms.
 

@@ -1,14 +1,13 @@
-"""Shared logical-plan layer: one IR, one optimizer, one interpreter.
+"""Shared logical-plan layer: one IR, one optimizer, one executor.
 
 Both query dialects (LPath over Definition-4.1 labels, the baseline XPath
 engine over start/end labels) lower their ASTs to the algebra in
 :mod:`repro.plan.ir`, run the passes in :mod:`repro.plan.optimizer`, and
-execute through :mod:`repro.plan.executor`.  Engines keep compiled plans
-in a :class:`repro.plan.cache.PlanCache`.
+execute through the columnar executor (:mod:`repro.columnar`).  Engines
+keep compiled plans in a :class:`repro.plan.cache.PlanCache`.
 """
 
 from .cache import PlanCache
-from .executor import Runtime, compile_plan, compile_subplan
 from .ir import render
 from .lower import Lowerer, LoweredQuery, find_attribute_equality
 from .optimizer import optimize
@@ -21,7 +20,6 @@ from .segmented import (
     validate_segmentation,
 )
 from .schemes import (
-    Catalog,
     LPathScheme,
     LabelScheme,
     StartEndScheme,
@@ -30,13 +28,11 @@ from .schemes import (
 )
 
 __all__ = [
-    "Catalog",
     "LPathScheme",
     "LabelScheme",
     "LoweredQuery",
     "Lowerer",
     "PlanCache",
-    "Runtime",
     "Segment",
     "SegmentPool",
     "SegmentedCatalog",
@@ -45,8 +41,6 @@ __all__ = [
     "StartEndScheme",
     "VERTICAL_FRAGMENT",
     "XPATH_AXES",
-    "compile_plan",
-    "compile_subplan",
     "find_attribute_equality",
     "optimize",
     "render",

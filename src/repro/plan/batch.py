@@ -19,7 +19,7 @@ intermediate batches.  This module exploits that:
   with reuse annotations pointing at the query that computes the shared
   prefix.
 
-Plans without signatures (the Volcano interpreter, segmented engines)
+Plans without signatures (segmented engines, pruned segments)
 participate transparently — they just execute standalone.  Results are
 byte-identical to per-query execution: the cache only ever substitutes a
 batch for a recomputation of the same step prefix.

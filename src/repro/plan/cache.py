@@ -113,14 +113,12 @@ class PlanCache:
 
 
 def compile_options_key(
-    query, pivot: bool, executor: str,
-    limit: Optional[int] = None, agg: Optional[str] = None,
+    query, pivot: bool, limit: Optional[int] = None, agg: Optional[str] = None,
 ) -> tuple:
     """The tuple of everything a compiled plan's output depends on: the
-    unparsed query text plus every compile option — ``pivot``, the
-    physical ``executor``, the top-k ``limit``, the ``agg`` operation,
-    the ``REPRO_FORCE_JOIN`` override and the resolved ``REPRO_KERNELS``
-    backend.  Shared between the per-engine plan cache and the serving
+    unparsed query text plus every compile option — ``pivot``, the top-k
+    ``limit``, the ``agg`` operation, the ``REPRO_FORCE_JOIN`` override
+    and the resolved ``REPRO_KERNELS`` backend.  Shared between the per-engine plan cache and the serving
     layer's result cache (:mod:`repro.serve`), so the two caches can
     never disagree about which knobs distinguish two executions.
     Resolving the kernel backend raises
@@ -129,7 +127,6 @@ def compile_options_key(
     return (
         (query if isinstance(query, str) else str(query)),
         pivot,
-        executor,
         limit,
         agg,
         os.environ.get("REPRO_FORCE_JOIN") or None,
@@ -139,14 +136,13 @@ def compile_options_key(
 
 def cached_compile(
     cache: PlanCache, compiler, query, pivot: bool = False,
-    executor: str = "volcano",
     limit: Optional[int] = None, agg: Optional[str] = None,
 ):
     """Compile ``query`` through ``cache``, keyed on
     :func:`compile_options_key`, so a warm hit can never return a plan
-    compiled for the other executor, the other join order, the other
-    physical-join mode, the other kernel backend (plans bind their
-    backend at compile time), or a different limit/aggregate wrapper.
+    compiled for the other join order, the other physical-join mode, the
+    other kernel backend (plans bind their backend at compile time), or a
+    different limit/aggregate wrapper.
 
     The lookup happens before any parsing, so a warm hit skips the whole
     parse → lower → optimize pipeline; AST queries key on their unparse,
@@ -156,7 +152,7 @@ def cached_compile(
     bring a hit up to date first: an engine of a live corpus starts from
     its predecessor's plans, compiled for the predecessor's segments.
     """
-    key = compile_options_key(query, pivot, executor, limit=limit, agg=agg)
+    key = compile_options_key(query, pivot, limit=limit, agg=agg)
     cached = cache.get(key)
     if cached is not None:
         rebase = getattr(compiler, "rebase", None)
@@ -166,8 +162,6 @@ def cached_compile(
         if current is not cached:
             cache.put(key, current)
         return current
-    compiled = compiler.compile(
-        query, pivot=pivot, executor=executor, limit=limit, agg=agg
-    )
+    compiled = compiler.compile(query, pivot=pivot, limit=limit, agg=agg)
     cache.put(key, compiled)
     return compiled

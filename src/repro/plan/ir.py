@@ -17,7 +17,7 @@ Conditions are first-class predicate trees (:class:`Cmp`, :class:`AllPred`,
 :class:`ExistsPred`, ...) whose operands name binding columns by
 ``(slot, column)``; the optimizer can therefore reason about which slots a
 condition touches, push conditions into probes, and reorder joins.  The
-single physical interpreter in :mod:`repro.plan.executor` turns the IR into
+columnar executor (:mod:`repro.columnar.executor`) turns the IR into
 runnable plans for either labeling scheme.
 """
 
@@ -226,6 +226,13 @@ class TableScan(Access):
         return "TableScan"
 
 
+#: The two physical orders an :class:`IndexProbe` names — the clustered
+#: ``{name, tid, left, ...}`` order and the ``{tid, id, ...}`` permutation.
+#: The lowerer writes these and the columnar executor resolves them.
+CLUSTERED = "clustered"
+TID_ID = "idx_tid_id"
+
+
 @dataclass(frozen=True)
 class IndexProbe(Access):
     """Prefix-equality probe with an optional range on the next key column.
@@ -236,7 +243,7 @@ class IndexProbe(Access):
     name matches.
     """
 
-    index: str                   # "clustered" or a secondary index name
+    index: str                   # CLUSTERED or TID_ID
     eq: tuple[Operand, ...]
     low: Optional[Operand] = None
     high: Optional[Operand] = None
@@ -290,7 +297,10 @@ class PlanNode:
 
 @dataclass(eq=False)
 class Context(PlanNode):
-    """Leaf of a correlated subplan: yields the incoming binding."""
+    """Leaf of a correlated subplan: yields the incoming binding, whose
+    ``slot`` holds the context node the subplan starts from."""
+
+    slot: int
 
 
 @dataclass(eq=False)
@@ -314,8 +324,7 @@ class Join(PlanNode):
     algorithm for batch execution — ``"merge"`` (set-at-a-time structural
     merge join over the sorted span columns) or ``"probe"`` (per-binding
     index probe); ``None`` means the join shape admits no structural
-    variant (or the plan targets the Volcano interpreter, which only
-    probes).  ``est_in`` is the estimated input cardinality the choice was
+    variant.  ``est_in`` is the estimated input cardinality the choice was
     based on."""
 
     input: PlanNode
@@ -463,7 +472,11 @@ def subplan_outer_slots(node: PlanNode) -> set[int]:
     introduced: set[int] = set()
     referenced: set[int] = set()
     for item in linearize(node):
-        if isinstance(item, (Scan, Join)):
+        if isinstance(item, Context):
+            # Read even when no step follows: ``[. = 'w']`` compares the
+            # context node's own string value.
+            referenced.add(item.slot)
+        elif isinstance(item, (Scan, Join)):
             if isinstance(item, Join):
                 referenced |= access_slots(item.access)
             introduced.add(item.slot)

@@ -49,6 +49,7 @@ from .ir import (
     AllPred,
     AnyPred,
     BoolConst,
+    CLUSTERED,
     Cmp,
     Col,
     Const,
@@ -67,12 +68,13 @@ from .ir import (
     PositionPred,
     Pred,
     Scan,
+    TID_ID,
     TableScan,
     ValueCmpPred,
     ValueSeed,
     D, I, L, N, P, R, T,
 )
-from .schemes import Catalog, DOWNWARD_AXES, LabelScheme
+from .schemes import DOWNWARD_AXES, LabelScheme
 
 _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
 
@@ -80,10 +82,9 @@ _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="
 @dataclass
 class LoweredQuery:
     """The logical plan of one query plus its result bookkeeping — and,
-    once it has been physical-compiled for the batch executor, the
-    segment-independent half of that compile (``skeleton``, built inside
-    the first ``compile_physical`` call and bound per segment from then
-    on).  ``description`` — the header ``explain()`` prints — unparses
+    once it has been physical-compiled, the segment-independent half of
+    that compile (``skeleton``, built inside the first
+    ``compile_physical`` call and bound per segment from then on).  ``description`` — the header ``explain()`` prints — unparses
     the AST when it is read, not on every compile."""
 
     root: PlanNode
@@ -98,16 +99,15 @@ class LoweredQuery:
 
 
 def lower_and_optimize(
-    lowerer: "Lowerer", query, pivot: bool = False, executor: str = "volcano",
+    lowerer: "Lowerer", query, pivot: bool = False,
     limit: Optional[int] = None, agg: Optional[str] = None, knobs=None,
 ) -> tuple[PlanNode, LoweredQuery]:
     """The logical half of every compile: parse (if text), lower —
     pivoted when requested and applicable, plain otherwise — and
     optimize.  Shared by the monolithic compilers and the segmented
     driver so the pivot-fallback and optimizer invocation can never
-    diverge between them.  ``executor`` reaches the optimizer so plans
-    bound for the batch executor carry their physical-join annotations
-    (made under ``knobs``, the caller's one read of the environment).
+    diverge between them.  The optimizer's physical-join annotations are
+    made under ``knobs``, the caller's one read of the environment.
 
     ``limit`` wraps the optimized plan in a :class:`~repro.plan.ir.Limit`
     (top-k in output order); ``agg`` wraps it in an
@@ -129,7 +129,7 @@ def lower_and_optimize(
     if lowered is None:
         lowered = lowerer.lower(path)
     root = optimizer.optimize(
-        lowered.root, lowerer, pivot=pivot, executor=executor, knobs=knobs
+        lowered.root, lowerer, pivot=pivot, knobs=knobs
     )
     slot = lowered.result_slot
     if agg in ("count_by_name", "count_by_depth"):
@@ -146,7 +146,7 @@ def lower_and_optimize(
 class Lowerer:
     """Lower parsed queries to the shared IR for one engine instance."""
 
-    def __init__(self, scheme: LabelScheme, catalog: Catalog, dialect: str) -> None:
+    def __init__(self, scheme: LabelScheme, catalog, dialect: str) -> None:
         self.scheme = scheme
         self.catalog = catalog
         self.dialect = dialect
@@ -261,7 +261,7 @@ class Lowerer:
             ctx=ctx,
             cand=slot_of[pivot_index],
             scope=None,
-            node=Context(),
+            node=Context(ctx),
         )
         for step_index in order[1:]:
             if step_index < pivot_index:
@@ -345,8 +345,7 @@ class Lowerer:
                 label = "all elements"
             return Scan(TableScan(), tuple(conditions), label, step=step)
         name = step.test.name
-        path = self.catalog.access_path(("name",), None)
-        access = IndexProbe(path.index.name, (Const(name),))
+        access = IndexProbe(CLUSTERED, (Const(name),))
         if root_only:
             conditions.append(Cmp(Col(0, P), "=", Const(0)))
             label = f"roots named {name}"
@@ -363,7 +362,7 @@ class Lowerer:
             if mentions_position(predicate):
                 raise LPathCompileError(
                     "positional predicates on the first step are not supported "
-                    "by the relational backend"
+                    "by the plan backend"
                 )
             checks.append(self._boolean(predicate, 0, 1, None))
         if checks:
@@ -471,7 +470,7 @@ class Lowerer:
     ) -> tuple[object, list[Pred]]:
         axis, test = step.axis, step.test
         if axis is Axis.ATTRIBUTE:
-            access = IndexProbe("idx_tid_id", (Col(ctx, T), Col(ctx, I)))
+            access = IndexProbe(TID_ID, (Col(ctx, T), Col(ctx, I)))
             if test.is_wildcard:
                 return access, [IsAttr(cand)]
             return access, [Cmp(Col(cand, N), "=", Const("@" + test.name))]
@@ -496,7 +495,7 @@ class Lowerer:
                 return access, self.scheme.axis_conditions(axis, ctx, cand)
 
         if axis is Axis.PARENT:
-            access = IndexProbe("idx_tid_id", (Col(ctx, T), Col(ctx, P)))
+            access = IndexProbe(TID_ID, (Col(ctx, T), Col(ctx, P)))
             if test.is_wildcard:
                 return access, [IsElement(cand)]
             return access, [Cmp(Col(cand, N), "=", Const(test.name))]
@@ -504,13 +503,13 @@ class Lowerer:
         if test.is_wildcard:
             # No leading-name index applies: scan the tree's rows and filter
             # with the full Table 2 conditions.
-            access = IndexProbe("idx_tid_id", (Col(ctx, T),))
+            access = IndexProbe(TID_ID, (Col(ctx, T),))
             conditions: list[Pred] = [IsElement(cand)]
             conditions.extend(self.scheme.axis_conditions(axis, ctx, cand))
             return access, conditions
 
         access, conditions = self.scheme.named_probe(
-            axis, test.name, ctx, cand, scope, self.catalog
+            axis, test.name, ctx, cand, scope
         )
         return access, list(conditions)
 
@@ -602,7 +601,7 @@ class Lowerer:
         if isinstance(left, (Literal, Number)) and isinstance(right, (Literal, Number)):
             return BoolConst(static_compare(left, op, right))
         raise LPathCompileError(
-            f"comparison {expr} is not supported by the relational backend"
+            f"comparison {expr} is not supported by the plan backend"
         )
 
     def _count(
@@ -647,7 +646,7 @@ class Lowerer:
         scope: Optional[int],
     ) -> PlanNode:
         """A correlated subplan rooted at :class:`Context`."""
-        node: PlanNode = Context()
+        node: PlanNode = Context(ctx)
         base = ctx
         free = free_slot
         items = list(path.items)
@@ -692,7 +691,7 @@ class Lowerer:
         if step.axis not in self.scheme.positional_axes:
             raise LPathCompileError(
                 f"positional predicates on the {step.axis.value} axis are not "
-                "supported by the relational backend"
+                "supported by the plan backend"
             )
         if not isinstance(predicate, Comparison):
             raise LPathCompileError("unsupported positional predicate form")

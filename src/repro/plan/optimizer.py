@@ -12,13 +12,13 @@ Three walks run between lowering and execution, for both dialects:
   :class:`Scan`/:class:`Join` whose bound slots cover it, and equality
   conditions on the ``name`` column upgrade the access path itself (a
   table scan, or the per-tree ``idx_tid_id`` fallback probe, becomes a
-  clustered name probe chosen through the relational planner);
+  clustered name probe);
 * :func:`finish_conditions` — one traversal of the chain and every
   subplan under it that, per node, drops duplicated and implied
   comparisons (scoped steps emit their containment residuals twice),
   orders what is left cheapest-first (the rarest ``exists`` before a
-  common one, from catalog statistics) and, for the batch executor,
-  costs every merge-eligible ``Join`` as a per-binding probe join vs. a
+  common one, from catalog statistics) and costs every merge-eligible
+  ``Join`` as a per-binding probe join vs. a
   set-at-a-time structural merge join from the collected per-name
   cardinality/partition/depth statistics, recording the winner on the
   node (``Join.physical`` / ``Join.est_in``) so ``explain()`` shows the
@@ -37,6 +37,7 @@ from .ir import (
     AllPred,
     AnyPred,
     BoolConst,
+    CLUSTERED,
     Cmp,
     Col,
     Const,
@@ -51,6 +52,7 @@ from .ir import (
     PositionPred,
     Pred,
     Scan,
+    TID_ID,
     TableScan,
     ValueCmpPred,
     ValueSeed,
@@ -64,37 +66,27 @@ from .ir import (
 from ..columnar import structural
 from ..lpath.axes import Axis
 from .lower import _FLIPPED_OPS, Lowerer, seed_text
-from .schemes import Catalog
 
 
 def optimize(
-    root: PlanNode,
-    lowerer: Lowerer,
-    pivot: bool = False,
-    executor: str = "volcano",
-    knobs=None,
+    root: PlanNode, lowerer: Lowerer, pivot: bool = False, knobs=None
 ) -> PlanNode:
-    """Run every pass; returns the (mutated) root.
-
-    ``executor`` names the physical backend the plan is destined for —
-    the batch executor additionally gets per-join physical selection
-    (probe vs. structural merge) annotated from catalog statistics, under
-    the ``knobs`` (:class:`~repro.columnar.structural.Knobs`) its compile
-    read from the environment."""
+    """Run every pass; returns the (mutated) root.  Per-join physical
+    selection (probe vs. structural merge) is annotated from catalog
+    statistics under the ``knobs``
+    (:class:`~repro.columnar.structural.Knobs`) the compile read from the
+    environment."""
     if pivot:
         reorder_exists_subplans(root, lowerer)
-    root = push_down(root, lowerer.catalog)
-    finish_conditions(
-        root, lowerer.catalog,
-        structural.read_knobs(knobs) if executor == "columnar" else None,
-    )
+    root = push_down(root)
+    finish_conditions(root, lowerer.catalog, structural.read_knobs(knobs))
     return root
 
 
 # -- predicate pushdown -------------------------------------------------------
 
 
-def push_down(root: PlanNode, catalog: Catalog) -> PlanNode:
+def push_down(root: PlanNode) -> PlanNode:
     """Sink Filter conditions down the main pipeline and upgrade access
     paths that a sunk name-equality condition can narrow."""
     chain = linearize(root)
@@ -121,7 +113,7 @@ def push_down(root: PlanNode, catalog: Catalog) -> PlanNode:
 
     for node in chain:
         if isinstance(node, (Scan, Join)):
-            _upgrade_access(node, catalog)
+            _upgrade_access(node)
 
     return _drop_empty_filters(root)
 
@@ -141,7 +133,7 @@ def _sink_target(
     return None
 
 
-def _upgrade_access(node, catalog: Catalog) -> None:
+def _upgrade_access(node) -> None:
     """Turn a broad access path plus a name-equality condition into a
     clustered name probe (predicate pushdown into the index)."""
     name_cond = None
@@ -162,23 +154,21 @@ def _upgrade_access(node, catalog: Catalog) -> None:
     name = name_cond.right.value
     keep = tuple(c for c in node.conditions if c is not name_cond)
     if isinstance(node, Scan) and isinstance(node.access, TableScan):
-        path = catalog.access_path(("name",), None)
-        node.access = IndexProbe(path.index.name, (Const(name),))
+        node.access = IndexProbe(CLUSTERED, (Const(name),))
         node.conditions = keep
         node.label = f"{node.label} named {name}"
         return
     if (
         isinstance(node, Join)
         and isinstance(node.access, IndexProbe)
-        and node.access.index == "idx_tid_id"
+        and node.access.index == TID_ID
         and len(node.access.eq) == 1
         and node.access.low is None
         and node.access.high is None
         and node.access.self_slot is None
     ):
-        path = catalog.access_path(("name", "tid"), None)
         tid = node.access.eq[0]
-        node.access = IndexProbe(path.index.name, (Const(name), tid))
+        node.access = IndexProbe(CLUSTERED, (Const(name), tid))
         node.conditions = keep
 
 
@@ -360,13 +350,13 @@ def _pivoted_subplan(subplan: PlanNode, lowerer: Lowerer) -> Optional[PlanNode]:
 
 
 def finish_conditions(
-    root: PlanNode, stats, knobs=None, est: Optional[float] = None,
+    root: PlanNode, stats, knobs, est: Optional[float] = None,
     batched: bool = True,
 ) -> None:
     """One walk over a chain and, recursively, every predicate subplan
     under it.  Per node: drop redundant conditions (:func:`_pruned`);
-    stable-sort the rest cheapest-first (:func:`_condition_key`); and,
-    for the batch executor (``knobs`` given), record the cost-based probe
+    stable-sort the rest cheapest-first (:func:`_condition_key`); and
+    record the cost-based probe
     vs. structural-merge choice on every merge-eligible ``Join`` that
     runs as a batch step — the main chain's and those of ``exists``
     subplans, each seeded with its owner's estimated output
@@ -387,17 +377,16 @@ def finish_conditions(
             if len(kept) > 1:
                 kept.sort(key=lambda pred: _condition_key(pred, stats))
             node.conditions = tuple(kept)
-        if knobs is not None:
-            est_in, est = structural.flow_estimate(node, stats, est)
-            spec = structural.merge_spec(node) if batched else None
-            if spec is not None:
-                choice = knobs.force or structural.choose_join(
-                    est_in, spec.name or node.access, stats
-                )
-                node.est_in = est_in
-                node.physical = (
-                    f"merge/{knobs.backend}" if choice == "merge" else choice
-                )
+        est_in, est = structural.flow_estimate(node, stats, est)
+        spec = structural.merge_spec(node) if batched else None
+        if spec is not None:
+            choice = knobs.force or structural.choose_join(
+                est_in, spec.name or node.access, stats
+            )
+            node.est_in = est_in
+            node.physical = (
+                f"merge/{knobs.backend}" if choice == "merge" else choice
+            )
         for condition in node.conditions:
             for pred, _negated in subplan_preds(condition):
                 exists = isinstance(pred, ExistsPred)

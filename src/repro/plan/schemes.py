@@ -7,10 +7,8 @@ tests) and the start/end baseline scheme of [11] (strict containment
 only).  Everything the shared lowerer must know per scheme lives here:
 
 * which axes an engine supports (:meth:`LabelScheme.validate`),
-* the access path and residual conditions of a named-test step
-  (:meth:`LabelScheme.named_probe`), chosen through
-  :func:`repro.relational.planner.choose_access_path` so ablation indexes
-  (``idx_name_tid_right``) are picked up automatically,
+* the clustered-index probe and residual conditions of a named-test step
+  (:meth:`LabelScheme.named_probe`),
 * the full Table-2 residuals for probes the index cannot narrow
   (:meth:`LabelScheme.axis_conditions`),
 * axis inverses for selectivity-driven join reordering.
@@ -18,17 +16,16 @@ only).  Everything the shared lowerer must know per scheme lives here:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..lpath.ast import Scope
 from ..lpath.axes import Axis, CONDITIONS, OR_SELF_BASES
 from ..lpath.errors import LPathCompileError
-from ..relational.planner import choose_access_path
-from ..relational.table import Table
 from .ir import (
     Access,
     AllPred,
     AnyPred,
+    CLUSTERED,
     Cmp,
     Col,
     Const,
@@ -124,84 +121,6 @@ _PRECEDING_AXES = (
 _COLUMN_POSITIONS = {"tid": T, "left": L, "right": R, "depth": D, "id": I, "pid": P}
 
 
-class Catalog:
-    """What the lowerer and optimizer may ask about the physical side of
-    one engine: sizes, access paths, and the collected per-name
-    cardinality/partition/depth statistics behind the cost-based join
-    selection."""
-
-    def __init__(self, table: Table) -> None:
-        self.table = table
-        self._tree_count: Optional[int] = None
-        self._name_stats: dict = {}
-
-    def size(self) -> int:
-        return len(self.table)
-
-    def frequency(self, name: Optional[str]) -> int:
-        """Rows carrying ``name`` (table size for the wildcard)."""
-        if name is None:
-            return len(self.table)
-        return self.table.clustered.count_eq((name,))
-
-    def tree_count(self) -> int:
-        """Distinct trees in the relation (one pass, cached)."""
-        if self._tree_count is None:
-            self._tree_count = len({row[0] for row in self.table.scan()})
-        return self._tree_count
-
-    def name_stats(self, name: Optional[str]):
-        """Cardinality/partition/depth statistics for one name (or the
-        whole relation for ``None``); one pass over the clustered name
-        block, cached per name."""
-        from ..columnar.store import NameStats
-
-        cached = self._name_stats.get(name)
-        if cached is not None:
-            return cached
-        count = max_partition = 0
-        min_depth = max_depth = 0
-        if name is None:
-            per_tree: dict = {}
-            for row in self.table.scan():
-                count += 1
-                depth = row[3]
-                if count == 1:
-                    min_depth = max_depth = depth
-                elif depth < min_depth:
-                    min_depth = depth
-                elif depth > max_depth:
-                    max_depth = depth
-                per_tree[row[0]] = per_tree.get(row[0], 0) + 1
-            partitions = len(per_tree)
-            max_partition = max(per_tree.values(), default=0)
-        else:
-            partitions = run = 0
-            current_tid = object()
-            for row in self.table.clustered.scan_eq((name,)):
-                count += 1
-                depth = row[3]
-                if count == 1:
-                    min_depth = max_depth = depth
-                elif depth < min_depth:
-                    min_depth = depth
-                elif depth > max_depth:
-                    max_depth = depth
-                if row[0] != current_tid:
-                    current_tid = row[0]
-                    partitions += 1
-                    run = 0
-                run += 1
-                if run > max_partition:
-                    max_partition = run
-        stats = NameStats(count, partitions, max_partition, min_depth, max_depth)
-        self._name_stats[name] = stats
-        return stats
-
-    def access_path(self, eq_columns: Sequence[str], range_column: Optional[str]):
-        return choose_access_path(self.table, eq_columns, range_column)
-
-
 class LabelScheme:
     """Base adapter; see :class:`LPathScheme` and :class:`StartEndScheme`."""
 
@@ -210,9 +129,6 @@ class LabelScheme:
     supports_alignment = False
     positional_axes: frozenset = frozenset()
     element_string_values = False
-    #: Names of the first two columns of the range-carrying clustered key.
-    low_column = "left"
-    high_column = "right"
 
     def validate(self, items) -> None:
         """Reject query features this scheme cannot express."""
@@ -224,7 +140,6 @@ class LabelScheme:
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog: Catalog,
     ) -> tuple[Access, list[Pred]]:
         raise NotImplementedError
 
@@ -242,12 +157,6 @@ class LabelScheme:
         return None
 
     # -- shared helpers ------------------------------------------------------
-
-    def _clustered_range(self, catalog: Catalog) -> str:
-        path = catalog.access_path(("name", "tid"), self.low_column)
-        if path is None:  # pragma: no cover - the clustered index always matches
-            raise LPathCompileError("no access path for a named step")
-        return path.index.name
 
     def scope_conditions(self, cand: int, scope: int) -> list[Pred]:
         """Containment of ``cand`` within the ``scope`` node's subtree."""
@@ -334,12 +243,11 @@ class LPathScheme(LabelScheme):
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog: Catalog,
     ) -> tuple[Access, list[Pred]]:
         eq = (Const(name), Col(ctx, T))
         or_self = axis in OR_SELF_BASES
         access = IndexProbe(
-            self._clustered_range(catalog), eq, *self.window(axis, ctx, scope),
+            CLUSTERED, eq, *self.window(axis, ctx, scope),
             self_slot=ctx if or_self else None,
             self_name=name if or_self else None,
         )
@@ -363,13 +271,7 @@ class LPathScheme(LabelScheme):
         elif axis in (Axis.IMMEDIATE_PRECEDING, Axis.IMMEDIATE_PRECEDING_SIBLING):
             if axis is Axis.IMMEDIATE_PRECEDING_SIBLING:
                 conds.append(Cmp(Col(cand, P), "=", Col(ctx, P)))
-            # With the ablation index ``{name, tid, right}`` the immediate
-            # preceding axes are an equality probe instead.
-            path = catalog.access_path(("name", "tid"), self.high_column)
-            if path is not None and path.range_column == self.high_column:
-                access = IndexProbe(path.index.name, eq, low=Col(ctx, L), high=Col(ctx, L))
-            else:
-                conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
+            conds.append(Cmp(Col(cand, R), "=", Col(ctx, L)))
         elif axis is Axis.PRECEDING:
             conds.append(Cmp(Col(cand, R), "<=", Col(ctx, L)))
         elif axis in (
@@ -391,8 +293,6 @@ class StartEndScheme(LabelScheme):
     supports_alignment = False
     positional_axes = frozenset()
     element_string_values = False
-    low_column = "start"
-    high_column = "end"
 
     def __init__(self, axes: frozenset = VERTICAL_FRAGMENT) -> None:
         self.axes = axes
@@ -471,10 +371,9 @@ class StartEndScheme(LabelScheme):
         ctx: int,
         cand: int,
         scope: Optional[int],
-        catalog: Catalog,
     ) -> tuple[Access, list[Pred]]:
         access = IndexProbe(
-            self._clustered_range(catalog),
+            CLUSTERED,
             (Const(name), Col(ctx, T)),
             *self.window(axis, ctx, scope),
         )

@@ -1,7 +1,7 @@
 """Segment-aware plan compilation and execution.
 
 A segmented engine shards its corpus by tree (``tid``) into N independent
-:class:`Segment`\\ s — each one a complete physical context (row table or
+:class:`Segment`\\ s — each one a complete physical context (a
 :class:`~repro.columnar.ColumnStore`) over a disjoint set of trees.
 Because every query result row belongs to exactly one tree, running the
 same plan against each segment and merging the per-segment ``(tid, id)``
@@ -18,7 +18,7 @@ The division of labor:
   :meth:`~repro.lpath.compiler.PlanCompiler.compile_physical` — whose
   first call builds the plan's segment-independent skeleton.  The
   per-engine plan cache stores the resulting :class:`SegmentedQuery`
-  under the same ``(query, pivot, executor)`` key as a monolithic plan —
+  under the same ``(query, pivot, ...)`` key as a monolithic plan —
   the cache is segment-count-agnostic.
 * :class:`SegmentedQuery` — drives the per-segment plans, optionally on a
   thread pool supplied by the owning engine, and merges the sorted
@@ -253,7 +253,6 @@ class RemoteTask(NamedTuple):
     spec: RemoteSpec
     query: str
     pivot: bool
-    executor: str
     force: Optional[str]
     kernels: Optional[str] = None    # the resolved REPRO_KERNELS backend, same contract
     limit: Optional[int] = None      # per-segment top-k (parent truncates)
@@ -286,14 +285,11 @@ def _worker_segment(spec: RemoteSpec, index: int):
 
             store = MappedColumnStore(segment, column_names=XNODE_COLUMNS)
             axes = frozenset(Axis[name] for name in spec.axes or ())
-            compiler = XPathPlanCompiler(column_store=store, axes=axes)
+            compiler = XPathPlanCompiler(store, axes=axes)
         else:
             from ..lpath.compiler import PlanCompiler
 
-            store = MappedColumnStore(segment)
-            compiler = PlanCompiler(
-                column_store=store, root_right=store.root_right
-            )
+            compiler = PlanCompiler(MappedColumnStore(segment))
         entry = _WORKER_SEGMENTS[key] = (compiler, PlanCache())
     return entry
 
@@ -319,7 +315,7 @@ def _execute_segment(task: RemoteTask, index: int, kind: str):
             os.environ[env] = value
     try:
         compiled = cached_compile(
-            cache, compiler, task.query, task.pivot, executor=task.executor,
+            cache, compiler, task.query, task.pivot,
             limit=task.limit, agg=task.agg,
         )
         if kind == "count":
@@ -358,10 +354,7 @@ class SegmentedCatalog:
     """The lowerer's catalog surface, summed over every segment.
 
     Sizes and name frequencies add across disjoint shards, so pivot
-    selectivity ordering sees corpus-wide statistics; access-path
-    selection delegates to the first segment — all segments share one
-    physical design (same clustered key, same index set), so the choice
-    is representative."""
+    selectivity ordering sees corpus-wide statistics."""
 
     def __init__(self, catalogs: Sequence) -> None:
         if not catalogs:
@@ -407,9 +400,6 @@ class SegmentedCatalog:
         self._name_stats[name] = merged
         return merged
 
-    def access_path(self, eq_columns, range_column=None):
-        return self._catalogs[0].access_path(eq_columns, range_column)
-
 
 class SegmentedQuery:
     """A compiled query fanned out over N segments.
@@ -428,7 +418,6 @@ class SegmentedQuery:
         parts: Sequence,
         logical: PlanNode,
         lowered,
-        executor: str,
         get_pool: Optional[Callable] = None,
         remote: Optional[RemoteTask] = None,
         limit: Optional[int] = None,
@@ -450,10 +439,9 @@ class SegmentedQuery:
             if part.plan is not PRUNED
         ]
         self.logical = logical
-        #: Kept with ``executor`` so a rebase can physical-compile the
-        #: same optimized plan against a segment that did not exist yet.
+        #: Kept so a rebase can physical-compile the same optimized plan
+        #: against a segment that did not exist yet.
         self.lowered = lowered
-        self.executor = executor
         self.get_pool = get_pool
         self.remote = remote
         self.limit = limit
@@ -671,8 +659,8 @@ class SegmentedPlanCompiler:
     """Compile queries once, execute them against every segment.
 
     Mirrors the :class:`~repro.lpath.compiler.PlanCompiler` surface the
-    engines and the plan cache consume (``compile(query, pivot,
-    executor)``), so an engine swaps monolithic for segmented compilation
+    engines and the plan cache consume (``compile(query, pivot, limit,
+    agg)``), so an engine swaps monolithic for segmented compilation
     without touching its query paths.  Works for both dialects — the
     per-segment compilers carry the scheme, dialect and result class."""
 
@@ -688,10 +676,13 @@ class SegmentedPlanCompiler:
         first = self.segments[0].compiler
         self.dialect = first.dialect
         self.scheme = first.scheme
-        self.catalog = SegmentedCatalog(
-            [segment.compiler.catalog for segment in self.segments]
+        self.lowerer = Lowerer(
+            self.scheme,
+            SegmentedCatalog(
+                [segment.compiler.column_store for segment in self.segments]
+            ),
+            self.dialect,
         )
-        self.lowerer = Lowerer(self.scheme, self.catalog, self.dialect)
         self.get_pool = get_pool
         self.remote = remote
         #: Carried plans moved onto this segment list (see :meth:`rebase`).
@@ -699,7 +690,7 @@ class SegmentedPlanCompiler:
         self._rebased_lock = threading.Lock()
 
     def compile(
-        self, query, pivot: bool = False, executor: str = "volcano",
+        self, query, pivot: bool = False,
         limit: Optional[int] = None, agg: Optional[str] = None,
     ) -> SegmentedQuery:
         """One logical compile, one physical skeleton, a bind per segment
@@ -717,23 +708,22 @@ class SegmentedPlanCompiler:
         store."""
         knobs = read_knobs()
         root, lowered = lower_and_optimize(
-            self.lowerer, query, pivot, executor, limit=limit, agg=agg,
-            knobs=knobs,
+            self.lowerer, query, pivot, limit=limit, agg=agg, knobs=knobs,
         )
-        parts = self._bind(root, lowered, executor, knobs)
+        parts = self._bind(root, lowered, knobs)
         remote_task = None
         if self.remote is not None:
             remote_task = RemoteTask(
                 self.remote,
                 query if isinstance(query, str) else str(query),
-                pivot, executor, knobs.force, knobs.backend, limit, agg,
+                pivot, knobs.force, knobs.backend, limit, agg,
             )
         return SegmentedQuery(
-            self.segments, parts, root, lowered, executor,
-            self.get_pool, remote_task, limit=limit, agg=agg, kern=knobs.kern,
+            self.segments, parts, root, lowered, self.get_pool, remote_task,
+            limit=limit, agg=agg, kern=knobs.kern,
         )
 
-    def _bind(self, root, lowered, executor, knobs, known=None) -> list:
+    def _bind(self, root, lowered, knobs, known=None) -> list:
         """One part per segment, in order: the part ``known`` (``id(segment)
         -> part``) already holds, a part over :data:`PRUNED` for a segment
         that lacks a required name or literal, else the plan bound to the
@@ -745,16 +735,15 @@ class SegmentedPlanCompiler:
             part = known.get(id(segment)) if known else None
             if part is not None:
                 pass
-            elif any(compiler.catalog.frequency(name) == 0 for name in names) or (
-                literals and compiler.column_store is not None
-                and not literals <= compiler.column_store.by_value.keys()
+            elif any(compiler.column_store.frequency(name) == 0 for name in names) or (
+                literals and not literals <= compiler.column_store.by_value.keys()
             ):
-                _inner, limit, agg = compiler.unwrap(root, executor)
+                _inner, limit, agg = compiler.unwrap(root)
                 part = compiler.result_class(
                     PRUNED, lowered, root, limit=limit, agg=agg
                 )
             else:
-                part = compiler.compile_physical(root, lowered, executor, knobs)
+                part = compiler.compile_physical(root, lowered, knobs)
             parts.append(part)
         return parts
 
@@ -776,14 +765,11 @@ class SegmentedPlanCompiler:
             id(segment): part
             for segment, part in zip(compiled.segments, compiled.parts)
         }
-        parts = self._bind(
-            compiled.logical, compiled.lowered, compiled.executor,
-            read_knobs(), known,
-        )
+        parts = self._bind(compiled.logical, compiled.lowered, read_knobs(), known)
         with self._rebased_lock:
             self.rebased += 1
         return SegmentedQuery(
             self.segments, parts, compiled.logical, compiled.lowered,
-            compiled.executor, self.get_pool, compiled.remote,
+            self.get_pool, compiled.remote,
             limit=compiled.limit, agg=compiled.agg, kern=compiled.kern,
         )

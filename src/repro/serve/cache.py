@@ -93,7 +93,6 @@ class ResultCache(PlanCache):
     @staticmethod
     def key(
         fingerprint: str, dialect: str, query: str, pivot: bool,
-        executor: str = "columnar",
         limit: Optional[int] = None, agg: Optional[str] = None,
     ) -> tuple:
         """The full result identity: serving dimensions + everything a
@@ -105,7 +104,7 @@ class ResultCache(PlanCache):
         invalid ``REPRO_KERNELS`` environment, exactly like compiling
         would."""
         return (fingerprint, dialect) + compile_options_key(
-            query, pivot, executor, limit=limit, agg=agg
+            query, pivot, limit=limit, agg=agg
         )
 
     def put_rows(self, key: tuple, rows) -> bool:

@@ -275,7 +275,6 @@ class StoreHandle:
             "segments": engine.segments,
             "workers": engine.workers,
             "mode": engine.mode,
-            "executor": engine.executor,
             "plan_cache": engine.cache_stats(),
             "health": self.health(),
         }
@@ -586,7 +585,7 @@ class QueryService:
             [segment.compiler for segment in segments]
             if segments is not None else [compilers]
         ):
-            if compiler is not None and compiler.column_store is not None:
+            if compiler is not None:
                 compiler.columnar_runtime
 
     def _resolve(self, path: Optional[str]) -> StoreHandle:

@@ -15,8 +15,8 @@ re-labeling the treebank.  Four on-disk revisions exist:
   count) followed by one block per segment, each block carrying its own
   length + CRC-32 header over an ``LPDB0002``-shaped payload.  Segments
   partition the corpus by tree (``tid``), so every block is a
-  self-contained shard that one :class:`repro.columnar.ColumnStore` (or
-  row table) can adopt independently and query in parallel;
+  self-contained shard that one :class:`repro.columnar.ColumnStore` can
+  adopt independently and query in parallel;
 * ``LPDB0004`` — the *zero-copy* layout: a small varint sidecar (string
   table, per-name directory with collected ``NameStats``, per-tree
   directories, blob offsets — everything O(segments + names + trees))

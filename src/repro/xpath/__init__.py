@@ -1,12 +1,11 @@
 """Baseline XPath engine over the start/end labeling scheme."""
 
 from .compiler import VERTICAL_FRAGMENT, XPATH_AXES, XPathPlanCompiler
-from .engine import XPathEngine, create_xnode_table
+from .engine import XPathEngine
 
 __all__ = [
     "VERTICAL_FRAGMENT",
     "XPATH_AXES",
     "XPathEngine",
     "XPathPlanCompiler",
-    "create_xnode_table",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from ..lpath.compiler import CompiledQuery, PlanCompiler
 from ..plan.schemes import StartEndScheme, VERTICAL_FRAGMENT, XPATH_AXES
-from ..relational.table import Table
 
 __all__ = ["VERTICAL_FRAGMENT", "XPATH_AXES", "XPathCompiledQuery", "XPathPlanCompiler"]
 
@@ -26,19 +25,12 @@ class XPathCompiledQuery(CompiledQuery):
 
 
 class XPathPlanCompiler(PlanCompiler):
-    """Compile the XPath-expressible fragment against the xnode relation
-    (a row table, or a column store for row-less mmap-backed engines)."""
+    """Compile the XPath-expressible fragment against one column store of
+    start/end labels."""
 
     dialect = "XPath"
     result_class = XPathCompiledQuery
 
-    def __init__(
-        self,
-        table: Table = None,
-        axes: frozenset = VERTICAL_FRAGMENT,
-        column_store=None,
-    ) -> None:
+    def __init__(self, column_store, axes: frozenset = VERTICAL_FRAGMENT) -> None:
         self.axes = axes
-        super().__init__(
-            table, scheme=StartEndScheme(axes), column_store=column_store
-        )
+        super().__init__(column_store, scheme=StartEndScheme(axes))

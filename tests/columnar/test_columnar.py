@@ -3,16 +3,30 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.columnar import ColumnStore, ColumnarCatalog
+from repro.columnar import ColumnStore
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, LPathError
+from repro.lpath.treewalk import AttributeItem, string_value
 from repro.tree import figure1_tree
-from repro.xpath import XPathEngine
 from tests.strategies import corpora
 
 
 def figure1_store() -> ColumnStore:
     return ColumnStore.from_rows(label_corpus([figure1_tree()]))
+
+
+def assert_string_values_match_treewalk(trees) -> None:
+    """The executor's ``@lex``-bisecting string value of every element
+    and attribute row equals the tree walker's, which reads the words
+    off the tree itself."""
+    runtime = LPathEngine(trees)._compiler.columnar_runtime
+    store = runtime.store
+    by_tid = {tree.tid: tree for tree in trees}
+    for row in range(len(store)):
+        node = by_tid[store.tid[row]].node_by_id(store.id[row])
+        name = store.names[row]
+        item = AttributeItem(node, name[1:]) if name.startswith("@") else node
+        assert runtime.string_value(row) == string_value(item), (row, name)
 
 
 class TestColumnStore:
@@ -85,14 +99,13 @@ class TestColumnStore:
         assert list(store.value_rows("saw", tid=9)) == []
         assert list(store.value_rows("no-such-word")) == []
 
-    def test_string_value_matches_volcano(self):
-        trees = [figure1_tree()]
-        engine = LPathEngine(trees)
-        store = engine._compiler.columnar_runtime.store
-        volcano = engine._compiler.runtime
-        for row in range(len(store)):
-            row_tuple = tuple(store.col(position)[row] for position in range(8))
-            assert store.string_value(row) == volcano.string_value(row_tuple)
+    def test_string_value_matches_treewalk(self):
+        assert_string_values_match_treewalk([figure1_tree()])
+
+    @given(corpora(max_trees=3, max_depth=4))
+    @settings(max_examples=25, deadline=None)
+    def test_string_value_matches_treewalk_on_random_corpora(self, trees):
+        assert_string_values_match_treewalk(trees)
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=15, deadline=None)
@@ -111,59 +124,43 @@ class TestColumnStore:
         assert sorted(store.iter_rows()) == rows
 
 
-class TestColumnarCatalog:
-    def test_access_paths(self):
-        catalog = ColumnarCatalog(figure1_store())
-        clustered = catalog.access_path(("name", "tid"), "left")
-        assert clustered.index.name == "clustered"
-        assert clustered.range_column == "left"
-        by_id = catalog.access_path(("tid", "id"), None)
-        assert by_id.index.name == "idx_tid_id"
-        assert catalog.access_path(("value",), None) is None
-
+class TestStoreAsCatalog:
     def test_size_and_frequency(self):
         store = figure1_store()
-        catalog = ColumnarCatalog(store)
-        assert catalog.size() == len(store)
-        assert catalog.frequency("NP") == store.frequency("NP")
+        assert store.size() == len(store) == store.frequency(None)
+        assert store.frequency("NP") == sum(
+            1 for name in store.names if name == "NP"
+        )
 
 
 class TestColumnarExecutor:
     def test_rejects_unknown_executor(self):
-        with pytest.raises(LPathError):
-            LPathEngine([figure1_tree()], executor="gpu")
-        with pytest.raises(LPathError):
-            XPathEngine([figure1_tree()], executor="gpu")
+        LPathEngine([figure1_tree()], executor="columnar")
+        with pytest.raises(LPathError, match="only one"):
+            LPathEngine([figure1_tree()], executor="volcano")
 
-    def test_engine_level_default(self):
-        engine = LPathEngine([figure1_tree()], executor="columnar")
-        assert engine.query("//NP") == engine.query("//NP", executor="volcano")
-
-    def test_nodes_accepts_executor(self):
+    @pytest.mark.parametrize("query", [
+        "//N[.!=xyzzy]", "//NP/N[.=man]", "//VP/V[.=saw]", "//S//V[.=saw]",
+        "//VP/V[.!=saw]", "//NP[not(.=man)]/N", "//V->NP[count(.)=1]",
+    ])
+    def test_self_value_checks_read_the_candidate(self, query):
+        """``.`` in a value or count predicate is the step's own node: a
+        subplan with no step of its own still reads its context slot, so
+        it runs per candidate, never once against the bindings before it
+        (which crashed on a first step and compared the previous step's
+        node on later ones)."""
         engine = LPathEngine([figure1_tree()])
-        assert [node.label for node in engine.nodes("//NP", executor="columnar")] == [
-            node.label for node in engine.nodes("//NP")
-        ]
-
-    @given(corpora(max_trees=3, max_depth=4))
-    @settings(max_examples=10, deadline=None)
-    def test_ablation_index_probes(self, trees):
-        """extra_indexes engines route immediate-preceding probes through
-        the (name, tid, right) ablation index; the columnar executor must
-        serve them through a generic sorted projection."""
-        engine = LPathEngine(trees, extra_indexes=True)
-        for query in ("//NP<-V", "//NP<=V", "//N<-Det"):
-            expected = engine.query(query, backend="treewalk")
-            assert engine.query(query, executor="volcano") == expected, query
-            assert engine.query(query, executor="columnar") == expected, query
+        expected = engine.query(query, backend="treewalk")
+        assert engine.query(query) == expected
+        assert engine.query(query, pivot=True) == expected
 
     def test_columnar_explain_mentions_batches(self):
         engine = LPathEngine([figure1_tree()])
-        text = engine.explain("//S//NP", executor="columnar")
+        text = engine.explain("//S//NP")
         assert "ColumnarJoin" in text and "ColumnarScan" in text
 
     def test_compiled_plans_are_reiterable(self):
         engine = LPathEngine([figure1_tree()])
-        compiled = engine.compile("//NP", executor="columnar")
+        compiled = engine.compile("//NP")
         assert list(compiled.rows()) == list(compiled.rows())
         assert compiled.count() == len(list(compiled.rows()))

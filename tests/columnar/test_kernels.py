@@ -140,7 +140,7 @@ class TestModeResolution:
     def test_invalid_value_rejected_through_engine(self, engine):
         with kernels_env("turbo"):
             with pytest.raises(LPathError, match=KERNELS_ENV):
-                engine.query("//S//NP", executor="columnar")
+                engine.query("//S//NP")
 
     def test_backend_resolution(self):
         with kernels_env("python"):
@@ -175,10 +175,10 @@ class TestDualBackendIdentity:
             with kernels_env(backend):
                 for force in (None, "merge", "probe"):
                     if force is None:
-                        got = engine.query(query, executor="columnar")
+                        got = engine.query(query)
                     else:
                         with forced_join(force):
-                            got = engine.query(query, executor="columnar")
+                            got = engine.query(query)
                     assert got == expected, (query, backend, force)
 
     def test_single_node_trees(self):
@@ -188,17 +188,17 @@ class TestDualBackendIdentity:
             expected = engine.query(query, backend="treewalk")
             for backend in BACKENDS:
                 with kernels_env(backend), forced_join("merge"):
-                    got = engine.query(query, executor="columnar")
+                    got = engine.query(query)
                 assert got == expected, (query, backend)
 
     @needs_native
     def test_explain_names_the_backend(self, engine):
         with forced_join("merge"):
             with kernels_env("native"):
-                plan = engine.explain("//S//NP", executor="columnar")
+                plan = engine.explain("//S//NP")
                 assert "[merge/native" in plan and "kernel=native" in plan
             with kernels_env("python"):
-                plan = engine.explain("//S//NP", executor="columnar")
+                plan = engine.explain("//S//NP")
                 assert "[merge/python" in plan and "kernel=python" in plan
 
     @needs_native
@@ -207,7 +207,7 @@ class TestDualBackendIdentity:
         # native contract; the step must keep the interpreted loop even
         # under native.
         with forced_join("merge"), kernels_env("native"):
-            plan = engine.explain("//S//NP[count(//Det)>0]", executor="columnar")
+            plan = engine.explain("//S//NP[count(//Det)>0]")
             assert "kernel=python" in plan
 
     @needs_native
@@ -216,7 +216,7 @@ class TestDualBackendIdentity:
         # per-row residual: the owning step and the sub-pipeline's steps
         # all stay on the kernel.
         with forced_join("merge"), kernels_env("native"):
-            plan = engine.explain("//S//NP[//Det]", executor="columnar")
+            plan = engine.explain("//S//NP[//Det]")
             assert "kernel=python" not in plan
             assert plan.count("kernel=native") == 2
             assert "first_match" in plan
@@ -288,7 +288,7 @@ class TestSeededCandidateList:
 
     @pytest.fixture(scope="class")
     def seeded(self):
-        return LPathEngine(_seed_corpus(), executor="columnar")
+        return LPathEngine(_seed_corpus())
 
     @pytest.mark.parametrize("query", SEEDED, ids=list(SEEDED))
     def test_pairs_identical_across_backends(self, seeded, query):
@@ -336,7 +336,7 @@ class TestSeededCandidateList:
         for backend in BACKENDS:
             with kernels_env(backend), forced_join("merge"):
                 sharded = LPathEngine(
-                    trees, keep_trees=False, executor="columnar", segments=5
+                    trees, keep_trees=False, segments=5
                 )
                 for query in queries:
                     full = whole.query(query, backend="treewalk")
@@ -441,7 +441,7 @@ class TestBindingOrder:
             + [_wide_tree(WIDE_TID)]
             + generate_corpus("wsj", sentences=8, seed=4, start_tid=WIDE_TID + 1)
         )
-        engine = LPathEngine(trees, keep_trees=False, executor="columnar")
+        engine = LPathEngine(trees, keep_trees=False)
         joins = {}
         for query, strategy in ORDERED.items():
             steps = {}
@@ -545,9 +545,9 @@ class TestStaleArtifact:
 class TestPlanCacheKey:
     def test_kernels_backend_keys_the_plan_cache(self, engine):
         with kernels_env("python"):
-            python_plan = engine.compile("//S//V", executor="columnar")
+            python_plan = engine.compile("//S//V")
         with kernels_env("auto"):
-            auto_plan = engine.compile("//S//V", executor="columnar")
+            auto_plan = engine.compile("//S//V")
         if NATIVE:
             # Resolved backends differ, so the cache must miss.
             assert python_plan is not auto_plan

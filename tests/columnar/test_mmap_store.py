@@ -18,8 +18,10 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import store
+from repro.columnar.executor import ColumnarRuntime
 from repro.columnar.store import ColumnStore, MappedColumnStore
 from repro.labeling import label_corpus
+from repro.plan.schemes import LPathScheme
 from repro.tree import figure1_tree
 from tests.strategies import corpora
 
@@ -105,8 +107,10 @@ def assert_stores_equal(mapped: MappedColumnStore, built: ColumnStore):
             assert mapped.clustered_range(name, tid, 1, 7) == \
                 built.clustered_range(name, tid, 1, 7)
 
+    mapped_value = ColumnarRuntime(mapped, LPathScheme()).string_value
+    built_value = ColumnarRuntime(built, LPathScheme()).string_value
     for row in range(built.n):
-        assert mapped.string_value(row) == built.string_value(row), row
+        assert mapped_value(row) == built_value(row), row
 
     for column_store in (mapped, built):
         expected = reference_by_value(column_store)

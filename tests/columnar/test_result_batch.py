@@ -244,7 +244,7 @@ class TestThroughTheEngine:
     def test_top_k_batch_and_aggregates_agree_with_query(self, trees, segments):
         oracle = LPathEngine(trees)
         engine = LPathEngine(
-            trees, keep_trees=False, executor="columnar", segments=segments
+            trees, keep_trees=False, segments=segments
         )
         for query in QUERIES:
             full = oracle.query(query, backend="treewalk")

@@ -150,7 +150,7 @@ def engines(trees, tmp_path_factory):
     with live.LiveCorpus(live_path) as corpus:
         corpus.append_trees(delta.read_text())
     opened = {
-        "column-store": LPathEngine(trees, executor="columnar", keep_trees=False),
+        "column-store": LPathEngine(trees, keep_trees=False),
         "mapped": LPathEngine.open(mapped_path),
         "live base+delta": LPathEngine.open(live_path),
     }
@@ -172,10 +172,10 @@ class TestHandCheckedAnswers:
                         query, flavor, backend, join
                     )
 
-    def test_volcano_agrees_after_the_residual_pruning(self, trees):
+    def test_emitted_sql_agrees_after_the_residual_pruning(self, trees):
         engine = LPathEngine(trees, keep_trees=False)
         for query, expected in CASES:
-            assert engine.query(query, executor="volcano") == expected, query
+            assert engine.query(query, backend="sqlite") == expected, query
 
 
 class TestTopKAndBatch:
@@ -224,7 +224,7 @@ def _semi_joins(plan):
 
 class TestFirstMatch:
     def test_last_step_emits_at_most_one_row_per_binding(self, trees):
-        engine = LPathEngine(trees, executor="columnar", keep_trees=False)
+        engine = LPathEngine(trees, keep_trees=False)
         for backend, join in physical_matrix():
             with environment(**{KERNELS_ENV: backend, FORCE_ENV: join}):
                 plan = engine.compile("//S[//_]").plan
@@ -255,7 +255,7 @@ class TestFirstMatch:
     def test_a_last_step_with_its_own_predicate_sees_every_candidate(self, trees):
         # //NP[->PP[//N]]: the PP step must not stop at its first PP
         # before the nested predicate has been applied.
-        engine = LPathEngine(trees, executor="columnar", keep_trees=False)
+        engine = LPathEngine(trees, keep_trees=False)
         plan = engine.compile("//NP[->PP[//N]]").plan
         (outer,) = _semi_joins(plan)
         assert not outer.first_match
@@ -285,12 +285,12 @@ class TestPerRowPaths:
     ):
         for backend, join in physical_matrix():
             with environment(**{KERNELS_ENV: backend, FORCE_ENV: join}):
-                engine = LPathEngine(trees, executor="columnar", keep_trees=False)
+                engine = LPathEngine(trees, keep_trees=False)
                 for query in self.PURE:
                     assert engine.query(query) == treewalk.query(query), query
 
     def test_count_still_takes_the_row_runner(self, trees, no_row_runner):
-        engine = LPathEngine(trees, executor="columnar", keep_trees=False)
+        engine = LPathEngine(trees, keep_trees=False)
         with pytest.raises(AssertionError, match="_run_steps reached"):
             engine.query("//NP[count(//N)>1]")
 
@@ -314,7 +314,7 @@ class TestEstimatesCrossThePredicateBoundary:
     def engine(self):
         return LPathEngine(
             list(generate_corpus("wsj", sentences=300, seed=11)),
-            keep_trees=False, executor="columnar",
+            keep_trees=False,
         )
 
     def test_large_outer_batch_picks_merge(self, engine):

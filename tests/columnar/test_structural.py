@@ -17,7 +17,6 @@ from repro.columnar.structural import FORCE_ENV, PREFIX, STACK, SWEEP
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
 from repro.plan.ir import Join
-from repro.plan.schemes import Catalog
 from repro.plan.segmented import SegmentedCatalog
 from repro.tree import iter_trees
 from repro.xpath import XPathEngine
@@ -158,20 +157,11 @@ class TestStatistics:
         assert store.name_stats("nope") == NameStats(0, 0, 0, 0, 0)
         assert store.tree_count() == 4
 
-    def test_relational_catalog_matches_column_store(self, trees, engine):
-        store = ColumnStore.from_rows(label_corpus(trees))
-        catalog = Catalog(engine.node_table)
-        for name in ("NP", "S", "Det", "@lex", "nope", None):
-            assert catalog.name_stats(name) == store.name_stats(name)
-        assert catalog.tree_count() == store.tree_count()
-
     def test_segmented_catalog_merges_stats(self, trees):
         stores = [
             ColumnStore.from_rows(label_corpus([tree])) for tree in trees
         ]
-        from repro.columnar import ColumnarCatalog
-
-        merged = SegmentedCatalog([ColumnarCatalog(s) for s in stores])
+        merged = SegmentedCatalog(stores)
         whole = ColumnStore.from_rows(label_corpus(trees))
         for name in ("NP", "S", "Det", "nope"):
             expected = whole.name_stats(name)
@@ -203,7 +193,7 @@ class TestCostModel:
         from repro.plan.ir import Col, ValueSeed, T
 
         store = ColumnStore.from_rows(label_corpus(trees))
-        catalog = Catalog(LPathEngine(trees).node_table)
+        catalog = SegmentedCatalog([store])  # no value index
         for literal in ("dog", "nowhere"):
             seed = ValueSeed("@lex", literal, None, tid=Col(0, T))
             for stats in (store, catalog):   # exact at a bind, guessed before
@@ -212,7 +202,7 @@ class TestCostModel:
 
     def test_a_seeded_merge_join_is_annotated_and_rendered(self, engine):
         with forced("merge"):
-            plan = engine.explain("//S[//_[@lex=saw]]", executor="columnar")
+            plan = engine.explain("//S[//_[@lex=saw]]")
         assert "Join[merge/" in plan and " est_in=" in plan
         assert (
             "StructuralMergeJoin(s1 <- ValueSeed(@lex='saw' over tree s0.tid):"
@@ -220,24 +210,20 @@ class TestCostModel:
         ) in plan
         assert plan.rstrip().endswith("row=0 first_match)")
         with forced("probe"):
-            plan = engine.explain("//S[//_[@lex=saw]]", executor="columnar")
+            plan = engine.explain("//S[//_[@lex=saw]]")
         assert "Join[probe est_in=" in plan
         assert "ColumnarJoin(s1 <- ValueSeed(" in plan
 
     def test_annotation_recorded_and_rendered(self, engine):
-        plan = engine.explain("//S//NP", executor="columnar")
+        plan = engine.explain("//S//NP")
         assert "[probe est_in=" in plan or "[merge/" in plan
-
-    def test_volcano_plans_carry_no_annotation(self, engine):
-        plan = engine.explain("//S//NP", executor="volcano")
-        assert "[probe" not in plan and "[merge" not in plan
 
     def test_cost_model_picks_merge_at_scale(self):
         from repro.corpus.generator import generate_corpus
 
         engine = LPathEngine(
             list(generate_corpus("wsj", sentences=120, seed=11)),
-            keep_trees=False, executor="columnar",
+            keep_trees=False,
         )
         plan = engine.explain("//S//NP")
         assert "[merge/" in plan and " est_in=" in plan
@@ -245,16 +231,16 @@ class TestCostModel:
 
     def test_force_knob_overrides_choice(self, engine):
         with forced("merge"):
-            plan = engine.explain("//S//NP", executor="columnar")
+            plan = engine.explain("//S//NP")
             assert "[merge" in plan and "StructuralMergeJoin" in plan
         with forced("probe"):
-            plan = engine.explain("//S//NP", executor="columnar")
+            plan = engine.explain("//S//NP")
             assert "[probe" in plan and "StructuralMergeJoin" not in plan
 
     def test_force_knob_keys_the_plan_cache(self, engine):
-        plain = engine.compile("//S//V", executor="columnar")
+        plain = engine.compile("//S//V")
         with forced("merge"):
-            forced_plan = engine.compile("//S//V", executor="columnar")
+            forced_plan = engine.compile("//S//V")
         assert plain is not forced_plan
 
     def test_invalid_force_value_rejected(self, engine):
@@ -262,9 +248,9 @@ class TestCostModel:
 
         with forced("MERGE"):
             with pytest.raises(LPathError, match="REPRO_FORCE_JOIN"):
-                engine.query("//S//NN", executor="columnar")
+                engine.query("//S//NN")
         with forced(""):  # empty means unset, not an error
-            assert engine.query("//S//V", executor="columnar") is not None
+            assert engine.query("//S//V") is not None
 
 
 class TestForcedEquivalence:
@@ -274,14 +260,14 @@ class TestForcedEquivalence:
         for mode in ("merge", "probe"):
             with forced(mode):
                 for pivot in (False, True):
-                    got = engine.query(query, executor="columnar", pivot=pivot)
+                    got = engine.query(query, pivot=pivot)
                     assert got == expected, (query, mode, pivot)
 
     @pytest.mark.parametrize("segments", [2, 3])
     def test_segmented_engines_agree(self, trees, segments):
         oracle = LPathEngine(trees)
         sharded = LPathEngine(
-            trees, keep_trees=False, executor="columnar", segments=segments
+            trees, keep_trees=False, segments=segments
         )
         for query in AXIS_QUERIES:
             expected = oracle.query(query, backend="treewalk")
@@ -309,7 +295,7 @@ class TestForcedEquivalence:
         else:
             monkeypatch.setenv(FORCE_ENV, mode)
         sharded = LPathEngine(
-            trees, keep_trees=False, executor="columnar", segments=2
+            trees, keep_trees=False, segments=2
         )
         for query in AXIS_QUERIES:
             compiled = sharded.compile(query)
@@ -317,7 +303,7 @@ class TestForcedEquivalence:
                 # The shard's own compiler, used monolithically: lowered,
                 # optimized and annotated from this shard's catalog alone.
                 assert type(segment.compiler) is PlanCompiler
-                alone = segment.compiler.compile(query, executor="columnar")
+                alone = segment.compiler.compile(query)
                 if not any(part is bound for _i, bound in compiled.bound):
                     assert alone.count() == 0, query   # pruned: provably empty
                     continue
@@ -334,7 +320,7 @@ class TestForcedEquivalence:
             expected = engine.query(query)
             for mode in ("merge", "probe"):
                 with forced(mode):
-                    got = engine.query(query, executor="columnar")
+                    got = engine.query(query)
                     assert got == expected, (query, mode)
 
 

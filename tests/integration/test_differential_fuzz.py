@@ -1,16 +1,16 @@
 """Property-based differential fuzzing across every execution path.
 
 For random corpora and *random queries* (tests/strategies.py generators),
-the four LPath execution paths must agree exactly:
+the three LPath execution paths must agree exactly:
 
-    plan/volcano == plan/columnar == emitted-SQL-on-SQLite == tree-walk
+    plan == emitted-SQL-on-SQLite == tree-walk
 
 — and so must the zero-copy deployment shapes: the same corpus saved as
 a segmented ``LPDB0004`` store and opened mmap-backed, executed both
 sequentially and fanned out over *worker processes* (results cross the
 process boundary as packed int64 pairs; any packing or re-compile drift
-would break byte-identity here).  The XPath engine (both executors) must
-match the LPath engine on the start/end-expressible fragment.  The columnar executor additionally runs
+would break byte-identity here).  The XPath engine must match the LPath
+tree-walk on the start/end-expressible fragment.  The plan backend runs
 every pair with structural merge joins forced **on** and forced **off**
 (the ``REPRO_FORCE_JOIN=merge|probe`` knob), so the set-at-a-time join
 layer is differentially verified against the per-binding probe join and
@@ -121,21 +121,19 @@ def _assert_agreement(
     expected = engine.query(query, backend="treewalk")
     results = {
         "treewalk": expected,
-        "volcano": engine.query(query, executor="volcano"),
-        "volcano+pivot": engine.query(query, executor="volcano", pivot=True),
-        "columnar": engine.query(query, executor="columnar"),
-        "columnar+pivot": engine.query(query, executor="columnar", pivot=True),
+        "columnar": engine.query(query),
+        "columnar+pivot": engine.query(query, pivot=True),
         "sqlite": engine.query(query, backend="sqlite"),
     }
     with forced_join("merge"):
-        results["columnar+merge"] = engine.query(query, executor="columnar")
+        results["columnar+merge"] = engine.query(query)
         results["columnar+merge+pivot"] = engine.query(
-            query, executor="columnar", pivot=True
+            query, pivot=True
         )
         for backend in KERNEL_BACKENDS:
             with forced_kernels(backend):
                 results[f"columnar+merge+{backend}"] = engine.query(
-                    query, executor="columnar"
+                    query
                 )
         # Merge joins over mapped segments too (a seeded step's row list
         # is per segment, and empty where the segment lacks the word);
@@ -143,7 +141,7 @@ def _assert_agreement(
         if extra_engines and "mmap" in extra_engines:
             results["mmap+merge"] = extra_engines["mmap"].query(query)
     with forced_join("probe"):
-        results["columnar+probe"] = engine.query(query, executor="columnar")
+        results["columnar+probe"] = engine.query(query)
     for label, extra in (extra_engines or {}).items():
         results[label] = extra.query(query)
     if any(rows != expected for rows in results.values()):
@@ -280,8 +278,8 @@ class TestBatchDifferentialFuzz:
     """Shared-scan batching is an optimization, never a semantics
     change: for random suites mixing row queries, top-k limits and
     aggregates, ``query_batch`` must be byte-identical to per-query
-    execution — across executors, kernel backends, segmented engines,
-    and the HTTP daemon."""
+    execution — across kernel backends, segmented engines and the HTTP
+    daemon."""
 
     @given(data=st.data())
     @settings(max_examples=max(5, FUZZ_EXAMPLES // 3), deadline=None)
@@ -291,11 +289,8 @@ class TestBatchDifferentialFuzz:
         reference = LPathEngine(trees)
         expected = _expected_per_query(reference, entries)
         engines = {
-            "volcano": reference,
-            "columnar": LPathEngine(trees, executor="columnar"),
-            "segmented": LPathEngine(
-                trees, executor="columnar", segments=2
-            ),
+            "columnar": reference,
+            "segmented": LPathEngine(trees, segments=2),
         }
         results = {
             name: engine.query_batch(entries)
@@ -586,31 +581,31 @@ class TestXPathDifferentialFuzz:
     @settings(max_examples=max(5, FUZZ_EXAMPLES // 3), deadline=None)
     def test_xpath_engine_matches_lpath_on_fragment(self, data):
         trees = data.draw(corpora(max_trees=3, max_depth=4), label="corpus")
-        lpath_engine = LPathEngine(trees, keep_trees=False)
+        lpath_engine = LPathEngine(trees)
         xpath_engine = XPathEngine(trees, axes=XPATH_AXES)
         for index in range(QUERIES_PER_EXAMPLE):
             query = data.draw(xpath_queries(), label=f"query {index}")
-            expected = lpath_engine.query(query)
+            expected = lpath_engine.query(query, backend="treewalk")
             results = {
-                "lpath/volcano": expected,
-                "xpath/volcano": xpath_engine.query(query),
-                "xpath/columnar": xpath_engine.query(query, executor="columnar"),
+                "lpath/treewalk": expected,
+                "lpath/columnar": lpath_engine.query(query),
+                "xpath/columnar": xpath_engine.query(query),
                 "xpath/columnar+pivot": xpath_engine.query(
-                    query, pivot=True, executor="columnar"
+                    query, pivot=True
                 ),
             }
             with forced_join("merge"):
                 results["xpath/columnar+merge"] = xpath_engine.query(
-                    query, executor="columnar"
+                    query
                 )
                 for backend in KERNEL_BACKENDS:
                     with forced_kernels(backend):
                         results[f"xpath/columnar+merge+{backend}"] = (
-                            xpath_engine.query(query, executor="columnar")
+                            xpath_engine.query(query)
                         )
             with forced_join("probe"):
                 results["xpath/columnar+probe"] = xpath_engine.query(
-                    query, executor="columnar"
+                    query
                 )
             if any(rows != expected for rows in results.values()):
                 raise AssertionError(_report(trees, query, results))

@@ -3,9 +3,9 @@
 For random corpora and random queries (the tests/strategies.py
 generators), sharding the corpus must be invisible in the results:
 
-* the LPath engine at 1, 2, 3 and 7 segments — both physical executors,
-  with and without a worker pool — must return exactly the monolithic
-  engine's ``(tid, id)`` lists;
+* the LPath engine at 1, 2, 3 and 7 segments — cost-based and forced
+  merge joins, with and without a worker pool — must return exactly the
+  monolithic engine's ``(tid, id)`` lists;
 * the same holds for the XPath engine on the start/end-expressible
   fragment;
 * a corpus round-tripped through the segmented ``LPDB0003`` store format
@@ -101,17 +101,15 @@ class TestLPathSegmentEquivalence:
                 query = data.draw(lpath_queries(), label=f"query {index}")
                 expected = monolithic.query(query)
                 for (segments, workers), engine in engines.items():
-                    # columnar twice: the shard's cost-based joins (probes,
-                    # on corpora this small), then every eligible join —
+                    # Twice: the shard's cost-based joins (probes, on
+                    # corpora this small), then every eligible join —
                     # named or value-seeded — as a structural merge.
-                    for executor, force in (
-                        ("volcano", None), ("columnar", None), ("columnar", "merge"),
-                    ):
+                    for force in (None, "merge"):
                         with forced_join(force):
-                            got = engine.query(query, executor=executor)
+                            got = engine.query(query)
                         assert got == expected, (
                             f"segments={segments} workers={workers} "
-                            f"executor={executor} force={force} "
+                            f"force={force} "
                             f"kernels={kernels} "
                             f"disagrees on {query!r}: {got} != {expected}"
                         )
@@ -139,15 +137,14 @@ class TestLPathSegmentEquivalence:
                 query = query.replace(other, tag)
                 expected = monolithic.query(query)
                 for engine in engines:
-                    for executor in ("volcano", "columnar"):
-                        compiled = engine.compile(query, executor=executor)
-                        got = [tuple(row) for row in compiled.rows()]
-                        assert got == expected, (
-                            f"segments={engine.segments} executor={executor} "
-                            f"kernels={kernels} disagrees on {query!r} "
-                            f"({compiled.explain().splitlines()[-1]})"
-                        )
-                        assert compiled.count() == len(expected)
+                    compiled = engine.compile(query)
+                    got = [tuple(row) for row in compiled.rows()]
+                    assert got == expected, (
+                        f"segments={engine.segments} "
+                        f"kernels={kernels} disagrees on {query!r} "
+                        f"({compiled.explain().splitlines()[-1]})"
+                    )
+                    assert compiled.count() == len(expected)
 
     @given(data=st.data())
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -220,12 +217,11 @@ class TestXPathSegmentEquivalence:
             query = data.draw(xpath_queries(), label=f"query {index}")
             expected = monolithic.query(query)
             for engine in engines:
-                for executor in ("volcano", "columnar"):
-                    got = engine.query(query, executor=executor)
-                    assert got == expected, (
-                        f"segments={engine.segments} workers={engine.workers} "
-                        f"executor={executor} disagrees on {query!r}"
-                    )
+                got = engine.query(query)
+                assert got == expected, (
+                    f"segments={engine.segments} workers={engine.workers} "
+                    f"disagrees on {query!r}"
+                )
 
 
 class TestSegmentedPlanSurface:
@@ -253,10 +249,7 @@ class TestSegmentedPlanSurface:
         # plan still returns the same rows.
         engine = LPathEngine(self._trees(), segments=3)
         baseline = LPathEngine(self._trees())
-        for executor in ("volcano", "columnar"):
-            assert engine.query(
-                "//S//NP", pivot=True, executor=executor
-            ) == baseline.query("//S//NP")
+        assert engine.query("//S//NP", pivot=True) == baseline.query("//S//NP")
 
     def test_count_matches_len_query(self):
         engine = LPathEngine(self._trees(), segments=2, workers=2)
@@ -312,8 +305,7 @@ class TestProcessWorkerEntryPoints:
         merged = []
         total = 0
         for index in range(2):
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
-                                        None)
+            task = segmented.RemoteTask(spec, "//VP//NP", False, None)
             blob = segmented._execute_segment(task, index, "rows")
             assert isinstance(blob, bytes)
             merged.extend(segmented.ResultBatch.frombytes(blob))
@@ -336,13 +328,11 @@ class TestProcessWorkerEntryPoints:
         previous = _os.environ.get(FORCE_ENV)
         try:
             _os.environ[FORCE_ENV] = "probe"
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
-                                        "merge")
+            task = segmented.RemoteTask(spec, "//VP//NP", False, "merge")
             forced = segmented._execute_segment(task, 0, "rows")
             assert _os.environ.get(FORCE_ENV) == "probe"  # restored
             unforced = segmented._execute_segment(
-                segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
-                                     None),
+                segmented.RemoteTask(spec, "//VP//NP", False, None),
                 0, "rows",
             )
             assert forced == unforced
@@ -369,8 +359,7 @@ class TestProcessWorkerEntryPoints:
         expected = XPathEngine(trees, axes=XPATH_AXES).query("//VP//NP")
         merged = []
         for index in range(2):
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "columnar",
-                                        None)
+            task = segmented.RemoteTask(spec, "//VP//NP", False, None)
             merged.extend(
                 segmented.ResultBatch.frombytes(
                     segmented._execute_segment(task, index, "rows")

@@ -52,8 +52,8 @@ class TestEngineAPI:
 
     def test_explain_mentions_plan_operators(self, engine):
         text = engine.explain("//VP/V-->N")
-        assert "IndexNestedLoopJoin" in text
-        assert "Distinct" in text
+        assert "ColumnarJoin" in text
+        assert "ColumnarDistinct" in text
 
 
 class TestClose:
@@ -64,12 +64,10 @@ class TestClose:
         engine.close()
         engine.close()
 
-    def test_close_releases_relational_store_and_rows(self):
+    def test_close_releases_column_store_and_rows(self):
         engine = LPathEngine([figure1_tree()])
         engine.query("//NP")
         engine.close()
-        assert engine.database is None
-        assert engine.node_table is None
         assert engine._rows is None
         assert engine._compiler is None
         assert len(engine.plan_cache) == 0
@@ -87,12 +85,10 @@ class TestClose:
 
         engine = LPathEngine([figure1_tree()])
         engine.query("//NP")
-        table_ref = weakref.ref(engine.node_table)
-        database_ref = weakref.ref(engine.database)
+        compiler_ref = weakref.ref(engine._compiler)  # owns the column store
         engine.close()
         gc.collect()
-        assert table_ref() is None
-        assert database_ref() is None
+        assert compiler_ref() is None
 
     def test_close_shuts_down_worker_pool(self):
         engine = LPathEngine(
@@ -141,13 +137,6 @@ class TestPlanCompiler:
     def test_first_step_positional_rejected(self, engine):
         with pytest.raises(LPathCompileError):
             engine.compile("//NP[position()=2]")
-
-    def test_extra_index_changes_preceding_probe(self):
-        plain = LPathEngine([figure1_tree()])
-        extra = LPathEngine([figure1_tree()], extra_indexes=True)
-        query = "//NP<-V"
-        assert plain.query(query) == extra.query(query)
-        assert "idx_name_tid_right" in extra.node_table.indexes
 
     def test_root_alignment_without_scope(self, engine):
         # ^/$ without scope align to the tree root edges.

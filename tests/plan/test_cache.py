@@ -113,37 +113,19 @@ class TestEngineCaching:
         assert plain is not pivoted
         assert engine.compile("//S//V", pivot=True) is pivoted
 
-    def test_executor_keys_separately(self, engine):
-        """A warm hit must never return a plan compiled for the other
-        executor."""
-        volcano = engine.compile("//S//V")
-        columnar = engine.compile("//S//V", executor="columnar")
-        assert volcano is not columnar
-        assert engine.compile("//S//V", executor="columnar") is columnar
-        assert engine.compile("//S//V", executor="volcano") is volcano
-        from repro.columnar import ColumnarPlan
-        from repro.relational.operators import Operator
-
-        assert isinstance(columnar.plan, ColumnarPlan)
-        assert isinstance(volcano.plan, Operator)
-
-    def test_executor_and_pivot_key_independently(self, engine):
-        plans = {
-            (pivot, executor): engine.compile("//S//V", pivot=pivot, executor=executor)
+    def test_pivot_limit_and_agg_key_independently(self, engine):
+        options = [
+            {"pivot": pivot, **extra}
             for pivot in (False, True)
-            for executor in ("volcano", "columnar")
-        }
-        assert len(set(map(id, plans.values()))) == 4
-        for key, plan in plans.items():
-            assert engine.compile("//S//V", pivot=key[0], executor=key[1]) is plan
+            for extra in ({}, {"limit": 2}, {"agg": "count"})
+        ]
+        plans = [engine.compile("//S//V", **option) for option in options]
+        assert len(set(map(id, plans))) == len(options)
+        for option, plan in zip(options, plans):
+            assert engine.compile("//S//V", **option) is plan
+        from repro.columnar import ColumnarPlan
 
-    def test_engine_default_executor_drives_the_key(self):
-        from repro.tree import figure1_tree
-
-        engine = LPathEngine([figure1_tree()], executor="columnar")
-        default = engine.compile("//NP")
-        assert engine.compile("//NP", executor="columnar") is default
-        assert engine.compile("//NP", executor="volcano") is not default
+        assert all(isinstance(plan.plan, ColumnarPlan) for plan in plans)
 
     def test_ast_queries_share_the_text_key(self, engine):
         from repro.lpath import parse

@@ -192,7 +192,7 @@ def test_a_cold_compile_reads_the_environment_four_times_at_most(
         for query in QUERIES:
             monkeypatch.setattr(os._Environ, "__getitem__", counting)
             del reads[:]
-            compiled = compiler.compile(query, executor="columnar")
+            compiled = compiler.compile(query)
             monkeypatch.undo()
             assert len(reads) <= 4, (query, reads)
             assert sorted(set(reads)) == [
@@ -253,7 +253,7 @@ def test_rare_word_binds_and_runs_only_where_the_word_lives(trees, stores):
         compiled = engine.compile(query)
         assert {index for index, _part in compiled.bound} == words[word]
         assert "pruned 6 of 8" in compiled.explain()
-        monolithic = LPathEngine(trees, keep_trees=False, executor="columnar")
+        monolithic = LPathEngine(trees, keep_trees=False)
         assert engine.query(query) == monolithic.query(query) != []
     finally:
         engine.close()

@@ -1,7 +1,7 @@
 """Golden snapshots of ``explain()`` output.
 
 Pins the logical-IR + physical-plan rendering for a representative query
-set in both dialects (and both physical executors), so any optimizer or
+set in both dialects, so any optimizer or
 compiler change shows up as a readable snapshot diff rather than a silent
 plan regression.
 
@@ -44,48 +44,46 @@ SNAPSHOTS = [
     ("lpath_immediate_following", "lpath", "//V->NP", {}),
     ("lpath_sibling", "lpath", "//V==>NP", {}),
     ("lpath_parent", "lpath", "//N\\NP", {}),
-    ("lpath_ancestor", "lpath", "//Det\\ancestor::S", {}),
     ("lpath_scope_aligned", "lpath", "//VP{//NP$}", {}),
-    ("lpath_value_seed", "lpath", "//S[//_[@lex=saw]]", {}),
     ("lpath_negated_exists", "lpath", "//NP[not(//Det) and not(//Adj)]", {}),
     ("lpath_count", "lpath", "//NP[count(//N)>1]", {}),
     ("lpath_name_function", "lpath", "//_[name()=NP]", {}),
     ("lpath_exists_pivot", "lpath", "//S[//NP/N]", {"pivot": True}),
-    ("lpath_columnar_scan", "lpath", "//S//NP", {"executor": "columnar"}),
-    ("lpath_columnar_subplan", "lpath", "//S[//NP/N]", {"executor": "columnar"}),
+    ("lpath_columnar_scan", "lpath", "//S//NP", {}),
+    ("lpath_columnar_subplan", "lpath", "//S[//NP/N]", {}),
     ("lpath_columnar_nested_predicate", "lpath", "//NP[->PP[//N]=>ADVP]",
-     {"executor": "columnar"}),
+     {}),
     ("lpath_columnar_or_exists", "lpath", "//NP[//Adj or //PP]",
-     {"executor": "columnar"}),
+     {}),
     ("lpath_columnar_join_predicate", "lpath", "//S//NP[not(//PP)]/N",
-     {"executor": "columnar"}),
+     {}),
     # A value-seeded join is merge-eligible: costed and annotated like a
     # named step (three bindings: the per-binding probe wins).
     ("lpath_columnar_value_seed", "lpath", "//S[//_[@lex=saw]]",
-     {"executor": "columnar"}),
-    ("lpath_columnar_deep_chain", "lpath", "//S//NP//N", {"executor": "columnar"}),
-    ("lpath_columnar_ancestor", "lpath", "//Det\\ancestor::S", {"executor": "columnar"}),
-    ("lpath_columnar_wildcard_child", "lpath", "//S/_", {"executor": "columnar"}),
-    ("lpath_topk", "lpath", "//S//NP//N", {"limit": 5, "executor": "columnar"}),
-    ("lpath_topk_volcano", "lpath", "//S//NP", {"limit": 3}),
+     {}),
+    ("lpath_columnar_deep_chain", "lpath", "//S//NP//N", {}),
+    ("lpath_columnar_ancestor", "lpath", "//Det\\ancestor::S", {}),
+    ("lpath_columnar_wildcard_child", "lpath", "//S/_", {}),
+    ("lpath_topk", "lpath", "//S//NP//N", {"limit": 5}),
+    ("lpath_topk_scan", "lpath", "//S//NP", {"limit": 3}),
     ("lpath_aggregate_count", "lpath", "//S//NP", {"agg": "count"}),
     ("lpath_aggregate_by_name", "lpath", "//S/_",
-     {"agg": "count_by_name", "executor": "columnar"}),
+     {"agg": "count_by_name"}),
     ("lpath_aggregate_by_depth", "lpath", "//NP",
-     {"agg": "count_by_depth", "executor": "columnar"}),
+     {"agg": "count_by_depth"}),
     # One tree per segment: ADVP only lives in the last, PP in the first.
     ("lpath_segmented_pruned", "lpath_sharded", "//S//ADVP",
-     {"executor": "columnar"}),
+     {}),
     ("lpath_segmented_all_pruned", "lpath_sharded", "//S[//WHNP]",
-     {"executor": "columnar"}),
+     {}),
     ("xpath_child_chain", "xpath", "//NP/N", {}),
     ("xpath_two_step_scan_pivot", "xpath", "//S//V", {"pivot": True}),
     ("xpath_ancestor", "xpath", "//Det\\ancestor::S", {}),
-    ("xpath_columnar_scan", "xpath", "//S//NP", {"executor": "columnar"}),
-    ("xpath_columnar_deep_chain", "xpath", "//S//NP//N", {"executor": "columnar"}),
-    ("xpath_topk", "xpath", "//S//NP", {"limit": 3, "executor": "columnar"}),
+    ("xpath_columnar_scan", "xpath", "//S//NP", {}),
+    ("xpath_columnar_deep_chain", "xpath", "//S//NP//N", {}),
+    ("xpath_topk", "xpath", "//S//NP", {"limit": 3}),
     ("xpath_aggregate_by_name", "xpath", "//NP/_",
-     {"agg": "count_by_name", "executor": "columnar"}),
+     {"agg": "count_by_name"}),
 ]
 
 #: (slug, dialect, batch entries) for ``explain_batch`` DAG snapshots.
@@ -175,7 +173,7 @@ def test_explain_snapshot(engines, slug, dialect, query, kwargs):
     ids=[slug for slug, *_ in BATCH_SNAPSHOTS],
 )
 def test_explain_batch_snapshot(engines, slug, dialect, entries):
-    rendered = engines[dialect].explain_batch(entries, executor="columnar")
+    rendered = engines[dialect].explain_batch(entries)
     actual = _neutral(rendered) + "\n"
     _assert_matches_snapshot(slug, actual, "explain_batch()")
 

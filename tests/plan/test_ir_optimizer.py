@@ -201,11 +201,9 @@ class TestRedundantResiduals:
             "s2.depth >= s0.depth",
         ]
 
-    def test_both_executors_and_dialects_get_the_pass(self, engines):
+    def test_both_dialects_get_the_pass(self, engines):
         lpath_engine, xpath_engine = engines
-        for executor in ("volcano", "columnar"):
-            assert len(self._conditions(
-                lpath_engine, "//VP{//NP$}", executor=executor)) == 3
+        assert len(self._conditions(lpath_engine, "//VP{//NP$}")) == 3
         # The start/end scheme emits no duplicates; the pass is a no-op.
         assert self._conditions(xpath_engine, "//S//NP") == [
             "s1.right < s0.right"
@@ -285,14 +283,14 @@ class TestRedundantResiduals:
 
         def seeded(extra):
             step = Join(
-                Context(), slot=2,
+                Context(1), slot=2,
                 access=IndexProbe("idx_tid_id", (Col(1, T), Col(1, I))),
                 conditions=(Cmp(Col(2, N), "=", Const("@lex")),) + tuple(extra),
                 label="attribute::lex", axis=Axis.ATTRIBUTE, ctx_slot=1,
             )
             test = ValueCmpPred(step, "=", "saw", False)
             node = Join(
-                Context(), slot=1,
+                Context(0), slot=1,
                 access=ValueSeed("@lex", "saw", None, tid=Col(0, T)),
                 conditions=tuple(containment) + (test,),
                 label="descendant::_", axis=Axis.DESCENDANT, ctx_slot=0,
@@ -308,4 +306,4 @@ class TestRedundantResiduals:
         assert seeded([Cmp(Col(2, L), "=", Col(0, L))])    # not held
         assert seeded([Cmp(Col(2, D), ">", Col(0, R))])    # another pair
         assert seeded([Cmp(Col(2, P), "=", Col(0, I))])    # not span/depth
-        assert seeded([ExistsPred(Context())])             # not a comparison
+        assert seeded([ExistsPred(Context(2))])            # not a comparison

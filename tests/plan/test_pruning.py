@@ -25,7 +25,6 @@ from repro import live
 from repro.labeling.lpath_scheme import label_corpus
 from repro.live import LiveEngineManager
 from repro.lpath import LPathEngine
-from repro.lpath.errors import LPathCompileError
 from repro.lpath.treewalk import TreeWalkEvaluator
 from repro.tree import iter_trees
 from repro.xpath import XPathEngine
@@ -130,39 +129,38 @@ def reported_pruned(text: str) -> int:
     return int(found.group(1)) if found else 0
 
 
-def check(engine, trees, treewalk, executor="columnar"):
+def check(engine, trees, treewalk):
     total = len(engine._compiler.segments)
     for query, needs in CASES:
         want = treewalk.query(query)
-        assert engine.query(query, executor=executor) == want, query
-        assert engine.count(query, executor=executor) == len(want), query
-        assert engine.query(query, executor=executor, limit=2) == want[:2], query
-        assert engine.aggregate(query, executor=executor) == {
+        assert engine.query(query) == want, query
+        assert engine.count(query) == len(want), query
+        assert engine.query(query, limit=2) == want[:2], query
+        assert engine.aggregate(query) == {
             "count": len(want)
         }, query
-        text = engine.explain(query, executor=executor)
+        text = engine.explain(query)
         pruned = expected_pruned(engine, trees, needs)
         assert reported_pruned(text) == pruned, (query, text)
         assert f"x{total} segments" in text
         if pruned == total:
             assert want == [] and "no segment can hold a result" in text
         elif pruned:
-            first, _part = engine.compile(query, executor=executor).bound[0]
+            first, _part = engine.compile(query).bound[0]
             assert f"segment {first} shown" in text
 
 
 @pytest.mark.parametrize("segments", [2, 3, 7])
-@pytest.mark.parametrize("executor", ["columnar", "volcano"])
-def test_sharded_engines_prune_soundly(trees, treewalk, segments, executor):
+def test_sharded_engines_prune_soundly(trees, treewalk, segments):
     engine = LPathEngine(trees, keep_trees=False, segments=segments)
     try:
-        check(engine, trees, treewalk, executor)
+        check(engine, trees, treewalk)
     finally:
         engine.close()
 
 
 def test_one_segment_never_reports_pruning(trees, treewalk):
-    engine = LPathEngine(trees, keep_trees=False, executor="columnar")
+    engine = LPathEngine(trees, keep_trees=False)
     for query, _needs in CASES:
         assert engine.query(query) == treewalk.query(query), query
         assert "pruned" not in engine.explain(query)
@@ -170,7 +168,7 @@ def test_one_segment_never_reports_pruning(trees, treewalk):
 
 def test_thread_pool_only_sees_bound_segments(trees, treewalk):
     engine = LPathEngine(
-        trees, keep_trees=False, segments=7, workers=3, executor="columnar"
+        trees, keep_trees=False, segments=7, workers=3
     )
     try:
         check(engine, trees, treewalk)
@@ -180,7 +178,7 @@ def test_thread_pool_only_sees_bound_segments(trees, treewalk):
 
 def test_xpath_dialect_prunes_soundly(trees):
     monolithic = XPathEngine(trees)
-    engine = XPathEngine(trees, segments=7, executor="columnar")
+    engine = XPathEngine(trees, segments=7)
     for query, pruned in [
         ("//PP", 6), ("//S//PP/Prep", 6), ("//NP[not(//JJ)]", 0),
         ("//S[//NP[//PP]]", 6), ("//NP[//PP or //Adj]", 0),
@@ -203,14 +201,6 @@ def test_mapped_store_prunes_by_sidecar_statistics(trees, treewalk, tmp_path):
         check(engine, trees, treewalk)
         text = engine.explain("//_[@lex=dog]")
         assert "pruned 4 of 7" in text  # "dog" lives in trees 0, 2 and 6
-        # A segment that is never physical-compiled still rejects what a
-        # compiled one would: an absent tag must not turn an unusable
-        # executor into an empty answer.
-        for query in ("//WHNP", "//PP", "//NP"):
-            with pytest.raises(LPathCompileError, match="no row storage"):
-                engine.query(query, executor="volcano")
-            with pytest.raises(LPathCompileError, match="unknown executor"):
-                engine.query(query, executor="vectorized")
     finally:
         engine.close()
 

@@ -1,8 +1,8 @@
 """Shared hypothesis strategies: random trees, corpora and *queries*.
 
 The query generators emit surface-syntax LPath text constrained to the
-fragment every execution path understands (plan/volcano, plan/columnar,
-the emitted-SQL SQLite oracle and the tree-walk reference), so the
+fragment every execution path understands (the plan backend, the
+emitted-SQL SQLite oracle and the tree-walk reference), so the
 differential fuzz harness can assert exact agreement.  Axes, predicates
 and scopes are sampled independently; predicate nesting is depth-bounded.
 """

@@ -46,38 +46,19 @@ class TestQuery:
         assert code == 0
         assert int(output.strip()) > 0
 
-    def test_columnar_executor_matches_volcano(self, corpus_file):
-        code, volcano = run(["query", corpus_file, "//S//NP", "--count"])
-        assert code == 0
-        code, columnar = run(
-            ["query", corpus_file, "//S//NP", "--count", "--executor", "columnar"]
-        )
-        assert code == 0
-        assert columnar == volcano
-
-    def test_columnar_executor_on_compiled_corpus(self, corpus_file, tmp_path):
+    def test_compiled_corpus_matches_source(self, corpus_file, tmp_path):
         lpdb = str(tmp_path / "corpus.lpdb")
         code, _ = run(["compile", corpus_file, "-o", lpdb])
         assert code == 0
-        code, volcano = run(["query", lpdb, "//S//NP", "--count"])
+        code, source = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        code, columnar = run(
-            ["query", lpdb, "//S//NP", "--count", "--executor", "columnar"]
-        )
-        assert code == 0
-        assert columnar == volcano
+        for engine in ("lpath", "sqlite"):
+            code, compiled = run(
+                ["query", lpdb, "//S//NP", "--count", "--engine", engine]
+            )
+            assert code == 0, engine
+            assert compiled == source, engine
 
-    def test_xpath_engine_accepts_executor(self, corpus_file):
-        code, volcano = run(
-            ["query", corpus_file, "//NP/NN", "--count", "--engine", "xpath"]
-        )
-        assert code == 0
-        code, columnar = run(
-            ["query", corpus_file, "//NP/NN", "--count", "--engine", "xpath",
-             "--executor", "columnar"]
-        )
-        assert code == 0
-        assert columnar == volcano
 
     def test_segments_and_workers_preserve_counts(self, corpus_file):
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
@@ -85,7 +66,7 @@ class TestQuery:
         for extra in (
             ["--segments", "3"],
             ["--segments", "3", "--workers", "2"],
-            ["--segments", "4", "--executor", "columnar", "--workers", "2"],
+            ["--segments", "4", "--workers", "2"],
             ["--segments", "3", "--engine", "xpath"],
         ):
             argv = ["query", corpus_file, "//S//NP", "--count"] + extra
@@ -101,13 +82,10 @@ class TestQuery:
         assert "in 4 segments" in output
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        # The segmented file serves both executors, sequential and pooled,
-        # and an explicit --segments re-deals the on-disk shards.
-        for extra in ([], ["--executor", "columnar"],
-                      ["--executor", "columnar", "--workers", "2"],
-                      ["--executor", "columnar", "--segments", "4"],
-                      ["--executor", "columnar", "--segments", "2"],
-                      ["--executor", "columnar", "--segments", "1"]):
+        # The segmented file serves sequential and pooled fan-out, and an
+        # explicit --segments re-deals the on-disk shards.
+        for extra in ([], ["--workers", "2"], ["--segments", "4"],
+                      ["--segments", "2"], ["--segments", "1"]):
             code, output = run(["query", lpdb, "//S//NP", "--count"] + extra)
             assert code == 0, extra
             assert output == expected, extra
@@ -135,17 +113,11 @@ class TestQuery:
 
     def test_explain_prints_plans_with_join_choice(self, corpus_file):
         code, output = run(
-            ["query", corpus_file, "//S//NP", "--executor", "columnar",
-             "--explain"]
+            ["query", corpus_file, "//S//NP", "--explain"]
         )
         assert code == 0
         assert "logical plan:" in output and "physical plan:" in output
         assert "[merge/" in output or "[probe est_in=" in output
-
-    def test_explain_volcano_engine(self, corpus_file):
-        code, output = run(["query", corpus_file, "//S//NP", "--explain"])
-        assert code == 0
-        assert "IndexNestedLoopJoin" in output or "physical plan:" in output
 
     def test_explain_xpath_engine(self, corpus_file):
         code, output = run(
@@ -269,13 +241,6 @@ class TestMmapQuery:
                        "--segments", "4"])
         assert code == 1
 
-    def test_mmap_rejects_volcano_executor(self, mmap_file):
-        code, _ = run(["query", mmap_file, "//NP", "--count", "--mmap",
-                       "--executor", "volcano"])
-        assert code == 1
-        code, _ = run(["query", mmap_file, "//NP", "--count", "--mmap",
-                       "--executor", "columnar"])
-        assert code == 0
 
 
 class TestStoreInfo:
@@ -364,8 +329,7 @@ class TestServeCLI:
         assert "corpus lives on the server" in capsys.readouterr().err
 
     def test_query_url_rejects_local_engine_flags(self, daemon_url, capsys):
-        for flags in (["--mmap"], ["--executor", "columnar"],
-                      ["--segments", "2"], ["--workers", "2"],
+        for flags in (["--mmap"], ["--segments", "2"], ["--workers", "2"],
                       ["--kernels", "python"], ["--explain"],
                       ["--cache-stats"]):
             code, _ = run(["query", "//NP", "--url", daemon_url] + flags)

@@ -535,17 +535,7 @@ class TestEngineFromColumns:
         with pytest.raises(LPathError):
             engine.query("//NP", backend="sqlite")
         with pytest.raises(LPathError):
-            engine.query("//NP", executor="volcano")
-        with pytest.raises(LPathError):
             engine.treewalk
-
-    def test_rejects_row_executors_at_construction(self):
-        rows = list(label_corpus([figure1_tree()]))
-        columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        with pytest.raises(LPathError, match="columnar-only"):
-            LPathEngine.from_columns(columns, executor="volcano")
-        with pytest.raises(LPathError, match="unknown executor"):
-            LPathEngine.from_columns(columns, executor="sqlite")
 
     def test_rejects_non_bundle_input(self):
         rows = list(label_corpus([figure1_tree()]))
