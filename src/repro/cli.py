@@ -774,17 +774,19 @@ def _command_compact(args: argparse.Namespace, out: TextIO) -> int:
 
     try:
         with LiveCorpus(args.store) as corpus:
-            result = corpus.compact(segments=args.segments or 1)
+            result = corpus.compact()
     except StoreError as error:
         print(f"compact: {error}", file=sys.stderr)
         return 1
     if not result["compacted_rows"]:
         print("nothing to compact (empty delta)", file=out)
         return 0
+    absorbed = result["absorbed"]
+    merged = f"absorbed {len(absorbed)} base file(s), " if absorbed else ""
     print(
         f"compacted {result['compacted_rows']} rows into "
         f"{result['segment']} [generation {result['generation']}, "
-        f"{result['seconds']:.3f}s]",
+        f"{merged}{result['seconds']:.3f}s]",
         file=out,
     )
     return 0
@@ -999,10 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
              "base segment",
     )
     compact_cmd.add_argument("store", help="live corpus directory")
-    compact_cmd.add_argument("--segments", type=int, default=None,
-                             metavar="N",
-                             help="internal segment count for the new "
-                                  "base file (default 1)")
     compact_cmd.set_defaults(handler=_command_compact)
 
     stats = commands.add_parser("stats", help="dataset characteristics (Fig 6a/6b)")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress
+from itertools import compress, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -62,6 +62,25 @@ def _gather(column, rows: list):
     if len(rows) < 2:  # itemgetter needs two keys to return a tuple
         return [column[row] for row in rows]
     return itemgetter(*rows)(column)
+
+
+def _key_name(item) -> str:
+    """The name of one ``((name, tid), bounds)`` partition entry."""
+    return item[0][0]
+
+
+def _shift_into(target: dict, items, shift: int) -> None:
+    """``target[key] = (lo + shift, hi + shift)`` for every ``(key, (lo,
+    hi))`` of ``items``, in order."""
+    for key, (lo, hi) in items:
+        target[key] = (lo + shift, hi + shift)
+
+
+def _string_slice(column, lo: int, hi: int):
+    """Rows ``lo:hi`` of a string column, heap list or mapped."""
+    if isinstance(column, StringColumn):
+        return map(column.table.__getitem__, column.ids[lo:hi])
+    return column[lo:hi]
 
 
 class ColumnStore:
@@ -176,6 +195,110 @@ class ColumnStore:
             columns.values,
             column_names=column_names,
         )
+
+    @staticmethod
+    def concat(stores) -> "ColumnStore":
+        """One heap store over the rows of tid-ascending, tid-disjoint
+        ``stores`` (heap or mapped), equal field for field to
+        :meth:`from_rows` over all their rows, built without a sort.
+
+        Labels are assigned per tree and never relabelled (Definition
+        4.1), so the clustered order ``{name, tid, left, …}`` of the union
+        is each name block of the inputs laid end to end in input order:
+        columns are block slices, bounds are shifted, the two
+        permutations are remapped through each input's row → new position
+        array, and per-name statistics fold (disjoint trees add
+        partitions)."""
+        stores = list(stores)
+        column_names = stores[0].column_names if stores else COLUMN_NAMES
+        stores = [store for store in stores if store.n]
+        if not stores:
+            return ColumnStore.from_rows((), column_names)
+        last = None
+        for store in stores:
+            if last is not None and next(iter(store.tid_bounds)) <= last:
+                raise ValueError("concat needs tid-ascending, tid-disjoint stores")
+            last = next(reversed(store.tid_bounds))
+
+        columns = tuple(array("q") for _ in range(6))
+        names: list = []
+        values: list = []
+        is_attr, right_edge = bytearray(), bytearray()
+        name_bounds: dict = {}
+        name_tid_bounds: dict = {}
+        moved = [array("q") for _ in stores]  # input row -> output row
+        partitions = [
+            groupby(store.name_tid_bounds.items(), key=_key_name)
+            for store in stores
+        ]
+        raw = [  # the integer columns as bytes: a block is one slice each
+            [memoryview(store.col(position)).cast("B") for position in range(6)]
+            for store in stores
+        ]
+        row = 0
+        for name in sorted(set().union(*(store.name_bounds for store in stores))):
+            start = row
+            for store, views, moves, parts in zip(stores, raw, moved, partitions):
+                span = store.name_bounds.get(name)
+                if span is None:
+                    continue
+                lo, hi = span
+                for column, view in zip(columns, views):
+                    column.frombytes(view[8 * lo:8 * hi])
+                values.extend(_string_slice(store.values, lo, hi))
+                is_attr += store.is_attr[lo:hi]
+                right_edge += store.right_edge[lo:hi]
+                _shift_into(name_tid_bounds, next(parts)[1], row - lo)
+                moves.extend(range(row, row + hi - lo))
+                row += hi - lo
+            name_bounds[name] = (start, row)
+            names.extend([name] * (row - start))
+
+        tid_id_perm, perm_ids, children_perm = array("q"), array("q"), array("q")
+        tid_bounds: dict = {}
+        children_bounds: dict = {}
+        root_right: dict = {}
+        offset = 0
+        for store, moves in zip(stores, moved):
+            tid_id_perm.extend(map(moves.__getitem__, store.tid_id_perm))
+            perm_ids.frombytes(memoryview(store._perm_ids).cast("B"))
+            children_perm.extend(map(moves.__getitem__, store.children_perm))
+            _shift_into(tid_bounds, store.tid_bounds.items(), offset)
+            _shift_into(children_bounds, store.children_bounds.items(), offset)
+            root_right.update(store.root_right)
+            offset += store.n
+
+        stats: dict = {}
+        for name in (None, *name_bounds):
+            rows, partitions, largest, shallowest, deepest = zip(*(
+                store.name_stats(name) for store in stores
+                if name is None or name in store.name_bounds
+            ))
+            stats[name] = NameStats(
+                sum(rows), sum(partitions), max(largest),
+                min(shallowest), max(deepest),
+            )
+
+        merged = ColumnStore.__new__(ColumnStore)
+        merged.n = row
+        merged.column_names = column_names
+        (merged.tid, merged.left, merged.right,
+         merged.depth, merged.id, merged.pid) = columns
+        merged.names = names
+        merged.values = values
+        merged.is_attr = is_attr
+        merged.right_edge = right_edge
+        merged.root_right = root_right
+        merged.name_bounds = name_bounds
+        merged.name_tid_bounds = name_tid_bounds
+        merged.tid_id_perm = tid_id_perm
+        merged.tid_bounds = tid_bounds
+        merged._perm_ids = perm_ids
+        merged.children_perm = children_perm
+        merged.children_bounds = children_bounds
+        merged._by_value = None
+        merged._name_stats = stats
+        return merged
 
     # -- construction helpers ------------------------------------------------
 
@@ -528,6 +651,15 @@ class PartitionBounds:
     def __contains__(self, key) -> bool:
         return self._lookup(key) is not None
 
+    def items(self):
+        """Every ``((name, tid), (row lo, row hi))`` in clustered order."""
+        tids, starts = self._tids, self._starts
+        ends = [*starts[1:], self._n]
+        for name, (lo, hi, _row_hi) in self._name_dir.items():
+            yield from zip(
+                zip(repeat(name), tids[lo:hi]), zip(starts[lo:hi], ends[lo:hi])
+            )
+
 
 class ChildrenBounds:
     """The ``(tid, pid) -> (slot lo, slot hi)`` mapping over a mapped
@@ -561,6 +693,15 @@ class ChildrenBounds:
 
     def __contains__(self, key) -> bool:
         return self.get(key) is not None
+
+    def items(self):
+        """Every ``((tid, pid), (slot lo, slot hi))`` in ``(tid, pid)``
+        order."""
+        pids, starts = self._pids, self._starts
+        for tid, (lo, hi) in self._tid_dir.items():
+            yield from zip(
+                zip(repeat(tid), pids[lo:hi]), zip(starts[lo:hi], starts[lo + 1:hi + 1])
+            )
 
 
 class MappedColumnStore(ColumnStore):

@@ -13,7 +13,9 @@ query forever.  This module adds the write path: a live corpus is a
     exist (it is garbage, collected on the next writable open).
 ``seg-<generation>.lpdb``
     Immutable ``LPDB0004`` base segments, mmap-served exactly like a
-    monolithic compiled corpus.
+    monolithic compiled corpus.  Each compaction writes one; it absorbs
+    its newest neighbours while they hold fewer than twice its rows, so
+    the directory keeps O(log compactions) of them.
 ``wal-<generation>.log``
     An append-only write-ahead log: an 8-byte magic then framed row
     batches — ``<u32 length, u32 crc32>`` header + an ``LPDB0002``-style
@@ -35,9 +37,10 @@ Crash consistency rules:
   never a mix.
 * Compaction writes the new base segment and the rotated WAL under
   their final (generation-stamped) names *before* installing the
-  manifest that references them.  A crash at any point leaves either
-  the old generation (plus unreferenced files, GC'd on open) or the
-  complete new one — there is nothing in between to repair.
+  manifest that references them, and unlinks the files it absorbed
+  only after.  A crash at any point leaves either the old generation
+  (plus unreferenced files, GC'd on open) or the complete new one —
+  there is nothing in between to repair.
 
 The crash-oriented fault points (``torn_write``, ``fsync_fail``,
 ``disk_full``, ``compactor_kill``) and the deterministic
@@ -55,6 +58,7 @@ import struct
 import threading
 import time
 import zlib
+from functools import partial
 from typing import NamedTuple, Optional
 
 from . import faults
@@ -71,6 +75,7 @@ from .store import (
     fsync_directory,
     open_mapped_corpus,
     save_mapped,
+    save_mapped_stores,
 )
 from .tree.bracket import iter_trees
 
@@ -208,7 +213,6 @@ class WalScan(NamedTuple):
 
     records: int
     rows: list[Label]
-    record_rows: list[int]
     valid_size: int
     torn_bytes: int
 
@@ -223,7 +227,7 @@ def _scan_wal(path: str) -> WalScan:
         raise StoreError(f"bad WAL magic in {path}; expected LPWL0001")
     offset = len(WAL_MAGIC)
     rows: list[Label] = []
-    record_rows: list[int] = []
+    records = 0
     while offset < len(data):
         if len(data) - offset < _FRAME.size:
             break  # torn frame header
@@ -234,13 +238,10 @@ def _scan_wal(path: str) -> WalScan:
         blob = data[offset + _FRAME.size:end]
         if zlib.crc32(blob) != crc:
             break  # torn or bit-rotted payload
-        before = len(rows)
         _decode_labels_into(blob, rows)
-        record_rows.append(len(rows) - before)
+        records += 1
         offset = end
-    return WalScan(
-        len(record_rows), rows, record_rows, offset, len(data) - offset
-    )
+    return WalScan(records, rows, offset, len(data) - offset)
 
 
 # -- writer lock ---------------------------------------------------------------
@@ -307,12 +308,13 @@ def _wal_file_name(generation: int) -> str:
     return f"wal-{generation:08d}.log"
 
 
-def _write_segment_file(path: str, rows, segments: int = 1) -> int:
+def _write_segment_file(path: str, save) -> int:
     """Write one immutable LPDB0004 base segment under its final name
-    and fsync it.  Safe pre-manifest: until a manifest references the
-    name, the file is garbage and recovery collects it."""
+    with ``save(handle)`` and fsync it.  Safe pre-manifest: until a
+    manifest references the name, the file is garbage and recovery
+    collects it."""
     with open(path, "wb") as handle:
-        count = save_mapped(rows, handle, segments=segments)
+        count = save(handle)
         handle.flush()
         os.fsync(handle.fileno())
     return count
@@ -354,7 +356,8 @@ def create_live_corpus(path: str, rows, segments: int = 1) -> int:
         if rows:
             seg_name = _segment_file_name(generation)
             count = _write_segment_file(
-                os.path.join(path, seg_name), rows, segments=segments
+                os.path.join(path, seg_name),
+                partial(save_mapped, rows, segments=segments),
             )
             manifest_segments = ((seg_name, count),)
         wal_name = _wal_file_name(generation)
@@ -655,10 +658,22 @@ class LiveCorpus:
 
     # -- compaction ------------------------------------------------------------
 
-    def compact(self, segments: int = 1) -> dict:
-        """Rewrite the accumulated delta rows into a fresh immutable
-        LPDB0004 base segment and rotate the WAL, installing the result
-        as a new manifest generation.
+    def compact(self, delta=None) -> dict:
+        """Fold the accumulated delta rows into a fresh immutable LPDB0004
+        base segment and rotate the WAL, installing the result as a new
+        manifest generation.
+
+        ``delta`` is ``(base segment names, column stores)``: stores
+        already built over the first delta rows, oldest first (the
+        manager's tiers), used as they are while the names still match;
+        the rows they do not cover get one store of their own.  The new
+        file absorbs its newest neighbour while that neighbour holds
+        fewer than twice its rows (the tier rule, applied to base files),
+        so k equal compactions leave O(log k) files.  Absorbing is a
+        :meth:`~repro.columnar.ColumnStore.concat` — nothing is re-sorted
+        — and one manifest install replaces the absorbed files, which are
+        unlinked after it.  One compaction runs at a time (the manager
+        serializes them).
 
         The expensive segment build runs outside the corpus lock, so
         appends (and of course reads) proceed during it; rows appended
@@ -666,6 +681,8 @@ class LiveCorpus:
         WAL at cut-over.  Every durability barrier is a crash point —
         a kill anywhere leaves either the old complete generation or the
         new one."""
+        from .columnar.store import ColumnStore, MappedColumnStore
+
         started = time.monotonic()
         with self._lock:
             self._ensure_writable()
@@ -676,14 +693,41 @@ class LiveCorpus:
                     "remaining_delta_rows": 0,
                     "seconds": 0.0,
                 }
-            frozen = list(self._delta_rows)
+            files = self.manifest.segments
+            names, stores = delta if delta is not None else ((), [])
+            stores = list(stores) if names == self.base_segment_names() else []
+            rest = self._delta_rows[sum(map(len, stores)):]
+            frozen = len(self._delta_rows)
             cut = self._wal_size
             generation = self.manifest.generation + 1
         # -- heavy phase, off-lock: build the new base segment ---------
+        if rest:
+            stores.append(ColumnStore.from_rows(rest))
+        absorbed, mapped = [], []
+        try:
+            rows = frozen
+            for name, count in reversed(files):
+                if count >= 2 * rows:
+                    break
+                corpus = open_mapped_corpus(os.path.join(self.root, name))
+                if len(corpus.segments) != 1:  # sharded: its tids interleave
+                    corpus.close()
+                    break
+                mapped.insert(0, corpus)
+                absorbed.insert(0, name)
+                rows += count
+            inputs = [MappedColumnStore(corpus.segments[0]) for corpus in mapped]
+            inputs += stores
+            merged = inputs[0] if len(inputs) == 1 else ColumnStore.concat(inputs)
+        finally:
+            for corpus in mapped:
+                corpus.close()
         seg_name = _segment_file_name(generation)
         seg_path = os.path.join(self.root, seg_name)
         try:
-            count = _write_segment_file(seg_path, frozen, segments=segments)
+            count = _write_segment_file(
+                seg_path, partial(save_mapped_stores, [merged])
+            )
         except OSError as error:
             with contextlib.suppress(OSError):
                 os.unlink(seg_path)
@@ -707,7 +751,7 @@ class LiveCorpus:
             _barrier("compact_wal", compactor=True)
             manifest = LiveManifest(
                 generation,
-                self.manifest.segments + ((seg_name, count),),
+                files[:len(files) - len(absorbed)] + ((seg_name, count),),
                 wal_name,
                 self._next_tid,
                 self.manifest.last_recovery,
@@ -720,21 +764,26 @@ class LiveCorpus:
             self._wal_handle = open(self.wal_path, "r+b")
             self._wal_handle.seek(0, os.SEEK_END)
             self._wal_size = self._wal_handle.tell()
-            remaining = self._delta_rows[len(frozen):]
+            remaining = self._delta_rows[frozen:]
             self._delta_rows = remaining
             # Recount the rotated WAL's records from its bytes — simpler
             # and safer than per-record bookkeeping across the
             # concurrent-append window.
             self._wal_records = _scan_wal(self.wal_path).records
             self._refresh_fingerprint()
-        with contextlib.suppress(OSError):
-            os.unlink(old_wal_path)
+        for path in [old_wal_path] + [
+            os.path.join(self.root, name) for name in absorbed
+        ]:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         _barrier("compact_gc", compactor=True)
         fsync_directory(self.root)
         return {
-            "compacted_rows": count,
+            "compacted_rows": frozen,
             "generation": generation,
             "segment": seg_name,
+            "segment_rows": count,
+            "absorbed": absorbed,
             "remaining_delta_rows": len(remaining),
             "seconds": time.monotonic() - started,
         }
@@ -930,37 +979,68 @@ def _segment(store, index: int, kind: str):
     return Segment(index, compiler, len(store), kind)
 
 
+def _expired(retired: list, now: float) -> list:
+    """Remove and return the objects of a ``(retired at, object)`` list
+    whose grace period is over.  Entries are appended in time order, so
+    they are a prefix: O(expired) work, not a walk of every engine the
+    last :data:`ENGINE_GRACE_SECONDS` retired."""
+    count = 0
+    for retired_at, _ in retired:
+        if now - retired_at < ENGINE_GRACE_SECONDS:
+            break
+        count += 1
+    expired = [item for _, item in retired[:count]]
+    del retired[:count]
+    return expired
+
+
 class _LiveSegments:
     """The physical state behind a live corpus's snapshot engines, kept
     across snapshots because almost none of it changes between them.
 
     *Base files* are immutable: each is mapped once and each of its
     shards gets one :class:`~repro.plan.segmented.Segment` (store,
-    compiler, runtime) for as long as this object lives — so the lazily
-    built value index, projections, statistics and kernel column
-    pointers of a base shard are built once, not once per append.
+    compiler, runtime) for as long as the manifest lists the file — so
+    the lazily built value index, projections, statistics and kernel
+    column pointers of a base shard are built once, not once per append.
+    A file a compaction absorbed stays mapped for
+    :data:`ENGINE_GRACE_SECONDS` more, like the engines retired with it,
+    so an in-flight query on one of those never reads a closed view.
 
     The *delta* is a list of immutable in-memory tiers, oldest first.
     Every batch of new WAL rows becomes a tier of its own, then absorbs
     its older neighbour for as long as that neighbour holds less than
     twice its rows (binary-counter style): tiers at least halve from
-    one to the next, so there are O(log delta) of them, a row is
-    re-sorted O(log delta) times over the delta's life, and every tier
-    the merge did not reach is reused as is.  A compaction moves the
-    delta into a new base file; what the WAL still holds afterwards
-    restarts the tiers."""
+    one to the next, so there are O(log delta) of them.  Only the new
+    batch is sorted (:meth:`~repro.columnar.ColumnStore.from_rows`);
+    absorbing is a :meth:`~repro.columnar.ColumnStore.concat`, and every
+    tier the merge did not reach is reused as is.  A compaction folds
+    the tiers' stores into a new base file (:meth:`delta`); what the WAL
+    still holds afterwards restarts the tiers."""
 
     def __init__(self, corpus: LiveCorpus) -> None:
         self.corpus = corpus
         self.segments: list = []   # what the latest snapshot serves
         self.reused = 0            # segments handed to a second snapshot
         self._files: dict = {}     # base file name -> (MappedCorpus, Segments)
+        self._retired: list = []   # (retired at, MappedCorpus) absorbed files
         self._base_names: tuple[str, ...] = ()
-        self._tiers: list = []     # (label rows, delta Segment), oldest first
+        self._tiers: list = []     # delta Segments, oldest first
+
+    @property
+    def base_segments(self) -> int:
+        return len(self._base_names)
 
     @property
     def delta_segments(self) -> int:
         return len(self._tiers)
+
+    def delta(self) -> tuple[tuple[str, ...], list]:
+        """``(base file names, tier stores)``: what
+        :meth:`LiveCorpus.compact` folds instead of re-sorting rows."""
+        return self._base_names, [
+            tier.compiler.column_store for tier in self._tiers
+        ]
 
     def advance(self) -> list:
         """Catch up with the corpus; returns the segment list of the new
@@ -969,13 +1049,16 @@ class _LiveSegments:
         file not seen before."""
         from .columnar.store import ColumnStore, MappedColumnStore
 
-        covered = sum(len(rows) for rows, _ in self._tiers)
+        covered = sum(tier.size for tier in self._tiers)
         names, fresh = self.corpus.snapshot(after=covered)
         if names != self._base_names:
             # Compacted since the last snapshot: the delta restarted.
             names, fresh = self.corpus.snapshot()
             self._tiers = []
             self._base_names = names
+            retired_at = time.monotonic()
+            for name in [name for name in self._files if name not in names]:
+                self._retired.append((retired_at, self._files.pop(name)[0]))
         base = []
         for name in names:
             entry = self._files.get(name)
@@ -991,27 +1074,38 @@ class _LiveSegments:
                     ))
             base.extend(entry[1])
         if fresh or not (base or self._tiers):
+            stores = [ColumnStore.from_rows(fresh)]
+            rows = len(fresh)
             keep = len(self._tiers)
-            while keep and len(self._tiers[keep - 1][0]) < 2 * len(fresh):
+            while keep and self._tiers[keep - 1].size < 2 * rows:
                 keep -= 1
-                fresh = self._tiers[keep][0] + fresh
-            self._tiers[keep:] = [(fresh, _segment(
-                ColumnStore.from_rows(fresh), len(base) + keep, "delta",
-            ))]
+                stores.insert(0, self._tiers[keep].compiler.column_store)
+                rows += self._tiers[keep].size
+            store = stores[0] if len(stores) == 1 else ColumnStore.concat(stores)
+            self._tiers[keep:] = [_segment(store, len(base) + keep, "delta")]
         previous = {id(segment) for segment in self.segments}
-        self.segments = base + [segment for _, segment in self._tiers]
+        self.segments = base + self._tiers
         self.reused += sum(
             id(segment) in previous for segment in self.segments
         )
         return self.segments
 
+    def reap(self, now: float) -> None:
+        """Unmap the absorbed files whose grace period is over."""
+        for mapped in _expired(self._retired, now):
+            with contextlib.suppress(Exception):
+                mapped.close()
+
     def close(self) -> None:
         """Unmap the base files (every engine over them is dead after
         this) and close the corpus."""
-        for mapped, _ in self._files.values():
+        mappings = [mapped for mapped, _ in self._files.values()]
+        mappings += [mapped for _, mapped in self._retired]
+        for mapped in mappings:
             with contextlib.suppress(Exception):
                 mapped.close()
         self._files.clear()
+        self._retired = []
         self.segments = []
         self._tiers = []
         self.corpus.close()
@@ -1143,17 +1237,14 @@ class LiveEngineManager:
             self._reap()
 
     def _reap(self) -> None:
-        """Close the retired engines whose grace period is over."""
+        """Close the retired engines, and unmap the absorbed base files,
+        whose grace period is over."""
         now = time.monotonic()
         with self._lock:
-            keep = []
-            for retired_at, engine in self._retired:
-                if now - retired_at >= ENGINE_GRACE_SECONDS:
-                    with contextlib.suppress(Exception):
-                        engine.close()
-                else:
-                    keep.append((retired_at, engine))
-            self._retired = keep
+            for engine in _expired(self._retired, now):
+                with contextlib.suppress(Exception):
+                    engine.close()
+            self._state.reap(now)
 
     def fingerprint(self) -> str:
         return self.corpus.fingerprint
@@ -1177,7 +1268,11 @@ class LiveEngineManager:
         try:
             self.compacting = True
             try:
-                status = self.corpus.compact()
+                # Appends swap under this lock, so the tiers cover every
+                # acknowledged row: the compaction folds them as built.
+                with self._lock:
+                    delta = self._state.delta()
+                status = self.corpus.compact(delta)
             finally:
                 self.compacting = False
             if status.get("compacted_rows"):
@@ -1216,6 +1311,7 @@ class LiveEngineManager:
                 "last_compaction": self.last_compaction,
                 "last_recovery": self.corpus.manifest.last_recovery or None,
                 "retired_engines": len(self._retired),
+                "base_segments": self._state.base_segments,
                 "delta_segments": self._state.delta_segments,
                 "segments_reused": self._state.reused,
                 "plans_carried": self.plans_carried,

@@ -1190,7 +1190,8 @@ class QueryService:
                     health["live"] = {
                         key: live_status[key] for key in (
                             "generation", "delta_rows", "compacting",
-                            "compactions", "delta_segments",
+                            "compactions", "base_segments",
+                            "delta_segments",
                             "segments_reused", "plans_carried",
                             "plans_rebased",
                         )

@@ -897,10 +897,17 @@ def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
     shards = (
         partition_rows_by_tid(rows, segments) if segments > 1 else [rows]
     )
+    return save_mapped_stores(map(ColumnStore.from_rows, shards), stream)
+
+
+def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
+    """Write already-built :class:`~repro.columnar.ColumnStore`\\ s, one
+    per segment, in the ``LPDB0004`` layout; returns rows written."""
     metas, payloads = [], []
-    offset = 0
-    for shard in shards:
-        meta, blobs = _mapped_segment_parts(ColumnStore.from_rows(shard))
+    offset = rows = 0
+    # No loop variable holds a store: each one is freed once serialized.
+    for meta, blobs in map(_mapped_segment_parts, stores):
+        rows += meta.n
         for blob in blobs:
             meta.blobs.append((offset, len(blob)))
             offset += _align8(len(blob))
@@ -919,7 +926,7 @@ def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
         for blob in blobs:
             stream.write(blob)
             stream.write(b"\x00" * (_align8(len(blob)) - len(blob)))
-    return len(rows)
+    return rows
 
 
 class MappedSegment:

@@ -186,6 +186,48 @@ class TestCompactionKillMatrix:
         assert sorted_rows(store.load_corpus_labels(loaded_path)) == before
         assert store.corpus_info(loaded_path)["delta_rows"] == 0
 
+    @pytest.fixture()
+    def absorbing_path(self, live_path) -> str:
+        """Base files (sharded seed, 2 trees, 1 tree) plus one tree of
+        delta: the next compaction absorbs both small files."""
+        with LiveCorpus(live_path) as corpus:
+            for trees in (2, 1):  # 2 trees is not < 2 x 1: both files stay
+                corpus.append_trees(TEXT * trees)
+                corpus.compact()
+            corpus.append_trees(TEXT)
+            assert len(corpus.base_segment_names()) == 3
+        return live_path
+
+    @pytest.mark.parametrize("barrier", COMPACT_BARRIERS)
+    def test_absorbing_compaction_survives_kill(self, absorbing_path, barrier):
+        path = absorbing_path
+        before = sorted_rows(store.load_corpus_labels(path))
+        with LiveCorpus(path, writable=False) as corpus:
+            seed, *absorbed = corpus.base_segment_names()
+        result = run_child(COMPACTOR, [path], {CRASH_ENV: barrier})
+        assert result.returncode == -signal.SIGKILL, result.stderr
+
+        rows = sorted_rows(store.load_corpus_labels(path))
+        assert rows == before
+        assert len(set(rows)) == len(rows)  # no row referenced twice
+        with LiveCorpus(path) as corpus:  # recovery collects the orphans
+            names = corpus.base_segment_names()
+            assert set(os.listdir(path)) == {
+                "MANIFEST", "LOCK", corpus.manifest.wal, *names,
+            }
+            installed = barrier in (
+                "manifest_replace", "manifest_dirsync", "compact_gc",
+            )
+            assert len(names) == (2 if installed else 3)
+            if installed and barrier != "compact_gc":
+                for name in absorbed:
+                    assert f"removed orphan {name}" in (
+                        corpus.manifest.last_recovery
+                    )
+            corpus.compact()
+        assert sorted_rows(store.load_corpus_labels(path)) == before
+        assert_store_healthy(path)
+
     def test_kill_then_append_then_compact(self, loaded_path):
         """Interleave a crash, more appends, and a successful compaction
         — the paranoid end-to-end sequence."""

@@ -141,6 +141,7 @@ class TestLiveHealthSurfaces:
         block = live_client.stats()["stores"][0]["live"]
         health = next(iter(live_client.ready()["stores"].values()))["live"]
         for surface in (block, health):
+            assert surface["base_segments"] == 1      # one file, 2 shards
             assert surface["delta_segments"] == 1     # 1 + 1 batches merged
             assert surface["segments_reused"] >= 2 * 2  # 2 base shards, twice
             assert surface["plans_carried"] >= 2

@@ -268,6 +268,31 @@ class TestStoreInfo:
         assert code == 1
 
 
+class TestCompact:
+    def test_compactions_fold_small_base_files(self, corpus_file, tmp_path):
+        live = str(tmp_path / "live.lpdb")
+        more = str(tmp_path / "more.mrg")
+        run(["generate", "--profile", "wsj", "--sentences", "5", "--seed", "4",
+             "-o", more])
+        assert run(["compile", corpus_file, "-o", live, "--segments", "2",
+                    "--format", "lpdb0005"])[0] == 0
+        outputs = []
+        for _ in range(3):
+            assert run(["append", live, more])[0] == 0
+            code, output = run(["compact", live])
+            assert code == 0
+            outputs.append(output)
+        assert "absorbed" not in outputs[0]
+        assert "absorbed 1 base file(s)" in outputs[1]
+        # The sharded compiled file, then popcount(3) = 2 compacted ones.
+        assert "in 3 segment file(s)" in run(["store", "info", live])[1]
+        assert run(["compact", live])[1] == "nothing to compact (empty delta)\n"
+
+    def test_segments_knob_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run(["compact", str(tmp_path), "--segments", "2"])
+
+
 class TestSQL:
     def test_translation(self):
         code, output = run(["sql", "//VB->NP"])

@@ -277,14 +277,72 @@ class TestCompaction:
         assert status["compacted_rows"] == 0
         assert store.corpus_info(corpus_dir)["generation"] == generation
 
-    def test_repeated_compactions_accumulate_segments(self, corpus_dir):
-        for _ in range(3):
-            with LiveCorpus(corpus_dir) as corpus:
-                corpus.append_trees(MORE)
-                corpus.compact()
-        info = store.corpus_info(corpus_dir)
-        assert info["base_segments"] == 4  # the original + 3 compacted
-        assert info["delta_rows"] == 0
+    def test_base_segment_count_stays_logarithmic(self, corpus_dir):
+        """Each compaction's file absorbs its newest neighbours while
+        they hold fewer than twice its rows: after k equal compactions
+        the fixture's (sharded, so never absorbed) file sits beside
+        popcount(k) compacted ones — at most 2 + floor(log2 k) files."""
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            base = len(manager.engine.query("//N"))
+            for compactions in range(1, 17):
+                manager.append_trees(MORE)
+                manager.compact()
+                files = manager.status()["base_segments"]
+                assert files == 1 + bin(compactions).count("1")
+                assert files <= 2 + compactions.bit_length() - 1
+                assert len(manager.engine.query("//N")) == base + 2 * compactions
+            names = set(manager.corpus.base_segment_names())
+        finally:
+            manager.close()
+        assert names == {
+            entry for entry in os.listdir(corpus_dir) if entry.startswith("seg-")
+        }
+        expected = rows_for(TEXT * 3) + [
+            row for tid in range(3, 19) for row in rows_for(MORE, start_tid=tid)
+        ]
+        assert sorted_rows(store.load_corpus_labels(corpus_dir)) == sorted_rows(
+            expected
+        )
+
+    def test_merges_never_rebuild_built_rows(self, corpus_dir, monkeypatch):
+        """Tier merges and compactions concatenate stores already built:
+        the one sort per append is the new batch's, and no compaction
+        sorts or re-saves label rows."""
+        from repro.columnar.store import ColumnStore
+
+        sorted_batches, saves = [], []
+        real_from_rows = ColumnStore.from_rows.__func__
+        real_save = store.save_mapped
+
+        def from_rows(cls, rows, *args, **kwargs):
+            rows = list(rows)
+            sorted_batches.append(len(rows))
+            return real_from_rows(cls, rows, *args, **kwargs)
+
+        def save_mapped(*args, **kwargs):
+            saves.append(args)
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(ColumnStore, "from_rows", classmethod(from_rows))
+        monkeypatch.setattr(store, "save_mapped", save_mapped)
+        monkeypatch.setattr(live, "save_mapped", save_mapped)
+        batch = len(rows_for(MORE))
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            absorbed = 0
+            for appended in range(1, 13):
+                sorted_batches.clear()
+                manager.append_trees(MORE)
+                assert sorted_batches == [batch]
+                if appended % 3 == 0:
+                    status = manager.compact()
+                    absorbed += len(status["absorbed"])
+                    assert sorted_batches == [batch]
+            assert absorbed >= 2
+            assert saves == []
+        finally:
+            manager.close()
 
     def test_append_during_compaction_survives_rotation(self, corpus_dir):
         """Rows appended between the compaction snapshot and cut-over
@@ -620,6 +678,34 @@ class TestEngineSwap:
         finally:
             sys.setswitchinterval(interval)
             stop.set()
+            manager.close()
+
+    def test_retired_engine_over_absorbed_file_answers_in_grace(
+        self, corpus_dir, monkeypatch
+    ):
+        manager = LiveEngineManager(corpus_dir)
+        try:
+            manager.append_trees(MORE)
+            manager.compact()
+            (first,) = manager.corpus.base_segment_names()[1:]
+            mapping = manager._state._files[first][0]
+            manager.append_trees(MORE)
+            snapshot = manager.engine
+            expected = self.answers(snapshot)
+            assert manager.compact()["absorbed"] == [first]
+            assert not os.path.exists(os.path.join(corpus_dir, first))
+            assert manager.status()["base_segments"] == 2
+            # Inside the grace period the retired engine still reads the
+            # absorbed file's pages: new texts compile against it too.
+            assert self.answers(snapshot) == expected
+            assert len(snapshot.query("//S//N")) == len(expected[0])
+            assert mapping._mapping is not None
+            monkeypatch.setattr(live, "ENGINE_GRACE_SECONDS", 0.0)
+            manager.status()
+            assert mapping._mapping is None
+            assert manager._state._retired == []
+            assert self.answers(manager.engine) == expected
+        finally:
             manager.close()
 
     def test_idle_manager_reaps_retired_engines(
