@@ -73,9 +73,8 @@ def store_file():
     handle, path = tempfile.mkstemp(suffix=".lpdb")
     try:
         with os.fdopen(handle, "wb") as stream:
-            store.save_labels(
+            store.save_mapped(
                 list(label_corpus(trees)), stream, segments=2,
-                format="lpdb0004",
             )
         yield path
     finally:

@@ -50,9 +50,8 @@ def test_serving_throughput_and_tail_latency(write_result, write_json):
     handle, path = tempfile.mkstemp(suffix=".lpdb")
     try:
         with os.fdopen(handle, "wb") as stream:
-            store.save_labels(
+            store.save_mapped(
                 list(label_corpus(trees)), stream, segments=2,
-                format="lpdb0004",
             )
         service = QueryService(path, max_inflight=CLIENTS, max_queue=64)
         with QueryServer(service).start() as server:

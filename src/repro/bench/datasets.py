@@ -87,9 +87,9 @@ _MMAP_ENGINES: list[LPathEngine] = []
 @lru_cache(maxsize=None)
 def compiled_corpus_path(
     profile: str, factor: float = 1.0, segments: int = 1,
-    format: str = "lpdb0004", sentences: int | None = None,
+    sentences: int | None = None,
 ) -> str:
-    """Save the (possibly scaled) benchmark corpus to a compiled store
+    """Save the (possibly scaled) benchmark corpus to an ``LPDB0004``
     file in a per-process temp dir; cached so the store-open benchmarks
     can reopen one file repeatedly.  ``sentences`` overrides the
     environment knob (benchmarks that need a floor-sized workload clamp
@@ -101,9 +101,9 @@ def compiled_corpus_path(
     directory = tempfile.mkdtemp(prefix="repro-bench-store-")
     _STORE_DIRS.append(directory)
     path = os.path.join(
-        directory, f"{profile}-{factor:g}x-{segments}seg.{format}"
+        directory, f"{profile}-{factor:g}x-{segments}seg.lpdb0004"
     )
-    save_corpus(list(trees), path, segments=segments, format=format)
+    save_corpus(list(trees), path, segments=segments)
     return path
 
 

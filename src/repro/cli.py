@@ -244,7 +244,6 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
     segments = getattr(args, "segments", None)
     workers = getattr(args, "workers", None)
     mode = getattr(args, "mode", None)
-    use_mmap = getattr(args, "mmap", False)
     compiled = args.corpus != "-" and store.is_compiled_corpus(args.corpus)
     if compiled and engine_name not in ("lpath", "sqlite"):
         print(
@@ -252,72 +251,30 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    if use_mmap and (not compiled or engine_name != "lpath"):
+    if compiled and segments is not None:
         print(
-            "error: --mmap needs a compiled LPDB0004 corpus and "
-            "--engine lpath",
+            "error: a compiled corpus keeps its on-disk segments; drop "
+            "--segments (or re-compile with --segments N)",
             file=sys.stderr,
         )
         return 1
-    live_dir = compiled and os.path.isdir(args.corpus)
-    if live_dir and use_mmap:
+    if mode is not None and not (compiled and engine_name == "lpath"):
         print(
-            "error: a live (LPDB0005) directory already serves its base "
-            "segments zero-copy; drop --mmap",
+            "error: --mode needs a compiled corpus and --engine lpath",
             file=sys.stderr,
         )
-        return 1
-    if live_dir and segments is not None:
-        print(
-            "error: live corpora keep their on-disk segmentation "
-            "(base files + WAL delta); drop --segments",
-            file=sys.stderr,
-        )
-        return 1
-    if use_mmap and segments is not None:
-        print(
-            "error: --mmap keeps the file's on-disk segments; it cannot "
-            "re-shard (drop --segments, or re-compile with --segments N "
-            "--format lpdb0004)",
-            file=sys.stderr,
-        )
-        return 1
-    if mode is not None and not use_mmap:
-        print("error: --mode requires --mmap", file=sys.stderr)
         return 1
     if engine_name in ("lpath", "treewalk", "sqlite"):
         if compiled:
-            if use_mmap:
-                # Zero-copy adoption of an LPDB0004 store.
-                engine = LPathEngine.from_store_mmap(
+            if engine_name == "lpath":
+                # LPDB0004 adopted zero-copy; a live directory adds its
+                # WAL replayed into an in-memory delta store.
+                engine = LPathEngine.open(
                     args.corpus, workers=workers, mode=mode
                 )
-            elif live_dir and engine_name == "lpath":
-                # mmap'd base segments + the WAL replayed into an
-                # in-memory delta store, merged like any segmented engine.
-                engine = LPathEngine.open(args.corpus, workers=workers)
-            elif engine_name == "lpath":
-                # Straight into columns — no per-row Label objects.  An
-                # LPDB0003 file keeps its on-disk shards unless an explicit
-                # --segments asks for a different split, in which case the
-                # shards are merged and re-dealt.
-                file_segments = store.corpus_segment_count(args.corpus)
-                if file_segments > 1 and segments in (None, file_segments):
-                    engine = LPathEngine.from_columns(
-                        store.load_corpus_segments(args.corpus),
-                        workers=workers,
-                    )
-                else:
-                    engine = LPathEngine.from_columns(
-                        store.load_corpus_columns(args.corpus),
-                        segments=segments,
-                        workers=workers,
-                    )
             else:  # the SQLite oracle loads the label rows themselves
                 engine = LPathEngine.from_labels(
-                    store.load_corpus_labels(args.corpus),
-                    segments=1 if segments is None else segments,
-                    workers=workers,
+                    store.load_corpus_labels(args.corpus), workers=workers
                 )
             trees = []
         else:
@@ -648,10 +605,9 @@ def _command_compile(args: argparse.Namespace, out: TextIO) -> int:
     trees = _load_trees(args.corpus)
     segments = getattr(args, "segments", None)
     segments = 1 if segments is None else segments
-    format = getattr(args, "format", None)
-    format = None if format in (None, "auto") else format
     rows = store.save_corpus(
-        trees, args.output, segments=segments, format=format
+        trees, args.output, segments=segments,
+        format=getattr(args, "format", None),
     )
     suffix = f" in {segments} segments" if segments > 1 else ""
     revision = store.corpus_format(args.output)
@@ -849,16 +805,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="selectivity-driven join ordering "
                             "(lpath and xpath plan engines)")
     query.add_argument("--segments", type=int, default=None, metavar="N",
-                       help="shard the corpus by tree into N independent "
-                            "segments (lpath and xpath plan engines; "
-                            "segmented LPDB0003 files keep their on-disk "
-                            "shards by default)")
+                       help="shard a treebank by tree into N independent "
+                            "segments (lpath and xpath plan engines; a "
+                            "compiled corpus keeps its on-disk segments)")
     query.add_argument("--workers", type=int, default=None, metavar="N",
                        help="worker-pool size for fanning a query out "
                             "across segments (default: sequential)")
     query.add_argument("--mmap", action="store_true",
-                       help="open a compiled LPDB0004 corpus zero-copy "
-                            "via mmap (lpath engine; O(1) cold start)")
+                       help="no-op, still accepted for old scripts: "
+                            "compiled corpora always open zero-copy")
     query.add_argument("--kernels", choices=KERNEL_MODES, default=None,
                        help="columnar hot-loop backend: native cffi "
                             "kernels, the pure-Python loops, or pick "
@@ -866,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the REPRO_KERNELS environment variable, "
                             "else auto)")
     query.add_argument("--mode", choices=("thread", "process"), default=None,
-                       help="segment fan-out pool flavor for --mmap "
-                            "engines: GIL-bound threads or true "
+                       help="segment fan-out pool flavor for compiled "
+                            "corpora: GIL-bound threads or true "
                             "multi-core worker processes (default: "
                             "process when --workers > 1)")
     query.add_argument("--explain", action="store_true",
@@ -952,17 +907,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shard the corpus by tree into N "
                                   "segments (default: one store)")
     compile_cmd.add_argument("--format",
-                             choices=("auto", "lpdb0002", "lpdb0003",
-                                      "lpdb0004", "lpdb0005"),
-                             default="auto",
-                             help="on-disk revision: auto picks "
-                                  "lpdb0002/lpdb0003 by --segments; "
-                                  "lpdb0004 writes the zero-copy mmap "
-                                  "layout (columns + statistics "
-                                  "pre-built, millisecond opens); "
-                                  "lpdb0005 writes a live *directory* "
-                                  "(WAL-backed, appendable with "
-                                  "'repro append')")
+                             choices=("lpdb0004", "lpdb0005"),
+                             default="lpdb0004",
+                             help="on-disk revision: lpdb0004 (default) "
+                                  "writes the zero-copy mmap layout "
+                                  "(columns + statistics pre-built, "
+                                  "millisecond opens); lpdb0005 writes a "
+                                  "live *directory* (WAL-backed, "
+                                  "appendable with 'repro append')")
     compile_cmd.set_defaults(handler=_command_compile)
 
     store_cmd = commands.add_parser(

@@ -87,8 +87,9 @@ class ColumnStore:
     """The label relation as clustered parallel arrays.
 
     Build with :meth:`from_rows` (any iterable of 8-tuples / ``Label``
-    rows) or :meth:`from_columns` (pre-split arrays, e.g. straight from a
-    compiled-corpus file via :func:`repro.store.load_label_columns`).
+    rows) or :meth:`concat` (tid-disjoint stores laid end to end); a
+    compiled ``LPDB0004`` file is adopted zero-copy by
+    :class:`MappedColumnStore` instead.
     """
 
     __slots__ = (
@@ -178,23 +179,6 @@ class ColumnStore:
             for position in range(8):
                 cols[position].append(row[position])
         return cls(*cols, column_names=column_names)
-
-    @classmethod
-    def from_columns(cls, columns, column_names: tuple[str, ...] = COLUMN_NAMES) -> "ColumnStore":
-        """Adopt a pre-split column bundle (anything with the eight
-        ``tid/left/right/depth/id/pid/names/values`` attributes, e.g.
-        :class:`repro.store.LabelColumns`)."""
-        return cls(
-            columns.tid,
-            columns.left,
-            columns.right,
-            columns.depth,
-            columns.id,
-            columns.pid,
-            columns.names,
-            columns.values,
-            column_names=column_names,
-        )
 
     @staticmethod
     def concat(stores) -> "ColumnStore":

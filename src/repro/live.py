@@ -1,12 +1,12 @@
 """Crash-safe live corpora: the ``LPDB0005`` directory layout.
 
-Every store revision up to ``LPDB0004`` is immutable — compile once,
+A compiled ``LPDB0004`` file is immutable — compile once,
 query forever.  This module adds the write path: a live corpus is a
 *directory* whose contents are
 
 ``MANIFEST``
-    ``LPDB0005`` magic + one length/CRC block (the same framing as
-    ``LPDB0002``) over: generation number, the list of immutable base
+    ``LPDB0005`` magic + one block (varint length, varint CRC-32,
+    payload) over: generation number, the list of immutable base
     segment files with their row counts, the active WAL file name, the
     next free tree id, and the last recovery action.  The manifest is
     the single source of truth; a file not referenced by it does not
@@ -17,9 +17,13 @@ query forever.  This module adds the write path: a live corpus is a
     its newest neighbours while they hold fewer than twice its rows, so
     the directory keeps O(log compactions) of them.
 ``wal-<generation>.log``
-    An append-only write-ahead log: an 8-byte magic then framed row
-    batches — ``<u32 length, u32 crc32>`` header + an ``LPDB0002``-style
-    row payload — fsync'd **before** the append is acknowledged.
+    An append-only write-ahead log: an 8-byte magic then one record per
+    acknowledged append, fsync'd **before** the append is acknowledged.
+    A record is a ``<u32 length, u32 crc32>`` header over a payload of
+    varints: the row count, a string table (count, then length-prefixed
+    UTF-8 names and values — tags and words repeat heavily), then per
+    row ``tid, left, right, depth, id, pid`` and the 1-based string
+    indices of its name and value (0 for none).
 ``LOCK``
     The exclusive writer lock (``O_EXCL`` + pid, stale locks reclaimed
     when the holder is dead).
@@ -65,14 +69,15 @@ from . import faults
 from .labeling.lpath_scheme import Label, label_corpus
 from .store import (
     LIVE_MAGIC,
+    InfoFold,
     StoreError,
+    _block_header,
     _checked_block,
-    _decode_labels_into,
-    _encode_payload,
-    _read_mmap_sidecar,
+    _read_sidecar,
     _read_varint,
     _write_varint,
     fsync_directory,
+    load_labels,
     open_mapped_corpus,
     save_mapped,
     save_mapped_stores,
@@ -83,6 +88,9 @@ MANIFEST_NAME = "MANIFEST"
 LOCK_NAME = "LOCK"
 WAL_MAGIC = b"LPWL0001"
 _FRAME = struct.Struct("<II")
+
+#: String-table index meaning "no value" (element rows) in a WAL record.
+_NO_VALUE = 0
 
 #: How long a retired engine survives after a swap before it is closed —
 #: longer than any sane request, so an in-flight query that resolved the
@@ -120,10 +128,7 @@ def _encode_manifest(manifest: LiveManifest) -> bytes:
     _write_varint(payload, len(recovery))
     payload.write(recovery)
     blob = payload.getvalue()
-    header = io.BytesIO()
-    _write_varint(header, len(blob))
-    _write_varint(header, zlib.crc32(blob))
-    return LIVE_MAGIC + header.getvalue() + blob
+    return LIVE_MAGIC + _block_header(blob) + blob
 
 
 def _parse_manifest(data: bytes) -> LiveManifest:
@@ -131,7 +136,7 @@ def _parse_manifest(data: bytes) -> LiveManifest:
         raise StoreError(
             "not a live corpus manifest (bad magic; expected LPDB0005)"
         )
-    payload, end = _checked_block(data, len(LIVE_MAGIC))
+    payload, end = _checked_block(data, len(LIVE_MAGIC), "manifest")
     if end != len(data):
         raise StoreError(f"{len(data) - end} trailing bytes after manifest")
     offset = 0
@@ -205,6 +210,82 @@ def _install_manifest(
 
 
 # -- WAL -----------------------------------------------------------------------
+
+
+def _encode_payload(rows) -> tuple[bytes, int]:
+    """Encode rows into one WAL record payload; returns ``(blob, count)``."""
+    strings: dict[str, int] = {}
+
+    def intern(text: str) -> int:
+        index = strings.get(text)
+        if index is None:
+            index = len(strings) + 1  # 0 is reserved for "no value"
+            strings[text] = index
+        return index
+
+    body = io.BytesIO()
+    count = 0
+    for row in rows:
+        tid, left, right, depth, node_id, pid, name, value = row
+        _write_varint(body, tid)
+        _write_varint(body, left)
+        _write_varint(body, right)
+        _write_varint(body, depth)
+        _write_varint(body, node_id)
+        _write_varint(body, pid)
+        _write_varint(body, intern(name))
+        _write_varint(body, _NO_VALUE if value is None else intern(value))
+        count += 1
+
+    payload = io.BytesIO()
+    _write_varint(payload, count)
+    _write_varint(payload, len(strings))
+    for text in strings:  # insertion order == index order
+        encoded = text.encode("utf-8")
+        _write_varint(payload, len(encoded))
+        payload.write(encoded)
+    payload.write(body.getvalue())
+    return payload.getvalue(), count
+
+
+def _parse_string_table(payload: bytes) -> tuple[int, list[str], int]:
+    """``(row count, string table, row-data offset)`` of a WAL record."""
+    count, offset = _read_varint(payload, 0)
+    table_size, offset = _read_varint(payload, offset)
+    table: list[str] = [""]  # index 0: no value
+    for _ in range(table_size):
+        length, offset = _read_varint(payload, offset)
+        end = offset + length
+        if end > len(payload):
+            raise StoreError("truncated string table")
+        try:
+            table.append(payload[offset:end].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise StoreError("undecodable string-table entry") from None
+        offset = end
+    return count, table, offset
+
+
+def _decode_labels_into(payload: bytes, rows: list[Label]) -> None:
+    """Append the rows of one WAL record payload to ``rows``."""
+    count, table, offset = _parse_string_table(payload)
+    for _ in range(count):
+        tid, offset = _read_varint(payload, offset)
+        left, offset = _read_varint(payload, offset)
+        right, offset = _read_varint(payload, offset)
+        depth, offset = _read_varint(payload, offset)
+        node_id, offset = _read_varint(payload, offset)
+        pid, offset = _read_varint(payload, offset)
+        name_index, offset = _read_varint(payload, offset)
+        value_index, offset = _read_varint(payload, offset)
+        try:
+            name = table[name_index]
+            value = None if value_index == _NO_VALUE else table[value_index]
+        except IndexError:
+            raise StoreError("string-table reference out of range") from None
+        rows.append(Label(tid, left, right, depth, node_id, pid, name, value))
+    if offset != len(payload):
+        raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
 
 
 class WalScan(NamedTuple):
@@ -813,22 +894,6 @@ class LiveCorpus:
 # -- path-level helpers (store.py dispatches here) -----------------------------
 
 
-def live_corpus_format(path: str) -> str:
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    try:
-        with open(manifest_path, "rb") as handle:
-            magic = handle.read(len(LIVE_MAGIC))
-    except OSError:
-        raise StoreError(
-            f"not a live corpus: {path!r} has no readable {MANIFEST_NAME}"
-        ) from None
-    if magic != LIVE_MAGIC:
-        raise StoreError(
-            f"bad manifest magic in {path!r}; expected LPDB0005"
-        )
-    return LIVE_MAGIC.decode("ascii")
-
-
 def live_fingerprint(path: str) -> str:
     """O(1) identity for a live directory: generation + WAL size + a CRC
     of the manifest bytes.  Changes on every acknowledged append (the
@@ -844,118 +909,48 @@ def live_fingerprint(path: str) -> str:
     )
 
 
-def live_segment_count(path: str) -> int:
-    """Base LPDB0004 segments (counting internal shards) plus one for
-    the in-memory delta when the WAL holds rows."""
-    manifest, _ = _read_manifest(path)
-    count = 0
-    for name, _rows in manifest.segments:
-        file_path = os.path.join(path, name)
-        with open(file_path, "rb") as handle:
-            header = _read_mmap_sidecar(handle, handle.read(8))
-        count += len(header.segments)
-    scan = _scan_wal(os.path.join(path, manifest.wal))
-    if scan.rows or count == 0:
-        count += 1
-    return count
-
-
 def live_info(path: str, top: int = 10) -> dict:
     """The :func:`repro.store.corpus_info` shape plus the live extras:
     generation, WAL record/row counts, delta vs base split, the last
     recovery action and any torn tail visible to this (read-only)
-    scan."""
+    scan.  The delta counts as one more segment (as does an empty
+    corpus's, which has no base file)."""
     manifest, manifest_bytes = _read_manifest(path)
-    merged: dict[str, list] = {}
-
-    def fold(name, rows, partitions, max_partition, min_depth, max_depth):
-        entry = merged.get(name)
-        if entry is None:
-            merged[name] = [rows, partitions, max_partition,
-                            min_depth, max_depth]
-        else:
-            entry[0] += rows
-            entry[1] += partitions
-            entry[2] = max(entry[2], max_partition)
-            entry[3] = min(entry[3], min_depth)
-            entry[4] = max(entry[4], max_depth)
-
+    fold = InfoFold()
     total_bytes = len(manifest_bytes)
-    base_rows = 0
-    base_trees = 0
-    base_segments = 0
     for name, _rows in manifest.segments:
         file_path = os.path.join(path, name)
         total_bytes += os.path.getsize(file_path)
-        with open(file_path, "rb") as handle:
-            header = _read_mmap_sidecar(handle, handle.read(8))
-        base_segments += len(header.segments)
-        for meta in header.segments:
-            base_rows += meta.n
-            base_trees += len(meta.tid_dir)
-            row_lo = part_lo = 0
-            for sid, row_hi, part_hi, max_part, min_d, max_d in meta.names:
-                fold(meta.strings[sid - 1], row_hi - row_lo,
-                     part_hi - part_lo, max_part, min_d, max_d)
-                row_lo, part_lo = row_hi, part_hi
+        fold.add_sidecar(_read_sidecar(file_path))
+    base_segments, base_rows = fold.segments, fold.rows
     wal_path = os.path.join(path, manifest.wal)
     scan = _scan_wal(wal_path)
     total_bytes += os.path.getsize(wal_path)
-    per_partition: dict[tuple[str, int], int] = {}
-    depths: dict[str, tuple[int, int]] = {}
-    delta_tids: set[int] = set()
-    for row in scan.rows:
-        delta_tids.add(row[0])
-        key = (row[6], row[0])
-        per_partition[key] = per_partition.get(key, 0) + 1
-        span = depths.get(row[6])
-        depths[row[6]] = (
-            (row[3], row[3]) if span is None
-            else (min(span[0], row[3]), max(span[1], row[3]))
-        )
-    delta_counts: dict[str, list] = {}
-    for (name, _tid), count in per_partition.items():
-        entry = delta_counts.setdefault(name, [0, 0, 0])
-        entry[0] += count
-        entry[1] += 1
-        entry[2] = max(entry[2], count)
-    for name, (total, partitions, max_partition) in delta_counts.items():
-        min_depth, max_depth = depths[name]
-        fold(name, total, partitions, max_partition, min_depth, max_depth)
-
-    ranked = sorted(merged.items(), key=lambda item: (-item[1][0], item[0]))
-    delta_rows = len(scan.rows)
-    return {
-        "path": path,
-        "bytes": total_bytes,
-        "format": LIVE_MAGIC.decode("ascii"),
-        "segments": base_segments + (1 if (delta_rows or not base_segments)
-                                     else 0),
-        "rows": base_rows + delta_rows,
-        "trees": base_trees + len(delta_tids),
-        "distinct_names": len(merged),
-        "top_names": [(name, tuple(stats)) for name, stats in ranked[:top]],
-        "generation": manifest.generation,
-        "base_segments": len(manifest.segments),
-        "base_rows": base_rows,
-        "delta_rows": delta_rows,
-        "wal_records": scan.records,
-        "wal_bytes": scan.valid_size,
-        "wal_torn_bytes": scan.torn_bytes,
-        "next_tid": max(
+    fold.add_rows(scan.rows)
+    if scan.rows or not base_segments:
+        fold.segments += 1
+    info = fold.summary(path, total_bytes, LIVE_MAGIC.decode("ascii"), top)
+    info.update(
+        generation=manifest.generation,
+        base_segments=len(manifest.segments),
+        base_rows=base_rows,
+        delta_rows=len(scan.rows),
+        wal_records=scan.records,
+        wal_bytes=scan.valid_size,
+        wal_torn_bytes=scan.torn_bytes,
+        next_tid=max(
             manifest.next_tid,
             max((row[0] for row in scan.rows), default=-1) + 1,
         ),
-        "last_recovery": manifest.last_recovery or None,
-    }
+        last_recovery=manifest.last_recovery or None,
+    )
+    return info
 
 
 def load_live_labels(path: str) -> list[Label]:
     """Materialize every row of a live corpus: base segments in file
     order, then the WAL delta — the monolithic-equivalence loaders
     (``repro.store.load_corpus_labels``) dispatch here."""
-    from .store import load_labels
-
     manifest, _ = _read_manifest(path)
     rows: list[Label] = []
     for name, _count in manifest.segments:

@@ -24,6 +24,7 @@ queries (the benchmark hot path) skip parsing, lowering and optimization.
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Sequence, Union
 
 from ..columnar.result import ResultBatch
@@ -37,7 +38,7 @@ from ..plan.segmented import (
     SegmentedPlanCompiler,
     validate_segmentation,
 )
-from ..store import partition_columns, partition_rows_by_tid
+from ..store import partition_rows_by_tid
 from ..tree.node import Tree, TreeNode
 from .ast import Path
 from .compiler import PlanCompiler
@@ -48,12 +49,6 @@ from .treewalk import TreeWalkEvaluator
 
 Query = Union[str, Path]
 BACKENDS = ("plan", "sqlite", "treewalk")
-
-#: The attribute surface an object must expose to count as a column bundle
-#: (:class:`repro.store.LabelColumns` or anything shaped like it).
-COLUMN_BUNDLE_ATTRS = (
-    "tid", "left", "right", "depth", "id", "pid", "names", "values",
-)
 
 
 class PlanEngine:
@@ -312,36 +307,6 @@ class LPathEngine(PlanEngine):
         self._rows = rows
 
     @classmethod
-    def from_columns(
-        cls,
-        columns,
-        plan_cache_size: int = 128,
-        segments: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> "LPathEngine":
-        """Build an engine from one column bundle (e.g.
-        :func:`repro.store.load_corpus_columns`) or a *list* of per-segment
-        bundles (:func:`repro.store.load_corpus_segments`) without ever
-        materializing per-row tuples.  Only ``backend="plan"`` is
-        available — no SQLite oracle, no trees.
-
-        ``segments=N`` re-shards a single bundle by tree; a bundle list is
-        already sharded and adopts one store per element.  ``workers``
-        sizes the thread pool the per-segment plans fan out on."""
-        bundles = cls._as_bundle_list(columns, segments)
-        validate_segmentation(len(bundles), workers)
-        engine = cls.__new__(cls)
-        engine._install(
-            [
-                bundle if isinstance(bundle, ColumnStore)
-                else ColumnStore.from_columns(bundle)
-                for bundle in bundles
-            ],
-            PlanCompiler, workers, plan_cache_size,
-        )
-        return engine
-
-    @classmethod
     def from_segments(
         cls,
         segments: Sequence[Segment],
@@ -389,7 +354,7 @@ class LPathEngine(PlanEngine):
         views straight off the map — open cost is O(segments + names),
         not O(rows), and two engines (or processes) opening the same file
         share its pages through the OS cache.  No trees, no SQLite
-        oracle, like :meth:`from_columns`.
+        oracle.
 
         ``mode`` picks the fan-out pool: ``"thread"`` or ``"process"``
         (default: process whenever ``workers > 1``, because this engine
@@ -409,91 +374,25 @@ class LPathEngine(PlanEngine):
         workers: Optional[int] = None,
         mode: Optional[str] = None,
     ) -> "LPathEngine":
-        """Open any compiled corpus file as a column-store engine.
+        """Open a compiled corpus as a column-store engine.
 
         ``LPDB0004`` files are adopted zero-copy via
         :meth:`from_store_mmap`; ``LPDB0005`` live directories open as a
         snapshot over mmap'd base segments plus the WAL replayed into an
-        in-memory delta store (:func:`repro.live.open_live_engine`);
-        older revisions are decoded eagerly (``mode="process"``
-        therefore requires an ``LPDB0004`` file — worker processes
-        re-open the store by path)."""
-        import os as _os
-
-        from .. import store as store_module
-
-        if _os.path.isdir(path):
+        in-memory delta store (:func:`repro.live.open_live_engine`).
+        Anything else — a retired revision included — raises
+        :class:`~repro.store.StoreError`."""
+        if os.path.isdir(path):
             from ..live import open_live_engine
 
             return open_live_engine(
                 path, plan_cache_size=plan_cache_size,
                 workers=workers, mode=mode,
             )
-        if store_module.corpus_format(path) == "LPDB0004":
-            return cls.from_store_mmap(
-                path, plan_cache_size=plan_cache_size,
-                workers=workers, mode=mode,
-            )
-        if mode == "process":
-            raise LPathError(
-                "process-mode fan-out needs an LPDB0004 store (re-save the "
-                f"corpus with format='lpdb0004'); {path} is "
-                f"{store_module.corpus_format(path)}"
-            )
-        shards = store_module.load_corpus_segments(path)
-        return cls.from_columns(
-            shards if len(shards) > 1 else shards[0],
-            plan_cache_size=plan_cache_size,
-            workers=workers,
+        return cls.from_store_mmap(
+            path, plan_cache_size=plan_cache_size,
+            workers=workers, mode=mode,
         )
-
-    @staticmethod
-    def _as_bundle_list(columns, segments: Optional[int]) -> list:
-        """Normalize ``from_columns`` input to a list of validated column
-        bundles, applying an optional re-shard."""
-
-        def check(bundle):
-            if isinstance(bundle, ColumnStore):
-                return bundle
-            missing = [
-                attr for attr in COLUMN_BUNDLE_ATTRS
-                if not hasattr(bundle, attr)
-            ]
-            if missing:
-                raise LPathError(
-                    "from_columns expected a column bundle with the "
-                    f"{'/'.join(COLUMN_BUNDLE_ATTRS)} columns "
-                    f"(e.g. repro.store.LabelColumns); {type(bundle).__name__!r} "
-                    f"is missing {', '.join(missing)}"
-                )
-            lengths = {
-                attr: len(getattr(bundle, attr)) for attr in COLUMN_BUNDLE_ATTRS
-            }
-            if len(set(lengths.values())) > 1:
-                raise LPathError(
-                    f"ragged column bundle: column lengths differ ({lengths})"
-                )
-            return bundle
-
-        if isinstance(columns, (list, tuple)):
-            if not columns:
-                raise LPathError("from_columns needs at least one bundle")
-            bundles = [check(bundle) for bundle in columns]
-            if segments is not None and segments != len(bundles):
-                raise LPathError(
-                    f"segments={segments} conflicts with a list of "
-                    f"{len(bundles)} pre-sharded bundles"
-                )
-            return bundles
-        bundle = check(columns)
-        if segments is None or segments == 1:
-            return [bundle]
-        if isinstance(bundle, ColumnStore):
-            raise LPathError(
-                "cannot re-shard an already built ColumnStore; pass the raw "
-                "LabelColumns (or a list of per-segment bundles) instead"
-            )
-        return partition_columns(bundle, segments)
 
     # -- queries ------------------------------------------------------------
 
@@ -575,7 +474,7 @@ class LPathEngine(PlanEngine):
         if self._treewalk is None:
             raise LPathError(
                 "this engine keeps no trees (built with keep_trees=False, "
-                "from_labels or from_columns), so the treewalk backend is "
+                "from_labels or over a store), so the treewalk backend is "
                 "unavailable"
             )
         return self._treewalk

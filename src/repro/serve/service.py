@@ -562,14 +562,6 @@ class QueryService:
 
         if spec.dialect == "lpath":
             return LPathEngine.open(spec.path, workers=workers, mode=mode)
-        from .. import store as store_module
-
-        if store_module.corpus_format(spec.path) != "LPDB0004":
-            raise LPathError(
-                "serving the xpath dialect needs an LPDB0004 store of "
-                "start/end-labeled rows (save one with "
-                "repro.labeling.xpath_scheme labels and format='lpdb0004')"
-            )
         return XPathEngine.from_store_mmap(
             spec.path, workers=workers, mode=mode
         )

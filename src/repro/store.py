@@ -3,30 +3,22 @@
 TGrep2 queries a "binary file representation of the data"; the analogous
 artifact for the LPath engine is the labeled relation itself.  This module
 writes ``node(tid, left, right, depth, id, pid, name, value)`` rows to a
-compact binary file so an engine can start without re-parsing and
-re-labeling the treebank.  Four on-disk revisions exist:
+binary file so an engine can start without re-parsing and re-labeling
+the treebank.  Two on-disk revisions exist:
 
-* ``LPDB0001`` — magic + payload, no checksum (read-only legacy);
-* ``LPDB0002`` — magic + payload length + CRC-32 + payload, where the
-  payload is a row count, a string table (interned names and values —
-  tags and words repeat heavily), then rows of seven varint-packed
-  integers plus two string-table references;
-* ``LPDB0003`` — the *segmented* format: magic + a manifest (segment
-  count) followed by one block per segment, each block carrying its own
-  length + CRC-32 header over an ``LPDB0002``-shaped payload.  Segments
-  partition the corpus by tree (``tid``), so every block is a
-  self-contained shard that one :class:`repro.columnar.ColumnStore` can
-  adopt independently and query in parallel;
-* ``LPDB0004`` — the *zero-copy* layout: a small varint sidecar (string
-  table, per-name directory with collected ``NameStats``, per-tree
-  directories, blob offsets — everything O(segments + names + trees))
-  followed by an 8-aligned data region holding each segment's columns as
-  raw native-endian int64 blobs *in clustered order*, plus the derived
-  structures a :class:`~repro.columnar.ColumnStore` otherwise builds at
-  load time (``(tid, id)`` and children permutations, attribute/edge
-  bitmaps, per-``(name, tid)`` partition bounds).  Opening the file
-  (:func:`open_mapped_corpus`) ``mmap``\\ s it and adopts ``memoryview``\\ s
-  straight off the map — no per-row decode, no sort, no statistics scan;
+* ``LPDB0004`` — the *zero-copy* file layout: a small varint sidecar
+  (string table, per-name directory with collected ``NameStats``,
+  per-tree directories, blob offsets — everything O(segments + names +
+  trees)) followed by an 8-aligned data region holding each segment's
+  columns as raw native-endian int64 blobs *in clustered order*, plus
+  the derived structures a :class:`~repro.columnar.ColumnStore`
+  otherwise builds at load time (``(tid, id)`` and children
+  permutations, attribute/edge bitmaps, per-``(name, tid)`` partition
+  bounds).  Segments partition the corpus by tree (``tid``), so each is
+  a self-contained shard one store adopts and queries in parallel.
+  Opening the file (:func:`open_mapped_corpus`) ``mmap``\\ s it and
+  adopts ``memoryview``\\ s straight off the map — no per-row decode, no
+  sort, no statistics scan;
 * ``LPDB0005`` — the *live* layout (:mod:`repro.live`): a **directory**
   of immutable base ``LPDB0004`` segment files, an append-only
   write-ahead log of row batches (length+CRC-framed, fsync'd before
@@ -35,26 +27,21 @@ re-labeling the treebank.  Four on-disk revisions exist:
   path-level helpers here (:func:`corpus_format`, :func:`corpus_info`,
   :func:`store_fingerprint`, ...) dispatch directories to that module.
 
+The row-encoded revisions ``LPDB0001``–``LPDB0003`` are retired: every
+reader names them (:data:`RETIRED_REVISIONS`) and refuses them with
+:class:`StoreError`; re-compiling the treebank writes ``LPDB0004``.
+
 Every *file* write goes through :func:`atomic_write`: the bytes land in
 a same-directory temp file, are fsync'd, and only then atomically
 renamed over the destination — a crash mid-save can leave a stray temp
 file but can never truncate a previously good store.
 
-Every revision is self-contained and versioned; the loaders verify the
-magic, the declared lengths and the checksums, so truncation and bit
+Readers verify the magic, the sidecar's length and CRC-32, the declared
+file size and every blob offset/length, so truncation and metadata
 corruption fail loudly with :class:`StoreError` instead of decoding to
-garbage.  (``LPDB0004`` checksums its sidecar and validates every blob
-offset/length against the file size; the column blobs themselves are
-trusted after those checks — re-checksumming gigabytes of columns on
-every open would defeat the O(1) cold start.)
-
-Loaders share one payload parser: :func:`load_labels` materializes
-``Label`` rows for the row-oriented engine, :func:`load_label_columns`
-fills parallel arrays directly — the shape
-:class:`repro.columnar.ColumnStore` adopts without ever building a
-per-row object — and :func:`load_segment_columns` keeps the shards of an
-``LPDB0003``/``LPDB0004`` file apart (older single-store files load as
-one segment).
+garbage.  The column blobs themselves are trusted after those checks —
+re-checksumming gigabytes of columns on every open would defeat the
+O(1) cold start.
 """
 
 from __future__ import annotations
@@ -66,29 +53,48 @@ import os
 import sys
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from .labeling.lpath_scheme import Label
 
-MAGIC = b"LPDB0002"
-LEGACY_MAGIC = b"LPDB0001"
-SEGMENTED_MAGIC = b"LPDB0003"
 MMAP_MAGIC = b"LPDB0004"
 #: The live *directory* layout's manifest magic (:mod:`repro.live`).
 LIVE_MAGIC = b"LPDB0005"
-
-#: ``save_labels(format=...)`` spellings, newest last (``lpdb0005`` is a
-#: directory layout, valid for :func:`save_corpus` but not for the
-#: stream-oriented :func:`save_labels`).
-FORMATS = ("lpdb0002", "lpdb0003", "lpdb0004")
 LIVE_FORMAT = "lpdb0005"
-#: String-table index meaning "no value" (element rows).
-_NO_VALUE = 0
+#: The retired row-encoded revisions, by magic, with what each one was.
+#: Every reader refuses them (:func:`_check_magic`).
+RETIRED_REVISIONS = {
+    b"LPDB0001": "unchecksummed varint rows",
+    b"LPDB0002": "checksummed varint rows",
+    b"LPDB0003": "segmented varint rows",
+}
 
 
 class StoreError(ValueError):
     """Raised for unreadable or corrupt corpus files."""
+
+
+class RetiredRevisionError(StoreError):
+    """Raised for a file of a retired revision (:data:`RETIRED_REVISIONS`)."""
+
+
+def _check_magic(magic: bytes) -> None:
+    """Raise :class:`StoreError` unless ``magic`` is the ``LPDB0004``
+    file magic; a retired revision's error names it and the way out."""
+    if magic == MMAP_MAGIC:
+        return
+    retired = RETIRED_REVISIONS.get(magic)
+    if retired is not None:
+        raise RetiredRevisionError(
+            f"{magic.decode('ascii')} ({retired}) is a retired store "
+            "revision this version no longer reads; re-run `repro compile` "
+            "from the treebank to write LPDB0004"
+        )
+    raise StoreError(
+        "not a compiled corpus file (bad magic; expected LPDB0004, or an "
+        "LPDB0005 directory)"
+    )
 
 
 def fsync_directory(path: str) -> None:
@@ -173,49 +179,29 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _encode_payload(rows: Iterable) -> tuple[bytes, int]:
-    """Encode rows into one LPDB payload blob; returns ``(blob, count)``."""
-    strings: dict[str, int] = {}
-
-    def intern(text: str) -> int:
-        index = strings.get(text)
-        if index is None:
-            index = len(strings) + 1  # 0 is reserved for "no value"
-            strings[text] = index
-        return index
-
-    body = io.BytesIO()
-    count = 0
-    for row in rows:
-        tid, left, right, depth, node_id, pid, name, value = row
-        _write_varint(body, tid)
-        _write_varint(body, left)
-        _write_varint(body, right)
-        _write_varint(body, depth)
-        _write_varint(body, node_id)
-        _write_varint(body, pid)
-        _write_varint(body, intern(name))
-        _write_varint(body, _NO_VALUE if value is None else intern(value))
-        count += 1
-
-    payload = io.BytesIO()
-    _write_varint(payload, count)
-    _write_varint(payload, len(strings))
-    for text in strings:  # insertion order == index order
-        encoded = text.encode("utf-8")
-        _write_varint(payload, len(encoded))
-        payload.write(encoded)
-    payload.write(body.getvalue())
-    return payload.getvalue(), count
-
-
-def _write_block(stream: BinaryIO, blob: bytes) -> None:
-    """One length + CRC-32 header followed by the payload bytes."""
+def _block_header(blob: bytes) -> bytes:
+    """The varint length + CRC-32 header :func:`_checked_block` verifies."""
     header = io.BytesIO()
     _write_varint(header, len(blob))
     _write_varint(header, zlib.crc32(blob))
-    stream.write(header.getvalue())
-    stream.write(blob)
+    return header.getvalue()
+
+
+def _checked_block(data, offset: int, what: str) -> tuple[bytes, int]:
+    """Verify the length + CRC-32 block (the ``what``) at ``offset`` of
+    ``data``; returns its payload and the offset past it."""
+    length, offset = _read_varint(data, offset)
+    expected_crc, offset = _read_varint(data, offset)
+    end = offset + length
+    if end > len(data):
+        raise StoreError(
+            f"{what} length mismatch: header says {length}, "
+            f"file has {len(data) - offset}"
+        )
+    payload = bytes(data[offset:end])
+    if zlib.crc32(payload) != expected_crc:
+        raise StoreError(f"checksum mismatch: the {what} is corrupt")
+    return payload, end
 
 
 def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
@@ -238,281 +224,6 @@ def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
     return shards
 
 
-def save_segments(
-    segment_rows: Sequence[Sequence[Label]], stream: BinaryIO
-) -> int:
-    """Write an ``LPDB0003`` segmented corpus; returns total rows written.
-
-    The caller controls the sharding — each element of ``segment_rows``
-    becomes one block.  Use :func:`partition_rows_by_tid` for the standard
-    tid-partitioned split (required for parallel query execution to return
-    distinct results; this function does not re-check it).
-    """
-    stream.write(SEGMENTED_MAGIC)
-    header = io.BytesIO()
-    _write_varint(header, len(segment_rows))
-    stream.write(header.getvalue())
-    total = 0
-    for rows in segment_rows:
-        blob, count = _encode_payload(rows)
-        _write_block(stream, blob)
-        total += count
-    return total
-
-
-def save_labels(
-    rows: Sequence[Label], stream: BinaryIO, checksum: bool = True,
-    segments: int = 1, format: Optional[str] = None,
-) -> int:
-    """Write label rows; returns the number of rows written.
-
-    ``format`` pins the on-disk revision (``"lpdb0002"``, ``"lpdb0003"``
-    or the zero-copy ``"lpdb0004"``); the default (``None``) keeps the
-    historical behavior — ``segments > 1`` writes the ``LPDB0003``
-    segmented layout with the corpus partitioned by tree
-    (:func:`partition_rows_by_tid`), one segment writes ``LPDB0002``.
-    ``checksum=False`` writes the legacy ``LPDB0001`` layout (no length or
-    CRC header) — kept for round-trip tests against old files; it has no
-    segmented or pinned-format variant.
-    """
-    if segments < 1:
-        raise StoreError(f"segment count must be >= 1, got {segments}")
-    if format is not None:
-        format = format.lower()
-        if format not in FORMATS:
-            raise StoreError(
-                f"unknown store format {format!r}; choose from {FORMATS}"
-            )
-        if not checksum:
-            raise StoreError("pinned formats always carry checksums")
-        if format == "lpdb0004":
-            return save_mapped(rows, stream, segments=segments)
-        if format == "lpdb0003":
-            return save_segments(partition_rows_by_tid(rows, segments), stream)
-        if segments > 1:
-            raise StoreError("lpdb0002 is a single-store layout; use "
-                             "lpdb0003/lpdb0004 for segmented corpora")
-    if segments > 1:
-        if not checksum:
-            raise StoreError("the segmented layout always carries checksums")
-        return save_segments(partition_rows_by_tid(rows, segments), stream)
-    blob, count = _encode_payload(rows)
-    if not checksum:
-        stream.write(LEGACY_MAGIC)
-        stream.write(blob)
-        return count
-    stream.write(MAGIC)
-    _write_block(stream, blob)
-    return count
-
-
-# -- parsing (shared by both loaders) -----------------------------------------
-
-
-def _checked_block(data: bytes, offset: int) -> tuple[bytes, int]:
-    """Verify one length + CRC-32 block at ``offset``; returns the payload
-    bytes and the offset past the block."""
-    length, offset = _read_varint(data, offset)
-    expected_crc, offset = _read_varint(data, offset)
-    end = offset + length
-    if end > len(data):
-        raise StoreError(
-            f"payload length mismatch: header says {length}, "
-            f"file has {len(data) - offset}"
-        )
-    payload = data[offset:end]
-    if zlib.crc32(payload) != expected_crc:
-        raise StoreError("checksum mismatch: the file is corrupt")
-    return payload, end
-
-
-def _segment_payloads(data: bytes) -> list[bytes]:
-    """Verify magics/lengths/CRCs and return one payload per segment.
-
-    Single-store revisions (``LPDB0001``/``LPDB0002``) come back as one
-    segment, so every caller sees the same shape regardless of the on-disk
-    format generation.
-    """
-    if data.startswith(LEGACY_MAGIC):
-        return [data[len(LEGACY_MAGIC):]]
-    if data.startswith(MAGIC):
-        payload, end = _checked_block(data, len(MAGIC))
-        if end != len(data):
-            raise StoreError(f"{len(data) - end} trailing bytes after payload")
-        return [payload]
-    if data.startswith(SEGMENTED_MAGIC):
-        count, offset = _read_varint(data, len(SEGMENTED_MAGIC))
-        payloads: list[bytes] = []
-        for _ in range(count):
-            payload, offset = _checked_block(data, offset)
-            payloads.append(payload)
-        if offset != len(data):
-            raise StoreError(
-                f"{len(data) - offset} trailing bytes after the last segment"
-            )
-        return payloads
-    raise StoreError(
-        "not a compiled corpus file (bad magic; expected LPDB0002/LPDB0003)"
-    )
-
-
-def _parse_string_table(payload: bytes) -> tuple[int, list[str], int]:
-    """``(row count, string table, row-data offset)`` from the payload."""
-    count, offset = _read_varint(payload, 0)
-    table_size, offset = _read_varint(payload, offset)
-    table: list[str] = [""]  # index 0: no value
-    for _ in range(table_size):
-        length, offset = _read_varint(payload, offset)
-        end = offset + length
-        if end > len(payload):
-            raise StoreError("truncated string table")
-        try:
-            table.append(payload[offset:end].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise StoreError("undecodable string-table entry") from None
-        offset = end
-    return count, table, offset
-
-
-def load_labels(stream: BinaryIO) -> list[Label]:
-    """Read label rows written by :func:`save_labels` (any revision;
-    segmented files concatenate their shards in segment order; mapped
-    files come back in clustered order)."""
-    data = stream.read()
-    rows: list[Label] = []
-    if data.startswith(MMAP_MAGIC):
-        for segment in _parse_mapped(data, []):
-            _mapped_labels_into(segment, rows)
-        return rows
-    for payload in _segment_payloads(data):
-        _decode_labels_into(payload, rows)
-    return rows
-
-
-def _decode_labels_into(payload: bytes, rows: list[Label]) -> None:
-    count, table, offset = _parse_string_table(payload)
-    for _ in range(count):
-        tid, offset = _read_varint(payload, offset)
-        left, offset = _read_varint(payload, offset)
-        right, offset = _read_varint(payload, offset)
-        depth, offset = _read_varint(payload, offset)
-        node_id, offset = _read_varint(payload, offset)
-        pid, offset = _read_varint(payload, offset)
-        name_index, offset = _read_varint(payload, offset)
-        value_index, offset = _read_varint(payload, offset)
-        try:
-            name = table[name_index]
-            value = None if value_index == _NO_VALUE else table[value_index]
-        except IndexError:
-            raise StoreError("string-table reference out of range") from None
-        rows.append(Label(tid, left, right, depth, node_id, pid, name, value))
-    if offset != len(payload):
-        raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
-
-
-@dataclass
-class LabelColumns:
-    """The label relation as parallel columns (no per-row objects)."""
-
-    tid: array = field(default_factory=lambda: array("q"))
-    left: array = field(default_factory=lambda: array("q"))
-    right: array = field(default_factory=lambda: array("q"))
-    depth: array = field(default_factory=lambda: array("q"))
-    id: array = field(default_factory=lambda: array("q"))
-    pid: array = field(default_factory=lambda: array("q"))
-    names: list[str] = field(default_factory=list)
-    values: list[Optional[str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.tid)
-
-
-def load_label_columns(stream: BinaryIO) -> LabelColumns:
-    """Read a compiled corpus straight into parallel columns.
-
-    Decodes the same byte layout as :func:`load_labels` but appends each
-    field to its column array — no :class:`Label` (or any other per-row
-    object) is ever created, which is what makes cold columnar-engine
-    startup linear in the file size with tiny constant factors.  Segmented
-    files merge their shards into one bundle; use
-    :func:`load_segment_columns` to keep them apart.
-    """
-    data = stream.read()
-    columns = LabelColumns()
-    if data.startswith(MMAP_MAGIC):
-        for segment in _parse_mapped(data, []):
-            _mapped_columns_into(segment, columns)
-        return columns
-    for payload in _segment_payloads(data):
-        _decode_columns_into(payload, columns)
-    return columns
-
-
-def load_segment_columns(stream: BinaryIO) -> list[LabelColumns]:
-    """Read a compiled corpus as one column bundle *per segment*.
-
-    The shard structure of an ``LPDB0003`` file survives loading — each
-    bundle feeds one :class:`repro.columnar.ColumnStore`, which is what a
-    segmented engine fans queries out over.  Single-store revisions load
-    as one segment, so callers need no format-generation switch.
-    """
-    data = stream.read()
-    segments: list[LabelColumns] = []
-    if data.startswith(MMAP_MAGIC):
-        for segment in _parse_mapped(data, []):
-            columns = LabelColumns()
-            _mapped_columns_into(segment, columns)
-            segments.append(columns)
-        return segments
-    for payload in _segment_payloads(data):
-        columns = LabelColumns()
-        _decode_columns_into(payload, columns)
-        segments.append(columns)
-    return segments
-
-
-def _decode_columns_into(payload: bytes, columns: LabelColumns) -> None:
-    count, table, offset = _parse_string_table(payload)
-    ints = (columns.tid, columns.left, columns.right,
-            columns.depth, columns.id, columns.pid)
-    names, values = columns.names, columns.values
-    read = _read_varint
-    for _ in range(count):
-        for column in ints:
-            value, offset = read(payload, offset)
-            column.append(value)
-        name_index, offset = read(payload, offset)
-        value_index, offset = read(payload, offset)
-        try:
-            names.append(table[name_index])
-            values.append(None if value_index == _NO_VALUE else table[value_index])
-        except IndexError:
-            raise StoreError("string-table reference out of range") from None
-    if offset != len(payload):
-        raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
-
-
-def partition_columns(columns: LabelColumns, segments: int) -> list[LabelColumns]:
-    """Shard one column bundle by tree, mirroring
-    :func:`partition_rows_by_tid` (same deterministic round-robin deal
-    over sorted tids), without materializing row objects."""
-    if segments < 1:
-        raise StoreError(f"segment count must be >= 1, got {segments}")
-    assignment = {
-        tid: index % segments
-        for index, tid in enumerate(sorted(set(columns.tid)))
-    }
-    shards = [LabelColumns() for _ in range(segments)]
-    ints = ("tid", "left", "right", "depth", "id", "pid")
-    for row in range(len(columns)):
-        shard = shards[assignment[columns.tid[row]]]
-        for name in ints:
-            getattr(shard, name).append(getattr(columns, name)[row])
-        shard.names.append(columns.names[row])
-        shard.values.append(columns.values[row])
-    return shards
-
-
 # -- file helpers -------------------------------------------------------------
 
 
@@ -522,21 +233,26 @@ def save_corpus(
 ) -> int:
     """Label a corpus of trees and save it; returns the row count.
 
-    ``segments > 1`` writes a segmented layout, sharded by tree;
-    ``format`` pins the on-disk revision (see :func:`save_labels`;
-    ``"lpdb0005"`` creates a live *directory* via :mod:`repro.live`).
-    File formats are written through :func:`atomic_write`, so a crash
-    mid-save never destroys a previously good store at ``path``."""
+    ``segments > 1`` shards the corpus by tree.  ``format`` is
+    ``"lpdb0004"`` (the default: one zero-copy file, written through
+    :func:`atomic_write`, so a crash mid-save never destroys a previously
+    good store at ``path``) or ``"lpdb0005"`` (a live *directory*, via
+    :mod:`repro.live`)."""
     from .labeling.lpath_scheme import label_corpus
 
+    format = "lpdb0004" if format is None else format.lower()
+    if format not in ("lpdb0004", LIVE_FORMAT):
+        raise StoreError(
+            f"unknown store format {format!r}; choose lpdb0004 or lpdb0005"
+        )
     rows = list(label_corpus(trees))
-    if format is not None and format.lower() == LIVE_FORMAT:
+    if format == LIVE_FORMAT:
         from .live import create_live_corpus
 
         create_live_corpus(path, rows, segments=segments)
         return len(rows)
     with atomic_write(path) as handle:
-        return save_labels(rows, handle, segments=segments, format=format)
+        return save_mapped(rows, handle, segments=segments)
 
 
 def load_corpus_labels(path: str) -> list[Label]:
@@ -550,81 +266,48 @@ def load_corpus_labels(path: str) -> list[Label]:
         return load_labels(handle)
 
 
-def load_corpus_columns(path: str) -> LabelColumns:
-    """Load a compiled corpus file straight into parallel columns."""
-    with open(path, "rb") as handle:
-        return load_label_columns(handle)
-
-
-def load_corpus_segments(path: str) -> list[LabelColumns]:
-    """Load a compiled corpus file as per-segment column bundles."""
-    with open(path, "rb") as handle:
-        return load_segment_columns(handle)
-
-
 def corpus_format(path: str) -> str:
-    """The on-disk revision name (``"LPDB0001"`` .. ``"LPDB0005"``), from
-    the magic alone (for the live directory layout, from its manifest's
-    magic)."""
+    """The on-disk revision, from the magic alone: ``"LPDB0004"`` for a
+    compiled corpus file, ``"LPDB0005"`` for a live directory (read off
+    its manifest).  Anything else raises :class:`StoreError` — a retired
+    revision by name (:data:`RETIRED_REVISIONS`)."""
     if os.path.isdir(path):
-        from .live import live_corpus_format
+        from .live import MANIFEST_NAME
 
-        return live_corpus_format(path)
+        try:
+            with open(os.path.join(path, MANIFEST_NAME), "rb") as handle:
+                magic = handle.read(len(LIVE_MAGIC))
+        except OSError:
+            raise StoreError(
+                f"not a live corpus: {path!r} has no readable {MANIFEST_NAME}"
+            ) from None
+        if magic != LIVE_MAGIC:
+            raise StoreError(
+                f"bad manifest magic in {path!r}; expected LPDB0005"
+            )
+        return LIVE_MAGIC.decode("ascii")
     with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-    if magic in (MAGIC, LEGACY_MAGIC, SEGMENTED_MAGIC, MMAP_MAGIC):
-        return magic.decode("ascii")
-    raise StoreError(
-        "not a compiled corpus file (bad magic; expected LPDB0002/LPDB0003/"
-        "LPDB0004, or an LPDB0005 directory)"
-    )
-
-
-def corpus_segment_count(path: str) -> int:
-    """How many segments the file declares (1 for single-store formats;
-    for live directories, base segments plus the in-memory delta when
-    the WAL holds rows), from the header alone — no column payload is
-    read or verified."""
-    if os.path.isdir(path):
-        from .live import live_segment_count
-
-        return live_segment_count(path)
-    with open(path, "rb") as handle:
-        head = handle.read(len(SEGMENTED_MAGIC) + 10)
-        if head.startswith((MAGIC, LEGACY_MAGIC)):
-            return 1
-        if head.startswith(SEGMENTED_MAGIC):
-            count, _ = _read_varint(head, len(SEGMENTED_MAGIC))
-            return count
-        if head.startswith(MMAP_MAGIC):
-            return len(_read_mmap_sidecar(handle, head).segments)
-    raise StoreError(
-        "not a compiled corpus file (bad magic; expected LPDB0002/LPDB0003/"
-        "LPDB0004)"
-    )
+        _check_magic(handle.read(len(MMAP_MAGIC)))
+    return MMAP_MAGIC.decode("ascii")
 
 
 def is_compiled_corpus(path: str) -> bool:
-    """Cheap sniff: does the file start with an LPDB magic (or is it a
-    live-corpus directory with a manifest)?"""
+    """Cheap sniff: does :func:`corpus_format` accept ``path``?  A file of
+    a retired revision raises its :class:`RetiredRevisionError` instead
+    of answering ``False``, so no caller mistakes it for a treebank."""
     try:
-        if os.path.isdir(path):
-            from .live import MANIFEST_NAME
-
-            with open(os.path.join(path, MANIFEST_NAME), "rb") as handle:
-                return handle.read(len(LIVE_MAGIC)) == LIVE_MAGIC
-        with open(path, "rb") as handle:
-            magic = handle.read(len(MAGIC))
-            return magic in (MAGIC, LEGACY_MAGIC, SEGMENTED_MAGIC, MMAP_MAGIC)
-    except OSError:
+        corpus_format(path)
+    except RetiredRevisionError:
+        raise
+    except (StoreError, OSError):
         return False
+    return True
 
 
 #: How much of a store file the fingerprint reads: the whole header region
-#: (every revision keeps its length/CRC headers — for LPDB0004 the entire
-#: sidecar, which itself checksums all metadata — inside the first 64 KiB
-#: for any realistic corpus) plus a tail window, so both a metadata edit
-#: and a truncation/append change the digest.
+#: (the entire LPDB0004 sidecar, which itself checksums all metadata, sits
+#: inside the first 64 KiB for any realistic corpus) plus a tail window, so
+#: both a metadata edit and a truncation/append change the digest.
 _FINGERPRINT_HEAD = 64 * 1024
 _FINGERPRINT_TAIL = 4 * 1024
 
@@ -638,12 +321,11 @@ def store_fingerprint(path: str) -> str:
     digests the format magic, the file size and a CRC-32 over the head
     and tail windows — O(1) in the corpus size, in keeping with the
     zero-copy open — rather than hashing gigabytes of column blobs; the
-    head window covers every revision's own length/CRC headers (the
-    whole LPDB0004 sidecar), so any re-save reshuffles it.  Live
-    directories digest their manifest bytes plus the WAL size, so every
-    acknowledged append and every installed generation changes the
+    head window covers the whole sidecar, so any re-save reshuffles it.
+    Live directories digest their manifest bytes plus the WAL size, so
+    every acknowledged append and every installed generation changes the
     fingerprint (read-your-writes for the serving result cache).
-    Raises :class:`StoreError` for files without an LPDB magic."""
+    Raises :class:`StoreError` for files without the LPDB0004 magic."""
     if os.path.isdir(path):
         from .live import live_fingerprint
 
@@ -914,12 +596,10 @@ def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
         metas.append(meta)
         payloads.append(blobs)
     sidecar = _encode_mmap_sidecar(MmapHeader(sys.byteorder, offset, metas))
-    head = io.BytesIO()
-    _write_varint(head, len(sidecar))
-    _write_varint(head, zlib.crc32(sidecar))
-    prefix_length = len(MMAP_MAGIC) + head.getbuffer().nbytes + len(sidecar)
+    head = _block_header(sidecar)
+    prefix_length = len(MMAP_MAGIC) + len(head) + len(sidecar)
     stream.write(MMAP_MAGIC)
-    stream.write(head.getvalue())
+    stream.write(head)
     stream.write(sidecar)
     stream.write(b"\x00" * (_align8(prefix_length) - prefix_length))
     for blobs in payloads:
@@ -1041,26 +721,22 @@ class MappedCorpus:
         self.close()
 
 
+def _read_header(buffer) -> tuple[MmapHeader, int]:
+    """Verify the magic and the sidecar block at the front of ``buffer``
+    (bytes, an ``mmap`` or a ``memoryview``); returns the parsed sidecar
+    and the offset just past it."""
+    _check_magic(bytes(buffer[:len(MMAP_MAGIC)]))
+    sidecar, end = _checked_block(buffer, len(MMAP_MAGIC), "sidecar")
+    return _parse_mmap_sidecar(sidecar), end
+
+
 def _parse_mapped(buffer, views: list) -> list[MappedSegment]:
     """Parse an ``LPDB0004`` buffer (bytes or an ``mmap``); every created
     view is appended to ``views`` so a caller owning an mmap can release
     them all on close (or on a parse failure)."""
     base = memoryview(buffer)
     views.append(base)
-    if len(base) < len(MMAP_MAGIC) or bytes(base[:len(MMAP_MAGIC)]) != MMAP_MAGIC:
-        raise StoreError("not an LPDB0004 corpus file (bad magic)")
-    sidecar_length, offset = _read_varint(base, len(MMAP_MAGIC))
-    expected_crc, offset = _read_varint(base, offset)
-    end = offset + sidecar_length
-    if end > len(base):
-        raise StoreError(
-            f"sidecar length mismatch: header says {sidecar_length}, "
-            f"file has {len(base) - offset}"
-        )
-    sidecar = bytes(base[offset:end])
-    if zlib.crc32(sidecar) != expected_crc:
-        raise StoreError("checksum mismatch: the sidecar is corrupt")
-    header = _parse_mmap_sidecar(sidecar)
+    header, end = _read_header(base)
     if header.byteorder != sys.byteorder:
         raise StoreError(
             f"foreign byte order: file is {header.byteorder}-endian, "
@@ -1077,6 +753,16 @@ def _parse_mapped(buffer, views: list) -> list[MappedSegment]:
     return [MappedSegment(meta, region, views) for meta in header.segments]
 
 
+def _map_file(handle: BinaryIO):
+    """A read-only ``mmap`` of an open file (empty files cannot be mapped)."""
+    try:
+        return _mmap_module.mmap(
+            handle.fileno(), 0, access=_mmap_module.ACCESS_READ
+        )
+    except ValueError:
+        raise StoreError("not a compiled corpus file (empty)") from None
+
+
 def open_mapped_corpus(path: str) -> MappedCorpus:
     """``mmap`` an ``LPDB0004`` file and adopt its segments zero-copy.
 
@@ -1088,12 +774,7 @@ def open_mapped_corpus(path: str) -> MappedCorpus:
     views: list = []
     mapping = None
     try:
-        try:
-            mapping = _mmap_module.mmap(
-                handle.fileno(), 0, access=_mmap_module.ACCESS_READ
-            )
-        except ValueError:
-            raise StoreError("not an LPDB0004 corpus file (empty)") from None
+        mapping = _map_file(handle)
         segments = _parse_mapped(mapping, views)
     except BaseException:
         for view in views:
@@ -1105,90 +786,53 @@ def open_mapped_corpus(path: str) -> MappedCorpus:
     return MappedCorpus(path, segments, views, mapping, handle)
 
 
-def _mapped_string_lookup(segment: MappedSegment):
-    """A checked ``row -> (name, value)`` reader for the eager loaders
-    (the mmap path trusts the data region; the eager decode validates)."""
-    table = segment.table
-    size = len(table)
-    name_ids, value_ids = segment.name_ids, segment.value_ids
-
-    def lookup(row: int) -> tuple[str, Optional[str]]:
-        name_id, value_id = name_ids[row], value_ids[row]
-        if not 1 <= name_id < size or not 0 <= value_id < size:
-            raise StoreError("string-table reference out of range")
-        return table[name_id], table[value_id]
-
-    return lookup
+def _read_sidecar(path: str) -> MmapHeader:
+    """Read and verify just the sidecar of an ``LPDB0004`` file — no
+    column data is touched."""
+    with open(path, "rb") as handle, _map_file(handle) as mapping:
+        return _read_header(mapping)[0]
 
 
-def _mapped_labels_into(segment: MappedSegment, rows: list) -> None:
-    lookup = _mapped_string_lookup(segment)
-    tid, left, right = segment.tid, segment.left, segment.right
-    depth, node_id, pid = segment.depth, segment.id, segment.pid
-    for row in range(segment.n):
-        name, value = lookup(row)
-        rows.append(Label(
-            tid[row], left[row], right[row], depth[row],
-            node_id[row], pid[row], name, value,
-        ))
-
-
-def _mapped_columns_into(segment: MappedSegment, columns: LabelColumns) -> None:
-    lookup = _mapped_string_lookup(segment)
-    for attr in ("tid", "left", "right", "depth", "id", "pid"):
-        getattr(columns, attr).frombytes(getattr(segment, attr).tobytes())
-    for row in range(segment.n):
-        name, value = lookup(row)
-        columns.names.append(name)
-        columns.values.append(value)
-
-
-def _read_mmap_sidecar(handle: BinaryIO, head: bytes) -> MmapHeader:
-    """Read and verify just the sidecar of an open ``LPDB0004`` file
-    (``head`` is whatever prefix the caller already consumed)."""
-    prefix = head + handle.read(max(0, 32 - len(head)))
-    sidecar_length, offset = _read_varint(prefix, len(MMAP_MAGIC))
-    expected_crc, offset = _read_varint(prefix, offset)
-    sidecar = prefix[offset:offset + sidecar_length]
-    missing = sidecar_length - len(sidecar)
-    if missing > 0:
-        sidecar += handle.read(missing)
-    if len(sidecar) != sidecar_length:
-        raise StoreError(
-            f"sidecar length mismatch: header says {sidecar_length}, "
-            f"file has {len(sidecar)}"
-        )
-    if zlib.crc32(sidecar) != expected_crc:
-        raise StoreError("checksum mismatch: the sidecar is corrupt")
-    return _parse_mmap_sidecar(sidecar)
+def load_labels(stream: BinaryIO) -> list[Label]:
+    """Read the label rows of an ``LPDB0004`` stream, segment by segment
+    in clustered order.  Unlike the zero-copy open, every string-table
+    reference is checked."""
+    rows: list[Label] = []
+    for segment in _parse_mapped(stream.read(), []):
+        table, size = segment.table, len(segment.table)
+        name_ids, value_ids = segment.name_ids, segment.value_ids
+        tid, left, right = segment.tid, segment.left, segment.right
+        depth, node_id, pid = segment.depth, segment.id, segment.pid
+        for row in range(segment.n):
+            name_id, value_id = name_ids[row], value_ids[row]
+            if not 1 <= name_id < size or not 0 <= value_id < size:
+                raise StoreError("string-table reference out of range")
+            rows.append(Label(
+                tid[row], left[row], right[row], depth[row],
+                node_id[row], pid[row], table[name_id], table[value_id],
+            ))
+    return rows
 
 
 # -- store inspection ----------------------------------------------------------
 
 
-def corpus_info(path: str, top: int = 10) -> dict:
-    """Summarize a compiled corpus: revision, segment/row/tree counts and
-    the top-``top`` per-name statistics by row count.
+class InfoFold:
+    """Corpus totals and per-name statistics, folded over the pieces of
+    a store — LPDB0004 sidecars and raw label rows (a live WAL delta) —
+    into the :func:`corpus_info` summary.  Per name: rows, partitions
+    (distinct trees), largest partition, min and max depth."""
 
-    For ``LPDB0004`` everything comes from the sidecar — no column (let
-    alone value) data is read.  Older revisions have no statistics on
-    disk, so their payloads are decoded and scanned.  Live directories
-    add their manifest generation, WAL record/row counts, delta vs base
-    row split and last recovery action (:func:`repro.live.live_info`)."""
-    if os.path.isdir(path):
-        from .live import live_info
+    def __init__(self) -> None:
+        self.segments = self.rows = self.trees = 0
+        self.names: dict[str, list] = {}
 
-        return live_info(path, top=top)
-    revision = corpus_format(path)
-    size = os.path.getsize(path)
-    merged: dict[str, list] = {}
-
-    def fold(name: str, rows: int, partitions: int, max_partition: int,
-             min_depth: int, max_depth: int) -> None:
-        entry = merged.get(name)
+    def _add(self, name: str, rows: int, partitions: int,
+             max_partition: int, min_depth: int, max_depth: int) -> None:
+        entry = self.names.get(name)
         if entry is None:
-            merged[name] = [rows, partitions, max_partition,
-                            min_depth, max_depth]
+            self.names[name] = [rows, partitions, max_partition,
+                                min_depth, max_depth]
         else:
             entry[0] += rows
             entry[1] += partitions
@@ -1196,57 +840,63 @@ def corpus_info(path: str, top: int = 10) -> dict:
             entry[3] = min(entry[3], min_depth)
             entry[4] = max(entry[4], max_depth)
 
-    if revision == MMAP_MAGIC.decode("ascii"):
-        with open(path, "rb") as handle:
-            header = _read_mmap_sidecar(handle, handle.read(len(MMAP_MAGIC)))
-        segments = len(header.segments)
-        rows = sum(meta.n for meta in header.segments)
-        trees = sum(len(meta.tid_dir) for meta in header.segments)
+    def add_sidecar(self, header: MmapHeader) -> None:
+        """Every segment of one file, from its collected statistics."""
         for meta in header.segments:
+            self.segments += 1
+            self.rows += meta.n
+            self.trees += len(meta.tid_dir)
             row_lo = part_lo = 0
             for sid, row_hi, part_hi, max_part, min_d, max_d in meta.names:
-                fold(meta.strings[sid - 1], row_hi - row_lo,
-                     part_hi - part_lo, max_part, min_d, max_d)
+                self._add(meta.strings[sid - 1], row_hi - row_lo,
+                          part_hi - part_lo, max_part, min_d, max_d)
                 row_lo, part_lo = row_hi, part_hi
-    else:
-        shards = load_corpus_segments(path)
-        segments = len(shards)
-        rows = sum(len(shard) for shard in shards)
-        tids: set[int] = set()
-        for shard in shards:
-            tids.update(shard.tid)
-            per_partition: dict[tuple[str, int], int] = {}
-            depths: dict[str, tuple[int, int]] = {}
-            for row in range(len(shard)):
-                name = shard.names[row]
-                key = (name, shard.tid[row])
-                per_partition[key] = per_partition.get(key, 0) + 1
-                depth = shard.depth[row]
-                span = depths.get(name)
-                depths[name] = (
-                    (depth, depth) if span is None
-                    else (min(span[0], depth), max(span[1], depth))
-                )
-            counts: dict[str, list] = {}
-            for (name, _tid), count in per_partition.items():
-                entry = counts.setdefault(name, [0, 0, 0])
-                entry[0] += count
-                entry[1] += 1
-                entry[2] = max(entry[2], count)
-            for name, (total, partitions, max_partition) in counts.items():
-                min_depth, max_depth = depths[name]
-                fold(name, total, partitions, max_partition,
-                     min_depth, max_depth)
-        trees = len(tids)
 
-    ranked = sorted(merged.items(), key=lambda item: (-item[1][0], item[0]))
-    return {
-        "path": path,
-        "bytes": size,
-        "format": revision,
-        "segments": segments,
-        "rows": rows,
-        "trees": trees,
-        "distinct_names": len(merged),
-        "top_names": [(name, tuple(stats)) for name, stats in ranked[:top]],
-    }
+    def add_rows(self, rows: Sequence) -> None:
+        """Label rows of trees no other piece holds, scanned: each
+        ``(name, tid)`` partition folds in as one."""
+        parts: dict[tuple[str, int], list] = {}
+        for row in rows:
+            part = parts.get((row[6], row[0]))
+            if part is None:
+                parts[(row[6], row[0])] = [1, row[3], row[3]]
+            else:
+                part[0] += 1
+                part[1] = min(part[1], row[3])
+                part[2] = max(part[2], row[3])
+        for (name, _tid), (count, min_depth, max_depth) in parts.items():
+            self._add(name, count, 1, count, min_depth, max_depth)
+        self.rows += len(rows)
+        self.trees += len({row[0] for row in rows})
+
+    def summary(self, path: str, size: int, revision: str, top: int) -> dict:
+        ranked = sorted(self.names.items(), key=lambda item: (-item[1][0], item[0]))
+        return {
+            "path": path,
+            "bytes": size,
+            "format": revision,
+            "segments": self.segments,
+            "rows": self.rows,
+            "trees": self.trees,
+            "distinct_names": len(self.names),
+            "top_names": [(name, tuple(stats)) for name, stats in ranked[:top]],
+        }
+
+
+def corpus_info(path: str, top: int = 10) -> dict:
+    """Summarize a compiled corpus: revision, segment/row/tree counts and
+    the top-``top`` per-name statistics by row count.
+
+    For ``LPDB0004`` everything comes from the sidecar — no column (let
+    alone value) data is read.  Live directories add their manifest
+    generation, WAL record/row counts, delta vs base row split and last
+    recovery action (:func:`repro.live.live_info`)."""
+    if os.path.isdir(path):
+        from .live import live_info
+
+        return live_info(path, top=top)
+    fold = InfoFold()
+    fold.add_sidecar(_read_sidecar(path))
+    return fold.summary(
+        path, os.path.getsize(path), MMAP_MAGIC.decode("ascii"), top
+    )

@@ -59,7 +59,7 @@ class XPathEngine(PlanEngine):
     ) -> "XPathEngine":
         """Open an ``LPDB0004`` file of *start/end-labeled* rows zero-copy
         (save one with ``repro.labeling.xpath_scheme.label_corpus`` rows
-        and ``save_labels(format='lpdb0004')``).  No trees.  ``mode`` as
+        and :func:`repro.store.save_mapped`).  No trees.  ``mode`` as
         in :meth:`repro.lpath.LPathEngine.from_store_mmap` (process
         default when ``workers > 1``); :meth:`close` unmaps the file."""
         return cls._open_mapped(

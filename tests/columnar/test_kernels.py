@@ -650,8 +650,8 @@ class TestColumnPtr:
 
         path = str(tmp_path / "corpus.lpdb")
         with open(path, "wb") as handle:
-            store_module.save_labels(
-                list(label_corpus(trees)), handle, format="lpdb0004"
+            store_module.save_mapped(
+                list(label_corpus(trees)), handle
             )
         corpus = store_module.open_mapped_corpus(path)
         mapped = MappedColumnStore(corpus.segments[0])

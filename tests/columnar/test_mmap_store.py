@@ -29,7 +29,7 @@ from tests.strategies import corpora
 def mapped_and_built(rows, segments=1):
     """Per-segment ``(mapped, built)`` store pairs for one corpus."""
     buffer = io.BytesIO()
-    store.save_labels(rows, buffer, segments=segments, format="lpdb0004")
+    store.save_mapped(rows, buffer, segments=segments)
     mapped_segments = store._parse_mapped(buffer.getvalue(), [])
     shards = (
         store.partition_rows_by_tid(rows, segments)
@@ -165,8 +165,8 @@ class TestMappedEngineSurface:
         from repro.lpath import LPathEngine
 
         path = tmp_path / "old.lpdb"
-        store.save_corpus([figure1_tree()], str(path))
-        with pytest.raises(store.StoreError):
+        path.write_bytes(b"LPDB0002" + b"\x00" * 8)
+        with pytest.raises(store.StoreError, match="LPDB0002"):
             LPathEngine.from_store_mmap(str(path))
 
     def test_bad_mode_rejected(self, tmp_path):

@@ -139,8 +139,8 @@ def engines(trees, tmp_path_factory):
     root = tmp_path_factory.mktemp("semijoin")
     mapped_path = str(root / "corpus.lpdb")
     with open(mapped_path, "wb") as stream:
-        store.save_labels(
-            list(label_corpus(trees)), stream, segments=2, format="lpdb0004"
+        store.save_mapped(
+            list(label_corpus(trees)), stream, segments=2
         )
     live_path = str(root / "live.lpdb")
     live.create_live_corpus(live_path, list(label_corpus(trees[:2])), segments=1)

@@ -156,9 +156,8 @@ def mmap_engines(trees, workers: int = 2):
     engines = {}
     try:
         with os.fdopen(handle, "wb") as stream:
-            store.save_labels(
+            store.save_mapped(
                 list(label_corpus(trees)), stream, segments=2,
-                format="lpdb0004",
             )
         engines["mmap"] = LPathEngine.from_store_mmap(path)
         engines["mmap+process"] = LPathEngine.from_store_mmap(
@@ -199,9 +198,8 @@ class TestDaemonDifferentialFuzz:
         handle, path = tempfile.mkstemp(suffix=".lpdb")
         try:
             with os.fdopen(handle, "wb") as stream:
-                store.save_labels(
+                store.save_mapped(
                     list(label_corpus(trees)), stream, segments=2,
-                    format="lpdb0004",
                 )
             with LPathEngine.from_store_mmap(path) as engine, \
                     QueryServer(QueryService(path)).start() as server, \
@@ -329,9 +327,8 @@ class TestBatchDifferentialFuzz:
         handle, path = tempfile.mkstemp(suffix=".lpdb")
         try:
             with os.fdopen(handle, "wb") as stream:
-                store.save_labels(
+                store.save_mapped(
                     list(label_corpus(trees)), stream, segments=2,
-                    format="lpdb0004",
                 )
             with LPathEngine.from_store_mmap(path) as engine, \
                     QueryServer(QueryService(path)).start() as server, \
@@ -444,13 +441,12 @@ class TestLiveCorpusDifferentialFuzz:
             # Byte-identity: re-saving the live corpus monolithically
             # produces the exact file a direct monolithic save would.
             resave = io.BytesIO()
-            store.save_labels(
+            store.save_mapped(
                 store.load_corpus_labels(live_path), resave,
-                format="lpdb0004",
             )
             direct = io.BytesIO()
-            store.save_labels(
-                list(label_corpus(trees)), direct, format="lpdb0004"
+            store.save_mapped(
+                list(label_corpus(trees)), direct
             )
             assert resave.getvalue() == direct.getvalue()
         finally:

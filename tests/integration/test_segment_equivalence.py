@@ -8,9 +8,8 @@ generators), sharding the corpus must be invisible in the results:
   monolithic engine's ``(tid, id)`` lists;
 * the same holds for the XPath engine on the start/end-expressible
   fragment;
-* a corpus round-tripped through the segmented ``LPDB0003`` store format
-  (and loaded shard-by-shard into a columnar-only ``from_columns``
-  engine) must also agree exactly.
+* a corpus saved as a segmented ``LPDB0004`` file and opened zero-copy
+  (threads and worker processes) must also agree exactly.
 
 The in-memory and mmap sharded sweeps each run once per kernel backend
 (``REPRO_KERNELS=python`` and ``=native``) so the native hot loops are
@@ -21,7 +20,6 @@ example budget like the main differential-fuzz harness.
 
 from __future__ import annotations
 
-import io
 import os
 from contextlib import contextmanager
 
@@ -146,22 +144,6 @@ class TestLPathSegmentEquivalence:
                     )
                     assert compiled.count() == len(expected)
 
-    @given(data=st.data())
-    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
-    def test_lpdb0003_round_trip_matches_monolithic(self, data):
-        trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        monolithic = LPathEngine(trees, keep_trees=False)
-        rows = list(label_corpus(trees))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        buffer.seek(0)
-        engine = LPathEngine.from_columns(
-            store.load_segment_columns(buffer), workers=2
-        )
-        for index in range(QUERIES_PER_EXAMPLE):
-            query = data.draw(lpath_queries(), label=f"query {index}")
-            assert engine.query(query) == monolithic.query(query), query
-
     @pytest.mark.parametrize("kernels", KERNEL_BACKENDS)
     @given(data=st.data())
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
@@ -173,7 +155,7 @@ class TestLPathSegmentEquivalence:
         rows = list(label_corpus(trees))
         path = str(tmp_path_factory.mktemp("mmap") / "corpus.lpdb")
         with open(path, "wb") as handle:
-            store.save_labels(rows, handle, segments=3, format="lpdb0004")
+            store.save_mapped(rows, handle, segments=3)
         engines = {
             "sequential": LPathEngine.from_store_mmap(path),
             "thread": LPathEngine.from_store_mmap(
@@ -289,9 +271,8 @@ class TestProcessWorkerEntryPoints:
         trees = [figure1_tree(tid=tid) for tid in range(5)]
         path = str(tmp_path / "corpus.lpdb")
         with open(path, "wb") as handle:
-            store.save_labels(
+            store.save_mapped(
                 list(label_corpus(trees)), handle, segments=2,
-                format="lpdb0004",
             )
         return path, trees
 
@@ -352,7 +333,7 @@ class TestProcessWorkerEntryPoints:
         rows = [tuple(row) for row in xpath_scheme.label_corpus(trees)]
         path = str(tmp_path / "xpath.lpdb")
         with open(path, "wb") as handle:
-            store.save_labels(rows, handle, segments=2, format="lpdb0004")
+            store.save_mapped(rows, handle, segments=2)
         spec = segmented.RemoteSpec(
             path, "XPath", tuple(sorted(axis.name for axis in XPATH_AXES))
         )

@@ -121,13 +121,12 @@ def test_top_k_goes_through_the_same_emit_and_merge(engine, calls):
 @pytest.fixture(scope="module")
 def xpath_store_path(tmp_path_factory):
     from repro.labeling.xpath_scheme import label_corpus
-    from repro.store import save_labels
+    from repro.store import save_mapped
 
     trees = list(generate_corpus("wsj", sentences=80, seed=5))
     path = str(tmp_path_factory.mktemp("output") / "x2.lpdb")
     with open(path, "wb") as stream:
-        save_labels(list(label_corpus(trees)), stream, segments=2,
-                    format="lpdb0004")
+        save_mapped(list(label_corpus(trees)), stream, segments=2)
     return path
 
 

@@ -348,9 +348,8 @@ class TestXPathDialect:
     def test_xpath_store_serves_xpath_queries(self, trees, tmp_path):
         path = str(tmp_path / "xpath.lpdb")
         with open(path, "wb") as stream:
-            store.save_labels(
+            store.save_mapped(
                 list(xpath_label_corpus(trees)), stream, segments=2,
-                format="lpdb0004",
             )
         with XPathEngine.from_store_mmap(path) as engine:
             expected = engine.query("//NP")
@@ -363,16 +362,15 @@ class TestXPathDialect:
                 service.execute({"query": "//NP"})  # lpath against xpath
             assert failure.value.status == 400
 
-    def test_pre_mmap_store_refuses_xpath_dialect(self, trees, tmp_path):
-        # Only the zero-copy LPDB0004 layout can back the xpath engine's
-        # mmap path; an older-revision store gets a clean refusal.
-        from repro.lpath.errors import LPathError
-
-        path = str(tmp_path / "old.lpdb")
-        store.save_corpus(trees, path, segments=2, format="lpdb0003")
-        with pytest.raises(LPathError) as failure:
-            QueryService(StoreSpec(path, dialect="xpath"))
-        assert "LPDB0004" in str(failure.value)
+    def test_pre_mmap_store_refuses_xpath_dialect(self, tmp_path):
+        # A store of a retired revision (here a hand-written LPDB0003
+        # header) gets a clean refusal naming the revision.
+        path = tmp_path / "old.lpdb"
+        path.write_bytes(b"LPDB0003" + b"\x02\x05\x00\x00\x00\x00")
+        with pytest.raises(store.StoreError) as failure:
+            QueryService(StoreSpec(str(path), dialect="xpath"))
+        assert "LPDB0003" in str(failure.value)
+        assert "repro compile" in str(failure.value)
 
 
 class _SlowEngine:

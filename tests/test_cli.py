@@ -82,13 +82,17 @@ class TestQuery:
         assert "in 4 segments" in output
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        # The segmented file serves sequential and pooled fan-out, and an
-        # explicit --segments re-deals the on-disk shards.
-        for extra in ([], ["--workers", "2"], ["--segments", "4"],
-                      ["--segments", "2"], ["--segments", "1"]):
+        # The segmented file serves sequential and pooled fan-out; it
+        # keeps its on-disk shards, so --segments is an error.
+        for extra in ([], ["--workers", "2"],
+                      ["--workers", "2", "--mode", "thread"]):
             code, output = run(["query", lpdb, "//S//NP", "--count"] + extra)
             assert code == 0, extra
             assert output == expected, extra
+        for segments in ("4", "1"):
+            code, _ = run(["query", lpdb, "//S//NP", "--count",
+                           "--segments", segments])
+            assert code == 1, segments
 
     def test_invalid_segments_reported(self, corpus_file):
         code, _ = run(["query", corpus_file, "//NP", "--count",
@@ -215,23 +219,28 @@ class TestMmapQuery:
         code, sequential = run(["query", mmap_file, "//NP", "--count",
                                 "--mmap"])
         assert code == 0
-        code, fanned = run(["query", mmap_file, "//NP", "--count", "--mmap",
-                            "--workers", "2", "--mode", "process"])
-        assert code == 0
-        assert fanned == sequential
+        for flags in (["--mmap"], []):
+            code, fanned = run(["query", mmap_file, "//NP", "--count",
+                                "--workers", "2", "--mode", "process"]
+                               + flags)
+            assert code == 0, flags
+            assert fanned == sequential, flags
 
-    def test_mmap_requires_compiled_corpus(self, corpus_file):
-        code, _ = run(["query", corpus_file, "//NP", "--count", "--mmap"])
+    def test_mmap_is_a_no_op(self, corpus_file):
+        code, plain = run(["query", corpus_file, "//NP", "--count"])
+        assert code == 0
+        code, flagged = run(["query", corpus_file, "//NP", "--count",
+                             "--mmap"])
+        assert code == 0
+        assert flagged == plain
+
+    def test_mmap_rejects_old_revision(self, tmp_path):
+        lpdb = tmp_path / "old.lpdb"
+        lpdb.write_bytes(b"LPDB0002" + b"\x00" * 8)
+        code, _ = run(["query", str(lpdb), "//NP", "--count", "--mmap"])
         assert code == 1
 
-    def test_mmap_rejects_old_revision(self, corpus_file, tmp_path):
-        lpdb = str(tmp_path / "old.lpdb")
-        code, _ = run(["compile", corpus_file, "-o", lpdb])
-        assert code == 0
-        code, _ = run(["query", lpdb, "//NP", "--count", "--mmap"])
-        assert code == 1
-
-    def test_mode_requires_mmap(self, corpus_file):
+    def test_mode_requires_compiled_corpus(self, corpus_file):
         code, _ = run(["query", corpus_file, "//NP", "--count",
                        "--mode", "process"])
         assert code == 1
@@ -260,12 +269,21 @@ class TestStoreInfo:
         run(["compile", corpus_file, "-o", lpdb])
         code, output = run(["store", "info", lpdb])
         assert code == 0
-        assert "format: LPDB0002" in output
+        assert "format: LPDB0004" in output
         assert "segments: 1" in output
 
     def test_non_store_file_reported(self, corpus_file):
         code, _ = run(["store", "info", corpus_file])
         assert code == 1
+
+    @pytest.mark.parametrize("format", ["auto", "lpdb0002", "lpdb0003"])
+    def test_compile_offers_only_current_formats(self, corpus_file, tmp_path,
+                                                 capsys, format):
+        lpdb = tmp_path / "corpus.lpdb"
+        with pytest.raises(SystemExit):
+            run(["compile", corpus_file, "-o", str(lpdb), "--format", format])
+        assert "--format" in capsys.readouterr().err
+        assert not lpdb.exists()
 
 
 class TestCompact:
@@ -512,7 +530,7 @@ class TestKernelAndSegmentConfigErrors:
         code, _ = run(["query", corpus_file, "//NP", "--count",
                        "--mode", "process"])
         assert code == 1
-        assert "--mode requires --mmap" in capsys.readouterr().err
+        assert "--mode needs a compiled corpus" in capsys.readouterr().err
 
     def test_invalid_kernels_env_at_daemon_is_4xx(self, corpus_file,
                                                   tmp_path, monkeypatch):

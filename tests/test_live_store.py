@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import given, settings
 
 from repro import live, store
 from repro.corpus import generate_corpus
@@ -16,6 +17,7 @@ from repro.labeling.lpath_scheme import label_corpus
 from repro.live import LiveCorpus, LiveEngineManager
 from repro.store import StoreError
 from repro.tree.bracket import iter_trees
+from tests.strategies import corpora
 
 TEXT = "(S (NP (N dog)) (VP (V ran)))"
 MORE = "(S (NP (N cat)) (VP (V sat) (NP (N mat))))"
@@ -221,6 +223,60 @@ class TestRecovery:
         assert store.corpus_info(corpus_dir)["generation"] == before + 1
 
 
+def decode_record(payload: bytes) -> list:
+    rows: list = []
+    live._decode_labels_into(payload, rows)
+    return rows
+
+
+class TestWalRecordCodec:
+    """One WAL record payload: a row count, an interned string table and
+    varint rows.  Its frame CRC catches torn writes (``TestRecovery``);
+    a payload that passes the CRC but is malformed still raises
+    StoreError rather than yielding garbage rows."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        return live._encode_payload(rows_for(MORE))[0]
+
+    def test_round_trip(self):
+        rows = rows_for(TEXT + MORE)
+        payload, count = live._encode_payload(rows)
+        assert count == len(rows)
+        assert decode_record(payload) == rows
+
+    @given(corpora(max_trees=3, max_depth=4))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_random(self, trees):
+        rows = list(label_corpus(trees))
+        assert decode_record(live._encode_payload(rows)[0]) == rows
+
+    def test_interning_compresses(self):
+        rows = rows_for(MORE * 20)
+        payload, _ = live._encode_payload(rows)
+        # Far smaller than a naive text dump of the rows.
+        assert len(payload) < len(repr(rows)) / 4
+
+    def test_every_truncation_detected(self, payload):
+        for cut in range(len(payload)):
+            with pytest.raises(StoreError):
+                decode_record(payload[:cut])
+
+    def test_trailing_garbage_detected(self, payload):
+        with pytest.raises(StoreError, match="trailing"):
+            decode_record(payload + b"\x00")
+
+    def test_bad_string_reference_detected(self):
+        import io
+
+        record = io.BytesIO()
+        # One row, an empty string table, a name index past its end.
+        for field in (1, 0, 0, 0, 1, 0, 0, 0, 5, 0):
+            store._write_varint(record, field)
+        with pytest.raises(StoreError, match="out of range"):
+            decode_record(record.getvalue())
+
+
 class TestFaultPoints:
     def test_fsync_fail_rolls_back(self, corpus_dir, monkeypatch):
         with LiveCorpus(corpus_dir) as corpus:
@@ -379,7 +435,7 @@ class TestLiveEngine:
         rows = store.load_corpus_labels(corpus_dir)
         mono = str(tmp_path / "mono.lpdb")
         with store.atomic_write(mono) as handle:
-            store.save_labels(rows, handle, format="lpdb0004")
+            store.save_mapped(rows, handle)
         from repro.lpath import LPathEngine
 
         live_engine = LPathEngine.open(corpus_dir)
@@ -752,16 +808,16 @@ class TestAtomicSaves:
         # Make the re-save die mid-write, after bytes have been
         # produced: the temp file must be discarded and the original
         # store stay byte-identical.
-        real_save = store.save_labels
+        real_save = store.save_mapped
 
         def exploding_save(rows, handle, **kwargs):
             handle.write(b"partial garbage")
             raise OSError("disk died mid-save")
 
-        monkeypatch.setattr(store, "save_labels", exploding_save)
+        monkeypatch.setattr(store, "save_mapped", exploding_save)
         with pytest.raises(OSError, match="disk died"):
             store.save_corpus(trees, path, format="lpdb0004")
-        monkeypatch.setattr(store, "save_labels", real_save)
+        monkeypatch.setattr(store, "save_mapped", real_save)
         assert open(path, "rb").read() == good
         assert not [
             name for name in os.listdir(tmp_path)
@@ -789,10 +845,10 @@ class TestStoreInfoSurface:
         assert info["last_recovery"] is None
 
     def test_segment_count_includes_delta(self, corpus_dir):
-        base = store.corpus_segment_count(corpus_dir)
+        base = store.corpus_info(corpus_dir)["segments"]
         with LiveCorpus(corpus_dir) as corpus:
             corpus.append_trees(MORE)
-        assert store.corpus_segment_count(corpus_dir) == base + 1
+        assert store.corpus_info(corpus_dir)["segments"] == base + 1
 
     def test_info_matches_generated_corpus(self, tmp_path):
         trees = list(generate_corpus("wsj", sentences=20, seed=5))

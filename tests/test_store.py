@@ -1,6 +1,8 @@
 """Tests for compiled-corpus storage and the from_labels engine path."""
 
+import hashlib
 import io
+import sys
 
 import pytest
 import hypothesis.strategies as st
@@ -14,28 +16,24 @@ from tests.strategies import corpora
 
 
 def round_trip(rows):
+    """Save and reload; rows come back in clustered order, so compare
+    as sorted lists."""
     buffer = io.BytesIO()
-    store.save_labels(rows, buffer)
+    store.save_mapped(rows, buffer)
     buffer.seek(0)
-    return store.load_labels(buffer)
-
-
-def saved_bytes(rows, checksum=True) -> bytes:
-    buffer = io.BytesIO()
-    store.save_labels(rows, buffer, checksum=checksum)
-    return buffer.getvalue()
+    return sorted(store.load_labels(buffer))
 
 
 class TestFormat:
     def test_round_trip_figure1(self):
         rows = list(label_corpus([figure1_tree()]))
-        assert round_trip(rows) == rows
+        assert round_trip(rows) == sorted(rows)
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random(self, trees):
         rows = list(label_corpus(trees))
-        assert round_trip(rows) == rows
+        assert round_trip(rows) == sorted(rows)
 
     def test_empty_corpus(self):
         assert round_trip([]) == []
@@ -47,7 +45,7 @@ class TestFormat:
     def test_truncation_detected(self):
         rows = list(label_corpus([figure1_tree()]))
         buffer = io.BytesIO()
-        store.save_labels(rows, buffer)
+        store.save_mapped(rows, buffer)
         data = buffer.getvalue()
         with pytest.raises(store.StoreError):
             store.load_labels(io.BytesIO(data[:-3]))
@@ -55,124 +53,24 @@ class TestFormat:
     def test_trailing_garbage_detected(self):
         rows = list(label_corpus([figure1_tree()]))
         buffer = io.BytesIO()
-        store.save_labels(rows, buffer)
+        store.save_mapped(rows, buffer)
         with pytest.raises(store.StoreError):
             store.load_labels(io.BytesIO(buffer.getvalue() + b"\x00"))
-
-    def test_interning_compresses(self):
-        trees = [figure1_tree(tid=i) for i in range(20)]
-        rows = list(label_corpus(trees))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer)
-        # Far smaller than a naive text dump of the rows.
-        assert len(buffer.getvalue()) < len(repr(rows)) / 4
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
         count = store.save_corpus([figure1_tree()], str(path))
         assert count == 25
         assert store.is_compiled_corpus(str(path))
+        assert store.corpus_format(str(path)) == "LPDB0004"
         assert not store.is_compiled_corpus(str(tmp_path / "missing"))
         rows = store.load_corpus_labels(str(path))
         assert len(rows) == 25
 
 
-class TestColumnarLoader:
-    """The direct-to-columns loader must agree with the row loader."""
-
-    def test_columns_match_rows_figure1(self):
-        rows = list(label_corpus([figure1_tree()]))
-        data = saved_bytes(rows)
-        columns = store.load_label_columns(io.BytesIO(data))
-        assert len(columns) == len(rows)
-        for index, row in enumerate(rows):
-            assert (
-                columns.tid[index], columns.left[index], columns.right[index],
-                columns.depth[index], columns.id[index], columns.pid[index],
-                columns.names[index], columns.values[index],
-            ) == tuple(row)
-
-    @given(corpora(max_trees=3, max_depth=4))
-    @settings(max_examples=20, deadline=None)
-    def test_columns_match_rows_random(self, trees):
-        rows = list(label_corpus(trees))
-        data = saved_bytes(rows)
-        columns = store.load_label_columns(io.BytesIO(data))
-        assert columns.names == [row.name for row in rows]
-        assert list(columns.left) == [row.left for row in rows]
-        assert columns.values == [row.value for row in rows]
-
-    def test_reads_legacy_format(self):
-        rows = list(label_corpus([figure1_tree()]))
-        data = saved_bytes(rows, checksum=False)
-        assert data.startswith(store.LEGACY_MAGIC)
-        assert store.load_labels(io.BytesIO(data)) == rows
-        assert store.load_label_columns(io.BytesIO(data)).names == [
-            row.name for row in rows
-        ]
-
-    def test_file_helper(self, tmp_path):
-        path = tmp_path / "corpus.lpdb"
-        store.save_corpus([figure1_tree()], str(path))
-        columns = store.load_corpus_columns(str(path))
-        assert len(columns) == 25
-
-
-class TestSegmentedFormat:
-    """The LPDB0003 manifest + per-segment block layout."""
-
+class TestPartitionRowsByTid:
     def trees(self, count=5):
         return [figure1_tree(tid=tid) for tid in range(count)]
-
-    def test_round_trip_concatenates_shards(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        count = store.save_labels(rows, buffer, segments=3)
-        assert count == len(rows)
-        data = buffer.getvalue()
-        assert data.startswith(store.SEGMENTED_MAGIC)
-        # Same multiset of rows; shard-major order.
-        assert sorted(store.load_labels(io.BytesIO(data))) == sorted(rows)
-
-    def test_segment_columns_partition_by_tid(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        shards = store.load_segment_columns(io.BytesIO(buffer.getvalue()))
-        assert len(shards) == 3
-        tid_sets = [set(shard.tid) for shard in shards]
-        # Disjoint shards covering every tree (round-robin over sorted tids).
-        assert tid_sets == [{0, 3}, {1, 4}, {2}]
-        assert sum(len(shard) for shard in shards) == len(rows)
-
-    def test_single_store_formats_load_as_one_segment(self):
-        rows = list(label_corpus([figure1_tree()]))
-        for checksum in (True, False):
-            shards = store.load_segment_columns(
-                io.BytesIO(saved_bytes(rows, checksum=checksum))
-            )
-            assert len(shards) == 1
-            assert shards[0].names == [row.name for row in rows]
-
-    def test_merged_column_loader_reads_segmented_files(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=4)
-        columns = store.load_label_columns(io.BytesIO(buffer.getvalue()))
-        assert len(columns) == len(rows)
-        assert sorted(columns.tid) == sorted(row.tid for row in rows)
-
-    def test_empty_segments_allowed(self):
-        rows = list(label_corpus([figure1_tree()]))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        shards = store.load_segment_columns(io.BytesIO(buffer.getvalue()))
-        assert [len(shard) for shard in shards] == [len(rows), 0, 0]
-
-    def test_legacy_layout_has_no_segmented_variant(self):
-        rows = list(label_corpus(self.trees()))
-        with pytest.raises(store.StoreError):
-            store.save_labels(rows, io.BytesIO(), checksum=False, segments=2)
 
     def test_partition_rows_deterministic_and_whole_trees(self):
         rows = list(label_corpus(self.trees(7)))
@@ -187,49 +85,63 @@ class TestSegmentedFormat:
         assert seen == set(range(7))
 
     def test_partition_rejects_bad_counts(self):
-        for partition in (store.partition_rows_by_tid, store.partition_columns):
-            with pytest.raises(store.StoreError):
-                partition([] if partition is store.partition_rows_by_tid
-                          else store.LabelColumns(), 0)
-
-    def test_truncation_and_bit_flips_detected(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        blob = buffer.getvalue()
-        for cut in range(0, len(blob), 7):
-            with pytest.raises(store.StoreError):
-                store.load_segment_columns(io.BytesIO(blob[:cut]))
-        for position in range(0, len(blob), 11):
-            corrupt = bytearray(blob)
-            corrupt[position] ^= 0x10
-            with pytest.raises(store.StoreError):
-                store.load_segment_columns(io.BytesIO(bytes(corrupt)))
-
-    def test_trailing_garbage_detected(self):
-        rows = list(label_corpus(self.trees()))
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=2)
         with pytest.raises(store.StoreError):
-            store.load_segment_columns(io.BytesIO(buffer.getvalue() + b"\x00"))
+            store.partition_rows_by_tid([], 0)
 
-    def test_file_helpers_and_sniffing(self, tmp_path):
-        path = tmp_path / "corpus.lpdb"
-        store.save_corpus(self.trees(), str(path), segments=3)
-        assert store.is_compiled_corpus(str(path))
-        assert store.corpus_segment_count(str(path)) == 3
-        shards = store.load_corpus_segments(str(path))
-        assert len(shards) == 3
-        single = tmp_path / "single.lpdb"
-        store.save_corpus(self.trees(), str(single))
-        assert store.corpus_segment_count(str(single)) == 1
-        assert len(store.load_corpus_segments(str(single))) == 1
+
+class TestSniffing:
+    """``corpus_format`` is the one sniffer: anything that is neither an
+    LPDB0004 file nor an LPDB0005 directory raises a plain StoreError,
+    and ``is_compiled_corpus`` answers False for it."""
+
+    def make_empty(self, path):
+        path.write_bytes(b"")
+
+    def make_short(self, path):
+        path.write_bytes(b"LPDB")
+
+    def make_treebank(self, path):
+        path.write_text("(S (NP (N dog)) (VP (V ran)))\n")
+
+    def make_future_revision(self, path):
+        path.write_bytes(b"LPDB0006" + bytes(16))
+
+    def make_bare_directory(self, path):
+        path.mkdir()
+
+    def make_bad_manifest(self, path):
+        from repro.live import MANIFEST_NAME
+
+        path.mkdir()
+        (path / MANIFEST_NAME).write_bytes(store.MMAP_MAGIC + bytes(16))
+
+    @pytest.mark.parametrize("kind", [
+        "empty", "short", "treebank", "future_revision", "bare_directory",
+        "bad_manifest",
+    ])
+    def test_non_stores_rejected(self, tmp_path, kind):
+        path = tmp_path / "input"
+        getattr(self, f"make_{kind}")(path)
+        with pytest.raises(store.StoreError) as error:
+            store.corpus_format(str(path))
+        assert not isinstance(error.value, store.RetiredRevisionError)
+        assert not store.is_compiled_corpus(str(path))
 
 
 def mmap_bytes(rows, segments=1) -> bytes:
     buffer = io.BytesIO()
-    store.save_labels(rows, buffer, segments=segments, format="lpdb0004")
+    store.save_mapped(rows, buffer, segments=segments)
     return buffer.getvalue()
+
+
+def mapped_segments(tmp_path, blob):
+    """``(n, tids)`` per segment of an LPDB0004 blob, opened zero-copy."""
+    path = tmp_path / "segments.lpdb"
+    path.write_bytes(blob)
+    with store.open_mapped_corpus(str(path)) as corpus:
+        return [
+            (segment.n, set(segment.tid)) for segment in corpus.segments
+        ]
 
 
 def rebuild_mmap_file(blob: bytes, mutate) -> bytes:
@@ -265,55 +177,17 @@ class TestMmapFormat:
         # Rows come back in clustered (not insertion) order.
         assert sorted(store.load_labels(io.BytesIO(data))) == sorted(rows)
 
-    def test_segment_columns_partition_by_tid(self):
+    def test_segment_columns_partition_by_tid(self, tmp_path):
         rows = list(label_corpus(self.trees()))
-        shards = store.load_segment_columns(
-            io.BytesIO(mmap_bytes(rows, segments=3))
-        )
-        assert [set(shard.tid) for shard in shards] == [{0, 3}, {1, 4}, {2}]
-        assert sum(len(shard) for shard in shards) == len(rows)
+        shards = mapped_segments(tmp_path, mmap_bytes(rows, segments=3))
+        assert [tids for _, tids in shards] == [{0, 3}, {1, 4}, {2}]
+        assert sum(n for n, _ in shards) == len(rows)
 
-    def test_merged_column_loader(self):
-        rows = list(label_corpus(self.trees()))
-        columns = store.load_label_columns(
-            io.BytesIO(mmap_bytes(rows, segments=4))
-        )
-        assert len(columns) == len(rows)
-        assert sorted(columns.tid) == sorted(row.tid for row in rows)
-
-    def test_empty_corpus_and_empty_segments(self):
+    def test_empty_corpus_and_empty_segments(self, tmp_path):
         assert store.load_labels(io.BytesIO(mmap_bytes([]))) == []
         rows = list(label_corpus([figure1_tree()]))
-        shards = store.load_segment_columns(
-            io.BytesIO(mmap_bytes(rows, segments=3))
-        )
-        assert [len(shard) for shard in shards] == [len(rows), 0, 0]
-
-    def test_resave_round_trips_from_every_older_revision(self, tmp_path):
-        from repro.lpath import LPathEngine
-
-        rows = list(label_corpus(self.trees()))
-        olds = {
-            "LPDB0001": saved_bytes(rows, checksum=False),
-            "LPDB0002": saved_bytes(rows),
-        }
-        seg_buffer = io.BytesIO()
-        store.save_labels(rows, seg_buffer, segments=3)
-        olds["LPDB0003"] = seg_buffer.getvalue()
-        oracle = LPathEngine.from_labels(rows)
-        for revision, blob in olds.items():
-            assert blob.startswith(revision.encode("ascii"))
-            reloaded = store.load_labels(io.BytesIO(blob))
-            path = tmp_path / f"from-{revision}.lpdb"
-            with open(path, "wb") as handle:
-                store.save_labels(reloaded, handle, segments=2,
-                                  format="lpdb0004")
-            assert store.corpus_format(str(path)) == "LPDB0004"
-            with LPathEngine.from_store_mmap(str(path)) as engine:
-                for query in ("//NP", "//V->NP", "//VP{//NP$}"):
-                    assert engine.query(query) == oracle.query(query), (
-                        revision, query,
-                    )
+        shards = mapped_segments(tmp_path, mmap_bytes(rows, segments=3))
+        assert [n for n, _ in shards] == [len(rows), 0, 0]
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
@@ -321,8 +195,9 @@ class TestMmapFormat:
                           format="lpdb0004")
         assert store.is_compiled_corpus(str(path))
         assert store.corpus_format(str(path)) == "LPDB0004"
-        assert store.corpus_segment_count(str(path)) == 3
-        assert len(store.load_corpus_segments(str(path))) == 3
+        assert store.corpus_info(str(path))["segments"] == 3
+        with store.open_mapped_corpus(str(path)) as corpus:
+            assert len(corpus.segments) == 3
 
     def test_info_reads_only_the_sidecar(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
@@ -336,26 +211,38 @@ class TestMmapFormat:
         assert len(info["top_names"]) == 3
         name, stats = info["top_names"][0]
         assert stats[0] >= info["top_names"][1][1][0]
-        # Same numbers as a full legacy scan of the same corpus.
-        legacy = tmp_path / "corpus3.lpdb"
-        store.save_corpus(self.trees(), str(legacy), segments=2)
-        legacy_info = store.corpus_info(str(legacy), top=3)
+        # Same numbers as a full scan of the rows themselves.
+        scan = store.InfoFold()
+        scan.add_rows(store.load_corpus_labels(str(path)))
+        scanned = scan.summary(str(path), 0, "LPDB0004", 3)
         for key in ("rows", "trees", "distinct_names", "top_names"):
-            assert info[key] == legacy_info[key], key
+            assert info[key] == scanned[key], key
 
-    def test_checksum_false_rejected(self):
-        with pytest.raises(store.StoreError, match="checksum"):
-            store.save_labels([], io.BytesIO(), checksum=False,
-                              format="lpdb0004")
+    @given(corpora(max_trees=4, max_depth=4), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_row_fold_matches_sidecar_fold(self, trees, segments):
+        # The two halves of InfoFold — sidecar statistics (LPDB0004
+        # files) and a scan of raw rows (a live WAL delta) — agree on
+        # every name, so a live corpus reports the numbers its resave
+        # would.
+        rows = list(label_corpus(trees))
+        buffer = io.BytesIO()
+        store.save_mapped(rows, buffer, segments=segments)
+        header, _ = store._read_header(buffer.getvalue())
+        from_sidecar, from_rows = store.InfoFold(), store.InfoFold()
+        from_sidecar.add_sidecar(header)
+        from_rows.add_rows(rows)
+        assert from_sidecar.segments == segments
+        assert from_sidecar.names == from_rows.names
+        assert (from_sidecar.rows, from_sidecar.trees) == (
+            from_rows.rows, from_rows.trees)
 
-    def test_lpdb0002_format_rejects_segments(self):
-        with pytest.raises(store.StoreError, match="single-store"):
-            store.save_labels([], io.BytesIO(), segments=2,
-                              format="lpdb0002")
-
-    def test_unknown_format_rejected(self):
+    @pytest.mark.parametrize("format", ["lpdb9999", "lpdb0002", "lpdb0003"])
+    def test_unknown_format_rejected(self, tmp_path, format):
+        path = tmp_path / "corpus.lpdb"
         with pytest.raises(store.StoreError, match="unknown store format"):
-            store.save_labels([], io.BytesIO(), format="lpdb9999")
+            store.save_corpus([figure1_tree()], str(path), format=format)
+        assert not path.exists()
 
 
 class TestMmapCorruption:
@@ -367,17 +254,12 @@ class TestMmapCorruption:
         rows = list(label_corpus([figure1_tree(tid=t) for t in range(3)]))
         return mmap_bytes(rows, segments=2)
 
-    def loaders(self):
-        return (store.load_labels, store.load_label_columns,
-                store.load_segment_columns)
-
     def test_every_truncation_detected(self, blob):
         # Includes every cut *mid-column* in the data region: the file
         # size no longer matches the declared region length.
         for cut in range(0, len(blob), 17):
-            for loader in self.loaders():
-                with pytest.raises(store.StoreError):
-                    loader(io.BytesIO(blob[:cut]))
+            with pytest.raises(store.StoreError):
+                store.load_labels(io.BytesIO(blob[:cut]))
 
     def test_mapped_open_detects_truncation(self, blob, tmp_path):
         path = tmp_path / "cut.lpdb"
@@ -483,94 +365,98 @@ class TestMmapCorruption:
             left[0]
 
 
-class TestCorruptionDetection:
-    """Truncation and bit corruption raise StoreError — never garbage."""
-
-    @pytest.fixture(scope="class")
-    def blob(self):
-        return saved_bytes(list(label_corpus([figure1_tree()])))
-
-    def test_every_truncation_detected(self, blob):
-        for cut in range(len(blob)):
-            for loader in (store.load_labels, store.load_label_columns):
-                with pytest.raises(store.StoreError):
-                    loader(io.BytesIO(blob[:cut]))
-
-    @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_single_bit_flips_detected(self, blob, data):
-        position = data.draw(st.integers(0, len(blob) - 1), label="byte")
-        bit = data.draw(st.integers(0, 7), label="bit")
-        corrupt = bytearray(blob)
-        corrupt[position] ^= 1 << bit
-        for loader in (store.load_labels, store.load_label_columns):
-            with pytest.raises(store.StoreError):
-                loader(io.BytesIO(bytes(corrupt)))
-
-    def test_trailing_garbage_detected(self, blob):
-        with pytest.raises(store.StoreError):
-            store.load_labels(io.BytesIO(blob + b"\x00"))
-
-    def test_checksum_message_is_loud(self, blob):
-        corrupt = bytearray(blob)
-        corrupt[-1] ^= 0xFF
-        with pytest.raises(store.StoreError, match="mismatch"):
-            store.load_labels(io.BytesIO(bytes(corrupt)))
+#: The sha1 of the LPDB0004 bytes and the store fingerprint of
+#: ``generate_corpus("wsj", 200, seed=7)`` saved at 1 and 2 segments.
+#: The layout is native-endian, so the pins hold on little-endian hosts.
+GOLDEN_LPDB0004 = {
+    1: ("13849daa5f1f4f15014f3885627bab3e78445201",
+        "lpdb0004-556944-ae5ffaca"),
+    2: ("c02db7c299b8764faa5f2a85702c3cfe5aa6a70a",
+        "lpdb0004-557776-66e9daf1"),
+}
 
 
-class TestEngineFromColumns:
-    def test_columnar_engine_matches_row_engine(self):
-        trees = [figure1_tree()]
-        rows = list(label_corpus(trees))
-        data = saved_bytes(rows)
-        from_trees = LPathEngine(trees)
-        engine = LPathEngine.from_columns(store.load_label_columns(io.BytesIO(data)))
-        for query in ("//NP", "//V->NP", "//VP{//NP$}", "//S[//_[@lex=saw]]", "//NP$"):
-            assert engine.query(query) == from_trees.query(query), query
+@pytest.mark.skipif(sys.byteorder != "little",
+                    reason="LPDB0004 pins are little-endian bytes")
+@pytest.mark.parametrize("segments", sorted(GOLDEN_LPDB0004))
+def test_lpdb0004_writer_bytes_are_pinned(tmp_path, segments):
+    from repro.corpus.generator import generate_corpus
 
-    def test_row_backends_unavailable(self):
-        rows = list(label_corpus([figure1_tree()]))
-        data = saved_bytes(rows)
-        engine = LPathEngine.from_columns(store.load_label_columns(io.BytesIO(data)))
-        with pytest.raises(LPathError):
-            engine.query("//NP", backend="sqlite")
-        with pytest.raises(LPathError):
-            engine.treewalk
+    path = tmp_path / "golden.lpdb"
+    store.save_corpus(generate_corpus("wsj", 200, seed=7), str(path),
+                      segments=segments)
+    digest, fingerprint = GOLDEN_LPDB0004[segments]
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
+    assert store.store_fingerprint(str(path)) == fingerprint
 
-    def test_rejects_non_bundle_input(self):
-        rows = list(label_corpus([figure1_tree()]))
-        # Label rows are not a column bundle: clear LPathError, not an
-        # AttributeError from deep inside ColumnStore construction.
-        with pytest.raises(LPathError, match="column bundle"):
-            LPathEngine.from_columns(rows[0])
-        with pytest.raises(LPathError, match="column bundle"):
-            LPathEngine.from_columns(rows)
-        with pytest.raises(LPathError, match="at least one"):
-            LPathEngine.from_columns([])
 
-    def test_rejects_ragged_bundle(self):
-        rows = list(label_corpus([figure1_tree()]))
-        columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        columns.names.append("EXTRA")
-        with pytest.raises(LPathError, match="ragged"):
-            LPathEngine.from_columns(columns)
+class TestRetiredRevisions:
+    """Files of the retired row-encoded revisions fail loudly everywhere:
+    a StoreError that names the revision and says to re-compile."""
 
-    def test_segment_list_and_reshard(self):
-        trees = [figure1_tree(tid=tid) for tid in range(4)]
-        rows = list(label_corpus(trees))
-        expected = LPathEngine(trees).query("//NP")
-        buffer = io.BytesIO()
-        store.save_labels(rows, buffer, segments=3)
-        shards = store.load_segment_columns(io.BytesIO(buffer.getvalue()))
-        sharded = LPathEngine.from_columns(shards, workers=2)
-        assert sharded.segments == 3
-        assert sharded.query("//NP") == expected
-        columns = store.load_label_columns(io.BytesIO(saved_bytes(rows)))
-        resharded = LPathEngine.from_columns(columns, segments=2)
-        assert resharded.segments == 2
-        assert resharded.query("//NP") == expected
-        with pytest.raises(LPathError, match="conflicts"):
-            LPathEngine.from_columns(shards, segments=2)
+    @pytest.fixture(params=sorted(store.RETIRED_REVISIONS))
+    def legacy(self, request, tmp_path):
+        # Hand-written: the magic, then bytes shaped like a varint
+        # length and CRC.
+        path = tmp_path / "old.lpdb"
+        path.write_bytes(request.param + b"\x05\x00\x00\x00\x00\x00")
+        return str(path), request.param.decode("ascii")
+
+    def check(self, error, revision):
+        message = str(error.value)
+        assert revision in message
+        assert "repro compile" in message
+
+    def test_open(self, legacy):
+        path, revision = legacy
+        with pytest.raises(store.StoreError) as error:
+            LPathEngine.open(path)
+        self.check(error, revision)
+
+    def test_sniff(self, legacy):
+        path, revision = legacy
+        with pytest.raises(store.StoreError) as error:
+            store.corpus_format(path)
+        self.check(error, revision)
+        with pytest.raises(store.StoreError) as error:
+            store.is_compiled_corpus(path)
+        self.check(error, revision)
+
+    def test_info(self, legacy):
+        path, revision = legacy
+        with pytest.raises(store.StoreError) as error:
+            store.corpus_info(path)
+        self.check(error, revision)
+
+    def test_fingerprint(self, legacy):
+        path, revision = legacy
+        with pytest.raises(store.StoreError) as error:
+            store.store_fingerprint(path)
+        self.check(error, revision)
+
+    @pytest.mark.parametrize("command", [["store", "info"], ["query"]],
+                             ids=["store-info", "query"])
+    def test_cli(self, legacy, capsys, command):
+        from repro.cli import main
+
+        path, revision = legacy
+        argv = command + [path] + (["//NP"] if command == ["query"] else [])
+        assert main(argv, out=io.StringIO()) == 1
+        err = capsys.readouterr().err
+        assert revision in err and "repro compile" in err
+
+
+class TestEngineOpen:
+    def test_row_backends_unavailable(self, tmp_path):
+        path = tmp_path / "corpus.lpdb"
+        store.save_corpus([figure1_tree()], str(path))
+        expected = LPathEngine([figure1_tree()]).query("//NP")
+        with LPathEngine.open(str(path)) as engine:
+            assert engine.query("//NP") == expected
+            with pytest.raises(LPathError):
+                engine.query("//NP", backend="sqlite")
+            with pytest.raises(LPathError):
+                engine.treewalk
 
 
 class TestEngineFromLabels:
@@ -676,12 +562,6 @@ class TestStoreFingerprint:
         edited = tmp_path / "edited.lpdb"
         edited.write_bytes(bytes(raw))
         assert store.store_fingerprint(str(edited)) != original
-
-    def test_older_revisions_fingerprint_too(self, tmp_path):
-        fingerprint = store.store_fingerprint(
-            self._store(tmp_path / "old.lpdb", format="lpdb0003")
-        )
-        assert fingerprint.startswith("lpdb0003-")
 
     def test_non_store_file_raises(self, tmp_path):
         bogus = tmp_path / "not_a_store.mrg"
