@@ -93,11 +93,11 @@ from .kernels.api import NativeRangeFilter, bind_checks, classify_checks
 from .result import EMPTY, ResultBatch, python_emit_pairs
 from .store import ColumnStore
 from .structural import (
-    SWEEP,
     JoinOutput,
     Knobs,
     MergeJoinStep,
-    _compile_sweep,
+    _apply_filters,
+    _first_passing,
     apply_selectors,
     choose_join,
     flow_estimate,
@@ -228,8 +228,8 @@ class PlanSkeleton:
     the store it runs against, built once per optimized logical plan:
     the chain as step skeletons, each join's shape analysis, every
     condition classified with column *positions* in place of column
-    arrays, the semi-join sub-skeletons, the validated native check
-    kinds and the generated sweep variants.
+    arrays, the semi-join sub-skeletons and the validated native check
+    kinds.
 
     :meth:`bind` turns it into a :class:`ColumnarPlan` for one store —
     per segment of a sharded corpus, and again for every segment a live
@@ -611,35 +611,6 @@ def _operand_getter(operand, store: ColumnStore) -> Callable[[Binding], object]:
     return lambda b, value=value: value
 
 
-def _apply_filters(cands, b: Binding, vector, row_checks) -> Sequence[int]:
-    for column, opf, rhs_slot, payload in vector:
-        wanted = payload if rhs_slot is None else payload[b[rhs_slot]]
-        cands = [j for j in cands if opf(column[j], wanted)]
-        if not cands:
-            return cands
-    if row_checks:
-        cands = [j for j in cands if all(check(b + [j]) for check in row_checks)]
-    return cands
-
-
-def _first_passing(cands, b: Binding, vector, row_checks) -> Sequence[int]:
-    """``_apply_filters`` for a ``first_match`` join: the first candidate
-    that passes everything (as a 0/1-element sequence), without filtering
-    the candidates behind it."""
-    resolved = [
-        (column, opf, payload if rhs_slot is None else payload[b[rhs_slot]])
-        for column, opf, rhs_slot, payload in vector
-    ]
-    for j in cands:
-        for column, opf, wanted in resolved:
-            if not opf(column[j], wanted):
-                break
-        else:
-            if all(check(b + [j]) for check in row_checks):
-                return (j,)
-    return ()
-
-
 def _semi_tag(semi) -> str:
     return f" semi={len(semi)}" if semi else ""
 
@@ -784,9 +755,10 @@ class _Join:
     """One ``Join``'s segment-independent analysis, standing in the
     skeleton where a bound plan has a :class:`MergeJoinStep` or a
     :class:`_JoinStep`: the merge shape (or none), the children-index
-    shortcut, the classified conditions and — for the shapes the flat
-    loops cover (no binding prunes, no per-row residuals, no or-self) —
-    the validated native checks or the generated sweep variants.
+    shortcut, the classified conditions and — under the native backend,
+    for the shapes its kernels cover (no binding prunes, no per-row
+    residuals, no or-self) — the validated native checks.  Any other
+    merge join runs :class:`MergeJoinStep`'s reference loop.
 
     :meth:`bind` picks the flavor for one store: a structural merge join
     when the shape admits one and the cost model (or
@@ -807,18 +779,11 @@ class _Join:
         )
         self.semi = conds.semi
         self.kinds = None
-        self.sweep_loops = (None, None)   # indexed by first_match
         if (
-            spec is not None and spec.self_slot is None
-            and not conds.binding and not conds.row
+            ctx.kern is not None and spec is not None
+            and spec.self_slot is None and not conds.binding and not conds.row
         ):
-            if ctx.kern is not None:
-                self.kinds = classify_checks(conds.vector)
-            if self.kinds is None and spec.strategy == SWEEP:
-                self.sweep_loops = tuple(
-                    _compile_sweep(spec, conds.vector, first_match)
-                    for first_match in (False, True)
-                )
+            self.kinds = classify_checks(conds.vector)
 
     def bind(self, ctx: _Compile, est):
         ctx.checkpoint()

@@ -14,8 +14,7 @@ columnar executor:
   (child / descendant / following / sibling axes, scoped variants
   included): bindings sorted by ``(tid, low)`` make the partition start
   pointer monotone, so finding each candidate range costs amortized O(1)
-  instead of two binary searches, and the residual Table 2 comparisons run
-  inline over the raw arrays;
+  instead of two binary searches;
 * ``stack`` — the stack-tree variant for the ancestor axes: a stack of
   "open" spans replaces the per-binding prefix scan, so each partition row
   is pushed and popped exactly once per tid group (boundary-sharing LPath
@@ -29,7 +28,15 @@ What they merge against is a *candidate list* — row ids in ``(tid,
 left)`` order with a position range per tree: the identity list over a
 name block of the clustered order for a named step, the literal's element
 rows (resolved once per bound plan) for a step driven from the value
-index.  One :class:`MergeJoinStep`, one set of loops and kernels for both.
+index.  One :class:`MergeJoinStep` for both.
+
+The C kernels (:mod:`repro.columnar.kernels`) do this work under the
+native backend.  :meth:`MergeJoinStep.pairs` is their reference: one
+plain loop over the three strategies that filters candidates with the
+probe join's own :func:`_apply_filters`, kept simple enough to check by
+eye rather than fast, and required to emit the kernels' ``(src, cand)``
+pairs exactly.  It also runs the shapes the kernels leave out (binding
+prunes, per-row residuals, or-self).
 
 All three also run in ``first_match`` mode — a binding stops at its first
 passing candidate — which is what the last step of a predicate
@@ -48,10 +55,9 @@ testing.
 
 from __future__ import annotations
 
-import operator as _operator
 import os
 from array import array
-from itertools import compress, islice, repeat
+from itertools import compress
 from math import log2
 from typing import NamedTuple, Optional
 
@@ -324,115 +330,45 @@ class Cutoff:
 
 
 _EMPTY = (0, 0)
-#: Span positions are small ints; this sentinel keeps the scan loops to a
-#: single bound comparison when the probe has no upper bound.
+#: Span positions are small ints; a probe without an upper bound sweeps up
+#: to this sentinel (the native kernels' ``REPRO_NO_LIMIT``).
 _NO_LIMIT = 1 << 62
 
-#: Comparison functions the executor's vector filters use, mapped back to
-#: source tokens so the sweep loop can be generated with *native*
-#: comparisons — a C function call per candidate per condition is the
-#: difference between parity and a 2x win at corpus scale.
-_OP_TOKEN = {
-    _operator.eq: "==",
-    _operator.ne: "!=",
-    _operator.lt: "<",
-    _operator.le: "<=",
-    _operator.gt: ">",
-    _operator.ge: ">=",
-}
 
-_SWEEP_CACHE: dict[tuple, object] = {}
+# -- the candidate filter both join flavors share -----------------------------
 
 
-def _compile_sweep(spec: MergeSpec, checks, first_match: bool) -> Optional[object]:
-    """Generate (and cache per shape) the flat sweep loop for one join
-    shape, with the bound arithmetic and every vector comparison inlined.
-    ``first_match`` generates the variant that leaves a binding at its
-    first passing candidate.  Returns ``None`` when a condition uses an
-    operator outside the fixed comparison set — the generic interpreted
-    sweep handles those."""
-    tokens = []
-    for _column, opf, rhs_slot, _payload in checks:
-        token = _OP_TOKEN.get(opf)
-        if token is None:
-            return None
-        tokens.append((token, rhs_slot is None))
-    seeded = spec.name is None
-    shape = (
-        tuple(tokens),
-        spec.include_low,
-        spec.high is not None,
-        spec.include_high,
-        first_match,
-        seeded,
-    )
-    cached = _SWEEP_CACHE.get(shape)
-    if cached is not None:
-        return cached
+def _apply_filters(cands, b: list, vector, row_checks):
+    """The candidates ``cands`` for binding ``b`` that pass every vector
+    check (a ``(column, op, rhs slot, payload)`` comparison, ``payload``
+    indexed by the binding's ``rhs slot`` row when that is set) and then
+    every per-row residual, in candidate order."""
+    for column, opf, rhs_slot, payload in vector:
+        wanted = payload if rhs_slot is None else payload[b[rhs_slot]]
+        cands = [j for j in cands if opf(column[j], wanted)]
+        if not cands:
+            return cands
+    if row_checks:
+        cands = [j for j in cands if all(check(b + [j]) for check in row_checks)]
+    return cands
 
-    # Position -> row through the candidate list (``lefts`` is by
-    # position already); a name block is the identity list, so its
-    # variant indexes the columns directly.
-    row = "rows[{}]".format if seeded else "{}".format
-    unpack, resolve, conds = [], [], []
-    for k, (token, is_const) in enumerate(tokens):
-        unpack.append(f"    c{k}, _o{k}, s{k}, p{k} = checks[{k}]")
-        if is_const:
-            resolve.append(f"        v{k} = p{k}")
-        else:
-            unpack.append(f"    b{k} = batch[s{k}]")
-            resolve.append(f"        v{k} = p{k}[b{k}[i]]")
-        conds.append(f"c{k}[{row('j')}] {token} v{k}")
-    start = "low_val" if spec.include_low else "low_val + 1"
-    if spec.high is None:
-        limit = f"        limit = {_NO_LIMIT}"
-    elif spec.include_high:
-        limit = "        limit = high_arr[high_col[i]] + 1"
-    else:
-        limit = "        limit = high_arr[high_col[i]]"
-    pad = "                " if conds else "            "
-    emit = f"{pad}res_append({row('j')})\n{pad}src_append(i)\n"
-    if first_match:
-        emit += f"{pad}break\n"
-    guard = f"            if {' and '.join(conds)}:\n" if conds else ""
-    body = f"{guard}{emit}            j += 1"
-    # The loop emits (source binding, candidate) index pairs; the caller
-    # gathers them into replicated output columns with one C-level map
-    # per slot — two list appends per match beat an extend/repeat pair
-    # per binding for the typical 1-3 matches a binding produces.
-    source = f"""\
-def sweep(keyed, batch, rows, bounds, lefts, name, high_col, high_arr, checks, max_rows):
-{chr(10).join(unpack) if unpack else '    pass'}
-    src = []
-    src_append = src.append
-    res = []
-    res_append = res.append
-    current_tid = None
-    truncated = False
-    lo = hi = ptr = 0
-    for tid_val, low_val, i in keyed:
-        if tid_val != current_tid:
-            if max_rows is not None and len(res) >= max_rows:
-                truncated = True
+
+def _first_passing(cands, b: list, vector, row_checks):
+    """``_apply_filters`` for a ``first_match`` join: the first candidate
+    that passes everything (as a 0/1-element sequence), without filtering
+    the candidates behind it."""
+    resolved = [
+        (column, opf, payload if rhs_slot is None else payload[b[rhs_slot]])
+        for column, opf, rhs_slot, payload in vector
+    ]
+    for j in cands:
+        for column, opf, wanted in resolved:
+            if not opf(column[j], wanted):
                 break
-            current_tid = tid_val
-            lo, hi = bounds.get((name, tid_val), (0, 0))
-            ptr = lo
-        start = {start}
-        while ptr < hi and lefts[ptr] < start:
-            ptr += 1
-{limit}
-{chr(10).join(resolve) if resolve else ''}
-        j = ptr
-        while j < hi and lefts[j] < limit:
-{body}
-    return src, res, truncated
-"""
-    namespace: dict = {}
-    exec(source, namespace)  # tokens come from the fixed comparison set
-    compiled = namespace["sweep"]
-    _SWEEP_CACHE[shape] = compiled
-    return compiled
+        else:
+            if all(check(b + [j]) for check in row_checks):
+                return (j,)
+    return ()
 
 
 # -- what every join step does with its matches -------------------------------
@@ -514,7 +450,7 @@ class MergeJoinStep(JoinOutput):
     per-segment bind, which passes in the node's segment-independent
     analysis (``join``) plus the classified condition lists resolved to
     this store's columns, so both join flavors share one condition
-    compiler.
+    compiler — and, off the native kernel, one candidate filter.
 
     The partition merged against is a *candidate list*: positions
     ``lo..hi`` per tree of a row-id sequence in ``(tid, left)`` order.  A
@@ -529,21 +465,18 @@ class MergeJoinStep(JoinOutput):
         self.label = node.label
         self.access = node.access
         self.spec = spec
+        self.vector = vector
         self.binding = binding
         self.row = row
         self.semi = semi
         self.take = ctx.take
-        self.vector_specs = vector
-        # The flat generated loops and the native (cffi) kernel handle
-        # exactly the same shapes — no binding prunes, no per-row
-        # residuals, no or-self prepend — the kernel for all three
-        # strategies when every column involved is a fixed-width integer
-        # buffer.  Which of the two applies is the join skeleton's
-        # verdict (``join.kinds`` / ``join.sweep_loops``: decided once
-        # per plan, under the backend the plan cache keys on); only
-        # column pointers are resolved here.
+        # The native (cffi) kernel runs the shapes the join skeleton
+        # validated for it (``join.kinds``: no binding prunes, no per-row
+        # residuals, no or-self, fixed-width integer columns — decided
+        # once per plan, under the backend the plan cache keys on); only
+        # column pointers are resolved here.  Everything else, and the
+        # whole pure-Python backend, runs the reference loop of pairs().
         self._native = None
-        self._sweep_loops = join.sweep_loops   # indexed by first_match
         if join.kinds is not None:
             self._native = NativeMergeJoin(
                 ctx.kern, spec, bind_checks(join.kinds, vector), store, seed
@@ -553,29 +486,31 @@ class MergeJoinStep(JoinOutput):
         #: A name block's candidate list: (rows, per-tree bounds, ``left``
         #: by position) — positions are rows.
         self.block = (range(store.n), store.name_tid_bounds, store.left)
-        self.lefts = store.left
-        self.rights = store.right
         self.tids = store.tid
+        self.rights = store.right
         self.names = store.names
-        # Vector filters split by operand kind: constants bind once
-        # here, binding-column comparisons resolve once per binding
-        # inside pairs().
-        self.const_checks = [
-            (column, opf, payload)
-            for column, opf, rhs_slot, payload in vector
-            if rhs_slot is None
-        ]
-        self.col_checks = [check for check in vector if check[2] is not None]
-        self.low_arr = None if spec.low is None else store.col(spec.low[1])
+        self.key_arr = store.col(
+            spec.low[1] if spec.strategy == SWEEP else spec.high[1]
+        )
         self.high_arr = None if spec.high is None else store.col(spec.high[1])
-
-    # -- candidate enumeration ------------------------------------------------
 
     def pairs(self, batch: list, cutoff: Optional[Cutoff] = None,
               first_match: bool = False):
         """``(src, cand)`` index/row pairs of every match; with
         ``first_match`` at most one — the first passing candidate — per
-        input binding."""
+        input binding.
+
+        Off the native kernel this is the reference loop the kernels are
+        checked against, pair for pair.  Bindings are visited by ``(tid,
+        key, i)`` — the key being the probe's low bound for ``sweep``, its
+        high bound otherwise — so within a tree one pointer only moves
+        forward through the candidate list.  Each binding takes its
+        strategy's candidates: for ``sweep`` the positions from that
+        pointer (advanced past the low bound) up to the high bound; for
+        ``stack`` the spans pushed so far that are still open at the
+        binding's edge; for ``prefix`` the tree's positions up to the
+        edge.  The or-self row goes in front, and the probe join's own
+        filter keeps what passes."""
         if self._native is not None:
             return self._native.pairs(batch, cutoff, first_match)
         src: list[int] = []
@@ -584,217 +519,65 @@ class MergeJoinStep(JoinOutput):
         if count == 0:
             return src, res
         spec = self.spec
-        tids, tid_col = self.tids, batch[spec.tid_slot]
-        if spec.strategy == SWEEP:
-            key_slot, key_arr = spec.low[0], self.low_arr
-        else:
-            key_slot, key_arr = spec.high[0], self.high_arr
-        key_col = batch[key_slot]
-        # One C-level build-and-sort replaces per-binding binary searches.
-        keyed = list(
-            zip(
-                map(tids.__getitem__, tid_col),
-                map(key_arr.__getitem__, key_col),
-                range(count),
-            )
-        )
-        keyed.sort()
+        key_slot = spec.low[0] if spec.strategy == SWEEP else spec.high[0]
+        keyed = sorted(zip(
+            map(self.tids.__getitem__, batch[spec.tid_slot]),
+            map(self.key_arr.__getitem__, batch[key_slot]),
+            range(count),
+        ))
         rows, bounds, edges = (
             self.block if self.seed is None else self.seed.partition()
         )
-        if spec.strategy == SWEEP:
-            loop = self._sweep_loops[first_match]
-            if loop is not None:
-                high_col = None if spec.high is None else batch[spec.high[0]]
-                src, res, truncated = loop(
-                    keyed, batch, rows, bounds, edges,
-                    spec.name, high_col, self.high_arr, self.vector_specs,
-                    None if cutoff is None else cutoff.max_rows,
-                )
-                if truncated:
-                    cutoff.hit = True
-                return src, res
-            run = self._run_sweep
-        elif spec.strategy == STACK:
-            run = self._run_stack
-        else:
-            run = self._run_prefix
-        run(batch, keyed, rows, bounds, edges, src, res, cutoff, first_match)
-        return src, res
-
-    def _resolved_checks(self, batch, i):
-        col_checks = self.col_checks
-        if not col_checks:
-            return self.const_checks
-        return self.const_checks + [
-            (column, opf, payload[batch[rhs_slot][i]])
-            for column, opf, rhs_slot, payload in col_checks
-        ]
-
-    def _emit(self, batch, i, src, res, matched, first_match) -> None:
-        """Record binding ``i``'s matched candidates, applying or-self
-        and the residual per-row checks."""
-        spec = self.spec
-        if spec.self_slot is not None:
-            self_row = batch[spec.self_slot][i]
-            if self.names[self_row] == spec.self_name:
-                checks = self._resolved_checks(batch, i)
-                if all(opf(column[self_row], value) for column, opf, value in checks):
-                    matched = [self_row] + matched
-        if self.row and matched:
+        matches = _first_passing if first_match else _apply_filters
+        current_tid = None
+        lo = hi = ptr = 0
+        opened: list[int] = []
+        for tid_val, key, i in keyed:
             b = [column[i] for column in batch]
-            row_checks = self.row
-            passing = (
-                j for j in matched
-                if all(check(b + [j]) for check in row_checks)
-            )
-            matched = list(islice(passing, 1) if first_match else passing)
-        elif first_match:
-            matched = matched[:1]
-        if matched:
-            res.extend(matched)
-            src.extend(repeat(i, len(matched)))
-
-    def _prune(self, batch, i) -> bool:
-        """Binding-only conditions (no candidate column involved)."""
-        checks = self.binding
-        if not checks:
-            return True
-        b = [column[i] for column in batch]
-        return all(check(b) for check in checks)
-
-    def _run_sweep(self, batch, keyed, rows, bounds, edges, src, res, cutoff, first_match) -> None:
-        spec = self.spec
-        name = spec.name
-        include_low, include_high = spec.include_low, spec.include_high
-        high = spec.high
-        high_arr = self.high_arr
-        high_col = None if high is None else batch[high[0]]
-        current_tid = None
-        lo = hi = ptr = 0
-        for tid_val, low_val, i in keyed:
-            if not self._prune(batch, i):
+            if not all(check(b) for check in self.binding):
                 continue
             if tid_val != current_tid:
                 if cutoff is not None and len(res) >= cutoff.max_rows:
                     cutoff.hit = True
                     break
                 current_tid = tid_val
-                lo, hi = bounds.get((name, tid_val), _EMPTY)
+                lo, hi = bounds.get((spec.name, tid_val), _EMPTY)
                 ptr = lo
-            start = low_val if include_low else low_val + 1
-            while ptr < hi and edges[ptr] < start:
-                ptr += 1
-            if high is None:
-                limit = _NO_LIMIT
+                opened = []
+            if spec.strategy == SWEEP:
+                start = key if spec.include_low else key + 1
+                while ptr < hi and edges[ptr] < start:
+                    ptr += 1
+                if spec.high is None:
+                    limit = _NO_LIMIT
+                else:
+                    high_val = self.high_arr[b[spec.high[0]]]
+                    limit = high_val + 1 if spec.include_high else high_val
+                end = ptr
+                while end < hi and edges[end] < limit:
+                    end += 1
+                cands = rows[ptr:end]
             else:
-                high_val = high_arr[high_col[i]]
-                limit = high_val + 1 if include_high else high_val
-            matched = self._scan(batch, i, rows, ptr, hi, limit)
-            self._emit(batch, i, src, res, matched, first_match)
-
-    def _scan(self, batch, i, rows, start, hi, limit) -> list:
-        """Collect candidates from position ``start`` up to the span
-        limit, running the pre-resolved comparisons inline (specialized
-        for the common 0/1/2-condition shapes of a name block, whose
-        positions are its rows, so the hot loop stays call-free)."""
-        lefts = self.lefts
-        checks = self._resolved_checks(batch, i)
-        matched: list[int] = []
-        append = matched.append
-        if self.seed is not None:
-            # Through a seed's list, positions name rows; not unrolled —
-            # a seeded join only lands here with a per-row residual, or
-            # for the stack and prefix strategies of the Python backend.
-            for j in rows[start:hi]:
-                if lefts[j] >= limit:
-                    break
-                if all(opf(column[j], value) for column, opf, value in checks):
-                    append(j)
-            return matched
-        j = start
-        n_checks = len(checks)
-        if n_checks == 0:
-            while j < hi and lefts[j] < limit:
-                append(j)
-                j += 1
-        elif n_checks == 1:
-            c0, o0, v0 = checks[0]
-            while j < hi and lefts[j] < limit:
-                if o0(c0[j], v0):
-                    append(j)
-                j += 1
-        elif n_checks == 2:
-            (c0, o0, v0), (c1, o1, v1) = checks
-            while j < hi and lefts[j] < limit:
-                if o0(c0[j], v0) and o1(c1[j], v1):
-                    append(j)
-                j += 1
-        else:
-            while j < hi and lefts[j] < limit:
-                if all(opf(column[j], value) for column, opf, value in checks):
-                    append(j)
-                j += 1
-        return matched
-
-    def _run_stack(self, batch, keyed, rows, bounds, edges, src, res, cutoff, first_match) -> None:
-        """Stack-tree ancestors: spans still open at the context's left
-        edge are the only possible ancestors; each partition row is pushed
-        once per tid group and popped once its span closes (spans are
-        strict — ``right > left`` in both labeling schemes — so a span
-        ending at the context edge can never contain it)."""
-        spec = self.spec
-        rights, name = self.rights, spec.name
-        include_high = spec.include_high
-        current_tid = None
-        lo = hi = ptr = 0
-        stack: list[int] = []
-        push = stack.append
-        for tid_val, edge, i in keyed:
-            if not self._prune(batch, i):
-                continue
-            if tid_val != current_tid:
-                if cutoff is not None and len(res) >= cutoff.max_rows:
-                    cutoff.hit = True
-                    break
-                current_tid = tid_val
-                lo, hi = bounds.get((name, tid_val), _EMPTY)
-                ptr = lo
-                del stack[:]
-            limit = edge + 1 if include_high else edge
-            while ptr < hi and edges[ptr] < limit:
-                push(rows[ptr])
-                ptr += 1
-            while stack and rights[stack[-1]] <= edge:
-                stack.pop()
-            checks = self._resolved_checks(batch, i)
-            matched = [
-                j for j in stack
-                if all(opf(column[j], value) for column, opf, value in checks)
-            ]
-            self._emit(batch, i, src, res, matched, first_match)
-
-    def _run_prefix(self, batch, keyed, rows, bounds, edges, src, res, cutoff, first_match) -> None:
-        spec = self.spec
-        name = spec.name
-        include_high = spec.include_high
-        current_tid = None
-        lo = hi = end = 0
-        for tid_val, edge, i in keyed:
-            if not self._prune(batch, i):
-                continue
-            if tid_val != current_tid:
-                if cutoff is not None and len(res) >= cutoff.max_rows:
-                    cutoff.hit = True
-                    break
-                current_tid = tid_val
-                lo, hi = bounds.get((name, tid_val), _EMPTY)
-                end = lo
-            limit = edge + 1 if include_high else edge
-            while end < hi and edges[end] < limit:
-                end += 1
-            matched = self._scan(batch, i, rows, lo, end, _NO_LIMIT)
-            self._emit(batch, i, src, res, matched, first_match)
+                # ``opened`` holds the tree's rows up to the edge: for
+                # ``prefix`` all of them, for ``stack`` those whose span
+                # is still open — spans are strict (``right > left``), so
+                # one ending at the edge cannot contain the binding.
+                limit = key + 1 if spec.include_high else key
+                while ptr < hi and edges[ptr] < limit:
+                    opened.append(rows[ptr])
+                    ptr += 1
+                if spec.strategy == STACK:
+                    while opened and self.rights[opened[-1]] <= key:
+                        opened.pop()
+                cands = opened
+            if spec.self_slot is not None:
+                self_row = b[spec.self_slot]
+                if self.names[self_row] == spec.self_name:
+                    cands = [self_row, *cands]
+            matched = matches(cands, b, self.vector, self.row)
+            res.extend(matched)
+            src.extend([i] * len(matched))
+        return src, res
 
     def describe(self, first_match: bool = False) -> str:
         kernel = "native" if self._native is not None else "python"
@@ -802,6 +585,6 @@ class MergeJoinStep(JoinOutput):
         return (
             f"StructuralMergeJoin(s{self.slot} <- {self.access}: {self.label}"
             f" | strategy={self.spec.strategy} kernel={kernel}"
-            f" vector={len(self.vector_specs)}"
+            f" vector={len(self.vector)}"
             f"{semi} row={len(self.row)}{' first_match' if first_match else ''})"
         )

@@ -1,5 +1,6 @@
 """Minimal is a gate: the source may not grow past its recorded ceiling,
-and ``import repro`` may not load more of the package than it does now.
+``import repro`` may not load more of the package than it does now, and
+no module generates code at run time.
 
 ``SOURCE_BUDGET.json`` at the repository root holds both.  A change that
 deletes code lowers ``src_repro_py_lines`` to its own count; one that has
@@ -9,6 +10,7 @@ number or extends the list in the same diff, where it is seen and argued.
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -50,3 +52,17 @@ def test_import_repro_loads_no_new_module():
         f"`import repro` now also loads {grown}: import them where they are "
         "used, or add them to SOURCE_BUDGET.json in this change and say why"
     )
+
+
+def test_no_module_runs_generated_code():
+    """Every loop under ``src/repro`` is source a reader can check by eye:
+    no call to the ``exec`` or ``eval`` builtins."""
+    calls = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.func.id}()"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval")
+    ]
+    assert not calls, f"generated code under src/repro: {calls}"
