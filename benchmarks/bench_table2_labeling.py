@@ -1,11 +1,15 @@
 """Table 2: the labeling scheme — construction cost and axis conditions.
 
 Regenerates the axis-to-label-comparison mapping and benchmarks the single
-depth-first labeling pass of Definition 4.1 over the benchmark corpus.
+depth-first labeling pass of Definition 4.1 over the benchmark corpus,
+twice: into the column lists stores are built from (``label_columns``)
+and as the row view over them (``label_tree``, one tree at a time).
 """
 
+import pytest
+
 from repro.bench import datasets
-from repro.labeling import label_tree
+from repro.labeling import label_columns, label_tree
 from repro.lpath.axes import CONDITIONS, OR_SELF_BASES, Axis
 
 
@@ -26,15 +30,17 @@ def render_table2() -> str:
     return "\n".join(lines)
 
 
-def test_table2_labeling_pass(benchmark, write_result):
+#: Each labeler returns the number of label rows it produced.
+LABELERS = {
+    "label_columns": lambda trees: len(label_columns(trees)[0]),
+    "label_tree": lambda trees: sum(len(label_tree(tree)) for tree in trees),
+}
+
+
+@pytest.mark.parametrize("labeler", sorted(LABELERS))
+def test_table2_labeling_pass(benchmark, write_result, labeler):
     write_result("table2_labeling.txt", render_table2())
     trees = list(datasets.corpus("wsj", sentences=500))
-
-    def label_all() -> int:
-        rows = 0
-        for tree in trees:
-            rows += len(label_tree(tree))
-        return rows
-
-    total = benchmark(label_all)
-    assert total > 0
+    benchmark.group = "table2 labeling pass"
+    total = benchmark(LABELERS[labeler], trees)
+    assert total == len(label_columns(trees)[0]) > 0

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress, groupby, repeat
-from operator import itemgetter
+from collections import Counter
+from itertools import compress, count, groupby, repeat
+from operator import eq, itemgetter, not_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ..faults import maybe_mmap_read_error
@@ -62,6 +63,30 @@ def _gather(column, rows: list):
     if len(rows) < 2:  # itemgetter needs two keys to return a tuple
         return [column[row] for row in rows]
     return itemgetter(*rows)(column)
+
+
+def _transpose(rows: list, width: int) -> tuple:
+    """``rows`` as ``width`` column lists.  One C-level gather per
+    column: ``zip(*rows)`` would allocate an iterator per row, and on a
+    large heap the collections those allocations trigger cost more than
+    the transpose itself."""
+    return tuple(list(map(itemgetter(position), rows)) for position in range(width))
+
+
+def _sorted_columns(rows, width: int) -> tuple:
+    """``rows`` sorted, then transposed into ``width`` columns."""
+    return _transpose(sorted(rows), width)
+
+
+def run_bounds(keys) -> dict:
+    """``key -> (lo, hi)`` for every run of equal adjacent ``keys``: on
+    sorted keys, each key's one contiguous block."""
+    bounds = {}
+    hi = 0
+    for key, run in groupby(keys):
+        lo, hi = hi, hi + len(list(run))
+        bounds[key] = (lo, hi)
+    return bounds
 
 
 def _key_name(item) -> str:
@@ -129,41 +154,51 @@ class ColumnStore:
         values: Iterable[Optional[str]],
         column_names: tuple[str, ...] = COLUMN_NAMES,
     ) -> None:
-        tid = list(tid)
-        left = list(left)
-        right = list(right)
-        depth = list(depth)
-        id = list(id)
-        pid = list(pid)
-        names = list(names)
         values = list(values)
-        n = len(tid)
-        self.column_names = tuple(column_names)
-
         # Physical order: the clustered key {name, tid, left, right, depth,
-        # id, pid}, so clustered probes are contiguous row-id ranges.
-        order = sorted(
-            range(n),
-            key=lambda r: (names[r], tid[r], left[r], right[r], depth[r], id[r], pid[r]),
+        # id, pid}, so clustered probes are contiguous row-id ranges; the
+        # trailing input position breaks ties stably.
+        names, *integers, order = _sorted_columns(
+            zip(names, tid, left, right, depth, id, pid, count()), 8
         )
-        self.n = n
-        self.tid = array("q", (tid[r] for r in order))
-        self.left = array("q", (left[r] for r in order))
-        self.right = array("q", (right[r] for r in order))
-        self.depth = array("q", (depth[r] for r in order))
-        self.id = array("q", (id[r] for r in order))
-        self.pid = array("q", (pid[r] for r in order))
-        intern: dict[str, str] = {}
-        self.names = [intern.setdefault(names[r], names[r]) for r in order]
-        self.values = [
-            None if values[r] is None else intern.setdefault(values[r], values[r])
-            for r in order
-        ]
+        intern = {text: text for text in {*names, *values}}
+        self.n = n = len(order)
+        self.column_names = tuple(column_names)
+        (self.tid, self.left, self.right,
+         self.depth, self.id, self.pid) = (array("q", column) for column in integers)
+        self.names = list(map(intern.__getitem__, names))
+        self.values = list(map(intern.__getitem__, _gather(values, order)))
 
-        self._build_clustered_bounds()
-        self._build_bitmaps()
-        self._build_tid_id_projection()
-        self._build_children_index()
+        self.name_bounds = run_bounds(self.names)
+        self.name_tid_bounds = run_bounds(zip(self.names, self.tid))
+
+        # Bitmaps: attribute rows are whole name blocks; a row is on the
+        # right edge when it ends where its tree's root element ends.
+        self.is_attr = is_attr = bytearray(n)
+        for name, (lo, hi) in self.name_bounds.items():
+            if name.startswith(ATTRIBUTE_PREFIX):
+                is_attr[lo:hi] = b"\x01" * (hi - lo)
+        roots = map(not_, map(or_, self.pid, is_attr))  # element rows, pid 0
+        self.root_right = dict(compress(zip(self.tid, self.right), roots))
+        self.right_edge = bytearray(
+            map(eq, self.right, map(self.root_right.get, self.tid))
+        )
+
+        # The (tid, id) projection: row ids in (tid, id) order.
+        tids, ids, perm = _sorted_columns(zip(self.tid, self.id, count()), 3)
+        self.tid_id_perm = array("q", perm)
+        self._perm_ids = array("q", ids)
+        self.tid_bounds = run_bounds(tids)
+
+        # CSR-style children offsets: rows grouped by (tid, pid) in span
+        # order, so a node's children (element + attribute rows) are one
+        # contiguous slice of a permutation array — the wildcard
+        # child/parent steps become direct lookups, not whole-tree scans.
+        tids, pids, _lefts, perm = _sorted_columns(
+            zip(self.tid, self.pid, self.left, count()), 4
+        )
+        self.children_perm = array("q", perm)
+        self.children_bounds = run_bounds(zip(tids, pids))
         self._by_value: Optional[dict] = None       # built on first value seed
         self._name_stats: dict[Optional[str], NameStats] = {}
 
@@ -173,12 +208,10 @@ class ColumnStore:
     def from_rows(
         cls, rows: Iterable, column_names: tuple[str, ...] = COLUMN_NAMES
     ) -> "ColumnStore":
-        """Split row tuples (or ``Label`` instances) into columns."""
-        cols: tuple[list, ...] = ([], [], [], [], [], [], [], [])
-        for row in rows:
-            for position in range(8):
-                cols[position].append(row[position])
-        return cls(*cols, column_names=column_names)
+        """A row view over the columnar constructor: row tuples (or
+        ``Label`` instances) transposed into the eight columns.  Trees
+        need no rows: build ``ColumnStore(*label_columns(trees))``."""
+        return cls(*_transpose(list(rows), 8), column_names=column_names)
 
     @staticmethod
     def concat(stores) -> "ColumnStore":
@@ -283,82 +316,6 @@ class ColumnStore:
         merged._by_value = None
         merged._name_stats = stats
         return merged
-
-    # -- construction helpers ------------------------------------------------
-
-    def _build_clustered_bounds(self) -> None:
-        name_bounds: dict[str, tuple[int, int]] = {}
-        name_tid_bounds: dict[tuple[str, int], tuple[int, int]] = {}
-        names = self.names
-        start = 0
-        for row in range(1, self.n + 1):
-            if row == self.n or names[row] != names[start]:
-                self._close_name_block(names[start], start, row, name_tid_bounds)
-                name_bounds[names[start]] = (start, row)
-                start = row
-        self.name_bounds = name_bounds
-        self.name_tid_bounds = name_tid_bounds
-
-    def _close_name_block(self, name, lo, hi, name_tid_bounds) -> None:
-        tids = self.tid
-        start = lo
-        for row in range(lo + 1, hi + 1):
-            if row == hi or tids[row] != tids[start]:
-                name_tid_bounds[(name, tids[start])] = (start, row)
-                start = row
-
-    def _build_bitmaps(self) -> None:
-        names, tids, rights, pids = self.names, self.tid, self.right, self.pid
-        is_attr = bytearray(self.n)
-        root_right: dict[int, int] = {}
-        for row in range(self.n):
-            if names[row].startswith(ATTRIBUTE_PREFIX):
-                is_attr[row] = 1
-            elif pids[row] == 0:  # a tree's root element row
-                root_right[tids[row]] = rights[row]
-        right_edge = bytearray(self.n)
-        for row in range(self.n):
-            if rights[row] == root_right.get(tids[row]):
-                right_edge[row] = 1
-        self.is_attr = is_attr
-        self.right_edge = right_edge
-        self.root_right = root_right
-
-    def _build_tid_id_projection(self) -> None:
-        tids, ids = self.tid, self.id
-        perm = array("q", sorted(range(self.n), key=lambda r: (tids[r], ids[r])))
-        tid_bounds: dict[int, tuple[int, int]] = {}
-        start = 0
-        for slot in range(1, self.n + 1):
-            if slot == self.n or tids[perm[slot]] != tids[perm[start]]:
-                tid_bounds[tids[perm[start]]] = (start, slot)
-                start = slot
-        self.tid_id_perm = perm
-        self.tid_bounds = tid_bounds
-        self._perm_ids = array("q", (ids[r] for r in perm))
-
-    def _build_children_index(self) -> None:
-        """CSR-style children offsets: rows grouped by ``(tid, pid)`` in
-        span order, so a node's children (element + attribute rows) are one
-        contiguous slice of a permutation array — the wildcard child/parent
-        steps become direct lookups instead of whole-tree scans."""
-        tids, pids, lefts = self.tid, self.pid, self.left
-        perm = array(
-            "q", sorted(range(self.n), key=lambda r: (tids[r], pids[r], lefts[r], r))
-        )
-        bounds: dict[tuple[int, int], tuple[int, int]] = {}
-        start = 0
-        for slot in range(1, self.n + 1):
-            if (
-                slot == self.n
-                or tids[perm[slot]] != tids[perm[start]]
-                or pids[perm[slot]] != pids[perm[start]]
-            ):
-                key = (tids[perm[start]], pids[perm[start]])
-                bounds[key] = (start, slot)
-                start = slot
-        self.children_perm = perm
-        self.children_bounds = bounds
 
     def children_rows(self, tid: int, pid: int):
         """Rows whose parent is ``(tid, pid)`` in span order (attribute
@@ -520,7 +477,7 @@ class ColumnStore:
 
     def name_stats(self, name: Optional[str]) -> NameStats:
         """Per-name cardinality/partition/depth statistics for the join
-        cost model; one linear pass over the name block, cached per name
+        cost model; C-level scans of the name block, cached per name
         (``None`` summarizes the whole store)."""
         cached = self._name_stats.get(name)
         if cached is not None:
@@ -534,30 +491,16 @@ class ColumnStore:
             )
         else:
             lo, hi = self.name_bounds.get(name, (0, 0))
-            partitions = 0
-            max_partition = 0
-            tids = self.tid
-            start = lo
-            for row in range(lo + 1, hi + 1):
-                if row == hi or tids[row] != tids[start]:
-                    partitions += 1
-                    if row - start > max_partition:
-                        max_partition = row - start
-                    start = row
-            if lo == hi:
-                partitions = max_partition = 0
+            sizes = Counter(self.tid[lo:hi]).values()  # rows per tree
+            partitions = len(sizes)
+            max_partition = max(sizes, default=0)
         if lo == hi:
             stats = NameStats(0, 0, 0, 0, 0)
         else:
-            depths = self.depth
-            min_depth = max_depth = depths[lo]
-            for row in range(lo + 1, hi):
-                d = depths[row]
-                if d < min_depth:
-                    min_depth = d
-                elif d > max_depth:
-                    max_depth = d
-            stats = NameStats(hi - lo, partitions, max_partition, min_depth, max_depth)
+            depths = self.depth[lo:hi]
+            stats = NameStats(
+                hi - lo, partitions, max_partition, min(depths), max(depths)
+            )
         self._name_stats[name] = stats
         return stats
 

@@ -5,9 +5,8 @@ from .lpath_scheme import (
     ATTRIBUTE_PREFIX,
     COLUMNS,
     Label,
-    attribute_labels,
+    label_columns,
     label_corpus,
-    label_node,
     label_tree,
 )
 
@@ -15,9 +14,8 @@ __all__ = [
     "ATTRIBUTE_PREFIX",
     "COLUMNS",
     "Label",
-    "attribute_labels",
+    "label_columns",
     "label_corpus",
-    "label_node",
     "label_tree",
     "predicates",
     "xpath_scheme",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from ..tree.node import Tree, TreeNode
+from ..tree.node import Tree
 
 ATTRIBUTE_PREFIX = "@"
 
@@ -49,46 +49,52 @@ class Label(NamedTuple):
         return self.name.startswith(ATTRIBUTE_PREFIX)
 
 
-def label_node(node: TreeNode, tid: int) -> Label:
-    """The element row for one (already indexed) tree node."""
-    return Label(
-        tid=tid,
-        left=node.left,
-        right=node.right,
-        depth=node.depth,
-        id=node.node_id,
-        pid=node.parent.node_id if node.parent is not None else 0,
-        name=node.label,
-        value=None,
+def label_columns(trees: Iterable[Tree]) -> tuple[list, ...]:
+    """The label relation of a corpus as eight parallel column lists, in
+    :data:`COLUMNS` order — the one Definition 4.1 labeler.
+
+    Rows are in document order, tree by tree: each node's element row,
+    then its attribute rows sorted by attribute name.  Column stores
+    are built straight from these lists (no row object per label)."""
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [], [])
+    tid, left, right, depth, ids, pid, name, value = (
+        column.append for column in columns
     )
-
-
-def attribute_labels(node: TreeNode, tid: int) -> Iterator[Label]:
-    """Attribute rows for one node (Definition 4.1, items 8-9)."""
-    pid = node.parent.node_id if node.parent is not None else 0
-    for attr_name in sorted(node.attributes):
-        yield Label(
-            tid=tid,
-            left=node.left,
-            right=node.right,
-            depth=node.depth,
-            id=node.node_id,
-            pid=pid,
-            name=ATTRIBUTE_PREFIX + attr_name,
-            value=node.attributes[attr_name],
-        )
+    for tree in trees:
+        tree_id = tree.tid
+        for node in tree.nodes:
+            parent = node.parent
+            parent_id = 0 if parent is None else parent.node_id
+            tid(tree_id)
+            left(node.left)
+            right(node.right)
+            depth(node.depth)
+            ids(node.node_id)
+            pid(parent_id)
+            name(node.label)
+            value(None)
+            attributes = node.attributes
+            for key in sorted(attributes):
+                tid(tree_id)
+                left(node.left)
+                right(node.right)
+                depth(node.depth)
+                ids(node.node_id)
+                pid(parent_id)
+                name(ATTRIBUTE_PREFIX + key)
+                value(attributes[key])
+    return columns
 
 
 def label_tree(tree: Tree) -> list[Label]:
-    """All rows (element + attribute) for one tree, in document order."""
-    rows: list[Label] = []
-    for node in tree.nodes:
-        rows.append(label_node(node, tree.tid))
-        rows.extend(attribute_labels(node, tree.tid))
-    return rows
+    """All rows (element + attribute) for one tree, in document order: a
+    row view over :func:`label_columns`."""
+    return list(map(Label._make, zip(*label_columns((tree,)))))
 
 
 def label_corpus(trees: Iterable[Tree]) -> Iterator[Label]:
-    """Rows for a whole corpus; trees keep their own ``tid``."""
+    """Rows for a whole corpus; trees keep their own ``tid``.  A row view
+    over :func:`label_columns`, one tree at a time — stores are built from
+    the columns, not from these rows."""
     for tree in trees:
         yield from label_tree(tree)

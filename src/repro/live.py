@@ -79,7 +79,7 @@ from .store import (
     fsync_directory,
     load_labels,
     open_mapped_corpus,
-    save_mapped,
+    row_stores,
     save_mapped_stores,
 )
 from .tree.bracket import iter_trees
@@ -392,12 +392,17 @@ def _wal_file_name(generation: int) -> str:
 def _write_segment_file(path: str, save) -> int:
     """Write one immutable LPDB0004 base segment under its final name
     with ``save(handle)`` and fsync it.  Safe pre-manifest: until a
-    manifest references the name, the file is garbage and recovery
-    collects it."""
-    with open(path, "wb") as handle:
-        count = save(handle)
-        handle.flush()
-        os.fsync(handle.fileno())
+    manifest references the name, the file is garbage — a failed write
+    removes it, and recovery collects what a crash leaves."""
+    try:
+        with open(path, "wb") as handle:
+            count = save(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
     return count
 
 
@@ -415,10 +420,21 @@ def create_live_corpus(path: str, rows, segments: int = 1) -> int:
     fully materialized label ``rows``; returns the row count.
 
     ``segments`` shards the base LPDB0004 file internally (the same knob
-    as a monolithic compile).  Re-creating over an existing live corpus
-    replaces it atomically-enough: the new manifest is installed last,
-    and the old generation's files become garbage."""
+    as a monolithic compile)."""
     rows = list(rows)
+    next_tid = max((row[0] for row in rows), default=-1) + 1
+    return create_live_stores(path, row_stores(rows, segments), next_tid)
+
+
+def create_live_stores(path: str, stores, next_tid: int) -> int:
+    """Create (or re-create) a live corpus directory at ``path`` whose
+    base LPDB0004 file holds ``stores`` (one
+    :class:`~repro.columnar.ColumnStore` per shard, consumed lazily) and
+    whose next appended tree gets ``next_tid``; returns the row count.
+
+    Re-creating over an existing live corpus replaces it
+    atomically-enough: the new manifest is installed last, and the old
+    generation's files become garbage."""
     os.makedirs(path, exist_ok=True)
     existing = os.listdir(path)
     if existing and not os.path.exists(os.path.join(path, MANIFEST_NAME)):
@@ -433,18 +449,16 @@ def create_live_corpus(path: str, rows, segments: int = 1) -> int:
             with contextlib.suppress(StoreError):
                 manifest, _ = _read_manifest(path)
                 generation = manifest.generation + 1
-        manifest_segments: tuple[tuple[str, int], ...] = ()
-        if rows:
-            seg_name = _segment_file_name(generation)
-            count = _write_segment_file(
-                os.path.join(path, seg_name),
-                partial(save_mapped, rows, segments=segments),
-            )
-            manifest_segments = ((seg_name, count),)
+        seg_name = _segment_file_name(generation)
+        seg_path = os.path.join(path, seg_name)
+        count = _write_segment_file(seg_path, partial(save_mapped_stores, stores))
+        manifest_segments: tuple[tuple[str, int], ...] = ((seg_name, count),)
+        if not count:  # an empty corpus has no base file
+            os.unlink(seg_path)
+            manifest_segments = ()
         wal_name = _wal_file_name(generation)
         _write_wal_file(os.path.join(path, wal_name))
         fsync_directory(path)
-        next_tid = max((row[0] for row in rows), default=-1) + 1
         _install_manifest(
             path,
             LiveManifest(generation, manifest_segments, wal_name, next_tid, ""),
@@ -455,7 +469,7 @@ def create_live_corpus(path: str, rows, segments: int = 1) -> int:
         fsync_directory(path)
     finally:
         release_writer_lock(lock)
-    return len(rows)
+    return count
 
 
 def _collect_garbage(root: str, keep: set) -> list[str]:
@@ -810,8 +824,6 @@ class LiveCorpus:
                 seg_path, partial(save_mapped_stores, [merged])
             )
         except OSError as error:
-            with contextlib.suppress(OSError):
-                os.unlink(seg_path)
             raise StoreError(f"compaction segment write failed: {error}") from error
         _barrier("compact_segment", compactor=True)
         # -- cut-over, under the lock ----------------------------------

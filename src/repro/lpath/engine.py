@@ -28,7 +28,7 @@ import os
 from typing import Optional, Sequence, Union
 
 from ..columnar.result import ResultBatch
-from ..columnar.store import COLUMN_NAMES, ColumnStore
+from ..columnar.store import COLUMN_NAMES
 from ..labeling.lpath_scheme import label_corpus
 from ..plan.cache import PlanCache, cached_compile
 from ..plan.segmented import (
@@ -38,7 +38,7 @@ from ..plan.segmented import (
     SegmentedPlanCompiler,
     validate_segmentation,
 )
-from ..store import partition_rows_by_tid
+from ..store import collector_paused, row_stores, tree_stores
 from ..tree.node import Tree, TreeNode
 from .ast import Path
 from .compiler import PlanCompiler
@@ -186,17 +186,6 @@ class PlanEngine:
                 remote=remote,
             )
 
-    @staticmethod
-    def _shard_rows(
-        rows: list, segments: int, column_names: tuple = COLUMN_NAMES
-    ) -> list:
-        """Deal label rows by tree into ``segments`` column stores."""
-        shards = partition_rows_by_tid(rows, segments) if segments > 1 else [rows]
-        return [
-            ColumnStore.from_rows(shard, column_names=column_names)
-            for shard in shards
-        ]
-
     @classmethod
     def _open_mapped(
         cls, path: str, make_compiler, remote: RemoteSpec,
@@ -271,9 +260,13 @@ class LPathEngine(PlanEngine):
         tids = [tree.tid for tree in trees]
         if len(set(tids)) != len(tids):
             raise LPathError("trees must have distinct tids")
-        self._from_rows(
-            list(label_corpus(trees)), plan_cache_size, segments, workers
-        )
+        validate_segmentation(segments, workers)
+        with collector_paused():
+            stores = list(tree_stores(trees, segments))
+        self._install(stores, PlanCompiler, workers, plan_cache_size)
+        # Rows exist only if the SQLite oracle is built: it consumes this
+        # generator once and is cached (see :attr:`sqlite`).
+        self._rows = label_corpus(trees)
         self.trees = trees
         if keep_trees:
             self._treewalk = TreeWalkEvaluator(trees)
@@ -301,8 +294,7 @@ class LPathEngine(PlanEngine):
     ) -> None:
         validate_segmentation(segments, workers)
         self._install(
-            self._shard_rows(rows, segments), PlanCompiler, workers,
-            plan_cache_size,
+            row_stores(rows, segments), PlanCompiler, workers, plan_cache_size,
         )
         self._rows = rows
 

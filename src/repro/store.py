@@ -47,13 +47,17 @@ O(1) cold start.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import mmap as _mmap_module
 import os
 import sys
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from .labeling.lpath_scheme import Label
@@ -204,10 +208,11 @@ def _checked_block(data, offset: int, what: str) -> tuple[bytes, int]:
     return payload, end
 
 
-def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
-    """Deal the trees of a label relation into ``segments`` disjoint shards.
+def partition_by_tid(items: Sequence, segments: int, tid_of) -> list[list]:
+    """Deal ``items`` (label rows or trees; ``tid_of`` reads an item's
+    tree id) into ``segments`` disjoint shards — the one sharding rule.
 
-    Trees stay whole (every row of one ``tid`` lands in the same shard);
+    Trees stay whole (every item of one ``tid`` lands in the same shard);
     distinct tids are dealt round-robin in sorted order, so the split is
     deterministic and balanced for the common case of similar tree sizes.
     Shards may be empty when there are fewer trees than segments.
@@ -216,12 +221,61 @@ def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
         raise StoreError(f"segment count must be >= 1, got {segments}")
     assignment = {
         tid: index % segments
-        for index, tid in enumerate(sorted({row[0] for row in rows}))
+        for index, tid in enumerate(sorted(set(map(tid_of, items))))
     }
     shards: list[list] = [[] for _ in range(segments)]
-    for row in rows:
-        shards[assignment[row[0]]].append(row)
+    for item in items:
+        shards[assignment[tid_of(item)]].append(item)
     return shards
+
+
+def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
+    """Deal the rows of a label relation into ``segments`` shards by tree
+    (:func:`partition_by_tid`)."""
+    return partition_by_tid(rows, segments, itemgetter(0))
+
+
+def row_stores(
+    rows: Sequence, segments: int, column_names: Optional[tuple] = None,
+) -> list:
+    """One :class:`~repro.columnar.ColumnStore` per shard of label
+    ``rows`` (:func:`partition_rows_by_tid`)."""
+    from .columnar.store import COLUMN_NAMES, ColumnStore
+
+    return [
+        ColumnStore.from_rows(shard, column_names or COLUMN_NAMES)
+        for shard in partition_rows_by_tid(rows, segments)
+    ]
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector around a bulk store build.
+
+    A build allocates hundreds of thousands of short-lived, acyclic
+    tuples (sort keys, bounds), and every few hundred of them trigger a
+    young-generation collection that walks them again — about a fifth
+    of a 5 000-sentence save.  Nothing a build allocates forms a cycle,
+    so pausing only defers that work; the previous state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def tree_stores(trees: Sequence, segments: int) -> Iterator:
+    """One :class:`~repro.columnar.ColumnStore` per shard of ``trees``,
+    dealt like their rows would be and labelled straight into columns
+    (:func:`~repro.labeling.lpath_scheme.label_columns`); built lazily, so
+    a writer can free each store once it is serialized."""
+    from .columnar.store import ColumnStore
+    from .labeling.lpath_scheme import label_columns
+
+    shards = partition_by_tid(trees, segments, attrgetter("tid"))
+    return (ColumnStore(*label_columns(shard)) for shard in shards)
 
 
 # -- file helpers -------------------------------------------------------------
@@ -238,21 +292,21 @@ def save_corpus(
     :func:`atomic_write`, so a crash mid-save never destroys a previously
     good store at ``path``) or ``"lpdb0005"`` (a live *directory*, via
     :mod:`repro.live`)."""
-    from .labeling.lpath_scheme import label_corpus
-
     format = "lpdb0004" if format is None else format.lower()
     if format not in ("lpdb0004", LIVE_FORMAT):
         raise StoreError(
             f"unknown store format {format!r}; choose lpdb0004 or lpdb0005"
         )
-    rows = list(label_corpus(trees))
-    if format == LIVE_FORMAT:
-        from .live import create_live_corpus
+    trees = list(trees)
+    stores = tree_stores(trees, segments)
+    with collector_paused():
+        if format == LIVE_FORMAT:
+            from .live import create_live_stores
 
-        create_live_corpus(path, rows, segments=segments)
-        return len(rows)
-    with atomic_write(path) as handle:
-        return save_mapped(rows, handle, segments=segments)
+            next_tid = max((tree.tid for tree in trees), default=-1) + 1
+            return create_live_stores(path, stores, next_tid)
+        with atomic_write(path) as handle:
+            return save_mapped_stores(stores, handle)
 
 
 def load_corpus_labels(path: str) -> list[Label]:
@@ -490,54 +544,41 @@ def _parse_mmap_sidecar(payload: bytes) -> MmapHeader:
 def _mapped_segment_parts(store) -> tuple[MmapSegmentMeta, list[bytes]]:
     """``(sidecar record, blob payloads)`` for one built
     :class:`~repro.columnar.ColumnStore` (blob offsets assigned later)."""
-    intern: dict[str, int] = {}
-    strings: list[str] = []
+    from .columnar.store import run_bounds
 
-    def string_id(text: str) -> int:
-        index = intern.get(text)
-        if index is None:
-            strings.append(text)
-            index = intern[text] = len(strings)
-        return index
+    # The 1-based string table, in first-occurrence order over the names
+    # then the values; id 0 is "no value".
+    table = dict.fromkeys(chain(store.names, store.values))
+    table.pop(None, None)
+    strings = list(table)
+    string_ids = {text: index for index, text in enumerate(strings, 1)}
+    string_ids[None] = 0
+    name_ids = array("q", map(string_ids.__getitem__, store.names))
+    value_ids = array("q", map(string_ids.__getitem__, store.values))
 
-    name_ids = array("q", map(string_id, store.names))
-    value_ids = array(
-        "q",
-        (0 if value is None else string_id(value) for value in store.values),
-    )
-
-    part_tids, part_starts = array("q"), array("q")
-    parts_per_name: dict[str, int] = {}
-    for (name, tid), (lo, _hi) in store.name_tid_bounds.items():
-        part_tids.append(tid)
-        part_starts.append(lo)
-        parts_per_name[name] = parts_per_name.get(name, 0) + 1
+    parts = list(store.name_tid_bounds.items())
+    part_tids = array("q", [tid for (_name, tid), _bounds in parts])
+    part_starts = array("q", [lo for _key, (lo, _hi) in parts])
+    parts_per_name = Counter(name for (name, _tid), _bounds in parts)
 
     names_meta = []
     part_hi = 0
     for name, (_lo, hi) in store.name_bounds.items():
-        part_hi += parts_per_name.get(name, 0)
+        part_hi += parts_per_name[name]
         stats = store.name_stats(name)
         names_meta.append((
-            string_id(name), hi, part_hi,
+            string_ids[name], hi, part_hi,
             stats.max_partition, stats.min_depth, stats.max_depth,
         ))
 
-    child_pids, child_starts = array("q"), array("q")
-    child_tid_dir: list[tuple[int, int]] = []
-    current_tid = None
-    groups = 0
-    for (tid, _pid), (lo, _hi) in store.children_bounds.items():
-        if tid != current_tid:
-            if current_tid is not None:
-                child_tid_dir.append((current_tid, groups))
-            current_tid = tid
-        child_pids.append(_pid)
-        child_starts.append(lo)
-        groups += 1
-    if current_tid is not None:
-        child_tid_dir.append((current_tid, groups))
+    groups = list(store.children_bounds.items())
+    child_pids = array("q", [pid for (_tid, pid), _bounds in groups])
+    child_starts = array("q", [lo for _key, (lo, _hi) in groups])
     child_starts.append(store.n)
+    child_tid_dir = [
+        (tid, hi) for tid, (_lo, hi) in
+        run_bounds([tid for (tid, _pid), _bounds in groups]).items()
+    ]
 
     total = store.name_stats(None)
     meta = MmapSegmentMeta(
@@ -565,21 +606,15 @@ def _mapped_segment_parts(store) -> tuple[MmapSegmentMeta, list[bytes]]:
 
 
 def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
-    """Write the ``LPDB0004`` zero-copy layout; returns rows written.
+    """Write label ``rows`` in the ``LPDB0004`` zero-copy layout; returns
+    rows written.
 
-    Saving is the expensive side on purpose: each shard is run through a
-    full :class:`~repro.columnar.ColumnStore` build (clustered sort,
-    projections, bitmaps, partition bounds, statistics) and the results
-    are serialized, so *opening* the file needs none of that work."""
-    from .columnar.store import ColumnStore
-
-    if segments < 1:
-        raise StoreError(f"segment count must be >= 1, got {segments}")
-    rows = list(rows)
-    shards = (
-        partition_rows_by_tid(rows, segments) if segments > 1 else [rows]
-    )
-    return save_mapped_stores(map(ColumnStore.from_rows, shards), stream)
+    Each shard is built into a full :class:`~repro.columnar.ColumnStore`
+    (clustered sort, projections, bitmaps, partition bounds, statistics)
+    and serialized, so *opening* the file needs none of that work.  The
+    build is C-level sorts and gathers over columns; trees skip the rows
+    altogether (:func:`save_corpus`)."""
+    return save_mapped_stores(row_stores(list(rows), segments), stream)
 
 
 def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:

@@ -17,6 +17,7 @@ from ..lpath.ast import Path
 from ..lpath.engine import PlanEngine
 from ..lpath.errors import LPathError
 from ..plan.segmented import RemoteSpec, validate_segmentation
+from ..store import row_stores
 from ..tree.node import Tree
 from .compiler import VERTICAL_FRAGMENT, XPathPlanCompiler
 
@@ -41,9 +42,9 @@ class XPathEngine(PlanEngine):
         tids = [tree.tid for tree in trees]
         if len(set(tids)) != len(tids):
             raise LPathError("trees must have distinct tids")
-        rows = [tuple(row) for row in xpath_scheme.label_corpus(trees)]
+        rows = list(xpath_scheme.label_corpus(trees))
         self._install(
-            self._shard_rows(rows, segments, XNODE_COLUMNS),
+            row_stores(rows, segments, XNODE_COLUMNS),
             partial(XPathPlanCompiler, axes=axes), workers, plan_cache_size,
         )
         self.trees = trees

@@ -382,7 +382,6 @@ class TestCompaction:
 
         monkeypatch.setattr(ColumnStore, "from_rows", classmethod(from_rows))
         monkeypatch.setattr(store, "save_mapped", save_mapped)
-        monkeypatch.setattr(live, "save_mapped", save_mapped)
         batch = len(rows_for(MORE))
         manager = LiveEngineManager(corpus_dir)
         try:
@@ -797,6 +796,19 @@ class TestEngineSwap:
             manager.close()
 
 
+def exploding_save(stores, handle):
+    """A store writer that dies mid-write, after producing bytes."""
+    handle.write(b"partial garbage")
+    raise OSError("disk died mid-save")
+
+
+def directory_bytes(path: str) -> dict:
+    return {
+        name: open(os.path.join(path, name), "rb").read()
+        for name in sorted(os.listdir(path))
+    }
+
+
 class TestAtomicSaves:
     def test_failed_save_preserves_previous_store(self, tmp_path,
                                                   monkeypatch):
@@ -807,22 +819,32 @@ class TestAtomicSaves:
 
         # Make the re-save die mid-write, after bytes have been
         # produced: the temp file must be discarded and the original
-        # store stay byte-identical.
-        real_save = store.save_mapped
-
-        def exploding_save(rows, handle, **kwargs):
-            handle.write(b"partial garbage")
-            raise OSError("disk died mid-save")
-
-        monkeypatch.setattr(store, "save_mapped", exploding_save)
+        # store stay byte-identical.  save_corpus writes through
+        # save_mapped_stores.
+        monkeypatch.setattr(store, "save_mapped_stores", exploding_save)
         with pytest.raises(OSError, match="disk died"):
             store.save_corpus(trees, path, format="lpdb0004")
-        monkeypatch.setattr(store, "save_mapped", real_save)
+        monkeypatch.undo()
         assert open(path, "rb").read() == good
         assert not [
             name for name in os.listdir(tmp_path)
             if name.startswith(".corpus.lpdb.tmp-")
         ]
+
+    def test_failed_live_save_preserves_previous_store(self, tmp_path,
+                                                       monkeypatch):
+        path = str(tmp_path / "live.lpdb")
+        trees = list(iter_trees(TEXT * 2))
+        store.save_corpus(trees, path, format="lpdb0005")
+        good = directory_bytes(path)
+
+        # The re-created base file dies mid-write: it is removed, and the
+        # installed generation (manifest, base file, WAL) is untouched.
+        monkeypatch.setattr(live, "save_mapped_stores", exploding_save)
+        with pytest.raises(OSError, match="disk died"):
+            store.save_corpus(trees, path, format="lpdb0005")
+        monkeypatch.undo()
+        assert directory_bytes(path) == good
 
     def test_atomic_write_fsyncs_and_replaces(self, tmp_path):
         path = str(tmp_path / "out.bin")
