@@ -15,14 +15,13 @@ side for differential testing).
 """
 
 from .executor import ColumnarPlan, ColumnarRuntime, PlanSkeleton
-from .store import ColumnStore, MappedColumnStore, NameStats, StringColumn
+from .store import ColumnStore, NameStats, StringColumn
 from .structural import MergeJoinStep, MergeSpec, choose_join, merge_spec
 
 __all__ = [
     "ColumnStore",
     "ColumnarPlan",
     "ColumnarRuntime",
-    "MappedColumnStore",
     "MergeJoinStep",
     "MergeSpec",
     "NameStats",

@@ -36,8 +36,8 @@ since the zero-copy store arrived: every column reference compiled here
 (``store.col(...)``, the bitmap filters, the probe bound getters, the
 string columns) must go through ``__getitem__``/``len``/iteration and
 never assume ``array('q')`` concretely, because a
-:class:`~repro.columnar.store.MappedColumnStore` hands back ``memoryview``
-casts straight off an ``mmap`` and lazy
+store adopted from a file hands back ``memoryview`` casts straight off
+an ``mmap`` and every store hands back lazy
 :class:`~repro.columnar.store.StringColumn` wrappers instead.  The same
 rule binds :mod:`repro.columnar.structural`, whose generated sweep loops
 index the raw views directly.  (A released view — the owning engine was

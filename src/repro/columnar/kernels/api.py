@@ -26,7 +26,12 @@ The public surface the engine integrates against:
   array as the JSON bytes of its pairs, for the serving layer
   (:mod:`repro.columnar.result` holds the pure-Python twins).  The
   executor reaches the others through the bundle its compile resolved
-  once (``Knobs.kern``).
+  once (``Knobs.kern``);
+* ``NativeKernels.argsort`` / ``.run_starts`` with ``.take`` — the store
+  build: the stable lexicographic argsort that puts rows in clustered
+  (and ``(tid, id)``, children) order, and the run-start scan that turns
+  sorted keys into partition and tree directories
+  (:mod:`repro.columnar.store` holds the pure-Python twins).
 * :func:`column_pointer` / ``ColumnStore.column_ptr`` — raw
   ``(pointer, length)`` access to a column buffer for the C side.
 
@@ -363,6 +368,33 @@ class NativeKernels:
             raise MemoryError("native pair merge allocation failed")
         return out
 
+    def argsort(self, keys) -> array:
+        """Row positions ordered by the int64 ``keys`` columns, ties in
+        position order — the C twin of ``sorted`` over ``(key..., row)``
+        tuples."""
+        out = array("q")
+        if self._over_keys(self.lib.repro_argsort, keys, out) < 0:
+            raise MemoryError("native argsort allocation failed")
+        return out
+
+    def run_starts(self, keys) -> array:
+        """The positions where a run of equal ``keys`` rows starts."""
+        out = array("q")
+        del out[self._over_keys(self.lib.repro_run_starts, keys, out):]
+        return out
+
+    def _over_keys(self, kernel, keys, out: array) -> int:
+        """``kernel(keys, k, n, out)`` with ``out`` grown to ``n`` rows."""
+        count = len(keys[0])
+        out.frombytes(bytes(8 * count))
+        if not count:
+            return 0
+        views = [self.i64(key) for key in keys]
+        return kernel(
+            self.ffi.new("int64_t *[]", views), len(keys), count,
+            self.i64_out(out),
+        )
+
     def encode_pairs(self, pairs: array) -> bytes:
         """Packed pairs as the bytes ``json.dumps`` gives the list of
         their ``[tid, id]`` lists."""
@@ -504,12 +536,13 @@ class NativeRangeFilter:
 
 def _native_take(kern):
     """The batch-column gather ``out[k] = column[src[k]]`` as one C pass.
-    ``src`` is the index array a native join produced; an interpreted
-    join's index *list* gathers through the interpreter."""
+    ``src`` is an int64 index buffer (what a native join produced, a
+    store's permutation); an interpreted join's index *list* gathers
+    through the interpreter."""
     gather, i64, i64_out = kern.lib.repro_gather, kern.i64, kern.i64_out
 
     def take(column, src):
-        if not isinstance(src, array):
+        if not isinstance(src, (array, memoryview)):
             return array("q", map(column.__getitem__, src))
         count = len(src)
         out = array("q", bytes(8 * count))

@@ -5,12 +5,15 @@ int64 column buffers — the per-shape structural sweep join, the
 stack-tree ancestor join, the prefix join, the vectorized range filter,
 batch gather, the selection-vector reduction, the result emit (gather,
 sort, dedup into packed ``(tid, id)`` pairs), the sorted disjoint
-k-way pair merge and the packed-pairs-to-JSON encoder.  The C code is
-a line-for-line transcription of the pure-Python loops in
-:mod:`repro.columnar.structural`, :mod:`repro.columnar.executor` and
-:mod:`repro.columnar.result`
-(same traversal order, same comparison semantics, same emit order), so
-the two backends stay byte-identical by construction and the dual-backend
+k-way pair merge, the packed-pairs-to-JSON encoder and the store build
+(a stable lexicographic argsort over int64 key columns and the run-start
+scan that turns sorted keys into directories).  The C code is a
+line-for-line transcription of the pure-Python loops in
+:mod:`repro.columnar.structural`, :mod:`repro.columnar.executor`,
+:mod:`repro.columnar.result` and :mod:`repro.columnar.store`
+(same traversal order, same comparison semantics, same emit order; the
+argsort reaches its twin's total order by another algorithm), so the two
+backends stay byte-identical by construction and the dual-backend
 differential suite can hold them to it.
 
 Build paths (both produce ``repro.columnar.kernels._native``):
@@ -49,7 +52,7 @@ ffibuilder = FFI()
 #: pre-built ``_native`` artifact whose ``REPRO_KERNEL_ABI`` differs, so a
 #: stale shared object left in a checkout can never be called with the
 #: wrong argument list.
-KERNEL_ABI = 6
+KERNEL_ABI = 7
 
 ffibuilder.cdef(
     """
@@ -113,6 +116,10 @@ int64_t repro_merge_pairs(
     int64_t **blobs, const int64_t *counts, int32_t k, int64_t *out);
 
 int64_t repro_encode_pairs(const int64_t *pairs, int64_t n, char *out);
+
+int64_t repro_argsort(int64_t **keys, int32_t k, int64_t n, int64_t *out);
+
+int64_t repro_run_starts(int64_t **keys, int32_t k, int64_t n, int64_t *out);
 
 void repro_free(int64_t *p);
 """
@@ -654,6 +661,123 @@ int64_t repro_encode_pairs(const int64_t *pairs, int64_t n, char *out)
     }
     *p++ = ']';
     return p - out;
+}
+
+/* -- store build: clustered order and run directories -------------------- */
+
+/* Row a against row b of a row-major n x k key matrix, the row position
+   breaking ties: a total order, so the sort below is the stable sort of
+   the Python twin (sorted() over (key..., position) tuples). */
+static int repro_row_cmp(const int64_t *mat, int32_t k, int64_t a, int64_t b)
+{
+    const int64_t *x = mat + a * k, *y = mat + b * k;
+    int32_t j;
+    for (j = 0; j < k; j++)
+        if (x[j] != y[j])
+            return x[j] < y[j] ? -1 : 1;
+    return a < b ? -1 : a > b;
+}
+
+#define REPRO_SORT_RUN 32
+
+/* out[0..n) <- the row positions ordered by (keys[0][r], ..., keys[k-1][r],
+   r).  When the first key spans at most n values, a stable counting pass
+   by it comes first; then insertion-sorted runs and bottom-up merges that
+   copy a pair of runs already in order -- about O(n) when rows arrive
+   ordered up to the first key, the build's usual case (trees in tid
+   order, nodes in document order).  Any correct sort gives the same
+   permutation, the order being total.  Returns 0, or -1 when an
+   allocation fails. */
+int64_t repro_argsort(int64_t **keys, int32_t k, int64_t n, int64_t *out)
+{
+    int64_t *mat, *tmp, *src, *dst, *swap, r, lo, width, least, most;
+    int32_t j;
+    if (n <= 0)
+        return 0;
+    mat = (int64_t *)malloc((size_t)n * (size_t)k * sizeof(int64_t));
+    tmp = (int64_t *)malloc((size_t)n * sizeof(int64_t));
+    if (!mat || !tmp)
+        goto oom;
+    least = most = keys[0][0];
+    for (r = 0; r < n; r++) {
+        for (j = 0; j < k; j++)
+            mat[r * k + j] = keys[j][r];
+        least = mat[r * k] < least ? mat[r * k] : least;
+        most = mat[r * k] > most ? mat[r * k] : most;
+        out[r] = r;
+    }
+    if ((uint64_t)most - (uint64_t)least < (uint64_t)n) {
+        int64_t *starts = (int64_t *)calloc((size_t)(most - least + 2),
+                                            sizeof(int64_t));
+        if (!starts)
+            goto oom;
+        for (r = 0; r < n; r++)
+            starts[mat[r * k] - least + 1]++;
+        for (r = 1; r <= most - least; r++)
+            starts[r] += starts[r - 1];
+        for (r = 0; r < n; r++)
+            out[starts[mat[r * k] - least]++] = r;
+        free(starts);
+    }
+    for (lo = 0; lo < n; lo += REPRO_SORT_RUN) {
+        int64_t hi = lo + REPRO_SORT_RUN < n ? lo + REPRO_SORT_RUN : n, i;
+        for (i = lo + 1; i < hi; i++) {
+            int64_t held = out[i], slot = i;
+            while (slot > lo && repro_row_cmp(mat, k, out[slot - 1], held) > 0) {
+                out[slot] = out[slot - 1];
+                slot--;
+            }
+            out[slot] = held;
+        }
+    }
+    src = out;
+    dst = tmp;
+    for (width = REPRO_SORT_RUN; width < n; width *= 2) {
+        for (lo = 0; lo < n; lo += 2 * width) {
+            int64_t mid = lo + width < n ? lo + width : n;
+            int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t a = lo, b = mid, o = lo;
+            if (mid == hi || repro_row_cmp(mat, k, src[mid - 1], src[mid]) < 0) {
+                memcpy(dst + lo, src + lo, (size_t)(hi - lo) * sizeof(int64_t));
+                continue;
+            }
+            while (a < mid && b < hi)
+                dst[o++] = repro_row_cmp(mat, k, src[b], src[a]) < 0
+                    ? src[b++] : src[a++];
+            while (a < mid)
+                dst[o++] = src[a++];
+            while (b < hi)
+                dst[o++] = src[b++];
+        }
+        swap = src;
+        src = dst;
+        dst = swap;
+    }
+    if (src != out)
+        memcpy(out, src, (size_t)n * sizeof(int64_t));
+    free(mat);
+    free(tmp);
+    return 0;
+oom:
+    free(mat);
+    free(tmp);
+    return -1;
+}
+
+/* out <- every position p of [0, n) where a run of equal key rows
+   starts (p == 0, or some keys[j][p] != keys[j][p - 1]); returns the
+   count.  On sorted keys: one start per distinct key. */
+int64_t repro_run_starts(int64_t **keys, int32_t k, int64_t n, int64_t *out)
+{
+    int64_t p, count = 0;
+    int32_t j;
+    for (p = 0; p < n; p++) {
+        for (j = 0; p && j < k && keys[j][p] == keys[j][p - 1]; j++)
+            continue;
+        if (j < k)
+            out[count++] = p;
+    }
+    return count;
 }
 
 void repro_free(int64_t *p)

@@ -3,12 +3,13 @@
 This module stores the relation ``node(tid, left, right, depth, id, pid,
 name, value)`` as parallel arrays rather than row tuples:
 
-* the six integer columns live in ``array('q')`` buffers, physically
-  ordered by the paper's clustered key ``{name, tid, left, right, depth,
-  id, pid}`` — so every clustered probe is a *contiguous range of row
-  ids*, found by a dictionary lookup on ``(name, tid)`` plus two binary
-  searches on the raw ``left`` array;
-* ``name``/``value`` are interned-string columns;
+* the six integer columns are int64 buffers, physically ordered by the
+  paper's clustered key ``{name, tid, left, right, depth, id, pid}`` — so
+  every clustered probe is a *contiguous range of row ids*, found by a
+  name-directory lookup plus binary searches over the partition tids and
+  the raw ``left`` column;
+* ``name``/``value`` are :class:`StringColumn`\\ s: int64 ids into one
+  string table;
 * derived per-row bitmaps (``is_attr``, ``right_edge``) turn the
   element/attribute tests and LPath's root alignment (``$``) into plain
   array reads;
@@ -21,6 +22,17 @@ name, value)`` as parallel arrays rather than row tuples:
   feed the optimizer's cost-based choice between per-binding probe joins
   and the structural merge joins of :mod:`repro.columnar.structural`.
 
+One layout, two buffer owners: every store *is* one ``LPDB0004``
+segment (:class:`repro.store.MappedSegment` — 17 blobs plus the sidecar
+record of directories, string table and collected statistics).  A store
+opened from a file adopts ``memoryview``\\ s off the ``mmap``; a store
+built in memory (from label columns, :meth:`~ColumnStore.from_rows`,
+:meth:`~ColumnStore.concat`) owns the ``array('q')``/``bytearray``
+buffers its build laid out, which the file writer writes as they are.
+A build is stable lexicographic argsorts, gathers and run-start scans:
+the native kernels when ``REPRO_KERNELS`` resolves to them, else their
+pure-Python twins here, byte for byte the same.
+
 Row ids index every column; a query binding is a short list of row ids
 rather than a concatenation of 8-wide tuples.  The batch executor in
 :mod:`repro.columnar.executor` consumes these primitives.
@@ -30,13 +42,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from itertools import compress, count, groupby, repeat
-from operator import eq, itemgetter, not_, or_
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import compress, count, repeat
+from operator import eq, itemgetter, ne, not_, or_, sub
+from typing import Iterable, Iterator, Optional
 
 from ..faults import maybe_mmap_read_error
 from ..labeling.lpath_scheme import ATTRIBUTE_PREFIX
+from ..store import MappedSegment, MmapSegmentMeta, NameStats
+from .kernels.api import active_kernels
 
 #: Column positions, shared with :mod:`repro.plan.ir`.
 T, L, R, D, I, P, N, V = range(8)
@@ -46,22 +59,13 @@ T, L, R, D, I, P, N, V = range(8)
 COLUMN_NAMES = ("tid", "left", "right", "depth", "id", "pid", "name", "value")
 
 
-class NameStats(NamedTuple):
-    """Collected statistics for one name partition, feeding the
-    optimizer's join cost model (:mod:`repro.plan.optimizer` /
-    :mod:`repro.columnar.structural`)."""
-
-    rows: int            # rows carrying the name across the corpus
-    partitions: int      # distinct (name, tid) partitions
-    max_partition: int   # rows in the largest per-tree partition
-    min_depth: int       # shallowest occurrence (0 when absent)
-    max_depth: int       # deepest occurrence (0 when absent)
+_NO_STATS = NameStats(0, 0, 0, 0, 0)
 
 
-def _gather(column, rows: list):
+def _gather(column, rows) -> tuple:
     """``column[row]`` for every row, in one C-level call."""
     if len(rows) < 2:  # itemgetter needs two keys to return a tuple
-        return [column[row] for row in rows]
+        return tuple(column[row] for row in rows)
     return itemgetter(*rows)(column)
 
 
@@ -73,48 +77,138 @@ def _transpose(rows: list, width: int) -> tuple:
     return tuple(list(map(itemgetter(position), rows)) for position in range(width))
 
 
-def _sorted_columns(rows, width: int) -> tuple:
-    """``rows`` sorted, then transposed into ``width`` columns."""
-    return _transpose(sorted(rows), width)
+# -- the build: label columns -> one LPDB0004 segment --------------------------
+#
+# Three primitives do the O(rows) work; the native kernels implement them
+# in C (``repro_argsort``, ``repro_run_starts``, ``repro_gather``) and
+# these are their pure-Python twins.
 
 
-def run_bounds(keys) -> dict:
-    """``key -> (lo, hi)`` for every run of equal adjacent ``keys``: on
-    sorted keys, each key's one contiguous block."""
-    bounds = {}
-    hi = 0
-    for key, run in groupby(keys):
-        lo, hi = hi, hi + len(list(run))
-        bounds[key] = (lo, hi)
-    return bounds
+def python_argsort(keys) -> array:
+    """Row positions ordered by the ``keys`` columns, ties in position
+    order."""
+    return array("q", map(itemgetter(-1), sorted(zip(*keys, count()))))
 
 
-def _key_name(item) -> str:
-    """The name of one ``((name, tid), bounds)`` partition entry."""
-    return item[0][0]
+def python_run_starts(keys) -> array:
+    """The positions where a run of equal ``keys`` rows starts."""
+    rows = list(zip(*keys))
+    return array("q", compress(count(), map(ne, [None, *rows], rows)))
 
 
-def _shift_into(target: dict, items, shift: int) -> None:
-    """``target[key] = (lo + shift, hi + shift)`` for every ``(key, (lo,
-    hi))`` of ``items``, in order."""
-    for key, (lo, hi) in items:
-        target[key] = (lo + shift, hi + shift)
+def python_take(column, src) -> array:
+    """``column`` gathered through the index sequence ``src`` (one
+    C-level map; the native backend swaps in a C gather)."""
+    return array("q", map(column.__getitem__, src))
 
 
-def _string_slice(column, lo: int, hi: int):
-    """Rows ``lo:hi`` of a string column, heap list or mapped."""
-    if isinstance(column, StringColumn):
-        return map(column.table.__getitem__, column.ids[lo:hi])
-    return column[lo:hi]
+def _build_ops() -> tuple:
+    """``(argsort, run_starts, take)`` of the resolved kernel backend."""
+    kern = active_kernels()
+    if kern is None:
+        return python_argsort, python_run_starts, python_take
+    return kern.argsort, kern.run_starts, kern.take
+
+
+def _directory(run_starts, keys, end: int) -> list:
+    """``(key, run end)`` for every run of equal sorted ``keys``."""
+    starts = run_starts([keys])
+    return list(zip(map(keys.__getitem__, starts), [*starts[1:], end]))
+
+
+def _build_segment(tid, left, right, depth, id, pid, names, values) -> MappedSegment:
+    """Sort label columns into the clustered order and lay them out as
+    one segment.  Names sort by their rank among the distinct names, so
+    the clustered key is all int64; each rank is also the name's string
+    id."""
+    argsort, run_starts, take = ops = _build_ops()
+    names = list(names)
+    distinct = sorted(set(names))
+    name_keys = array("q", map(dict(zip(distinct, count(1))).__getitem__, names))
+    integers = [array("q", column) for column in (tid, left, right, depth, id, pid)]
+    order = argsort([name_keys, *integers])
+    clustered = [take(column, order) for column in integers]
+    tid, left, _right, _depth, id, pid = clustered
+    return _segment(
+        ops, clustered, take(name_keys, order), distinct,
+        _gather(list(values), order),
+        argsort([tid, id]), argsort([tid, pid, left]),
+    )
+
+
+def _segment(ops, columns, name_ids, names, values,
+             tid_id_perm, children_perm) -> MappedSegment:
+    """The segment over clustered ``columns``: ``name_ids`` index the
+    sorted distinct ``names`` (from 1), ``values`` are the value strings
+    in clustered order, and the two permutations are already sorted; the
+    rest — string table, bitmaps, directories, statistics — derives from
+    these."""
+    _argsort, run_starts, take = ops
+    tid, _left, right, depth, ids, pid = columns
+    n = len(tid)
+    # The 1-based string table: the names (in clustered order, so sorted),
+    # then the values in first-occurrence order; id 0 is "no value".
+    table = dict.fromkeys(names)
+    table.update(dict.fromkeys(values))
+    table.pop(None, None)
+    strings = list(table)
+    string_ids = dict(zip([None, *strings], count()))
+    value_ids = array("q", map(string_ids.__getitem__, values))
+
+    name_starts = run_starts([name_ids])
+    part_starts = run_starts([name_ids, tid])
+    sizes = list(map(sub, [*part_starts[1:], n], part_starts))
+    is_attr = bytearray(n)
+    names_meta = []
+    part_hi = 0
+    for sid, name, lo, hi in zip(count(1), names, name_starts, [*name_starts[1:], n]):
+        if name.startswith(ATTRIBUTE_PREFIX):
+            is_attr[lo:hi] = b"\x01" * (hi - lo)
+        part_lo, part_hi = part_hi, bisect_left(part_starts, hi, part_hi)
+        depths = depth[lo:hi]
+        names_meta.append((
+            sid, hi, part_hi, max(sizes[part_lo:part_hi]), min(depths), max(depths),
+        ))
+
+    # A row is on the right edge when it ends where its tree's root
+    # element (pid 0) ends.
+    roots = map(not_, map(or_, pid, is_attr))
+    root_right = dict(compress(zip(tid, right), roots))
+    right_edge = bytearray(map(eq, right, map(root_right.get, tid)))
+
+    tid_dir = _directory(run_starts, take(tid, tid_id_perm), n)
+    child_tids = take(tid, children_perm)
+    child_pids = take(pid, children_perm)
+    group_starts = run_starts([child_tids, child_pids])
+    tree_ends = [hi for _tid, hi in tid_dir]
+    store_stats = (
+        n, len(tid_dir), max(map(sub, tree_ends, [0, *tree_ends])),
+        min(depth), max(depth),
+    ) if n else (0, 0, 0, 0, 0)
+    child_tid_dir = _directory(
+        run_starts, take(child_tids, group_starts), len(group_starts)
+    )
+    meta = MmapSegmentMeta(
+        n, strings, [], sorted(root_right.items()), tid_dir, child_tid_dir,
+        store_stats, names_meta,
+    )
+    return MappedSegment(meta, [
+        *columns, name_ids, value_ids,
+        tid_id_perm, take(ids, tid_id_perm), children_perm,
+        is_attr, right_edge,
+        take(tid, part_starts), part_starts,
+        take(child_pids, group_starts), group_starts + array("q", [n]),
+    ])
 
 
 class ColumnStore:
-    """The label relation as clustered parallel arrays.
+    """The label relation as clustered parallel arrays: one adopted
+    ``LPDB0004`` segment.
 
-    Build with :meth:`from_rows` (any iterable of 8-tuples / ``Label``
-    rows) or :meth:`concat` (tid-disjoint stores laid end to end); a
-    compiled ``LPDB0004`` file is adopted zero-copy by
-    :class:`MappedColumnStore` instead.
+    Build with ``ColumnStore(*label_columns(trees))``, :meth:`from_rows`
+    (any iterable of 8-tuples / ``Label`` rows) or :meth:`concat`
+    (tid-disjoint stores laid end to end); a compiled ``LPDB0004`` file's
+    segments are adopted zero-copy by :meth:`adopt`.
     """
 
     __slots__ = (
@@ -137,6 +231,7 @@ class ColumnStore:
         "tid_bounds",
         "children_perm",
         "children_bounds",
+        "segment",
         "_perm_ids",
         "_by_value",
         "_name_stats",
@@ -154,55 +249,49 @@ class ColumnStore:
         values: Iterable[Optional[str]],
         column_names: tuple[str, ...] = COLUMN_NAMES,
     ) -> None:
-        values = list(values)
-        # Physical order: the clustered key {name, tid, left, right, depth,
-        # id, pid}, so clustered probes are contiguous row-id ranges; the
-        # trailing input position breaks ties stably.
-        names, *integers, order = _sorted_columns(
-            zip(names, tid, left, right, depth, id, pid, count()), 8
+        self._adopt(
+            _build_segment(tid, left, right, depth, id, pid, names, values),
+            column_names,
         )
-        intern = {text: text for text in {*names, *values}}
-        self.n = n = len(order)
-        self.column_names = tuple(column_names)
-        (self.tid, self.left, self.right,
-         self.depth, self.id, self.pid) = (array("q", column) for column in integers)
-        self.names = list(map(intern.__getitem__, names))
-        self.values = list(map(intern.__getitem__, _gather(values, order)))
-
-        self.name_bounds = run_bounds(self.names)
-        self.name_tid_bounds = run_bounds(zip(self.names, self.tid))
-
-        # Bitmaps: attribute rows are whole name blocks; a row is on the
-        # right edge when it ends where its tree's root element ends.
-        self.is_attr = is_attr = bytearray(n)
-        for name, (lo, hi) in self.name_bounds.items():
-            if name.startswith(ATTRIBUTE_PREFIX):
-                is_attr[lo:hi] = b"\x01" * (hi - lo)
-        roots = map(not_, map(or_, self.pid, is_attr))  # element rows, pid 0
-        self.root_right = dict(compress(zip(self.tid, self.right), roots))
-        self.right_edge = bytearray(
-            map(eq, self.right, map(self.root_right.get, self.tid))
-        )
-
-        # The (tid, id) projection: row ids in (tid, id) order.
-        tids, ids, perm = _sorted_columns(zip(self.tid, self.id, count()), 3)
-        self.tid_id_perm = array("q", perm)
-        self._perm_ids = array("q", ids)
-        self.tid_bounds = run_bounds(tids)
-
-        # CSR-style children offsets: rows grouped by (tid, pid) in span
-        # order, so a node's children (element + attribute rows) are one
-        # contiguous slice of a permutation array — the wildcard
-        # child/parent steps become direct lookups, not whole-tree scans.
-        tids, pids, _lefts, perm = _sorted_columns(
-            zip(self.tid, self.pid, self.left, count()), 4
-        )
-        self.children_perm = array("q", perm)
-        self.children_bounds = run_bounds(zip(tids, pids))
-        self._by_value: Optional[dict] = None       # built on first value seed
-        self._name_stats: dict[Optional[str], NameStats] = {}
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def adopt(
+        cls, segment: MappedSegment, column_names: tuple[str, ...] = COLUMN_NAMES
+    ) -> "ColumnStore":
+        """The store over one segment's buffers, as they are."""
+        store = cls.__new__(cls)
+        store._adopt(segment, column_names)
+        return store
+
+    def _adopt(self, segment: MappedSegment, column_names: tuple[str, ...]) -> None:
+        """Nothing is decoded, sorted or scanned: the integer columns and
+        the derived permutations/bitmaps are the segment's buffers, the
+        string columns resolve through its table lazily, the partition /
+        children bounds answer from its directories plus binary search,
+        and every :class:`NameStats` was collected at build — adoption is
+        O(names + trees), not O(rows)."""
+        self.segment = segment
+        self.n = segment.n
+        self.column_names = tuple(column_names)
+        (self.tid, self.left, self.right, self.depth, self.id, self.pid,
+         name_ids, value_ids, self.tid_id_perm, self._perm_ids,
+         self.children_perm, self.is_attr, self.right_edge,
+         part_tids, part_starts, child_pids, child_starts) = segment.buffers
+        self.names = StringColumn(name_ids, segment.table)
+        self.values = StringColumn(value_ids, segment.table)
+        self.root_right = segment.root_right
+        self.tid_bounds = segment.tid_bounds
+        self.name_bounds = segment.name_bounds
+        self.name_tid_bounds = GroupBounds(
+            segment.name_dir, part_tids, part_starts, self.n
+        )
+        self.children_bounds = GroupBounds(
+            segment.child_tid_dir, child_pids, child_starts, self.n
+        )
+        self._name_stats = segment.name_stats
+        self._by_value = None
 
     @classmethod
     def from_rows(
@@ -215,17 +304,16 @@ class ColumnStore:
 
     @staticmethod
     def concat(stores) -> "ColumnStore":
-        """One heap store over the rows of tid-ascending, tid-disjoint
-        ``stores`` (heap or mapped), equal field for field to
+        """One store over the rows of tid-ascending, tid-disjoint
+        ``stores`` (built or mapped), equal field for field to
         :meth:`from_rows` over all their rows, built without a sort.
 
         Labels are assigned per tree and never relabelled (Definition
         4.1), so the clustered order ``{name, tid, left, …}`` of the union
-        is each name block of the inputs laid end to end in input order:
-        columns are block slices, bounds are shifted, the two
-        permutations are remapped through each input's row → new position
-        array, and per-name statistics fold (disjoint trees add
-        partitions)."""
+        is each name block of the inputs laid end to end in input order,
+        and the two permutations are each input's remapped through its
+        row → new position array, laid end to end in input order; the
+        directories, bitmaps and statistics derive from those."""
         stores = list(stores)
         column_names = stores[0].column_names if stores else COLUMN_NAMES
         stores = [store for store in stores if store.n]
@@ -237,85 +325,41 @@ class ColumnStore:
                 raise ValueError("concat needs tid-ascending, tid-disjoint stores")
             last = next(reversed(store.tid_bounds))
 
+        ops = _build_ops()
+        take = ops[2]
         columns = tuple(array("q") for _ in range(6))
-        names: list = []
+        name_ids = array("q")
         values: list = []
-        is_attr, right_edge = bytearray(), bytearray()
-        name_bounds: dict = {}
-        name_tid_bounds: dict = {}
         moved = [array("q") for _ in stores]  # input row -> output row
-        partitions = [
-            groupby(store.name_tid_bounds.items(), key=_key_name)
-            for store in stores
-        ]
         raw = [  # the integer columns as bytes: a block is one slice each
             [memoryview(store.col(position)).cast("B") for position in range(6)]
             for store in stores
         ]
+        names = sorted(set().union(*(store.name_bounds for store in stores)))
         row = 0
-        for name in sorted(set().union(*(store.name_bounds for store in stores))):
+        for sid, name in enumerate(names, 1):
             start = row
-            for store, views, moves, parts in zip(stores, raw, moved, partitions):
+            for store, views, moves in zip(stores, raw, moved):
                 span = store.name_bounds.get(name)
                 if span is None:
                     continue
                 lo, hi = span
                 for column, view in zip(columns, views):
                     column.frombytes(view[8 * lo:8 * hi])
-                values.extend(_string_slice(store.values, lo, hi))
-                is_attr += store.is_attr[lo:hi]
-                right_edge += store.right_edge[lo:hi]
-                _shift_into(name_tid_bounds, next(parts)[1], row - lo)
+                strings = store.values
+                values += map(strings.table.__getitem__, strings.ids[lo:hi])
                 moves.extend(range(row, row + hi - lo))
                 row += hi - lo
-            name_bounds[name] = (start, row)
-            names.extend([name] * (row - start))
-
-        tid_id_perm, perm_ids, children_perm = array("q"), array("q"), array("q")
-        tid_bounds: dict = {}
-        children_bounds: dict = {}
-        root_right: dict = {}
-        offset = 0
+            name_ids.extend(repeat(sid, row - start))
+        tid_id_perm, children_perm = array("q"), array("q")
         for store, moves in zip(stores, moved):
-            tid_id_perm.extend(map(moves.__getitem__, store.tid_id_perm))
-            perm_ids.frombytes(memoryview(store._perm_ids).cast("B"))
-            children_perm.extend(map(moves.__getitem__, store.children_perm))
-            _shift_into(tid_bounds, store.tid_bounds.items(), offset)
-            _shift_into(children_bounds, store.children_bounds.items(), offset)
-            root_right.update(store.root_right)
-            offset += store.n
-
-        stats: dict = {}
-        for name in (None, *name_bounds):
-            rows, partitions, largest, shallowest, deepest = zip(*(
-                store.name_stats(name) for store in stores
-                if name is None or name in store.name_bounds
-            ))
-            stats[name] = NameStats(
-                sum(rows), sum(partitions), max(largest),
-                min(shallowest), max(deepest),
-            )
-
-        merged = ColumnStore.__new__(ColumnStore)
-        merged.n = row
-        merged.column_names = column_names
-        (merged.tid, merged.left, merged.right,
-         merged.depth, merged.id, merged.pid) = columns
-        merged.names = names
-        merged.values = values
-        merged.is_attr = is_attr
-        merged.right_edge = right_edge
-        merged.root_right = root_right
-        merged.name_bounds = name_bounds
-        merged.name_tid_bounds = name_tid_bounds
-        merged.tid_id_perm = tid_id_perm
-        merged.tid_bounds = tid_bounds
-        merged._perm_ids = perm_ids
-        merged.children_perm = children_perm
-        merged.children_bounds = children_bounds
-        merged._by_value = None
-        merged._name_stats = stats
-        return merged
+            tid_id_perm += take(moves, store.tid_id_perm)
+            children_perm += take(moves, store.children_perm)
+        return ColumnStore.adopt(
+            _segment(ops, columns, name_ids, names, values,
+                     tid_id_perm, children_perm),
+            column_names,
+        )
 
     def children_rows(self, tid: int, pid: int):
         """Rows whose parent is ``(tid, pid)`` in span order (attribute
@@ -325,8 +369,19 @@ class ColumnStore:
 
     # -- column access -------------------------------------------------------
 
+    # The mapped store is the one physical layer whose reads can fail at
+    # query time (the mapping is page-cache memory over a file another
+    # process — or a dying disk — may invalidate).  Every physical plan
+    # step passes one ``mmap_read_error`` checkpoint when it is bound to
+    # such a store and one each time it runs, so the serving layer's
+    # classify-and-quarantine path can be driven deterministically; the
+    # caller resolves ``REPRO_FAULTS`` once per compile/execute, so with
+    # it unset a checkpoint is one ``is None`` test per plan step (never
+    # per column fetch, never per row).  Heap buffers cannot fail to read.
+
     def checkpoint(self, injector) -> None:
-        """A read-fault checkpoint; heap arrays cannot fail to read."""
+        if self.segment.mapped:
+            maybe_mmap_read_error(injector)
 
     def col(self, position: int):
         """The backing sequence for one column position."""
@@ -338,7 +393,7 @@ class ColumnStore:
     def column_ptr(self, position: int):
         """``(raw pointer, length)`` over one integer column for the
         native kernels — zero-copy for both heap arrays and the mmap
-        views of a :class:`MappedColumnStore`, where the C side reads
+        views of a mapped store, where the C side reads
         page-cache memory directly.  Raises ``TypeError`` for the string
         columns, ``RuntimeError`` when the cffi extension is unavailable,
         and ``ValueError`` once the owning corpus released its views.
@@ -417,17 +472,12 @@ class ColumnStore:
             self._by_value = self._build_by_value()
         return self._by_value
 
-    def _value_keys(self):
-        """``(per-row grouping key, key -> value string)`` for the value
-        index: heap values are interned strings, their own keys."""
-        return self.values, lambda value: value
-
     def _build_by_value(self) -> dict:
         """One pass over the attribute rows in ``(tid, id)`` order,
-        grouped on :meth:`_value_keys` so a mapped store touches each
-        distinct string once instead of once per row; the per-row work
-        is column gathers, not interpreted lookups."""
-        keys, resolve = self._value_keys()
+        grouped on the string ids so each distinct string is resolved
+        once instead of once per row; the per-row work is column
+        gathers, not interpreted lookups."""
+        keys, table = self.values.ids, self.values.table
         perm = self.tid_id_perm.tolist()
         rows = list(compress(perm, _gather(bytes(self.is_attr), perm)))
         groups: dict = {}
@@ -438,12 +488,12 @@ class ColumnStore:
             else:
                 group.append(row)
         tids = self.tid
-        table: dict[str, tuple[array, array]] = {}
+        found: dict[str, tuple[array, array]] = {}
         for key, group in groups.items():
-            value = resolve(key)
+            value = table[key]
             if value is not None:
-                table[value] = (array("q", _gather(tids, group)), array("q", group))
-        return table
+                found[value] = (array("q", _gather(tids, group)), array("q", group))
+        return found
 
     def value_rows(self, literal: str, tid: Optional[int] = None):
         """Attribute rows whose value equals ``literal`` (optionally within
@@ -477,45 +527,19 @@ class ColumnStore:
 
     def name_stats(self, name: Optional[str]) -> NameStats:
         """Per-name cardinality/partition/depth statistics for the join
-        cost model; C-level scans of the name block, cached per name
-        (``None`` summarizes the whole store)."""
-        cached = self._name_stats.get(name)
-        if cached is not None:
-            return cached
-        if name is None:
-            lo, hi = 0, self.n
-            partitions = len(self.tid_bounds)
-            max_partition = max(
-                (bounds[1] - bounds[0] for bounds in self.tid_bounds.values()),
-                default=0,
-            )
-        else:
-            lo, hi = self.name_bounds.get(name, (0, 0))
-            sizes = Counter(self.tid[lo:hi]).values()  # rows per tree
-            partitions = len(sizes)
-            max_partition = max(sizes, default=0)
-        if lo == hi:
-            stats = NameStats(0, 0, 0, 0, 0)
-        else:
-            depths = self.depth[lo:hi]
-            stats = NameStats(
-                hi - lo, partitions, max_partition, min(depths), max(depths)
-            )
-        self._name_stats[name] = stats
-        return stats
+        cost model, collected at build (``None`` summarizes the whole
+        store)."""
+        return self._name_stats.get(name, _NO_STATS)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ColumnStore rows={self.n} names={len(self.name_bounds)}>"
 
 
-# -- zero-copy adoption of an LPDB0004 segment ---------------------------------
-
-
 class StringColumn:
-    """A lazy string column: an int64 id view over the mapped file plus
-    the decoded string table.  Rows resolve on access, so adopting the
-    column is O(1) instead of an O(rows) list build; repeated lookups of
-    one row return the *same* table entry (interning for free)."""
+    """A lazy string column: an int64 id buffer plus the segment's
+    string table.  Rows resolve on access, so adopting the column is O(1)
+    instead of an O(rows) list build; repeated lookups of one row return
+    the *same* table entry (interning for free)."""
 
     __slots__ = ("ids", "table")
 
@@ -534,83 +558,39 @@ class StringColumn:
         return (table[index] for index in self.ids)
 
 
-class PartitionBounds:
-    """The ``(name, tid) -> (row lo, row hi)`` mapping of a mapped store,
-    answered from the sidecar's name directory plus two int64 views
-    (partition tids and row starts, in clustered order) — a dict lookup
-    and one binary search instead of an O(partitions) dict build at open.
-    Implements the read surface the executor and the structural joins use
-    (``get``/``[]``/``in``)."""
+class GroupBounds:
+    """``(key, sub key) -> (lo, hi)`` over sorted groups: a directory
+    ``key -> (first group, end group)``, the groups' sub keys (ascending
+    within one key) and their start offsets; a group ends where the next
+    one starts, the last one at ``end``.  It answers the ``(name, tid)``
+    partitions of the clustered order and the ``(tid, pid)`` groups of
+    the children permutation with a dict lookup and one binary search,
+    and implements the read surface the executor and the structural
+    joins use (``get``/``[]``/``in``/``items``)."""
 
-    __slots__ = ("_name_dir", "_tids", "_starts", "_n")
+    __slots__ = ("_directory", "_keys", "_starts", "_end")
 
-    def __init__(self, name_dir: dict, tids, starts, n: int) -> None:
-        self._name_dir = name_dir   # name -> (part lo, part hi, row hi)
-        self._tids = tids
+    def __init__(self, directory: dict, keys, starts, end: int) -> None:
+        self._directory = directory
+        self._keys = keys
         self._starts = starts
-        self._n = n
+        self._end = end
 
-    def _lookup(self, key):
-        name, tid = key
-        span = self._name_dir.get(name)
+    def get(self, key, default=None):
+        outer, inner = key
+        span = self._directory.get(outer)
         if span is None:
-            return None
-        part_lo, part_hi, _row_hi = span
-        tids = self._tids
-        index = bisect_left(tids, tid, part_lo, part_hi)
-        if index == part_hi or tids[index] != tid:
-            return None
+            return default
+        lo, hi = span
+        keys = self._keys
+        index = bisect_left(keys, inner, lo, hi)
+        if index == hi or keys[index] != inner:
+            return default
         starts = self._starts
-        start = starts[index]
-        end = starts[index + 1] if index + 1 < len(starts) else self._n
-        return start, end
-
-    def get(self, key, default=None):
-        bounds = self._lookup(key)
-        return default if bounds is None else bounds
-
-    def __getitem__(self, key):
-        bounds = self._lookup(key)
-        if bounds is None:
-            raise KeyError(key)
-        return bounds
-
-    def __contains__(self, key) -> bool:
-        return self._lookup(key) is not None
-
-    def items(self):
-        """Every ``((name, tid), (row lo, row hi))`` in clustered order."""
-        tids, starts = self._tids, self._starts
-        ends = [*starts[1:], self._n]
-        for name, (lo, hi, _row_hi) in self._name_dir.items():
-            yield from zip(
-                zip(repeat(name), tids[lo:hi]), zip(starts[lo:hi], ends[lo:hi])
-            )
-
-
-class ChildrenBounds:
-    """The ``(tid, pid) -> (slot lo, slot hi)`` mapping over a mapped
-    store's children permutation: a per-tree group directory plus two
-    int64 views (group pids and slot starts)."""
-
-    __slots__ = ("_tid_dir", "_pids", "_starts")
-
-    def __init__(self, tid_dir: dict, pids, starts) -> None:
-        self._tid_dir = tid_dir     # tid -> (group lo, group hi)
-        self._pids = pids
-        self._starts = starts
-
-    def get(self, key, default=None):
-        tid, pid = key
-        span = self._tid_dir.get(tid)
-        if span is None:
-            return default
-        group_lo, group_hi = span
-        pids = self._pids
-        index = bisect_left(pids, pid, group_lo, group_hi)
-        if index == group_hi or pids[index] != pid:
-            return default
-        return self._starts[index], self._starts[index + 1]
+        following = index + 1
+        return starts[index], (
+            starts[following] if following < len(starts) else self._end
+        )
 
     def __getitem__(self, key):
         bounds = self.get(key)
@@ -622,85 +602,10 @@ class ChildrenBounds:
         return self.get(key) is not None
 
     def items(self):
-        """Every ``((tid, pid), (slot lo, slot hi))`` in ``(tid, pid)``
-        order."""
-        pids, starts = self._pids, self._starts
-        for tid, (lo, hi) in self._tid_dir.items():
+        """Every ``((key, sub key), (lo, hi))``, in group order."""
+        keys, starts = self._keys, self._starts
+        ends = [*starts[1:], self._end]
+        for outer, (lo, hi) in self._directory.items():
             yield from zip(
-                zip(repeat(tid), pids[lo:hi]), zip(starts[lo:hi], starts[lo + 1:hi + 1])
+                zip(repeat(outer), keys[lo:hi]), zip(starts[lo:hi], ends[lo:hi])
             )
-
-
-class MappedColumnStore(ColumnStore):
-    """A :class:`ColumnStore` adopted zero-copy from one segment of an
-    ``LPDB0004`` file (:class:`repro.store.MappedSegment`).
-
-    Nothing is decoded, sorted or scanned: the integer columns and the
-    derived permutations/bitmaps are ``memoryview``\\ s straight off the
-    ``mmap``, the string columns resolve through the sidecar's table
-    lazily, the partition/children bounds answer from sidecar directories
-    plus binary search, and every :class:`NameStats` the cost model asks
-    for was collected at save time — open cost is O(names + trees), not
-    O(rows).  Closing the owning :class:`~repro.store.MappedCorpus`
-    releases the views; a store used after that raises ``ValueError``."""
-
-    __slots__ = ()
-
-    def __init__(
-        self, segment, column_names: tuple[str, ...] = COLUMN_NAMES
-    ) -> None:
-        self.n = segment.n
-        self.column_names = tuple(column_names)
-        self.tid = segment.tid
-        self.left = segment.left
-        self.right = segment.right
-        self.depth = segment.depth
-        self.id = segment.id
-        self.pid = segment.pid
-        table = segment.table
-        self.names = StringColumn(segment.name_ids, table)
-        self.values = StringColumn(segment.value_ids, table)
-        self.is_attr = segment.is_attr
-        self.right_edge = segment.right_edge
-        self.root_right = segment.root_right
-        self.tid_id_perm = segment.tid_id_perm
-        self._perm_ids = segment.perm_ids
-        self.tid_bounds = segment.tid_bounds
-        self.children_perm = segment.children_perm
-        self.children_bounds = ChildrenBounds(
-            segment.child_tid_dir, segment.child_pids, segment.child_starts
-        )
-
-        name_bounds: dict[str, tuple[int, int]] = {}
-        name_dir: dict[str, tuple[int, int, int]] = {}
-        stats: dict[Optional[str], NameStats] = {}
-        for name, lo, hi, part_lo, part_hi, collected in segment.name_entries:
-            name_bounds[name] = (lo, hi)
-            name_dir[name] = (part_lo, part_hi, hi)
-            stats[name] = NameStats(*collected)
-        self.name_bounds = name_bounds
-        self.name_tid_bounds = PartitionBounds(
-            name_dir, segment.part_tids, segment.part_starts, self.n
-        )
-        stats[None] = NameStats(*segment.store_stats)
-        self._name_stats = stats
-        self._by_value = None
-
-    def _value_keys(self):
-        """Group on the interned string ids; ``table[0]`` is ``None``."""
-        return self.values.ids, self.values.table.__getitem__
-
-    # -- fault checkpoint ------------------------------------------------------
-    #
-    # The mapped store is the one physical layer whose reads can fail at
-    # query time (the mapping is page-cache memory over a file another
-    # process — or a dying disk — may invalidate).  Every physical plan
-    # step passes one ``mmap_read_error`` checkpoint when it is bound to
-    # this store and one each time it runs, so the serving layer's
-    # classify-and-quarantine path can be driven deterministically; the
-    # caller resolves ``REPRO_FAULTS`` once per compile/execute, so with
-    # it unset a checkpoint is one ``is None`` test per plan step (never
-    # per column fetch, never per row).
-
-    def checkpoint(self, injector) -> None:
-        maybe_mmap_read_error(injector)

@@ -76,6 +76,7 @@ from ..plan.ir import (
     L, R, T,
 )
 from .kernels.api import NativeMergeJoin, active_kernels, bind_checks
+from .store import python_take
 
 SWEEP, STACK, PREFIX = "sweep", "stack", "prefix"
 
@@ -372,12 +373,6 @@ def _first_passing(cands, b: list, vector, row_checks):
 
 
 # -- what every join step does with its matches -------------------------------
-
-
-def python_take(column, src) -> array:
-    """``column`` gathered through the index sequence ``src`` (one
-    C-level map; the native backend swaps in a C gather)."""
-    return array("q", map(column.__getitem__, src))
 
 
 def python_distinct(ordinals, n: int, negated: bool = False) -> array:

@@ -24,7 +24,7 @@ The points and where they bite:
     :data:`SEGMENT_SLOW_SECONDS` first — exercises deadlines, queue
     growth and the circuit breaker without any wrong answers.
 ``mmap_read_error``
-    A :class:`repro.columnar.MappedColumnStore` read checkpoint raises
+    A mapped :class:`repro.columnar.ColumnStore`'s read checkpoint raises
     ``OSError`` — the shape of a failing disk or a lost mapping; the
     daemon must classify it 503 and quarantine the store, never 500.
 ``socket_reset``

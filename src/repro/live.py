@@ -74,8 +74,10 @@ from .store import (
     _block_header,
     _checked_block,
     _read_sidecar,
-    _read_varint,
-    _write_varint,
+    _read_strings,
+    _read_varints,
+    _varints,
+    _write_strings,
     fsync_directory,
     load_labels,
     open_mapped_corpus,
@@ -113,20 +115,13 @@ class LiveManifest(NamedTuple):
 
 def _encode_manifest(manifest: LiveManifest) -> bytes:
     payload = io.BytesIO()
-    _write_varint(payload, manifest.generation)
-    _write_varint(payload, len(manifest.segments))
+    payload.write(_varints((manifest.generation, len(manifest.segments))))
     for name, rows in manifest.segments:
-        encoded = name.encode("utf-8")
-        _write_varint(payload, len(encoded))
-        payload.write(encoded)
-        _write_varint(payload, rows)
-    wal = manifest.wal.encode("utf-8")
-    _write_varint(payload, len(wal))
-    payload.write(wal)
-    _write_varint(payload, manifest.next_tid)
-    recovery = manifest.last_recovery.encode("utf-8")
-    _write_varint(payload, len(recovery))
-    payload.write(recovery)
+        _write_strings(payload, (name,))
+        payload.write(_varints((rows,)))
+    _write_strings(payload, (manifest.wal,))
+    payload.write(_varints((manifest.next_tid,)))
+    _write_strings(payload, (manifest.last_recovery,))
     blob = payload.getvalue()
     return LIVE_MAGIC + _block_header(blob) + blob
 
@@ -139,23 +134,15 @@ def _parse_manifest(data: bytes) -> LiveManifest:
     payload, end = _checked_block(data, len(LIVE_MAGIC), "manifest")
     if end != len(data):
         raise StoreError(f"{len(data) - end} trailing bytes after manifest")
-    offset = 0
-    generation, offset = _read_varint(payload, offset)
-    count, offset = _read_varint(payload, offset)
+    (generation, count), offset = _read_varints(payload, 0, 2)
     segments = []
     for _ in range(count):
-        length, offset = _read_varint(payload, offset)
-        name = payload[offset:offset + length].decode("utf-8")
-        offset += length
-        rows, offset = _read_varint(payload, offset)
+        (name,), offset = _read_strings(payload, offset, 1)
+        (rows,), offset = _read_varints(payload, offset, 1)
         segments.append((name, rows))
-    length, offset = _read_varint(payload, offset)
-    wal = payload[offset:offset + length].decode("utf-8")
-    offset += length
-    next_tid, offset = _read_varint(payload, offset)
-    length, offset = _read_varint(payload, offset)
-    recovery = payload[offset:offset + length].decode("utf-8")
-    offset += length
+    (wal,), offset = _read_strings(payload, offset, 1)
+    (next_tid,), offset = _read_varints(payload, offset, 1)
+    (recovery,), offset = _read_strings(payload, offset, 1)
     if offset != len(payload):
         raise StoreError("trailing bytes inside the manifest payload")
     return LiveManifest(generation, tuple(segments), wal, next_tid, recovery)
@@ -214,76 +201,42 @@ def _install_manifest(
 
 def _encode_payload(rows) -> tuple[bytes, int]:
     """Encode rows into one WAL record payload; returns ``(blob, count)``."""
-    strings: dict[str, int] = {}
-
-    def intern(text: str) -> int:
-        index = strings.get(text)
-        if index is None:
-            index = len(strings) + 1  # 0 is reserved for "no value"
-            strings[text] = index
-        return index
-
-    body = io.BytesIO()
-    count = 0
-    for row in rows:
-        tid, left, right, depth, node_id, pid, name, value = row
-        _write_varint(body, tid)
-        _write_varint(body, left)
-        _write_varint(body, right)
-        _write_varint(body, depth)
-        _write_varint(body, node_id)
-        _write_varint(body, pid)
-        _write_varint(body, intern(name))
-        _write_varint(body, _NO_VALUE if value is None else intern(value))
-        count += 1
-
+    strings: dict[str, int] = {}  # text -> index; 0 is "no value"
+    intern = strings.setdefault
+    fields: list[int] = []
+    for tid, left, right, depth, node_id, pid, name, value in rows:
+        fields += (
+            tid, left, right, depth, node_id, pid,
+            intern(name, len(strings) + 1),
+            _NO_VALUE if value is None else intern(value, len(strings) + 1),
+        )
+    count = len(fields) // 8
     payload = io.BytesIO()
-    _write_varint(payload, count)
-    _write_varint(payload, len(strings))
-    for text in strings:  # insertion order == index order
-        encoded = text.encode("utf-8")
-        _write_varint(payload, len(encoded))
-        payload.write(encoded)
-    payload.write(body.getvalue())
+    payload.write(_varints((count, len(strings))))
+    _write_strings(payload, strings)  # insertion order == index order
+    payload.write(_varints(fields))
     return payload.getvalue(), count
 
 
 def _parse_string_table(payload: bytes) -> tuple[int, list[str], int]:
     """``(row count, string table, row-data offset)`` of a WAL record."""
-    count, offset = _read_varint(payload, 0)
-    table_size, offset = _read_varint(payload, offset)
-    table: list[str] = [""]  # index 0: no value
-    for _ in range(table_size):
-        length, offset = _read_varint(payload, offset)
-        end = offset + length
-        if end > len(payload):
-            raise StoreError("truncated string table")
-        try:
-            table.append(payload[offset:end].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise StoreError("undecodable string-table entry") from None
-        offset = end
-    return count, table, offset
+    (count, table_size), offset = _read_varints(payload, 0, 2)
+    strings, offset = _read_strings(payload, offset, table_size)
+    return count, ["", *strings], offset  # index 0: no value
 
 
 def _decode_labels_into(payload: bytes, rows: list[Label]) -> None:
     """Append the rows of one WAL record payload to ``rows``."""
     count, table, offset = _parse_string_table(payload)
-    for _ in range(count):
-        tid, offset = _read_varint(payload, offset)
-        left, offset = _read_varint(payload, offset)
-        right, offset = _read_varint(payload, offset)
-        depth, offset = _read_varint(payload, offset)
-        node_id, offset = _read_varint(payload, offset)
-        pid, offset = _read_varint(payload, offset)
-        name_index, offset = _read_varint(payload, offset)
-        value_index, offset = _read_varint(payload, offset)
-        try:
-            name = table[name_index]
-            value = None if value_index == _NO_VALUE else table[value_index]
-        except IndexError:
-            raise StoreError("string-table reference out of range") from None
-        rows.append(Label(tid, left, right, depth, node_id, pid, name, value))
+    fields, offset = _read_varints(payload, offset, 8 * count)
+    try:
+        for *position, name_index, value_index in zip(*[iter(fields)] * 8):
+            rows.append(Label(
+                *position, table[name_index],
+                None if value_index == _NO_VALUE else table[value_index],
+            ))
+    except IndexError:
+        raise StoreError("string-table reference out of range") from None
     if offset != len(payload):
         raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
 
@@ -776,7 +729,7 @@ class LiveCorpus:
         WAL at cut-over.  Every durability barrier is a crash point —
         a kill anywhere leaves either the old complete generation or the
         new one."""
-        from .columnar.store import ColumnStore, MappedColumnStore
+        from .columnar.store import ColumnStore
 
         started = time.monotonic()
         with self._lock:
@@ -811,7 +764,7 @@ class LiveCorpus:
                 mapped.insert(0, corpus)
                 absorbed.insert(0, name)
                 rows += count
-            inputs = [MappedColumnStore(corpus.segments[0]) for corpus in mapped]
+            inputs = [ColumnStore.adopt(corpus.segments[0]) for corpus in mapped]
             inputs += stores
             merged = inputs[0] if len(inputs) == 1 else ColumnStore.concat(inputs)
         finally:
@@ -1054,7 +1007,7 @@ class _LiveSegments:
         snapshot (base shards in manifest order, then the delta tiers).
         Costs O(new WAL rows) amortized, plus one file open per base
         file not seen before."""
-        from .columnar.store import ColumnStore, MappedColumnStore
+        from .columnar.store import ColumnStore
 
         covered = sum(tier.size for tier in self._tiers)
         names, fresh = self.corpus.snapshot(after=covered)
@@ -1076,7 +1029,7 @@ class _LiveSegments:
                 self._files[name] = entry = (mapped, [])
                 for shard in mapped.segments:
                     entry[1].append(_segment(
-                        MappedColumnStore(shard),
+                        ColumnStore.adopt(shard),
                         len(base) + len(entry[1]), "base",
                     ))
             base.extend(entry[1])

@@ -194,7 +194,7 @@ class PlanEngine:
     ):
         """An engine over every segment of an ``LPDB0004`` file, adopted
         zero-copy; the engine owns the mapping from here on."""
-        from ..columnar.store import MappedColumnStore
+        from ..columnar.store import ColumnStore
         from ..store import open_mapped_corpus
 
         validate_segmentation(1, workers, mode)
@@ -203,7 +203,7 @@ class PlanEngine:
         corpus = open_mapped_corpus(path)
         try:
             stores = [
-                MappedColumnStore(segment, column_names=column_names)
+                ColumnStore.adopt(segment, column_names)
                 for segment in corpus.segments
             ]
             validate_segmentation(len(stores), workers)

@@ -274,7 +274,7 @@ def _worker_segment(spec: RemoteSpec, index: int):
             from ..store import open_mapped_corpus
 
             corpus = _WORKER_CORPORA[spec.path] = open_mapped_corpus(spec.path)
-        from ..columnar.store import MappedColumnStore
+        from ..columnar.store import ColumnStore
         from .cache import PlanCache
 
         segment = corpus.segments[index]
@@ -283,13 +283,13 @@ def _worker_segment(spec: RemoteSpec, index: int):
             from ..xpath.compiler import XPathPlanCompiler
             from ..xpath.engine import XNODE_COLUMNS
 
-            store = MappedColumnStore(segment, column_names=XNODE_COLUMNS)
+            store = ColumnStore.adopt(segment, XNODE_COLUMNS)
             axes = frozenset(Axis[name] for name in spec.axes or ())
             compiler = XPathPlanCompiler(store, axes=axes)
         else:
             from ..lpath.compiler import PlanCompiler
 
-            compiler = PlanCompiler(MappedColumnStore(segment))
+            compiler = PlanCompiler(ColumnStore.adopt(segment))
         entry = _WORKER_SEGMENTS[key] = (compiler, PlanCache())
     return entry
 

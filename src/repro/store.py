@@ -11,11 +11,11 @@ the treebank.  Two on-disk revisions exist:
   per-tree directories, blob offsets — everything O(segments + names +
   trees)) followed by an 8-aligned data region holding each segment's
   columns as raw native-endian int64 blobs *in clustered order*, plus
-  the derived structures a :class:`~repro.columnar.ColumnStore`
-  otherwise builds at load time (``(tid, id)`` and children
-  permutations, attribute/edge bitmaps, per-``(name, tid)`` partition
-  bounds).  Segments partition the corpus by tree (``tid``), so each is
-  a self-contained shard one store adopts and queries in parallel.
+  the derived structures (``(tid, id)`` and children permutations,
+  attribute/edge bitmaps, per-``(name, tid)`` partition bounds) — the
+  very buffers a built :class:`~repro.columnar.ColumnStore` holds, so a
+  save writes them as they are.  Segments partition the corpus by tree
+  (``tid``): each is a self-contained shard one store adopts and queries.
   Opening the file (:func:`open_mapped_corpus`) ``mmap``\\ s it and
   adopts ``memoryview``\\ s straight off the map — no per-row decode, no
   sort, no statistics scan;
@@ -53,12 +53,10 @@ import mmap as _mmap_module
 import os
 import sys
 import zlib
-from array import array
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .labeling.lpath_scheme import Label
 
@@ -149,53 +147,104 @@ def atomic_write(path: str) -> Iterator[BinaryIO]:
     fsync_directory(directory)
 
 
+def _varints(values) -> bytes:
+    """``values`` as concatenated varints, encoded in one loop."""
+    out = bytearray()
+    append = out.append
+    for value in values:
+        if value < 0:
+            raise StoreError(f"cannot encode negative value {value}")
+        while value > 0x7F:
+            append(value & 0x7F | 0x80)
+            value >>= 7
+        append(value)
+    return bytes(out)
+
+
 def _write_varint(out: BinaryIO, value: int) -> None:
-    if value < 0:
-        raise StoreError(f"cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.write(bytes((byte | 0x80,)))
-        else:
-            out.write(bytes((byte,)))
-            return
+    out.write(_varints((value,)))
 
 
-def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(data):
+def _write_strings(out: BinaryIO, strings) -> None:
+    """A string table: each entry's UTF-8 length, then its bytes."""
+    for text in strings:
+        encoded = text.encode("utf-8")
+        out.write(_varints((len(encoded),)))
+        out.write(encoded)
+
+
+def _read_varints(data, offset: int, count: int) -> tuple[list, int]:
+    """``count`` varints from ``offset`` of ``data``, decoded in one loop
+    (no call per varint); returns them and the offset past them."""
+    values: list[int] = []
+    append = values.append
+    size = len(data)
+    for _ in range(count):
+        if offset >= size:
             raise StoreError("truncated varint")
-        if shift > 63:
-            raise StoreError("varint out of range")
         byte = data[offset]
         offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            # No legitimate field exceeds a signed 64-bit value; anything
-            # larger is corruption (and would otherwise overflow the
-            # column arrays).
-            if result >= 1 << 63:
+        if byte < 0x80:
+            append(byte)
+            continue
+        value, shift = byte & 0x7F, 7
+        while True:
+            if offset >= size:
+                raise StoreError("truncated varint")
+            if shift > 63:
                 raise StoreError("varint out of range")
-            return result, offset
-        shift += 7
+            byte = data[offset]
+            offset += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                break
+            shift += 7
+        # No legitimate field exceeds a signed 64-bit value; anything
+        # larger is corruption (and would otherwise overflow the column
+        # arrays).
+        if value >= 1 << 63:
+            raise StoreError("varint out of range")
+        append(value)
+    return values, offset
+
+
+def _read_varint(data, offset: int) -> tuple[int, int]:
+    (value,), offset = _read_varints(data, offset, 1)
+    return value, offset
+
+
+def _read_strings(data, offset: int, count: int) -> tuple[list, int]:
+    """``count`` string-table entries from ``offset`` of ``data`` (the
+    :func:`_write_strings` layout) in one loop; returns them and the
+    offset past them."""
+    strings: list[str] = []
+    size = len(data)
+    try:
+        for _ in range(count):
+            if offset < size and data[offset] < 0x80:  # a one-byte length
+                end = offset + 1 + data[offset]
+                offset += 1
+            else:
+                length, offset = _read_varint(data, offset)
+                end = offset + length
+            if end > size:
+                raise StoreError("truncated string table")
+            strings.append(data[offset:end].decode("utf-8"))
+            offset = end
+    except UnicodeDecodeError:
+        raise StoreError("undecodable string-table entry") from None
+    return strings, offset
 
 
 def _block_header(blob: bytes) -> bytes:
     """The varint length + CRC-32 header :func:`_checked_block` verifies."""
-    header = io.BytesIO()
-    _write_varint(header, len(blob))
-    _write_varint(header, zlib.crc32(blob))
-    return header.getvalue()
+    return _varints((len(blob), zlib.crc32(blob)))
 
 
 def _checked_block(data, offset: int, what: str) -> tuple[bytes, int]:
     """Verify the length + CRC-32 block (the ``what``) at ``offset`` of
     ``data``; returns its payload and the offset past it."""
-    length, offset = _read_varint(data, offset)
-    expected_crc, offset = _read_varint(data, offset)
+    (length, expected_crc), offset = _read_varints(data, offset, 2)
     end = offset + length
     if end > len(data):
         raise StoreError(
@@ -253,9 +302,9 @@ def collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector around a bulk store build.
 
     A build allocates hundreds of thousands of short-lived, acyclic
-    tuples (sort keys, bounds), and every few hundred of them trigger a
-    young-generation collection that walks them again — about a fifth
-    of a 5 000-sentence save.  Nothing a build allocates forms a cycle,
+    objects (label columns; the Python twin's sort-key tuples), and every
+    few hundred of them trigger a young-generation collection that walks
+    them again.  Nothing a build allocates forms a cycle,
     so pausing only defers that work; the previous state is restored."""
     enabled = gc.isenabled()
     gc.disable()
@@ -416,7 +465,8 @@ _BYTE_BLOBS = ("is_attr", "right_edge")
 #: Variable-length int64 blobs: per-(name, tid) partition bounds (P
 #: entries each) and CSR children groups (G and G+1 entries).
 _AUX_BLOBS = ("part_tids", "part_starts", "child_pids", "child_starts")
-_BLOB_COUNT = len(_INT64_BLOBS) + len(_BYTE_BLOBS) + len(_AUX_BLOBS)
+_BLOB_NAMES = _INT64_BLOBS + _BYTE_BLOBS + _AUX_BLOBS
+_BLOB_COUNT = len(_BLOB_NAMES)
 
 
 def _align8(value: int) -> int:
@@ -452,87 +502,52 @@ class MmapHeader:
 def _encode_mmap_sidecar(header: MmapHeader) -> bytes:
     out = io.BytesIO()
     out.write(b"\x00" if header.byteorder == "little" else b"\x01")
-    _write_varint(out, header.data_length)
-    _write_varint(out, len(header.segments))
+    out.write(_varints((header.data_length, len(header.segments))))
     for meta in header.segments:
         if len(meta.blobs) != _BLOB_COUNT:
             raise StoreError(
                 f"segment declares {len(meta.blobs)} blobs, "
                 f"expected {_BLOB_COUNT}"
             )
-        _write_varint(out, meta.n)
-        _write_varint(out, len(meta.strings))
-        for text in meta.strings:
-            encoded = text.encode("utf-8")
-            _write_varint(out, len(encoded))
-            out.write(encoded)
-        for offset, length in meta.blobs:
-            _write_varint(out, offset)
-            _write_varint(out, length)
+        out.write(_varints((meta.n, len(meta.strings))))
+        _write_strings(out, meta.strings)
+        values = [*chain.from_iterable(meta.blobs)]
         for pairs in (meta.root_right, meta.tid_dir, meta.child_tid_dir):
-            _write_varint(out, len(pairs))
-            for first, second in pairs:
-                _write_varint(out, first)
-                _write_varint(out, second)
-        for value in meta.store_stats:
-            _write_varint(out, value)
-        _write_varint(out, len(meta.names))
-        for entry in meta.names:
-            for value in entry:
-                _write_varint(out, value)
+            values.append(len(pairs))
+            values += chain.from_iterable(pairs)
+        values += (*meta.store_stats, len(meta.names))
+        values += chain.from_iterable(meta.names)
+        out.write(_varints(values))
     return out.getvalue()
 
 
+def _pairs(values: list) -> list:
+    return list(zip(values[::2], values[1::2]))
+
+
 def _parse_mmap_sidecar(payload: bytes) -> MmapHeader:
+    """Decode the sidecar: each run of varints (the blob table, a
+    directory, the name entries) is one :func:`_read_varints` loop, and
+    the string table one loop of its own."""
     if not payload:
         raise StoreError("empty LPDB0004 sidecar")
     byteorder = "little" if payload[0] == 0 else "big"
-    data_length, offset = _read_varint(payload, 1)
-    segment_count, offset = _read_varint(payload, offset)
+    (data_length, segment_count), offset = _read_varints(payload, 1, 2)
     segments = []
     for _ in range(segment_count):
-        n, offset = _read_varint(payload, offset)
-        table_size, offset = _read_varint(payload, offset)
-        strings: list[str] = []
-        for _ in range(table_size):
-            length, offset = _read_varint(payload, offset)
-            end = offset + length
-            if end > len(payload):
-                raise StoreError("truncated string table")
-            try:
-                strings.append(payload[offset:end].decode("utf-8"))
-            except UnicodeDecodeError:
-                raise StoreError("undecodable string-table entry") from None
-            offset = end
-        blobs = []
-        for _ in range(_BLOB_COUNT):
-            blob_offset, offset = _read_varint(payload, offset)
-            blob_length, offset = _read_varint(payload, offset)
-            blobs.append((blob_offset, blob_length))
+        (n, table_size), offset = _read_varints(payload, offset, 2)
+        strings, offset = _read_strings(payload, offset, table_size)
+        blobs, offset = _read_varints(payload, offset, 2 * _BLOB_COUNT)
         directories = []
         for _ in range(3):
-            count, offset = _read_varint(payload, offset)
-            pairs = []
-            for _ in range(count):
-                first, offset = _read_varint(payload, offset)
-                second, offset = _read_varint(payload, offset)
-                pairs.append((first, second))
-            directories.append(pairs)
-        stats = []
-        for _ in range(5):
-            value, offset = _read_varint(payload, offset)
-            stats.append(value)
-        name_count, offset = _read_varint(payload, offset)
-        names = []
-        for _ in range(name_count):
-            entry = []
-            for _ in range(6):
-                value, offset = _read_varint(payload, offset)
-                entry.append(value)
-            names.append(tuple(entry))
+            (pairs,), offset = _read_varints(payload, offset, 1)
+            values, offset = _read_varints(payload, offset, 2 * pairs)
+            directories.append(_pairs(values))
+        stats, offset = _read_varints(payload, offset, 6)
+        values, offset = _read_varints(payload, offset, 6 * stats.pop())
         segments.append(MmapSegmentMeta(
-            n, strings, blobs, directories[0], directories[1],
-            directories[2], tuple(stats), names,
+            n, strings, _pairs(blobs), *directories, tuple(stats),
+            list(zip(*[iter(values)] * 6)),
         ))
     if offset != len(payload):
         raise StoreError(
@@ -541,95 +556,33 @@ def _parse_mmap_sidecar(payload: bytes) -> MmapHeader:
     return MmapHeader(byteorder, data_length, segments)
 
 
-def _mapped_segment_parts(store) -> tuple[MmapSegmentMeta, list[bytes]]:
-    """``(sidecar record, blob payloads)`` for one built
-    :class:`~repro.columnar.ColumnStore` (blob offsets assigned later)."""
-    from .columnar.store import run_bounds
-
-    # The 1-based string table, in first-occurrence order over the names
-    # then the values; id 0 is "no value".
-    table = dict.fromkeys(chain(store.names, store.values))
-    table.pop(None, None)
-    strings = list(table)
-    string_ids = {text: index for index, text in enumerate(strings, 1)}
-    string_ids[None] = 0
-    name_ids = array("q", map(string_ids.__getitem__, store.names))
-    value_ids = array("q", map(string_ids.__getitem__, store.values))
-
-    parts = list(store.name_tid_bounds.items())
-    part_tids = array("q", [tid for (_name, tid), _bounds in parts])
-    part_starts = array("q", [lo for _key, (lo, _hi) in parts])
-    parts_per_name = Counter(name for (name, _tid), _bounds in parts)
-
-    names_meta = []
-    part_hi = 0
-    for name, (_lo, hi) in store.name_bounds.items():
-        part_hi += parts_per_name[name]
-        stats = store.name_stats(name)
-        names_meta.append((
-            string_ids[name], hi, part_hi,
-            stats.max_partition, stats.min_depth, stats.max_depth,
-        ))
-
-    groups = list(store.children_bounds.items())
-    child_pids = array("q", [pid for (_tid, pid), _bounds in groups])
-    child_starts = array("q", [lo for _key, (lo, _hi) in groups])
-    child_starts.append(store.n)
-    child_tid_dir = [
-        (tid, hi) for tid, (_lo, hi) in
-        run_bounds([tid for (tid, _pid), _bounds in groups]).items()
-    ]
-
-    total = store.name_stats(None)
-    meta = MmapSegmentMeta(
-        n=store.n,
-        strings=strings,
-        blobs=[],
-        root_right=sorted(store.root_right.items()),
-        tid_dir=[(tid, hi) for tid, (_lo, hi) in store.tid_bounds.items()],
-        child_tid_dir=child_tid_dir,
-        store_stats=(total.rows, total.partitions, total.max_partition,
-                     total.min_depth, total.max_depth),
-        names=names_meta,
-    )
-    blobs = [
-        store.tid.tobytes(), store.left.tobytes(), store.right.tobytes(),
-        store.depth.tobytes(), store.id.tobytes(), store.pid.tobytes(),
-        name_ids.tobytes(), value_ids.tobytes(),
-        store.tid_id_perm.tobytes(), store._perm_ids.tobytes(),
-        store.children_perm.tobytes(),
-        bytes(store.is_attr), bytes(store.right_edge),
-        part_tids.tobytes(), part_starts.tobytes(),
-        child_pids.tobytes(), child_starts.tobytes(),
-    ]
-    return meta, blobs
-
-
 def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
     """Write label ``rows`` in the ``LPDB0004`` zero-copy layout; returns
     rows written.
 
-    Each shard is built into a full :class:`~repro.columnar.ColumnStore`
-    (clustered sort, projections, bitmaps, partition bounds, statistics)
-    and serialized, so *opening* the file needs none of that work.  The
-    build is C-level sorts and gathers over columns; trees skip the rows
-    altogether (:func:`save_corpus`)."""
+    Each shard is built into a :class:`~repro.columnar.ColumnStore`,
+    whose buffers already are the segment's blobs (clustered columns,
+    projections, bitmaps, partition bounds; statistics in the sidecar
+    record), so *opening* the file needs none of that work.  Trees skip
+    the rows altogether (:func:`save_corpus`)."""
     return save_mapped_stores(row_stores(list(rows), segments), stream)
 
 
 def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
-    """Write already-built :class:`~repro.columnar.ColumnStore`\\ s, one
-    per segment, in the ``LPDB0004`` layout; returns rows written."""
-    metas, payloads = [], []
-    offset = rows = 0
-    # No loop variable holds a store: each one is freed once serialized.
-    for meta, blobs in map(_mapped_segment_parts, stores):
-        rows += meta.n
-        for blob in blobs:
-            meta.blobs.append((offset, len(blob)))
-            offset += _align8(len(blob))
+    """Write :class:`~repro.columnar.ColumnStore`\\ s, one per segment, in
+    the ``LPDB0004`` layout: each store's segment record with its blob
+    offsets assigned, then its buffers as they are; returns rows
+    written.  A store is dropped once its segment is taken."""
+    segments = [store.segment for store in stores]
+    metas = []
+    offset = 0
+    for segment in segments:
+        meta = replace(segment.meta, blobs=[])
+        for buffer in segment.buffers:
+            length = memoryview(buffer).nbytes
+            meta.blobs.append((offset, length))
+            offset += _align8(length)
         metas.append(meta)
-        payloads.append(blobs)
     sidecar = _encode_mmap_sidecar(MmapHeader(sys.byteorder, offset, metas))
     head = _block_header(sidecar)
     prefix_length = len(MMAP_MAGIC) + len(head) + len(sidecar)
@@ -637,93 +590,123 @@ def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
     stream.write(head)
     stream.write(sidecar)
     stream.write(b"\x00" * (_align8(prefix_length) - prefix_length))
-    for blobs in payloads:
-        for blob in blobs:
-            stream.write(blob)
-            stream.write(b"\x00" * (_align8(len(blob)) - len(blob)))
-    return rows
+    for meta, segment in zip(metas, segments):
+        for (_offset, length), buffer in zip(meta.blobs, segment.buffers):
+            stream.write(buffer)
+            stream.write(b"\x00" * (_align8(length) - length))
+    return sum(meta.n for meta in metas)
+
+
+class NameStats(NamedTuple):
+    """Collected statistics for one name partition, feeding the
+    optimizer's join cost model (:mod:`repro.plan.optimizer` /
+    :mod:`repro.columnar.structural`)."""
+
+    rows: int            # rows carrying the name across the corpus
+    partitions: int      # distinct (name, tid) partitions
+    max_partition: int   # rows in the largest per-tree partition
+    min_depth: int       # shallowest occurrence (0 when absent)
+    max_depth: int       # deepest occurrence (0 when absent)
 
 
 class MappedSegment:
-    """One segment of an opened ``LPDB0004`` corpus: directories decoded
-    from the sidecar plus zero-copy views over the data region.  The
-    integer views are ``memoryview``\\ s cast to int64; ``table`` is the
-    1-based string table with ``table[0] is None``."""
+    """One ``LPDB0004`` segment: its sidecar record (``meta``) with the
+    directories decoded, and its 17 blob ``buffers`` — ``memoryview``\\ s
+    cast to int64 over an opened file's ``mmap`` (``mapped``), or the
+    arrays a store build laid out.  ``table`` is the 1-based string
+    table with ``table[0] is None``; ``name_dir`` maps a name to its
+    partitions' range, ``child_tid_dir`` a tree to its children groups'
+    range; ``name_stats[None]`` summarizes the segment."""
 
     __slots__ = (
-        "n", "table", "root_right", "tid_bounds", "child_tid_dir",
-        "name_entries", "store_stats",
-    ) + _INT64_BLOBS + _BYTE_BLOBS + _AUX_BLOBS
+        "n", "meta", "buffers", "mapped", "table", "root_right", "tid_bounds",
+        "child_tid_dir", "name_bounds", "name_dir", "name_stats",
+    ) + _BLOB_NAMES
 
-    def __init__(self, meta: MmapSegmentMeta, region, views: list) -> None:
+    def __init__(self, meta: MmapSegmentMeta, buffers: list,
+                 mapped: bool = False) -> None:
+        for attr, buffer in zip(_BLOB_NAMES, buffers):
+            setattr(self, attr, buffer)
         n = meta.n
         partitions = meta.names[-1][2] if meta.names else 0
         groups = meta.child_tid_dir[-1][1] if meta.child_tid_dir else 0
-        expected = (
-            [8 * n] * len(_INT64_BLOBS) + [n] * len(_BYTE_BLOBS)
-            + [8 * partitions, 8 * partitions, 8 * groups, 8 * (groups + 1)]
-        )
-        names = _INT64_BLOBS + _BYTE_BLOBS + _AUX_BLOBS
-        for attr, (offset, length), want in zip(names, meta.blobs, expected):
-            if offset % 8:
-                raise StoreError(
-                    f"misaligned column blob {attr!r} at offset {offset}"
-                )
-            if length != want:
-                raise StoreError(
-                    f"column blob {attr!r} declares {length} bytes, "
-                    f"expected {want}"
-                )
-            if offset + length > len(region):
-                raise StoreError(
-                    f"column blob {attr!r} overruns the data region"
-                )
-            view = region[offset:offset + length]
-            if attr not in _BYTE_BLOBS:
-                view = view.cast("q")
-            views.append(view)
-            setattr(self, attr, view)
         self.n = n
-        self.table = [None] + meta.strings
+        self.meta = meta
+        self.buffers = buffers
+        self.mapped = mapped
+        self.table = table = [None] + meta.strings
         self.root_right = dict(meta.root_right)
-        self.store_stats = meta.store_stats
+        self.tid_bounds = _chained(meta.tid_dir, n, "(tid, id) directory", True)
+        self.child_tid_dir = _chained(meta.child_tid_dir, groups, "children directory")
 
-        tid_bounds: dict[int, tuple[int, int]] = {}
-        lo = 0
-        for tid, hi in meta.tid_dir:
-            if not lo <= hi <= n:
-                raise StoreError("corrupt (tid, id) directory")
-            tid_bounds[tid] = (lo, hi)
-            lo = hi
-        if lo != n:
-            raise StoreError("corrupt (tid, id) directory")
-        self.tid_bounds = tid_bounds
-
-        child_tid_dir: dict[int, tuple[int, int]] = {}
-        glo = 0
-        for tid, ghi in meta.child_tid_dir:
-            if not glo <= ghi <= groups:
-                raise StoreError("corrupt children directory")
-            child_tid_dir[tid] = (glo, ghi)
-            glo = ghi
-        self.child_tid_dir = child_tid_dir
-
-        name_entries = []
+        self.name_bounds, self.name_dir = {}, {}
+        self.name_stats = {None: NameStats(*meta.store_stats)}
         row_lo = part_lo = 0
         for sid, row_hi, part_hi, max_partition, min_depth, max_depth in meta.names:
             if not 1 <= sid <= len(meta.strings):
                 raise StoreError("name directory references a bad string id")
             if not (row_lo < row_hi <= n and part_lo < part_hi <= partitions):
                 raise StoreError("corrupt name directory")
-            name_entries.append((
-                self.table[sid], row_lo, row_hi, part_lo, part_hi,
-                (row_hi - row_lo, part_hi - part_lo,
-                 max_partition, min_depth, max_depth),
-            ))
+            name = table[sid]
+            self.name_bounds[name] = (row_lo, row_hi)
+            self.name_dir[name] = (part_lo, part_hi)
+            self.name_stats[name] = NameStats(
+                row_hi - row_lo, part_hi - part_lo,
+                max_partition, min_depth, max_depth,
+            )
             row_lo, part_lo = row_hi, part_hi
         if row_lo != n or part_lo != partitions:
             raise StoreError("corrupt name directory")
-        self.name_entries = name_entries
+
+
+def _chained(pairs: list, end: int, what: str, full: bool = False) -> dict:
+    """``key -> (lo, hi)`` from ``(key, hi)`` pairs whose ``lo`` is the
+    previous ``hi`` (from 0), each within ``end`` — and, when ``full``,
+    the last reaching it."""
+    bounds = {}
+    lo = 0
+    for key, hi in pairs:
+        if not lo <= hi <= end:
+            raise StoreError(f"corrupt {what}")
+        bounds[key] = (lo, hi)
+        lo = hi
+    if full and lo != end:
+        raise StoreError(f"corrupt {what}")
+    return bounds
+
+
+def _segment_views(meta: MmapSegmentMeta, region, views: list) -> list:
+    """One segment's blob views over the data ``region``, each checked
+    for alignment, declared length and bounds; every view is appended to
+    ``views`` too."""
+    n = meta.n
+    partitions = meta.names[-1][2] if meta.names else 0
+    groups = meta.child_tid_dir[-1][1] if meta.child_tid_dir else 0
+    expected = (
+        [8 * n] * len(_INT64_BLOBS) + [n] * len(_BYTE_BLOBS)
+        + [8 * partitions, 8 * partitions, 8 * groups, 8 * (groups + 1)]
+    )
+    buffers = []
+    for attr, (offset, length), want in zip(_BLOB_NAMES, meta.blobs, expected):
+        if offset % 8:
+            raise StoreError(
+                f"misaligned column blob {attr!r} at offset {offset}"
+            )
+        if length != want:
+            raise StoreError(
+                f"column blob {attr!r} declares {length} bytes, "
+                f"expected {want}"
+            )
+        if offset + length > len(region):
+            raise StoreError(
+                f"column blob {attr!r} overruns the data region"
+            )
+        view = region[offset:offset + length]
+        if attr not in _BYTE_BLOBS:
+            view = view.cast("q")
+        views.append(view)
+        buffers.append(view)
+    return buffers
 
 
 class MappedCorpus:
@@ -785,7 +768,10 @@ def _parse_mapped(buffer, views: list) -> list[MappedSegment]:
         )
     region = base[region_start:]
     views.append(region)
-    return [MappedSegment(meta, region, views) for meta in header.segments]
+    return [
+        MappedSegment(meta, _segment_views(meta, region, views), mapped=True)
+        for meta in header.segments
+    ]
 
 
 def _map_file(handle: BinaryIO):

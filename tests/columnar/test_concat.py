@@ -3,8 +3,9 @@
 Random corpora are split at random tid cuts into 2–4 parts; the parts
 are built (heap, or saved and mapped as LPDB0004) and concatenated.  The
 result must equal a ``from_rows`` build over every row, field for field
-(the dictionaries the file writer walks also in the same order), and the
-LPDB0004 bytes written from it must equal ``save_mapped(rows)``.
+(the segment's 17 blobs and sidecar record, both bounds' entries, the
+dictionaries in the same order), and the LPDB0004 bytes written from it
+must equal ``save_mapped(rows)``.
 """
 
 from __future__ import annotations
@@ -16,16 +17,17 @@ import pytest
 from hypothesis import given, settings
 
 from repro import store
-from repro.columnar.store import ColumnStore, MappedColumnStore
+from repro.columnar.store import ColumnStore
 from repro.labeling.lpath_scheme import label_corpus
 from repro.tree import Tree
 from tests.strategies import tree_nodes
 
-FIELDS = (
-    "n", "column_names", "tid", "left", "right", "depth", "id", "pid",
-    "names", "values", "is_attr", "right_edge", "root_right",
-    "name_bounds", "name_tid_bounds", "tid_id_perm", "tid_bounds",
-    "children_perm", "children_bounds", "_perm_ids",
+FIELDS = ("n", "column_names", "root_right", "name_bounds", "tid_bounds")
+#: The store fields that are segment blobs (the rest are the segment's
+#: aux blobs, compared through the segment).
+COLUMNS = (
+    "tid", "left", "right", "depth", "id", "pid", "is_attr", "right_edge",
+    "tid_id_perm", "children_perm", "_perm_ids",
 )
 
 
@@ -53,10 +55,10 @@ def split_corpora(draw):
     return [row for part in parts for row in part], parts
 
 
-def mapped(rows) -> MappedColumnStore:
+def mapped(rows) -> ColumnStore:
     buffer = io.BytesIO()
     store.save_mapped(rows, buffer)
-    return MappedColumnStore(store._parse_mapped(buffer.getvalue(), [])[0])
+    return ColumnStore.adopt(store._parse_mapped(buffer.getvalue(), [])[0])
 
 
 def assert_same_store(merged: ColumnStore, expected: ColumnStore) -> None:
@@ -68,6 +70,21 @@ def assert_same_store(merged: ColumnStore, expected: ColumnStore) -> None:
             # Walked in order by the file writer; root_right is only
             # looked up (the writer sorts it).
             assert list(got) == list(want), field
+    for blob, got, want in zip(
+        store._BLOB_NAMES, merged.segment.buffers, expected.segment.buffers,
+        strict=True,
+    ):
+        assert bytes(got) == bytes(want), blob
+    for field in COLUMNS:
+        got, want = getattr(merged, field), getattr(expected, field)
+        assert bytes(got) == bytes(want), field
+    assert merged.segment.meta == expected.segment.meta
+    assert merged.segment.table == expected.segment.table
+    assert list(merged.names) == list(expected.names)
+    assert list(merged.values) == list(expected.values)
+    for field in ("name_tid_bounds", "children_bounds"):
+        got, want = getattr(merged, field), getattr(expected, field)
+        assert list(got.items()) == list(want.items()), field
     for name in (None, *expected.name_bounds):
         assert merged.name_stats(name) == expected.name_stats(name), name
     assert merged.by_value == expected.by_value

@@ -494,8 +494,9 @@ class TestStaleArtifact:
     @pytest.mark.parametrize("stale", ["abi", "digest"])
     def test_a_stale_artifact_is_rebuilt_not_called(self, monkeypatch, stale):
         """A ``_native`` left by an older checkout lacks kernels, takes
-        other argument lists (ABI 5 added the page encoder) or runs other
-        code behind the same ones (ABI 6 sorts bindings in one pass):
+        other argument lists (ABI 5 added the page encoder, ABI 7 the
+        store build's argsort and run-start scan) or runs other code
+        behind the same ones (ABI 6 sorts bindings in one pass):
         ``_load`` must build a fresh one instead of binding the stale
         functions, whichever of the two stamps differs."""
         import sys
@@ -504,7 +505,7 @@ class TestStaleArtifact:
         from repro.columnar import kernels
         from repro.columnar.kernels.build import KERNEL_ABI, KERNEL_DIGEST
 
-        assert KERNEL_ABI == 6
+        assert KERNEL_ABI == 7
 
         def stale_call(*_args):
             raise AssertionError("a stale kernel was called")
@@ -646,7 +647,7 @@ class TestColumnPtr:
     @needs_native
     def test_mmap_store_views_fail_loudly_after_close(self, trees, tmp_path):
         from repro import store as store_module
-        from repro.columnar.store import MappedColumnStore
+        from repro.columnar.store import ColumnStore
 
         path = str(tmp_path / "corpus.lpdb")
         with open(path, "wb") as handle:
@@ -654,7 +655,7 @@ class TestColumnPtr:
                 list(label_corpus(trees)), handle
             )
         corpus = store_module.open_mapped_corpus(path)
-        mapped = MappedColumnStore(corpus.segments[0])
+        mapped = ColumnStore.adopt(corpus.segments[0])
         pointer, length = mapped.column_ptr(0)
         assert length == mapped.n
         del pointer  # column_ptr pins the view; release before close

@@ -1,4 +1,4 @@
-"""MappedColumnStore must be observably identical to a built ColumnStore.
+"""A mapped ColumnStore must be observably identical to a built one.
 
 The zero-copy store answers every probe from memoryviews, sidecar
 directories and binary search instead of Python dicts built by an O(rows)
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 
 from repro import store
 from repro.columnar.executor import ColumnarRuntime
-from repro.columnar.store import ColumnStore, MappedColumnStore
+from repro.columnar.store import ColumnStore
 from repro.labeling import label_corpus
 from repro.plan.schemes import LPathScheme
 from repro.tree import figure1_tree
@@ -36,7 +36,7 @@ def mapped_and_built(rows, segments=1):
         if segments > 1 else [list(rows)]
     )
     return [
-        (MappedColumnStore(segment), ColumnStore.from_rows(shard))
+        (ColumnStore.adopt(segment), ColumnStore.from_rows(shard))
         for segment, shard in zip(mapped_segments, shards)
     ]
 
@@ -59,12 +59,12 @@ def reference_by_value(column_store) -> dict:
     return table
 
 
-def assert_stores_equal(mapped: MappedColumnStore, built: ColumnStore):
+def assert_stores_equal(mapped: ColumnStore, built: ColumnStore):
     assert mapped.n == built.n
     for attr in ("tid", "left", "right", "depth", "id", "pid"):
         assert list(getattr(mapped, attr)) == list(getattr(built, attr)), attr
-    assert list(mapped.names) == built.names
-    assert list(mapped.values) == built.values
+    assert list(mapped.names) == list(built.names)
+    assert list(mapped.values) == list(built.values)
     assert bytes(mapped.is_attr) == bytes(built.is_attr)
     assert bytes(mapped.right_edge) == bytes(built.right_edge)
     assert mapped.root_right == built.root_right

@@ -133,7 +133,7 @@ def treewalk(trees):
 @pytest.fixture(scope="module")
 def engines(trees, tmp_path_factory):
     """The corpus behind every store flavor the executor runs over: an
-    in-memory ``ColumnStore``, a 2-segment mmap'd ``MappedColumnStore``,
+    in-memory ``ColumnStore``, a 2-segment mmap'd ``ColumnStore``,
     and a live directory holding two base trees plus one WAL-appended
     delta tree."""
     root = tmp_path_factory.mktemp("semijoin")
