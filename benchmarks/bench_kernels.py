@@ -21,12 +21,15 @@ Assertions:
   ``(tid, left)`` order, swept on their ``right`` edges, so nested NPs
   arrive out of key order inside each tree — costs <= 1.3x the same join
   over the batch presorted by ``(tid, key)`` (asserted when the
-  extension built).
+  extension built);
+* sparse arrival is recorded beside it: the same native sweep over only
+  the bindings of every 64th tree, so each tree's partition starts 64
+  trees past the previous one's in the name block (reported, not gated).
 
-``BENCH_kernels.json`` carries the per-query timings, both arrival-order
-timings and the kernel provenance block (backend, cffi and compiler
-versions) so CI can diff runs against the uploaded baseline artifact
-(``benchmarks/diff_bench.py``).
+``BENCH_kernels.json`` carries the per-query timings, the three
+arrival-order timings and the kernel provenance block (backend, cffi and
+compiler versions) so CI can diff runs against the uploaded baseline
+artifact (``benchmarks/diff_bench.py``).
 """
 
 import os
@@ -56,6 +59,9 @@ SPEEDUP_FLOOR = 3.0
 ARRIVAL_QUERY = "//NP=>NP"
 ARRIVAL_CEILING = 1.3
 
+#: The sparse arm keeps the bindings of one tree in this many.
+SPARSE_EVERY = 64
+
 
 @contextmanager
 def _pinned(variable: str, value: str):
@@ -82,9 +88,10 @@ def _timed(engine: LPathEngine, query: str, backend: str, repeats: int):
 
 
 def _arrival_order(engine: LPathEngine) -> dict:
-    """Per-call seconds of the native sweep over the batch its scan emits
-    and over that batch presorted by ``(tid, key)``: best of interleaved
-    rounds of 20 calls, so the ratio compares like with like."""
+    """Per-call seconds of the native sweep over the batch its scan emits,
+    over that batch presorted by ``(tid, key)`` and over the emitted
+    bindings of every ``SPARSE_EVERY``-th tree: best of interleaved rounds
+    of 20 calls, so the ratio compares like with like."""
     with _pinned("REPRO_FORCE_JOIN", "merge"), _pinned(KERNELS_ENV, "native"):
         plan = engine.compile(ARRIVAL_QUERY).plan
     *before, join = plan.steps
@@ -95,16 +102,23 @@ def _arrival_order(engine: LPathEngine) -> dict:
     tids, keys = plan.runtime.store.tid, plan.runtime.store.col(key)
     rows = arrival[slot]
     order = sorted(range(len(rows)), key=lambda i: (tids[rows[i]], keys[rows[i]]))
+    sparse = [i for i in range(len(rows)) if tids[rows[i]] % SPARSE_EVERY == 0]
     presorted = [array("q", map(column.__getitem__, order)) for column in arrival]
-    best = {"arrival_seconds": float("inf"), "presorted_seconds": float("inf")}
+    sparse_batch = [array("q", map(column.__getitem__, sparse)) for column in arrival]
+    best = dict.fromkeys(
+        ("arrival_seconds", "presorted_seconds", "sparse_seconds"), float("inf")
+    )
     for _ in range(9):
-        for name, batch in zip(best, (arrival, presorted)):
+        for name, batch in zip(best, (arrival, presorted, sparse_batch)):
             started = time.perf_counter()
             for _ in range(20):
                 join.pairs(batch)
             best[name] = min(best[name], (time.perf_counter() - started) / 20)
     ratio = best["arrival_seconds"] / best["presorted_seconds"]
-    return {"query": ARRIVAL_QUERY, "bindings": len(rows), **best, "ratio": ratio}
+    return {
+        "query": ARRIVAL_QUERY, "bindings": len(rows), **best, "ratio": ratio,
+        "sparse_every": SPARSE_EVERY, "sparse_bindings": len(sparse),
+    }
 
 
 def _format(rows) -> str:
@@ -166,6 +180,9 @@ def test_native_kernels_ab(benchmark, write_result, write_json, repeats):
             f"{arrival['arrival_seconds'] * 1e3:.3f} ms vs presorted "
             f"{arrival['presorted_seconds'] * 1e3:.3f} ms "
             f"({arrival['ratio']:.2f}x)\n"
+            f"sparse arrival (1 tree in {SPARSE_EVERY}): "
+            f"{arrival['sparse_bindings']} bindings, "
+            f"{arrival['sparse_seconds'] * 1e3:.3f} ms\n"
             f"gates: native must win >= {SPEEDUP_FLOOR:g}x; arrival order "
             f"<= {ARRIVAL_CEILING:g}x presorted"
             if native_built

@@ -117,11 +117,6 @@ def native_kernels() -> Optional["NativeKernels"]:
     return _NATIVE
 
 
-def native_error() -> Optional[str]:
-    """Why the native backend is unavailable, if it is."""
-    return _NATIVE_ERROR
-
-
 def _load() -> "NativeKernels":
     from .build import KERNEL_ABI, KERNEL_DIGEST
 
@@ -501,8 +496,8 @@ class NativeMergeJoin:
         src, cand = src_out[0], cand_out[0]
         try:
             if matched:
-                src_rows.frombytes(ffi.buffer(src, 8 * matched)[:])
-                cand_rows.frombytes(ffi.buffer(cand, 8 * matched)[:])
+                src_rows.frombytes(ffi.buffer(src, 8 * matched))
+                cand_rows.frombytes(ffi.buffer(cand, 8 * matched))
         finally:
             lib.repro_free(src)
             lib.repro_free(cand)

@@ -12,7 +12,9 @@ line-for-line transcription of the pure-Python loops in
 :mod:`repro.columnar.structural`, :mod:`repro.columnar.executor`,
 :mod:`repro.columnar.result` and :mod:`repro.columnar.store`
 (same traversal order, same comparison semantics, same emit order; the
-argsort reaches its twin's total order by another algorithm), so the two
+argsort reaches its twin's total order by another algorithm, and the join
+kernels reach the per-tree bounds the twin reads from ``name_tid_bounds``
+or ``partition()`` by galloping from the previous tree's), so the two
 backends stay byte-identical by construction and the dual-backend
 differential suite can hold them to it.
 
@@ -147,17 +149,13 @@ typedef struct {
    int64 overflow even after the +1 inclusive-bound adjustment. */
 #define REPRO_NO_LIMIT (((int64_t)1) << 62)
 
+/* Op o (0 == 1 != 2 < 3 <= 4 > 5 >=) passes when bit (v > rhs) -
+   (v < rhs) + 1 of its 3-bit mask, octal digit o of 0643152, is set:
+   no branch, and no subtraction to overflow.  Other ops have no mask. */
 static int repro_cmp_op(int64_t v, int32_t op, int64_t rhs)
 {
-    switch (op) {
-        case 0: return v == rhs;
-        case 1: return v != rhs;
-        case 2: return v <  rhs;
-        case 3: return v <= rhs;
-        case 4: return v >  rhs;
-        case 5: return v >= rhs;
-        default: return 0;
-    }
+    uint32_t mask = (uint32_t)op < 6 ? 0643152u >> (3 * op) : 0;
+    return (int)(mask >> ((v > rhs) - (v < rhs) + 1)) & 1;
 }
 
 static int repro_checks_pass(const repro_check_t *checks, int32_t n_checks,
@@ -244,33 +242,36 @@ static repro_keyed_t *repro_build_keyed(
 
 /* -- per-tree partition lookup -------------------------------------------- */
 
-/* A candidate list sorts tids ascending (as the clustered order does
-   inside a name block), so the per-tree partition is a binary-searched run — the C twin of the
-   store's name_tid_bounds lookup.  ``base`` exploits the sorted binding
-   order: later (larger) tids can only start at or after the previous
-   partition's end, shrinking every search. */
-
 /* Position p of a candidate list names row rows[p]; the identity list
    (rows == NULL: a name block of the clustered order) names row p. */
 #define REPRO_ROW(p) (rows ? rows[p] : (p))
 
-static int64_t repro_lower(const int64_t *arr, const int64_t *rows,
-                           int64_t value, int64_t lo, int64_t hi)
+/* A candidate list sorts tids ascending (as the clustered order does
+   inside a name block) and the kernels visit trees in ascending tid
+   order, so tree tid's partition starts at or after *base, the previous
+   partition's end.  Returns that start, galloping from *base (probes 1,
+   2, 4, ... positions on, then a bisection of the last gap: O(log gap),
+   not O(log block)), and moves *base to the partition's end by walking
+   the run of equal tids, which the scan of it reads again.  These are the
+   bounds name_tid_bounds and a seed's partition() hold, by another route. */
+static int64_t repro_partition(const int64_t *tids, const int64_t *rows,
+                               int64_t tid, int64_t *base, int64_t end)
 {
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (arr[REPRO_ROW(mid)] < value) lo = mid + 1; else hi = mid;
+    int64_t lo = *base, top = lo, step = 1;
+    while (top < end && tids[REPRO_ROW(top)] < tid) {
+        lo = top + 1;
+        top += step;
+        step <<= 1;
     }
-    return lo;
-}
-
-static int64_t repro_upper(const int64_t *arr, const int64_t *rows,
-                           int64_t value, int64_t lo, int64_t hi)
-{
-    while (lo < hi) {
-        int64_t mid = lo + ((hi - lo) >> 1);
-        if (arr[REPRO_ROW(mid)] <= value) lo = mid + 1; else hi = mid;
+    if (top > end)
+        top = end;
+    while (lo < top) {
+        int64_t mid = lo + ((top - lo) >> 1);
+        if (tids[REPRO_ROW(mid)] < tid) lo = mid + 1; else top = mid;
     }
+    for (top = lo; top < end && tids[REPRO_ROW(top)] <= tid; top++)
+        continue;
+    *base = top;
     return lo;
 }
 
@@ -312,7 +313,7 @@ int64_t repro_sweep_join(
 {
     repro_pairs_t pairs = {NULL, NULL, 0, 0};
     int have_tid = 0;
-    int64_t cur_tid = 0, lo = 0, hi = 0, ptr = 0, base = name_lo, k;
+    int64_t cur_tid = 0, lo = 0, hi = name_lo, ptr = 0, k;
     repro_keyed_t *keyed =
         repro_build_keyed(tids, tid_col, key_arr, key_col, count);
     *out_truncated = 0;
@@ -333,9 +334,7 @@ int64_t repro_sweep_join(
             }
             have_tid = 1;
             cur_tid = tid;
-            lo = repro_lower(tids, rows, tid, base, name_hi);
-            hi = repro_upper(tids, rows, tid, lo, name_hi);
-            base = hi;
+            lo = repro_partition(tids, rows, tid, &hi, name_hi);
             ptr = lo;
         }
         start = include_low ? low_val : low_val + 1;
@@ -347,8 +346,10 @@ int64_t repro_sweep_join(
             int64_t high_val = high_arr[high_col[i]];
             limit = include_high ? high_val + 1 : high_val;
         }
-        for (j = ptr; j < hi && lefts[REPRO_ROW(j)] < limit; j++) {
+        for (j = ptr; j < hi; j++) {
             int64_t row = REPRO_ROW(j);
+            if (lefts[row] >= limit)
+                break;
             if (!repro_checks_pass(checks, n_checks, i, row))
                 continue;
             if (repro_push(&pairs, i, row))
@@ -379,7 +380,7 @@ int64_t repro_stack_join(
 {
     repro_pairs_t pairs = {NULL, NULL, 0, 0};
     int have_tid = 0;
-    int64_t cur_tid = 0, lo = 0, hi = 0, ptr = 0, base = name_lo, k;
+    int64_t cur_tid = 0, lo = 0, hi = name_lo, ptr = 0, k;
     int64_t block = name_hi - name_lo;
     int64_t *stack;
     int64_t stack_n = 0;
@@ -408,9 +409,7 @@ int64_t repro_stack_join(
             }
             have_tid = 1;
             cur_tid = tid;
-            lo = repro_lower(tids, rows, tid, base, name_hi);
-            hi = repro_upper(tids, rows, tid, lo, name_hi);
-            base = hi;
+            lo = repro_partition(tids, rows, tid, &hi, name_hi);
             ptr = lo;
             stack_n = 0;
         }
@@ -455,7 +454,7 @@ int64_t repro_prefix_join(
 {
     repro_pairs_t pairs = {NULL, NULL, 0, 0};
     int have_tid = 0;
-    int64_t cur_tid = 0, lo = 0, hi = 0, end = 0, base = name_lo, k;
+    int64_t cur_tid = 0, lo = 0, hi = name_lo, end = 0, k;
     repro_keyed_t *keyed =
         repro_build_keyed(tids, tid_col, key_arr, key_col, count);
     *out_truncated = 0;
@@ -473,9 +472,7 @@ int64_t repro_prefix_join(
             }
             have_tid = 1;
             cur_tid = tid;
-            lo = repro_lower(tids, rows, tid, base, name_hi);
-            hi = repro_upper(tids, rows, tid, lo, name_hi);
-            base = hi;
+            lo = repro_partition(tids, rows, tid, &hi, name_hi);
             end = lo;
         }
         limit = include_high ? edge + 1 : edge;

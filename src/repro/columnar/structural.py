@@ -14,7 +14,10 @@ columnar executor:
   (child / descendant / following / sibling axes, scoped variants
   included): bindings sorted by ``(tid, low)`` make the partition start
   pointer monotone, so finding each candidate range costs amortized O(1)
-  instead of two binary searches;
+  instead of two binary searches.  The native kernels find each tree's
+  partition by galloping on from the previous tree's end instead of
+  bisecting the rest of the name block twice (``paper_suite`` ≈ 1.22k →
+  1.49k ops/s, 9 of 10 alternating pairs);
 * ``stack`` — the stack-tree variant for the ancestor axes: a stack of
   "open" spans replaces the per-binding prefix scan, so each partition row
   is pushed and popped exactly once per tid group (boundary-sharing LPath

@@ -662,3 +662,201 @@ class TestColumnPtr:
         corpus.close()
         with pytest.raises(ValueError):
             mapped.column_ptr(0)
+
+
+def _nest(depth, core):
+    """``core`` under ``depth`` nested ``Y[@lex=w]`` nodes."""
+    for _ in range(depth):
+        core = [TreeNode("Y", children=core, attributes={"lex": "w"})]
+    return core
+
+
+def _binding_tree(tid, shape):
+    """An S holding ``X`` bindings and, for ``shape = (before, ancestors,
+    inside, after, xs)``, ``Y[@lex=w]`` candidates on every side of them:
+    leaves before, nested ancestors, children inside each of the ``xs``
+    X nodes, leaves after.  All zero is a binding tree whose partition is
+    empty."""
+    before, ancestors, inside, after, xs = shape
+    xs_nodes = [
+        TreeNode("X", children=[_word("Y", "w") for _ in range(inside)])
+        for _ in range(xs)
+    ]
+    return Tree(TreeNode("S", children=(
+        [_word("Y", "w") for _ in range(before)]
+        + _nest(ancestors, xs_nodes)
+        + [_word("Y", "w") for _ in range(after)]
+    )), tid=tid)
+
+
+@st.composite
+def partition_corpora(draw):
+    """Binding trees (those holding an ``X``) with runs of candidate-only
+    trees (one ``Y[@lex=w]`` row each, so a run of g trees is g positions
+    of the candidate list) before, between and after them: runs of 0, 1,
+    2, 3, 2^k - 1, 2^k and 2^k + 1 trees, the edges of the galloping
+    probes.  Partitions may be empty, run to the end of the block (no
+    trailing run), or be the block's only tree."""
+    k = draw(st.integers(2, 5))
+    gaps = st.sampled_from([0, 1, 2, 3, 2**k - 1, 2**k, 2**k + 1])
+    shapes = st.tuples(
+        st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+        st.integers(0, 2), st.integers(1, 2),
+    )
+    runs = [draw(gaps)]
+    for shape in draw(st.lists(shapes, min_size=1, max_size=4)):
+        runs += [shape, draw(gaps)]
+    trees = []
+    for run in runs:
+        if isinstance(run, tuple):
+            trees.append(_binding_tree(len(trees), run))
+        else:
+            trees += [
+                Tree(TreeNode("S", children=[_word("Y", "w")]), tid=len(trees) + g)
+                for g in range(run)
+            ]
+    return trees
+
+
+#: ``axis -> (query, strategy of its join)``, each over a name block and
+#: over a value seed's row list.
+PARTITION_AXES = {
+    "descendant": ("//X//Y", "sweep"),
+    "child": ("//X/Y", "sweep"),
+    "following": ("//X-->Y", "sweep"),
+    "ancestor": ("//X\\ancestor::Y", "stack"),
+    "preceding": ("//X<--Y", "prefix"),
+    "seeded-descendant": ("//X//_[@lex=w]", "sweep"),
+    "seeded-ancestor": ("//X\\ancestor::_[@lex=w]", "stack"),
+    "seeded-preceding": ("//X<--_[@lex=w]", "prefix"),
+}
+
+#: CI replays the same examples every run; a local run draws fresh ones.
+partition_settings = settings(
+    max_examples=30, deadline=None, derandomize=bool(os.environ.get("CI")),
+)
+
+
+def _node_pairs(store, batch, src, cand):
+    """``(binding (tid, id), candidate (tid, id))`` per emitted pair."""
+    rows = batch[0]
+    node = lambda row: (store.tid[row], store.id[row])
+    return [(node(rows[i]), node(row)) for i, row in zip(src, cand)]
+
+
+class TestPartitionWalk:
+    """Axis by axis, node id by node id: the kernels find each tree's
+    partition by galloping from the previous tree's end.  Whatever the
+    runs of candidate-only trees between binding trees, the native
+    ``(src, cand)`` bytes equal the Python twin's, which reads the store's
+    per-tree bounds, under ``first_match``, a ``Cutoff`` and shuffled
+    bindings, and the query answers what the tree walker does."""
+
+    @needs_native
+    @pytest.mark.parametrize("axis", PARTITION_AXES)
+    @partition_settings
+    @given(
+        trees=partition_corpora(),
+        first_match=st.booleans(),
+        budget=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_native_pairs_equal_the_twin(
+        self, axis, trees, first_match, budget, seed
+    ):
+        import random
+
+        from repro.columnar.structural import MergeJoinStep
+
+        query, strategy = PARTITION_AXES[axis]
+        engine = LPathEngine(trees)
+        steps = {}
+        for backend in ("python", "native"):
+            with kernels_env(backend), forced_join("merge"):
+                plan, step, batch = last_join(engine, query)
+                assert isinstance(step, MergeJoinStep)
+                assert step.spec.strategy == strategy
+                assert f"kernel={backend}" in step.describe()
+                steps[backend] = step
+                if backend == "native":
+                    got = list(plan.execute())
+        assert got == list(engine.query(query, backend="treewalk")), axis
+        if not batch:
+            return
+        perm = list(range(len(batch[0])))
+        random.Random(seed).shuffle(perm)
+        store = plan.runtime.store
+        for order in (None, perm):
+            bindings = batch if order is None else _permuted(batch, order)
+            seen = {}
+            for backend, step in steps.items():
+                cutoff = None if budget is None else Cutoff(budget)
+                src, cand = step.pairs(bindings, cutoff, first_match)
+                seen[backend] = (
+                    array("q", src).tobytes(), array("q", cand).tobytes(),
+                    cutoff and cutoff.hit,
+                    _node_pairs(store, bindings, src, cand),
+                )
+            assert seen["native"] == seen["python"], (
+                axis, first_match, budget, seen["native"][3], seen["python"][3],
+            )
+
+
+#: Values on both sides of every comparison, the int64 extremes included:
+#: a sign taken by subtracting them would overflow.
+EDGE_VALUES = (
+    api._INT64_MIN, api._INT64_MIN + 1, -1, 0, 1,
+    api._INT64_MAX - 1, api._INT64_MAX,
+)
+
+#: ``repro_check_t.op`` -> the operator it must agree with; 6 is no op.
+OPERATORS = {op: opf for opf, op in api.OPCODES.items()}
+
+
+def _sweep_matches(kern, values, op, rhs):
+    """The candidates of ``values`` that one sweep binding keeps under one
+    binding-resolved check ``values[j] <op> rhs``: a single tree whose
+    partition is every position, no span bound left to cut it."""
+    ffi, lib = kern.ffi, kern.lib
+    n = len(values)
+    zero = array("q", [0])
+    checks, keep = kern.pack_checks(
+        [api.CheckSpec(values, "i64", op, 0, array("q", [rhs]))], [zero]
+    )
+    src, cand, truncated = (
+        ffi.new("int64_t **"), ffi.new("int64_t **"), ffi.new("int32_t *")
+    )
+    i64 = kern.i64
+    matched = lib.repro_sweep_join(
+        i64(array("q", [0] * n)), i64(array("q", range(n))), ffi.NULL, 0, n,
+        i64(zero), i64(zero), 1, i64(zero), 1, ffi.NULL, ffi.NULL, 0,
+        checks, 1, 0, -1, truncated, src, cand,
+    )
+    try:
+        return list(ffi.unpack(cand[0], matched)) if matched else []
+    finally:
+        lib.repro_free(src[0])
+        lib.repro_free(cand[0])
+        del keep
+
+
+class TestComparisonEdges:
+    """Every opcode, and one past them, against values below, equal to and
+    above the right-hand side, through the scan filter (an inline
+    constant) and a sweep check (a per-binding lookup): ``operator``'s
+    answer exactly, and opcode 6 never passes."""
+
+    @needs_native
+    @pytest.mark.parametrize("op", range(7))
+    def test_compare_agrees_with_operator(self, op):
+        kern = native_kernels()
+        values = array("q", EDGE_VALUES)
+        for rhs in EDGE_VALUES:
+            opf = OPERATORS.get(op)
+            expected = [
+                j for j, v in enumerate(values) if opf is not None and opf(v, rhs)
+            ]
+            spec = api.CheckSpec(values, "i64", op, None, rhs)
+            scanned = api.NativeRangeFilter(kern, [spec]).run(0, len(values))
+            assert list(scanned) == expected, (op, rhs)
+            assert _sweep_matches(kern, values, op, rhs) == expected, (op, rhs)
