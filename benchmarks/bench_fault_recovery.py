@@ -1,37 +1,27 @@
-"""Fault-recovery cost: executor respawn tail latency and quarantine
-isolation.
+"""Fault-recovery cost: quarantine isolation.
 
-Two gates turn the PR's robustness story into numbers:
+One gate turns the serving layer's robustness story into a number:
+with one store quarantined (real on-disk corruption caught by the
+readiness probe) and shed clients hammering it, the 503 path must be
+cheap enough that the healthy store keeps >= 90% of its solo QPS.  The
+shed arm models impatient-but-bounded retry clients: far above what a
+Retry-After honoring client would generate, far below a load test of
+the shed path itself.
 
-* **Post-kill p99.**  SIGKILLing every process-pool worker mid-run must
-  cost one recovery round trip, not a degraded steady state — the p99
-  over the post-kill request window stays within 2x the fault-free p99
-  (the recovery requests themselves sit above p99 by construction and
-  are reported separately as ``recovery_seconds``).
-* **Quarantine isolation.**  With one store quarantined (real on-disk
-  corruption caught by the readiness probe) and shed clients hammering
-  it, the 503 path must be cheap enough that the healthy store keeps
-  >= 90% of its solo QPS.  The shed arm models impatient-but-bounded
-  retry clients: far above what a Retry-After honoring client would
-  generate, far below a load test of the shed path itself.
+Both arms are measured ``repeats`` times and compared at the median, so
+a single scheduler hiccup can't fail (or pass) the gate; it is asserted
+only on multi-core hosts, single-core runs record the numbers without
+gating (matching ``bench_serving``).  The healthy QPS is a closed-loop
+single client's ``1 / median latency`` — per-thread medians are far
+more stable than multi-client wall-clock throughput.
 
-Both arms of each gate are measured ``repeats`` times and compared at
-the median, so a single scheduler hiccup can't fail (or pass) a gate;
-gates are asserted only on multi-core hosts, single-core runs record
-the numbers without gating (matching ``bench_serving``).  The healthy
-QPS is a closed-loop single client's ``1 / median latency`` — per-thread
-medians are far more stable than multi-client wall-clock throughput.
-
-Knobs: ``REPRO_BENCH_FAULT_REQUESTS`` (default 400, clamped to >= 200 so
-the recovery spikes stay above the p99 index) and
-``REPRO_BENCH_REQUESTS`` for the QPS arms.
+Knob: ``REPRO_BENCH_REQUESTS`` for the QPS arms.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import signal
 import statistics
 import tempfile
 import threading
@@ -42,7 +32,6 @@ import pytest
 from repro import store
 from repro.bench import datasets
 from repro.labeling import label_corpus
-from repro.lpath import LPathEngine
 from repro.serve import QueryServer, QueryService, ServeClient, ServeClientError
 
 from bench_serving import percentile
@@ -50,12 +39,8 @@ from bench_serving import percentile
 #: Cheap nested-path queries, alternated so both windows mix plans.
 WORKLOAD = ("//VP//NP", "//NP")
 
-FAULT_REQUESTS = max(
-    200, int(os.environ.get("REPRO_BENCH_FAULT_REQUESTS", 400))
-)
 QPS_REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", 200))
 
-P99_FACTOR_CEILING = 2.0
 QPS_RETENTION_FLOOR = 0.90
 
 #: One shed request per hammer thread per this interval — ~50/s total
@@ -85,106 +70,7 @@ def _multicore() -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-# -- gate 1: post-kill tail latency ---------------------------------------
-
-
-def _kill_workers(engine) -> None:
-    executor = engine._pool()
-    for pid in list(executor._processes):
-        os.kill(pid, signal.SIGKILL)
-
-
-def _timed_window(engine, expected, requests: int, kill_at=()) -> list:
-    timings = []
-    for index in range(requests):
-        if index in kill_at:
-            _kill_workers(engine)
-        query = WORKLOAD[index % len(WORKLOAD)]
-        started = time.perf_counter()
-        rows = engine.query(query)
-        timings.append(time.perf_counter() - started)
-        assert rows == expected[query]
-    return timings
-
-
-def test_post_kill_p99_within_2x(
-    store_file, write_result, write_json, repeats
-):
-    with LPathEngine.open(store_file) as plain:
-        expected = {query: plain.query(query) for query in WORKLOAD}
-
-    requests = FAULT_REQUESTS
-    # The kill costs one above-p99 recovery request per window; the p99
-    # index excludes it (plus a spare sample for a respawned worker's
-    # first warm request) as long as the window holds >= 200 requests.
-    kill_at = {requests // 2}
-
-    rounds = max(2, repeats)
-    fault_free_p99s, post_kill_p99s = [], []
-    recovery = 0.0
-    with LPathEngine.open(store_file, workers=2, mode="process") as engine:
-        for query in WORKLOAD:  # warm the pool and the plan cache
-            assert engine.query(query) == expected[query]
-        # Alternate the arms so drift hits both equally; compare medians.
-        for _ in range(rounds):
-            fault_free = sorted(_timed_window(engine, expected, requests))
-            fault_free_p99s.append(percentile(fault_free, 0.99))
-            post_kill = sorted(
-                _timed_window(engine, expected, requests, kill_at=kill_at)
-            )
-            post_kill_p99s.append(percentile(post_kill, 0.99))
-            recovery = max(recovery, post_kill[-1])
-        stats = engine._pool.stats()
-
-    p99_fault_free = statistics.median(fault_free_p99s)
-    p99_post_kill = statistics.median(post_kill_p99s)
-    factor = p99_post_kill / p99_fault_free if p99_fault_free else 0.0
-
-    gated = _multicore()
-    write_result(
-        "fault_recovery.txt",
-        "\n".join([
-            f"Post-kill tail latency: {rounds} x {requests} requests per "
-            f"arm, all workers SIGKILLed mid-window (median p99):",
-            f"  fault-free p99: {p99_fault_free * 1000:.2f}ms",
-            f"  post-kill  p99: {p99_post_kill * 1000:.2f}ms "
-            f"({factor:.2f}x)",
-            f"  slowest recovery request: {recovery * 1000:.2f}ms",
-            f"  pool: {stats['respawns']} respawns, mode {stats['mode']}",
-            f"  gate: p99 factor <= {P99_FACTOR_CEILING:g}"
-            + ("" if gated else " (recorded only: single-core host)"),
-        ]),
-    )
-    write_json(
-        "fault_recovery",
-        {
-            "requests_per_window": requests,
-            "rounds": rounds,
-            "p99_fault_free_seconds": p99_fault_free,
-            "p99_post_kill_seconds": p99_post_kill,
-            "recovery_seconds": recovery,
-            "p99_factor": factor,
-            "respawns": stats["respawns"],
-            "degraded": stats["degraded"],
-            "cores": os.cpu_count() or 1,
-            "gated": gated,
-        },
-    )
-
-    # Recovery happened on the process path — no silent degradation.
-    assert stats["respawns"] >= rounds
-    assert stats["mode"] == "process"
-    assert stats["degraded"] is False
-    if gated:
-        assert p99_post_kill <= P99_FACTOR_CEILING * p99_fault_free, (
-            f"post-kill p99 {p99_post_kill * 1000:.2f}ms is "
-            f"{factor:.2f}x the fault-free "
-            f"{p99_fault_free * 1000:.2f}ms (ceiling "
-            f"{P99_FACTOR_CEILING:g}x)"
-        )
-
-
-# -- gate 2: quarantined-store 503s leave healthy QPS alone ---------------
+# -- quarantined-store 503s leave healthy QPS alone ----------------------
 
 
 def _flip_sidecar_byte(path: str, offset: int = 64) -> None:

@@ -1,7 +1,7 @@
-"""LPDB0004 zero-copy store: cold-start and multi-core acceptance gates.
+"""LPDB0004 zero-copy store: the cold-start gate and a fan-out record.
 
-Two claims ride on the mmap layout, both measured on the Figure 9
-scalability corpus (WSJ replicated to the largest factor, sharded):
+Both are measured on the Figure 9 scalability corpus (WSJ replicated to
+the largest factor, sharded):
 
 * **cold open** — adopting an ``LPDB0004`` file via ``mmap`` must be at
   least 10x faster than building the same segmented engine from its
@@ -9,12 +9,10 @@ scalability corpus (WSJ replicated to the largest factor, sharded):
   clustered-sort every segment, rebuild projections/bitmaps/statistics),
   because the mapped open does O(segments + names) work instead of
   O(rows);
-* **multi-core throughput** — with the same worker count, ``process``
-  fan-out must beat ``thread`` fan-out by at least 1.5x on a multi-core
-  runner, because the columnar executor is CPU-bound pure Python and a
-  thread pool serializes on the GIL.  Single-core runners (where process
-  workers cannot physically run in parallel) record the ratio but skip
-  the assertion — the claim is about cores, not about fork overhead.
+* **segment fan-out** — the Figure 9 queries counted on a two-worker
+  thread pool and sequentially, over the same mapped file.  Recorded
+  only, with no gate: the pool shares the GIL with the caller, so on a
+  small corpus its hand-off can cost more than it saves.
 
 Results land in ``BENCH_mmap_store.json`` (open timings under
 ``*_seconds``, file sizes under ``*_kb``) so CI's ``diff_bench.py`` gate
@@ -32,14 +30,13 @@ from repro.lpath import LPathEngine
 
 FACTOR = 4.0
 #: The fig9 largest-factor corpus, floored so the per-segment work is big
-#: enough for the GIL-vs-cores comparison to measure execution rather
-#: than pool handoff (same clamp idea as the structural-join A/B).
+#: enough for the fan-out record to measure execution rather than pool
+#: handoff (same clamp idea as the structural-join A/B).
 SENTENCES = max(1000, bench_sentences())
 SEGMENTS = 8
-WORKERS = 4
+WORKERS = 2
 FIGURE9_QUERIES = (3, 6, 11)
 OPEN_SPEEDUP_FLOOR = 10.0
-PROCESS_SPEEDUP_FLOOR = 1.5
 OPEN_REPEATS = 3
 
 
@@ -108,63 +105,49 @@ def test_cold_open_mmap_vs_build(write_result, write_json):
     )
 
 
-def test_process_fanout_beats_threads(benchmark, write_result, write_json,
-                                      repeats):
-    thread_engine = datasets.mmap_engine(
-        "wsj", FACTOR, SEGMENTS, workers=WORKERS, mode="thread",
-        sentences=SENTENCES,
-    )
-    process_engine = datasets.mmap_engine(
-        "wsj", FACTOR, SEGMENTS, workers=WORKERS, mode="process",
-        sentences=SENTENCES,
+def test_thread_fanout_vs_sequential(benchmark, write_result, write_json,
+                                     repeats):
+    threaded = datasets.mmap_engine(
+        "wsj", FACTOR, SEGMENTS, workers=WORKERS, sentences=SENTENCES,
     )
     sequential = datasets.mmap_engine("wsj", FACTOR, SEGMENTS,
                                       sentences=SENTENCES)
 
     queries = [by_id(qid).lpath for qid in FIGURE9_QUERIES]
-    totals = {"thread": 0.0, "process": 0.0}
+    totals = {"thread": 0.0, "sequential": 0.0}
     per_query = []
     for qid, query in zip(FIGURE9_QUERIES, queries):
-        expected = sequential.count(query)
-        # Warm both pools and both plan caches (worker processes compile
-        # on their first sight of a query); correctness check rides along.
-        assert thread_engine.count(query) == expected, f"Q{qid} (thread)"
-        assert process_engine.count(query) == expected, f"Q{qid} (process)"
+        # Warms both plan caches and the pool; correctness rides along.
+        assert threaded.count(query) == sequential.count(query), f"Q{qid}"
         thread_seconds, _ = paper_timing(
-            lambda: thread_engine.count(query), repeats
+            lambda: threaded.count(query), repeats
         )
-        process_seconds, _ = paper_timing(
-            lambda: process_engine.count(query), repeats
+        sequential_seconds, _ = paper_timing(
+            lambda: sequential.count(query), repeats
         )
         totals["thread"] += thread_seconds
-        totals["process"] += process_seconds
+        totals["sequential"] += sequential_seconds
         per_query.append({
             "query": f"Q{qid}",
             "thread_seconds": thread_seconds,
-            "process_seconds": process_seconds,
+            "sequential_seconds": sequential_seconds,
         })
 
     cores = os.cpu_count() or 1
-    ratio = totals["thread"] / totals["process"]
-    multicore = cores >= WORKERS
+    ratio = totals["sequential"] / totals["thread"]
     lines = [
         f"Fig9 queries at {FACTOR:g}x, {SEGMENTS} segments, "
         f"workers={WORKERS} ({cores} cores):",
         *(
             f"  {entry['query']}: thread {entry['thread_seconds']:.5f}s  "
-            f"process {entry['process_seconds']:.5f}s"
+            f"sequential {entry['sequential_seconds']:.5f}s"
             for entry in per_query
         ),
         f"  total: thread {totals['thread']:.5f}s  "
-        f"process {totals['process']:.5f}s  ({ratio:.2f}x)",
-        (
-            f"  gate: process must win >= {PROCESS_SPEEDUP_FLOOR:g}x"
-            if multicore
-            else f"  gate skipped: {cores} core(s) < {WORKERS} workers "
-                 f"(recorded only)"
-        ),
+        f"sequential {totals['sequential']:.5f}s  "
+        f"(thread speedup {ratio:.2f}x, recorded only)",
     ]
-    write_result("mmap_process_fanout.txt", "\n".join(lines))
+    write_result("mmap_thread_fanout.txt", "\n".join(lines))
     write_json(
         "mmap_store_fanout",
         {
@@ -176,19 +159,10 @@ def test_process_fanout_beats_threads(benchmark, write_result, write_json,
             "queries": per_query,
             "totals": {
                 "thread_seconds": totals["thread"],
-                "process_seconds": totals["process"],
+                "sequential_seconds": totals["sequential"],
             },
-            "thread_over_process": ratio,
-            "gated": multicore,
+            "sequential_over_thread": ratio,
         },
     )
 
-    benchmark(lambda: process_engine.count(queries[-1]))
-
-    if multicore:
-        assert ratio >= PROCESS_SPEEDUP_FLOOR, (
-            f"process fan-out ({totals['process']:.5f}s) only "
-            f"{ratio:.2f}x over thread fan-out ({totals['thread']:.5f}s) "
-            f"with {WORKERS} workers on {cores} cores; the floor is "
-            f"{PROCESS_SPEEDUP_FLOOR:g}x"
-        )
+    benchmark(lambda: threaded.count(queries[-1]))

@@ -78,8 +78,8 @@ def xpath_engine(profile: str) -> XPathEngine:
 
 
 #: Resources the lru_caches below cannot release themselves: compiled
-#: store temp dirs and opened mmap engines (which own file mappings and,
-#: in process mode, live worker pools).  :func:`clear_caches` drains both.
+#: store temp dirs and opened mmap engines (which own file mappings and
+#: worker pools).  :func:`clear_caches` drains both.
 _STORE_DIRS: list[str] = []
 _MMAP_ENGINES: list[LPathEngine] = []
 
@@ -110,15 +110,12 @@ def compiled_corpus_path(
 @lru_cache(maxsize=None)
 def mmap_engine(
     profile: str, factor: float = 1.0, segments: int = 1,
-    workers: int | None = None, mode: str | None = None,
-    sentences: int | None = None,
+    workers: int | None = None, sentences: int | None = None,
 ) -> LPathEngine:
-    """An mmap-backed LPath engine over the compiled benchmark corpus
-    (``mode`` as in :meth:`LPathEngine.from_store_mmap`: process fan-out
-    by default when ``workers > 1``)."""
+    """An mmap-backed LPath engine over the compiled benchmark corpus."""
     path = compiled_corpus_path(profile, factor, segments,
                                 sentences=sentences)
-    engine = LPathEngine.from_store_mmap(path, workers=workers, mode=mode)
+    engine = LPathEngine.from_store_mmap(path, workers=workers)
     _MMAP_ENGINES.append(engine)
     return engine
 

@@ -80,7 +80,7 @@ def _print_cache_stats(args: argparse.Namespace, engine, out: TextIO) -> None:
 #: the engine lives in a daemon on the other side of ``--url``.
 _LOCAL_ONLY_QUERY_FLAGS = (
     ("--segments", "segments"),
-    ("--workers", "workers"), ("--mmap", "mmap"), ("--mode", "mode"),
+    ("--workers", "workers"), ("--mmap", "mmap"),
     ("--kernels", "kernels"), ("--explain", "explain"),
     ("--cache-stats", "cache_stats"),
 )
@@ -243,7 +243,6 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         return 1
     segments = getattr(args, "segments", None)
     workers = getattr(args, "workers", None)
-    mode = getattr(args, "mode", None)
     compiled = args.corpus != "-" and store.is_compiled_corpus(args.corpus)
     if compiled and engine_name not in ("lpath", "sqlite"):
         print(
@@ -258,20 +257,12 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    if mode is not None and not (compiled and engine_name == "lpath"):
-        print(
-            "error: --mode needs a compiled corpus and --engine lpath",
-            file=sys.stderr,
-        )
-        return 1
     if engine_name in ("lpath", "treewalk", "sqlite"):
         if compiled:
             if engine_name == "lpath":
                 # LPDB0004 adopted zero-copy; a live directory adds its
                 # WAL replayed into an in-memory delta store.
-                engine = LPathEngine.open(
-                    args.corpus, workers=workers, mode=mode
-                )
+                engine = LPathEngine.open(args.corpus, workers=workers)
             else:  # the SQLite oracle loads the label rows themselves
                 engine = LPathEngine.from_labels(
                     store.load_corpus_labels(args.corpus), workers=workers
@@ -307,8 +298,7 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         backend = "plan" if engine_name == "lpath" else engine_name
         if args.count and backend == "plan":
             # Count through the compiled plan: segmented engines add
-            # per-segment counts, and process-mode workers return one
-            # integer each instead of shipping every result row.
+            # per-segment counts instead of merging every result row.
             print(
                 engine.count(args.query, pivot=getattr(args, "pivot", False)),
                 file=out,
@@ -529,15 +519,13 @@ def _command_serve(args: argparse.Namespace, out: TextIO) -> int:
     from .serve import QueryServer, QueryService, StoreSpec
 
     if args.kernels is not None:
-        # The daemon owns its process: the override holds for its
-        # lifetime (and is inherited by process-mode workers).
+        # The daemon owns its process: the override holds for its lifetime.
         os.environ[KERNELS_ENV] = args.kernels
     try:
         active_injector()  # fail a malformed REPRO_FAULTS before binding
         service = QueryService(
             [StoreSpec(path, args.dialect) for path in args.store],
             workers=args.workers,
-            mode=args.mode,
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
             timeout=args.timeout,
@@ -820,11 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "native when the extension builds (default: "
                             "the REPRO_KERNELS environment variable, "
                             "else auto)")
-    query.add_argument("--mode", choices=("thread", "process"), default=None,
-                       help="segment fan-out pool flavor for compiled "
-                            "corpora: GIL-bound threads or true "
-                            "multi-core worker processes (default: "
-                            "process when --workers > 1)")
     query.add_argument("--explain", action="store_true",
                        help="print the logical and physical plan (with the "
                             "optimizer's per-join physical choice) instead "
@@ -853,9 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None, metavar="N",
                        help="per-query segment fan-out pool size "
                             "(default: sequential)")
-    serve.add_argument("--mode", choices=("thread", "process"), default=None,
-                       help="segment fan-out pool flavor for mmap-backed "
-                            "stores (default: process when --workers > 1)")
     serve.add_argument("--kernels", choices=KERNEL_MODES, default=None,
                        help="columnar hot-loop backend for the daemon's "
                             "lifetime (default: the REPRO_KERNELS "

@@ -138,7 +138,7 @@ def _load() -> "NativeKernels":
 def _build():
     """Compile the extension into a temporary directory, load it from
     there, then atomically install the artifact next to this file so
-    later imports (and worker processes) skip the build.  Loading before
+    later imports (and other processes) skip the build.  Loading before
     installing matters when a stale artifact was already imported: the
     interpreter caches extension modules by ``(path, name)``, so the
     fresh build must come from another path to be a fresh module.

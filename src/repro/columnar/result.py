@@ -3,9 +3,9 @@
 A query answer is a :class:`ResultBatch`: its distinct ``(tid, id)``
 pairs in sorted order, packed into one interleaved int64 ``array('q')``
 (``tid0, id0, tid1, id1, ...``) — what the ``repro_emit_pairs`` /
-``repro_merge_pairs`` kernels write, process workers ship as bytes and
-the serving layer caches, digests, pages and — ``repro_encode_pairs`` —
-sends as JSON bytes without a pair built.  The executor *emits* one per
+``repro_merge_pairs`` kernels write and the serving layer caches,
+digests, pages and — ``repro_encode_pairs`` — sends as JSON bytes
+without a pair built.  The executor *emits* one per
 segment, a segmented query *merges* them, a page or a top-k is a
 *slice*, and ``engine.query()`` hands the batch itself to its caller: a
 read-only sequence of ``(tid, id)`` tuples that compares equal to the

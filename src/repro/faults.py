@@ -1,26 +1,22 @@
 """Deterministic fault injection for the executor, store and serving layers.
 
-The fault-tolerance machinery (process-pool recovery in
-:mod:`repro.plan.segmented`, store quarantine and load shedding in
-:mod:`repro.serve`, retry/backoff in :class:`repro.serve.ServeClient`)
-only earns trust when its failure paths actually run.  This module turns
-them on deterministically: five *named injection points*, threaded
-through the code they exercise, fire according to an environment spec ::
+The fault-tolerance machinery (store quarantine and load shedding in
+:mod:`repro.serve`, retry/backoff in :class:`repro.serve.ServeClient`,
+WAL recovery in :mod:`repro.live`) only earns trust when its failure
+paths actually run.  This module turns them on deterministically: eight
+*named injection points*, threaded through the code they exercise, fire
+according to an environment spec ::
 
     REPRO_FAULTS=point:prob:seed[,point:prob:seed...]
 
-    REPRO_FAULTS=worker_kill:1.0:7          # every process worker dies
+    REPRO_FAULTS=segment_slow:1.0:7         # every segment run stalls
     REPRO_FAULTS=socket_reset:0.25:42       # a quarter of responses reset
     REPRO_FAULTS=mmap_read_error:0.5:3,segment_slow:0.5:3
 
 The points and where they bite:
 
-``worker_kill``
-    A process-pool worker SIGKILLs itself on entry to
-    :func:`repro.plan.segmented._execute_segment` — upstream sees
-    ``BrokenProcessPool`` and must respawn/retry/degrade.
 ``segment_slow``
-    A per-segment execution (thread or process path) sleeps
+    A per-segment execution sleeps
     :data:`SEGMENT_SLOW_SECONDS` first — exercises deadlines, queue
     growth and the circuit breaker without any wrong answers.
 ``mmap_read_error``
@@ -64,10 +60,7 @@ probability (a real hash, not a CRC — CRC32 is linear, so two seeds one
 bit apart would produce correlated firing sequences), and the same spec
 over the same (single-threaded) call sequence fires at exactly the same
 calls every run — a chaos matrix can pin seeds and assert
-byte-identical recovery.  Workers forked into a
-process pool inherit the environment and start their own counters at
-zero, which is exactly what makes a respawned pool's behavior
-reproducible too.
+byte-identical recovery.
 
 This module imports only the standard library, so any layer (including
 :mod:`repro.columnar.store`, which must stay import-light) can thread a
@@ -87,7 +80,6 @@ FAULTS_ENV = "REPRO_FAULTS"
 CRASH_ENV = "REPRO_CRASH_POINT"
 
 FAULT_POINTS = (
-    "worker_kill",
     "segment_slow",
     "mmap_read_error",
     "socket_reset",
@@ -222,15 +214,6 @@ def fault_counts() -> dict[str, int]:
 
 
 # -- the injection helpers, one per point ---------------------------------
-
-
-def maybe_kill_worker() -> None:
-    """``worker_kill``: SIGKILL the calling process — only ever reached
-    inside process-pool workers, whose parent must survive it."""
-    if fires("worker_kill"):
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def maybe_delay_segment() -> None:

@@ -1075,7 +1075,6 @@ def open_live_engine(
     path: str,
     plan_cache_size: int = 128,
     workers: Optional[int] = None,
-    mode: Optional[str] = None,
 ):
     """Open a live corpus as a *snapshot* engine: base segments mmap'd
     zero-copy, the WAL replayed into one in-memory delta segment,
@@ -1083,17 +1082,10 @@ def open_live_engine(
 
     The snapshot does not see later appends — re-open (or use
     :class:`LiveEngineManager`, which the daemon does) to follow the
-    log.  ``mode="process"`` is rejected: process workers re-open stores
-    by LPDB0004 path, which the in-memory delta does not have."""
-    from .lpath.engine import LPathEngine, LPathError
+    log."""
+    from .lpath.engine import LPathEngine
     from .plan.cache import PlanCache
 
-    if mode == "process":
-        raise LPathError(
-            "live corpora fan out on threads (the in-memory delta segment "
-            "cannot be re-opened by path in a worker process); "
-            "use mode='thread' or compact first and serve the base file"
-        )
     state = _LiveSegments(LiveCorpus(path, writable=False))
     try:
         engine = LPathEngine.from_segments(

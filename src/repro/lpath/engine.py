@@ -32,7 +32,6 @@ from ..columnar.store import COLUMN_NAMES
 from ..labeling.lpath_scheme import label_corpus
 from ..plan.cache import PlanCache, cached_compile
 from ..plan.segmented import (
-    RemoteSpec,
     Segment,
     SegmentPool,
     SegmentedPlanCompiler,
@@ -82,8 +81,7 @@ class PlanEngine:
 
     def count(self, query: Query, pivot: bool = False) -> int:
         """Result-set size, counted through the compiled plan: a
-        segmented engine adds per-segment counts, and a process-mode
-        engine ships back one integer per worker instead of the rows."""
+        segmented engine adds per-segment counts."""
         return self.compile(query, pivot=pivot).count()
 
     def aggregate(self, query: Query, agg: str = "count", pivot: bool = False) -> dict:
@@ -152,27 +150,24 @@ class PlanEngine:
     # -- construction ------------------------------------------------------
 
     def _shell(
-        self, segments: int, workers: Optional[int], plan_cache: PlanCache,
-        mode: str = "thread",
+        self, segments: int, workers: Optional[int], plan_cache: PlanCache
     ) -> None:
         """The engine state every constructor shares; the caller
         installs ``_compiler``."""
         self.trees = []
         self.segments = segments
         self.workers = workers
-        self.mode = mode
         self._mapped = None
-        self._pool = SegmentPool(workers, segments, mode=mode)
+        self._pool = SegmentPool(workers, segments)
         self.plan_cache = plan_cache
 
     def _install(
         self, stores: list, make_compiler, workers: Optional[int],
-        plan_cache_size: int, mode: str = "thread",
-        remote: Optional[RemoteSpec] = None,
+        plan_cache_size: int
     ) -> None:
         """:meth:`_shell` plus one ``make_compiler(store)`` per store —
         segment-compiled when there is more than one."""
-        self._shell(len(stores), workers, PlanCache(plan_cache_size), mode)
+        self._shell(len(stores), workers, PlanCache(plan_cache_size))
         compilers = [make_compiler(store) for store in stores]
         if len(compilers) == 1:
             self._compiler = compilers[0]
@@ -183,13 +178,12 @@ class PlanEngine:
                     for index, (compiler, store) in enumerate(zip(compilers, stores))
                 ],
                 get_pool=self._pool,
-                remote=remote,
             )
 
     @classmethod
     def _open_mapped(
-        cls, path: str, make_compiler, remote: RemoteSpec,
-        plan_cache_size: int, workers: Optional[int], mode: Optional[str],
+        cls, path: str, make_compiler,
+        plan_cache_size: int, workers: Optional[int],
         column_names: tuple = COLUMN_NAMES,
     ):
         """An engine over every segment of an ``LPDB0004`` file, adopted
@@ -197,9 +191,6 @@ class PlanEngine:
         from ..columnar.store import ColumnStore
         from ..store import open_mapped_corpus
 
-        validate_segmentation(1, workers, mode)
-        if mode is None:
-            mode = "process" if workers is not None and workers > 1 else "thread"
         corpus = open_mapped_corpus(path)
         try:
             stores = [
@@ -208,9 +199,7 @@ class PlanEngine:
             ]
             validate_segmentation(len(stores), workers)
             engine = cls.__new__(cls)
-            engine._install(
-                stores, make_compiler, workers, plan_cache_size, mode, remote
-            )
+            engine._install(stores, make_compiler, workers, plan_cache_size)
         except BaseException:
             corpus.close()
             raise
@@ -321,10 +310,9 @@ class LPathEngine(PlanEngine):
         return engine
 
     def _shell(
-        self, segments: int, workers: Optional[int], plan_cache: PlanCache,
-        mode: str = "thread",
+        self, segments: int, workers: Optional[int], plan_cache: PlanCache
     ) -> None:
-        super()._shell(segments, workers, plan_cache, mode)
+        super()._shell(segments, workers, plan_cache)
         self._sql = SQLGenerator()
         self._rows = None
         self._sqlite = None
@@ -337,7 +325,6 @@ class LPathEngine(PlanEngine):
         path: str,
         plan_cache_size: int = 128,
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> "LPathEngine":
         """Open an ``LPDB0004`` compiled corpus zero-copy.
 
@@ -348,15 +335,9 @@ class LPathEngine(PlanEngine):
         share its pages through the OS cache.  No trees, no SQLite
         oracle.
 
-        ``mode`` picks the fan-out pool: ``"thread"`` or ``"process"``
-        (default: process whenever ``workers > 1``, because this engine
-        is exactly the shape process workers need — they re-open the
-        store by ``(path, segment)`` instead of unpickling it).
+        ``workers > 1`` fans the segments out on a thread pool.
         :meth:`close` unmaps the file, invalidating every adopted view."""
-        return cls._open_mapped(
-            path, PlanCompiler, RemoteSpec(path, "LPath"),
-            plan_cache_size, workers, mode,
-        )
+        return cls._open_mapped(path, PlanCompiler, plan_cache_size, workers)
 
     @classmethod
     def open(
@@ -364,7 +345,6 @@ class LPathEngine(PlanEngine):
         path: str,
         plan_cache_size: int = 128,
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> "LPathEngine":
         """Open a compiled corpus as a column-store engine.
 
@@ -378,12 +358,10 @@ class LPathEngine(PlanEngine):
             from ..live import open_live_engine
 
             return open_live_engine(
-                path, plan_cache_size=plan_cache_size,
-                workers=workers, mode=mode,
+                path, plan_cache_size=plan_cache_size, workers=workers
             )
         return cls.from_store_mmap(
-            path, plan_cache_size=plan_cache_size,
-            workers=workers, mode=mode,
+            path, plan_cache_size=plan_cache_size, workers=workers
         )
 
     # -- queries ------------------------------------------------------------
@@ -423,9 +401,8 @@ class LPathEngine(PlanEngine):
         """Result-set size (what the paper's experiments report).
 
         The plan backend counts through the compiled plan itself, so a
-        segmented engine adds per-segment counts — and a process-mode
-        engine ships back one integer per worker instead of packing,
-        unpacking and merging every result row just to take its length."""
+        segmented engine adds per-segment counts instead of packing and
+        merging every result row just to take its length."""
         if backend == "plan":
             return super().count(query, pivot=pivot)
         return len(self.query(query, backend=backend, pivot=pivot))

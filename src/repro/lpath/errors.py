@@ -4,15 +4,7 @@ from __future__ import annotations
 
 
 class LPathError(Exception):
-    """Base class for all LPath errors.
-
-    ``transient`` classifies the failure for retry policies: ``True``
-    means the query did not produce (and can never have produced) a
-    wrong answer — the same request is safe to retry and may well
-    succeed.  Parse/compile/evaluation errors are permanent: retrying
-    the identical query re-raises the identical error."""
-
-    transient = False
+    """Base class for all LPath errors."""
 
 
 class LPathSyntaxError(LPathError):
@@ -31,13 +23,3 @@ class LPathCompileError(LPathError):
 
 class LPathEvaluationError(LPathError):
     """A query failed during evaluation."""
-
-
-class ExecutorRecoveryError(LPathError):
-    """Segment fan-out kept failing after bounded recovery attempts.
-
-    Raised only when the process pool broke repeatedly *and* in-process
-    degradation is disabled — the caller saw no partial results, so the
-    query is safe to retry once the workers are healthy again."""
-
-    transient = True

@@ -32,79 +32,29 @@ plan emits its sorted distinct ``(tid, id)`` pairs as one packed
 :class:`~repro.columnar.result.ResultBatch`, segments partition the tid
 space, and the k-way merge of the batches preserves global order.
 
-Fan-out comes in two pool flavors (:class:`SegmentPool`):
-
-* ``mode="thread"`` — the classic thread pool.  Cheap, shares every
-  structure, but the columnar executor is CPU-bound pure Python, so the
-  GIL serializes the actual work;
-* ``mode="process"`` — real multi-core execution for *mmap-backed*
-  engines.  Nothing heavy crosses the process boundary: each worker opens
-  the ``LPDB0004`` store by ``(path, segment index)`` itself (the OS page
-  cache makes the second and every later map of the same file free),
-  compiles the query against its own segment, and ships its batch back
-  as bytes.  The parent merges the per-segment batches exactly as in
-  thread mode.
-
-The process path is additionally **self-healing**: a worker that dies
-mid-query (OOM-killed, SIGKILLed, crashed interpreter) surfaces as
-``BrokenProcessPool``, which poisons the whole executor.  Instead of
-handing that traceback to the caller, :meth:`SegmentedQuery._map_remote`
-respawns the pool (:meth:`SegmentPool.respawn`) and retries the fan-out
-up to :func:`process_retries` times; if the process path keeps dying it
-*degrades* the pool to in-process thread execution
-(:meth:`SegmentPool.degrade`) — every compiled query also holds its
-local per-segment plans, so the answer stays byte-identical, just
-slower.  With degradation disabled the exhausted retry budget raises a
-classified :class:`~repro.lpath.errors.ExecutorRecoveryError`
-(``transient=True``) — never a raw pool traceback.
+Fan-out runs on :class:`SegmentPool`, an engine-owned thread pool built
+on first use.  Workers share every structure with the caller; the GIL
+serializes the pure-Python parts of the executor.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
-from typing import Callable, NamedTuple, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Optional, Sequence
 
 from ..columnar.result import EMPTY, ResultBatch
 from ..columnar.store import NameStats
 from ..columnar.structural import read_knobs
-from ..faults import active_injector, maybe_delay_segment, maybe_kill_worker
+from ..faults import active_injector, maybe_delay_segment
 from .ir import (
     AllPred, Cmp, Col, Const, ExistsPred, IndexProbe, PlanNode, ValueSeed,
     linearize, render, N,
 )
 from .lower import Lowerer, lower_and_optimize
 
-POOL_MODES = ("thread", "process")
 
-#: How many times a broken process pool is respawned and the fan-out
-#: retried before degrading (or raising, when degradation is off).
-PROCESS_RETRIES_ENV = "REPRO_PROCESS_RETRIES"
-DEFAULT_PROCESS_RETRIES = 2
-
-
-def process_retries() -> int:
-    """The bounded retry budget for broken process pools (>= 0)."""
-    raw = os.environ.get(PROCESS_RETRIES_ENV)
-    if raw is None:
-        return DEFAULT_PROCESS_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{PROCESS_RETRIES_ENV} must be an integer >= 0, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(
-            f"{PROCESS_RETRIES_ENV} must be an integer >= 0, got {raw!r}"
-        )
-    return value
-
-
-def validate_segmentation(
-    segments: int, workers: Optional[int], mode: Optional[str] = None
-) -> None:
+def validate_segmentation(segments: int, workers: Optional[int]) -> None:
     """Reject nonsensical shard/pool configurations with one error shape
     for every engine (raises :class:`~repro.lpath.errors.LPathError`)."""
     from ..lpath.errors import LPathError
@@ -115,43 +65,21 @@ def validate_segmentation(
         raise LPathError(
             f"workers must be a positive int or None, got {workers!r}"
         )
-    if mode is not None and mode not in POOL_MODES:
-        raise LPathError(
-            f"mode must be one of {POOL_MODES} or None, got {mode!r}"
-        )
 
 
 class SegmentPool:
-    """An engine-owned, lazily created worker pool for segment fan-out.
+    """An engine-owned, lazily created thread pool for segment fan-out.
 
     Calling the pool returns the underlying executor (created on first
     use) or ``None`` when execution should stay sequential — no workers
     configured, nothing to fan out over, or the owning engine has shut
     the pool down.  After :meth:`shutdown`, later calls keep returning
     ``None`` (already-compiled plans still run, just sequentially) rather
-    than resurrecting a pool the engine would never release.
+    than resurrecting a pool the engine would never release."""
 
-    ``mode="process"`` builds a ``ProcessPoolExecutor`` instead of a
-    thread pool; queries only take the process path when they also carry
-    a :class:`RemoteTask` (mmap-backed engines), since worker processes
-    re-open the store by path rather than unpickling it.
-
-    Two recovery transitions keep dead workers from reaching callers:
-    :meth:`respawn` replaces a broken process executor with a fresh one
-    (``respawns`` counts them), and :meth:`degrade` gives up on the
-    process path entirely, flipping the pool to ``mode="thread"`` for
-    the rest of its life (``allow_degrade=False`` disables this, turning
-    retry exhaustion into a classified error instead)."""
-
-    def __init__(
-        self, workers: Optional[int], segments: int, mode: str = "thread"
-    ) -> None:
+    def __init__(self, workers: Optional[int], segments: int) -> None:
         self.workers = workers
         self.segments = segments
-        self.mode = mode if mode is not None else "thread"
-        self.allow_degrade = True
-        self.respawns = 0
-        self.degraded = False
         self._executor = None
         self._closed = False
         self._lock = threading.Lock()
@@ -171,57 +99,11 @@ class SegmentPool:
             if self._closed:
                 return None
             if self._executor is None:
-                size = min(self.workers, self.segments)
-                if self.mode == "process":
-                    from concurrent.futures import ProcessPoolExecutor
-
-                    self._executor = ProcessPoolExecutor(max_workers=size)
-                else:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=size,
-                        thread_name_prefix="repro-segment",
-                    )
+                self._executor = ThreadPoolExecutor(
+                    max_workers=min(self.workers, self.segments),
+                    thread_name_prefix="repro-segment",
+                )
             return self._executor
-
-    def respawn(self) -> bool:
-        """Replace a (presumed broken) process executor with a fresh one
-        on next use; ``False`` when there is nothing to respawn (closed
-        pool, or already degraded to threads)."""
-        with self._lock:
-            if self._closed or self.mode != "process":
-                return False
-            executor, self._executor = self._executor, None
-            self.respawns += 1
-        if executor is not None:
-            # A broken pool's workers are already gone; don't wait on it.
-            executor.shutdown(wait=False)
-        return True
-
-    def degrade(self) -> bool:
-        """Abandon the process path for this pool's lifetime: future
-        fan-outs run on an in-process thread pool over the locally
-        compiled per-segment plans (byte-identical results, GIL-bound
-        speed).  ``False`` when degradation is disabled or moot."""
-        if not self.allow_degrade:
-            return False
-        with self._lock:
-            if self._closed or self.mode != "process":
-                return self.degraded
-            executor, self._executor = self._executor, None
-            self.mode = "thread"
-            self.degraded = True
-        if executor is not None:
-            executor.shutdown(wait=False)
-        return True
-
-    def stats(self) -> dict:
-        """Recovery counters for observability (/stats, tests)."""
-        with self._lock:
-            return {
-                "mode": self.mode,
-                "respawns": self.respawns,
-                "degraded": self.degraded,
-            }
 
     def shutdown(self) -> None:
         """Release the executor (if any) and stay sequential forever."""
@@ -230,105 +112,6 @@ class SegmentPool:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-
-
-class RemoteSpec(NamedTuple):
-    """How worker processes can rebuild one engine's segments: the
-    ``LPDB0004`` path plus the compile dialect (``axes`` carries the
-    XPath engine's axis whitelist as enum member names — plain strings,
-    so the spec stays trivially picklable)."""
-
-    path: str
-    dialect: str                          # "LPath" | "XPath"
-    axes: Optional[tuple[str, ...]] = None
-
-
-class RemoteTask(NamedTuple):
-    """One compiled query's process-fan-out recipe: everything a worker
-    needs to recompile and run the identical query against one segment.
-    Captured at compile time (including the ``REPRO_FORCE_JOIN`` override,
-    which is part of the plan-cache key) so a cached plan always fans out
-    the same physical choice it was compiled with."""
-
-    spec: RemoteSpec
-    query: str
-    pivot: bool
-    force: Optional[str]
-    kernels: Optional[str] = None    # the resolved REPRO_KERNELS backend, same contract
-    limit: Optional[int] = None      # per-segment top-k (parent truncates)
-    agg: Optional[str] = None        # aggregate op (parent sums the dicts)
-
-
-#: Per-process caches for worker-side segment engines: one opened corpus
-#: per path, one compiler + plan cache per (path, segment, dialect).
-_WORKER_CORPORA: dict = {}
-_WORKER_SEGMENTS: dict = {}
-
-
-def _worker_segment(spec: RemoteSpec, index: int):
-    key = (spec.path, index, spec.dialect, spec.axes)
-    entry = _WORKER_SEGMENTS.get(key)
-    if entry is None:
-        corpus = _WORKER_CORPORA.get(spec.path)
-        if corpus is None:
-            from ..store import open_mapped_corpus
-
-            corpus = _WORKER_CORPORA[spec.path] = open_mapped_corpus(spec.path)
-        from ..columnar.store import ColumnStore
-        from .cache import PlanCache
-
-        segment = corpus.segments[index]
-        if spec.dialect == "XPath":
-            from ..lpath.axes import Axis
-            from ..xpath.compiler import XPathPlanCompiler
-            from ..xpath.engine import XNODE_COLUMNS
-
-            store = ColumnStore.adopt(segment, XNODE_COLUMNS)
-            axes = frozenset(Axis[name] for name in spec.axes or ())
-            compiler = XPathPlanCompiler(store, axes=axes)
-        else:
-            from ..lpath.compiler import PlanCompiler
-
-            compiler = PlanCompiler(ColumnStore.adopt(segment))
-        entry = _WORKER_SEGMENTS[key] = (compiler, PlanCache())
-    return entry
-
-
-def _execute_segment(task: RemoteTask, index: int, kind: str):
-    """Worker-process entry point: open (cached), compile (cached), run
-    one segment, return a count, an aggregate or the batch's bytes."""
-    from ..columnar.kernels.api import KERNELS_ENV
-    from ..columnar.structural import FORCE_ENV
-    from .cache import cached_compile
-
-    # Chaos checkpoints: a worker may kill itself (the parent's recovery
-    # path is what's under test) or stall before touching the store.
-    maybe_kill_worker()
-    maybe_delay_segment()
-    compiler, cache = _worker_segment(task.spec, index)
-    overrides = ((FORCE_ENV, task.force), (KERNELS_ENV, task.kernels))
-    previous = {env: os.environ.get(env) for env, _value in overrides}
-    for env, value in overrides:
-        if value is None:
-            os.environ.pop(env, None)
-        else:
-            os.environ[env] = value
-    try:
-        compiled = cached_compile(
-            cache, compiler, task.query, task.pivot,
-            limit=task.limit, agg=task.agg,
-        )
-        if kind == "count":
-            return compiled.count()
-        if kind == "agg":
-            return compiled.aggregate()
-        return compiled.rows().tobytes()
-    finally:
-        for env, value in previous.items():
-            if value is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = value
 
 
 class Segment:
@@ -419,7 +202,6 @@ class SegmentedQuery:
         logical: PlanNode,
         lowered,
         get_pool: Optional[Callable] = None,
-        remote: Optional[RemoteTask] = None,
         limit: Optional[int] = None,
         agg: Optional[str] = None,
         kern=None,
@@ -443,7 +225,6 @@ class SegmentedQuery:
         #: against a segment that did not exist yet.
         self.lowered = lowered
         self.get_pool = get_pool
-        self.remote = remote
         self.limit = limit
         self.agg = agg
         self.kern = kern  # the compile's ``Knobs.kern``: merges the batches
@@ -455,7 +236,7 @@ class SegmentedQuery:
     def _map(self, task: Callable) -> list:
         if active_injector() is not None:  # one read per fan-out
             def run(part, task=task):
-                maybe_delay_segment()  # segment_slow bites the thread path too
+                maybe_delay_segment()  # segment_slow: stall each segment run
                 return task(part)
         else:
             run = task
@@ -464,72 +245,15 @@ class SegmentedQuery:
             return [run(part) for part in self.parts]
         return list(pool.map(run, [part for _index, part in self.bound]))
 
-    def _map_remote(self, kind: str) -> Optional[list]:
-        """Fan the query out to worker *processes*, or ``None`` when the
-        thread/sequential path should run instead (no pool, a thread
-        pool, or nothing to fan out over).
-
-        A ``BrokenProcessPool`` (worker SIGKILLed mid-query, or already
-        dead at submit time) never escapes: the pool is respawned and the
-        whole fan-out retried up to :func:`process_retries` times — the
-        per-segment work is read-only and idempotent, so re-running every
-        segment is safe.  When the process path keeps dying the pool
-        degrades to threads (``None`` return: the caller's local plans
-        run in-process, byte-identical), or, with degradation disabled,
-        raises a classified
-        :class:`~repro.lpath.errors.ExecutorRecoveryError`."""
-        pool_factory = self.get_pool
-        if (
-            self.remote is None
-            or getattr(pool_factory, "mode", "thread") != "process"
-            or len(self.bound) <= 1
-        ):
-            return None
-        attempts = 1 + process_retries()
-        for _attempt in range(attempts):
-            if getattr(pool_factory, "mode", "thread") != "process":
-                return None  # a thread pool (possibly degraded mid-loop)
-            pool = pool_factory()
-            if pool is None:
-                return None
-            try:
-                futures = [
-                    pool.submit(_execute_segment, self.remote, index, kind)
-                    for index, _part in self.bound
-                ]
-                return [future.result() for future in futures]
-            except BrokenExecutor:
-                # Dead worker(s): the executor is poisoned.  Respawn and
-                # retry; anything else (engine errors shipped back from a
-                # live worker) propagates unchanged.
-                respawn = getattr(pool_factory, "respawn", None)
-                if respawn is None or not respawn():
-                    break
-        degrade = getattr(pool_factory, "degrade", None)
-        if degrade is not None and degrade():
-            return None
-        from ..lpath.errors import ExecutorRecoveryError
-
-        raise ExecutorRecoveryError(
-            f"segment fan-out failed {attempts} time(s): process workers "
-            "keep dying and in-process degradation is disabled; the query "
-            "produced no results and is safe to retry"
-        )
-
     def rows(self) -> ResultBatch:
         """Distinct, sorted ``(tid, id)`` pairs across every segment: the
-        per-segment batches (shipped as bytes by process workers) merged
-        by one kernel call.
+        per-segment batches merged by one kernel call.
 
         Under a top-k limit every segment already stops at its own first
         k results (each could hold the k globally-smallest keys), so the
         merge only has to truncate — identical output to a monolithic
         top-k because the segments partition the tid space."""
-        packed = self._map_remote("rows")
-        if packed is not None:
-            parts = [ResultBatch.frombytes(blob) for blob in packed]
-        else:
-            parts = self._map(lambda part: part.rows())
+        parts = self._map(lambda part: part.rows())
         merged = ResultBatch.merge(parts, self.kern)
         return merged if self.limit is None else merged[: self.limit]
 
@@ -538,9 +262,6 @@ class SegmentedQuery:
         segments partition the tid space."""
         if self.limit is not None:
             return len(self.rows())
-        counts = self._map_remote("count")
-        if counts is not None:
-            return sum(counts)
         return sum(self._map(lambda part: part.count()))
 
     def aggregate(self) -> dict:
@@ -551,9 +272,7 @@ class SegmentedQuery:
             from ..lpath.errors import LPathCompileError
 
             raise LPathCompileError("plan carries no aggregate")
-        results = self._map_remote("agg")
-        if results is None:
-            results = self._map(lambda part: part.aggregate())
+        results = self._map(lambda part: part.aggregate())
         from collections import Counter
 
         merged: Counter = Counter()
@@ -665,10 +384,7 @@ class SegmentedPlanCompiler:
     per-segment compilers carry the scheme, dialect and result class."""
 
     def __init__(
-        self,
-        segments: Sequence[Segment],
-        get_pool=None,
-        remote: Optional[RemoteSpec] = None,
+        self, segments: Sequence[Segment], get_pool=None
     ) -> None:
         if not segments:
             raise ValueError("a segmented compiler needs at least one segment")
@@ -684,7 +400,6 @@ class SegmentedPlanCompiler:
             self.dialect,
         )
         self.get_pool = get_pool
-        self.remote = remote
         #: Carried plans moved onto this segment list (see :meth:`rebase`).
         self.rebased = 0
         self._rebased_lock = threading.Lock()
@@ -702,24 +417,14 @@ class SegmentedPlanCompiler:
         segment-independent skeleton, and each bind re-decides probe vs.
         merge against its own shard's statistics.  Segments whose
         statistics prove their result empty (:func:`required_names`) are
-        not bound at all.  Engines built over an ``LPDB0004`` file
-        additionally attach a :class:`RemoteTask` so a process pool can
-        re-run the same query worker-side without pickling any plan or
-        store."""
+        not bound at all."""
         knobs = read_knobs()
         root, lowered = lower_and_optimize(
             self.lowerer, query, pivot, limit=limit, agg=agg, knobs=knobs,
         )
         parts = self._bind(root, lowered, knobs)
-        remote_task = None
-        if self.remote is not None:
-            remote_task = RemoteTask(
-                self.remote,
-                query if isinstance(query, str) else str(query),
-                pivot, knobs.force, knobs.backend, limit, agg,
-            )
         return SegmentedQuery(
-            self.segments, parts, root, lowered, self.get_pool, remote_task,
+            self.segments, parts, root, lowered, self.get_pool,
             limit=limit, agg=agg, kern=knobs.kern,
         )
 
@@ -770,6 +475,6 @@ class SegmentedPlanCompiler:
             self.rebased += 1
         return SegmentedQuery(
             self.segments, parts, compiled.logical, compiled.lowered,
-            self.get_pool, compiled.remote,
+            self.get_pool,
             limit=compiled.limit, agg=compiled.agg, kern=compiled.kern,
         )

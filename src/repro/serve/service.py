@@ -274,13 +274,9 @@ class StoreHandle:
             "fingerprint": self.fingerprint,
             "segments": engine.segments,
             "workers": engine.workers,
-            "mode": engine.mode,
             "plan_cache": engine.cache_stats(),
             "health": self.health(),
         }
-        pool = getattr(engine, "_pool", None)
-        if pool is not None:
-            document["pool"] = pool.stats()
         if self.live is not None:
             document["live"] = self.live.status()
         return document
@@ -431,7 +427,6 @@ class QueryService:
         self,
         stores: Union[str, StoreSpec, Sequence[Union[str, StoreSpec]]],
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
         max_inflight: int = 8,
         max_queue: int = 16,
         timeout: float = 30.0,
@@ -499,16 +494,14 @@ class QueryService:
         try:
             for item in stores:
                 spec = item if isinstance(item, StoreSpec) else StoreSpec(item)
-                self._add_store(spec, workers=workers, mode=mode)
+                self._add_store(spec, workers=workers)
         except BaseException:
             self.close(drain_timeout=0.0)
             raise
 
     # -- engine registry ----------------------------------------------------
 
-    def _add_store(
-        self, spec: StoreSpec, workers: Optional[int], mode: Optional[str]
-    ) -> None:
+    def _add_store(self, spec: StoreSpec, workers: Optional[int]) -> None:
         from .. import store as store_module
 
         if spec.dialect not in DIALECTS:
@@ -525,12 +518,6 @@ class QueryService:
                 raise LPathError(
                     "live (LPDB0005) corpora serve the lpath dialect only; "
                     "compact and re-label for xpath serving"
-                )
-            if mode == "process":
-                raise LPathError(
-                    "live corpora fan out on threads (the in-memory delta "
-                    "segment cannot be re-opened by path in a worker "
-                    "process); drop --mode process or compact first"
                 )
             from ..live import LiveEngineManager
 
@@ -549,22 +536,20 @@ class QueryService:
                 self._default = spec.path
             return
         fingerprint = store_module.store_fingerprint(spec.path)
-        engine = self._open_engine(spec, workers, mode)
+        engine = self._open_engine(spec, workers)
         self._warm(engine)
         self._stores[spec.path] = StoreHandle(spec, engine, fingerprint)
         if self._default is None:
             self._default = spec.path
 
     @staticmethod
-    def _open_engine(spec: StoreSpec, workers: Optional[int], mode):
+    def _open_engine(spec: StoreSpec, workers: Optional[int]):
         from ..lpath import LPathEngine
         from ..xpath import XPathEngine
 
         if spec.dialect == "lpath":
-            return LPathEngine.open(spec.path, workers=workers, mode=mode)
-        return XPathEngine.from_store_mmap(
-            spec.path, workers=workers, mode=mode
-        )
+            return LPathEngine.open(spec.path, workers=workers)
+        return XPathEngine.from_store_mmap(spec.path, workers=workers)
 
     @staticmethod
     def _warm(engine) -> None:
@@ -984,7 +969,7 @@ class QueryService:
             except LPathError as error:
                 with self._lock:
                     self.errors += 1
-                if error.transient or "closed" in str(error):
+                if "closed" in str(error):
                     self.breaker.record(False)
                     raise ServeError(503, str(error))
                 # A permanent query error: the backend executed fine, so

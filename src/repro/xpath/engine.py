@@ -16,7 +16,7 @@ from ..labeling import xpath_scheme
 from ..lpath.ast import Path
 from ..lpath.engine import PlanEngine
 from ..lpath.errors import LPathError
-from ..plan.segmented import RemoteSpec, validate_segmentation
+from ..plan.segmented import validate_segmentation
 from ..store import row_stores
 from ..tree.node import Tree
 from .compiler import VERTICAL_FRAGMENT, XPathPlanCompiler
@@ -56,15 +56,13 @@ class XPathEngine(PlanEngine):
         axes: frozenset = VERTICAL_FRAGMENT,
         plan_cache_size: int = 128,
         workers: Optional[int] = None,
-        mode: Optional[str] = None,
     ) -> "XPathEngine":
         """Open an ``LPDB0004`` file of *start/end-labeled* rows zero-copy
         (save one with ``repro.labeling.xpath_scheme.label_corpus`` rows
-        and :func:`repro.store.save_mapped`).  No trees.  ``mode`` as
-        in :meth:`repro.lpath.LPathEngine.from_store_mmap` (process
-        default when ``workers > 1``); :meth:`close` unmaps the file."""
+        and :func:`repro.store.save_mapped`).  No trees.  ``workers``
+        as in :meth:`repro.lpath.LPathEngine.from_store_mmap`;
+        :meth:`close` unmaps the file."""
         return cls._open_mapped(
             path, partial(XPathPlanCompiler, axes=axes),
-            RemoteSpec(path, "XPath", tuple(sorted(axis.name for axis in axes))),
-            plan_cache_size, workers, mode, XNODE_COLUMNS,
+            plan_cache_size, workers, XNODE_COLUMNS,
         )

@@ -93,9 +93,6 @@ def _assert_answers_match(answers: dict, baseline: dict) -> None:
 
 class TestChaosMatrix:
     @pytest.mark.parametrize("faults, service_options, client_options", [
-        # Workers die under the executor: respawn/retry/degrade only —
-        # answers must come back identical with no client retries at all.
-        ("worker_kill:0.3:11", {"workers": 2, "mode": "process"}, {}),
         # Slow segments: latency chaos, zero correctness impact.
         ("segment_slow:0.5:3", {"workers": 2}, {}),
         # Failing mmap reads: clean 503s (breaker/quarantine may engage),
@@ -117,14 +114,14 @@ class TestChaosMatrix:
         ("cache_poison:1.0:5", {}, {}),
         # Everything at once.
         (
-            "worker_kill:0.2:11,segment_slow:0.3:3,mmap_read_error:0.2:7,"
+            "segment_slow:0.3:3,mmap_read_error:0.2:7,"
             "socket_reset:0.3:42,cache_poison:0.5:5",
-            {"workers": 2, "mode": "process", "store_retry_after": 0.05},
+            {"workers": 2, "store_retry_after": 0.05},
             {"max_retries": 6, "backoff_base": 0.02, "backoff_cap": 0.2},
         ),
     ], ids=[
-        "worker_kill", "segment_slow", "mmap_read_error", "socket_reset",
-        "cache_poison", "all_points",
+        "segment_slow", "mmap_read_error", "socket_reset", "cache_poison",
+        "all_points",
     ])
     def test_answers_identical_or_cleanly_classified(
         self, chaos_store, baseline, monkeypatch,

@@ -7,9 +7,9 @@ the three LPath execution paths must agree exactly:
 
 — and so must the zero-copy deployment shapes: the same corpus saved as
 a segmented ``LPDB0004`` store and opened mmap-backed, executed both
-sequentially and fanned out over *worker processes* (results cross the
-process boundary as packed int64 pairs; any packing or re-compile drift
-would break byte-identity here).  The XPath engine must match the LPath
+sequentially and fanned out over a two-thread segment pool (any drift in
+the per-segment binds or the packed merge would break byte-identity
+here).  The XPath engine must match the LPath
 tree-walk on the start/end-expressible fragment.  The plan backend runs
 every pair with structural merge joins forced **on** and forced **off**
 (the ``REPRO_FORCE_JOIN=merge|probe`` knob), so the set-at-a-time join
@@ -151,7 +151,7 @@ def _assert_agreement(
 @contextmanager
 def mmap_engines(trees, workers: int = 2):
     """The same corpus as a 2-segment LPDB0004 file, opened mmap-backed:
-    once sequential, once with process fan-out."""
+    once sequential, once fanned out on two threads."""
     handle, path = tempfile.mkstemp(suffix=".lpdb")
     engines = {}
     try:
@@ -160,8 +160,8 @@ def mmap_engines(trees, workers: int = 2):
                 list(label_corpus(trees)), stream, segments=2,
             )
         engines["mmap"] = LPathEngine.from_store_mmap(path)
-        engines["mmap+process"] = LPathEngine.from_store_mmap(
-            path, workers=workers, mode="process"
+        engines["mmap+threads"] = LPathEngine.from_store_mmap(
+            path, workers=workers
         )
         yield engines
     finally:

@@ -9,12 +9,13 @@ generators), sharding the corpus must be invisible in the results:
 * the same holds for the XPath engine on the start/end-expressible
   fragment;
 * a corpus saved as a segmented ``LPDB0004`` file and opened zero-copy
-  (threads and worker processes) must also agree exactly.
+  (sequential, and on thread pools of two and three workers) must also
+  agree exactly.
 
 The in-memory and mmap sharded sweeps each run once per kernel backend
 (``REPRO_KERNELS=python`` and ``=native``) so the native hot loops are
 exercised across segment boundaries, worker pools and the packed
-cross-process merge.  ``REPRO_FUZZ_EXAMPLES`` scales the hypothesis
+segment merge.  ``REPRO_FUZZ_EXAMPLES`` scales the hypothesis
 example budget like the main differential-fuzz harness.
 """
 
@@ -43,7 +44,7 @@ SEGMENT_SWEEP = (1, 2, 3, 7)
 WORKER_SWEEP = (None, 2)
 
 #: The sharded sweeps run once per kernel backend (the segment executor,
-#: the packed cross-process merge and the per-segment plan compile all
+#: the packed segment merge and the per-segment plan compile all
 #: dispatch on ``REPRO_KERNELS``); ``native`` skips when the extension
 #: did not build.
 KERNEL_BACKENDS = ("python", "native")
@@ -158,12 +159,9 @@ class TestLPathSegmentEquivalence:
             store.save_mapped(rows, handle, segments=3)
         engines = {
             "sequential": LPathEngine.from_store_mmap(path),
-            "thread": LPathEngine.from_store_mmap(
-                path, workers=2, mode="thread"
-            ),
-            "process": LPathEngine.from_store_mmap(
-                path, workers=2, mode="process"
-            ),
+            # Two workers share three segments; three give each its own.
+            "threads x2": LPathEngine.from_store_mmap(path, workers=2),
+            "threads x3": LPathEngine.from_store_mmap(path, workers=3),
         }
         try:
             with pinned_kernels(kernels):
@@ -250,100 +248,15 @@ class TestSegmentedPlanSurface:
         assert engine.query("//NP", backend="sqlite") == expected
         assert engine.query("//NP", backend="treewalk") == expected
 
-    def test_process_mode_rejected_without_mmap_backing(self):
+    def test_validate_segmentation_rejects_bad_shapes(self):
         from repro.lpath.errors import LPathError
         from repro.plan.segmented import validate_segmentation
 
-        with pytest.raises(LPathError, match="mode"):
-            validate_segmentation(2, 2, "fibers")
-        validate_segmentation(2, 2, "process")  # valid spelling
-
-
-class TestProcessWorkerEntryPoints:
-    """The process-pool worker functions, driven in-process: the exact
-    code a forked worker runs (engine cache, local compile, env-pinned
-    join force, int64 packing) — testable and coverable without a pool."""
-
-    @pytest.fixture()
-    def corpus_path(self, tmp_path):
-        from repro.tree import figure1_tree
-
-        trees = [figure1_tree(tid=tid) for tid in range(5)]
-        path = str(tmp_path / "corpus.lpdb")
-        with open(path, "wb") as handle:
-            store.save_mapped(
-                list(label_corpus(trees)), handle, segments=2,
-            )
-        return path, trees
-
-    def test_worker_results_match_parent(self, corpus_path):
-        from repro.plan import segmented
-
-        path, trees = corpus_path
-        spec = segmented.RemoteSpec(path, "LPath")
-        oracle = LPathEngine(trees)
-        expected = oracle.query("//VP//NP")
-        merged = []
-        total = 0
-        for index in range(2):
-            task = segmented.RemoteTask(spec, "//VP//NP", False, None)
-            blob = segmented._execute_segment(task, index, "rows")
-            assert isinstance(blob, bytes)
-            merged.extend(segmented.ResultBatch.frombytes(blob))
-            total += segmented._execute_segment(task, index, "count")
-        assert sorted(merged) == expected
-        assert total == len(expected)
-        # The per-(path, segment) worker cache is warm now: the same
-        # compiler object answers the second call.
-        compiler, cache = segmented._worker_segment(spec, 0)
-        assert segmented._worker_segment(spec, 0)[0] is compiler
-        assert cache.stats["misses"] >= 1
-
-    def test_worker_pins_forced_join_and_restores_env(self, corpus_path):
-        import os as _os
-        from repro.columnar.structural import FORCE_ENV
-        from repro.plan import segmented
-
-        path, trees = corpus_path
-        spec = segmented.RemoteSpec(path, "LPath")
-        previous = _os.environ.get(FORCE_ENV)
-        try:
-            _os.environ[FORCE_ENV] = "probe"
-            task = segmented.RemoteTask(spec, "//VP//NP", False, "merge")
-            forced = segmented._execute_segment(task, 0, "rows")
-            assert _os.environ.get(FORCE_ENV) == "probe"  # restored
-            unforced = segmented._execute_segment(
-                segmented.RemoteTask(spec, "//VP//NP", False, None),
-                0, "rows",
-            )
-            assert forced == unforced
-        finally:
-            if previous is None:
-                _os.environ.pop(FORCE_ENV, None)
-            else:
-                _os.environ[FORCE_ENV] = previous
-
-    def test_xpath_worker_dialect(self, tmp_path):
-        from repro.labeling import xpath_scheme
-        from repro.plan import segmented
-        from repro.tree import figure1_tree
-        from repro.xpath import XPATH_AXES, XPathEngine
-
-        trees = [figure1_tree(tid=tid) for tid in range(4)]
-        rows = [tuple(row) for row in xpath_scheme.label_corpus(trees)]
-        path = str(tmp_path / "xpath.lpdb")
-        with open(path, "wb") as handle:
-            store.save_mapped(rows, handle, segments=2)
-        spec = segmented.RemoteSpec(
-            path, "XPath", tuple(sorted(axis.name for axis in XPATH_AXES))
-        )
-        expected = XPathEngine(trees, axes=XPATH_AXES).query("//VP//NP")
-        merged = []
-        for index in range(2):
-            task = segmented.RemoteTask(spec, "//VP//NP", False, None)
-            merged.extend(
-                segmented.ResultBatch.frombytes(
-                    segmented._execute_segment(task, index, "rows")
-                )
-            )
-        assert sorted(merged) == expected
+        validate_segmentation(2, 2)
+        validate_segmentation(1, None)
+        with pytest.raises(LPathError, match="segments"):
+            validate_segmentation(0, 2)
+        with pytest.raises(LPathError, match="workers"):
+            validate_segmentation(2, 0)
+        with pytest.raises(LPathError, match="workers"):
+            validate_segmentation(2, "2")

@@ -189,12 +189,6 @@ class TestThresholdCompaction:
 
 
 class TestLiveStoreModes:
-    def test_process_mode_is_rejected_for_live_store(self, live_path):
-        from repro.lpath.errors import LPathError
-
-        with pytest.raises(LPathError, match="thread"):
-            QueryService(live_path, mode="process")
-
     def test_xpath_dialect_spec_is_rejected(self, live_path):
         from repro.lpath.errors import LPathError
         from repro.serve.service import StoreSpec

@@ -84,8 +84,7 @@ class TestQuery:
         assert code == 0
         # The segmented file serves sequential and pooled fan-out; it
         # keeps its on-disk shards, so --segments is an error.
-        for extra in ([], ["--workers", "2"],
-                      ["--workers", "2", "--mode", "thread"]):
+        for extra in ([], ["--workers", "2"], ["--workers", "4"]):
             code, output = run(["query", lpdb, "//S//NP", "--count"] + extra)
             assert code == 0, extra
             assert output == expected, extra
@@ -215,14 +214,13 @@ class TestMmapQuery:
         assert code == 0
         assert mapped == eager
 
-    def test_mmap_process_mode(self, mmap_file):
+    def test_mmap_thread_fan_out(self, mmap_file):
         code, sequential = run(["query", mmap_file, "//NP", "--count",
                                 "--mmap"])
         assert code == 0
         for flags in (["--mmap"], []):
             code, fanned = run(["query", mmap_file, "//NP", "--count",
-                                "--workers", "2", "--mode", "process"]
-                               + flags)
+                                "--workers", "2"] + flags)
             assert code == 0, flags
             assert fanned == sequential, flags
 
@@ -238,11 +236,6 @@ class TestMmapQuery:
         lpdb = tmp_path / "old.lpdb"
         lpdb.write_bytes(b"LPDB0002" + b"\x00" * 8)
         code, _ = run(["query", str(lpdb), "//NP", "--count", "--mmap"])
-        assert code == 1
-
-    def test_mode_requires_compiled_corpus(self, corpus_file):
-        code, _ = run(["query", corpus_file, "//NP", "--count",
-                       "--mode", "process"])
         assert code == 1
 
     def test_mmap_rejects_resharding(self, mmap_file):
@@ -435,7 +428,7 @@ class TestServeCLI:
     def test_serve_bad_faults_spec_is_config_error(
         self, store_file, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_FAULTS", "worker_kill:not-a-prob:1")
+        monkeypatch.setenv("REPRO_FAULTS", "segment_slow:not-a-prob:1")
         code, _ = run(["serve", store_file, "--port", "0"])
         assert code == 2
         err = capsys.readouterr().err
@@ -525,12 +518,6 @@ class TestKernelAndSegmentConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-
-    def test_invalid_mode_combination_at_cli(self, corpus_file, capsys):
-        code, _ = run(["query", corpus_file, "//NP", "--count",
-                       "--mode", "process"])
-        assert code == 1
-        assert "--mode needs a compiled corpus" in capsys.readouterr().err
 
     def test_invalid_kernels_env_at_daemon_is_4xx(self, corpus_file,
                                                   tmp_path, monkeypatch):

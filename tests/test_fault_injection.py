@@ -21,9 +21,9 @@ from repro.serve.cache import EncodedAggregate
 
 class TestSpecParsing:
     def test_single_spec(self):
-        specs = parse_fault_specs("worker_kill:0.25:7")
+        specs = parse_fault_specs("segment_slow:0.25:7")
         assert specs == {
-            "worker_kill": FaultSpec("worker_kill", 0.25, 7)
+            "segment_slow": FaultSpec("segment_slow", 0.25, 7)
         }
 
     def test_multiple_specs_with_whitespace(self):
@@ -34,15 +34,15 @@ class TestSpecParsing:
         assert specs["segment_slow"].probability == 0.5
 
     @pytest.mark.parametrize("raw, fragment", [
-        ("worker_kill", "expected point:prob:seed"),
-        ("worker_kill:0.5", "expected point:prob:seed"),
-        ("worker_kill:0.5:1:extra", "expected point:prob:seed"),
+        ("segment_slow", "expected point:prob:seed"),
+        ("segment_slow:0.5", "expected point:prob:seed"),
+        ("segment_slow:0.5:1:extra", "expected point:prob:seed"),
         ("unknown_point:0.5:1", "unknown fault point"),
-        ("worker_kill:maybe:1", "probability"),
-        ("worker_kill:1.5:1", "must be in [0, 1]"),
-        ("worker_kill:-0.1:1", "must be in [0, 1]"),
-        ("worker_kill:0.5:soon", "seed"),
-        ("worker_kill:0.5:1,worker_kill:0.5:2", "duplicate"),
+        ("segment_slow:maybe:1", "probability"),
+        ("segment_slow:1.5:1", "must be in [0, 1]"),
+        ("segment_slow:-0.1:1", "must be in [0, 1]"),
+        ("segment_slow:0.5:soon", "seed"),
+        ("segment_slow:0.5:1,segment_slow:0.5:2", "duplicate"),
     ])
     def test_malformed_specs_raise(self, raw, fragment):
         with pytest.raises(FaultConfigError) as failure:
@@ -77,13 +77,13 @@ class TestInjectorDeterminism:
 
     def test_probability_extremes(self):
         injector = Injector(
-            parse_fault_specs("worker_kill:1.0:1,segment_slow:0.0:1")
+            parse_fault_specs("cache_poison:1.0:1,segment_slow:0.0:1")
         )
-        assert all(injector.fires("worker_kill") for _ in range(8))
+        assert all(injector.fires("cache_poison") for _ in range(8))
         assert not any(injector.fires("segment_slow") for _ in range(8))
 
     def test_inactive_point_never_fires_or_counts(self):
-        injector = Injector(parse_fault_specs("worker_kill:1.0:1"))
+        injector = Injector(parse_fault_specs("socket_reset:1.0:1"))
         assert injector.fires("cache_poison") is False
         assert injector.counts() == {}
 
@@ -98,9 +98,9 @@ class TestEnvironmentActivation:
     def test_unset_env_means_no_injector(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         assert faults.active_injector() is None
-        assert faults.fires("worker_kill") is False
+        assert faults.fires("segment_slow") is False
         assert faults.fault_counts() == {}
-        # Inert helpers: no sleep, no kill, no error, no mutation.
+        # Inert helpers: no sleep, no error, no mutation.
         faults.maybe_delay_segment()
         faults.maybe_mmap_read_error()
         assert faults.maybe_reset_socket() is False
@@ -146,3 +146,23 @@ class TestHelpers:
     def test_reset_socket_reports_the_draw(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "socket_reset:1.0:1")
         assert faults.maybe_reset_socket() is True
+
+
+class TestSlowSegments:
+    def test_segment_slow_never_changes_results(self, tmp_path, monkeypatch):
+        from repro import store
+        from repro.lpath import LPathEngine
+        from repro.tree import figure1_tree
+
+        path = str(tmp_path / "corpus.lpdb")
+        store.save_corpus(
+            [figure1_tree(tid=tid) for tid in range(4)], path,
+            segments=2, format="lpdb0004",
+        )
+        with LPathEngine.open(path) as engine:
+            expected = engine.query("//VP//NP")
+        monkeypatch.setenv(FAULTS_ENV, "segment_slow:1.0:3")
+        with LPathEngine.open(path, workers=2) as engine:
+            assert engine.query("//VP//NP") == expected
+        # Both segments passed the checkpoint on the thread pool.
+        assert faults.fault_counts() == {"segment_slow": 2}

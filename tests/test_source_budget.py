@@ -43,7 +43,7 @@ def test_the_source_stays_under_its_line_ceiling():
 
 def test_import_repro_loads_no_new_module():
     found = subprocess.run(
-        [sys.executable, "-I", "-c", LOADED, str(SRC)],
+        [sys.executable, "-I", "-B", "-c", LOADED, str(SRC)],
         capture_output=True, text=True, check=True,
     )
     loaded = set(json.loads(found.stdout))
