@@ -1,18 +1,12 @@
-"""LPDB0004 zero-copy store: the cold-start gate and a fan-out record.
+"""LPDB0004 zero-copy store: the cold-start gate.
 
-Both are measured on the Figure 9 scalability corpus (WSJ replicated to
-the largest factor, sharded):
-
-* **cold open** — adopting an ``LPDB0004`` file via ``mmap`` must be at
-  least 10x faster than building the same segmented engine from its
-  label rows (``LPathEngine.from_labels``: deal the trees into segments,
-  clustered-sort every segment, rebuild projections/bitmaps/statistics),
-  because the mapped open does O(segments + names) work instead of
-  O(rows);
-* **segment fan-out** — the Figure 9 queries counted on a two-worker
-  thread pool and sequentially, over the same mapped file.  Recorded
-  only, with no gate: the pool shares the GIL with the caller, so on a
-  small corpus its hand-off can cost more than it saves.
+Measured on the Figure 9 scalability corpus (WSJ replicated to the
+largest factor, sharded): adopting an ``LPDB0004`` file via ``mmap`` must
+be at least 10x faster than building the same segmented engine from its
+label rows (``LPathEngine.from_labels``: deal the trees into segments,
+clustered-sort every segment, rebuild projections/bitmaps/statistics),
+because the mapped open does O(segments + names) work instead of
+O(rows).
 
 Results land in ``BENCH_mmap_store.json`` (open timings under
 ``*_seconds``, file sizes under ``*_kb``) so CI's ``diff_bench.py`` gate
@@ -25,16 +19,14 @@ import time
 from repro import store
 from repro.bench import by_id, datasets
 from repro.bench.datasets import bench_sentences
-from repro.bench.harness import paper_timing
 from repro.lpath import LPathEngine
 
 FACTOR = 4.0
-#: The fig9 largest-factor corpus, floored so the per-segment work is big
-#: enough for the fan-out record to measure execution rather than pool
-#: handoff (same clamp idea as the structural-join A/B).
+#: The fig9 largest-factor corpus, floored so the build the mapped open
+#: is compared against sorts real segments, not a handful of rows (same
+#: clamp idea as the structural-join A/B).
 SENTENCES = max(1000, bench_sentences())
 SEGMENTS = 8
-WORKERS = 2
 FIGURE9_QUERIES = (3, 6, 11)
 OPEN_SPEEDUP_FLOOR = 10.0
 OPEN_REPEATS = 3
@@ -103,66 +95,3 @@ def test_cold_open_mmap_vs_build(write_result, write_json):
         f"faster than building from label rows ({build_seconds:.5f}s); "
         f"the floor is {OPEN_SPEEDUP_FLOOR:g}x"
     )
-
-
-def test_thread_fanout_vs_sequential(benchmark, write_result, write_json,
-                                     repeats):
-    threaded = datasets.mmap_engine(
-        "wsj", FACTOR, SEGMENTS, workers=WORKERS, sentences=SENTENCES,
-    )
-    sequential = datasets.mmap_engine("wsj", FACTOR, SEGMENTS,
-                                      sentences=SENTENCES)
-
-    queries = [by_id(qid).lpath for qid in FIGURE9_QUERIES]
-    totals = {"thread": 0.0, "sequential": 0.0}
-    per_query = []
-    for qid, query in zip(FIGURE9_QUERIES, queries):
-        # Warms both plan caches and the pool; correctness rides along.
-        assert threaded.count(query) == sequential.count(query), f"Q{qid}"
-        thread_seconds, _ = paper_timing(
-            lambda: threaded.count(query), repeats
-        )
-        sequential_seconds, _ = paper_timing(
-            lambda: sequential.count(query), repeats
-        )
-        totals["thread"] += thread_seconds
-        totals["sequential"] += sequential_seconds
-        per_query.append({
-            "query": f"Q{qid}",
-            "thread_seconds": thread_seconds,
-            "sequential_seconds": sequential_seconds,
-        })
-
-    cores = os.cpu_count() or 1
-    ratio = totals["sequential"] / totals["thread"]
-    lines = [
-        f"Fig9 queries at {FACTOR:g}x, {SEGMENTS} segments, "
-        f"workers={WORKERS} ({cores} cores):",
-        *(
-            f"  {entry['query']}: thread {entry['thread_seconds']:.5f}s  "
-            f"sequential {entry['sequential_seconds']:.5f}s"
-            for entry in per_query
-        ),
-        f"  total: thread {totals['thread']:.5f}s  "
-        f"sequential {totals['sequential']:.5f}s  "
-        f"(thread speedup {ratio:.2f}x, recorded only)",
-    ]
-    write_result("mmap_thread_fanout.txt", "\n".join(lines))
-    write_json(
-        "mmap_store_fanout",
-        {
-            "factor": FACTOR,
-            "sentences_floor": SENTENCES,
-            "segments": SEGMENTS,
-            "workers": WORKERS,
-            "cores": cores,
-            "queries": per_query,
-            "totals": {
-                "thread_seconds": totals["thread"],
-                "sequential_seconds": totals["sequential"],
-            },
-            "sequential_over_thread": ratio,
-        },
-    )
-
-    benchmark(lambda: threaded.count(queries[-1]))

@@ -2,21 +2,18 @@
 
 The paper's scalability experiment replicates WSJ 0.5x-4x and watches
 query time grow; this module reruns that sweep with the corpus sharded
-into 1/2/4/8 independent segments and the per-segment plans fanned out on
-a worker pool.  Two views:
+into 1/2/4/8 independent segments, run one after another.  Two views:
 
 * a **scaling series** per Figure 9 query: the single-segment engine
-  (the pre-segmentation baseline configuration) and the sharded
-  multi-worker engine across every replication factor;
-* a **segment x worker grid** at the largest factor, showing where
-  sharding pays and where it just adds per-shard constant costs (tiny
-  shards, sequential drivers).
+  (the pre-segmentation baseline configuration) and the 8-segment
+  engine across every replication factor;
+* a **segment sweep** at the largest factor, showing what each extra
+  shard adds in per-shard constant costs.
 
 Acceptance: every configuration must agree on every result size.  The
-timings are recorded, not asserted: the thread fan-out is GIL-bound, so
-on the corpus sizes CI can afford sharding shows its per-shard constant
-costs, not a speed-up (its old gate compared against the retired
-tuple-at-a-time executor, which measured executors, not sharding).
+timings are recorded, not asserted: segments exist for pruning and for
+a live corpus's delta tiers, not for speed, so on the corpus sizes CI
+can afford sharding shows its per-shard constant costs.
 Results also land in machine-readable ``BENCH_segments.json`` so CI can
 track the trajectory across commits.
 """
@@ -28,9 +25,8 @@ from repro.bench.report import scaling_table
 FACTORS = (0.5, 1.0, 2.0, 4.0)
 FIGURE9_QUERIES = (3, 6, 11)
 SEGMENT_SWEEP = (1, 2, 4, 8)
-WORKER_SWEEP = (1, 4)
 #: The sharded configuration the headline series tracks.
-SEGMENTS, WORKERS = 8, 4
+SEGMENTS = 8
 
 
 def _timed(engine, query: str, repeats: int) -> tuple[float, int]:
@@ -38,22 +34,12 @@ def _timed(engine, query: str, repeats: int) -> tuple[float, int]:
     return paper_timing(lambda: engine.count(query), repeats)
 
 
-def _engine(factor: float, segments: int, workers: int):
-    # workers only sizes the fan-out pool; normalize the sequential cases
-    # to None so this module shares lru_cache entries (and engines) with
-    # the other bench modules instead of rebuilding identical ones.
-    effective = workers if segments > 1 and workers > 1 else None
-    return datasets.lpath_engine(
-        "wsj", factor, segments=segments, workers=effective
-    )
+def _engine(factor: float, segments: int):
+    return datasets.lpath_engine("wsj", factor, segments=segments)
 
 
 def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
-    configs = {
-        "1seg": (1, 1),
-        f"{SEGMENTS}seg-w{WORKERS}": (SEGMENTS, WORKERS),
-    }
-    sharded_name = f"{SEGMENTS}seg-w{WORKERS}"
+    configs = {"1seg": 1, f"{SEGMENTS}seg": SEGMENTS}
 
     sections, json_series = [], {}
     totals = {name: 0.0 for name in configs}
@@ -62,9 +48,9 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
         series = {name: [] for name in configs}
         sizes = {}
         for factor in FACTORS:
-            for name, (segments, workers) in configs.items():
+            for name, segments in configs.items():
                 seconds, size = _timed(
-                    _engine(factor, segments, workers), query, repeats
+                    _engine(factor, segments), query, repeats
                 )
                 series[name].append((factor, seconds))
                 sizes.setdefault(factor, size)
@@ -85,26 +71,20 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
             for name, points in series.items()
         }
 
-    # Segment x worker grid at the largest factor.
-    grid_query = by_id(FIGURE9_QUERIES[-1]).lpath
-    grid_rows, json_grid = [], []
+    # Segment sweep at the largest factor.
+    sweep_query = by_id(FIGURE9_QUERIES[-1]).lpath
+    sweep_rows, json_sweep = [], []
     for segments in SEGMENT_SWEEP:
-        for workers in WORKER_SWEEP:
-            seconds, size = _timed(
-                _engine(FACTORS[-1], segments, workers),
-                grid_query,
-                repeats,
-            )
-            grid_rows.append(
-                f"  segments={segments:<2d} workers={workers:<2d} "
-                f"{seconds:10.5f}s  ({size} rows)"
-            )
-            json_grid.append(
-                {"segments": segments, "workers": workers, "seconds": seconds}
-            )
+        seconds, size = _timed(
+            _engine(FACTORS[-1], segments), sweep_query, repeats
+        )
+        sweep_rows.append(
+            f"  segments={segments:<2d} {seconds:10.5f}s  ({size} rows)"
+        )
+        json_sweep.append({"segments": segments, "seconds": seconds})
     sections.append(
-        f"Segment x worker grid at {FACTORS[-1]:g}x "
-        f"(Q{FIGURE9_QUERIES[-1]}):\n" + "\n".join(grid_rows)
+        f"Segment sweep at {FACTORS[-1]:g}x "
+        f"(Q{FIGURE9_QUERIES[-1]}):\n" + "\n".join(sweep_rows)
     )
 
     summary = "".join(
@@ -119,15 +99,15 @@ def test_fig9_segment_scaling(benchmark, write_result, write_json, repeats):
         "segments",
         {
             "configs": {
-                name: {"segments": segments, "workers": workers}
-                for name, (segments, workers) in configs.items()
+                name: {"segments": segments}
+                for name, segments in configs.items()
             },
             "scaling": json_series,
-            "grid": json_grid,
+            "segment_sweep": json_sweep,
             "totals_at_largest_factor": totals,
         },
     )
 
     # Regression benchmark: the sharded engine on the largest dataset.
-    sharded = _engine(FACTORS[-1], *configs[sharded_name])
-    benchmark(lambda: sharded.count(grid_query))
+    sharded = _engine(FACTORS[-1], SEGMENTS)
+    benchmark(lambda: sharded.count(sweep_query))

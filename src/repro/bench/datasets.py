@@ -45,16 +45,13 @@ def lpath_engine(
     profile: str,
     factor: float = 1.0,
     segments: int = 1,
-    workers: int | None = None,
 ) -> LPathEngine:
     """The LPath engine loaded with a (possibly scaled) corpus.
 
-    ``segments``/``workers`` build the sharded engine variants the
-    segment-scaling benchmark sweeps."""
+    ``segments`` builds the sharded engine variants the segment-scaling
+    benchmark sweeps."""
     trees = corpus(profile) if factor == 1.0 else scaled_corpus(profile, factor)
-    return LPathEngine(
-        list(trees), keep_trees=False, segments=segments, workers=workers,
-    )
+    return LPathEngine(list(trees), keep_trees=False, segments=segments)
 
 
 @lru_cache(maxsize=None)
@@ -78,8 +75,8 @@ def xpath_engine(profile: str) -> XPathEngine:
 
 
 #: Resources the lru_caches below cannot release themselves: compiled
-#: store temp dirs and opened mmap engines (which own file mappings and
-#: worker pools).  :func:`clear_caches` drains both.
+#: store temp dirs and opened mmap engines (which own file mappings).
+#: :func:`clear_caches` drains both.
 _STORE_DIRS: list[str] = []
 _MMAP_ENGINES: list[LPathEngine] = []
 
@@ -110,12 +107,12 @@ def compiled_corpus_path(
 @lru_cache(maxsize=None)
 def mmap_engine(
     profile: str, factor: float = 1.0, segments: int = 1,
-    workers: int | None = None, sentences: int | None = None,
+    sentences: int | None = None,
 ) -> LPathEngine:
     """An mmap-backed LPath engine over the compiled benchmark corpus."""
     path = compiled_corpus_path(profile, factor, segments,
                                 sentences=sentences)
-    engine = LPathEngine.from_store_mmap(path, workers=workers)
+    engine = LPathEngine.from_store_mmap(path)
     _MMAP_ENGINES.append(engine)
     return engine
 
@@ -123,8 +120,8 @@ def mmap_engine(
 def clear_caches() -> None:
     """Drop all cached corpora/engines (tests use this to bound memory).
 
-    Mmap engines are closed first — releasing their mappings, file
-    descriptors and worker pools — and the compiled-store temp dirs are
+    Mmap engines are closed first — releasing their mappings and file
+    descriptors — and the compiled-store temp dirs are
     deleted, so clearing actually returns the resources instead of
     leaving them to whenever GC finalizes the evicted entries."""
     import shutil

@@ -79,8 +79,7 @@ def _print_cache_stats(args: argparse.Namespace, engine, out: TextIO) -> None:
 #: Query flags that configure a *local* engine and are meaningless when
 #: the engine lives in a daemon on the other side of ``--url``.
 _LOCAL_ONLY_QUERY_FLAGS = (
-    ("--segments", "segments"),
-    ("--workers", "workers"), ("--mmap", "mmap"),
+    ("--segments", "segments"), ("--mmap", "mmap"),
     ("--kernels", "kernels"), ("--explain", "explain"),
     ("--cache-stats", "cache_stats"),
 )
@@ -242,7 +241,6 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         )
         return 1
     segments = getattr(args, "segments", None)
-    workers = getattr(args, "workers", None)
     compiled = args.corpus != "-" and store.is_compiled_corpus(args.corpus)
     if compiled and engine_name not in ("lpath", "sqlite"):
         print(
@@ -262,17 +260,16 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             if engine_name == "lpath":
                 # LPDB0004 adopted zero-copy; a live directory adds its
                 # WAL replayed into an in-memory delta store.
-                engine = LPathEngine.open(args.corpus, workers=workers)
+                engine = LPathEngine.open(args.corpus)
             else:  # the SQLite oracle loads the label rows themselves
                 engine = LPathEngine.from_labels(
-                    store.load_corpus_labels(args.corpus), workers=workers
+                    store.load_corpus_labels(args.corpus)
                 )
             trees = []
         else:
             trees = _load_trees(args.corpus)
             engine = LPathEngine(
-                trees, segments=1 if segments is None else segments,
-                workers=workers,
+                trees, segments=1 if segments is None else segments
             )
         if batch_path is not None:
             return _run_batch_query(args, engine, out)
@@ -319,8 +316,7 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             matches = CorpusSearchEngine(trees).query(args.query)
         else:
             engine = XPathEngine(
-                trees, segments=1 if segments is None else segments,
-                workers=workers,
+                trees, segments=1 if segments is None else segments
             )
             if batch_path is not None:
                 return _run_batch_query(args, engine, out)
@@ -525,7 +521,6 @@ def _command_serve(args: argparse.Namespace, out: TextIO) -> int:
         active_injector()  # fail a malformed REPRO_FAULTS before binding
         service = QueryService(
             [StoreSpec(path, args.dialect) for path in args.store],
-            workers=args.workers,
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
             timeout=args.timeout,
@@ -543,8 +538,7 @@ def _command_serve(args: argparse.Namespace, out: TextIO) -> int:
     info = kernel_info()
     print(
         f"serving {', '.join(args.store)} [{args.dialect}] on {server.url} "
-        f"(kernels={info['backend']}, workers={args.workers or 1}, "
-        f"max_inflight={args.max_inflight})",
+        f"(kernels={info['backend']}, max_inflight={args.max_inflight})",
         file=out,
     )
     if os.environ.get(FAULTS_ENV):
@@ -796,9 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard a treebank by tree into N independent "
                             "segments (lpath and xpath plan engines; a "
                             "compiled corpus keeps its on-disk segments)")
-    query.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker-pool size for fanning a query out "
-                            "across segments (default: sequential)")
     query.add_argument("--mmap", action="store_true",
                        help="no-op, still accepted for old scripts: "
                             "compiled corpora always open zero-copy")
@@ -833,9 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="lpath",
                        help="the dialect the stores' labels were written "
                             "for (default lpath)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="per-query segment fan-out pool size "
-                            "(default: sequential)")
     serve.add_argument("--kernels", choices=KERNEL_MODES, default=None,
                        help="columnar hot-loop backend for the daemon's "
                             "lifetime (default: the REPRO_KERNELS "

@@ -16,9 +16,10 @@ according to an environment spec ::
 The points and where they bite:
 
 ``segment_slow``
-    A per-segment execution sleeps
-    :data:`SEGMENT_SLOW_SECONDS` first — exercises deadlines, queue
-    growth and the circuit breaker without any wrong answers.
+    Each segment run of a query sleeps :data:`SEGMENT_SLOW_SECONDS`
+    first; segments run one after another, so a query over N segments
+    can stall N times — exercises deadlines, queue growth and the
+    circuit breaker without any wrong answers.
 ``mmap_read_error``
     A mapped :class:`repro.columnar.ColumnStore`'s read checkpoint raises
     ``OSError`` — the shape of a failing disk or a lost mapping; the

@@ -1071,11 +1071,7 @@ class _LiveSegments:
         self.corpus.close()
 
 
-def open_live_engine(
-    path: str,
-    plan_cache_size: int = 128,
-    workers: Optional[int] = None,
-):
+def open_live_engine(path: str, plan_cache_size: int = 128):
     """Open a live corpus as a *snapshot* engine: base segments mmap'd
     zero-copy, the WAL replayed into one in-memory delta segment,
     results merged through the ordinary sorted disjoint segment merge.
@@ -1089,7 +1085,7 @@ def open_live_engine(
     state = _LiveSegments(LiveCorpus(path, writable=False))
     try:
         engine = LPathEngine.from_segments(
-            state.advance(), PlanCache(plan_cache_size), workers=workers
+            state.advance(), PlanCache(plan_cache_size)
         )
     except BaseException:
         state.close()
@@ -1127,14 +1123,12 @@ class LiveEngineManager:
         path: str,
         writable: bool = True,
         plan_cache_size: int = 128,
-        workers: Optional[int] = None,
         compact_rows: int = 0,
         compact_interval: float = 0.25,
     ) -> None:
         from .plan.cache import PlanCache
 
         self.corpus = LiveCorpus(path, writable=writable)
-        self._workers = workers
         self._lock = threading.RLock()
         self._compact_lock = threading.Lock()
         self._state = _LiveSegments(self.corpus)
@@ -1168,9 +1162,7 @@ class LiveEngineManager:
     def _build(self, plan_cache):
         from .lpath.engine import LPathEngine
 
-        return LPathEngine.from_segments(
-            self._state.advance(), plan_cache, workers=self._workers
-        )
+        return LPathEngine.from_segments(self._state.advance(), plan_cache)
 
     def _swap(self) -> None:
         """Serve the current snapshot from a new engine that shares every
@@ -1184,7 +1176,7 @@ class LiveEngineManager:
             )
             self.engine = self._build(plans)
             self.plans_carried += len(plans)
-            self._plans_rebased += old._compiler.rebased
+            self._plans_rebased += old.plan_cache.rebased
             self._retired.append((time.monotonic(), old))
             self._reap()
 
@@ -1268,7 +1260,7 @@ class LiveEngineManager:
                 "segments_reused": self._state.reused,
                 "plans_carried": self.plans_carried,
                 "plans_rebased": self._plans_rebased + (
-                    self.engine._compiler.rebased
+                    self.engine.plan_cache.rebased
                     if self.engine is not None else 0
                 ),
             }
@@ -1287,7 +1279,7 @@ class LiveEngineManager:
             engines = [engine for _, engine in self._retired]
             self._retired = []
             if self.engine is not None:
-                self._plans_rebased += self.engine._compiler.rebased
+                self._plans_rebased += self.engine.plan_cache.rebased
                 engines.append(self.engine)
                 self.engine = None
             for engine in engines:

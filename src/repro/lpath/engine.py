@@ -13,9 +13,10 @@ Three backends share one parser and one axis semantics:
 
 ``segments > 1`` shards the corpus by tree into independent column
 stores (:mod:`repro.plan.segmented`): queries compile once, run against
-every shard (optionally on a ``workers``-sized thread pool) and merge the
-sorted per-shard results — identical output, embarrassingly parallel
-execution.  The sqlite and treewalk oracles always see the whole corpus.
+every shard that can hold a result, one shard after another, and merge
+the sorted per-shard results — identical output.  Shards let the
+statistics prune whole segments and a live corpus add delta tiers.  The
+sqlite and treewalk oracles always see the whole corpus.
 
 Compiled plans are kept in an LRU :class:`~repro.plan.cache.PlanCache`
 keyed on the unparsed query text plus the compile options, so repeated
@@ -33,7 +34,6 @@ from ..labeling.lpath_scheme import label_corpus
 from ..plan.cache import PlanCache, cached_compile
 from ..plan.segmented import (
     Segment,
-    SegmentPool,
     SegmentedPlanCompiler,
     validate_segmentation,
 )
@@ -149,25 +149,20 @@ class PlanEngine:
 
     # -- construction ------------------------------------------------------
 
-    def _shell(
-        self, segments: int, workers: Optional[int], plan_cache: PlanCache
-    ) -> None:
+    def _shell(self, segments: int, plan_cache: PlanCache) -> None:
         """The engine state every constructor shares; the caller
         installs ``_compiler``."""
         self.trees = []
         self.segments = segments
-        self.workers = workers
         self._mapped = None
-        self._pool = SegmentPool(workers, segments)
         self.plan_cache = plan_cache
 
     def _install(
-        self, stores: list, make_compiler, workers: Optional[int],
-        plan_cache_size: int
+        self, stores: list, make_compiler, plan_cache_size: int
     ) -> None:
         """:meth:`_shell` plus one ``make_compiler(store)`` per store —
         segment-compiled when there is more than one."""
-        self._shell(len(stores), workers, PlanCache(plan_cache_size))
+        self._shell(len(stores), PlanCache(plan_cache_size))
         compilers = [make_compiler(store) for store in stores]
         if len(compilers) == 1:
             self._compiler = compilers[0]
@@ -176,14 +171,12 @@ class PlanEngine:
                 [
                     Segment(index, compiler, len(store))
                     for index, (compiler, store) in enumerate(zip(compilers, stores))
-                ],
-                get_pool=self._pool,
+                ]
             )
 
     @classmethod
     def _open_mapped(
-        cls, path: str, make_compiler,
-        plan_cache_size: int, workers: Optional[int],
+        cls, path: str, make_compiler, plan_cache_size: int,
         column_names: tuple = COLUMN_NAMES,
     ):
         """An engine over every segment of an ``LPDB0004`` file, adopted
@@ -197,9 +190,9 @@ class PlanEngine:
                 ColumnStore.adopt(segment, column_names)
                 for segment in corpus.segments
             ]
-            validate_segmentation(len(stores), workers)
+            validate_segmentation(len(stores))
             engine = cls.__new__(cls)
-            engine._install(stores, make_compiler, workers, plan_cache_size)
+            engine._install(stores, make_compiler, plan_cache_size)
         except BaseException:
             corpus.close()
             raise
@@ -207,10 +200,9 @@ class PlanEngine:
         return engine
 
     def close(self) -> None:
-        """Release the worker pool, cached plans, column stores and (for
-        mmap-backed engines) the file mapping, so a closed engine is
-        promptly garbage-collectable.  Idempotent."""
-        self._pool.shutdown()
+        """Release cached plans, column stores and (for mmap-backed
+        engines) the file mapping, so a closed engine is promptly
+        garbage-collectable.  Idempotent."""
         self.plan_cache.clear()
         self._compiler = None
         self.trees = []
@@ -238,7 +230,6 @@ class LPathEngine(PlanEngine):
         plan_cache_size: int = 128,
         executor: str = "columnar",
         segments: int = 1,
-        workers: Optional[int] = None,
     ) -> None:
         if executor != "columnar":
             raise LPathError(
@@ -249,10 +240,10 @@ class LPathEngine(PlanEngine):
         tids = [tree.tid for tree in trees]
         if len(set(tids)) != len(tids):
             raise LPathError("trees must have distinct tids")
-        validate_segmentation(segments, workers)
+        validate_segmentation(segments)
         with collector_paused():
             stores = list(tree_stores(trees, segments))
-        self._install(stores, PlanCompiler, workers, plan_cache_size)
+        self._install(stores, PlanCompiler, plan_cache_size)
         # Rows exist only if the SQLite oracle is built: it consumes this
         # generator once and is cached (see :attr:`sqlite`).
         self._rows = label_corpus(trees)
@@ -267,32 +258,27 @@ class LPathEngine(PlanEngine):
         rows: Sequence,
         plan_cache_size: int = 128,
         segments: int = 1,
-        workers: Optional[int] = None,
     ) -> "LPathEngine":
         """Build an engine straight from label rows (e.g. a compiled corpus
         loaded with :mod:`repro.store`).  Tree-dependent features
         (:meth:`nodes`, the tree-walk backend) are unavailable; the rows
         are kept for the SQLite oracle."""
         engine = cls.__new__(cls)
-        engine._from_rows(list(rows), plan_cache_size, segments, workers)
+        engine._from_rows(list(rows), plan_cache_size, segments)
         return engine
 
     def _from_rows(
-        self, rows: list, plan_cache_size: int, segments: int,
-        workers: Optional[int],
+        self, rows: list, plan_cache_size: int, segments: int
     ) -> None:
-        validate_segmentation(segments, workers)
+        validate_segmentation(segments)
         self._install(
-            row_stores(rows, segments), PlanCompiler, workers, plan_cache_size,
+            row_stores(rows, segments), PlanCompiler, plan_cache_size
         )
         self._rows = rows
 
     @classmethod
     def from_segments(
-        cls,
-        segments: Sequence[Segment],
-        plan_cache: PlanCache,
-        workers: Optional[int] = None,
+        cls, segments: Sequence[Segment], plan_cache: PlanCache
     ) -> "LPathEngine":
         """Build an engine over prebuilt
         :class:`~repro.plan.segmented.Segment` objects (store + compiler
@@ -301,18 +287,14 @@ class LPathEngine(PlanEngine):
         cache carried over from the previous snapshot — to every engine
         it swaps in.  Always segment-compiled, even over one segment, so
         carried plans have one shape."""
-        validate_segmentation(len(segments), workers)
+        validate_segmentation(len(segments))
         engine = cls.__new__(cls)
-        engine._shell(len(segments), workers, plan_cache)
-        engine._compiler = SegmentedPlanCompiler(
-            segments, get_pool=engine._pool
-        )
+        engine._shell(len(segments), plan_cache)
+        engine._compiler = SegmentedPlanCompiler(segments)
         return engine
 
-    def _shell(
-        self, segments: int, workers: Optional[int], plan_cache: PlanCache
-    ) -> None:
-        super()._shell(segments, workers, plan_cache)
+    def _shell(self, segments: int, plan_cache: PlanCache) -> None:
+        super()._shell(segments, plan_cache)
         self._sql = SQLGenerator()
         self._rows = None
         self._sqlite = None
@@ -321,10 +303,7 @@ class LPathEngine(PlanEngine):
 
     @classmethod
     def from_store_mmap(
-        cls,
-        path: str,
-        plan_cache_size: int = 128,
-        workers: Optional[int] = None,
+        cls, path: str, plan_cache_size: int = 128
     ) -> "LPathEngine":
         """Open an ``LPDB0004`` compiled corpus zero-copy.
 
@@ -335,17 +314,11 @@ class LPathEngine(PlanEngine):
         share its pages through the OS cache.  No trees, no SQLite
         oracle.
 
-        ``workers > 1`` fans the segments out on a thread pool.
         :meth:`close` unmaps the file, invalidating every adopted view."""
-        return cls._open_mapped(path, PlanCompiler, plan_cache_size, workers)
+        return cls._open_mapped(path, PlanCompiler, plan_cache_size)
 
     @classmethod
-    def open(
-        cls,
-        path: str,
-        plan_cache_size: int = 128,
-        workers: Optional[int] = None,
-    ) -> "LPathEngine":
+    def open(cls, path: str, plan_cache_size: int = 128) -> "LPathEngine":
         """Open a compiled corpus as a column-store engine.
 
         ``LPDB0004`` files are adopted zero-copy via
@@ -357,12 +330,8 @@ class LPathEngine(PlanEngine):
         if os.path.isdir(path):
             from ..live import open_live_engine
 
-            return open_live_engine(
-                path, plan_cache_size=plan_cache_size, workers=workers
-            )
-        return cls.from_store_mmap(
-            path, plan_cache_size=plan_cache_size, workers=workers
-        )
+            return open_live_engine(path, plan_cache_size=plan_cache_size)
+        return cls.from_store_mmap(path, plan_cache_size=plan_cache_size)
 
     # -- queries ------------------------------------------------------------
 
@@ -449,9 +418,9 @@ class LPathEngine(PlanEngine):
         return self._treewalk
 
     def close(self) -> None:
-        """Release every backend resource: the SQLite oracle, the worker
-        pool, cached plans, the column stores / row references, and —
-        for mmap-backed engines — the file mapping itself, which
+        """Release every backend resource: the SQLite oracle, cached
+        plans, the column stores / row references, and — for
+        mmap-backed engines — the file mapping itself, which
         invalidates every adopted column view (later reads through a
         stale reference raise ``ValueError``).  Idempotent; queries on a
         closed engine raise :class:`LPathError`."""

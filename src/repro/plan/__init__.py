@@ -13,7 +13,6 @@ from .lower import Lowerer, LoweredQuery, find_attribute_equality
 from .optimizer import optimize
 from .segmented import (
     Segment,
-    SegmentPool,
     SegmentedCatalog,
     SegmentedPlanCompiler,
     SegmentedQuery,
@@ -34,7 +33,6 @@ __all__ = [
     "Lowerer",
     "PlanCache",
     "Segment",
-    "SegmentPool",
     "SegmentedCatalog",
     "SegmentedPlanCompiler",
     "SegmentedQuery",

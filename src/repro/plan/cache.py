@@ -12,10 +12,10 @@ so cached plans can never go stale from the cost model.  The only mutable
 input is the ``REPRO_FORCE_JOIN`` override, which therefore participates
 in the cache key.
 
-The cache is thread-safe: segment fan-out already calls back into engines
-from pool threads, so the LRU reorder, the eviction sweep and the
-hit/miss/eviction counters all run under one lock — concurrent lookups
-can never corrupt the ``OrderedDict`` or tear a :attr:`PlanCache.stats`
+The cache is thread-safe: a query daemon's handler threads share one
+engine, so the LRU reorder, the eviction sweep and the
+hit/miss/eviction/rebase counters all run under one lock — concurrent
+lookups can never corrupt the ``OrderedDict`` or tear a :attr:`PlanCache.stats`
 snapshot.
 """
 
@@ -39,6 +39,9 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Hits a segmented compiler moved onto its own segment list
+        #: (:func:`cached_compile`); :mod:`repro.live` reports the sum.
+        self.rebased = 0
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -53,9 +56,11 @@ class PlanCache:
             self.hits += 1
             return entry
 
-    def put(self, key: Hashable, plan: object) -> None:
-        """Insert (or refresh) an entry, evicting the least recently used."""
+    def put(self, key: Hashable, plan: object, rebased: bool = False) -> None:
+        """Insert (or refresh) an entry, evicting the least recently used;
+        ``rebased`` counts the plan as a rebased hit."""
         with self._lock:
+            self.rebased += rebased
             if self.maxsize == 0:
                 return
             self._entries[key] = plan
@@ -83,6 +88,7 @@ class PlanCache:
             self.hits = 0
             self.misses = 0
             self.evictions = 0
+            self.rebased = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -160,7 +166,7 @@ def cached_compile(
             return cached
         current = rebase(cached)
         if current is not cached:
-            cache.put(key, current)
+            cache.put(key, current, rebased=True)
         return current
     compiled = compiler.compile(query, pivot=pivot, limit=limit, agg=agg)
     cache.put(key, compiled)

@@ -5,8 +5,8 @@ A segmented engine shards its corpus by tree (``tid``) into N independent
 :class:`~repro.columnar.ColumnStore`) over a disjoint set of trees.
 Because every query result row belongs to exactly one tree, running the
 same plan against each segment and merging the per-segment ``(tid, id)``
-lists is *embarrassingly parallel*: no cross-segment joins, no
-deduplication, just a sorted merge.
+lists needs no cross-segment joins and no deduplication, just a sorted
+merge.
 
 The division of labor:
 
@@ -20,27 +20,27 @@ The division of labor:
   per-engine plan cache stores the resulting :class:`SegmentedQuery`
   under the same ``(query, pivot, ...)`` key as a monolithic plan —
   the cache is segment-count-agnostic.
-* :class:`SegmentedQuery` — drives the per-segment plans, optionally on a
-  thread pool supplied by the owning engine, and merges the sorted
-  per-segment results.  It keeps the optimized IR it was compiled from,
-  so :meth:`SegmentedPlanCompiler.rebase` can move it onto a segment
-  list that shares most segments with its own (consecutive snapshots of
-  a live corpus, :mod:`repro.live`) by binding only the new ones.
+* :class:`SegmentedQuery` — runs the per-segment plans one after another
+  and merges the sorted per-segment results.  It keeps the optimized IR
+  it was compiled from, so :meth:`SegmentedPlanCompiler.rebase` can move
+  it onto a segment list that shares most segments with its own
+  (consecutive snapshots of a live corpus, :mod:`repro.live`) by binding
+  only the new ones.
 
 Results are byte-identical to the monolithic engine: each per-segment
 plan emits its sorted distinct ``(tid, id)`` pairs as one packed
 :class:`~repro.columnar.result.ResultBatch`, segments partition the tid
 space, and the k-way merge of the batches preserves global order.
 
-Fan-out runs on :class:`SegmentPool`, an engine-owned thread pool built
-on first use.  Workers share every structure with the caller; the GIL
-serializes the pure-Python parts of the executor.
+Segments run sequentially in the calling thread.  A thread pool over
+them lost to the sequential loop at every measured corpus size and
+segment count (the GIL serializes the pure-Python parts of the
+executor), so there is none; segments exist for pruning and for the
+delta tiers of a live corpus.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence
 
 from ..columnar.result import EMPTY, ResultBatch
@@ -54,64 +54,13 @@ from .ir import (
 from .lower import Lowerer, lower_and_optimize
 
 
-def validate_segmentation(segments: int, workers: Optional[int]) -> None:
-    """Reject nonsensical shard/pool configurations with one error shape
-    for every engine (raises :class:`~repro.lpath.errors.LPathError`)."""
+def validate_segmentation(segments: int) -> None:
+    """Reject a nonsensical shard count with one error shape for every
+    engine (raises :class:`~repro.lpath.errors.LPathError`)."""
     from ..lpath.errors import LPathError
 
     if not isinstance(segments, int) or segments < 1:
         raise LPathError(f"segments must be a positive int, got {segments!r}")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
-        raise LPathError(
-            f"workers must be a positive int or None, got {workers!r}"
-        )
-
-
-class SegmentPool:
-    """An engine-owned, lazily created thread pool for segment fan-out.
-
-    Calling the pool returns the underlying executor (created on first
-    use) or ``None`` when execution should stay sequential — no workers
-    configured, nothing to fan out over, or the owning engine has shut
-    the pool down.  After :meth:`shutdown`, later calls keep returning
-    ``None`` (already-compiled plans still run, just sequentially) rather
-    than resurrecting a pool the engine would never release."""
-
-    def __init__(self, workers: Optional[int], segments: int) -> None:
-        self.workers = workers
-        self.segments = segments
-        self._executor = None
-        self._closed = False
-        self._lock = threading.Lock()
-
-    def __call__(self):
-        if (
-            self._closed
-            or self.workers is None
-            or self.workers <= 1
-            or self.segments <= 1
-        ):
-            return None
-        # Locked creation: a long-lived engine shared by a query daemon
-        # sees its first queries *concurrently*, and an unlocked check
-        # would build two pools and leak one.
-        with self._lock:
-            if self._closed:
-                return None
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(self.workers, self.segments),
-                    thread_name_prefix="repro-segment",
-                )
-            return self._executor
-
-    def shutdown(self) -> None:
-        """Release the executor (if any) and stay sequential forever."""
-        with self._lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
 
 class Segment:
@@ -189,11 +138,7 @@ class SegmentedQuery:
 
     Holds one per-segment compiled result (the same
     :class:`~repro.lpath.compiler.CompiledQuery` objects a monolithic
-    engine produces) and merges their sorted outputs.  ``get_pool`` is a
-    zero-argument callable supplied by the owning engine returning a
-    ``concurrent.futures`` executor, or ``None`` for sequential execution
-    — a callable rather than a pool so cached plans survive the engine's
-    pool being recycled by :meth:`close`."""
+    engine produces) and merges their sorted outputs."""
 
     def __init__(
         self,
@@ -201,7 +146,6 @@ class SegmentedQuery:
         parts: Sequence,
         logical: PlanNode,
         lowered,
-        get_pool: Optional[Callable] = None,
         limit: Optional[int] = None,
         agg: Optional[str] = None,
         kern=None,
@@ -215,7 +159,7 @@ class SegmentedQuery:
         self.segments = segments
         self.parts = list(parts)
         #: ``(segment position, part)`` of the segments a plan was bound
-        #: to — the only ones worth a worker hand-off.
+        #: to; :meth:`explain` shows the first of them.
         self.bound = [
             (index, part) for index, part in enumerate(self.parts)
             if part.plan is not PRUNED
@@ -224,7 +168,6 @@ class SegmentedQuery:
         #: Kept so a rebase can physical-compile the same optimized plan
         #: against a segment that did not exist yet.
         self.lowered = lowered
-        self.get_pool = get_pool
         self.limit = limit
         self.agg = agg
         self.kern = kern  # the compile's ``Knobs.kern``: merges the batches
@@ -234,16 +177,13 @@ class SegmentedQuery:
         return self.lowered.description
 
     def _map(self, task: Callable) -> list:
-        if active_injector() is not None:  # one read per fan-out
-            def run(part, task=task):
+        """``task(part)`` for every segment's part, in segment order."""
+        run = task
+        if active_injector() is not None:  # one read per query
+            def run(part):
                 maybe_delay_segment()  # segment_slow: stall each segment run
                 return task(part)
-        else:
-            run = task
-        pool = self.get_pool() if self.get_pool is not None else None
-        if pool is None or len(self.bound) <= 1:
-            return [run(part) for part in self.parts]
-        return list(pool.map(run, [part for _index, part in self.bound]))
+        return [run(part) for part in self.parts]
 
     def rows(self) -> ResultBatch:
         """Distinct, sorted ``(tid, id)`` pairs across every segment: the
@@ -383,9 +323,7 @@ class SegmentedPlanCompiler:
     without touching its query paths.  Works for both dialects — the
     per-segment compilers carry the scheme, dialect and result class."""
 
-    def __init__(
-        self, segments: Sequence[Segment], get_pool=None
-    ) -> None:
+    def __init__(self, segments: Sequence[Segment]) -> None:
         if not segments:
             raise ValueError("a segmented compiler needs at least one segment")
         self.segments = list(segments)
@@ -399,10 +337,6 @@ class SegmentedPlanCompiler:
             ),
             self.dialect,
         )
-        self.get_pool = get_pool
-        #: Carried plans moved onto this segment list (see :meth:`rebase`).
-        self.rebased = 0
-        self._rebased_lock = threading.Lock()
 
     def compile(
         self, query, pivot: bool = False,
@@ -424,7 +358,7 @@ class SegmentedPlanCompiler:
         )
         parts = self._bind(root, lowered, knobs)
         return SegmentedQuery(
-            self.segments, parts, root, lowered, self.get_pool,
+            self.segments, parts, root, lowered,
             limit=limit, agg=agg, kern=knobs.kern,
         )
 
@@ -471,10 +405,7 @@ class SegmentedPlanCompiler:
             for segment, part in zip(compiled.segments, compiled.parts)
         }
         parts = self._bind(compiled.logical, compiled.lowered, read_knobs(), known)
-        with self._rebased_lock:
-            self.rebased += 1
         return SegmentedQuery(
             self.segments, parts, compiled.logical, compiled.lowered,
-            self.get_pool,
             limit=compiled.limit, agg=compiled.agg, kern=compiled.kern,
         )

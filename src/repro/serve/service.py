@@ -273,7 +273,6 @@ class StoreHandle:
             "dialect": self.spec.dialect,
             "fingerprint": self.fingerprint,
             "segments": engine.segments,
-            "workers": engine.workers,
             "plan_cache": engine.cache_stats(),
             "health": self.health(),
         }
@@ -426,7 +425,6 @@ class QueryService:
     def __init__(
         self,
         stores: Union[str, StoreSpec, Sequence[Union[str, StoreSpec]]],
-        workers: Optional[int] = None,
         max_inflight: int = 8,
         max_queue: int = 16,
         timeout: float = 30.0,
@@ -494,14 +492,14 @@ class QueryService:
         try:
             for item in stores:
                 spec = item if isinstance(item, StoreSpec) else StoreSpec(item)
-                self._add_store(spec, workers=workers)
+                self._add_store(spec)
         except BaseException:
             self.close(drain_timeout=0.0)
             raise
 
     # -- engine registry ----------------------------------------------------
 
-    def _add_store(self, spec: StoreSpec, workers: Optional[int]) -> None:
+    def _add_store(self, spec: StoreSpec) -> None:
         from .. import store as store_module
 
         if spec.dialect not in DIALECTS:
@@ -523,8 +521,7 @@ class QueryService:
 
             try:
                 manager = LiveEngineManager(
-                    spec.path, writable=True, workers=workers,
-                    compact_rows=self.compact_rows,
+                    spec.path, writable=True, compact_rows=self.compact_rows,
                 )
             except ValueError as error:  # StoreError: lock held, corrupt…
                 raise LPathError(str(error)) from error
@@ -536,20 +533,20 @@ class QueryService:
                 self._default = spec.path
             return
         fingerprint = store_module.store_fingerprint(spec.path)
-        engine = self._open_engine(spec, workers)
+        engine = self._open_engine(spec)
         self._warm(engine)
         self._stores[spec.path] = StoreHandle(spec, engine, fingerprint)
         if self._default is None:
             self._default = spec.path
 
     @staticmethod
-    def _open_engine(spec: StoreSpec, workers: Optional[int]):
+    def _open_engine(spec: StoreSpec):
         from ..lpath import LPathEngine
         from ..xpath import XPathEngine
 
         if spec.dialect == "lpath":
-            return LPathEngine.open(spec.path, workers=workers)
-        return XPathEngine.from_store_mmap(spec.path, workers=workers)
+            return LPathEngine.open(spec.path)
+        return XPathEngine.from_store_mmap(spec.path)
 
     @staticmethod
     def _warm(engine) -> None:

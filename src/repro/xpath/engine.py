@@ -10,7 +10,7 @@ both labeling schemes to be the same."
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from ..labeling import xpath_scheme
 from ..lpath.ast import Path
@@ -35,9 +35,8 @@ class XPathEngine(PlanEngine):
         axes: frozenset = VERTICAL_FRAGMENT,
         plan_cache_size: int = 128,
         segments: int = 1,
-        workers: Optional[int] = None,
     ) -> None:
-        validate_segmentation(segments, workers)
+        validate_segmentation(segments)
         trees = list(trees)
         tids = [tree.tid for tree in trees]
         if len(set(tids)) != len(tids):
@@ -45,7 +44,7 @@ class XPathEngine(PlanEngine):
         rows = list(xpath_scheme.label_corpus(trees))
         self._install(
             row_stores(rows, segments, XNODE_COLUMNS),
-            partial(XPathPlanCompiler, axes=axes), workers, plan_cache_size,
+            partial(XPathPlanCompiler, axes=axes), plan_cache_size,
         )
         self.trees = trees
 
@@ -55,14 +54,12 @@ class XPathEngine(PlanEngine):
         path: str,
         axes: frozenset = VERTICAL_FRAGMENT,
         plan_cache_size: int = 128,
-        workers: Optional[int] = None,
     ) -> "XPathEngine":
         """Open an ``LPDB0004`` file of *start/end-labeled* rows zero-copy
         (save one with ``repro.labeling.xpath_scheme.label_corpus`` rows
-        and :func:`repro.store.save_mapped`).  No trees.  ``workers``
-        as in :meth:`repro.lpath.LPathEngine.from_store_mmap`;
+        and :func:`repro.store.save_mapped`).  No trees.
         :meth:`close` unmaps the file."""
         return cls._open_mapped(
             path, partial(XPathPlanCompiler, axes=axes),
-            plan_cache_size, workers, XNODE_COLUMNS,
+            plan_cache_size, XNODE_COLUMNS,
         )

@@ -169,37 +169,6 @@ class TestMappedEngineSurface:
         with pytest.raises(store.StoreError, match="LPDB0002"):
             LPathEngine.from_store_mmap(str(path))
 
-    def test_bad_workers_rejected(self, tmp_path):
-        from repro.lpath import LPathEngine
-        from repro.lpath.errors import LPathError
-
-        path = tmp_path / "c.lpdb"
-        store.save_corpus([figure1_tree()], str(path), format="lpdb0004")
-        for workers in (0, -1, 1.5):
-            with pytest.raises(LPathError, match="workers"):
-                LPathEngine.from_store_mmap(str(path), workers=workers)
-
-    def test_workers_fan_out_on_a_thread_pool(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.lpath import LPathEngine
-
-        path = tmp_path / "c.lpdb"
-        store.save_corpus(
-            [figure1_tree(tid=t) for t in range(4)], str(path),
-            segments=2, format="lpdb0004",
-        )
-        with LPathEngine.from_store_mmap(str(path)) as sequential, \
-                LPathEngine.from_store_mmap(str(path), workers=2) as threaded:
-            assert sequential._pool() is None
-            assert isinstance(threaded._pool(), ThreadPoolExecutor)
-            for query in ("//NP", "//VP//NP", "//S//_[@lex=saw]"):
-                assert threaded.query(query) == sequential.query(query)
-                assert threaded.count(query) == sequential.count(query)
-                assert threaded.aggregate(query, "count_by_name") == (
-                    sequential.aggregate(query, "count_by_name")
-                )
-
     def test_engine_close_unmaps_and_is_idempotent(self, tmp_path):
         from repro.lpath import LPathEngine
         from repro.lpath.errors import LPathError
@@ -209,7 +178,7 @@ class TestMappedEngineSurface:
             [figure1_tree(tid=t) for t in range(4)], str(path),
             segments=2, format="lpdb0004",
         )
-        engine = LPathEngine.from_store_mmap(str(path), workers=2)
+        engine = LPathEngine.from_store_mmap(str(path))
         compiled = engine.compile("//NP")
         assert engine.query("//NP")
         engine.close()

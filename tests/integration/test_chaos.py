@@ -46,7 +46,7 @@ def chaos_store(tmp_path_factory) -> str:
 
 @pytest.fixture(scope="module")
 def baseline(chaos_store) -> dict:
-    with QueryService(chaos_store, workers=2) as service:
+    with QueryService(chaos_store) as service:
         with QueryServer(service).start() as server:
             with ServeClient(server.url, max_retries=0) as client:
                 return _run_workload(client)[0]
@@ -94,7 +94,7 @@ def _assert_answers_match(answers: dict, baseline: dict) -> None:
 class TestChaosMatrix:
     @pytest.mark.parametrize("faults, service_options, client_options", [
         # Slow segments: latency chaos, zero correctness impact.
-        ("segment_slow:0.5:3", {"workers": 2}, {}),
+        ("segment_slow:0.5:3", {}, {}),
         # Failing mmap reads: clean 503s (breaker/quarantine may engage),
         # every successful answer still byte-identical.
         (
@@ -116,7 +116,7 @@ class TestChaosMatrix:
         (
             "segment_slow:0.3:3,mmap_read_error:0.2:7,"
             "socket_reset:0.3:42,cache_poison:0.5:5",
-            {"workers": 2, "store_retry_after": 0.05},
+            {"store_retry_after": 0.05},
             {"max_retries": 6, "backoff_base": 0.02, "backoff_cap": 0.2},
         ),
     ], ids=[
@@ -146,7 +146,7 @@ class TestChaosMatrix:
         # The control arm: no faults, same workload, answers match the
         # module baseline (guards against a flaky baseline fixture).
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        with QueryService(chaos_store, workers=2) as service:
+        with QueryService(chaos_store) as service:
             with QueryServer(service).start() as server:
                 with ServeClient(server.url, max_retries=0) as client:
                     answers, errors = _run_workload(client)

@@ -149,9 +149,8 @@ def _assert_agreement(
 
 
 @contextmanager
-def mmap_engines(trees, workers: int = 2):
-    """The same corpus as a 2-segment LPDB0004 file, opened mmap-backed:
-    once sequential, once fanned out on two threads."""
+def mmap_engines(trees):
+    """The same corpus as a 2-segment LPDB0004 file, opened mmap-backed."""
     handle, path = tempfile.mkstemp(suffix=".lpdb")
     engines = {}
     try:
@@ -160,9 +159,6 @@ def mmap_engines(trees, workers: int = 2):
                 list(label_corpus(trees)), stream, segments=2,
             )
         engines["mmap"] = LPathEngine.from_store_mmap(path)
-        engines["mmap+threads"] = LPathEngine.from_store_mmap(
-            path, workers=workers
-        )
         yield engines
     finally:
         for engine in engines.values():

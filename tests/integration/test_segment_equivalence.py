@@ -3,20 +3,19 @@
 For random corpora and random queries (the tests/strategies.py
 generators), sharding the corpus must be invisible in the results:
 
-* the LPath engine at 1, 2, 3 and 7 segments — cost-based and forced
-  merge joins, with and without a worker pool — must return exactly the
-  monolithic engine's ``(tid, id)`` lists;
+* the LPath engine at 2, 3 and 7 segments — cost-based and forced
+  merge joins — must return exactly the monolithic engine's
+  ``(tid, id)`` lists;
 * the same holds for the XPath engine on the start/end-expressible
   fragment;
 * a corpus saved as a segmented ``LPDB0004`` file and opened zero-copy
-  (sequential, and on thread pools of two and three workers) must also
-  agree exactly.
+  must also agree exactly.
 
 The in-memory and mmap sharded sweeps each run once per kernel backend
 (``REPRO_KERNELS=python`` and ``=native``) so the native hot loops are
-exercised across segment boundaries, worker pools and the packed
-segment merge.  ``REPRO_FUZZ_EXAMPLES`` scales the hypothesis
-example budget like the main differential-fuzz harness.
+exercised across segment boundaries and the packed segment merge.
+``REPRO_FUZZ_EXAMPLES`` scales the hypothesis example budget like the
+main differential-fuzz harness.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from tests.strategies import (
 
 FUZZ_EXAMPLES = max(5, int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25")) // 3)
 QUERIES_PER_EXAMPLE = 4
-SEGMENT_SWEEP = (1, 2, 3, 7)
-WORKER_SWEEP = (None, 2)
+SEGMENT_SWEEP = (2, 3, 7)
 
 #: The sharded sweeps run once per kernel backend (the segment executor,
 #: the packed segment merge and the per-segment plan compile all
@@ -88,18 +86,14 @@ class TestLPathSegmentEquivalence:
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
         monolithic = LPathEngine(trees, keep_trees=False)
         engines = {
-            (segments, workers): LPathEngine(
-                trees, keep_trees=False, segments=segments, workers=workers
-            )
+            segments: LPathEngine(trees, keep_trees=False, segments=segments)
             for segments in SEGMENT_SWEEP
-            for workers in WORKER_SWEEP
-            if (segments, workers) != (1, None)
         }
         with pinned_kernels(kernels):
             for index in range(QUERIES_PER_EXAMPLE):
                 query = data.draw(lpath_queries(), label=f"query {index}")
                 expected = monolithic.query(query)
-                for (segments, workers), engine in engines.items():
+                for segments, engine in engines.items():
                     # Twice: the shard's cost-based joins (probes, on
                     # corpora this small), then every eligible join —
                     # named or value-seeded — as a structural merge.
@@ -107,8 +101,7 @@ class TestLPathSegmentEquivalence:
                         with forced_join(force):
                             got = engine.query(query)
                         assert got == expected, (
-                            f"segments={segments} workers={workers} "
-                            f"force={force} "
+                            f"segments={segments} force={force} "
                             f"kernels={kernels} "
                             f"disagrees on {query!r}: {got} != {expected}"
                         )
@@ -127,7 +120,7 @@ class TestLPathSegmentEquivalence:
         monolithic = LPathEngine(trees, keep_trees=False)
         engines = [
             LPathEngine(trees, keep_trees=False, segments=segments)
-            for segments in (2, 3, 7)
+            for segments in SEGMENT_SWEEP
         ]
         with pinned_kernels(kernels):
             for index in range(QUERIES_PER_EXAMPLE):
@@ -157,29 +150,20 @@ class TestLPathSegmentEquivalence:
         path = str(tmp_path_factory.mktemp("mmap") / "corpus.lpdb")
         with open(path, "wb") as handle:
             store.save_mapped(rows, handle, segments=3)
-        engines = {
-            "sequential": LPathEngine.from_store_mmap(path),
-            # Two workers share three segments; three give each its own.
-            "threads x2": LPathEngine.from_store_mmap(path, workers=2),
-            "threads x3": LPathEngine.from_store_mmap(path, workers=3),
-        }
+        engine = LPathEngine.from_store_mmap(path)
         try:
             with pinned_kernels(kernels):
                 for index in range(QUERIES_PER_EXAMPLE):
                     query = data.draw(lpath_queries(), label=f"query {index}")
                     expected = monolithic.query(query)
-                    for label, engine in engines.items():
-                        got = engine.query(query)
-                        assert got == expected, (
-                            f"mmap/{label} kernels={kernels} disagrees on "
-                            f"{query!r}: {got} != {expected}"
-                        )
-                        assert engine.count(query) == len(expected), (
-                            label, query,
-                        )
+                    got = engine.query(query)
+                    assert got == expected, (
+                        f"mmap kernels={kernels} disagrees on "
+                        f"{query!r}: {got} != {expected}"
+                    )
+                    assert engine.count(query) == len(expected), query
         finally:
-            for engine in engines.values():
-                engine.close()
+            engine.close()
 
 
 class TestXPathSegmentEquivalence:
@@ -189,9 +173,8 @@ class TestXPathSegmentEquivalence:
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
         monolithic = XPathEngine(trees, axes=XPATH_AXES)
         engines = [
-            XPathEngine(trees, axes=XPATH_AXES, segments=segments, workers=workers)
-            for segments in (2, 3, 7)
-            for workers in WORKER_SWEEP
+            XPathEngine(trees, axes=XPATH_AXES, segments=segments)
+            for segments in SEGMENT_SWEEP
         ]
         for index in range(QUERIES_PER_EXAMPLE):
             query = data.draw(xpath_queries(), label=f"query {index}")
@@ -199,8 +182,7 @@ class TestXPathSegmentEquivalence:
             for engine in engines:
                 got = engine.query(query)
                 assert got == expected, (
-                    f"segments={engine.segments} workers={engine.workers} "
-                    f"disagrees on {query!r}"
+                    f"segments={engine.segments} disagrees on {query!r}"
                 )
 
 
@@ -213,7 +195,7 @@ class TestSegmentedPlanSurface:
         return [figure1_tree(tid=tid) for tid in range(5)]
 
     def test_plan_cache_hit_returns_same_segmented_plan(self):
-        engine = LPathEngine(self._trees(), segments=3, workers=2)
+        engine = LPathEngine(self._trees(), segments=3)
         first = engine.compile("//NP")
         assert engine.compile("//NP") is first
         assert len(first.parts) == 3
@@ -232,7 +214,7 @@ class TestSegmentedPlanSurface:
         assert engine.query("//S//NP", pivot=True) == baseline.query("//S//NP")
 
     def test_count_matches_len_query(self):
-        engine = LPathEngine(self._trees(), segments=2, workers=2)
+        engine = LPathEngine(self._trees(), segments=2)
         assert engine.count("//NP") == len(engine.query("//NP"))
 
     def test_more_segments_than_trees(self):
@@ -252,11 +234,9 @@ class TestSegmentedPlanSurface:
         from repro.lpath.errors import LPathError
         from repro.plan.segmented import validate_segmentation
 
-        validate_segmentation(2, 2)
-        validate_segmentation(1, None)
+        validate_segmentation(2)
+        validate_segmentation(1)
         with pytest.raises(LPathError, match="segments"):
-            validate_segmentation(0, 2)
-        with pytest.raises(LPathError, match="workers"):
-            validate_segmentation(2, 0)
-        with pytest.raises(LPathError, match="workers"):
-            validate_segmentation(2, "2")
+            validate_segmentation(0)
+        with pytest.raises(LPathError, match="segments"):
+            validate_segmentation("2")

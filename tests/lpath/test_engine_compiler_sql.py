@@ -90,31 +90,16 @@ class TestClose:
         gc.collect()
         assert compiler_ref() is None
 
-    def test_close_shuts_down_worker_pool(self):
+    def test_compiled_plan_survives_close(self):
         engine = LPathEngine(
-            [figure1_tree(tid=tid) for tid in range(4)],
-            segments=2, workers=2,
-        )
-        engine.query("//NP")  # spins the pool up
-        executor = engine._pool()
-        assert executor is not None
-        engine.close()
-        assert executor._shutdown
-        # A shut-down pool stays sequential instead of resurrecting.
-        assert engine._pool() is None
-
-    def test_compiled_plan_survives_close_without_new_pool(self):
-        engine = LPathEngine(
-            [figure1_tree(tid=tid) for tid in range(4)],
-            segments=2, workers=2,
+            [figure1_tree(tid=tid) for tid in range(4)], segments=2
         )
         plan = engine.compile("//NP")
         expected = list(plan.rows())
         engine.close()
-        # The cached plan still executes (its per-segment runtimes are
-        # self-contained) but sequentially — no executor comes back.
+        # The cached plan still executes: its per-segment runtimes are
+        # self-contained.
         assert list(plan.rows()) == expected
-        assert engine._pool() is None
 
 
 class TestPlanCompiler:

@@ -166,16 +166,6 @@ def test_one_segment_never_reports_pruning(trees, treewalk):
         assert "pruned" not in engine.explain(query)
 
 
-def test_thread_pool_only_sees_bound_segments(trees, treewalk):
-    engine = LPathEngine(
-        trees, keep_trees=False, segments=7, workers=3
-    )
-    try:
-        check(engine, trees, treewalk)
-    finally:
-        engine.close()
-
-
 def test_xpath_dialect_prunes_soundly(trees):
     monolithic = XPathEngine(trees)
     engine = XPathEngine(trees, segments=7)

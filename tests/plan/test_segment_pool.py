@@ -1,23 +1,28 @@
-"""The segment thread pool: when it exists, what it builds, how it ends.
+"""Segments run one after another; the segment pool is gone.
 
-:class:`~repro.plan.segmented.SegmentPool` is the only fan-out there is.
-These tests pin its contract directly (lazy, locked creation; a size
-capped by the segment count; a shutdown that never resurrects) and the
-way a compiled :class:`~repro.plan.segmented.SegmentedQuery` hands its
-parts to it.  The last class checks that the retired process-pool
-surface is rejected rather than silently accepted.
+A segmented engine has no thread pool of its own: every query runs its
+per-segment plans sequentially in the calling thread, in segment order,
+and starts no thread.  What stays is the guarantee a query daemon relies
+on — many handler threads may share one segmented engine — and the last
+class checks that the retired pool surface (``workers=``, ``mode=``, the
+``--workers``/``--mode`` flags, the ``/stats`` ``workers`` key) is
+rejected or absent rather than silently accepted.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro import faults, live, store
 from repro.cli import main
-from repro.faults import FaultConfigError, parse_fault_specs
+from repro.corpus import generate_corpus
+from repro.faults import FAULTS_ENV, FaultConfigError, parse_fault_specs
+from repro.labeling.lpath_scheme import label_corpus
+from repro.live import LiveEngineManager, open_live_engine
 from repro.lpath import LPathEngine
-from repro.plan import SegmentPool
-from repro.tree import figure1_tree, parse_tree
+from repro.plan.cache import PlanCache
+from repro.serve import QueryService
+from repro.tree import figure1_tree
 from repro.xpath import XPathEngine
 
 
@@ -25,158 +30,164 @@ def trees(count=4):
     return [figure1_tree(tid=tid) for tid in range(count)]
 
 
-class RecordingExecutor(ThreadPoolExecutor):
-    """A thread pool that remembers how many items each ``map`` got."""
-
-    def __init__(self):
-        super().__init__(max_workers=2)
-        self.batches = []
-
-    def map(self, fn, *iterables, **kwargs):
-        items = list(iterables[0])
-        self.batches.append(len(items))
-        return super().map(fn, items, **kwargs)
+@pytest.fixture(scope="module")
+def three_segment_store(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("segments") / "corpus.lpdb"
+    store.save_corpus(
+        list(generate_corpus("wsj", sentences=60, seed=5)), str(path),
+        segments=3, format="lpdb0004",
+    )
+    return str(path)
 
 
-class TestSequentialWhenPointless:
-    @pytest.mark.parametrize("workers, segments", [
-        (None, 4),
-        (1, 4),
-        (4, 1),
-        (None, 1),
+class Recorder:
+    """Stands in for one compiled segment part and logs every run as
+    ``(segment position, thread ident)`` before delegating."""
+
+    def __init__(self, index, part, log):
+        self._index = index
+        self._part = part
+        self._log = log
+
+    def _run(self, method):
+        self._log.append((self._index, threading.get_ident()))
+        return getattr(self._part, method)()
+
+    def rows(self):
+        return self._run("rows")
+
+    def count(self):
+        return self._run("count")
+
+    def aggregate(self):
+        return self._run("aggregate")
+
+    def __getattr__(self, name):
+        return getattr(self._part, name)
+
+
+def started_threads(monkeypatch) -> list:
+    """Every thread started from now on (a thread pool's workers too:
+    they are ``threading.Thread`` objects)."""
+    started = []
+    original = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        return original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestSequentialExecution:
+    @pytest.mark.parametrize("engine_class", [LPathEngine, XPathEngine])
+    @pytest.mark.parametrize("method,agg", [
+        ("rows", None), ("count", None), ("aggregate", "count_by_name"),
     ])
-    def test_no_executor(self, workers, segments):
-        pool = SegmentPool(workers, segments)
-        assert pool() is None
-        assert pool._executor is None
+    def test_parts_run_in_segment_order_in_calling_thread(
+        self, engine_class, method, agg
+    ):
+        monolithic = engine_class(trees(6))
+        engine = engine_class(trees(6), segments=3)
+        compiled = engine.compile("//NP", agg=agg)
+        log = []
+        compiled.parts = [
+            Recorder(index, part, log)
+            for index, part in enumerate(compiled.parts)
+        ]
+        expected = getattr(monolithic.compile("//NP", agg=agg), method)()
+        assert getattr(compiled, method)() == expected
+        caller = threading.get_ident()
+        assert log == [(index, caller) for index in range(3)]
 
-    def test_nothing_built_before_first_call(self):
-        pool = SegmentPool(2, 4)
-        assert pool._executor is None
-        executor = pool()
-        assert isinstance(executor, ThreadPoolExecutor)
-        pool.shutdown()
-
-
-class TestExecutor:
-    def test_one_executor_reused_across_calls(self):
-        pool = SegmentPool(2, 4)
-        try:
-            assert pool() is pool()
-        finally:
-            pool.shutdown()
-
-    @pytest.mark.parametrize("workers, segments, expected", [
-        (2, 4, 2),
-        (8, 3, 3),
-        (4, 4, 4),
+    @pytest.mark.parametrize("opener", [
+        "lpath", "xpath", "mmap", "live",
     ])
-    def test_size_capped_by_segment_count(self, workers, segments, expected):
-        pool = SegmentPool(workers, segments)
-        try:
-            assert pool()._max_workers == expected
-        finally:
-            pool.shutdown()
+    def test_segmented_queries_start_no_thread(
+        self, opener, three_segment_store, tmp_path, monkeypatch
+    ):
+        if opener == "lpath":
+            engine = LPathEngine(trees(6), segments=3)
+        elif opener == "xpath":
+            engine = XPathEngine(trees(6), segments=3)
+        elif opener == "mmap":
+            engine = LPathEngine.from_store_mmap(three_segment_store)
+        else:
+            path = str(tmp_path / "live.lpdb")
+            live.create_live_corpus(
+                path, list(label_corpus(trees(6))), segments=3
+            )
+            engine = LPathEngine.open(path)
+        started = started_threads(monkeypatch)
+        with engine:
+            assert engine.segments == 3
+            for query in ("//NP", "//S//NP", "//VP/V"):
+                engine.query(query)
+                engine.count(query)
+                engine.aggregate(query, "count_by_depth")
+        assert started == []
 
-    def test_worker_threads_are_named(self):
-        pool = SegmentPool(2, 2)
-        try:
-            name = pool().submit(lambda: threading.current_thread().name)
-            assert name.result(timeout=10).startswith("repro-segment")
-        finally:
-            pool.shutdown()
+    @pytest.mark.parametrize("segments", [2, 3, 5])
+    def test_segment_slow_stalls_each_segment_once(
+        self, segments, monkeypatch
+    ):
+        engine = LPathEngine(trees(6), segments=segments)
+        expected = (list(engine.query("//NP")), engine.count("//NP"))
+        monkeypatch.setattr(faults, "SEGMENT_SLOW_SECONDS", 0.0)
+        monkeypatch.setenv(FAULTS_ENV, f"segment_slow:1.0:{segments}")
+        before = faults.fault_counts().get("segment_slow", 0)
+        rows = list(engine.query("//NP"))
+        count = engine.count("//NP")
+        passes = faults.fault_counts()["segment_slow"] - before
+        assert (rows, count) == expected
+        assert passes == 2 * segments
 
-    def test_concurrent_first_calls_build_one_executor(self):
-        pool = SegmentPool(2, 4)
+
+class TestSharedSegmentedEngine:
+    QUERIES = ("//NP", "//S//NP", "//VP/VB", "//NP[not(//JJ)]", "//PP=>SBAR")
+
+    def test_concurrent_queries_match_sequential(self, three_segment_store):
+        with LPathEngine.from_store_mmap(three_segment_store) as engine:
+            expected = {
+                query: (list(engine.query(query)), engine.count(query))
+                for query in self.QUERIES
+            }
+        assert any(rows for rows, _count in expected.values())
         callers = 8
         barrier = threading.Barrier(callers)
-        seen = []
+        answers = []
+        failures = []
 
-        def first_call():
-            barrier.wait(timeout=10)
-            seen.append(pool())
-
-        threads = [threading.Thread(target=first_call) for _ in range(callers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        try:
-            assert len(seen) == callers
-            assert len({id(executor) for executor in seen}) == 1
-        finally:
-            pool.shutdown()
-
-
-class TestShutdown:
-    def test_shutdown_releases_executor_and_stays_sequential(self):
-        pool = SegmentPool(2, 4)
-        executor = pool()
-        pool.shutdown()
-        assert executor._shutdown
-        assert pool() is None
-        assert pool._executor is None
-
-    def test_shutdown_before_first_use_never_builds(self):
-        pool = SegmentPool(2, 4)
-        pool.shutdown()
-        assert pool() is None
-        assert pool._executor is None
-
-    def test_shutdown_is_idempotent(self):
-        pool = SegmentPool(2, 4)
-        pool()
-        pool.shutdown()
-        pool.shutdown()
-        assert pool() is None
-
-
-class TestSegmentedFanOut:
-    def test_bound_parts_go_through_the_pool(self):
-        with LPathEngine(trees(), segments=2) as engine:
-            plan = engine.compile("//NP")
-            expected = list(plan.rows())
-            executor = RecordingExecutor()
-            plan.get_pool = lambda: executor
+        def caller(offset):
+            # Each thread starts at a different query, so first compiles
+            # and first runs of every plan race each other.
+            order = self.QUERIES[offset:] + self.QUERIES[:offset]
             try:
-                assert list(plan.rows()) == expected
-                assert plan.count() == len(expected)
-            finally:
-                executor.shutdown()
-        assert executor.batches == [len(plan.bound)] * 2
-        assert len(plan.bound) == 2
+                barrier.wait(timeout=10)
+                for query in order:
+                    answers.append((
+                        query, list(shared.query(query)), shared.count(query)
+                    ))
+            except BaseException as error:  # reported below
+                failures.append(error)
 
-    def test_pruned_segments_are_not_handed_out(self):
-        # Tids are dealt round-robin, so only segment 0 (tids 0 and 2)
-        # carries a WHPP: the other segment's statistics prove it empty
-        # and the one bound part runs inline.
-        corpus = [
-            parse_tree("(S (WHPP (IN of) (NN what)) (VP (VB go)))", tid=0),
-            parse_tree("(S (NP (NN dogs)) (VP (VB bark)))", tid=1),
-            parse_tree("(S (WHPP (IN in) (NN which)) (VP (VB go)))", tid=2),
-            parse_tree("(S (NP (NN cats)) (VP (VB purr)))", tid=3),
-        ]
-        with LPathEngine(corpus, segments=2) as engine:
-            plan = engine.compile("//WHPP")
-            executor = RecordingExecutor()
-            plan.get_pool = lambda: executor
-            try:
-                assert plan.count() == 2
-            finally:
-                executor.shutdown()
-        assert len(plan.bound) == 1
-        assert executor.batches == []
-
-    @pytest.mark.parametrize("engine_class", [LPathEngine, XPathEngine])
-    def test_threaded_engine_matches_sequential(self, engine_class):
-        corpus = trees(6)
-        with engine_class(corpus, segments=3) as sequential, \
-                engine_class(corpus, segments=3, workers=2) as threaded:
-            assert sequential._pool() is None
-            assert isinstance(threaded._pool(), ThreadPoolExecutor)
-            for query in ("//NP", "//S//NP", "//VP/V"):
-                assert threaded.query(query) == sequential.query(query)
-                assert threaded.count(query) == sequential.count(query)
+        with LPathEngine.from_store_mmap(three_segment_store) as shared:
+            assert shared.segments == 3
+            threads = [
+                threading.Thread(
+                    target=caller, args=(index % len(self.QUERIES),)
+                )
+                for index in range(callers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert failures == []
+        assert len(answers) == callers * len(self.QUERIES)
+        for query, rows, count in answers:
+            assert (rows, count) == expected[query], query
 
 
 class TestRetiredProcessSurface:
@@ -187,15 +198,49 @@ class TestRetiredProcessSurface:
     @pytest.mark.parametrize("engine_class", [LPathEngine, XPathEngine])
     def test_engines_take_no_mode(self, engine_class):
         with pytest.raises(TypeError, match="mode"):
-            engine_class(trees(), segments=2, workers=2, mode="process")
+            engine_class(trees(), segments=2, mode="process")
 
-    def test_from_store_mmap_takes_no_mode(self, tmp_path):
-        from repro import store
+    @pytest.mark.parametrize("engine_class", [LPathEngine, XPathEngine])
+    def test_engines_take_no_workers(self, engine_class):
+        with pytest.raises(TypeError, match="workers"):
+            engine_class(trees(), segments=2, workers=2)
 
-        path = tmp_path / "c.lpdb"
-        store.save_corpus(trees(), str(path), segments=2, format="lpdb0004")
+    def test_from_store_mmap_takes_no_mode(self, three_segment_store):
         with pytest.raises(TypeError, match="mode"):
-            LPathEngine.from_store_mmap(str(path), workers=2, mode="process")
+            LPathEngine.from_store_mmap(three_segment_store, mode="process")
+
+    def test_from_store_mmap_takes_no_workers(self, three_segment_store):
+        with pytest.raises(TypeError, match="workers"):
+            LPathEngine.from_store_mmap(three_segment_store, workers=2)
+
+    def test_query_service_takes_no_workers(self, three_segment_store):
+        with pytest.raises(TypeError, match="workers"):
+            QueryService(three_segment_store, workers=2)
+
+    @pytest.mark.parametrize("factory", [
+        LPathEngine.from_labels,
+        LPathEngine.open,
+        XPathEngine.from_store_mmap,
+        open_live_engine,
+        LiveEngineManager,
+    ], ids=lambda factory: factory.__qualname__)
+    def test_factories_take_no_workers(self, factory, tmp_path):
+        # Arguments bind before anything is opened: the path need not exist.
+        with pytest.raises(TypeError, match="workers"):
+            factory(str(tmp_path / "absent"), workers=2)
+
+    def test_from_segments_takes_no_workers(self):
+        with pytest.raises(TypeError, match="workers"):
+            LPathEngine.from_segments([], PlanCache(8), workers=2)
+
+    def test_store_stats_carry_no_workers_key(self, three_segment_store):
+        service = QueryService(three_segment_store)
+        try:
+            (described,) = service.stats()["stores"]
+        finally:
+            service.close(drain_timeout=0.0)
+        assert described["segments"] == 3
+        assert "workers" not in described
 
     @pytest.mark.parametrize("argv", [
         ["query", "corpus.mrg", "//NP", "--mode", "process"],
@@ -207,8 +252,20 @@ class TestRetiredProcessSurface:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["query", "corpus.mrg", "//NP", "--workers", "2"],
+        ["serve", "corpus.lpdb", "--workers", "2"],
+    ])
+    def test_cli_has_no_workers_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "unrecognized arguments: --workers 2" in err
+
     def test_retired_retry_knob_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROCESS_RETRIES", "lots")
-        with LPathEngine(trees(), segments=2, workers=2) as engine:
+        with LPathEngine(trees(), segments=2) as engine:
             assert engine.count("//NP") == 4 * LPathEngine(
                 [figure1_tree()]).count("//NP")

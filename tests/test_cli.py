@@ -60,13 +60,12 @@ class TestQuery:
             assert compiled == source, engine
 
 
-    def test_segments_and_workers_preserve_counts(self, corpus_file):
+    def test_segments_preserve_counts(self, corpus_file):
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
         for extra in (
             ["--segments", "3"],
-            ["--segments", "3", "--workers", "2"],
-            ["--segments", "4", "--workers", "2"],
+            ["--segments", "4"],
             ["--segments", "3", "--engine", "xpath"],
         ):
             argv = ["query", corpus_file, "//S//NP", "--count"] + extra
@@ -82,12 +81,11 @@ class TestQuery:
         assert "in 4 segments" in output
         code, expected = run(["query", corpus_file, "//S//NP", "--count"])
         assert code == 0
-        # The segmented file serves sequential and pooled fan-out; it
-        # keeps its on-disk shards, so --segments is an error.
-        for extra in ([], ["--workers", "2"], ["--workers", "4"]):
-            code, output = run(["query", lpdb, "//S//NP", "--count"] + extra)
-            assert code == 0, extra
-            assert output == expected, extra
+        # The segmented file keeps its on-disk shards, so --segments is
+        # an error.
+        code, output = run(["query", lpdb, "//S//NP", "--count"])
+        assert code == 0
+        assert output == expected
         for segments in ("4", "1"):
             code, _ = run(["query", lpdb, "//S//NP", "--count",
                            "--segments", segments])
@@ -213,16 +211,6 @@ class TestMmapQuery:
                             "--mmap"])
         assert code == 0
         assert mapped == eager
-
-    def test_mmap_thread_fan_out(self, mmap_file):
-        code, sequential = run(["query", mmap_file, "//NP", "--count",
-                                "--mmap"])
-        assert code == 0
-        for flags in (["--mmap"], []):
-            code, fanned = run(["query", mmap_file, "//NP", "--count",
-                                "--workers", "2"] + flags)
-            assert code == 0, flags
-            assert fanned == sequential, flags
 
     def test_mmap_is_a_no_op(self, corpus_file):
         code, plain = run(["query", corpus_file, "//NP", "--count"])
@@ -365,7 +353,7 @@ class TestServeCLI:
         assert "corpus lives on the server" in capsys.readouterr().err
 
     def test_query_url_rejects_local_engine_flags(self, daemon_url, capsys):
-        for flags in (["--mmap"], ["--segments", "2"], ["--workers", "2"],
+        for flags in (["--mmap"], ["--segments", "2"],
                       ["--kernels", "python"], ["--explain"],
                       ["--cache-stats"]):
             code, _ = run(["query", "//NP", "--url", daemon_url] + flags)

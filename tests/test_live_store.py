@@ -448,20 +448,6 @@ class TestLiveEngine:
             live_engine.close()
             mono_engine.close()
 
-    def test_workers_fan_out_on_threads(self, corpus_dir):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.lpath import LPathEngine
-
-        with LiveCorpus(corpus_dir) as corpus:
-            corpus.append_trees(MORE)
-        with LPathEngine.open(corpus_dir) as sequential, \
-                LPathEngine.open(corpus_dir, workers=2) as threaded:
-            assert isinstance(threaded._pool(), ThreadPoolExecutor)
-            for query in ("//NP", "//VP//NP", "//S//N"):
-                assert threaded.query(query) == sequential.query(query)
-                assert threaded.count(query) == sequential.count(query)
-
     def test_delta_segment_tagged_in_explain(self, corpus_dir):
         with LiveCorpus(corpus_dir) as corpus:
             corpus.append_trees(MORE)

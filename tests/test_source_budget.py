@@ -66,3 +66,42 @@ def test_no_module_runs_generated_code():
         and node.func.id in ("exec", "eval")
     ]
     assert not calls, f"generated code under src/repro: {calls}"
+
+
+def test_only_the_daemon_and_the_compactor_start_threads():
+    """A query runs in its caller's thread, segment after segment.  Only
+    the daemon (its accept loop and handler pool) and the live compactor
+    start threads: ``concurrent.futures`` is imported only under
+    ``repro/serve/``, and ``threading.Thread`` is built only in
+    ``serve/daemon.py`` and ``live.py``."""
+    futures, threads = [], []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        where = path.relative_to(SRC / "repro").as_posix()
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            site = f"{where}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "Thread"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "threading"
+            ):
+                names = ["threading.Thread"]
+            else:
+                continue
+            if not where.startswith("serve/") and any(
+                name.split(".")[0] == "concurrent" for name in names
+            ):
+                futures.append(site)
+            if where not in ("serve/daemon.py", "live.py") and (
+                "threading.Thread" in names
+            ):
+                threads.append(site)
+    assert not futures, f"concurrent.futures outside repro/serve/: {futures}"
+    assert not threads, f"threads started outside the daemon: {threads}"
