@@ -2,8 +2,9 @@
 
 Regenerates the axis-to-label-comparison mapping and benchmarks the single
 depth-first labeling pass of Definition 4.1 over the benchmark corpus,
-twice: into the column lists stores are built from (``label_columns``)
-and as the row view over them (``label_tree``, one tree at a time).
+twice: into the columns stores are built from (``label_columns``: six
+``array('q')`` integer columns, then the name and value lists) and as the
+row view over them (``label_tree``, one tree at a time).
 """
 
 import pytest

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import compress, count, repeat
 from operator import eq, itemgetter, ne, not_, or_, sub
 from typing import Iterable, Iterator, Optional
@@ -69,12 +70,12 @@ def _gather(column, rows) -> tuple:
     return itemgetter(*rows)(column)
 
 
-def _transpose(rows: list, width: int) -> tuple:
-    """``rows`` as ``width`` column lists.  One C-level gather per
-    column: ``zip(*rows)`` would allocate an iterator per row, and on a
-    large heap the collections those allocations trigger cost more than
-    the transpose itself."""
-    return tuple(list(map(itemgetter(position), rows)) for position in range(width))
+def _transpose(rows: list) -> tuple:
+    """Label ``rows`` as six int64 columns and the name and value lists,
+    one C-level gather per column (``zip(*rows)`` would allocate an
+    iterator per row, and on a large heap its collections cost more)."""
+    columns = [map(itemgetter(position), rows) for position in range(8)]
+    return (*map(partial(array, "q"), columns[:6]), *map(list, columns[6:]))
 
 
 # -- the build: label columns -> one LPDB0004 segment --------------------------
@@ -117,21 +118,20 @@ def _directory(run_starts, keys, end: int) -> list:
 
 
 def _build_segment(tid, left, right, depth, id, pid, names, values) -> MappedSegment:
-    """Sort label columns into the clustered order and lay them out as
-    one segment.  Names sort by their rank among the distinct names, so
-    the clustered key is all int64; each rank is also the name's string
-    id."""
+    """Sort label columns (the integer ones ``array('q')``\\ s, used as
+    they are) into the clustered order and lay them out as one segment.
+    Names sort by their rank among the distinct names, so the clustered
+    key is all int64; each rank is also the name's string id."""
     argsort, run_starts, take = ops = _build_ops()
-    names = list(names)
     distinct = sorted(set(names))
     name_keys = array("q", map(dict(zip(distinct, count(1))).__getitem__, names))
-    integers = [array("q", column) for column in (tid, left, right, depth, id, pid)]
+    integers = [tid, left, right, depth, id, pid]
     order = argsort([name_keys, *integers])
     clustered = [take(column, order) for column in integers]
     tid, left, _right, _depth, id, pid = clustered
     return _segment(
         ops, clustered, take(name_keys, order), distinct,
-        _gather(list(values), order),
+        _gather(values, order),
         argsort([tid, id]), argsort([tid, pid, left]),
     )
 
@@ -237,22 +237,11 @@ class ColumnStore:
         "_name_stats",
     )
 
-    def __init__(
-        self,
-        tid: Iterable[int],
-        left: Iterable[int],
-        right: Iterable[int],
-        depth: Iterable[int],
-        id: Iterable[int],
-        pid: Iterable[int],
-        names: Iterable[str],
-        values: Iterable[Optional[str]],
-        column_names: tuple[str, ...] = COLUMN_NAMES,
-    ) -> None:
-        self._adopt(
-            _build_segment(tid, left, right, depth, id, pid, names, values),
-            column_names,
-        )
+    def __init__(self, tid: array, left: array, right: array, depth: array,
+                 id: array, pid: array, names: list, values: list,
+                 column_names: tuple[str, ...] = COLUMN_NAMES) -> None:
+        self._adopt(_build_segment(tid, left, right, depth, id, pid, names,
+                                   values), column_names)
 
     # -- constructors --------------------------------------------------------
 
@@ -300,7 +289,7 @@ class ColumnStore:
         """A row view over the columnar constructor: row tuples (or
         ``Label`` instances) transposed into the eight columns.  Trees
         need no rows: build ``ColumnStore(*label_columns(trees))``."""
-        return cls(*_transpose(list(rows), 8), column_names=column_names)
+        return cls(*_transpose(list(rows)), column_names=column_names)
 
     @staticmethod
     def concat(stores) -> "ColumnStore":

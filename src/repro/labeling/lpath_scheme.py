@@ -21,6 +21,7 @@ schema), stored as a clustered column store (:mod:`repro.columnar`).
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from ..tree.node import Tree
@@ -49,14 +50,15 @@ class Label(NamedTuple):
         return self.name.startswith(ATTRIBUTE_PREFIX)
 
 
-def label_columns(trees: Iterable[Tree]) -> tuple[list, ...]:
-    """The label relation of a corpus as eight parallel column lists, in
-    :data:`COLUMNS` order — the one Definition 4.1 labeler.
+def label_columns(trees: Iterable[Tree]) -> tuple:
+    """The label relation of a corpus as eight parallel columns, in
+    :data:`COLUMNS` order — the one Definition 4.1 labeler: the six
+    integer columns as ``array('q')``, ``name`` and ``value`` as lists.
 
     Rows are in document order, tree by tree: each node's element row,
-    then its attribute rows sorted by attribute name.  Column stores
-    are built straight from these lists (no row object per label)."""
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [], [])
+    then its attribute rows sorted by attribute name.  Column stores are
+    built straight from these columns, integer arrays as they are."""
+    columns = (*(array("q") for _ in range(6)), [], [])
     tid, left, right, depth, ids, pid, name, value = (
         column.append for column in columns
     )

@@ -51,9 +51,12 @@ import gc
 import io
 import mmap as _mmap_module
 import os
+import shutil
 import sys
+import tempfile
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -318,8 +321,8 @@ def collector_paused() -> Iterator[None]:
 def tree_stores(trees: Sequence, segments: int) -> Iterator:
     """One :class:`~repro.columnar.ColumnStore` per shard of ``trees``,
     dealt like their rows would be and labelled straight into columns
-    (:func:`~repro.labeling.lpath_scheme.label_columns`); built lazily, so
-    a writer can free each store once it is serialized."""
+    (:func:`~repro.labeling.lpath_scheme.label_columns`); built lazily,
+    so :func:`save_mapped_stores` holds one shard's store at a time."""
     from .columnar.store import ColumnStore
     from .labeling.lpath_scheme import label_columns
 
@@ -570,31 +573,37 @@ def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
 
 def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
     """Write :class:`~repro.columnar.ColumnStore`\\ s, one per segment, in
-    the ``LPDB0004`` layout: each store's segment record with its blob
-    offsets assigned, then its buffers as they are; returns rows
-    written.  A store is dropped once its segment is taken."""
-    segments = [store.segment for store in stores]
-    metas = []
-    offset = 0
-    for segment in segments:
-        meta = replace(segment.meta, blobs=[])
-        for buffer in segment.buffers:
-            length = memoryview(buffer).nbytes
-            meta.blobs.append((offset, length))
-            offset += _align8(length)
-        metas.append(meta)
-    sidecar = _encode_mmap_sidecar(MmapHeader(sys.byteorder, offset, metas))
-    head = _block_header(sidecar)
-    prefix_length = len(MMAP_MAGIC) + len(head) + len(sidecar)
-    stream.write(MMAP_MAGIC)
-    stream.write(head)
-    stream.write(sidecar)
-    stream.write(b"\x00" * (_align8(prefix_length) - prefix_length))
-    for meta, segment in zip(metas, segments):
-        for (_offset, length), buffer in zip(meta.blobs, segment.buffers):
-            stream.write(buffer)
-            stream.write(b"\x00" * (_align8(length) - length))
+    the ``LPDB0004`` layout; returns rows written.  One segment is held
+    at a time: ``stores`` is consumed lazily, each store's buffers go as
+    they are to an anonymous spill file beside ``stream.name`` (in the
+    temp directory for a nameless stream) and the store is dropped before
+    the next is requested.  The magic, sidecar and padding follow the
+    last segment, then the spill is copied in after them."""
+    name = getattr(stream, "name", None)
+    directory = (os.path.dirname(name) or ".") if isinstance(name, str) else None
+    with tempfile.TemporaryFile(dir=directory) as spill:
+        metas = list(map(partial(_spill_segment, spill), stores))
+        header = MmapHeader(sys.byteorder, spill.tell(), metas)
+        sidecar = _encode_mmap_sidecar(header)
+        prefix = MMAP_MAGIC + _block_header(sidecar) + sidecar
+        stream.write(prefix + b"\x00" * (_align8(len(prefix)) - len(prefix)))
+        spill.seek(0)
+        shutil.copyfileobj(spill, stream)
     return sum(meta.n for meta in metas)
+
+
+def _spill_segment(spill: BinaryIO, store) -> MmapSegmentMeta:
+    """Append one store's buffers to ``spill``, each padded to 8 bytes,
+    and return its segment record with their offsets.  Called through
+    ``map``, so nothing holds the store once it returns."""
+    segment = store.segment
+    meta = replace(segment.meta, blobs=[])
+    for buffer in segment.buffers:
+        length = memoryview(buffer).nbytes
+        meta.blobs.append((spill.tell(), length))
+        spill.write(buffer)
+        spill.write(b"\x00" * (_align8(length) - length))
+    return meta
 
 
 class NameStats(NamedTuple):

@@ -1,4 +1,4 @@
-"""Ingest is columnar: trees are labelled straight into column lists.
+"""Ingest is columnar: trees are labelled straight into columns.
 
 ``save_corpus`` and ``LPathEngine(trees)`` build every store from
 ``label_columns(trees)``; label rows are a view over those columns.  The

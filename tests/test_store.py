@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import os
 import sys
 
 import pytest
@@ -366,13 +367,15 @@ class TestMmapCorruption:
 
 
 #: The sha1 of the LPDB0004 bytes and the store fingerprint of
-#: ``generate_corpus("wsj", 200, seed=7)`` saved at 1 and 2 segments.
+#: ``generate_corpus("wsj", 200, seed=7)`` saved at 1, 2 and 3 segments.
 #: The layout is native-endian, so the pins hold on little-endian hosts.
 GOLDEN_LPDB0004 = {
     1: ("13849daa5f1f4f15014f3885627bab3e78445201",
         "lpdb0004-556944-ae5ffaca"),
     2: ("c02db7c299b8764faa5f2a85702c3cfe5aa6a70a",
         "lpdb0004-557776-66e9daf1"),
+    3: ("f1a3654d451cc6a0913ac7234791619839c69334",
+        "lpdb0004-558552-39a51460"),
 }
 
 
@@ -388,6 +391,127 @@ def test_lpdb0004_writer_bytes_are_pinned(tmp_path, segments):
     digest, fingerprint = GOLDEN_LPDB0004[segments]
     assert hashlib.sha1(path.read_bytes()).hexdigest() == digest
     assert store.store_fingerprint(str(path)) == fingerprint
+
+
+@pytest.mark.parametrize("segments", sorted(GOLDEN_LPDB0004))
+def test_live_base_file_is_the_lpdb0004_file(tmp_path, segments):
+    """One writer serves both formats: a live directory's base segment
+    file is, byte for byte, the LPDB0004 file of the same trees."""
+    from repro.corpus.generator import generate_corpus
+
+    trees = generate_corpus("wsj", 200, seed=7)
+    single, directory = tmp_path / "single.lpdb", tmp_path / "live"
+    store.save_corpus(trees, str(single), segments=segments)
+    store.save_corpus(trees, str(directory), segments=segments,
+                      format="lpdb0005")
+    (base,) = directory.glob("seg-*.lpdb")
+    assert base.read_bytes() == single.read_bytes()
+
+
+def write_file(path, stores):
+    """The LPDB0004 file writer: atomic, through save_mapped_stores."""
+    with store.atomic_write(str(path)) as handle:
+        store.save_mapped_stores(stores, handle)
+
+
+def write_live(path, stores):
+    """The live writer: stores become one base seg-*.lpdb file."""
+    from repro.live import create_live_stores
+
+    create_live_stores(str(path), stores, 10_000)
+
+
+class TestOneSegmentAtATime:
+    """Both writers consume their stores lazily: a segment's buffers are
+    written to an anonymous spill beside the destination and dropped
+    before the next store is built, and a failure mid-stream leaves the
+    previous store and no stray file."""
+
+    @pytest.fixture(scope="class")
+    def shards(self):
+        from operator import attrgetter
+
+        from repro.corpus.generator import generate_corpus
+
+        trees = generate_corpus("wsj", 90, seed=5)
+        return store.partition_by_tid(trees, 3, attrgetter("tid"))
+
+    @pytest.mark.parametrize("write", [write_file, write_live])
+    def test_segment_buffers_are_freed_before_the_next_store(
+        self, tmp_path, monkeypatch, shards, write,
+    ):
+        import tempfile
+        import weakref
+        from array import array
+
+        from repro.columnar import ColumnStore
+        from repro.labeling import label_columns
+
+        spill_dirs = []
+        make_spill = tempfile.TemporaryFile
+
+        def spy(*args, **kwargs):
+            spill_dirs.append(kwargs.get("dir"))
+            return make_spill(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+        refs, requested = [], []
+
+        def build(shard):
+            built = ColumnStore(*label_columns(shard))
+            refs[:] = [weakref.ref(buffer) for buffer in built.segment.buffers
+                       if isinstance(buffer, array)]
+            return built
+
+        def stores():
+            for shard in shards:
+                held = [ref for ref in refs if ref() is not None]
+                assert not held, (
+                    f"store {len(requested)} requested while {len(held)} "
+                    "buffers of the previous segment are still alive"
+                )
+                requested.append(len(refs))
+                yield build(shard)  # no frame keeps the store
+
+        path = tmp_path / "out"
+        with store.collector_paused():  # freed by refcount, not by gc
+            write(path, stores())
+        assert requested == [0, 15, 15]  # the 17 blobs less 2 bytearrays
+        assert spill_dirs == [str(tmp_path if write is write_file else path)]
+        engine = LPathEngine.open(str(path))
+        reference = LPathEngine([tree for shard in shards for tree in shard])
+        assert engine.count("//NP//NN") == reference.count("//NP//NN") > 0
+
+    @pytest.mark.parametrize("write", [write_file, write_live])
+    def test_a_failing_store_leaves_the_old_store_and_no_file(
+        self, tmp_path, shards, write,
+    ):
+        from repro.columnar import ColumnStore
+        from repro.labeling import label_columns
+        from repro.live import LOCK_NAME
+
+        path = tmp_path / "out"
+        write(path, (ColumnStore(*label_columns(shard)) for shard in shards))
+        listing = sorted(tmp_path.rglob("*"))
+        before = {entry: entry.read_bytes() for entry in listing
+                  if entry.is_file()}
+        seen = []
+
+        def stores():
+            yield ColumnStore(*label_columns(shards[0]))
+            # The first segment is spilled by now, and the spill has no
+            # name in the destination's directory.
+            seen.extend(sorted(tmp_path.rglob("*")))
+            raise OSError("shard build died")
+
+        with pytest.raises(OSError, match="shard build died"):
+            write(path, stores())
+        assert [entry for entry in seen if entry not in listing] == (
+            [tmp_path / f".out.tmp-{os.getpid()}"] if write is write_file
+            else [path / LOCK_NAME, path / "seg-00000002.lpdb"]
+        )
+        assert sorted(tmp_path.rglob("*")) == listing
+        assert {entry: entry.read_bytes() for entry in before} == before  # re-read
 
 
 class TestRetiredRevisions:
