@@ -3,8 +3,8 @@
 Regenerates the axis-to-label-comparison mapping and benchmarks the single
 depth-first labeling pass of Definition 4.1 over the benchmark corpus,
 twice: into the columns stores are built from (``label_columns``: six
-``array('q')`` integer columns, then the name and value lists) and as the
-row view over them (``label_tree``, one tree at a time).
+``array('q')`` integer columns, then the name and value lists) and as
+``Label`` rows (``label_tree``, one tree at a time).
 """
 
 import pytest

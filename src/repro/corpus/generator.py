@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..tree.node import Tree, TreeNode
+from ..tree.node import Tree, TreeNode, collector_paused
 from .grammar import Grammar
 from .lexicon import Lexicon
 from .profiles import PROFILES
@@ -54,7 +54,8 @@ def generate_corpus(
 ) -> list[Tree]:
     """Generate a corpus with a named profile (``"wsj"`` or ``"swb"``).
 
-    Deterministic for a given ``(profile, sentences, seed)``.
+    Deterministic for a given ``(profile, sentences, seed)``.  Built with
+    the cyclic collector paused: trees are acyclic.
     """
     try:
         build = PROFILES[profile]
@@ -64,10 +65,11 @@ def generate_corpus(
         ) from None
     grammar, lexicon = build()
     rng = random.Random(seed)
-    return [
-        generate_tree(grammar, lexicon, rng, tid=start_tid + offset, max_depth=max_depth)
-        for offset in range(sentences)
-    ]
+    with collector_paused():
+        return [
+            generate_tree(grammar, lexicon, rng, tid=start_tid + offset, max_depth=max_depth)
+            for offset in range(sentences)
+        ]
 
 
 def replicate_corpus(trees: list[Tree], factor: float, seed: Optional[int] = None) -> list[Tree]:
@@ -77,11 +79,11 @@ def replicate_corpus(trees: list[Tree], factor: float, seed: Optional[int] = Non
     paper's "replicated the WSJ dataset between 0.5 and 4 times".
     """
     target = max(1, int(round(len(trees) * factor)))
-    result: list[Tree] = []
-    for index in range(target):
-        source = trees[index % len(trees)]
-        result.append(Tree(_copy_node(source.root), tid=index))
-    return result
+    with collector_paused():
+        return [
+            Tree(_copy_node(trees[index % len(trees)].root), tid=index)
+            for index in range(target)
+        ]
 
 
 def _copy_node(node: TreeNode) -> TreeNode:

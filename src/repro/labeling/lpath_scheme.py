@@ -52,36 +52,44 @@ class Label(NamedTuple):
 
 def label_columns(trees: Iterable[Tree]) -> tuple:
     """The label relation of a corpus as eight parallel columns, in
-    :data:`COLUMNS` order — the one Definition 4.1 labeler: the six
-    integer columns as ``array('q')``, ``name`` and ``value`` as lists.
+    :data:`COLUMNS` order -- the labeler column stores are built from: the
+    six integer columns as ``array('q')``, ``name`` and ``value`` as lists.
 
     Rows are in document order, tree by tree: each node's element row,
-    then its attribute rows sorted by attribute name.  Column stores are
-    built straight from these columns, integer arrays as they are."""
+    then its attribute rows sorted by attribute name.  A node's ``pid`` is
+    the ``id`` of the last node met one level up (``up[depth - 1]``):
+    in preorder that is its parent, so no parent link is followed."""
     columns = (*(array("q") for _ in range(6)), [], [])
     tid, left, right, depth, ids, pid, name, value = (
         column.append for column in columns
     )
     for tree in trees:
         tree_id = tree.tid
+        up = [0] * (len(tree.nodes) + 1)
         for node in tree.nodes:
-            parent = node.parent
-            parent_id = 0 if parent is None else parent.node_id
+            node_id = node.node_id
+            level = node.depth
+            parent_id = up[level - 1]
+            up[level] = node_id
+            lo = node.left
+            hi = node.right
             tid(tree_id)
-            left(node.left)
-            right(node.right)
-            depth(node.depth)
-            ids(node.node_id)
+            left(lo)
+            right(hi)
+            depth(level)
+            ids(node_id)
             pid(parent_id)
             name(node.label)
             value(None)
             attributes = node.attributes
+            if not attributes:
+                continue
             for key in sorted(attributes):
                 tid(tree_id)
-                left(node.left)
-                right(node.right)
-                depth(node.depth)
-                ids(node.node_id)
+                left(lo)
+                right(hi)
+                depth(level)
+                ids(node_id)
                 pid(parent_id)
                 name(ATTRIBUTE_PREFIX + key)
                 value(attributes[key])
@@ -89,14 +97,33 @@ def label_columns(trees: Iterable[Tree]) -> tuple:
 
 
 def label_tree(tree: Tree) -> list[Label]:
-    """All rows (element + attribute) for one tree, in document order: a
-    row view over :func:`label_columns`."""
-    return list(map(Label._make, zip(*label_columns((tree,)))))
+    """All rows (element + attribute) for one tree, in document order."""
+    return list(label_corpus((tree,)))
 
 
 def label_corpus(trees: Iterable[Tree]) -> Iterator[Label]:
-    """Rows for a whole corpus; trees keep their own ``tid``.  A row view
-    over :func:`label_columns`, one tree at a time — stores are built from
-    the columns, not from these rows."""
+    """Rows for a whole corpus; trees keep their own ``tid``.  The rows of
+    ``zip(*label_columns(trees))``, made one at a time -- stores are built
+    from the columns, not from these rows."""
+    new = tuple.__new__
     for tree in trees:
-        yield from label_tree(tree)
+        tree_id = tree.tid
+        up = [0] * (len(tree.nodes) + 1)
+        for node in tree.nodes:
+            node_id = node.node_id
+            level = node.depth
+            parent_id = up[level - 1]
+            up[level] = node_id
+            lo = node.left
+            hi = node.right
+            yield new(Label, (
+                tree_id, lo, hi, level, node_id, parent_id, node.label, None,
+            ))
+            attributes = node.attributes
+            if not attributes:
+                continue
+            for key in sorted(attributes):
+                yield new(Label, (
+                    tree_id, lo, hi, level, node_id, parent_id,
+                    ATTRIBUTE_PREFIX + key, attributes[key],
+                ))

@@ -47,7 +47,6 @@ O(1) cold start.
 from __future__ import annotations
 
 import contextlib
-import gc
 import io
 import mmap as _mmap_module
 import os
@@ -62,6 +61,7 @@ from operator import attrgetter, itemgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .labeling.lpath_scheme import Label
+from .tree.node import collector_paused
 
 MMAP_MAGIC = b"LPDB0004"
 #: The live *directory* layout's manifest magic (:mod:`repro.live`).
@@ -298,24 +298,6 @@ def row_stores(
         ColumnStore.from_rows(shard, column_names or COLUMN_NAMES)
         for shard in partition_rows_by_tid(rows, segments)
     ]
-
-
-@contextlib.contextmanager
-def collector_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector around a bulk store build.
-
-    A build allocates hundreds of thousands of short-lived, acyclic
-    objects (label columns; the Python twin's sort-key tuples), and every
-    few hundred of them trigger a young-generation collection that walks
-    them again.  Nothing a build allocates forms a cycle,
-    so pausing only defers that work; the previous state is restored."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def tree_stores(trees: Sequence, segments: int) -> Iterator:

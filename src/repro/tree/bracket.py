@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, TextIO
 
-from .node import Tree, TreeError, TreeNode
+from .node import Tree, TreeError, TreeNode, collector_paused
 
 
 class BracketParseError(TreeError):
@@ -66,47 +66,51 @@ def iter_trees(text: str, start_tid: int = 0) -> Iterator[Tree]:
     Each top-level s-expression becomes one :class:`Tree`.  A top-level
     expression whose head is itself a parenthesis (the Treebank file
     convention ``( (S ...) )``) is unwrapped when it contains exactly one
-    subtree; multi-rooted wrappers get a synthetic ``TOP`` node.
+    subtree; multi-rooted wrappers get a synthetic ``TOP`` node.  The whole
+    text is parsed at the first ``next``, with the cyclic collector paused.
     """
-    tokens = list(_tokenize(text))
-    index = 0
-    tid = start_tid
+    trees: list[Tree] = []
+    with collector_paused():
+        tokens = list(_tokenize(text))
+        index = 0
+        while index < len(tokens):
+            node, index = _parse_node(tokens, index, len(text))
+            trees.append(Tree(node, tid=start_tid + len(trees)))
+    yield from trees
 
-    def parse_node(position: int) -> tuple[TreeNode, int]:
-        token, offset = tokens[position]
-        if token != _OPEN:
-            raise BracketParseError(f"expected '(' but found {token!r}", offset)
+
+def _parse_node(
+    tokens: list[tuple[str, int]], position: int, end: int
+) -> tuple[TreeNode, int]:
+    token, offset = tokens[position]
+    if token != _OPEN:
+        raise BracketParseError(f"expected '(' but found {token!r}", offset)
+    position += 1
+    if position >= len(tokens):
+        raise BracketParseError("unexpected end of input after '('", offset)
+    head, head_offset = tokens[position]
+    if head == _CLOSE:
+        raise BracketParseError("empty tree '()'", head_offset)
+    children: list[TreeNode] = []
+    words: list[str] = []
+    if head == _OPEN:
+        # Unlabeled wrapper: parse children, synthesize a label below.
+        label = None
+    else:
+        label = head
         position += 1
-        if position >= len(tokens):
-            raise BracketParseError("unexpected end of input after '('", offset)
-        head, head_offset = tokens[position]
-        if head == _CLOSE:
-            raise BracketParseError("empty tree '()'", head_offset)
-        children: list[TreeNode] = []
-        words: list[str] = []
-        if head == _OPEN:
-            # Unlabeled wrapper: parse children, synthesize a label below.
-            label = None
-        else:
-            label = head
+    while position < len(tokens):
+        token, offset = tokens[position]
+        if token == _CLOSE:
             position += 1
-        while position < len(tokens):
-            token, offset = tokens[position]
-            if token == _CLOSE:
-                position += 1
-                return _build_node(label, children, words, offset), position
-            if token == _OPEN:
-                child, position = parse_node(position)
-                children.append(child)
-            else:
-                words.append(token)
-                position += 1
-        raise BracketParseError("unbalanced parentheses: missing ')'", len(text))
-
-    while index < len(tokens):
-        node, index = parse_node(index)
-        yield Tree(node, tid=tid)
-        tid += 1
+            return _build_node(label, children, words, offset), position
+        if token == _OPEN:
+            child, position = _parse_node(tokens, position, end)
+            children.append(child)
+        else:
+            words.append(token)
+            position += 1
+    raise BracketParseError("unbalanced parentheses: missing ')'", end)
 
 
 def _build_node(

@@ -14,7 +14,32 @@ a single depth-first traversal (Definition 4.1, items 1-5).
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import weakref
 from typing import Iterator, Mapping, Optional, Sequence
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector around a bulk build (a corpus's
+    trees, a store's columns): hundreds of thousands of containers, every
+    few hundred of which would trigger a collection that walks them again.
+    None forms a cycle (a node's parent link is weak), so pausing only
+    defers that work; the previous state is restored.  A build that leaves
+    more young objects than a middle-generation collection's worth is
+    moved to the old generation in one walk (``gc.collect(1)``), not the
+    two (young, then middle) the collector would make of it later."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            young, middle, _ = gc.get_threshold()
+            if 0 < young * middle < gc.get_count()[0]:
+                gc.collect(1)
+            gc.enable()
 
 
 class TreeError(ValueError):
@@ -34,18 +59,24 @@ class TreeNode:
     attributes:
         Attribute name to value mapping.  The conventional attribute for a
         terminal's word is ``lex`` (rendered ``@lex`` in LPath).
+
+    A node owns its children; :attr:`parent` is a weak link, so trees are
+    acyclic and a dropped one is freed by reference counting.  A node keeps
+    its subtree alive, not its ancestors: ``parent`` reads ``None`` once
+    the parent has been freed.
     """
 
     __slots__ = (
         "label",
         "children",
         "attributes",
-        "parent",
+        "_parent",
         "left",
         "right",
         "depth",
         "node_id",
         "_index_in_parent",
+        "__weakref__",
     )
 
     def __init__(
@@ -59,8 +90,8 @@ class TreeNode:
         self.label = label
         self.children: list[TreeNode] = []
         self.attributes: dict[str, str] = dict(attributes or {})
-        self.parent: Optional[TreeNode] = None
-        # Span annotations; populated by Tree.index() in one DFS pass.
+        self._parent: Optional[weakref.ref] = None  # see ``parent``
+        # Span annotations; populated by Tree.index().
         self.left: int = 0
         self.right: int = 0
         self.depth: int = 0
@@ -71,11 +102,18 @@ class TreeNode:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def parent(self) -> Optional["TreeNode"]:
+        """The parent node; ``None`` for a root, a detached node, or a node
+        whose parent has been freed."""
+        link = self._parent
+        return None if link is None else link()
+
     def append(self, child: "TreeNode") -> "TreeNode":
         """Attach ``child`` as the rightmost child and return it."""
         if child.parent is not None:
             raise TreeError("node already has a parent; detach it first")
-        child.parent = self
+        child._parent = weakref.ref(self)
         child._index_in_parent = len(self.children)
         self.children.append(child)
         return child
@@ -88,9 +126,24 @@ class TreeNode:
         parent.children.remove(self)
         for position, sibling in enumerate(parent.children):
             sibling._index_in_parent = position
-        self.parent = None
+        self._parent = None
         self._index_in_parent = -1
         return self
+
+    def __getstate__(self) -> dict:
+        """Copy and pickle state: every slot but the weak parent link,
+        which :meth:`__setstate__` rebuilds from the children."""
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__ if name not in ("_parent", "__weakref__")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._parent = None
+        for child in self.children:
+            child._parent = weakref.ref(self)
 
     @property
     def is_terminal(self) -> bool:
@@ -172,49 +225,48 @@ class Tree:
     * a non-terminal spans from its first leaf's ``left`` to its last
       leaf's ``right`` (item 4);
     * the root has ``depth = 1`` (item 5);
-    * ``node_id`` is a nonzero document-order identifier (item 6).
+    * ``node_id`` is a nonzero document-order identifier (item 6): the
+      node's 1-based position in :attr:`nodes`, which :meth:`node_by_id`
+      indexes.
+
+    The tree holds every node, so each :attr:`TreeNode.parent` link is
+    valid while the tree is reachable.
     """
 
-    __slots__ = ("root", "tid", "_nodes", "_id_to_node")
+    __slots__ = ("root", "tid", "_nodes")
 
     def __init__(self, root: TreeNode, tid: int = 0) -> None:
         if root.parent is not None:
             raise TreeError("tree root must not have a parent")
         self.root = root
         self.tid = tid
-        self._nodes: list[TreeNode] = []
-        self._id_to_node: dict[int, TreeNode] = {}
         self.index()
 
     def index(self) -> None:
-        """(Re)compute spans, depths and identifiers in one DFS pass."""
-        self._nodes = list(self.root.preorder())
-        self._id_to_node = {}
+        """(Re)compute identifiers and depths top-down in preorder, then
+        spans bottom-up: reversed preorder meets every node after all of
+        its descendants."""
+        nodes: list[TreeNode] = []
+        stack = [(self.root, 1)]
         next_left = 1
-        # Iterative post-order assignment of leaf boundaries, then spans.
-        for node_id, node in enumerate(self._nodes, start=1):
-            node.node_id = node_id
-            node.depth = 1 if node.parent is None else node.parent.depth + 1
-            self._id_to_node[node_id] = node
-        for node in self._postorder():
-            if node.is_terminal:
-                node.left = next_left
-                node.right = next_left + 1
-                next_left = node.right
-            else:
-                node.left = node.children[0].left
-                node.right = node.children[-1].right
-
-    def _postorder(self) -> Iterator[TreeNode]:
-        stack: list[tuple[TreeNode, bool]] = [(self.root, False)]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                yield node
+            node, depth = stack.pop()
+            nodes.append(node)
+            node.node_id = len(nodes)
+            node.depth = depth
+            children = node.children
+            if children:
+                stack.extend((child, depth + 1) for child in reversed(children))
             else:
-                stack.append((node, True))
-                for child in reversed(node.children):
-                    stack.append((child, False))
+                node.left = next_left
+                next_left += 1
+                node.right = next_left
+        for node in reversed(nodes):
+            children = node.children
+            if children:
+                node.left = children[0].left
+                node.right = children[-1].right
+        self._nodes = nodes
 
     # -- access -------------------------------------------------------------
 
@@ -224,11 +276,11 @@ class Tree:
         return self._nodes
 
     def node_by_id(self, node_id: int) -> TreeNode:
-        """Look up a node by its document-order identifier."""
-        try:
-            return self._id_to_node[node_id]
-        except KeyError:
-            raise TreeError(f"no node with id {node_id}") from None
+        """Look up a node by its document-order identifier (its 1-based
+        position in :attr:`nodes`); :class:`TreeError` out of range."""
+        if 0 < node_id <= len(self._nodes):
+            return self._nodes[node_id - 1]
+        raise TreeError(f"no node with id {node_id}")
 
     def leaves(self) -> list[TreeNode]:
         """Terminal nodes in order."""

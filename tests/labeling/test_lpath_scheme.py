@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.labeling import Label, label_corpus, label_tree
+from repro.labeling import Label, label_columns, label_corpus, label_tree
 from repro.tree import figure1_tree, tree_from_spec
 from tests.strategies import corpora, trees
 
@@ -91,6 +91,22 @@ class TestLabelingProperties:
     def test_corpus_rows_carry_tids(self, corpus):
         rows = list(label_corpus(corpus))
         assert {r.tid for r in rows} == {t.tid for t in corpus}
+
+    @given(corpora(max_trees=5, max_depth=5))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_equal_the_columns_zipped(self, corpus):
+        for tree in corpus:  # nodes with no, one and several attributes
+            for node in tree.nodes[::3]:
+                node.attributes["pos"] = node.label
+        rows = list(label_corpus(corpus))
+        assert rows == list(zip(*label_columns(corpus)))
+        assert all(type(row) is Label for row in rows)
+        parent_ids = {
+            (tree.tid, node.node_id): 0 if node.parent is None else node.parent.node_id
+            for tree in corpus for node in tree.nodes
+        }
+        assert [row.pid for row in rows] == [parent_ids[row.tid, row.id] for row in rows]
+        assert rows == [row for tree in corpus for row in label_tree(tree)]
 
     def test_multiple_attributes_sorted(self):
         tree = tree_from_spec(("S", ("X", "w")))

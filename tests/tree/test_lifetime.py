@@ -1,0 +1,150 @@
+"""Tree lifetime: trees are acyclic object graphs.
+
+A node holds its children and only a weak link to its parent, so a dropped
+corpus is freed by reference counting and leaves nothing for the cyclic
+collector, and corpora are built with the collector paused.  These tests
+count objects and collections, never time.
+"""
+
+import copy
+import gc
+import hashlib
+import io
+import pickle
+
+import pytest
+
+from repro.corpus.generator import generate_corpus, replicate_corpus
+from repro.tree import (
+    TreeError, figure1_tree, format_tree, iter_trees, validate, write_trees,
+)
+
+#: sha256 of the bracketed WSJ corpus below, one tree a line, pinned before
+#: parent links became weak: the generator's output must not move.
+WSJ_200_SEED_7 = "107e7b9137dedbb51e38e1f3a1d30903c6af7f48533417df93cffd9a7aeb21ef"
+
+
+def bracketed(trees) -> str:
+    stream = io.StringIO()
+    write_trees(trees, stream)
+    return stream.getvalue()
+
+
+SOURCE = generate_corpus("wsj", 50, 3)
+TEXT = bracketed(SOURCE)
+BUILDS = {
+    "generated": lambda: generate_corpus("wsj", 50, 3),
+    "replicated": lambda: replicate_corpus(SOURCE, 1.5),
+    "parsed": lambda: list(iter_trees(TEXT)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_a_dropped_corpus_leaves_no_cyclic_garbage(kind):
+    gc.collect()
+    trees = BUILDS[kind]()
+    assert len(trees) >= 50
+    del trees
+    assert gc.collect() == 0
+
+
+def collections_during(build) -> tuple[list, object]:
+    """The generations collected while ``build()`` runs, from zeroed
+    counts, and what it returned."""
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        built = build()
+    finally:
+        gc.callbacks.remove(record)
+    return generations, built
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_a_corpus_is_built_without_a_collection(kind):
+    """Paused while building; on resuming, at most the one young
+    collection the new objects are owed."""
+    generations, trees = collections_during(BUILDS[kind])
+    assert trees and generations in ([], [0])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generation_restores_the_collector_state(enabled):
+    """A large build with the collector on is moved to the old generation
+    in one walk, leaving no young collection owed; with it off, nothing
+    is collected.  Either way the state is restored."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        generations, trees = collections_during(
+            lambda: generate_corpus("wsj", 1000, 1))
+        assert gc.isenabled() is enabled
+        assert generations == ([1] if enabled else [])
+        if enabled:
+            assert gc.get_count()[0] < gc.get_threshold()[0]
+        replicate_corpus(trees[:2], 2)
+        list(iter_trees("(S (NP (N dog)))"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_parent_links_hold_while_the_tree_is_reachable():
+    tree = generate_corpus("wsj", 1, 5)[0]
+    assert tree.root.parent is None
+    assert all(
+        any(child is node for child in node.parent.children)
+        for node in tree.nodes[1:]
+    )
+    leaf = tree.leaves()[-1]
+    parent = leaf.parent
+    leaf.detach()
+    assert leaf.parent is None
+    assert all(child is not leaf for child in parent.children)
+
+
+def test_a_node_keeps_its_subtree_alive_not_its_ancestors():
+    tree = generate_corpus("wsj", 1, 5)[0]
+    subtree = tree.root.children[0]
+    del tree
+    assert subtree.parent is None
+    assert subtree.children
+    assert all(child.parent is subtree for child in subtree.children)
+    tree = generate_corpus("wsj", 1, 5)[0]
+    leaf = max(tree.nodes, key=lambda node: node.depth)
+    del tree
+    assert leaf.parent is None
+
+
+def test_node_by_id_is_the_preorder_position():
+    tree = generate_corpus("wsj", 1, 5)[0]
+    assert [tree.node_by_id(i) for i in range(1, len(tree) + 1)] == tree.nodes
+    for node_id in (0, -1, len(tree) + 1):
+        with pytest.raises(TreeError):
+            tree.node_by_id(node_id)
+
+
+def test_generated_corpus_is_pinned():
+    text = "\n".join(format_tree(tree) for tree in generate_corpus("wsj", 200, 7))
+    assert hashlib.sha256(text.encode()).hexdigest() == WSJ_200_SEED_7
+
+
+@pytest.mark.parametrize("copy_tree", [
+    copy.deepcopy, lambda tree: pickle.loads(pickle.dumps(tree)),
+], ids=["deepcopy", "pickle"])
+def test_a_copied_tree_links_to_its_own_nodes(copy_tree):
+    tree = figure1_tree()
+    copied = copy_tree(tree)
+    validate(copied)
+    assert format_tree(copied) == format_tree(tree)
+    assert [node.node_id for node in copied.nodes] == list(range(1, len(tree) + 1))
+    assert all(node is not twin for node, twin in zip(tree.nodes, copied.nodes))
+    subtree = copy_tree(tree.root.children[1])
+    assert subtree.parent is None
+    assert all(child.parent is subtree for child in subtree.children)

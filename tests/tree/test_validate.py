@@ -1,5 +1,7 @@
 """Tests for structural and span validation."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,8 +21,15 @@ class TestValidateStructure:
 
     def test_stale_parent_pointer_detected(self):
         tree = figure1_tree()
-        tree.root.children[0].parent = None
+        tree.root.children[0]._parent = None  # the weak link, cleared
         with pytest.raises(TreeError):
+            validate_structure(tree)
+
+    def test_parent_link_to_another_node_detected(self):
+        tree = figure1_tree()
+        vp = tree.root.children[1]
+        vp.children[0]._parent = weakref.ref(tree.root)
+        with pytest.raises(TreeError, match="stale parent pointer"):
             validate_structure(tree)
 
     def test_shared_child_detected(self):
