@@ -17,7 +17,8 @@ three-segment engine holds three copies of the tree (tids 0-2), so the
 expected spans repeat per tid.  ``explain()`` pins which merge strategy
 (``sweep``, ``stack``, ``prefix``) and which ``first_match`` step a case
 reaches, so a wrong comparison in the merge join's reference loop or in a
-kernel fails the test named after its axis.
+kernel fails the test named after its axis.  The positional axes also
+carry ``position()`` / ``last()`` goldens, written as node ids.
 """
 
 from __future__ import annotations
@@ -178,6 +179,62 @@ def test_axis_golden(trees, mode, query, label, strategy, expected):
         assert f"strategy={strategy} " in line, line
         if kernels == "python":
             assert "kernel=python" in line, line
+
+
+#: Figure 1 by node id (preorder, from 1; ``node_by_id`` resolves them):
+#:
+#:     1 S ── 2 NP (I)
+#:         ├─ 3 VP ── 4 V (saw)
+#:         │       └─ 5 NP ── 6 NP ── 7 Det, 8 Adj, 9 N
+#:         │               └─ 10 PP ── 11 Prep
+#:         │                        └─ 12 NP ── 13 Det, 14 N
+#:         └─ 15 NP ── 16 N (today)
+#:
+#: (axis, query, hand-checked node ids) for ``position()=1``,
+#: ``position()<=2`` and ``position()=last()`` on every positional axis.
+#: A position ranks the candidate among the context's siblings that pass
+#: the step's name test: on the child axis all of them, on the following
+#: axes those after the context (nearest first), on the preceding axes
+#: those before it (nearest first).
+POSITIONS = [
+    # The children of NP 5 (6, 10), NP 6 (7-9), NP 12 (13, 14), NP 15 (16).
+    ("child", "//NP/_[position()=1]", {6, 7, 13, 16}),
+    ("child", "//NP/_[position()<=2]", {6, 10, 7, 8, 13, 14, 16}),
+    ("child", "//NP/_[position()=last()]", {10, 9, 14, 16}),
+    # Only NPs are ranked: NP 15 is the second child of S, the second NP.
+    ("child-named", "//S/NP[position()=1]", {2}),
+    ("child-named", "//S/NP[position()<=2]", {2, 15}),
+    ("child-named", "//S/NP[position()=last()]", {15}),
+    # After NP 2: VP 3, NP 15; after NP 6: PP 10.
+    ("following-sibling", "//NP==>_[position()=1]", {3, 10}),
+    ("following-sibling", "//NP==>_[position()<=2]", {3, 15, 10}),
+    ("following-sibling", "//NP==>_[position()=last()]", {15, 10}),
+    # Before NP 15: VP 3, NP 2; before NP 12: Prep 11; before NP 5: V 4.
+    ("preceding-sibling", "//NP<==_[position()=1]", {3, 11, 4}),
+    ("preceding-sibling", "//NP<==_[position()<=2]", {3, 2, 11, 4}),
+    ("preceding-sibling", "//NP<==_[position()=last()]", {2, 11, 4}),
+    # The one candidate right after each NP, ranked among all after it:
+    # VP 3 is first of two, PP 10 first and last.
+    ("immediate-following-sibling", "//NP=>_[position()=1]", {3, 10}),
+    ("immediate-following-sibling", "//NP=>_[position()<=2]", {3, 10}),
+    ("immediate-following-sibling", "//NP=>_[position()=last()]", {10}),
+    # VP 3 right before NP 15 (NP 2 before it), Prep 11, V 4.
+    ("immediate-preceding-sibling", "//NP<=_[position()=1]", {3, 11, 4}),
+    ("immediate-preceding-sibling", "//NP<=_[position()<=2]", {3, 11, 4}),
+    ("immediate-preceding-sibling", "//NP<=_[position()=last()]", {11, 4}),
+]
+
+
+@pytest.mark.parametrize("mode", MODES, indirect=True)
+@pytest.mark.parametrize(
+    "query, expected",
+    [case[1:] for case in POSITIONS],
+    ids=[f"{axis}-{query.partition('[')[2][:-1]}" for axis, query, _ in POSITIONS],
+)
+def test_position_golden(mode, query, expected):
+    _force, _kernels, engine, tids = mode
+    got = list(engine.query(query))
+    assert got == sorted((tid, node_id) for tid in tids for node_id in expected)
 
 
 #: ``limit=k`` (a top-k ``Cutoff`` on every merge join) over three trees:

@@ -47,6 +47,7 @@ from repro.columnar.kernels import KERNELS_ENV, native_kernels
 from repro.columnar.structural import FORCE_ENV
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
+from repro.lpath.errors import LPathCompileError
 from repro.tree import write_trees
 from repro.xpath import XPATH_AXES, XPathEngine
 from tests.strategies import corpora, lpath_queries, xpath_queries
@@ -123,8 +124,14 @@ def _assert_agreement(
         "treewalk": expected,
         "columnar": engine.query(query),
         "columnar+pivot": engine.query(query, pivot=True),
-        "sqlite": engine.query(query, backend="sqlite"),
     }
+    try:
+        results["sqlite"] = engine.query(query, backend="sqlite")
+    except LPathCompileError as error:
+        # The emitted SQL has no element string values; every other
+        # query it must answer.
+        if "element string values" not in str(error):
+            raise
     with forced_join("merge"):
         results["columnar+merge"] = engine.query(query)
         results["columnar+merge+pivot"] = engine.query(

@@ -3,7 +3,9 @@
 The query generators emit surface-syntax LPath text constrained to the
 fragment every execution path understands (the plan backend, the
 emitted-SQL SQLite oracle and the tree-walk reference), so the
-differential fuzz harness can assert exact agreement.  Axes, predicates
+differential fuzz harness can assert exact agreement; the one exception
+is a comparison of an element's string value, which the SQLite oracle
+refuses (the harness then checks the others against the tree walk).  Axes, predicates
 and scopes are sampled independently; predicate nesting is depth-bounded.
 """
 
@@ -16,6 +18,10 @@ from repro.tree import Tree, TreeNode
 LABELS = ["S", "NP", "VP", "PP", "N", "V", "Det", "Adj", "Prep", "ADVP", "X-Y"]
 WORDS = ["saw", "dog", "man", "the", "a", "old", "with", "today", "I", "of"]
 
+#: Leaf words: :data:`WORDS` and one number, so that a numeric comparison
+#: of an element's string value (``[. > 1]``) can come out either way.
+LEXICON = WORDS + ["2"]
+
 labels = st.sampled_from(LABELS)
 words = st.sampled_from(WORDS)
 
@@ -26,7 +32,7 @@ def tree_nodes(draw, max_depth: int = 5, max_children: int = 4) -> TreeNode:
     label = draw(labels)
     if max_depth <= 1 or draw(st.booleans()):
         want_word = draw(st.booleans())
-        attrs = {"lex": draw(words)} if want_word else {}
+        attrs = {"lex": draw(st.sampled_from(LEXICON))} if want_word else {}
         return TreeNode(label, attributes=attrs)
     n_children = draw(st.integers(min_value=1, max_value=max_children))
     children = [
@@ -87,6 +93,10 @@ _LPATH_SEPARATORS = [
 #: Separators usable inside predicate paths (relative paths).
 _PRED_SEPARATORS = ["/", "//", "->", "=>", "==>", "<="]
 
+#: The main-chain separators whose steps may carry ``position()``: child,
+#: following-sibling and preceding-sibling.
+_POSITIONAL_SEPARATORS = ["/", "==>", "<=="]
+
 #: The subset expressible over start/end labels (the XPath engine with the
 #: full [11] axis inventory: vertical axes + horizontal/sibling, but no
 #: immediate-* axes, scopes or alignment).
@@ -112,13 +122,28 @@ def _step_test(draw, edges: str = "{}") -> str:
 
 
 @st.composite
-def _predicate(draw, depth: int, separators: list[str]) -> str:
-    """One ``[...]`` predicate body, nesting bounded by ``depth``."""
+def _position(draw) -> str:
+    """A step-level ``[position() op k]`` or ``[position()=last()]``."""
+    if draw(st.booleans()):
+        return "[position()=last()]"
+    op = draw(st.sampled_from(_COMPARE_OPS))
+    return f"[position(){op}{draw(st.integers(min_value=1, max_value=3))}]"
+
+
+@st.composite
+def _predicate(
+    draw, depth: int, separators: list[str], element_values: bool = False
+) -> str:
+    """One ``[...]`` predicate body, nesting bounded by ``depth``;
+    ``element_values`` also draws comparisons of an element's string
+    value (a scheme with element string values only)."""
     # "path" is listed twice: existence subplans are the predicates the
     # batch executor runs as semi-joins, so they get the largest share.
     simple = [
         "path", "path", "attr-exists", "attr-cmp", "name-cmp", "count-cmp",
     ]
+    if element_values:
+        simple.append("value-cmp")
     nested = ["not", "and", "or"] if depth > 0 else []
     kind = draw(st.sampled_from(simple + nested))
     if kind == "path":
@@ -135,15 +160,19 @@ def _predicate(draw, depth: int, separators: list[str]) -> str:
         op = draw(st.sampled_from(_COMPARE_OPS))
         target = draw(st.integers(min_value=0, max_value=3))
         return f"count({draw(_relative_path(separators))}){op}{target}"
+    if kind == "value-cmp":
+        # A path's string values against a word, or the context node's
+        # own value read as a number (``>`` only: a value that is no
+        # number compares false either way).
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(["=", "!="]))
+            return f"{draw(_relative_path(separators))}{op}{draw(words)}"
+        return f".>{draw(st.integers(min_value=0, max_value=3))}"
+    inner = _predicate(depth - 1, separators, element_values)
     if kind == "not":
-        return f"not({draw(_predicate(depth - 1, separators))})"
+        return f"not({draw(inner)})"
     joiner = " and " if kind == "and" else " or "
-    return joiner.join(
-        (
-            draw(_predicate(depth - 1, separators)),
-            draw(_predicate(depth - 1, separators)),
-        )
-    )
+    return joiner.join((draw(inner), draw(inner)))
 
 
 @st.composite
@@ -180,9 +209,16 @@ def lpath_queries(draw, max_steps: int = 3, max_pred_depth: int = 2) -> str:
     for index in range(step_count):
         # One step in two carries a predicate, so about 7 texts in 10 do.
         if draw(st.booleans()):
-            text += f"[{draw(_predicate(max_pred_depth, _PRED_SEPARATORS))}]"
+            text += f"[{draw(_predicate(max_pred_depth, _PRED_SEPARATORS, True))}]"
         if index < step_count - 1:
-            text += draw(st.sampled_from(_LPATH_SEPARATORS)) + draw(_step_test())
+            separator = draw(st.sampled_from(_LPATH_SEPARATORS))
+            step = draw(_step_test())
+            if separator in _POSITIONAL_SEPARATORS and draw(st.booleans()):
+                # position() ranks among every sibling the name test
+                # admits, so it goes before the step's own [@lex=...].
+                name, bracket, seed = step.partition("[")
+                step = name + draw(_position()) + bracket + seed
+            text += separator + step
     if draw(st.integers(min_value=0, max_value=4)) == 0:
         text += draw(_scope(max_pred_depth))
     return text
