@@ -17,16 +17,16 @@ optimized IR here:
   collected statistics, or via ``REPRO_FORCE_JOIN``) the set-at-a-time
   structural merge join of :mod:`repro.columnar.structural` over the
   per-binding probe join;
-* wildcard child steps read the store's CSR children index instead of
-  scanning a whole tree per binding;
-* ``[...]`` existence predicates — ``exists``/``not(exists)`` subplans,
-  nested to any depth and under ``and``/``or`` — run as **semi-joins**: the
-  subplan compiles to a sub-pipeline of the same join steps, runs once
-  over the owner's whole batch with a hidden ordinal column, and the
-  surviving ordinals become a selection vector (:class:`_SemiJoin`);
-* only predicates that need more than existence (``count()``, value
-  comparisons, ``position()``) fall back to per-row evaluation, on
-  bindings that are short lists of row ids.
+* wildcard child steps expand the whole batch from the store's CSR
+  children index instead of scanning a whole tree per binding;
+* ``[...]`` subplan predicates — ``exists``, ``count(p) op k`` and ``p op
+  literal``, nested to any depth and under ``and``/``or`` — run as
+  **semi-joins**: the subplan compiles to a sub-pipeline of the same join
+  steps, runs once over the owner's whole batch with a hidden ordinal
+  column, and a reduction of what reaches its end becomes a selection
+  vector (:class:`_SemiJoin`); ``position()`` is a rank among siblings
+  (:class:`_PositionSelect`);
+* only scalar conditions no vector filter expresses are checked per row.
 
 Compiled plans are stateless and re-iterable, so they are safe to keep in
 the per-engine plan cache.
@@ -47,9 +47,11 @@ closed — raises ``ValueError`` on access, so stale plans fail loudly.)
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from itertools import compress, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..lpath.axes import Axis
 from ..lpath.errors import LPathCompileError
@@ -76,6 +78,7 @@ from ..plan.ir import (
     Pred,
     RightEdge,
     Scan,
+    SubplanPred,
     TID_ID,
     TableScan,
     ValueCmpPred,
@@ -87,7 +90,7 @@ from ..plan.ir import (
     COLUMN_NAMES as IR_COLUMN_NAMES,
     I, L, P, R, T, V,
 )
-from ..plan.lower import as_float, numeric_compare
+from ..plan.lower import COMPARISONS as _OPS, as_float
 from ..faults import active_injector
 from .kernels.api import NativeRangeFilter, bind_checks, classify_checks
 from .result import EMPTY, ResultBatch, python_emit_pairs
@@ -113,14 +116,6 @@ Binding = list          # row ids, indexed by slot
 BindingCheck = Callable[[Binding], bool]
 RowProbe = Callable[[Binding], Sequence[int]]
 
-_OPS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 _FLIPPED = {
     "=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
 }
@@ -531,17 +526,18 @@ class ColumnarPlan:
 class _Conditions:
     """One node's conditions, classified once per plan: vector filters
     over the candidate columns (by column *position*), per-binding
-    prunes and per-row residual checks (still IR — their closures
+    prunes and per-row residual checks (scalar IR — their closures
     capture column arrays, so :meth:`bind` compiles them), and
-    set-at-a-time selectors (every condition with an ``exists`` subplan
-    in it, run over the step's whole output batch) as sub-skeletons."""
+    set-at-a-time selectors (every condition with a subplan or a
+    ``position()`` in it, run over the step's whole output batch) as
+    sub-skeletons."""
 
     __slots__ = ("vector", "binding", "row", "semi")
 
     def __init__(self, conditions: Sequence[Pred], cand_slot: int, ctx: _Compile) -> None:
         self.vector, self.binding, self.row, semi = [], [], [], []
         for condition in conditions:
-            if _has_exists(condition):
+            if _set_at_a_time(condition):
                 semi.append(_compile_selector(condition, ctx, cand_slot + 1))
             elif cand_slot not in pred_slots(condition):
                 self.binding.append(condition)
@@ -734,23 +730,6 @@ def _children_probe(node: Join):
     return None
 
 
-def _join_probe(node: Join, ctx: _Compile, children):
-    """The per-binding candidate probe of one join over ``ctx``'s store —
-    shared by the batch probe step and the per-row subplan runner.
-    ``children`` is the node's :func:`_children_probe` analysis."""
-    if children is None:
-        return compile_access(node.access, ctx.runtime)
-    store = ctx.store
-    tid_slot, id_slot, _remaining = children
-
-    def probe(
-        b: Binding, children=store.children_rows, tids=store.tid, ids=store.id,
-    ) -> Sequence[int]:
-        return children(tids[b[tid_slot]], ids[b[id_slot]])
-
-    return probe
-
-
 class _Join:
     """One ``Join``'s segment-independent analysis, standing in the
     skeleton where a bound plan has a :class:`MergeJoinStep` or a
@@ -810,14 +789,18 @@ class _JoinStep(JoinOutput):
     filters.  A tree-keyed :class:`~repro.plan.ir.ValueSeed` access first
     drops every binding whose tree does not hold the literal at all (one
     pass over the batch's ``tid`` column), so only trees that can match
-    pay for a probe.
+    pay for a probe.  A wildcard child step expands the whole batch at
+    once instead (:meth:`_expand`).
     """
 
     def __init__(self, join: _Join, ctx: _Compile, vector, binding, row, semi=()) -> None:
         node = join.node
         self.slot = node.slot
-        self.probe = _join_probe(node, ctx, join.children)
         self.via_children = join.children is not None
+        if self.via_children:
+            self.children, self.store = join.children[:2], ctx.store
+        else:
+            self.probe = compile_access(node.access, ctx.runtime)
         self.vector, self.binding, self.row, self.semi = vector, binding, row, semi
         self.take = ctx.take
         self.label = node.label
@@ -831,6 +814,8 @@ class _JoinStep(JoinOutput):
         )
 
     def pairs(self, batch: list[array], cutoff=None, first_match: bool = False):
+        if self.via_children:
+            return self._expand(batch, first_match)
         src: list[int] = []
         res: list[int] = []
         probe, vector, binding_checks, row_checks = (
@@ -853,6 +838,33 @@ class _JoinStep(JoinOutput):
                 src.extend([i] * len(cands))
         return src, res
 
+    def _expand(self, batch: list[array], first_match: bool):
+        """``pairs`` of a wildcard child step, set-at-a-time: every
+        binding's slice of the children index, then each vector filter in
+        one pass over all the candidates, the per-binding and per-row
+        checks, and for ``first_match`` each binding's first survivor."""
+        (tid_slot, id_slot), store = self.children, self.store
+        src, res = array("q"), array("q")
+        for i, rows in enumerate(map(
+            store.children_rows, map(store.tid.__getitem__, batch[tid_slot]),
+            map(store.id.__getitem__, batch[id_slot]),
+        )):
+            res.extend(rows)
+            src.extend(repeat(i, len(rows)))
+        for column, opf, rhs_slot, payload in self.vector:
+            wanted = repeat(payload) if rhs_slot is None else map(
+                payload.__getitem__, map(batch[rhs_slot].__getitem__, src))
+            src, res = _kept(map(opf, map(column.__getitem__, res), wanted), src, res)
+        checks = (*self.binding, *self.row)
+        if checks:
+            src, res = _kept((
+                all(check([column[i] for column in batch] + [j]) for check in checks)
+                for i, j in zip(src, res)
+            ), src, res)
+        if first_match and src:
+            src, res = _kept([True, *map(operator.ne, src[1:], src)], src, res)
+        return src, res
+
     def describe(self, first_match: bool = False) -> str:
         via = " via=children-index" if self.via_children else ""
         return (
@@ -862,10 +874,16 @@ class _JoinStep(JoinOutput):
         )
 
 
+def _kept(passed: Iterable, *columns: array) -> list[array]:
+    """Each of ``columns`` cut to the positions ``passed`` marks true."""
+    passed = list(passed)
+    return [array("q", compress(column, passed)) for column in columns]
+
+
 class _FilterStep:
     """Keep batch entries satisfying every condition."""
 
-    def __init__(self, node: Filter, ctx: _Compile, width: Optional[int]) -> None:
+    def __init__(self, node: Filter, ctx: _Compile, width: int) -> None:
         self.node = node
         self.selectors = tuple(
             _compile_selector(condition, ctx, width)
@@ -1060,10 +1078,9 @@ class _ValueSeedProbe:
 
 
 def compile_pred(pred: Pred, ctx: _Compile) -> BindingCheck:
-    """Compile a predicate to a check over a row-id binding list — the
-    per-row form, used for conditions that are not set-at-a-time
-    (``count()``, value comparisons, ``position()``, plain comparisons
-    outside the vector filters) and inside their per-binding subplans."""
+    """Compile a scalar predicate — one with no subplan and no
+    ``position()`` in it, outside the vector filters — to a check over a
+    row-id binding list."""
     store = ctx.store
     if isinstance(pred, Cmp):
         compare = _OPS[pred.op]
@@ -1102,18 +1119,6 @@ def compile_pred(pred: Pred, ctx: _Compile) -> BindingCheck:
     if isinstance(pred, RightEdge):
         right_edge, slot = store.right_edge, pred.slot
         return lambda b: bool(right_edge[b[slot]])
-    if isinstance(pred, ExistsPred):
-        # Only reached from inside a per-binding count()/value subplan:
-        # the same semi-join, over a batch of one row.
-        semi = _SemiJoin(pred.subplan, ctx, None).bind(ctx, None)
-        one = range(1)
-        return lambda b: bool(semi.select([array("q", (row,)) for row in b], one))
-    if isinstance(pred, ValueCmpPred):
-        return _compile_value_cmp(pred, ctx)
-    if isinstance(pred, CountCmpPred):
-        return _compile_count_cmp(pred, ctx)
-    if isinstance(pred, PositionPred):
-        return _compile_position(pred, ctx.runtime)
     raise LPathCompileError(f"unknown predicate {pred!r}")
 
 
@@ -1127,22 +1132,24 @@ def compile_pred(pred: Pred, ctx: _Compile) -> BindingCheck:
 # restriction, ``or`` a union.
 
 
-def _has_exists(pred: Pred) -> bool:
-    return any(
-        isinstance(found, ExistsPred) for found, _negated in subplan_preds(pred)
-    )
+def _set_at_a_time(pred: Pred) -> bool:
+    """Whether a condition holds a subplan or is a ``position()`` (which
+    the lowerer never nests)."""
+    return isinstance(pred, PositionPred) or any(True for _ in subplan_preds(pred))
 
 
-def _compile_selector(pred: Pred, ctx: _Compile, width: Optional[int]):
+def _compile_selector(pred: Pred, ctx: _Compile, width: int):
     """The selector skeleton for one condition (``bind`` makes it
     runnable over one store).  ``width`` is the slot count of the
-    batches it will see (``None`` skips the slot-density check)."""
-    if isinstance(pred, ExistsPred):
-        return _SemiJoin(pred.subplan, ctx, width)
-    if _has_exists(pred):
+    batches it will see."""
+    if isinstance(pred, SubplanPred):
+        return _SemiJoin(pred, ctx, width)
+    if isinstance(pred, PositionPred):
+        return _PositionSelect(pred)
+    if _set_at_a_time(pred):
         if isinstance(pred, NotPred):
             if isinstance(pred.part, ExistsPred):
-                return _SemiJoin(pred.part.subplan, ctx, width, negated=True)
+                return _SemiJoin(pred.part, ctx, width, negated=True)
             return _NotSelect(_compile_selector(pred.part, ctx, width))
         parts = tuple(_compile_selector(part, ctx, width) for part in pred.parts)
         return _AllSelect(parts) if isinstance(pred, AllPred) else _AnySelect(parts)
@@ -1154,7 +1161,7 @@ def _as_ordinals(sel) -> array:
 
 
 class _RowSelect:
-    """A predicate with no ``exists`` in it, checked binding by binding."""
+    """A scalar predicate, checked binding by binding."""
 
     def __init__(self, pred: Pred, check: Optional[BindingCheck] = None) -> None:
         self.pred = pred
@@ -1175,7 +1182,8 @@ class _RowSelect:
 
 class _NotSelect:
     """Complement within the incoming selection, for negated ``and``/``or``
-    trees (a directly negated ``exists`` is an anti-:class:`_SemiJoin`)."""
+    trees, ``count()``, value comparisons and ``position()`` (a directly
+    negated ``exists`` is an anti-:class:`_SemiJoin`)."""
 
     def __init__(self, part) -> None:
         self.part = part
@@ -1225,7 +1233,7 @@ class _AnySelect(_AllSelect):
 
 
 class _SemiJoin:
-    """An ``exists`` subplan as a set-at-a-time semi-join — or, built
+    """A subplan predicate as a set-at-a-time semi-join — or, built
     ``negated`` for ``not(exists)``, the anti-semi-join.
 
     The ``Context``-rooted subplan compiles to a sub-pipeline of the same
@@ -1233,29 +1241,30 @@ class _SemiJoin:
     cost model, from the estimates the enclosing chain seeded).  One
     ``select`` runs it once over every selected binding while tracking,
     outside the slot numbering, which binding each intermediate row came
-    from (the hidden ordinal column); the distinct ordinals that reach
-    the end are the bindings with at least one match, their complement
-    the bindings with none.  The last step only has to witness a match,
-    so it runs in ``first_match`` mode — at most one output row per input
-    row — unless it carries selectors of its own, which must see every
-    candidate."""
+    from (the hidden ordinal column).  For ``exists`` the distinct
+    ordinals that reach the end are the bindings with a match, their
+    complement those with none; its last step only has to witness a
+    match, so it runs in ``first_match`` mode (at most one output row per
+    input row) unless it carries selectors of its own.  A value comparison
+    keeps the ordinals of result rows (the subplan's last slot) whose
+    string value compares true; ``count()`` counts each ordinal's distinct
+    result rows, a row being one ``(tid, id, name)`` within one store."""
 
     def __init__(
-        self, subplan: PlanNode, ctx: _Compile, width: Optional[int],
+        self, pred: SubplanPred, ctx: _Compile, width: int,
         negated: bool = False,
     ) -> None:
-        self.subplan = subplan
+        self.pred = pred
         self.negated = negated
         self.take = ctx.take
         self.distinct = ctx.distinct
         steps: list = []
-        for item in linearize(subplan):
+        for item in linearize(pred.subplan):
             if isinstance(item, Context):
-                continue
-            if isinstance(item, Join):
-                steps.append(
-                    _Join(item, ctx, item.slot if width is None else width)
-                )
+                self.result_slot = item.slot
+            elif isinstance(item, Join):
+                steps.append(_Join(item, ctx, width))
+                self.result_slot = item.slot
                 width = item.slot + 1
             elif isinstance(item, Filter):
                 steps.append(_FilterStep(item, ctx, width))
@@ -1265,17 +1274,21 @@ class _SemiJoin:
                 )
         self.steps = tuple(steps)
         last = steps[-1] if steps else None
-        self.first_match = isinstance(last, _Join) and not last.semi
+        self.first_match = (
+            isinstance(pred, ExistsPred) and isinstance(last, _Join) and not last.semi
+        )
+        self.test = _value_test(pred) if isinstance(pred, ValueCmpPred) else None
 
     def bind(self, ctx: _Compile, est) -> "_SemiJoin":
         """The runnable semi-join over one store; ``est`` is the
-        estimated batch it will see (``None``: one row at a time)."""
+        estimated batch it will see."""
         bound = _unbound(self)
         steps = []
         for step in self.steps:
             step, est = step.bind(ctx, est)
             steps.append(step)
         bound.steps = tuple(steps)
+        bound.string_value = ctx.runtime.string_value
         return bound
 
     def select(self, batch: list, sel) -> array:
@@ -1307,11 +1320,31 @@ class _SemiJoin:
                 break
         if origin is None:  # nothing filtered, nothing joined: all match
             origin = range(selected)
-        found = self.distinct(origin, selected, self.negated)
+        found = self._reduce(origin, batch, selected)
         return take(sel, found) if restricted else found
 
+    def _reduce(self, origin, batch: list, selected: int) -> array:
+        """The ascending ordinals the predicate keeps, from the ``origin``
+        of every row of the final ``batch``."""
+        pred = self.pred
+        if isinstance(pred, ExistsPred):
+            return self.distinct(origin, selected, self.negated)
+        results = batch[self.result_slot] if len(origin) else ()
+        if isinstance(pred, ValueCmpPred):
+            test, string_value = self.test, self.string_value
+            passing = {row for row in set(results) if test(string_value(row))}
+            return self.distinct(
+                compress(origin, map(passing.__contains__, results)), selected)
+        counts = Counter(map(itemgetter(0), set(zip(origin, results))))
+        compare, target = _OPS[pred.op], pred.target
+        return array(
+            "q", (i for i in range(selected) if compare(float(counts[i]), target))
+        )
+
     def explain(self, indent: int, negated: bool) -> list[str]:
-        header = semi_join_header(self.subplan, negated != self.negated)
+        header = semi_join_header(self.pred.subplan, negated != self.negated)
+        if not isinstance(self.pred, ExistsPred):
+            header += f" {self.pred}"
         lines = [" " * indent + header]
         indent += 2
         final = len(self.steps) - 1
@@ -1326,146 +1359,88 @@ class _SemiJoin:
         return lines
 
 
+def _value_test(pred: ValueCmpPred) -> Callable[[Optional[str]], bool]:
+    """Whether a string value (``None``: the row has none) compares true:
+    as text for ``=``/``!=`` against a string, else as a number — a value
+    that is no number never does."""
+    op, wanted = pred.op, pred.value
+    if not pred.numeric:
+        return lambda value: value is not None and (value == wanted) == (op == "=")
+    target, compare = as_float(wanted), _OPS[op]
+
+    def test(value: Optional[str]) -> bool:
+        try:
+            return value is not None and target is not None and compare(
+                float(value.strip()), target)
+        except ValueError:
+            return False
+
+    return test
+
+
+class _PositionSelect:
+    """``position()`` / ``last()`` on a sibling-family step as a rank among
+    the candidate's siblings that pass the step's name test: its slice of
+    the children index (in span order, so both span edges ascend), built
+    once per ``(tid, pid)`` and ``select``.  On the child axis it ranks
+    among all of them, on the following axes among those starting at or
+    after the context's right edge, on the preceding axes among those
+    ending at or before its left edge, from the context outwards."""
+
+    def __init__(self, pred: PositionPred) -> None:
+        self.pred = pred
+
+    def bind(self, ctx: _Compile, est) -> "_PositionSelect":
+        bound = _unbound(self)
+        bound.store = ctx.store
+        return bound
+
+    def select(self, batch: list, sel) -> array:
+        pred, store = self.pred, self.store
+        tids, pids, ids, is_attr, names = (
+            store.tid, store.pid, store.id, store.is_attr, store.names,
+        )
+        left, right = store.left.__getitem__, store.right.__getitem__
+        axis, compare, target = pred.axis, _OPS[pred.op], pred.target
+        cands, contexts = batch[pred.cand_slot], batch[pred.ctx_slot]
+        groups: dict = {}
+        kept = array("q")
+        for i in sel:
+            cand = cands[i]
+            key = tids[cand], pids[cand]
+            rows = groups.get(key)
+            if rows is None:
+                rows = groups[key] = [
+                    row for row in store.children_rows(*key)
+                    if (not is_attr[row] if pred.test_name is None
+                        else names[row] == pred.test_name)
+                ]
+            at = bisect_left(rows, left(cand), key=left)
+            if at == len(rows) or ids[rows[at]] != ids[cand]:
+                continue
+            if axis is Axis.CHILD:
+                position, size = at + 1, len(rows)
+            elif axis in (Axis.FOLLOWING_SIBLING, Axis.IMMEDIATE_FOLLOWING_SIBLING):
+                first = bisect_left(rows, right(contexts[i]), key=left)
+                position, size = at - first + 1, len(rows) - first
+            else:
+                size = bisect_right(rows, left(contexts[i]), key=right)
+                position = size - at
+            if position > 0 and compare(
+                float(position), float(size) if target is None else target
+            ):
+                kept.append(i)
+        return kept
+
+    def explain(self, indent: int, negated: bool) -> list[str]:
+        pred = self.pred
+        return [" " * indent + (
+            f"PositionRank[{'not ' if negated else ''}{pred} among "
+            f"{pred.axis.value}::{pred.test_name or '_'} siblings]"
+        )]
+
+
 def _explain_selectors(selectors, indent: int) -> list[str]:
     return [
         line for selector in selectors for line in selector.explain(indent, False)
     ]
-
-
-# -- per-binding subplans -----------------------------------------------------
-#
-# ``count(path)`` and ``path <op> literal`` need every match of the
-# subplan (its distinct rows, its string values), not just whether one
-# exists, so they keep the lazy binding-at-a-time runner.
-
-
-def compile_subplan(node: PlanNode, ctx: _Compile):
-    """Compile a Context-rooted subplan to a lazy ``binding -> bindings``
-    runner over row-id lists (slot numbering is dense, so appending a row
-    id mirrors the lowerer's slot assignment exactly)."""
-    steps: list[tuple] = []
-    for item in linearize(node):
-        if isinstance(item, Context):
-            continue
-        if isinstance(item, Join):
-            children = _children_probe(item)
-            conditions = item.conditions if children is None else children[2]
-            steps.append((
-                "join", _join_probe(item, ctx, children),
-                [compile_pred(c, ctx) for c in conditions],
-            ))
-        elif isinstance(item, Filter):
-            steps.append(
-                ("filter", None, [compile_pred(c, ctx) for c in item.conditions])
-            )
-        else:
-            raise LPathCompileError(f"cannot execute {item!r} inside a subplan")
-    plan = tuple(steps)
-
-    def run(binding: Binding) -> Iterator[Binding]:
-        return _run_steps(binding, plan, 0)
-
-    return run
-
-
-def _run_steps(binding: Binding, plan: tuple, index: int) -> Iterator[Binding]:
-    if index == len(plan):
-        yield binding
-        return
-    kind, probe, checks = plan[index]
-    if kind == "filter":
-        if all(check(binding) for check in checks):
-            yield from _run_steps(binding, plan, index + 1)
-        return
-    for row in probe(binding):
-        extended = binding + [row]
-        if all(check(extended) for check in checks):
-            yield from _run_steps(extended, plan, index + 1)
-
-
-def _compile_value_cmp(pred: ValueCmpPred, ctx: _Compile) -> BindingCheck:
-    runner = compile_subplan(pred.subplan, ctx)
-    string_value = ctx.runtime.string_value
-    op, wanted, numeric = pred.op, pred.value, pred.numeric
-    target = None
-    if numeric:
-        target = float(wanted) if not isinstance(wanted, str) else as_float(wanted)
-        if target is None:
-            return lambda b: False
-
-    def check(binding: Binding) -> bool:
-        for extended in runner(binding):
-            value = string_value(extended[-1])
-            if value is None:
-                continue
-            if numeric:
-                try:
-                    number = float(value.strip())
-                except ValueError:
-                    continue
-                if numeric_compare(number, op, target):
-                    return True
-            else:
-                if (value == wanted) == (op == "="):
-                    return True
-        return False
-
-    return check
-
-
-def _compile_count_cmp(pred: CountCmpPred, ctx: _Compile) -> BindingCheck:
-    runner = compile_subplan(pred.subplan, ctx)
-    store = ctx.store
-    tids, ids, names = store.tid, store.id, store.names
-    op, target = pred.op, pred.target
-
-    def check(binding: Binding) -> bool:
-        seen = set()
-        for extended in runner(binding):
-            row = extended[-1]
-            seen.add((tids[row], ids[row], names[row]))
-        return numeric_compare(float(len(seen)), op, target)
-
-    return check
-
-
-def _compile_position(pred: PositionPred, runtime: ColumnarRuntime) -> BindingCheck:
-    store = runtime.store
-    tids, lefts, rights, ids, pids, names, is_attr = (
-        store.tid, store.left, store.right, store.id, store.pid,
-        store.names, store.is_attr,
-    )
-    axis, op, target = pred.axis, pred.op, pred.target
-    cand_slot, ctx_slot = pred.cand_slot, pred.ctx_slot
-    if pred.test_name is None:
-        name_matches = lambda row: not is_attr[row]
-    else:
-        name_matches = lambda row, name=pred.test_name: names[row] == name
-
-    def check(binding: Binding) -> bool:
-        candidate = binding[cand_slot]
-        context = binding[ctx_slot]
-        siblings = [
-            row
-            for row in store.tid_rows(tids[candidate])
-            if pids[row] == pids[candidate] and name_matches(row)
-        ]
-        siblings.sort(key=lefts.__getitem__)
-        if axis is Axis.CHILD:
-            ordered = siblings
-        elif axis in (Axis.FOLLOWING_SIBLING, Axis.IMMEDIATE_FOLLOWING_SIBLING):
-            ordered = [row for row in siblings if lefts[row] >= rights[context]]
-        else:
-            ordered = [row for row in siblings if rights[row] <= lefts[context]]
-            ordered.reverse()
-        position = None
-        for rank, row in enumerate(ordered, start=1):
-            if ids[row] == ids[candidate]:
-                position = rank
-                break
-        if position is None:
-            return False
-        wanted = float(len(ordered)) if target is None else target
-        return numeric_compare(float(position), op, wanted)
-
-    return check

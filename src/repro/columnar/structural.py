@@ -271,16 +271,11 @@ def flow_estimate(node, stats, est: Optional[float]):
     along a pipeline (the optimizer's over the IR against the catalog,
     the bind's over the skeleton against each shard).  A ``Scan`` starts
     the flow, a ``Join`` multiplies it by its fan-out, anything else
-    passes it on.  ``est is None`` means *per row*: the chain belongs to
-    a ``count()``/value subplan, which runs once per binding, so every
-    join in it — nested ``exists`` included — sees one row.  An
-    ``exists`` subplan starts from its owner's ``est_out`` (it runs over
-    the owner's whole output); any other subplan from ``None``."""
+    passes it on.  A predicate subplan starts from its owner's
+    ``est_out``: it runs over the owner's whole output."""
     if isinstance(node, Scan):
         return est, scan_estimate(node, stats)
     if isinstance(node, Join):
-        if est is None:
-            return 1.0, None
         return est, est * join_fanout(node, stats)
     return est, est
 

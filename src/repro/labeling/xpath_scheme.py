@@ -39,31 +39,24 @@ class XPathLabel(NamedTuple):
 
 
 def label_tree(tree: Tree) -> list[XPathLabel]:
-    """Start/end rows (elements then their attributes) in document order."""
+    """Start/end rows (elements then their attributes) in document order,
+    from one explicit-stack walk: a node comes off the stack with start 0
+    on the way down and is pushed back below its children, with its start
+    tag's position, to be labelled on the way up."""
     rows: list[XPathLabel] = []
     counter = 0
-
-    def visit(node: TreeNode) -> None:
-        nonlocal counter
+    stack: list[tuple[TreeNode, int, int]] = [(tree.root, 0, 0)]
+    while stack:
+        node, pid, start = stack.pop()
         counter += 1
-        start = counter
-        for child in node.children:
-            visit(child)
-        counter += 1
-        end = counter
-        pid = node.parent.node_id if node.parent is not None else 0
-        rows.append(
-            XPathLabel(tree.tid, start, end, node.depth, node.node_id, pid, node.label, None)
-        )
+        if not start:
+            stack.append((node, pid, counter))
+            stack.extend((child, node.node_id, 0) for child in reversed(node.children))
+            continue
+        row = (tree.tid, start, counter, node.depth, node.node_id, pid)
+        rows.append(XPathLabel(*row, node.label, None))
         for attr_name in sorted(node.attributes):
-            rows.append(
-                XPathLabel(
-                    tree.tid, start, end, node.depth, node.node_id, pid,
-                    "@" + attr_name, node.attributes[attr_name],
-                )
-            )
-
-    visit(tree.root)
+            rows.append(XPathLabel(*row, "@" + attr_name, node.attributes[attr_name]))
     rows.sort(key=lambda row: (row.start, row.name))
     return rows
 

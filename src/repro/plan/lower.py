@@ -22,6 +22,7 @@ axis; the tree-walk evaluator covers the general semantics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -779,18 +780,11 @@ def paths_in_predicate(expr: PredicateExpr) -> Iterator:
         yield from expr.path.items
 
 
-def numeric_compare(left: float, op: str, right: float) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
+#: The comparison operators by their surface spelling.
+COMPARISONS = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 def static_compare(left, op: str, right) -> bool:
@@ -801,15 +795,13 @@ def static_compare(left, op: str, right) -> bool:
         right_number = as_float(right_value)
         if left_number is None or right_number is None:
             return op == "!="
-        return numeric_compare(left_number, op, right_number)
-    if op == "=":
-        return left_value == right_value
-    if op == "!=":
-        return left_value != right_value
+        return COMPARISONS[op](left_number, right_number)
+    if op in ("=", "!="):
+        return COMPARISONS[op](left_value, right_value)
     left_number, right_number = as_float(left_value), as_float(right_value)
     if left_number is None or right_number is None:
         return False
-    return numeric_compare(left_number, op, right_number)
+    return COMPARISONS[op](left_number, right_number)
 
 
 def as_float(value) -> Optional[float]:

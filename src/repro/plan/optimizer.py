@@ -351,18 +351,16 @@ def _pivoted_subplan(subplan: PlanNode, lowerer: Lowerer) -> Optional[PlanNode]:
 
 def finish_conditions(
     root: PlanNode, stats, knobs, est: Optional[float] = None,
-    batched: bool = True,
 ) -> None:
     """One walk over a chain and, recursively, every predicate subplan
     under it.  Per node: drop redundant conditions (:func:`_pruned`);
     stable-sort the rest cheapest-first (:func:`_condition_key`); and
     record the cost-based probe
-    vs. structural-merge choice on every merge-eligible ``Join`` that
-    runs as a batch step — the main chain's and those of ``exists``
-    subplans, each seeded with its owner's estimated output
-    (:func:`~repro.columnar.structural.flow_estimate`); the joins of a
-    ``count()``/value subplan run binding-at-a-time and always probe
-    (``batched`` false).  ``knobs.force`` pins the choice, and merge
+    vs. structural-merge choice on every merge-eligible ``Join`` — the
+    main chain's and those of predicate subplans, which run over their
+    owner's whole output and so are seeded with its estimate
+    (:func:`~repro.columnar.structural.flow_estimate`).  ``knobs.force``
+    pins the choice, and merge
     choices carry the resolved kernel backend (``merge/native`` |
     ``merge/python``) so ``explain()`` can never silently cross backends.
 
@@ -378,7 +376,7 @@ def finish_conditions(
                 kept.sort(key=lambda pred: _condition_key(pred, stats))
             node.conditions = tuple(kept)
         est_in, est = structural.flow_estimate(node, stats, est)
-        spec = structural.merge_spec(node) if batched else None
+        spec = structural.merge_spec(node)
         if spec is not None:
             choice = knobs.force or structural.choose_join(
                 est_in, spec.name or node.access, stats
@@ -389,10 +387,7 @@ def finish_conditions(
             )
         for condition in node.conditions:
             for pred, _negated in subplan_preds(condition):
-                exists = isinstance(pred, ExistsPred)
-                finish_conditions(
-                    pred.subplan, stats, knobs, est if exists else None, exists
-                )
+                finish_conditions(pred.subplan, stats, knobs, est)
 
 
 def _condition_cost(pred: Pred) -> int:

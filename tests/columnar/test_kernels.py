@@ -203,12 +203,28 @@ class TestDualBackendIdentity:
 
     @needs_native
     def test_residual_checks_fall_back_to_python(self, engine):
-        # A per-row residual (count() needs every match) is outside the
-        # native contract; the step must keep the interpreted loop even
-        # under native.
+        # A per-row residual (an ``or`` of column comparisons no vector
+        # filter expresses) is outside the native contract; the step must
+        # keep the interpreted loop even under native.
         with forced_join("merge"), kernels_env("native"):
-            plan = engine.explain("//S//NP[count(//Det)>0]")
-            assert "kernel=python" in plan
+            plan = engine.explain("//S//NP[name()=NP or name()=VP]")
+            assert "kernel=python" in plan and "row=1" in plan
+
+    @needs_native
+    def test_count_value_and_position_keep_the_native_kernel(self, engine):
+        # count(), value comparisons and position() are selectors over the
+        # step's output, not per-row residuals: the owning step and the
+        # sub-pipeline's steps stay on the kernel.
+        with forced_join("merge"), kernels_env("native"):
+            for query, native in (
+                ("//S//NP[count(//Det)>0]", 2),
+                ("//S//NP[//N=dog]", 2),
+                ("//S/NP[position()=last()]", 1),
+            ):
+                plan = engine.explain(query)
+                assert "kernel=python" not in plan, query
+                assert plan.count("kernel=native") == native, query
+                assert "row=1" not in plan, query
 
     @needs_native
     def test_exists_predicates_keep_the_native_kernel(self, engine):

@@ -3,12 +3,14 @@
 The batch executor compiles every ``exists`` / ``not(exists)`` subplan —
 nested to any depth, under ``and``/``or``, on scans, joins and filters —
 into a sub-pipeline of its ordinary join steps and reduces the result to
-a selection vector (:class:`repro.columnar.executor._SemiJoin`).  These
+a selection vector (:class:`repro.columnar.executor._SemiJoin`); so do
+``count()`` and value comparisons, which reduce the same sub-pipeline
+differently, while ``position()`` ranks within the children index.  These
 tests pin hand-checked answers on the explain-snapshot corpus across the
 whole physical matrix (kernel backend x forced join x store flavor), the
-``first_match`` row bound, the paths that must *not* run set-at-a-time
-(``count()``, ``position()``), and the estimate threading that lets a
-sub-pipeline pick merge vs. probe like a main-chain join.
+``first_match`` row bound, that no predicate falls back to the per-row
+check, and the estimate threading that lets a sub-pipeline pick merge vs.
+probe like a main-chain join.
 """
 
 from __future__ import annotations
@@ -83,10 +85,25 @@ CASES = [
     # sub-pipeline)
     ("//NP/self::_[//Adj]/N", [(0, 11), (2, 5)]),
     ("//NP[self::NP[//Adj]]", [(0, 7), (0, 8), (2, 2)]),
-    # mixed with count() and position(), which stay per row
+    # mixed with count() and position(), each its own selector
     ("//NP[//N and count(//N)>1]", [(0, 7)]),
     ("//NP[count(//NP[//Adj])>0]", [(0, 7)]),
     ("//VP/_[position()=2][//N]", [(0, 7), (2, 8)]),
+    # count() zero-filled: no match counts 0, in either spelling
+    ("//NP[count(/N)=0]", [(0, 7), (1, 2)]),
+    ("//NP[count(/N)<1]", [(0, 7), (1, 2)]),
+    ("//NP[not(count(/N)=0)]", [(0, 2), (0, 8), (0, 14), (2, 2), (2, 8)]),
+    # distinct result nodes: N 0:11 is reached through NP 0:8 only once
+    ("//NP[count(//NP//N)=2]", [(0, 7)]),
+]
+
+#: Comparisons of an element's string value (the emitted SQL has none).
+VALUE_CASES = [
+    ("//NP[//N=dog]", [(0, 2), (2, 8)]),
+    ("//NP[/N!=dog]", [(0, 8), (0, 14), (2, 2)]),
+    ("//NP[not(//N=man) and //Det]", [(0, 2)]),
+    ("//VP[.='saw dog today']", [(2, 6)]),
+    ("//N[.>0]", []),
 ]
 
 KERNEL_BACKENDS = (
@@ -160,7 +177,10 @@ def engines(trees, tmp_path_factory):
 
 
 class TestHandCheckedAnswers:
-    @pytest.mark.parametrize("query,expected", CASES, ids=[q for q, _ in CASES])
+    @pytest.mark.parametrize(
+        "query,expected", CASES + VALUE_CASES,
+        ids=[q for q, _ in CASES + VALUE_CASES],
+    )
     def test_every_physical_variant_gives_the_hand_checked_rows(
         self, engines, treewalk, query, expected
     ):
@@ -179,13 +199,13 @@ class TestHandCheckedAnswers:
 
 
 class TestTopKAndBatch:
-    PREDICATE_QUERIES = [query for query, _expected in CASES]
+    PREDICATE_QUERIES = [query for query, _expected in CASES + VALUE_CASES]
 
     def test_limit_is_a_prefix_of_the_full_answer(self, engines):
         for backend, join in physical_matrix():
             with environment(**{KERNELS_ENV: backend, FORCE_ENV: join}):
                 for flavor, engine in engines.items():
-                    for query, expected in CASES:
+                    for query, expected in CASES + VALUE_CASES:
                         for k in (1, 2, 100):
                             assert engine.query(query, limit=k) == expected[:k], (
                                 query, k, flavor, backend, join
@@ -272,13 +292,29 @@ class TestPerRowPaths:
         # a scoped seed's own @lex test is answered by the seed, not re-read
         "//S[{//_[@lex=saw]->_[@lex=dog]}]", "//NP{//N$[@lex=man]}",
     ]
+    #: Predicates that need more than existence, alone, nested, negated
+    #: and under and/or.
+    COUNTED = [
+        "//NP[count(//N)>1]", "//S[count(//NP[//Adj])>0]",
+        "//NP[not(count(/N)=0)]", "//NP[//N=dog]", "//NP[/N!=dog or //PP]",
+        "//S[//NP[.='the old man']]", "//NP[not(//N=man) and //Det]",
+        "//VP/_[position()=2][//N]", "//S/NP[position()=last()]",
+        "//VP[/NP[position()=1]]", "//NP==>_[position()!=1]",
+    ]
 
     @pytest.fixture()
     def no_row_runner(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("_run_steps reached for an exists predicate")
+        """The per-row check only ever sees scalar conditions (a self
+        step's name test, say): no subplan, no ``position()``."""
+        real = columnar_executor._RowSelect.select
 
-        monkeypatch.setattr(columnar_executor, "_run_steps", refuse)
+        def scalar_only(selector, batch, sel):
+            text = str(selector.pred)
+            assert "{...}" not in text and "position(" not in text, (
+                f"_RowSelect.select reached for {text}")
+            return real(selector, batch, sel)
+
+        monkeypatch.setattr(columnar_executor._RowSelect, "select", scalar_only)
 
     def test_exists_predicates_never_reach_the_row_runner(
         self, trees, treewalk, no_row_runner
@@ -286,13 +322,30 @@ class TestPerRowPaths:
         for backend, join in physical_matrix():
             with environment(**{KERNELS_ENV: backend, FORCE_ENV: join}):
                 engine = LPathEngine(trees, keep_trees=False)
-                for query in self.PURE:
+                for query in self.PURE + self.COUNTED:
                     assert engine.query(query) == treewalk.query(query), query
 
-    def test_count_still_takes_the_row_runner(self, trees, no_row_runner):
+    def test_count_value_and_position_are_no_row_residuals(self, trees):
+        # Each is a selector beside the step's vector filters; no step
+        # keeps a per-row residual for it.
         engine = LPathEngine(trees, keep_trees=False)
-        with pytest.raises(AssertionError, match="_run_steps reached"):
-            engine.query("//NP[count(//N)>1]")
+        for query in self.COUNTED:
+            for step in engine.compile(query).plan.steps:
+                assert not getattr(step, "row", ()), query
+            assert "row=1" not in engine.explain(query), query
+
+    def test_a_row_is_one_node_and_name(self, engines):
+        # count() counts distinct result rows per binding: within one
+        # store a row is one (tid, id, name), so these are the distinct
+        # result nodes the SQL and tree-walk backends count.
+        for flavor, engine in engines.items():
+            compiler = engine._compiler
+            for store in [
+                segment.compiler.column_store
+                for segment in getattr(compiler, "segments", ())
+            ] or [compiler.column_store]:
+                keys = set(zip(store.tid, store.id, store.names))
+                assert len(keys) == store.n > 0, flavor
 
 
 def _subplan_joins(engine, query):
@@ -377,24 +430,37 @@ class TestEstimatesCrossThePredicateBoundary:
                     ]
                     assert [a.split("/")[0] for a in annotated] == built, (query, join)
 
-    def test_count_subplans_are_costed_per_row(self, engine):
-        # count() runs once per binding, so an exists nested inside it
-        # sees one row whatever the outer batch holds.
-        root = engine.compile("//S[count(//NP[//JJ])>2]").logical
-        (count_pred,) = [
-            pred for node in linearize(root)
-            for condition in getattr(node, "conditions", ())
-            for pred, _n in subplan_preds(condition)
-        ]
-        (np_join,) = [
-            item for item in linearize(count_pred.subplan) if isinstance(item, Join)
-        ]
-        assert np_join.physical is None
-        ((nested, _neg),) = [
-            found for condition in np_join.conditions
-            for found in subplan_preds(condition)
-        ]
-        (jj_join,) = [
-            item for item in linearize(nested.subplan) if isinstance(item, Join)
-        ]
-        assert jj_join.est_in == 1.0 and jj_join.physical == "probe"
+    def test_count_subplans_are_costed_from_the_owner(self, engine):
+        # count() runs over its owner's whole batch, like exists: its
+        # joins, and an exists nested inside them, are costed from the
+        # owner's estimate — exactly as the same steps on the main chain.
+        with environment(**{FORCE_ENV: None}):
+            root = engine.compile("//S[count(//NP[//JJ])>2]").logical
+            (count_pred,) = [
+                pred for node in linearize(root)
+                for condition in getattr(node, "conditions", ())
+                for pred, _n in subplan_preds(condition)
+            ]
+            (np_join,) = [
+                item for item in linearize(count_pred.subplan)
+                if isinstance(item, Join)
+            ]
+            assert np_join.est_in == engine.compile("//S").count()
+            ((nested, _neg),) = [
+                found for condition in np_join.conditions
+                for found in subplan_preds(condition)
+            ]
+            (jj_join,) = [
+                item for item in linearize(nested.subplan)
+                if isinstance(item, Join)
+            ]
+            chain = [
+                item for item in linearize(engine.compile("//S//NP").logical)
+                if isinstance(item, Join)
+            ]
+            assert [(j.est_in, j.physical) for j in chain] == [
+                (np_join.est_in, np_join.physical)]
+            (jj_twin,) = _subplan_joins(engine, "//S//NP[//JJ]")
+            assert jj_join.est_in == jj_twin[2] > 1.0
+            assert jj_join.physical == jj_twin[1]
+            assert jj_join.physical.startswith("merge/")

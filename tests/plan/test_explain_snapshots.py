@@ -47,6 +47,8 @@ SNAPSHOTS = [
     ("lpath_scope_aligned", "lpath", "//VP{//NP$}", {}),
     ("lpath_negated_exists", "lpath", "//NP[not(//Det) and not(//Adj)]", {}),
     ("lpath_count", "lpath", "//NP[count(//N)>1]", {}),
+    ("lpath_value_comparison", "lpath", "//NP[//N=dog or not(/N=man)]", {}),
+    ("lpath_position", "lpath", "//VP/_[position()=last()]", {}),
     ("lpath_name_function", "lpath", "//_[name()=NP]", {}),
     ("lpath_exists_pivot", "lpath", "//S[//NP/N]", {"pivot": True}),
     ("lpath_columnar_scan", "lpath", "//S//NP", {}),

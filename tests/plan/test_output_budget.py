@@ -197,18 +197,12 @@ FIG_6C_COUNTS = [
 HANDFUL = 4
 
 
-def test_the_fig_6c_suite_runs_no_per_binding_loop(engine, monkeypatch):
-    """Warm, on two segments: no query re-enters the per-row runner
-    (``_run_steps``, a ``_RowSelect``) or probes a value seed binding by
-    binding, and the per-binding candidate filters run for a rare tag's
-    handful of bindings at most — every large batch, the value-seeded
-    predicate joins of Q1, Q10 and Q11 included, goes through a structural
-    merge join, and every scan materializes without a filter pass.  A
-    regression names the query that fell back."""
-    from repro.bench import QUERY_SET
-
-    texts = [query.lpath for query in QUERY_SET]
-    for text in texts:   # warm: plans bound, seed lists built
+def assert_no_per_binding_loop(engine, monkeypatch, cases) -> None:
+    """Warm, then for each ``(name, text, expected count)``: no per-row
+    check (a ``_RowSelect``) and no per-binding value-seed probe runs, and
+    the per-binding candidate filters run for a rare tag's handful of
+    bindings at most.  A regression names the query that fell back."""
+    for _name, text, _expected in cases:   # warm: plans bound, seeds built
         engine.query(text)
 
     def refuse(name):
@@ -226,7 +220,6 @@ def test_the_fig_6c_suite_runs_no_per_binding_loop(engine, monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(columnar_executor, "_run_steps", refuse("_run_steps"))
     monkeypatch.setattr(
         columnar_executor._RowSelect, "select", refuse("_RowSelect.select"))
     monkeypatch.setattr(
@@ -234,9 +227,44 @@ def test_the_fig_6c_suite_runs_no_per_binding_loop(engine, monkeypatch):
         refuse("_ValueSeedProbe.__call__"))
     for name in per_binding:
         monkeypatch.setattr(columnar_executor, name, counting(name))
-    for number, (text, expected) in enumerate(zip(texts, FIG_6C_COUNTS), 1):
+    for name, text, expected in cases:
         per_binding.update(_first_passing=0, _apply_filters=0)
-        assert len(engine.query(text)) == expected, f"Q{number} {text}"
+        assert len(engine.query(text)) == expected, f"{name} {text}"
         assert sum(per_binding.values()) <= HANDFUL, (
-            f"Q{number} {text} filtered candidates per binding: {per_binding}"
+            f"{name} {text} filtered candidates per binding: {per_binding}"
         )
+
+
+def test_the_fig_6c_suite_runs_no_per_binding_loop(engine, monkeypatch):
+    """Every large batch of the 23 queries, the value-seeded predicate
+    joins of Q1, Q10 and Q11 included, goes through a structural merge
+    join, and every scan materializes without a filter pass."""
+    from repro.bench import QUERY_SET
+
+    assert_no_per_binding_loop(engine, monkeypatch, [
+        (f"Q{number}", query.lpath, expected)
+        for number, (query, expected) in enumerate(
+            zip(QUERY_SET, FIG_6C_COUNTS), 1)
+    ])
+
+
+#: ``count()``, value comparisons and ``position()`` beside their
+#: ``exists`` twins, with ``len(engine.query(q))`` on this corpus (pinned).
+PREDICATE_COUNTS = [
+    ("count=0", "//VP[count(/NP)=0]", 150),
+    ("count<1", "//VP[count(/NP)<1]", 150),
+    ("not exists", "//VP[not(/NP)]", 150),
+    ("count>0", "//NP[count(//DT)>0]", 562),
+    ("exists", "//NP[//DT]", 562),
+    ("value=", "//NP[/NN=company]", 83),
+    ("value seed", "//NP[/NN[@lex=company]]", 83),
+    ("value>", "//CD[.>1000]", 5),
+    ("position", "//NP/_[position()=last()]", 798),
+]
+
+
+def test_predicates_run_no_per_binding_loop(engine, monkeypatch):
+    """``count()``, value comparisons and ``position()`` run set-at-a-time
+    like the ``exists`` twins beside them: as selectors over their
+    step's whole output, never a per-row check."""
+    assert_no_per_binding_loop(engine, monkeypatch, PREDICATE_COUNTS)

@@ -15,6 +15,7 @@ import pickle
 import pytest
 
 from repro.corpus.generator import generate_corpus, replicate_corpus
+from repro.labeling import xpath_scheme
 from repro.tree import (
     TreeError, figure1_tree, format_tree, iter_trees, validate, write_trees,
 )
@@ -22,6 +23,12 @@ from repro.tree import (
 #: sha256 of the bracketed WSJ corpus below, one tree a line, pinned before
 #: parent links became weak: the generator's output must not move.
 WSJ_200_SEED_7 = "107e7b9137dedbb51e38e1f3a1d30903c6af7f48533417df93cffd9a7aeb21ef"
+
+#: sha256 of ``repr(list(xpath_scheme.label_corpus(SOURCE)))``, pinned
+#: while the labeller was still a recursive closure.
+XPATH_ROWS_50_SEED_3 = (
+    "e43c5d4417bfaec44694bdf1145ca3c031496fdff0bd474046475c568d4585c5"
+)
 
 
 def bracketed(trees) -> str:
@@ -46,6 +53,21 @@ def test_a_dropped_corpus_leaves_no_cyclic_garbage(kind):
     assert len(trees) >= 50
     del trees
     assert gc.collect() == 0
+
+
+def test_xpath_labelling_leaves_no_cyclic_garbage():
+    """The start/end labeller walks each tree without a self-referencing
+    closure, so labelling a corpus (the collector paused, as a build
+    runs) leaves nothing for the collector; the rows do not move."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = list(xpath_scheme.label_corpus(SOURCE))
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert gc.collect() == 0
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == XPATH_ROWS_50_SEED_3
 
 
 def collections_during(build) -> tuple[list, object]:
