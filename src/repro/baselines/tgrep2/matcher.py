@@ -67,7 +67,7 @@ class TTree:
             converted.parent = node
             converted.index_in_parent = len(node.children)
             node.children.append(converted)
-        word = source.attributes.get("lex")
+        word = source.word
         if word is not None:
             leaf = TNode(word, source.node_id, is_word=True)
             leaf.parent = node
@@ -109,10 +109,6 @@ class Matcher:
                 bindings: Bindings = {}
                 if self._match_at(node, pattern, bindings):
                     yield node
-
-    def match_at(self, node: TNode, pattern: Pattern) -> bool:
-        """Does the pattern match with its head at ``node``?"""
-        return self._match_at(node, pattern, {})
 
     # -- internals -----------------------------------------------------------
 

@@ -90,5 +90,5 @@ def _copy_node(node: TreeNode) -> TreeNode:
     return TreeNode(
         node.label,
         children=[_copy_node(child) for child in node.children],
-        attributes=dict(node.attributes),
+        attributes=dict(node.attribute_items()),
     )

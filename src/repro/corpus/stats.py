@@ -39,7 +39,7 @@ def corpus_stats(trees: Sequence[Tree]) -> CorpusStats:
             tags.add(node.label)
             if node.depth > max_depth:
                 max_depth = node.depth
-            if "lex" in node.attributes:
+            if node.word is not None:
                 word_count += 1
     return CorpusStats(
         file_size_bytes=file_size,

@@ -81,10 +81,7 @@ def label_columns(trees: Iterable[Tree]) -> tuple:
             pid(parent_id)
             name(node.label)
             value(None)
-            attributes = node.attributes
-            if not attributes:
-                continue
-            for key in sorted(attributes):
+            for key, text in node.attribute_items():
                 tid(tree_id)
                 left(lo)
                 right(hi)
@@ -92,7 +89,7 @@ def label_columns(trees: Iterable[Tree]) -> tuple:
                 ids(node_id)
                 pid(parent_id)
                 name(ATTRIBUTE_PREFIX + key)
-                value(attributes[key])
+                value(text)
     return columns
 
 
@@ -119,11 +116,8 @@ def label_corpus(trees: Iterable[Tree]) -> Iterator[Label]:
             yield new(Label, (
                 tree_id, lo, hi, level, node_id, parent_id, node.label, None,
             ))
-            attributes = node.attributes
-            if not attributes:
-                continue
-            for key in sorted(attributes):
+            for key, text in node.attribute_items():
                 yield new(Label, (
                     tree_id, lo, hi, level, node_id, parent_id,
-                    ATTRIBUTE_PREFIX + key, attributes[key],
+                    ATTRIBUTE_PREFIX + key, text,
                 ))

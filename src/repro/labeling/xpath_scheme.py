@@ -55,8 +55,8 @@ def label_tree(tree: Tree) -> list[XPathLabel]:
             continue
         row = (tree.tid, start, counter, node.depth, node.node_id, pid)
         rows.append(XPathLabel(*row, node.label, None))
-        for attr_name in sorted(node.attributes):
-            rows.append(XPathLabel(*row, "@" + attr_name, node.attributes[attr_name]))
+        for attr_name, text in node.attribute_items():
+            rows.append(XPathLabel(*row, "@" + attr_name, text))
     rows.sort(key=lambda row: (row.start, row.name))
     return rows
 

@@ -52,7 +52,7 @@ class AttributeItem:
 
     @property
     def value(self) -> str:
-        return self.node.attributes[self.name]
+        return dict(self.node.attribute_items())[self.name]
 
 
 Item = Union[TreeNode, AttributeItem]
@@ -249,11 +249,10 @@ class TreeWalkEvaluator:
 
     def _attribute_candidates(self, step: Step, context: TreeNode) -> list[Item]:
         name = step.test.name
-        if name == "_":
-            return [AttributeItem(context, attr) for attr in sorted(context.attributes)]
-        if name in context.attributes:
-            return [AttributeItem(context, name)]
-        return []
+        return [
+            AttributeItem(context, attr) for attr, _ in context.attribute_items()
+            if name in ("_", attr)
+        ]
 
     # -- predicates ------------------------------------------------------------------
 

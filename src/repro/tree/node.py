@@ -42,6 +42,10 @@ def collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+#: Every leaf's children: one shared empty tuple, until ``append`` swaps in a list.
+_NO_CHILDREN: tuple = ()
+
+
 class TreeError(ValueError):
     """Raised for structurally invalid trees or invalid tree operations."""
 
@@ -57,8 +61,11 @@ class TreeNode:
         Ordered child nodes.  A node with no children is a terminal
         (pre-terminal carrying a word, or an empty category).
     attributes:
-        Attribute name to value mapping.  The conventional attribute for a
-        terminal's word is ``lex`` (rendered ``@lex`` in LPath).
+        Attribute name to value mapping, copied into one slot: ``None``, the
+        word alone (a terminal's only attribute ``lex``, rendered ``@lex`` in
+        LPath) or a dict.  :attr:`attributes` builds and keeps the dict, so
+        writes through it persist; :attr:`word` and :meth:`attribute_items`
+        read the slot as it is.
 
     A node owns its children; :attr:`parent` is a weak link, so trees are
     acyclic and a dropped one is freed by reference counting.  A node keeps
@@ -69,7 +76,7 @@ class TreeNode:
     __slots__ = (
         "label",
         "children",
-        "attributes",
+        "_attrs",
         "_parent",
         "left",
         "right",
@@ -88,8 +95,13 @@ class TreeNode:
         if not label:
             raise TreeError("node label must be a non-empty string")
         self.label = label
-        self.children: list[TreeNode] = []
-        self.attributes: dict[str, str] = dict(attributes or {})
+        self.children: Sequence[TreeNode] = _NO_CHILDREN
+        if not attributes:
+            self._attrs = None
+        elif len(attributes) == 1 and isinstance(attributes.get("lex"), str):
+            self._attrs = attributes["lex"]
+        else:
+            self._attrs = dict(attributes)
         self._parent: Optional[weakref.ref] = None  # see ``parent``
         # Span annotations; populated by Tree.index().
         self.left: int = 0
@@ -114,6 +126,8 @@ class TreeNode:
         if child.parent is not None:
             raise TreeError("node already has a parent; detach it first")
         child._parent = weakref.ref(self)
+        if not self.children:
+            self.children = []
         child._index_in_parent = len(self.children)
         self.children.append(child)
         return child
@@ -151,9 +165,27 @@ class TreeNode:
         return not self.children
 
     @property
+    def attributes(self) -> dict[str, str]:
+        """Attribute name to value, as a dict this node keeps from now on."""
+        attrs = self._attrs
+        if not isinstance(attrs, dict):
+            attrs = self._attrs = {} if attrs is None else {"lex": attrs}
+        return attrs
+
+    def attribute_items(self) -> Sequence[tuple[str, str]]:
+        """``(name, value)`` pairs sorted by name, without building a dict."""
+        attrs = self._attrs
+        if attrs is None:
+            return ()
+        if isinstance(attrs, str):
+            return (("lex", attrs),)
+        return sorted(attrs.items())
+
+    @property
     def word(self) -> Optional[str]:
         """The terminal word (``@lex`` attribute) if present."""
-        return self.attributes.get("lex")
+        attrs = self._attrs
+        return attrs.get("lex") if isinstance(attrs, dict) else attrs
 
     @property
     def index_in_parent(self) -> int:

@@ -105,11 +105,6 @@ def immediately_follows(tree: Tree, x: TreeNode, y: TreeNode) -> bool:
     return True
 
 
-def immediately_precedes(tree: Tree, x: TreeNode, y: TreeNode) -> bool:
-    """Inverse of :func:`immediately_follows`."""
-    return immediately_follows(tree, y, x)
-
-
 def is_following_sibling(tree: Tree, x: TreeNode, y: TreeNode) -> bool:
     """True when ``x`` is a sibling of ``y`` appearing after it."""
     return is_sibling(x, y) and x.index_in_parent > y.index_in_parent

@@ -18,7 +18,8 @@ expected spans repeat per tid.  ``explain()`` pins which merge strategy
 (``sweep``, ``stack``, ``prefix``) and which ``first_match`` step a case
 reaches, so a wrong comparison in the merge join's reference loop or in a
 kernel fails the test named after its axis.  The positional axes also
-carry ``position()`` / ``last()`` goldens, written as node ids.
+carry ``position()`` / ``last()`` goldens, written as node ids, and a
+numeric ``!=`` against words that are no number has its own small tree.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 from repro.columnar.kernels import native_kernels
 from repro.columnar.structural import Cutoff, MergeJoinStep
 from repro.lpath import LPathEngine
-from repro.tree import figure1_tree
+from repro.tree import figure1_tree, parse_tree
 
 NATIVE = native_kernels() is not None
 
@@ -235,6 +236,30 @@ def test_position_golden(mode, query, expected):
     _force, _kernels, engine, tids = mode
     got = list(engine.query(query))
     assert got == sorted((tid, node_id) for tid in tids for node_id in expected)
+
+
+#: Nodes 1-11 in document order: S, NP, Det (the), N (dog), VP, V (saw),
+#: NP, N (2), NP, Det (a), N (3).
+NUMBERS = "( (S (NP (Det the) (N dog)) (VP (V saw) (NP (N 2)) (NP (Det a) (N 3)))) )"
+
+
+@pytest.fixture(scope="module")
+def number_engines():
+    """``{segments: engine}`` over :data:`NUMBERS`, as ``engines``."""
+    trees = [parse_tree(NUMBERS, tid) for tid in range(3)]
+    return {1: LPathEngine(trees[:1]), 3: LPathEngine(trees, segments=3)}
+
+
+@pytest.mark.parametrize("mode", MODES, indirect=True)
+@pytest.mark.parametrize("query", ["//N[@lex!=2]", "//N[.!=2]"])
+def test_numeric_not_equal_golden(mode, number_engines, query):
+    """XPath reads ``dog`` as NaN, and ``NaN != 2`` holds: N 4 (dog) and
+    N 11 (3) pass, N 8 (2) does not, as on the tree walk."""
+    _force, _kernels, _engine, tids = mode
+    engine = number_engines[len(tids)]
+    expected = [(tid, node_id) for tid in tids for node_id in (4, 11)]
+    assert list(engine.query(query)) == expected
+    assert list(engine.query(query, backend="treewalk")) == expected
 
 
 #: ``limit=k`` (a top-k ``Cutoff`` on every merge join) over three trees:

@@ -151,8 +151,13 @@ def _predicate(
     if kind == "attr-exists":
         return "@lex"
     if kind == "attr-cmp":
-        op = draw(st.sampled_from(["=", "!="]))
-        return f"@lex{op}{draw(words)}"
+        # Against a word as text, or against a number: a word that is no
+        # number reads as NaN, which only ``!=`` holds against.
+        if draw(st.booleans()):
+            op = draw(st.sampled_from(["=", "!="]))
+            return f"@lex{op}{draw(words)}"
+        op = draw(st.sampled_from(_COMPARE_OPS))
+        return f"@lex{op}{draw(st.integers(min_value=0, max_value=3))}"
     if kind == "name-cmp":
         op = draw(st.sampled_from(["=", "!="]))
         return f"name(){op}{draw(labels)}"
@@ -162,12 +167,12 @@ def _predicate(
         return f"count({draw(_relative_path(separators))}){op}{target}"
     if kind == "value-cmp":
         # A path's string values against a word, or the context node's
-        # own value read as a number (``>`` only: a value that is no
-        # number compares false either way).
+        # own value read as a number.
         if draw(st.booleans()):
             op = draw(st.sampled_from(["=", "!="]))
             return f"{draw(_relative_path(separators))}{op}{draw(words)}"
-        return f".>{draw(st.integers(min_value=0, max_value=3))}"
+        op = draw(st.sampled_from(_COMPARE_OPS))
+        return f".{op}{draw(st.integers(min_value=0, max_value=3))}"
     inner = _predicate(depth - 1, separators, element_values)
     if kind == "not":
         return f"not({draw(inner)})"

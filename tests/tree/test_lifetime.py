@@ -1,9 +1,11 @@
-"""Tree lifetime: trees are acyclic object graphs.
+"""Tree lifetime and memory: trees are compact, acyclic object graphs.
 
 A node holds its children and only a weak link to its parent, so a dropped
 corpus is freed by reference counting and leaves nothing for the cyclic
-collector, and corpora are built with the collector paused.  These tests
-count objects and collections, never time.
+collector, and corpora are built with the collector paused.  A leaf shares
+one empty tuple as its children, and a node keeps its word in one slot, so
+no leaf owns a list and no node a dict until ``attributes`` is read.  These
+tests count objects, bytes and collections, never time.
 """
 
 import copy
@@ -11,13 +13,16 @@ import gc
 import hashlib
 import io
 import pickle
+import tracemalloc
 
 import pytest
 
 from repro.corpus.generator import generate_corpus, replicate_corpus
-from repro.labeling import xpath_scheme
+from repro.labeling import label_columns, label_corpus, xpath_scheme
+from repro.lpath import TreeWalkEvaluator
 from repro.tree import (
-    TreeError, figure1_tree, format_tree, iter_trees, validate, write_trees,
+    Tree, TreeError, TreeNode, figure1_tree, format_tree, iter_trees, validate,
+    write_trees,
 )
 
 #: sha256 of the bracketed WSJ corpus below, one tree a line, pinned before
@@ -170,3 +175,91 @@ def test_a_copied_tree_links_to_its_own_nodes(copy_tree):
     subtree = copy_tree(tree.root.children[1])
     assert subtree.parent is None
     assert all(child.parent is subtree for child in subtree.children)
+
+
+def containers(trees) -> tuple[int, int]:
+    """``(leaves owning a list, nodes owning a dict)`` over ``trees``."""
+    nodes = [node for tree in trees for node in tree.nodes]
+    return (
+        sum(isinstance(node.children, list) for node in nodes if not node.children),
+        sum(isinstance(node._attrs, dict) for node in nodes),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_a_corpus_holds_no_leaf_list_and_no_dict(kind):
+    trees = BUILDS[kind]()
+    assert all(node.word for tree in trees for node in tree.leaves())
+    assert containers(trees) == (0, 0)
+
+
+READERS = {
+    "label_columns": label_columns,
+    "label_corpus": lambda trees: list(label_corpus(trees)),
+    "xpath_labeller": lambda trees: list(xpath_scheme.label_corpus(trees)),
+    "format_tree": lambda trees: [format_tree(tree) for tree in trees],
+    "treewalk": lambda trees: [
+        TreeWalkEvaluator(trees).query(text)
+        for text in ("//NP[//_[@lex!=the]]", "//VP[//NN=company]//_[@_]")
+    ],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_reading_a_corpus_builds_no_dict(reader):
+    trees = generate_corpus("wsj", 50, 3)
+    assert READERS[reader](trees)
+    assert containers(trees) == (0, 0)
+
+
+def test_a_generated_corpus_costs_at_most_230_bytes_a_node():
+    """``tracemalloc`` bytes held by the corpus per node (≈ 207 at the
+    time of writing; ≈ 367 with a dict and a list on every node)."""
+    generate_corpus("wsj", 5, 7)   # profiles and lexicons loaded
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        trees = generate_corpus("wsj", 500, 7)
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert held / sum(len(tree) for tree in trees) <= 230
+
+
+def test_writes_through_attributes_persist_and_reach_the_rows():
+    tree = figure1_tree()
+    leaf, root = tree.leaves()[0], tree.root
+    leaf.attributes["lex"] = "we"
+    leaf.attributes["pos"] = "PRP"
+    root.attributes["id"] = "s1"
+    assert leaf.word == "we" and leaf.attributes == {"lex": "we", "pos": "PRP"}
+    assert leaf.attribute_items() == [("lex", "we"), ("pos", "PRP")]
+    rows = {(row.id, row.name, row.value) for row in label_corpus([tree])}
+    assert {(leaf.node_id, "@lex", "we"), (leaf.node_id, "@pos", "PRP"),
+            (root.node_id, "@id", "s1")} <= rows
+    assert list(zip(*label_columns([tree]))) == [tuple(row) for row in label_corpus([tree])]
+
+
+@pytest.mark.parametrize("given", [{"lex": "dog"}, {"lex": "dog", "pos": "NN"}])
+def test_a_node_does_not_alias_its_attributes(given):
+    node = TreeNode("N", attributes=given)
+    given["lex"] = "cat"
+    assert node.word == "dog" and node.attributes is not given
+
+
+@pytest.mark.parametrize("attributes", [
+    None, {"lex": "dog"}, {"lex": "dog", "pos": "NN"}, {"pos": "NN"},
+], ids=["none", "word", "dict", "dict-without-word"])
+@pytest.mark.parametrize("copy_node", [
+    copy.deepcopy, lambda node: pickle.loads(pickle.dumps(node)),
+], ids=["deepcopy", "pickle"])
+def test_copies_keep_every_attribute_kind(attributes, copy_node):
+    node = TreeNode("NP", [TreeNode("N", attributes=attributes)], attributes=attributes)
+    tree = copy_node(Tree(node))
+    expected = sorted((attributes or {}).items())
+    for copied, original in zip(tree.nodes, (node, node.children[0])):
+        assert type(copied._attrs) is type(original._attrs)
+        assert list(copied.attribute_items()) == expected
+        assert copied.word == (attributes or {}).get("lex")
+    assert type(tree.root.children[0].children) is tuple
+    assert format_tree(tree) == format_tree(Tree(node))
