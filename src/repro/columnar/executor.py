@@ -49,12 +49,13 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import compress, repeat, starmap
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..lpath.axes import Axis
 from ..lpath.errors import LPathCompileError
+from ..lpath.functions import as_float
 from ..plan.ir import (
     AllPred,
     AnyPred,
@@ -90,7 +91,7 @@ from ..plan.ir import (
     COLUMN_NAMES as IR_COLUMN_NAMES,
     I, L, P, R, T, V,
 )
-from ..plan.lower import COMPARISONS as _OPS, as_float
+from ..plan.lower import COMPARISONS as _OPS
 from ..faults import active_injector
 from .kernels.api import NativeRangeFilter, bind_checks, classify_checks
 from .result import EMPTY, ResultBatch, python_emit_pairs
@@ -845,18 +846,10 @@ class _JoinStep(JoinOutput):
         checks, and for ``first_match`` each binding's first survivor."""
         (tid_slot, id_slot), store = self.children, self.store
         src, res = array("q"), array("q")
-        keys = zip(
-            map(store.tid.__getitem__, batch[tid_slot]),
+        for i, rows in enumerate(map(
+            store.children_rows, map(store.tid.__getitem__, batch[tid_slot]),
             map(store.id.__getitem__, batch[id_slot]),
-        )
-        slices = None
-        if any(isinstance(selector, _PositionSelect) for selector in self.semi):
-            keys = list(keys)  # a position() ranks in the same slices
-            slices = {key: store.children_rows(*key) for key in dict.fromkeys(keys)}
-        for i, rows in enumerate(
-            starmap(store.children_rows, keys) if slices is None
-            else map(slices.__getitem__, keys)
-        ):
+        )):
             res.extend(rows)
             src.extend(repeat(i, len(rows)))
         for column, opf, rhs_slot, payload in self.vector:
@@ -871,9 +864,6 @@ class _JoinStep(JoinOutput):
             ), src, res)
         if first_match and src:
             src, res = _kept([True, *map(operator.ne, src[1:], src)], src, res)
-        if slices is not None:
-            res = _ChildRows("q", res)
-            res.slices = slices
         return src, res
 
     def describe(self, first_match: bool = False) -> str:
@@ -883,12 +873,6 @@ class _JoinStep(JoinOutput):
             f" | vector={len(self.vector)}{_semi_tag(self.semi)}"
             f" row={len(self.row)}{via}{' first_match' if first_match else ''})"
         )
-
-
-class _ChildRows(array):
-    """A wildcard child step's candidate column, carrying the children
-    slices it was cut from (``slices``, by ``(tid, parent id)``), so a
-    ``position()`` on its rows ranks in them without a second lookup."""
 
 
 def _kept(passed: Iterable, *columns: array) -> list[array]:
@@ -1398,12 +1382,10 @@ class _PositionSelect:
     """``position()`` / ``last()`` on a sibling-family step as a rank among
     the candidate's siblings that pass the step's name test: its slice of
     the children index (in span order, so both span edges ascend), built
-    once per ``(tid, pid)`` and ``select`` (from the slice a children
-    expansion already cut, when the candidates come from one).  On the
-    child axis it ranks among all of them, on the following axes among
-    those starting at or after the context's right edge, on the preceding
-    axes among those ending at or before its left edge, from the context
-    outwards."""
+    once per ``(tid, pid)`` and ``select``.  On the child axis it ranks
+    among all of them, on the following axes among those starting at or
+    after the context's right edge, on the preceding axes among those
+    ending at or before its left edge, from the context outwards."""
 
     def __init__(self, pred: PositionPred) -> None:
         self.pred = pred
@@ -1421,7 +1403,6 @@ class _PositionSelect:
         left, right = store.left.__getitem__, store.right.__getitem__
         axis, compare, target = pred.axis, _OPS[pred.op], pred.target
         cands, contexts = batch[pred.cand_slot], batch[pred.ctx_slot]
-        slices = getattr(cands, "slices", {})
         groups: dict = {}
         kept = array("q")
         for i in sel:
@@ -1430,7 +1411,7 @@ class _PositionSelect:
             rows = groups.get(key)
             if rows is None:
                 rows = groups[key] = [
-                    row for row in slices.get(key) or store.children_rows(*key)
+                    row for row in store.children_rows(*key)
                     if (not is_attr[row] if pred.test_name is None
                         else names[row] == pred.test_name)
                 ]

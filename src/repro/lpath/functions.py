@@ -8,6 +8,7 @@ linguistic queries and the XPath-rewrite comparisons is implemented here:
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Optional
 
 from .ast import FunctionCall
@@ -33,6 +34,21 @@ FUNCTIONS: dict[str, FunctionSpec] = {
         FunctionSpec("false", 0, 0, "boolean"),
     )
 }
+
+
+#: A string ``number()`` reads as a number: an optional minus and ASCII
+#: digits with at most one point, between whitespace.  Any other string
+#: (``inf``, ``nan``, ``1e5``, ``+2``, ``1_000``) is NaN.
+_NUMBER = re.compile(r"\s*-?(?:\d+\.?\d*|\.\d+)\s*", re.ASCII)
+
+
+def as_float(value) -> Optional[float]:
+    """``value`` as XPath's ``number()`` reads it; None for NaN."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str) and _NUMBER.fullmatch(value):
+        return float(value)
+    return None
 
 
 def validate_call(call: FunctionCall) -> Optional[str]:

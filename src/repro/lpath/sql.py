@@ -336,13 +336,15 @@ class _State:
         value = _col(final, "value")
         if isinstance(literal, Number):
             # A value that is no number is NaN, against which only != holds;
-            # it equals its REAL cast only if SQLite reads all of it as one.
+            # it equals its REAL cast only if SQLite reads all of it as one,
+            # and number() reads no sign + and no exponent.
             number = literal.value
             rendered = str(int(number)) if number == int(number) else str(number)
             real = f"CAST({value} AS REAL)"
-            condition = f"({value} = {real} AND {real} {_sql_op(op)} {rendered})"
+            numeric = f"{value} = {real} AND {value} NOT GLOB '*[+Ee]*'"
+            condition = f"({numeric} AND {real} {_sql_op(op)} {rendered})"
             if op == "!=":
-                condition = f"NOT ({value} = {real} AND {real} = {rendered})"
+                condition = f"NOT ({numeric} AND {real} = {rendered})"
         elif op in ("<", "<=", ">", ">="):
             condition = f"CAST({value} AS REAL) {_sql_op(op)} CAST({_quote_string(literal.value)} AS REAL)"
         else:

@@ -38,6 +38,7 @@ from .ast import (
 )
 from .axes import Axis, REVERSE_AXES
 from .errors import LPathEvaluationError
+from .functions import as_float
 from .parser import parse
 
 
@@ -52,7 +53,8 @@ class AttributeItem:
 
     @property
     def value(self) -> str:
-        return dict(self.node.attribute_items())[self.name]
+        node = self.node  # only a node with a dict has a name besides lex
+        return node.word if self.name == "lex" else node.attributes[self.name]
 
 
 Item = Union[TreeNode, AttributeItem]
@@ -397,7 +399,7 @@ def _compare_values(left, right, op: str) -> bool:
 
 def _compare_scalars(left, right, op: str) -> bool:
     if op in ("<", "<=", ">", ">="):
-        left_num, right_num = _to_number(left), _to_number(right)
+        left_num, right_num = as_float(left), as_float(right)
         if left_num is None or right_num is None:
             return False
         if op == "<":
@@ -408,7 +410,7 @@ def _compare_scalars(left, right, op: str) -> bool:
             return left_num > right_num
         return left_num >= right_num
     if isinstance(left, (int, float)) or isinstance(right, (int, float)):
-        left_num, right_num = _to_number(left), _to_number(right)
+        left_num, right_num = as_float(left), as_float(right)
         if left_num is None or right_num is None:
             equal = False
         else:
@@ -416,14 +418,3 @@ def _compare_scalars(left, right, op: str) -> bool:
     else:
         equal = str(left) == str(right)
     return equal if op == "=" else not equal
-
-
-def _to_number(value) -> Optional[float]:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        return None

@@ -44,6 +44,7 @@ from ..lpath.ast import (
 from ..lpath import parser  # ``parser.parse`` read per call: tracers wrap it
 from ..lpath.axes import OR_SELF_BASES, Axis
 from ..lpath.errors import LPathCompileError
+from ..lpath.functions import as_float
 from .ir import (
     AGGREGATE_OPS,
     Aggregate,
@@ -802,13 +803,6 @@ def static_compare(left, op: str, right) -> bool:
     if left_number is None or right_number is None:
         return False
     return COMPARISONS[op](left_number, right_number)
-
-
-def as_float(value) -> Optional[float]:
-    try:
-        return float(str(value).strip())
-    except (TypeError, ValueError):
-        return None
 
 
 # Last: the optimizer imports this module's names.

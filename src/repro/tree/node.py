@@ -64,8 +64,9 @@ class TreeNode:
         Attribute name to value mapping, copied into one slot: ``None``, the
         word alone (a terminal's only attribute ``lex``, rendered ``@lex`` in
         LPath) or a dict.  :attr:`attributes` builds and keeps the dict, so
-        writes through it persist; :attr:`word` and :meth:`attribute_items`
-        read the slot as it is.
+        writes through it persist, and assigning it stores a copy, as the
+        constructor does; :attr:`word` and :meth:`attribute_items` read the
+        slot as it is.
 
     A node owns its children; :attr:`parent` is a weak link, so trees are
     acyclic and a dropped one is freed by reference counting.  A node keeps
@@ -96,12 +97,7 @@ class TreeNode:
             raise TreeError("node label must be a non-empty string")
         self.label = label
         self.children: Sequence[TreeNode] = _NO_CHILDREN
-        if not attributes:
-            self._attrs = None
-        elif len(attributes) == 1 and isinstance(attributes.get("lex"), str):
-            self._attrs = attributes["lex"]
-        else:
-            self._attrs = dict(attributes)
+        self.attributes = attributes
         self._parent: Optional[weakref.ref] = None  # see ``parent``
         # Span annotations; populated by Tree.index().
         self.left: int = 0
@@ -172,14 +168,24 @@ class TreeNode:
             attrs = self._attrs = {} if attrs is None else {"lex": attrs}
         return attrs
 
-    def attribute_items(self) -> Sequence[tuple[str, str]]:
+    @attributes.setter
+    def attributes(self, attributes: Optional[Mapping[str, str]]) -> None:
+        """Store a copy of ``attributes`` in the slot, never the mapping itself."""
+        if not attributes:
+            self._attrs = None
+        elif len(attributes) == 1 and isinstance(attributes.get("lex"), str):
+            self._attrs = attributes["lex"]
+        else:
+            self._attrs = dict(attributes)
+
+    def attribute_items(self) -> tuple[tuple[str, str], ...]:
         """``(name, value)`` pairs sorted by name, without building a dict."""
         attrs = self._attrs
         if attrs is None:
             return ()
         if isinstance(attrs, str):
             return (("lex", attrs),)
-        return sorted(attrs.items())
+        return tuple(sorted(attrs.items()))
 
     @property
     def word(self) -> Optional[str]:

@@ -10,7 +10,7 @@ from repro.lpath import (
     engine_from_bracketed,
     parse,
 )
-from repro.tree import figure1_tree
+from repro.tree import Tree, TreeNode, figure1_tree
 
 
 @pytest.fixture(scope="module")
@@ -178,3 +178,32 @@ class TestSQLGenerator:
             rows = engine.sqlite.execute(sql)
             assert rows == [tuple(pair) for pair in engine.query(query)] or \
                 sorted(rows) == engine.query(query)
+
+
+#: Words number() reads as 2, 0.5 and -2, then words it reads as NaN though
+#: Python's float() or SQLite's numeric affinity reads a number in them.
+#: They are nodes 2-13 of one flat S.
+NUMBER_WORDS = [
+    "2", " 2 ", "2.", ".5", "-2",
+    "+2", "1e5", "inf", "nan", "1_000", "\u0663", "0x10",
+]
+
+
+@pytest.mark.parametrize("query, expected", [
+    pytest.param("//N[@lex=2]", [2, 3, 4], marks=pytest.mark.xfail(
+        strict=True, reason="the plan's value seed matches the text '2' only")),
+    ("//N[@lex!=2]", [5, 6, 7, 8, 9, 10, 11, 12, 13]),
+    ("//N[@lex>0]", [2, 3, 4, 5]),
+    ("//N[@lex<0]", [6]),
+    ("//N[.>=-2]", [2, 3, 4, 5, 6]),
+])
+def test_number_reads_words_alike_on_every_backend(query, expected):
+    """Every backend reads a word as XPath's ``number()`` does: an
+    optional minus and ASCII digits with at most one point."""
+    root = TreeNode("S", [TreeNode("N", attributes={"lex": w}) for w in NUMBER_WORDS])
+    engine = LPathEngine([Tree(root)])
+    want = [(0, node_id) for node_id in expected]
+    for backend in ("plan", "sqlite", "treewalk"):
+        if backend == "sqlite" and "@" not in query:
+            continue  # SQL compares attribute values only
+        assert list(engine.query(query, backend=backend)) == want, backend

@@ -22,7 +22,6 @@ from repro.columnar import executor as columnar_executor
 from repro.columnar import result
 from repro.columnar.kernels.api import NativeKernels, kernels_backend
 from repro.columnar.result import ResultBatch
-from repro.columnar.store import GroupBounds
 from repro.corpus import generate_corpus
 from repro.lpath import LPathEngine
 from repro.store import save_corpus
@@ -269,24 +268,3 @@ def test_predicates_run_no_per_binding_loop(engine, monkeypatch):
     like the ``exists`` twins beside them: as selectors over their
     step's whole output, never a per-row check."""
     assert_no_per_binding_loop(engine, monkeypatch, PREDICATE_COUNTS)
-
-
-def test_a_children_slice_is_looked_up_once_per_group(engine, monkeypatch):
-    """A wildcard child step with a ``position()`` looks up each distinct
-    ``(tid, parent)`` children slice once per batch: the expansion cuts
-    it and the rank reuses it (the parent ``NP`` bindings are the
-    groups)."""
-    text = "//NP/_[position()=last()]"
-    engine.query(text)   # warm: the plan is bound
-    groups = len(set(engine.query("//NP")))
-    lookups = 0
-    real = GroupBounds.get
-
-    def counting(self, *args):
-        nonlocal lookups
-        lookups += 1
-        return real(self, *args)
-
-    monkeypatch.setattr(GroupBounds, "get", counting)
-    assert len(engine.query(text)) == 798
-    assert lookups == groups

@@ -233,11 +233,14 @@ def test_writes_through_attributes_persist_and_reach_the_rows():
     leaf.attributes["pos"] = "PRP"
     root.attributes["id"] = "s1"
     assert leaf.word == "we" and leaf.attributes == {"lex": "we", "pos": "PRP"}
-    assert leaf.attribute_items() == [("lex", "we"), ("pos", "PRP")]
+    assert leaf.attribute_items() == (("lex", "we"), ("pos", "PRP"))
     rows = {(row.id, row.name, row.value) for row in label_corpus([tree])}
     assert {(leaf.node_id, "@lex", "we"), (leaf.node_id, "@pos", "PRP"),
             (root.node_id, "@id", "s1")} <= rows
     assert list(zip(*label_columns([tree]))) == [tuple(row) for row in label_corpus([tree])]
+    walk = TreeWalkEvaluator([tree])
+    assert walk.query("//_[@pos=PRP][@lex=we]") == [(tree.tid, leaf.node_id)]
+    assert walk.query("/_[@id=s1]") == [(tree.tid, root.node_id)]
 
 
 @pytest.mark.parametrize("given", [{"lex": "dog"}, {"lex": "dog", "pos": "NN"}])
@@ -245,6 +248,20 @@ def test_a_node_does_not_alias_its_attributes(given):
     node = TreeNode("N", attributes=given)
     given["lex"] = "cat"
     assert node.word == "dog" and node.attributes is not given
+
+
+@pytest.mark.parametrize("assigned, kind", [
+    ({}, type(None)), ({"lex": "we"}, str), ({"lex": "we", "pos": "PRP"}, dict),
+])
+def test_assigning_attributes_stores_a_copy_in_the_slot(assigned, kind):
+    tree = figure1_tree()
+    leaf = tree.leaves()[0]
+    leaf.attributes = assigned
+    expected = tuple(sorted(assigned.items()))
+    assigned["lex"] = "they"
+    assert type(leaf._attrs) is kind and leaf.attribute_items() == expected
+    rows = {(row.name, row.value) for row in label_corpus([tree]) if row.id == leaf.node_id}
+    assert {(f"@{name}", text) for name, text in expected} <= rows
 
 
 @pytest.mark.parametrize("attributes", [
@@ -256,10 +273,10 @@ def test_a_node_does_not_alias_its_attributes(given):
 def test_copies_keep_every_attribute_kind(attributes, copy_node):
     node = TreeNode("NP", [TreeNode("N", attributes=attributes)], attributes=attributes)
     tree = copy_node(Tree(node))
-    expected = sorted((attributes or {}).items())
+    expected = tuple(sorted((attributes or {}).items()))
     for copied, original in zip(tree.nodes, (node, node.children[0])):
         assert type(copied._attrs) is type(original._attrs)
-        assert list(copied.attribute_items()) == expected
+        assert copied.attribute_items() == expected
         assert copied.word == (attributes or {}).get("lex")
     assert type(tree.root.children[0].children) is tuple
     assert format_tree(tree) == format_tree(Tree(node))
