@@ -8,8 +8,9 @@ every join in the engine performs.
 
 import random
 
-from repro.labeling import label_tree, predicates
+from repro.labeling import label_tree
 from repro.lpath.axes import AXIS_INFO, TABLE_1
+from repro.oracle import predicates
 from repro.tree import figure1_tree
 
 

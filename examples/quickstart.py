@@ -3,13 +3,16 @@
 
 Builds the Figure 1 syntax tree for "I saw the old man with a dog today",
 shows its label relation (Figure 5), and runs every example query of
-Figure 2 on all three backends.
+Figure 2 on the engine, checked against the tree walk and the SQL
+translation run on SQLite (the references in ``repro.oracle``).
 
 Run:  python examples/quickstart.py
 """
 
 from repro import LPathEngine, figure1_tree
 from repro.labeling import label_tree
+from repro.lpath import parse
+from repro.oracle import SQLGenerator, SQLiteBackend, TreeWalkEvaluator
 from repro.tree import format_tree
 
 
@@ -26,6 +29,7 @@ def main() -> None:
               f"{row.pid:>3}  {row.name:<6} {value}")
 
     engine = LPathEngine([tree])
+    references = (TreeWalkEvaluator([tree]), SQLiteBackend(label_tree(tree)))
     figure2 = [
         ("//S[//_[@lex=saw]]", "sentences containing the word 'saw'"),
         ("//V==>NP", "NPs that are immediate following siblings of a verb"),
@@ -41,11 +45,11 @@ def main() -> None:
         rendered = ", ".join(f"{n.label}[{n.left},{n.right}]" for n in nodes)
         print(f"  {query:<22} {{{rendered}}}")
         print(f"    ({description})")
-        for backend in ("plan", "sqlite", "treewalk"):
-            assert engine.query(query, backend=backend) == engine.query(query)
+        for reference in references:
+            assert reference.query(query) == engine.query(query)
 
     print("\nTranslated SQL for //V->NP:")
-    print(engine.to_sql("//V->NP"))
+    print(SQLGenerator().generate(parse("//V->NP")))
 
 
 if __name__ == "__main__":

@@ -3,13 +3,17 @@
 
 Shows, for a few representative queries, the SQL text the translation
 module emits (Section 4 of the paper) and the physical plan the columnar
-executor runs, then cross-checks both backends.
+executor runs, then runs the SQL on SQLite and checks it against the
+engine.
 
 Run:  python examples/sql_translation.py
 """
 
 from repro import LPathEngine, figure1_tree
 from repro.corpus import generate_corpus
+from repro.labeling import label_corpus
+from repro.lpath import parse
+from repro.oracle import SQLGenerator, SQLiteBackend
 
 QUERIES = [
     "//V->NP",                      # immediate-following: equality join on labels
@@ -21,18 +25,20 @@ QUERIES = [
 
 
 def main() -> None:
-    engine = LPathEngine([figure1_tree()])
+    trees = [figure1_tree()]
+    engine = LPathEngine(trees)
+    sqlite = SQLiteBackend(label_corpus(trees))
     for query in QUERIES:
         print("=" * 72)
         print("LPath :", query)
         print("\n-- emitted SQL " + "-" * 40)
-        print(engine.to_sql(query))
+        print(SQLGenerator().generate(parse(query)))
         print("\n-- physical plan " + "-" * 38)
         print(engine.explain(query))
-        plan = engine.query(query, backend="plan")
-        sqlite = engine.query(query, backend="sqlite")
-        print(f"\nplan backend = sqlite backend = {plan == sqlite}  "
-              f"({len(plan)} results)")
+        plan = engine.query(query)
+        agree = plan == sqlite.query(query)
+        print(f"\nengine = SQL on SQLite: {agree}  ({len(plan)} results)")
+        assert agree, query
         print()
 
     print("=" * 72)

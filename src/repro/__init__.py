@@ -12,16 +12,27 @@ Quick start::
     engine.nodes("//VBD->NP")       # immediate-following axis
 """
 
-from .lpath import LPathEngine, TreeWalkEvaluator, parse
+from .lpath import LPathEngine, parse
 from .tree import Tree, TreeNode, figure1_tree, iter_trees, parse_tree
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    """``repro.TreeWalkEvaluator``: the reference evaluator, imported from
+    :mod:`repro.oracle` on first use and kept as a plain attribute."""
+    if name != "TreeWalkEvaluator":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .oracle import TreeWalkEvaluator
+
+    globals()[name] = TreeWalkEvaluator
+    return TreeWalkEvaluator
+
 
 __all__ = [
     "LPathEngine",
     "Tree",
     "TreeNode",
-    "TreeWalkEvaluator",
     "figure1_tree",
     "iter_trees",
     "parse",

@@ -33,7 +33,7 @@ from .corpus import (
     top_tags,
 )
 from .columnar.kernels import KERNEL_MODES, KERNELS_ENV, kernel_info
-from .lpath import LPathEngine, SQLGenerator, parse
+from .lpath import LPathEngine, parse
 from .plan.ir import AGGREGATE_OPS
 from .tree import iter_trees, write_trees
 from .xpath import XPathEngine
@@ -255,16 +255,31 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             file=sys.stderr,
         )
         return 1
-    if engine_name in ("lpath", "treewalk", "sqlite"):
+    stats_engine = None
+    if engine_name == "treewalk":
+        from .oracle import TreeWalkEvaluator
+
+        trees = _load_trees(args.corpus)
+        matches = TreeWalkEvaluator(trees).query(args.query)[:limit]
+    elif engine_name == "sqlite":
+        from .labeling import label_corpus
+        from .oracle import SQLiteBackend
+
+        if compiled:  # every label row, a live directory's WAL included
+            trees, rows = [], store.load_corpus_labels(args.corpus)
+        else:
+            trees = _load_trees(args.corpus)
+            rows = label_corpus(trees)
+        oracle = SQLiteBackend(rows)
+        try:
+            matches = oracle.query(args.query, limit=limit)
+        finally:
+            oracle.close()
+    elif engine_name == "lpath":
         if compiled:
-            if engine_name == "lpath":
-                # LPDB0004 adopted zero-copy; a live directory adds its
-                # WAL replayed into an in-memory delta store.
-                engine = LPathEngine.open(args.corpus)
-            else:  # the SQLite oracle loads the label rows themselves
-                engine = LPathEngine.from_labels(
-                    store.load_corpus_labels(args.corpus)
-                )
+            # LPDB0004 adopted zero-copy; a live directory adds its
+            # WAL replayed into an in-memory delta store.
+            engine = LPathEngine.open(args.corpus)
             trees = []
         else:
             trees = _load_trees(args.corpus)
@@ -292,8 +307,7 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             )
             _print_cache_stats(args, engine, out)
             return 0
-        backend = "plan" if engine_name == "lpath" else engine_name
-        if args.count and backend == "plan":
+        if args.count:
             # Count through the compiled plan: segmented engines add
             # per-segment counts instead of merging every result row.
             print(
@@ -303,13 +317,11 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             _print_cache_stats(args, engine, out)
             return 0
         matches = engine.query(
-            args.query, backend=backend, pivot=getattr(args, "pivot", False),
-            limit=limit,
+            args.query, pivot=getattr(args, "pivot", False), limit=limit
         )
         stats_engine = engine
     else:
         trees = _load_trees(args.corpus)
-        stats_engine = None
         if engine_name == "tgrep2":
             matches = TGrep2Engine(trees).query(args.query)
         elif engine_name == "corpussearch":
@@ -576,6 +588,8 @@ def _command_serve_stats(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _command_sql(args: argparse.Namespace, out: TextIO) -> int:
+    from .oracle import SQLGenerator
+
     generator = SQLGenerator()
     print(generator.generate(parse(args.query)), file=out)
     return 0

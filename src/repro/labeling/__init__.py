@@ -1,6 +1,6 @@
 """Labeling schemes: the LPath scheme (Definition 4.1) and the XPath baseline."""
 
-from . import predicates, xpath_scheme
+from . import xpath_scheme
 from .lpath_scheme import (
     ATTRIBUTE_PREFIX,
     COLUMNS,
@@ -17,6 +17,5 @@ __all__ = [
     "label_columns",
     "label_corpus",
     "label_tree",
-    "predicates",
     "xpath_scheme",
 ]

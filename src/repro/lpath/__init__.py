@@ -3,19 +3,19 @@
 Public surface:
 
 * :func:`parse` — LPath text to AST,
-* :class:`LPathEngine` — load trees, run queries on any backend,
-* :class:`TreeWalkEvaluator` — the reference evaluator,
+* :class:`LPathEngine` — load trees, run queries,
 * :mod:`repro.lpath.axes` — the Table 1 axis inventory.
 
-The plan backend compiles through the shared logical IR in
-:mod:`repro.plan` (one lowerer/optimizer/executor for both the LPath
-and XPath engines).
+The engine compiles through the shared logical IR in :mod:`repro.plan`
+(one lowerer/optimizer/executor for both the LPath and XPath engines).
+The tree walk and the SQL translation it is checked against live in
+:mod:`repro.oracle`.
 """
 
 from . import axes
 from .ast import Path, Scope, Step
 from .compiler import PlanCompiler
-from .engine import BACKENDS, LPathEngine, engine_from_bracketed
+from .engine import LPathEngine, engine_from_bracketed
 from .errors import (
     LPathCompileError,
     LPathError,
@@ -23,11 +23,8 @@ from .errors import (
     LPathSyntaxError,
 )
 from .parser import parse, parse_relative
-from .sql import SQLGenerator
-from .treewalk import TreeWalkEvaluator
 
 __all__ = [
-    "BACKENDS",
     "LPathCompileError",
     "LPathEngine",
     "LPathError",
@@ -35,10 +32,8 @@ __all__ = [
     "LPathSyntaxError",
     "Path",
     "PlanCompiler",
-    "SQLGenerator",
     "Scope",
     "Step",
-    "TreeWalkEvaluator",
     "axes",
     "engine_from_bracketed",
     "parse",

@@ -1,22 +1,17 @@
 """The LPath query engine: load a corpus, answer LPath queries.
 
-Three backends share one parser and one axis semantics:
-
-* ``"plan"`` (default) — the Section 4 engine: Definition 4.1 labels in
-  a clustered column store, compiled through the shared logical IR
-  (:mod:`repro.plan`), optimized, then run by the batch columnar
-  executor (:mod:`repro.columnar`);
-* ``"sqlite"`` — the same labels in SQLite, executing the *emitted SQL text*
-  (:mod:`repro.lpath.sql`); a differential oracle for the translation;
-* ``"treewalk"`` — direct tree walking (:mod:`repro.lpath.treewalk`); the
-  reference semantics.
+The engine is the Section 4 design: Definition 4.1 labels in a clustered
+column store, each query compiled through the shared logical IR
+(:mod:`repro.plan`), optimized, then run by the batch columnar executor
+(:mod:`repro.columnar`).  The references it is checked against — the
+tree walk and the SQL translation run on SQLite — live in
+:mod:`repro.oracle`, outside the product.
 
 ``segments > 1`` shards the corpus by tree into independent column
 stores (:mod:`repro.plan.segmented`): queries compile once, run against
 every shard that can hold a result, one shard after another, and merge
 the sorted per-shard results — identical output.  Shards let the
-statistics prune whole segments and a live corpus add delta tiers.  The
-sqlite and treewalk oracles always see the whole corpus.
+statistics prune whole segments and a live corpus add delta tiers.
 
 Compiled plans are kept in an LRU :class:`~repro.plan.cache.PlanCache`
 keyed on the unparsed query text plus the compile options, so repeated
@@ -30,7 +25,6 @@ from typing import Optional, Sequence, Union
 
 from ..columnar.result import ResultBatch
 from ..columnar.store import COLUMN_NAMES
-from ..labeling.lpath_scheme import label_corpus
 from ..plan.cache import PlanCache, cached_compile
 from ..plan.segmented import (
     Segment,
@@ -42,16 +36,12 @@ from ..tree.node import Tree, TreeNode
 from .ast import Path
 from .compiler import PlanCompiler
 from .errors import LPathError
-from .parser import parse
-from .sql import SQLGenerator, SQLiteBackend
-from .treewalk import TreeWalkEvaluator
 
 Query = Union[str, Path]
-BACKENDS = ("plan", "sqlite", "treewalk")
 
 
 class PlanEngine:
-    """The plan-backend query surface both dialects' engines share:
+    """The query surface both dialects' engines share:
     compile through the engine's plan cache, then hand back what the
     plan produces — a :class:`~repro.columnar.result.ResultBatch`, a
     count, an aggregate dict — never a copy of it.  A subclass sets
@@ -244,12 +234,8 @@ class LPathEngine(PlanEngine):
         with collector_paused():
             stores = list(tree_stores(trees, segments))
         self._install(stores, PlanCompiler, plan_cache_size)
-        # Rows exist only if the SQLite oracle is built: it consumes this
-        # generator once and is cached (see :attr:`sqlite`).
-        self._rows = label_corpus(trees)
         self.trees = trees
         if keep_trees:
-            self._treewalk = TreeWalkEvaluator(trees)
             self._by_id = {tree.tid: tree for tree in trees}
 
     @classmethod
@@ -260,21 +246,14 @@ class LPathEngine(PlanEngine):
         segments: int = 1,
     ) -> "LPathEngine":
         """Build an engine straight from label rows (e.g. a compiled corpus
-        loaded with :mod:`repro.store`).  Tree-dependent features
-        (:meth:`nodes`, the tree-walk backend) are unavailable; the rows
-        are kept for the SQLite oracle."""
-        engine = cls.__new__(cls)
-        engine._from_rows(list(rows), plan_cache_size, segments)
-        return engine
-
-    def _from_rows(
-        self, rows: list, plan_cache_size: int, segments: int
-    ) -> None:
+        loaded with :mod:`repro.store`).  :meth:`nodes` is unavailable:
+        there are no trees."""
         validate_segmentation(segments)
-        self._install(
-            row_stores(rows, segments), PlanCompiler, plan_cache_size
+        engine = cls.__new__(cls)
+        engine._install(
+            row_stores(list(rows), segments), PlanCompiler, plan_cache_size
         )
-        self._rows = rows
+        return engine
 
     @classmethod
     def from_segments(
@@ -295,10 +274,6 @@ class LPathEngine(PlanEngine):
 
     def _shell(self, segments: int, plan_cache: PlanCache) -> None:
         super()._shell(segments, plan_cache)
-        self._sql = SQLGenerator()
-        self._rows = None
-        self._sqlite = None
-        self._treewalk = None
         self._by_id = None
 
     @classmethod
@@ -311,8 +286,7 @@ class LPathEngine(PlanEngine):
         bitmaps, partition bounds and collected statistics are adopted as
         views straight off the map — open cost is O(segments + names),
         not O(rows), and two engines (or processes) opening the same file
-        share its pages through the OS cache.  No trees, no SQLite
-        oracle.
+        share its pages through the OS cache.  No trees.
 
         :meth:`close` unmaps the file, invalidating every adopted view."""
         return cls._open_mapped(path, PlanCompiler, plan_cache_size)
@@ -335,47 +309,6 @@ class LPathEngine(PlanEngine):
 
     # -- queries ------------------------------------------------------------
 
-    def query(
-        self,
-        query: Query,
-        backend: str = "plan",
-        pivot: bool = False,
-        limit: Optional[int] = None,
-    ) -> ResultBatch:
-        """Distinct, sorted ``(tid, id)`` pairs matching the query, as
-        one :class:`~repro.columnar.result.ResultBatch` whatever the
-        backend.
-
-        ``pivot=True`` (plan backend only, ignored elsewhere) enables
-        selectivity-driven join ordering.  ``limit=k`` keeps the first k
-        pairs in sorted order — the plan backend compiles a top-k plan
-        that terminates early instead of truncating; the oracle backends
-        truncate, so differential runs stay comparable."""
-        if self._compiler is None:
-            raise LPathError("engine is closed")
-        if backend == "plan":
-            return super().query(query, pivot=pivot, limit=limit)
-        if backend == "sqlite":
-            sql = self.to_sql(query)
-            result = sorted(tuple(row) for row in self.sqlite.execute(sql))
-        elif backend == "treewalk":
-            result = self.treewalk.query(query)
-        else:
-            raise LPathError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
-        return ResultBatch.of(result[:limit])
-
-    def count(self, query: Query, backend: str = "plan", pivot: bool = False) -> int:
-        """Result-set size (what the paper's experiments report).
-
-        The plan backend counts through the compiled plan itself, so a
-        segmented engine adds per-segment counts instead of packing and
-        merging every result row just to take its length."""
-        if backend == "plan":
-            return super().count(query, pivot=pivot)
-        return len(self.query(query, backend=backend, pivot=pivot))
-
     def nodes(self, query: Query, pivot: bool = False) -> list[TreeNode]:
         """Matched tree nodes (needs ``keep_trees=True``)."""
         if self._by_id is None:
@@ -385,51 +318,8 @@ class LPathEngine(PlanEngine):
             for tid, node_id in self.query(query, pivot=pivot)
         ]
 
-    # -- compilation artifacts -------------------------------------------------
-
-    def to_sql(self, query: Query) -> str:
-        """The SQL text the paper's translation module would emit."""
-        path = parse(query) if isinstance(query, str) else query
-        return self._sql.generate(path)
-
-    # -- backends ---------------------------------------------------------------
-
-    @property
-    def sqlite(self) -> SQLiteBackend:
-        """The lazily created SQLite differential backend."""
-        if self._sqlite is None:
-            if self._rows is None:
-                raise LPathError(
-                    "this engine keeps no label rows (built from columns or "
-                    "an mmap'd store), so the SQLite oracle is unavailable"
-                )
-            self._sqlite = SQLiteBackend(self._rows)
-        return self._sqlite
-
-    @property
-    def treewalk(self) -> TreeWalkEvaluator:
-        """The tree-walking reference evaluator."""
-        if self._treewalk is None:
-            raise LPathError(
-                "this engine keeps no trees (built with keep_trees=False, "
-                "from_labels or over a store), so the treewalk backend is "
-                "unavailable"
-            )
-        return self._treewalk
-
     def close(self) -> None:
-        """Release every backend resource: the SQLite oracle, cached
-        plans, the column stores / row references, and — for
-        mmap-backed engines — the file mapping itself, which
-        invalidates every adopted column view (later reads through a
-        stale reference raise ``ValueError``).  Idempotent; queries on a
-        closed engine raise :class:`LPathError`."""
-        if self._sqlite is not None:
-            self._sqlite.close()
-            self._sqlite = None
         super().close()
-        self._rows = None
-        self._treewalk = None
         self._by_id = None
 
 

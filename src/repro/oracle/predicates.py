@@ -4,7 +4,7 @@ Each predicate answers "does node ``x`` stand in the axis relation to node
 ``y``?" by inspecting only the two labels.  These are exactly the join
 conditions the LPath-to-SQL compiler emits; keeping them in one module lets
 property tests check them against the structural ground truth in
-:mod:`repro.tree.traversal`, and lets the compiler and the documentation
+:mod:`repro.oracle.traversal`, and lets the compiler and the documentation
 share a single source of truth.
 
 All relations are within one tree: every predicate requires
@@ -13,7 +13,7 @@ All relations are within one tree: every predicate requires
 
 from __future__ import annotations
 
-from .lpath_scheme import Label
+from ..labeling.lpath_scheme import Label
 
 
 def same_tree(x: Label, y: Label) -> bool:

@@ -19,9 +19,9 @@ quoting throughout.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .ast import (
+from ..lpath.ast import (
     AndExpr,
     Comparison,
     FunctionCall,
@@ -36,8 +36,10 @@ from .ast import (
     Scope,
     Step,
 )
-from .axes import Axis, CONDITIONS, OR_SELF_BASES
-from .errors import LPathCompileError
+from ..lpath.axes import Axis, CONDITIONS, OR_SELF_BASES
+from ..lpath.errors import LPathCompileError
+from ..lpath.functions import as_float
+from ..lpath.parser import parse
 
 _POSITIONAL_AXES = {
     Axis.CHILD,
@@ -334,7 +336,15 @@ class _State:
             list(path.items), ctx_alias=ctx_alias, scope_alias=scope_alias
         )
         value = _col(final, "value")
-        if isinstance(literal, Number):
+        if op in ("<", "<=", ">", ">=") and isinstance(literal, Literal):
+            # Ordering reads both sides as number() does: a quoted number
+            # is that number, and any other literal is NaN, which no
+            # value is less or greater than.
+            number = as_float(literal.value)
+            literal = Number(number) if number is not None else None
+        if literal is None:
+            condition = "0"
+        elif isinstance(literal, Number):
             # A value that is no number is NaN, against which only != holds;
             # it equals its REAL cast only if SQLite reads all of it as one,
             # and number() reads no sign + and no exponent.
@@ -345,8 +355,6 @@ class _State:
             condition = f"({numeric} AND {real} {_sql_op(op)} {rendered})"
             if op == "!=":
                 condition = f"NOT ({numeric} AND {real} = {rendered})"
-        elif op in ("<", "<=", ">", ">="):
-            condition = f"CAST({value} AS REAL) {_sql_op(op)} CAST({_quote_string(literal.value)} AS REAL)"
         else:
             condition = f"{value} {_sql_op(op)} {_quote_string(literal.value)}"
         inner.conditions.append(condition)
@@ -480,6 +488,7 @@ class SQLiteBackend:
     def __init__(self, rows, table_name: str = "node") -> None:
         import sqlite3
 
+        self.table = table_name
         self.connection = sqlite3.connect(":memory:")
         table = _quote_identifier(table_name)
         columns = ", ".join(
@@ -494,6 +503,16 @@ class SQLiteBackend:
             body = ", ".join(_quote_identifier(c) for c in index_columns)
             self.connection.execute(f"CREATE INDEX {index_name} ON {table} ({body})")
         self.connection.commit()
+
+    def query(
+        self, query: Union[str, Path], limit: Optional[int] = None
+    ) -> list[tuple[int, int]]:
+        """Distinct, sorted ``(tid, id)`` pairs: the SQL text
+        :class:`SQLGenerator` emits for the query, run as it is.
+        ``limit=k`` keeps the first k pairs."""
+        path = parse(query) if isinstance(query, str) else query
+        sql = SQLGenerator(self.table).generate(path)
+        return sorted(tuple(row) for row in self.execute(sql))[:limit]
 
     def execute(self, sql: str, parameters: Sequence = ()) -> list[tuple]:
         """Run a query and fetch all rows."""

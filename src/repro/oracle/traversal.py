@@ -22,7 +22,7 @@ Definitions follow Section 2/3 of the paper:
 
 from __future__ import annotations
 
-from .node import Tree, TreeNode
+from ..tree.node import Tree, TreeNode
 
 
 def _leaf_order(tree: Tree) -> dict[int, int]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from ..tree.node import Tree, TreeNode
-from .ast import (
+from ..lpath.ast import (
     AndExpr,
     Comparison,
     FunctionCall,
@@ -36,10 +36,10 @@ from .ast import (
     Scope,
     Step,
 )
-from .axes import Axis, REVERSE_AXES
-from .errors import LPathEvaluationError
-from .functions import as_float
-from .parser import parse
+from ..lpath.axes import Axis, REVERSE_AXES
+from ..lpath.errors import LPathEvaluationError
+from ..lpath.functions import as_float
+from ..lpath.parser import parse
 
 
 class AttributeItem:

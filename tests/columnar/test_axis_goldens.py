@@ -29,6 +29,7 @@ import pytest
 from repro.columnar.kernels import native_kernels
 from repro.columnar.structural import Cutoff, MergeJoinStep
 from repro.lpath import LPathEngine
+from repro.oracle import TreeWalkEvaluator
 from repro.tree import figure1_tree, parse_tree
 
 NATIVE = native_kernels() is not None
@@ -259,7 +260,7 @@ def test_numeric_not_equal_golden(mode, number_engines, query):
     engine = number_engines[len(tids)]
     expected = [(tid, node_id) for tid in tids for node_id in (4, 11)]
     assert list(engine.query(query)) == expected
-    assert list(engine.query(query, backend="treewalk")) == expected
+    assert list(TreeWalkEvaluator(engine.trees).query(query)) == expected
 
 
 #: ``limit=k`` (a top-k ``Cutoff`` on every merge join) over three trees:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from repro.columnar import ColumnStore
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, LPathError
-from repro.lpath.treewalk import AttributeItem, string_value
+from repro.oracle import TreeWalkEvaluator
+from repro.oracle.treewalk import AttributeItem, string_value
 from repro.tree import figure1_tree
 from tests.strategies import corpora
 
@@ -150,7 +151,7 @@ class TestColumnarExecutor:
         (which crashed on a first step and compared the previous step's
         node on later ones)."""
         engine = LPathEngine([figure1_tree()])
-        expected = engine.query(query, backend="treewalk")
+        expected = TreeWalkEvaluator(engine.trees).query(query)
         assert engine.query(query) == expected
         assert engine.query(query, pivot=True) == expected
 

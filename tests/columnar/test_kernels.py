@@ -38,6 +38,7 @@ from repro.columnar.structural import FORCE_ENV, Cutoff
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
 from repro.lpath.errors import LPathError
+from repro.oracle import TreeWalkEvaluator
 from repro.tree import Tree, TreeNode, iter_trees
 
 NATIVE = native_kernels() is not None
@@ -170,7 +171,7 @@ class TestModeResolution:
 class TestDualBackendIdentity:
     @pytest.mark.parametrize("query", QUERIES)
     def test_results_identical_across_backends(self, engine, query):
-        expected = engine.query(query, backend="treewalk")
+        expected = TreeWalkEvaluator(engine.trees).query(query)
         for backend in BACKENDS:
             with kernels_env(backend):
                 for force in (None, "merge", "probe"):
@@ -185,7 +186,7 @@ class TestDualBackendIdentity:
         tiny = list(iter_trees("( (S hi) )\n( (X y) )"))
         engine = LPathEngine(tiny)
         for query in ("//S", "//S//NP", "//X\\ancestor::S"):
-            expected = engine.query(query, backend="treewalk")
+            expected = TreeWalkEvaluator(engine.trees).query(query)
             for backend in BACKENDS:
                 with kernels_env(backend), forced_join("merge"):
                     got = engine.query(query)
@@ -310,7 +311,7 @@ class TestSeededCandidateList:
     def test_pairs_identical_across_backends(self, seeded, query):
         from repro.columnar.structural import Cutoff, MergeJoinStep
 
-        expected = seeded.query(query, backend="treewalk")
+        expected = TreeWalkEvaluator(seeded.trees).query(query)
         seen = {}
         for backend in BACKENDS:
             with kernels_env(backend), forced_join("merge"):
@@ -344,7 +345,7 @@ class TestSeededCandidateList:
 
     def test_limit_is_a_prefix_and_segments_lacking_the_literal_agree(self):
         trees = _seed_corpus()
-        whole = LPathEngine(trees)
+        reference = TreeWalkEvaluator(trees)
         queries = list(SEEDED) + [
             "//S[not(//N[@lex=dog])]",       # never pruned: empty lists run
             "//S[//_[@lex=dog]-->_[@lex=dog]]",
@@ -355,7 +356,7 @@ class TestSeededCandidateList:
                     trees, keep_trees=False, segments=5
                 )
                 for query in queries:
-                    full = whole.query(query, backend="treewalk")
+                    full = reference.query(query)
                     assert sharded.query(query) == full, (query, backend)
                     for k in (1, 2):
                         assert sharded.query(query, limit=k) == full[:k]
@@ -796,7 +797,7 @@ class TestPartitionWalk:
                 steps[backend] = step
                 if backend == "native":
                     got = list(plan.execute())
-        assert got == list(engine.query(query, backend="treewalk")), axis
+        assert got == list(TreeWalkEvaluator(engine.trees).query(query)), axis
         if not batch:
             return
         perm = list(range(len(batch[0])))

@@ -42,6 +42,7 @@ from repro.columnar.result import (
 )
 from repro.corpus import generate_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import TreeWalkEvaluator
 from repro.serve.cache import rows_digest
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
@@ -218,15 +219,15 @@ class TestThroughTheEngine:
     def test_a_batch_owns_its_memory(self, trees, store_path):
         """Results stay readable after the mmap they were gathered from
         is gone, and holding them never blocks ``close()``."""
-        oracle = LPathEngine(trees)
+        oracle = TreeWalkEvaluator(trees)
         engine = LPathEngine.open(store_path)
         held = {query: engine.compile(query).rows() for query in QUERIES}
         limited = engine.compile("//NP", limit=7).rows()
         engine.close()                                  # no BufferError
         for query, batch in held.items():
             assert isinstance(batch, ResultBatch)
-            assert list(batch) == oracle.query(query, backend="treewalk")
-        assert list(limited) == oracle.query("//NP", backend="treewalk")[:7]
+            assert list(batch) == oracle.query(query)
+        assert list(limited) == oracle.query("//NP")[:7]
 
     def test_backends_return_byte_identical_batches(
         self, store_path, monkeypatch
@@ -242,17 +243,17 @@ class TestThroughTheEngine:
 
     @pytest.mark.parametrize("segments", [1, 3])
     def test_top_k_batch_and_aggregates_agree_with_query(self, trees, segments):
-        oracle = LPathEngine(trees)
+        oracle = TreeWalkEvaluator(trees)
         engine = LPathEngine(
             trees, keep_trees=False, segments=segments
         )
         for query in QUERIES:
-            full = oracle.query(query, backend="treewalk")
+            full = oracle.query(query)
             assert engine.query(query) == full
             assert engine.count(query) == len(full)
             for k in (0, 1, 5, len(full) + 3):
                 assert engine.query(query, limit=k) == full[:k]
-            nodes = [oracle._by_id[tid].node_by_id(node) for tid, node in full]
+            nodes = oracle.nodes(query)
             assert engine.aggregate(query, "count_by_name") == dict(
                 Counter(node.label for node in nodes))
             assert engine.aggregate(query, "count_by_depth") == dict(
@@ -334,13 +335,13 @@ class TestBatchContract:
 
 class TestBatchLifetime:
     def test_query_results_outlive_a_closed_mmap_engine(self, trees, store_path):
-        oracle = LPathEngine(trees)
+        oracle = TreeWalkEvaluator(trees)
         engine = LPathEngine.open(store_path)
         assert len(engine._compiler.segments) == 2
         held = {query: engine.query(query) for query in QUERIES}
         engine.close()
         for query, batch in held.items():
-            assert batch == oracle.query(query, backend="treewalk")
+            assert batch == oracle.query(query)
 
     def test_a_live_result_outlives_the_engine_swap(self, trees, tmp_path):
         from repro.live import LiveEngineManager

@@ -28,7 +28,7 @@ from repro.columnar.structural import FORCE_ENV, JoinOutput, MergeJoinStep
 from repro.corpus.generator import generate_corpus
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
-from repro.lpath.treewalk import TreeWalkEvaluator
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.plan.ir import Join, linearize, subplan_preds
 from repro.tree import iter_trees, write_trees
 
@@ -193,9 +193,9 @@ class TestHandCheckedAnswers:
                     )
 
     def test_emitted_sql_agrees_after_the_residual_pruning(self, trees):
-        engine = LPathEngine(trees, keep_trees=False)
+        sqlite = SQLiteBackend(label_corpus(trees))
         for query, expected in CASES:
-            assert engine.query(query, backend="sqlite") == expected, query
+            assert sqlite.query(query) == expected, query
 
 
 class TestTopKAndBatch:

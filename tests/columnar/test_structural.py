@@ -16,6 +16,7 @@ from repro.columnar import ColumnStore, NameStats, choose_join, merge_spec
 from repro.columnar.structural import FORCE_ENV, PREFIX, STACK, SWEEP
 from repro.labeling.lpath_scheme import label_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import TreeWalkEvaluator
 from repro.plan.ir import Join
 from repro.plan.segmented import SegmentedCatalog
 from repro.tree import iter_trees
@@ -256,7 +257,7 @@ class TestCostModel:
 class TestForcedEquivalence:
     @pytest.mark.parametrize("query", AXIS_QUERIES)
     def test_axis_families_agree_with_treewalk(self, engine, trees, query):
-        expected = engine.query(query, backend="treewalk")
+        expected = TreeWalkEvaluator(engine.trees).query(query)
         for mode in ("merge", "probe"):
             with forced(mode):
                 for pivot in (False, True):
@@ -265,12 +266,12 @@ class TestForcedEquivalence:
 
     @pytest.mark.parametrize("segments", [2, 3])
     def test_segmented_engines_agree(self, trees, segments):
-        oracle = LPathEngine(trees)
+        oracle = TreeWalkEvaluator(trees)
         sharded = LPathEngine(
             trees, keep_trees=False, segments=segments
         )
         for query in AXIS_QUERIES:
-            expected = oracle.query(query, backend="treewalk")
+            expected = oracle.query(query)
             for mode in ("merge", "probe"):
                 with forced(mode):
                     assert sharded.query(query) == expected, (query, mode)

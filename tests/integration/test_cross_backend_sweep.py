@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.corpus import generate_corpus
+from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.xpath import XPATH_AXES, XPathEngine
 from tests.lpath.test_differential import QUERY_POOL
 from tests.strategies import corpora
@@ -48,28 +50,37 @@ XPATH_POOL = [
 
 
 @pytest.fixture(scope="module")
-def generated_engine():
-    corpus = generate_corpus("wsj", sentences=120, seed=23)
-    return LPathEngine(corpus)
+def generated_corpus():
+    return generate_corpus("wsj", sentences=120, seed=23)
+
+
+@pytest.fixture(scope="module")
+def generated_engine(generated_corpus):
+    return LPathEngine(generated_corpus)
+
+
+@pytest.fixture(scope="module")
+def generated_sqlite(generated_corpus):
+    return SQLiteBackend(label_corpus(generated_corpus))
 
 
 class TestFourWayAgreement:
     @pytest.mark.parametrize("query", QUERY_POOL)
-    def test_plan_pivot_sqlite_treewalk_agree(self, generated_engine, query):
+    def test_plan_pivot_sqlite_treewalk_agree(
+        self, generated_corpus, generated_engine, generated_sqlite, query
+    ):
         engine = generated_engine
-        plan = engine.query(query, backend="plan")
-        assert engine.query(query, backend="plan", pivot=True) == plan, query
-        assert engine.query(query, backend="treewalk") == plan, query
-        assert engine.query(query, backend="sqlite") == plan, query
+        plan = engine.query(query)
+        assert engine.query(query, pivot=True) == plan, query
+        assert TreeWalkEvaluator(generated_corpus).query(query) == plan, query
+        assert generated_sqlite.query(query) == plan, query
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=15, deadline=None)
     def test_pivot_agrees_on_random_corpora(self, trees):
-        engine = LPathEngine(trees)
+        engine, treewalk = LPathEngine(trees), TreeWalkEvaluator(trees)
         for query in QUERY_POOL:
-            assert engine.query(query, pivot=True) == engine.query(
-                query, backend="treewalk"
-            ), query
+            assert engine.query(query, pivot=True) == treewalk.query(query), query
 
     def test_count_plumbs_pivot(self, generated_engine):
         engine = generated_engine

@@ -48,6 +48,7 @@ from repro.columnar.structural import FORCE_ENV
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
 from repro.lpath.errors import LPathCompileError
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.tree import write_trees
 from repro.xpath import XPATH_AXES, XPathEngine
 from tests.strategies import corpora, lpath_queries, xpath_queries
@@ -117,16 +118,17 @@ def _report(trees, query: str, results: dict[str, list]) -> str:
 
 
 def _assert_agreement(
-    trees, engine: LPathEngine, query: str, extra_engines=None
+    trees, engine: LPathEngine, sqlite: SQLiteBackend, query: str,
+    extra_engines=None,
 ) -> None:
-    expected = engine.query(query, backend="treewalk")
+    expected = TreeWalkEvaluator(trees).query(query)
     results = {
         "treewalk": expected,
         "columnar": engine.query(query),
         "columnar+pivot": engine.query(query, pivot=True),
     }
     try:
-        results["sqlite"] = engine.query(query, backend="sqlite")
+        results["sqlite"] = sqlite.query(query)
     except LPathCompileError as error:
         # The emitted SQL has no element string values; every other
         # query it must answer.
@@ -179,10 +181,11 @@ class TestLPathDifferentialFuzz:
     def test_four_paths_agree_on_random_queries(self, data):
         trees = data.draw(corpora(max_trees=3, max_depth=4), label="corpus")
         engine = LPathEngine(trees)
+        sqlite = SQLiteBackend(label_corpus(trees))
         with mmap_engines(trees) as extra:
             for index in range(QUERIES_PER_EXAMPLE):
                 query = data.draw(lpath_queries(), label=f"query {index}")
-                _assert_agreement(trees, engine, query, extra)
+                _assert_agreement(trees, engine, sqlite, query, extra)
 
 
 class TestDaemonDifferentialFuzz:
@@ -384,7 +387,7 @@ class TestLiveCorpusDifferentialFuzz:
         )
         base_text = "".join(_bracketed([tree]) for tree in trees[:split])
         delta_text = "".join(_bracketed([tree]) for tree in trees[split:])
-        reference = LPathEngine(trees)
+        reference = TreeWalkEvaluator(trees)
         # Stores canonicalize row order internally, so the recovered
         # stream is compared as a sorted multiset.
         expected_rows = sorted(tuple(row) for row in label_corpus(trees))
@@ -398,7 +401,7 @@ class TestLiveCorpusDifferentialFuzz:
                     query = data.draw(
                         lpath_queries(), label=f"{stage} query {index}"
                     )
-                    expected = reference.query(query, backend="treewalk")
+                    expected = reference.query(query)
                     results = {
                         "monolithic/treewalk": expected,
                         f"live/{stage}": engine.query(query),
@@ -540,13 +543,11 @@ class TestLiveCorpusDifferentialFuzz:
                         manager.append_trees(step)
                         text += step
                     trees = list(iter_trees(text))
-                    reference = LPathEngine(trees)
+                    reference = TreeWalkEvaluator(trees)
                     fresh = LPathEngine.open(live_path)
                     try:
                         for query in queries:
-                            expected = reference.query(
-                                query, backend="treewalk"
-                            )
+                            expected = reference.query(query)
                             results = {
                                 "monolithic/treewalk": expected,
                                 f"fresh-open/{stage}": fresh.query(query),
@@ -584,7 +585,7 @@ class TestXPathDifferentialFuzz:
         xpath_engine = XPathEngine(trees, axes=XPATH_AXES)
         for index in range(QUERIES_PER_EXAMPLE):
             query = data.draw(xpath_queries(), label=f"query {index}")
-            expected = lpath_engine.query(query, backend="treewalk")
+            expected = TreeWalkEvaluator(trees).query(query)
             results = {
                 "lpath/treewalk": expected,
                 "lpath/columnar": lpath_engine.query(query),

@@ -13,7 +13,9 @@ from repro.baselines.corpussearch import CorpusSearchEngine
 from repro.baselines.tgrep2 import TGrep2Engine
 from repro.bench.queries import QUERY_SET
 from repro.corpus import generate_corpus
+from repro.labeling import label_corpus
 from repro.lpath import LPathCompileError, LPathEngine
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.tree import read_trees, write_trees
 from repro.xpath import XPathEngine
 
@@ -51,10 +53,12 @@ class TestSerializationPreservesSemantics:
 class TestFullQuerySetCrossEngine:
     def test_lpath_backends_agree_on_all_23(self, engines):
         lpath = engines["lpath"]
+        treewalk = TreeWalkEvaluator(lpath.trees)
+        sqlite = SQLiteBackend(label_corpus(lpath.trees))
         for query in QUERY_SET:
-            plan = lpath.query(query.lpath, backend="plan")
-            assert plan == lpath.query(query.lpath, backend="treewalk"), query.lpath
-            assert plan == lpath.query(query.lpath, backend="sqlite"), query.lpath
+            plan = lpath.query(query.lpath)
+            assert plan == treewalk.query(query.lpath), query.lpath
+            assert plan == sqlite.query(query.lpath), query.lpath
 
     def test_xpath_engine_agrees_on_its_eleven(self, engines):
         lpath, xpath = engines["lpath"], engines["xpath"]

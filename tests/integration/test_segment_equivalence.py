@@ -32,6 +32,7 @@ from repro.columnar.kernels import KERNELS_ENV, native_kernels
 from repro.columnar.structural import FORCE_ENV
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.xpath import XPATH_AXES, XPathEngine
 from tests.strategies import (
     LABELS, corpora, lpath_queries, sparse_corpora, xpath_queries,
@@ -227,8 +228,9 @@ class TestSegmentedPlanSurface:
         trees = self._trees()
         engine = LPathEngine(trees, segments=3)
         expected = LPathEngine(trees).query("//NP")
-        assert engine.query("//NP", backend="sqlite") == expected
-        assert engine.query("//NP", backend="treewalk") == expected
+        assert engine.query("//NP") == expected
+        assert SQLiteBackend(label_corpus(trees)).query("//NP") == expected
+        assert TreeWalkEvaluator(trees).query("//NP") == expected
 
     def test_validate_segmentation_rejects_bad_shapes(self):
         from repro.lpath.errors import LPathError

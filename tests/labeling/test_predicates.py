@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings
 
-from repro.labeling import label_tree, predicates as lp
-from repro.tree import figure1_tree, traversal as tv
+from repro.labeling import label_tree
+from repro.oracle import predicates as lp, traversal as tv
+from repro.tree import figure1_tree
 from tests.strategies import trees
 
 #: (label predicate, ground-truth function taking (tree, x_node, y_node))

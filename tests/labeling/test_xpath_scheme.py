@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 
 from repro.labeling import xpath_scheme as xs
-from repro.tree import figure1_tree, traversal as tv
+from repro.oracle import traversal as tv
+from repro.tree import figure1_tree
 from tests.strategies import trees
 
 

@@ -7,7 +7,9 @@ corpora; the three backends must agree exactly.
 import pytest
 from hypothesis import given, settings
 
+from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from tests.strategies import corpora
 
 #: Queries phrased over the strategy alphabet (tests/strategies.py).
@@ -82,14 +84,19 @@ def figure1_engine():
     return LPathEngine([figure1_tree()])
 
 
+@pytest.fixture(scope="module")
+def figure1_sqlite(figure1_engine):
+    return SQLiteBackend(label_corpus(figure1_engine.trees))
+
+
 class TestQueryPoolOnFigure1:
     @pytest.mark.parametrize("query", QUERY_POOL)
-    def test_three_backends_agree(self, figure1_engine, query):
+    def test_three_backends_agree(self, figure1_engine, figure1_sqlite, query):
         engine = figure1_engine
-        plan = engine.query(query, backend="plan")
-        treewalk = engine.query(query, backend="treewalk")
+        plan = engine.query(query)
+        treewalk = TreeWalkEvaluator(engine.trees).query(query)
         assert plan == treewalk, f"plan != treewalk for {query}"
-        sqlite = engine.query(query, backend="sqlite")
+        sqlite = figure1_sqlite.query(query)
         assert plan == sqlite, f"plan != sqlite for {query}"
 
 
@@ -97,17 +104,17 @@ class TestQueryPoolOnRandomCorpora:
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=25, deadline=None)
     def test_plan_equals_treewalk(self, trees):
-        engine = LPathEngine(trees)
+        engine, treewalk = LPathEngine(trees), TreeWalkEvaluator(trees)
         for query in QUERY_POOL:
-            assert engine.query(query, backend="plan") == engine.query(
-                query, backend="treewalk"
-            ), f"mismatch for {query}"
+            assert engine.query(query) == treewalk.query(query), (
+                f"mismatch for {query}"
+            )
 
     @given(corpora(max_trees=2, max_depth=3))
     @settings(max_examples=10, deadline=None)
     def test_sqlite_agrees(self, trees):
-        with LPathEngine(trees) as engine:
-            for query in QUERY_POOL:
-                assert engine.query(query, backend="plan") == engine.query(
-                    query, backend="sqlite"
-                ), f"mismatch for {query}"
+        engine, sqlite = LPathEngine(trees), SQLiteBackend(label_corpus(trees))
+        for query in QUERY_POOL:
+            assert engine.query(query) == sqlite.query(query), (
+                f"mismatch for {query}"
+            )

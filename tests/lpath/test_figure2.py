@@ -1,13 +1,16 @@
 """The paper's Figure 2: example queries with expected results on Figure 1.
 
-Every query runs on all three backends; node identities are checked against
+Every query runs on the engine and on both references (the SQL translation
+on SQLite and the tree walk); node identities are checked against
 the spans from Figure 5 (the paper names nodes by subscripts we reproduce
 as (label, left, right) triples).
 """
 
 import pytest
 
+from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.tree import figure1_tree
 
 #: (query, expected set of (label, left, right)) — Figure 2 of the paper,
@@ -29,6 +32,11 @@ def engine():
     return LPathEngine([figure1_tree()])
 
 
+@pytest.fixture(scope="module")
+def sqlite(engine):
+    return SQLiteBackend(label_corpus(engine.trees))
+
+
 class TestFigure2:
     @pytest.mark.parametrize("query, expected", FIGURE2)
     def test_plan_backend(self, engine, query, expected):
@@ -36,11 +44,10 @@ class TestFigure2:
         assert {(n.label, n.left, n.right) for n in nodes} == expected
 
     @pytest.mark.parametrize("query, expected", FIGURE2)
-    def test_all_backends_agree(self, engine, query, expected):
-        plan = engine.query(query, backend="plan")
-        sqlite = engine.query(query, backend="sqlite")
-        treewalk = engine.query(query, backend="treewalk")
-        assert plan == sqlite == treewalk
+    def test_all_backends_agree(self, engine, sqlite, query, expected):
+        plan = engine.query(query)
+        treewalk = TreeWalkEvaluator(engine.trees).query(query)
+        assert plan == sqlite.query(query) == treewalk
 
 
 class TestSection2Discussion:
@@ -64,7 +71,7 @@ class TestSection2Discussion:
     def test_edge_alignment_rewrite_fails_for_descendants(self, engine):
         # "//VP//_[last()][self::NP] ... evaluates to ∅, while (Q7) should
         # evaluate to {NP_6, NP_11}" — the motivation for `$`.
-        rewrite = engine.query("//VP//_[last()][self::NP]", backend="treewalk")
+        rewrite = TreeWalkEvaluator(engine.trees).query("//VP//_[last()][self::NP]")
         assert rewrite == []
         assert len(engine.query("//VP{//NP$}")) == 2
 

@@ -4,6 +4,7 @@ three-backend differential evaluation on random corpora."""
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, parse
 from repro.lpath.ast import (
     Comparison,
@@ -16,6 +17,7 @@ from repro.lpath.ast import (
     Step,
 )
 from repro.lpath.axes import Axis
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from tests.strategies import LABELS, WORDS, corpora
 
 #: Axes safe anywhere in a path (attribute/self handled separately).
@@ -100,17 +102,13 @@ class TestQueryFuzzing:
     @given(corpora(max_trees=2, max_depth=4), st.lists(queries(), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_plan_equals_treewalk(self, trees, paths):
-        engine = LPathEngine(trees)
+        engine, treewalk = LPathEngine(trees), TreeWalkEvaluator(trees)
         for path in paths:
-            assert engine.query(path, backend="plan") == engine.query(
-                path, backend="treewalk"
-            ), str(path)
+            assert engine.query(path) == treewalk.query(path), str(path)
 
     @given(corpora(max_trees=2, max_depth=3), st.lists(queries(), min_size=1, max_size=3))
     @settings(max_examples=20, deadline=None)
     def test_sqlite_agrees(self, trees, paths):
-        with LPathEngine(trees) as engine:
-            for path in paths:
-                assert engine.query(path, backend="plan") == engine.query(
-                    path, backend="sqlite"
-                ), str(path)
+        engine, sqlite = LPathEngine(trees), SQLiteBackend(label_corpus(trees))
+        for path in paths:
+            assert engine.query(path) == sqlite.query(path), str(path)

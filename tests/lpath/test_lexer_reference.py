@@ -200,14 +200,14 @@ def test_master_regex_needs_no_python_311_syntax():
 def test_generated_lpath_queries(query):
     assert_same(query)
     # And the stream round-trips to the text it came from: offsets and
-    # surface texts tile the query exactly (the generator quotes nothing;
-    # a string token's text would abbreviate its surface).
+    # surface texts tile the query exactly (the generator quotes a string
+    # with "..." and no quote inside, so its surface is its text quoted).
     position = 0
     for token in tokenize(query)[:-1]:
-        assert token.kind != lx.STRING
-        assert query.startswith(token.text, token.position)
+        surface = f'"{token.text}"' if token.kind == lx.STRING else token.text
+        assert query.startswith(surface, token.position)
         assert query[position:token.position].strip() == ""
-        position = token.position + len(token.text)
+        position = token.position + len(surface)
     assert query[position:].strip() == ""
 
 

@@ -2,14 +2,16 @@
 
 The paper includes ``following-or-self``, ``preceding-or-self``,
 ``following-sibling-or-self`` and ``preceding-sibling-or-self`` so that
-the axis set carries both primitives and their closures.  All three
-backends must agree, and the or-self axis must equal base-axis ∪ self.
+the axis set carries both primitives and their closures.  The engine and
+both references must agree, and the or-self axis must equal base-axis ∪ self.
 """
 
 import pytest
 from hypothesis import given, settings
 
+from repro.labeling import label_corpus
 from repro.lpath import LPathEngine
+from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.tree import figure1_tree
 from tests.strategies import corpora
 
@@ -28,6 +30,11 @@ def engine():
     return LPathEngine([figure1_tree()])
 
 
+@pytest.fixture(scope="module")
+def sqlite(engine):
+    return SQLiteBackend(label_corpus(engine.trees))
+
+
 class TestOrSelfSemantics:
     @pytest.mark.parametrize("or_self, base, self_only", OR_SELF_QUERIES)
     def test_union_identity(self, engine, or_self, base, self_only):
@@ -35,10 +42,10 @@ class TestOrSelfSemantics:
         assert set(engine.query(or_self)) == combined
 
     @pytest.mark.parametrize("or_self, base, self_only", OR_SELF_QUERIES)
-    def test_backends_agree(self, engine, or_self, base, self_only):
-        plan = engine.query(or_self, backend="plan")
-        assert plan == engine.query(or_self, backend="treewalk")
-        assert plan == engine.query(or_self, backend="sqlite")
+    def test_backends_agree(self, engine, sqlite, or_self, base, self_only):
+        plan = engine.query(or_self)
+        assert plan == TreeWalkEvaluator(engine.trees).query(or_self)
+        assert plan == sqlite.query(or_self)
 
     def test_root_is_its_own_sibling_or_self(self, engine):
         assert engine.count("/S/following-sibling-or-self::S") == 1
@@ -50,7 +57,7 @@ class TestOrSelfSemantics:
         for or_self, base, self_only in OR_SELF_QUERIES:
             combined = set(engine.query(base)) | set(engine.query(self_only))
             assert set(engine.query(or_self)) == combined
-            assert engine.query(or_self) == engine.query(or_self, backend="treewalk")
+            assert engine.query(or_self) == TreeWalkEvaluator(trees).query(or_self)
 
 
 class TestClosureLaws:

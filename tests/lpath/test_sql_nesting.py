@@ -8,7 +8,9 @@ comparing with the other two backends.
 
 import pytest
 
-from repro.lpath import LPathEngine
+from repro.labeling import label_corpus
+from repro.lpath import LPathEngine, parse
+from repro.oracle import SQLGenerator, SQLiteBackend, TreeWalkEvaluator
 from repro.tree import figure1_tree, tree_from_spec
 
 NESTED_QUERIES = [
@@ -35,7 +37,7 @@ NESTED_QUERIES = [
 
 
 @pytest.fixture(scope="module")
-def engine():
+def trees():
     extra = tree_from_spec(
         ("S",
             ("NP", ("Det", "the"), ("N", "cat")),
@@ -43,24 +45,33 @@ def engine():
                    ("NP", ("Det", "a"), ("N", "dog")))),
         tid=1,
     )
-    return LPathEngine([figure1_tree(tid=0), extra])
+    return [figure1_tree(tid=0), extra]
+
+
+@pytest.fixture(scope="module")
+def sqlite(trees):
+    return SQLiteBackend(label_corpus(trees))
+
+
+def to_sql(query: str) -> str:
+    return SQLGenerator().generate(parse(query))
 
 
 class TestNestedSQL:
     @pytest.mark.parametrize("query", NESTED_QUERIES)
-    def test_three_backends_agree(self, engine, query):
-        plan = engine.query(query, backend="plan")
-        assert plan == engine.query(query, backend="treewalk"), query
-        assert plan == engine.query(query, backend="sqlite"), query
+    def test_three_backends_agree(self, trees, sqlite, query):
+        plan = LPathEngine(trees).query(query)
+        assert plan == TreeWalkEvaluator(trees).query(query), query
+        assert plan == sqlite.query(query), query
 
     @pytest.mark.parametrize("query", NESTED_QUERIES)
-    def test_sql_text_is_well_formed(self, engine, query):
-        sql = engine.to_sql(query)
+    def test_sql_text_is_well_formed(self, query):
+        sql = to_sql(query)
         assert sql.count("(") == sql.count(")")
         assert "SELECT DISTINCT" in sql
 
-    def test_alias_names_unique_within_any_scope(self, engine):
-        sql = engine.to_sql("//S[//NP[//Det[@lex=the]]][//VP[//V]]")
+    def test_alias_names_unique_within_any_scope(self):
+        sql = to_sql("//S[//NP[//Det[@lex=the]]][//VP[//V]]")
         # No alias may be declared twice in one FROM clause.
         for from_clause in _from_clauses(sql):
             aliases = [part.split()[-1] for part in from_clause.split(",")]

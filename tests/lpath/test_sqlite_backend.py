@@ -1,7 +1,7 @@
 """The SQLite oracle: the Section 5 label relation loaded into SQLite.
 
-``LPathEngine.query(..., backend="sqlite")`` runs the SQL that
-:class:`repro.lpath.SQLGenerator` emits against this database.  These
+:meth:`SQLiteBackend.query` runs the SQL that
+:class:`repro.oracle.SQLGenerator` emits against this database.  These
 tests pin the database itself — its rows, its quoted keyword columns and
 its physical design — independently of any generated query.
 """
@@ -11,7 +11,7 @@ import sqlite3
 import pytest
 
 from repro.labeling import label_tree
-from repro.lpath.sql import SQLiteBackend, _quote_identifier
+from repro.oracle.sql import SQLiteBackend, _quote_identifier
 from repro.tree import figure1_tree
 
 
@@ -75,6 +75,11 @@ class TestSQLiteBackend:
         backend.close()
         with pytest.raises(sqlite3.ProgrammingError):
             backend.execute('SELECT COUNT(*) FROM "node"')
+
+    def test_query_runs_the_emitted_sql(self, backend):
+        rows = backend.query("//NP")
+        assert len(rows) == 5 and rows == sorted(rows)
+        assert backend.query("//NP", limit=2) == rows[:2]
 
     def test_quote_identifier_escapes(self):
         assert _quote_identifier('a"b') == '"a""b"'

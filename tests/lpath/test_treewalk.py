@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.lpath import LPathEvaluationError, TreeWalkEvaluator
-from repro.lpath.treewalk import string_value
+from repro.lpath import LPathEvaluationError
+from repro.oracle import TreeWalkEvaluator
+from repro.oracle.treewalk import string_value
 from repro.tree import figure1_tree, tree_from_spec
 
 

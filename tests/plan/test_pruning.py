@@ -25,7 +25,7 @@ from repro import live
 from repro.labeling.lpath_scheme import label_corpus
 from repro.live import LiveEngineManager
 from repro.lpath import LPathEngine
-from repro.lpath.treewalk import TreeWalkEvaluator
+from repro.oracle import TreeWalkEvaluator
 from repro.tree import iter_trees
 from repro.xpath import XPathEngine
 

@@ -152,12 +152,17 @@ def _predicate(
         return "@lex"
     if kind == "attr-cmp":
         # Against a word as text, or against a number: a word that is no
-        # number reads as NaN, which only ``!=`` holds against.
+        # number reads as NaN, which only ``!=`` holds against.  A quoted
+        # literal is text to ``=``/``!=`` and a number (or NaN) to order.
         if draw(st.booleans()):
             op = draw(st.sampled_from(["=", "!="]))
             return f"@lex{op}{draw(words)}"
         op = draw(st.sampled_from(_COMPARE_OPS))
-        return f"@lex{op}{draw(st.integers(min_value=0, max_value=3))}"
+        number = str(draw(st.integers(min_value=0, max_value=3)))
+        if draw(st.booleans()):
+            return f"@lex{op}{number}"
+        quoted = number if draw(st.booleans()) else draw(words)
+        return f'@lex{op}"{quoted}"'
     if kind == "name-cmp":
         op = draw(st.sampled_from(["=", "!="]))
         return f"name(){op}{draw(labels)}"

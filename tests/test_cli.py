@@ -134,6 +134,51 @@ class TestQuery:
             )
             assert code == 1, engine
 
+    def test_agg_and_batch_reject_the_references(self, corpus_file, tmp_path):
+        batch = tmp_path / "queries.txt"
+        batch.write_text("//NP\n")
+        for engine in ("treewalk", "sqlite"):
+            for extra in (["//S", "--agg", "count"], ["--batch", str(batch)]):
+                code, _ = run(["query", corpus_file, *extra, "--engine", engine])
+                assert code == 1, (engine, extra)
+
+    def test_sqlite_reads_a_live_directory_with_its_wal(
+        self, corpus_file, tmp_path
+    ):
+        live = str(tmp_path / "live.lpdb")
+        more = str(tmp_path / "more.mrg")
+        run(["generate", "--profile", "wsj", "--sentences", "5", "--seed", "4",
+             "-o", more])
+        assert run(["compile", corpus_file, "-o", live,
+                    "--format", "lpdb0005"])[0] == 0
+        assert run(["append", live, more])[0] == 0
+        counts = {
+            engine: run(["query", live, "//S//NP", "--count",
+                         "--engine", engine])
+            for engine in ("lpath", "sqlite")
+        }
+        assert counts["lpath"] == counts["sqlite"]
+        assert counts["lpath"][0] == 0 and int(counts["lpath"][1]) > 0
+
+    def test_the_references_build_no_column_store(
+        self, corpus_file, tmp_path, monkeypatch
+    ):
+        from repro.columnar.store import ColumnStore
+
+        lpdb = str(tmp_path / "corpus.lpdb")
+        assert run(["compile", corpus_file, "-o", lpdb])[0] == 0
+        code, expected = run(["query", corpus_file, "//S//NP", "--count"])
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a column store was built")
+
+        monkeypatch.setattr(ColumnStore, "__init__", refuse)
+        for corpus, engine in ((lpdb, "sqlite"), (corpus_file, "sqlite"),
+                               (corpus_file, "treewalk")):
+            assert run(["query", corpus, "//S//NP", "--count",
+                        "--engine", engine]) == (0, expected), (corpus, engine)
+
     def test_cache_stats_rejects_non_plan_engines(self, corpus_file):
         code, _ = run(
             ["query", corpus_file, "//S", "--engine", "corpussearch",

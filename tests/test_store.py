@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from repro import store
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, LPathError
+from repro.oracle import SQLiteBackend
 from repro.tree import figure1_tree
 from tests.strategies import corpora
 
@@ -570,19 +571,6 @@ class TestRetiredRevisions:
         assert revision in err and "repro compile" in err
 
 
-class TestEngineOpen:
-    def test_row_backends_unavailable(self, tmp_path):
-        path = tmp_path / "corpus.lpdb"
-        store.save_corpus([figure1_tree()], str(path))
-        expected = LPathEngine([figure1_tree()]).query("//NP")
-        with LPathEngine.open(str(path)) as engine:
-            assert engine.query("//NP") == expected
-            with pytest.raises(LPathError):
-                engine.query("//NP", backend="sqlite")
-            with pytest.raises(LPathError):
-                engine.treewalk
-
-
 class TestEngineFromLabels:
     def test_queries_match_tree_built_engine(self):
         trees = [figure1_tree()]
@@ -595,15 +583,13 @@ class TestEngineFromLabels:
     def test_sqlite_backend_works(self):
         rows = list(label_corpus([figure1_tree()]))
         engine = LPathEngine.from_labels(rows)
-        assert engine.query("//NP", backend="sqlite") == engine.query("//NP")
+        assert SQLiteBackend(rows).query("//NP") == engine.query("//NP")
 
     def test_tree_features_unavailable(self):
         rows = list(label_corpus([figure1_tree()]))
         engine = LPathEngine.from_labels(rows)
         with pytest.raises(LPathError):
             engine.nodes("//NP")
-        with pytest.raises(LPathError):
-            engine.treewalk
 
     def test_root_alignment_still_works(self):
         """from_labels must reconstruct the root_right map for `$`."""

@@ -19,7 +19,7 @@ import pytest
 
 from repro.corpus.generator import generate_corpus, replicate_corpus
 from repro.labeling import label_columns, label_corpus, xpath_scheme
-from repro.lpath import TreeWalkEvaluator
+from repro.oracle import TreeWalkEvaluator
 from repro.tree import (
     Tree, TreeError, TreeNode, figure1_tree, format_tree, iter_trees, validate,
     write_trees,

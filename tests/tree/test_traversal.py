@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings
 
+from repro.oracle import traversal as tv
 from repro.tree import figure1_tree
-from repro.tree import traversal as tv
 from tests.strategies import trees
 
 
