@@ -1003,11 +1003,13 @@ class _ValueSeedProbe:
     """``[@attr = literal]`` answered from the value index.
 
     The literal's element rows (attribute hit → owning element, name
-    test applied) are resolved once per bound plan into a candidate list
-    in ``(tid, left)`` order with per-tree bounds: what a structural
-    merge join sweeps (:meth:`rows`), one dictionary lookup and a slice
-    per binding for a tree-keyed probe — and the bounds tell a probe join
-    which bindings can match at all before it probes any of them."""
+    test applied) are the store's own candidate list
+    (:meth:`~repro.columnar.store.ColumnStore.seed`), resolved once per
+    store in ``(tid, left)`` order with per-tree bounds: what a
+    structural merge join sweeps (:meth:`rows`), one dictionary lookup
+    and a slice per binding for a tree-keyed probe — and the bounds tell
+    a probe join which bindings can match at all before it probes any of
+    them."""
 
     def __init__(self, access: ValueSeed, store: ColumnStore) -> None:
         self.access = access
@@ -1015,50 +1017,15 @@ class _ValueSeedProbe:
         self.tid_of = (
             None if access.tid is None else _operand_getter(access.tid, store)
         )
-        self._rows: Optional[array] = None
-        self._partition: Optional[tuple] = None
 
     def rows(self) -> array:
-        """The element rows holding the literal, by ``(tid, left)`` (ties
-        in clustered order).  Built on first use; the store is immutable,
-        so racing builders only duplicate work."""
-        rows = self._rows
-        if rows is None:
-            access, store = self.access, self.store
-            names, tids, ids, is_attr = store.names, store.tid, store.id, store.is_attr
-            attr, name_test = access.attr, access.name_test
-            found = []
-            for attr_row in store.value_rows(access.literal):
-                if names[attr_row] != attr:
-                    continue
-                for element in store.tid_id_rows(tids[attr_row], ids[attr_row]):
-                    if is_attr[element]:
-                        continue
-                    if name_test is not None and names[element] != name_test:
-                        continue
-                    found.append(element)
-            lefts = store.left
-            found.sort(key=lambda row: (tids[row], lefts[row], row))
-            rows = self._rows = array("q", found)
-        return rows
+        """The element rows holding the literal, by ``(tid, left)``."""
+        return self.partition()[0]
 
     def partition(self) -> tuple:
-        """``(rows, bounds, lefts)``: :meth:`rows`, each tree's positions
-        in it as ``(None, tid) -> (lo, hi)`` — keyed like the store's
-        ``(name, tid)`` partitions — and its ``left`` column by position:
-        what the interpreted merge loops and the probe read."""
-        partition = self._partition
-        if partition is None:
-            rows, tids = self.rows(), self.store.tid
-            bounds, start = {}, 0
-            for end in range(1, len(rows) + 1):
-                if end == len(rows) or tids[rows[end]] != tids[rows[start]]:
-                    bounds[None, tids[rows[start]]] = (start, end)
-                    start = end
-            partition = self._partition = (
-                rows, bounds, python_take(self.store.left, rows)
-            )
-        return partition
+        """``(rows, bounds, lefts)`` as the store resolved them: what the
+        interpreted merge loops and the probe read."""
+        return self.store.seed(*self.access.key)
 
     def __call__(self, b: Binding) -> Sequence[int]:
         """The seed's rows in the binding's tree (a tree-keyed seed)."""

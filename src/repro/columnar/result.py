@@ -65,11 +65,6 @@ class ResultBatch(Sequence):
         self.pairs = pairs
 
     @classmethod
-    def of(cls, rows: Iterable[tuple]) -> "ResultBatch":
-        """Pack already distinct, sorted pairs."""
-        return cls(_packed(rows))
-
-    @classmethod
     def frombytes(cls, blob: bytes) -> "ResultBatch":
         pairs = array("q")
         pairs.frombytes(blob)

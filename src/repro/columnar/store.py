@@ -49,6 +49,7 @@ from typing import Iterable, Iterator, Optional
 
 from ..faults import maybe_mmap_read_error
 from ..labeling.lpath_scheme import ATTRIBUTE_PREFIX
+from ..lpath.functions import as_float
 from ..store import MappedSegment, MmapSegmentMeta, NameStats
 from .kernels.api import active_kernels
 
@@ -234,6 +235,8 @@ class ColumnStore:
         "segment",
         "_perm_ids",
         "_by_value",
+        "_by_number",
+        "_seeds",
         "_name_stats",
     )
 
@@ -281,6 +284,8 @@ class ColumnStore:
         )
         self._name_stats = segment.name_stats
         self._by_value = None
+        self._by_number = None
+        self._seeds = {}
 
     @classmethod
     def from_rows(
@@ -484,18 +489,41 @@ class ColumnStore:
                 found[value] = (array("q", _gather(tids, group)), array("q", group))
         return found
 
-    def value_rows(self, literal: str, tid: Optional[int] = None):
-        """Attribute rows whose value equals ``literal`` (optionally within
-        one tree), ordered by ``(tid, id)``."""
-        entry = self.by_value.get(literal)
-        if entry is None:
-            return ()
-        tids, rows = entry
-        if tid is None:
-            return rows
-        lo = bisect_left(tids, tid)
-        hi = bisect_right(tids, tid, lo)
-        return rows[lo:hi]
+    def seed(self, attr: str, literal, name_test: Optional[str]) -> tuple:
+        """``(rows, bounds, lefts)`` of ``[@attr = literal]``: the element
+        rows (named ``name_test`` unless it is ``None``) by ``(tid,
+        left)``, each tree's positions in them as ``(None, tid) -> (lo,
+        hi)`` and their ``left`` column.  A string matches a value as
+        written, a number (a float) every value ``number()`` reads as it.
+        The store owns the answer and keeps it only when it holds rows,
+        so the map never outgrows the store's attribute rows."""
+        key = (attr, literal, name_test)
+        found = self._seeds.get(key)
+        if found is not None:
+            return found
+        by_value, values = self.by_value, (literal,)
+        if not isinstance(literal, str):
+            if self._by_number is None:
+                self._by_number = {}
+                for value in by_value:
+                    self._by_number.setdefault(as_float(value), []).append(value)
+            values = self._by_number.get(literal, ())
+        names, tids, ids, lefts = self.names, self.tid, self.id, self.left
+        rows = sorted((
+            element
+            for value in values if value in by_value
+            for attr_row in by_value[value][1] if names[attr_row] == attr
+            for element in self.tid_id_rows(tids[attr_row], ids[attr_row])
+            if not self.is_attr[element] and name_test in (None, names[element])
+        ), key=lambda row: (tids[row], lefts[row], row))
+        bounds: dict = {}
+        for position, row in enumerate(rows):
+            lo, _hi = bounds.get((None, tids[row]), (position, 0))
+            bounds[None, tids[row]] = (lo, position + 1)
+        found = (array("q", rows), bounds, python_take(lefts, rows))
+        if rows:
+            self._seeds[key] = found
+        return found
 
     def frequency(self, name: Optional[str]) -> int:
         """Rows carrying ``name`` (store size for the wildcard)."""

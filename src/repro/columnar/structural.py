@@ -48,8 +48,8 @@ matches (see ``_SemiJoin`` in :mod:`repro.columnar.executor`).
 
 Which joins are *eligible* is a pure IR-shape question (:func:`merge_spec`);
 whether a merge join is *worth it* is a cost question answered from
-collected statistics (:func:`choose_join`), shared by the optimizer's
-annotation pass and the per-segment bind so both always agree on the
+collected statistics (:func:`choose_join`), shared by ``explain()``'s
+join annotation and the per-segment bind so both always agree on the
 model — on the main chain and, with the owner's estimate threaded in
 (:func:`flow_estimate`), inside predicate subplans.
 ``REPRO_FORCE_JOIN=merge|probe`` overrides the choice for differential
@@ -284,15 +284,15 @@ def choose_join(est_in: float, candidates, stats) -> str:
     """Pick the cheaper physical join under the module's cost units.
     ``candidates`` names the candidate side: a partition name, or the
     :class:`ValueSeed` whose element rows are the candidate list — sized
-    from the literal's entry in a store's value index (a bind), or like a
-    seeded scan where ``stats`` keeps no per-value statistics (the
-    optimizer's catalog); either way assumed spread one tree per row."""
+    by a store's own list (a bind), or like a seeded scan where ``stats``
+    resolves no seeds (the summed catalog of a segmented corpus); either
+    way assumed spread one tree per row."""
     if isinstance(candidates, ValueSeed):
-        by_value = getattr(stats, "by_value", None)
-        if by_value is None:
+        seed = getattr(stats, "seed", None)
+        if seed is None:
             rows = _seed_guess(candidates, stats)
         else:
-            rows = float(len(by_value.get(candidates.literal, ((), ()))[1]))
+            rows = float(len(seed(*candidates.key)[0]))
         partitions = min(rows, float(stats.tree_count()))
     else:
         ns = stats.name_stats(candidates)
@@ -449,7 +449,7 @@ class MergeJoinStep(JoinOutput):
     ``lo..hi`` per tree of a row-id sequence in ``(tid, left)`` order.  A
     named step's list is the identity over the store (a name block's
     positions are its rows); a value-seeded step's is ``seed.rows()``,
-    the literal's element rows, resolved at the first execution.
+    the literal's element rows, resolved once per store.
     """
 
     def __init__(self, join, ctx, vector, binding, row, semi=(), seed=None) -> None:

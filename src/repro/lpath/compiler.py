@@ -28,7 +28,7 @@ from .. import columnar
 from ..columnar.result import ResultBatch
 from ..columnar.structural import read_knobs
 from ..plan import lower as plan_lower
-from ..plan.ir import Aggregate, Limit, PlanNode, render
+from ..plan.ir import Aggregate, Limit, PlanNode
 from .ast import Path
 from .errors import LPathCompileError
 
@@ -91,7 +91,7 @@ class CompiledQuery:
         """The logical IR (uniform across dialects) plus the physical plan."""
         parts = [self.description]
         if self.logical is not None:
-            parts.append("logical plan:\n" + render(self.logical, indent=2))
+            parts.append("logical plan:\n" + self.lowered.render(self.logical))
         parts.append("physical plan:\n" + self.plan.explain(indent=2))
         return "\n".join(parts)
 

@@ -270,14 +270,15 @@ class ValueSeed(Access):
     """Drive a step from the value index: find ``[@attr = literal]`` rows,
     then look up their element rows.  ``tid is None`` seeds a whole-corpus
     scan (first step); a :class:`Col` correlates it with the binding.
-    ``window`` is the step axis's ``(low, high, include_low,
-    include_high)`` range of ``left`` (the bounds a named step's
-    :class:`IndexProbe` carries) — a superset of the axis relation that a
-    structural merge join over the seed's sorted rows sweeps; a per-tree
-    probe ignores it."""
+    ``literal`` is the query's: a string matches a value as written, a
+    number every value ``number()`` reads as it.  ``window`` is the step
+    axis's ``(low, high, include_low, include_high)`` range of ``left``
+    (the bounds a named step's :class:`IndexProbe` carries) — a superset
+    of the axis relation that a structural merge join over the seed's
+    sorted rows sweeps; a per-tree probe ignores it."""
 
     attr: str                    # "@"-prefixed attribute row name
-    literal: str
+    literal: object              # the query's Literal or Number
     name_test: Optional[str]     # element name filter, None for wildcard
     root_only: bool = False
     tid: Optional[Operand] = None
@@ -285,7 +286,12 @@ class ValueSeed(Access):
 
     def __str__(self) -> str:
         scope = "corpus" if self.tid is None else f"tree {self.tid}"
-        return f"ValueSeed({self.attr}={self.literal!r} over {scope})"
+        return f"ValueSeed({self.attr}={self.literal} over {scope})"
+
+    @property
+    def key(self) -> tuple:
+        """``(attr, literal value, name test)``: what a store resolves."""
+        return self.attr, self.literal.value, self.name_test
 
 
 # -- plan nodes ---------------------------------------------------------------

@@ -74,6 +74,7 @@ from .ir import (
     TableScan,
     ValueCmpPred,
     ValueSeed,
+    render,
     D, I, L, N, P, R, T,
 )
 from .schemes import DOWNWARD_AXES, LabelScheme
@@ -86,18 +87,28 @@ class LoweredQuery:
     """The logical plan of one query plus its result bookkeeping — and,
     once it has been physical-compiled, the segment-independent half of
     that compile (``skeleton``, built inside the first
-    ``compile_physical`` call and bound per segment from then on).  ``description`` — the header ``explain()`` prints — unparses
-    the AST when it is read, not on every compile."""
+    ``compile_physical`` call and bound per segment from then on).
+    ``description`` — the header ``explain()`` prints — unparses the AST
+    when it is read, not on every compile; ``catalog`` and ``knobs``
+    are the first compile's, which :meth:`render` costs joins against."""
 
     root: PlanNode
     result_slot: int
     header: str          # ``"LPath plan for {}"``: the slot takes the query
     path: Path
     skeleton: object = None
+    catalog: object = None
+    knobs: object = None
 
     @property
     def description(self) -> str:
         return self.header.format(self.path)
+
+    def render(self, root: PlanNode) -> str:
+        """``root``, this query's optimized plan, as ``explain()`` prints
+        it, its joins annotated (:func:`~repro.plan.optimizer.annotate_joins`)."""
+        optimizer.annotate_joins(root, self.catalog, self.knobs)
+        return render(root, indent=2)
 
 
 def lower_and_optimize(
@@ -108,8 +119,8 @@ def lower_and_optimize(
     pivoted when requested and applicable, plain otherwise — and
     optimize.  Shared by the monolithic compilers and the segmented
     driver so the pivot-fallback and optimizer invocation can never
-    diverge between them.  The optimizer's physical-join annotations are
-    made under ``knobs``, the caller's one read of the environment.
+    diverge between them.  ``knobs``, the caller's one read of the
+    environment, is kept for ``explain()``'s join annotations.
 
     ``limit`` wraps the optimized plan in a :class:`~repro.plan.ir.Limit`
     (top-k in output order); ``agg`` wraps it in an
@@ -130,9 +141,8 @@ def lower_and_optimize(
     lowered = lowerer.lower_pivot(path) if pivot else None
     if lowered is None:
         lowered = lowerer.lower(path)
-    root = optimizer.optimize(
-        lowered.root, lowerer, pivot=pivot, knobs=knobs
-    )
+    root = optimizer.optimize(lowered.root, lowerer, pivot=pivot)
+    lowered.catalog, lowered.knobs = lowerer.catalog, knobs
     slot = lowered.result_slot
     if agg in ("count_by_name", "count_by_depth"):
         group_col = N if agg == "count_by_name" else D
@@ -334,7 +344,7 @@ class Lowerer:
             return Scan(
                 ValueSeed(attr, literal, name_test, root_only=root_only),
                 (),
-                f"value seed {attr}={literal!r}",
+                f"value seed {attr}={literal}",
                 step=step,
             )
         conditions: list[Pred] = []
@@ -718,8 +728,9 @@ class Lowerer:
 
 def find_attribute_equality(
     predicates: Sequence[PredicateExpr],
-) -> Optional[tuple[str, str]]:
-    """Find a direct ``[@attr = literal]`` among a step's predicates."""
+) -> Optional[tuple[str, object]]:
+    """Find a direct ``[@attr = literal]`` among a step's predicates:
+    ``(@attr, its Literal or Number)``."""
     stack = list(predicates)
     while stack:
         expr = stack.pop(0)
@@ -739,17 +750,8 @@ def find_attribute_equality(
             step = items[0]
             if step.axis is not Axis.ATTRIBUTE or step.test.is_wildcard or step.predicates:
                 continue
-            return "@" + step.test.name, seed_text(other.value)
+            return "@" + step.test.name, other
     return None
-
-
-def seed_text(value) -> str:
-    """The text a value seed looks up for a predicate literal: strings
-    as written, whole numbers without a fractional part (``1929``, not
-    ``1929.0``)."""
-    if isinstance(value, str):
-        return value
-    return str(int(value)) if value == int(value) else str(value)
 
 
 def mentions_position(expr: PredicateExpr) -> bool:

@@ -15,15 +15,14 @@ Three walks run between lowering and execution, for both dialects:
   clustered name probe);
 * :func:`finish_conditions` — one traversal of the chain and every
   subplan under it that, per node, drops duplicated and implied
-  comparisons (scoped steps emit their containment residuals twice),
+  comparisons (scoped steps emit their containment residuals twice) and
   orders what is left cheapest-first (the rarest ``exists`` before a
-  common one, from catalog statistics) and costs every merge-eligible
-  ``Join`` as a per-binding probe join vs. a
-  set-at-a-time structural merge join from the collected per-name
-  cardinality/partition/depth statistics, recording the winner on the
-  node (``Join.physical`` / ``Join.est_in``) so ``explain()`` shows the
-  choice.  The per-segment bind re-runs the same model against each
-  shard's own statistics.
+  common one, from catalog statistics).
+
+:func:`annotate_joins` is no pass: ``explain()`` calls it to cost every
+merge-eligible ``Join`` as a probe vs. a structural merge join from the
+per-name statistics and record the winner (``Join.physical`` /
+``Join.est_in``); each bind runs the same model on its own shard.
 
 All passes mutate the IR in place and preserve results exactly; they are
 covered by the cross-backend differential sweeps.
@@ -65,21 +64,15 @@ from .ir import (
 )
 from ..columnar import structural
 from ..lpath.axes import Axis
-from .lower import _FLIPPED_OPS, Lowerer, seed_text
+from .lower import _FLIPPED_OPS, Lowerer
 
 
-def optimize(
-    root: PlanNode, lowerer: Lowerer, pivot: bool = False, knobs=None
-) -> PlanNode:
-    """Run every pass; returns the (mutated) root.  Per-join physical
-    selection (probe vs. structural merge) is annotated from catalog
-    statistics under the ``knobs``
-    (:class:`~repro.columnar.structural.Knobs`) the compile read from the
-    environment."""
+def optimize(root: PlanNode, lowerer: Lowerer, pivot: bool = False) -> PlanNode:
+    """Run every pass; returns the (mutated) root."""
     if pivot:
         reorder_exists_subplans(root, lowerer)
     root = push_down(root)
-    finish_conditions(root, lowerer.catalog, structural.read_knobs(knobs))
+    finish_conditions(root, lowerer.catalog)
     return root
 
 
@@ -247,7 +240,7 @@ def _answered_by_seed(node: PlanNode, condition: Pred, held: set) -> bool:
         isinstance(access, ValueSeed)
         and isinstance(condition, ValueCmpPred)
         and condition.op == "="
-        and seed_text(condition.value) == access.literal
+        and condition.value == access.literal.value
     ):
         return False
     chain = linearize(condition.subplan)
@@ -349,24 +342,10 @@ def _pivoted_subplan(subplan: PlanNode, lowerer: Lowerer) -> Optional[PlanNode]:
 # -- the finishing traversal: prune, order, cost ------------------------------
 
 
-def finish_conditions(
-    root: PlanNode, stats, knobs, est: Optional[float] = None,
-) -> None:
+def finish_conditions(root: PlanNode, stats) -> None:
     """One walk over a chain and, recursively, every predicate subplan
-    under it.  Per node: drop redundant conditions (:func:`_pruned`);
-    stable-sort the rest cheapest-first (:func:`_condition_key`); and
-    record the cost-based probe
-    vs. structural-merge choice on every merge-eligible ``Join`` — the
-    main chain's and those of predicate subplans, which run over their
-    owner's whole output and so are seeded with its estimate
-    (:func:`~repro.columnar.structural.flow_estimate`).  ``knobs.force``
-    pins the choice, and merge
-    choices carry the resolved kernel backend (``merge/native`` |
-    ``merge/python``) so ``explain()`` can never silently cross backends.
-
-    The annotation is what ``explain()``'s logical plan shows; every
-    bind decides again with the same functions from the statistics of
-    the store it binds to."""
+    under it.  Per node: drop redundant conditions (:func:`_pruned`) and
+    stable-sort the rest cheapest-first (:func:`_condition_key`)."""
     for node in linearize(root):
         if not isinstance(node, (Scan, Join, Filter)):
             continue
@@ -375,6 +354,26 @@ def finish_conditions(
             if len(kept) > 1:
                 kept.sort(key=lambda pred: _condition_key(pred, stats))
             node.conditions = tuple(kept)
+            for condition in node.conditions:
+                for pred, _negated in subplan_preds(condition):
+                    finish_conditions(pred.subplan, stats)
+
+
+def annotate_joins(
+    root: PlanNode, stats, knobs, est: Optional[float] = None,
+) -> None:
+    """Record the cost-based probe vs. structural-merge choice on every
+    merge-eligible ``Join`` (``Join.physical`` / ``Join.est_in``) — the
+    main chain's and those of predicate subplans, which run over their
+    owner's whole output and so are seeded with its estimate
+    (:func:`~repro.columnar.structural.flow_estimate`).  ``knobs.force``
+    pins the choice, and merge choices carry the resolved kernel backend
+    (``merge/native`` | ``merge/python``) so ``explain()`` can never
+    silently cross backends.  Only ``explain()`` reads the annotation, so
+    only ``explain()`` makes it."""
+    for node in linearize(root):
+        if not isinstance(node, (Scan, Join, Filter)):
+            continue
         est_in, est = structural.flow_estimate(node, stats, est)
         spec = structural.merge_spec(node)
         if spec is not None:
@@ -387,7 +386,7 @@ def finish_conditions(
             )
         for condition in node.conditions:
             for pred, _negated in subplan_preds(condition):
-                finish_conditions(pred.subplan, stats, knobs, est)
+                annotate_joins(pred.subplan, stats, knobs, est)
 
 
 def _condition_cost(pred: Pred) -> int:

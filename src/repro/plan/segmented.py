@@ -49,7 +49,7 @@ from ..columnar.structural import read_knobs
 from ..faults import active_injector, maybe_delay_segment
 from .ir import (
     AllPred, Cmp, Col, Const, ExistsPred, IndexProbe, PlanNode, ValueSeed,
-    linearize, render, N,
+    linearize, N,
 )
 from .lower import Lowerer, lower_and_optimize
 
@@ -226,7 +226,7 @@ class SegmentedQuery:
         design), and how many segments the statistics pruned."""
         parts = [self.description]
         if self.logical is not None:
-            parts.append("logical plan:\n" + render(self.logical, indent=2))
+            parts.append("logical plan:\n" + self.lowered.render(self.logical))
         total = len(self.parts)
         note = ""
         delta = sum(1 for segment in self.segments if segment.kind == "delta")
@@ -269,25 +269,25 @@ PRUNED = _Pruned()
 
 
 def required_names(root: PlanNode) -> tuple[frozenset, frozenset]:
-    """``(names, literals)`` a segment must hold for ``root`` to return
+    """``(names, seeds)`` a segment must hold for ``root`` to return
     anything from it: the tag (or ``@attribute`` row name) of every
     named probe on the main chain and on the chains of *positive*
     ``exists`` conditions — bare or under ``and``, nested to any depth —
-    plus the literal of every value seed among them.  A segment whose
-    statistics show zero rows for one of the names, or whose value index
-    lacks one of the literals, cannot contribute a row.
+    plus the ``key`` of every value seed among them.  A segment whose
+    statistics show zero rows for one of the names, or whose store
+    resolves one of the seeds to no element, cannot contribute a row.
 
     Nothing is ever required from under ``not``/``or``/``count()``/a
     value comparison (absence can satisfy those), from an or-self probe
     (the context row itself may match) or from a wildcard step."""
     names: set = set()
-    literals: set = set()
+    seeds: set = set()
     pending = [root]
     while pending:
         for node in linearize(pending.pop()):
             access = getattr(node, "access", None)
             if isinstance(access, ValueSeed):
-                literals.add(access.literal)
+                seeds.add(access.key)
                 names.update(
                     name for name in (access.attr, access.name_test) if name
                 )
@@ -311,7 +311,7 @@ def required_names(root: PlanNode) -> tuple[frozenset, frozenset]:
                     and isinstance(condition.right, Const)
                 ):
                     names.add(condition.right.value)
-    return frozenset(names), frozenset(literals)
+    return frozenset(names), frozenset(seeds)
 
 
 class SegmentedPlanCompiler:
@@ -345,11 +345,11 @@ class SegmentedPlanCompiler:
         """One logical compile, one physical skeleton, a bind per segment
         that can hold a result, one merged result.
 
-        The environment knobs are read once, here.  The logical plan's
-        join annotations come from the summed corpus-wide statistics; the
-        first segment's ``compile_physical`` builds the plan's
-        segment-independent skeleton, and each bind re-decides probe vs.
-        merge against its own shard's statistics.  Segments whose
+        The environment knobs are read once, here.  ``explain()`` costs
+        the logical plan's joins against the summed corpus-wide
+        statistics; the first segment's ``compile_physical`` builds the
+        plan's segment-independent skeleton, and each bind decides probe
+        vs. merge against its own shard's statistics.  Segments whose
         statistics prove their result empty (:func:`required_names`) are
         not bound at all."""
         knobs = read_knobs()
@@ -365,17 +365,18 @@ class SegmentedPlanCompiler:
     def _bind(self, root, lowered, knobs, known=None) -> list:
         """One part per segment, in order: the part ``known`` (``id(segment)
         -> part``) already holds, a part over :data:`PRUNED` for a segment
-        that lacks a required name or literal, else the plan bound to the
+        that lacks a required name or seed, else the plan bound to the
         segment."""
-        names, literals = required_names(root)
+        names, seeds = required_names(root)
         parts = []
         for segment in self.segments:
             compiler = segment.compiler
+            store = compiler.column_store
             part = known.get(id(segment)) if known else None
             if part is not None:
                 pass
-            elif any(compiler.column_store.frequency(name) == 0 for name in names) or (
-                literals and not literals <= compiler.column_store.by_value.keys()
+            elif any(store.frequency(name) == 0 for name in names) or any(
+                not store.seed(*seed)[0] for seed in seeds
             ):
                 _inner, limit, agg = compiler.unwrap(root)
                 part = compiler.result_class(

@@ -93,12 +93,19 @@ class TestColumnStore:
             )
 
     def test_value_rows(self):
+        """A seed's element rows are resolved once per store, and only a
+        literal that holds rows is kept."""
         store = figure1_store()
-        rows = list(store.value_rows("saw"))
-        assert rows and all(store.values[row] == "saw" for row in rows)
-        assert list(store.value_rows("saw", tid=0)) == rows
-        assert list(store.value_rows("saw", tid=9)) == []
-        assert list(store.value_rows("no-such-word")) == []
+        rows, bounds, lefts = store.seed("@lex", "saw", None)
+        assert len(rows) == 1 and store.names[rows[0]] == "V"
+        assert bounds == {(None, 0): (0, 1)}
+        assert list(lefts) == [store.left[rows[0]]]
+        assert store.seed("@lex", "saw", None)[0] is rows
+        assert store.seed("@lex", "saw", "V")[0] == rows
+        assert not store.seed("@lex", "saw", "N")[0]
+        assert not store.seed("@lex", "no-such-word", None)[0]
+        assert not store.seed("@pos", "saw", None)[0]
+        assert list(store._seeds) == [("@lex", "saw", None), ("@lex", "saw", "V")]
 
     def test_string_value_matches_treewalk(self):
         assert_string_values_match_treewalk([figure1_tree()])

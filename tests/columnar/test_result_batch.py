@@ -44,6 +44,7 @@ from repro.corpus import generate_corpus
 from repro.lpath import LPathEngine
 from repro.oracle import TreeWalkEvaluator
 from repro.serve.cache import rows_digest
+from tests.batches import batch_of
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 NATIVE = native_kernels()
@@ -107,7 +108,7 @@ class TestMerge:
     def test_every_backend_equals_heapq_merge(self, drawn):
         parts = [sorted(part) for part in drawn]
         expected = list(heapq.merge(*parts))
-        batches = [ResultBatch.of(part) for part in parts]
+        batches = [batch_of(part) for part in parts]
         held = [batch.pairs for batch in batches if batch.pairs]
         for name, _emit, merge in BACKENDS:
             if held:  # the kernels themselves only ever see non-empty parts
@@ -116,8 +117,8 @@ class TestMerge:
             assert list(ResultBatch.merge(batches, kern)) == expected, name
 
     def test_at_most_one_non_empty_part_is_not_merged(self):
-        only = ResultBatch.of([(1, 2), (3, 4)])
-        assert ResultBatch.merge([EMPTY, only, ResultBatch.of([])]) is only
+        only = batch_of([(1, 2), (3, 4)])
+        assert ResultBatch.merge([EMPTY, only, batch_of([])]) is only
         assert ResultBatch.merge([only]) is only
         assert len(ResultBatch.merge([])) == 0
         assert len(ResultBatch.merge([EMPTY, EMPTY])) == 0
@@ -136,7 +137,7 @@ class TestEncode:
     @example([(-7, -1), (INT64_MIN, INT64_MAX), (-INT64_MAX, INT64_MIN)])
     @settings(max_examples=4 * FUZZ_EXAMPLES, deadline=None)
     def test_every_backend_equals_json_dumps(self, rows):
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         expected = json.dumps([list(pair) for pair in rows]).encode()
         assert python_encode_pairs(batch.pairs) == expected
         assert batch.encode() == expected
@@ -166,7 +167,7 @@ class TestBatchSurface:
     @settings(max_examples=2 * FUZZ_EXAMPLES, deadline=None)
     def test_pages_tile_the_full_list(self, rows, page):
         rows.sort()
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         assert len(batch) == len(rows) and list(batch) == rows
         tiled = []
         for offset in range(0, len(rows) + page, page):
@@ -180,7 +181,7 @@ class TestBatchSurface:
     @given(st.lists(st.tuples(values, values), max_size=40))
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     def test_bytes_round_trip(self, rows):
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         blob = batch.tobytes()
         assert len(blob) == 16 * len(rows)
         assert ResultBatch.frombytes(blob) == batch
@@ -190,9 +191,9 @@ class TestBatchSurface:
            st.data())
     @settings(max_examples=2 * FUZZ_EXAMPLES, deadline=None)
     def test_digest_sees_every_single_id_flip(self, rows, data):
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         digest = rows_digest(batch)
-        assert rows_digest(ResultBatch.of(rows)) == digest
+        assert rows_digest(batch_of(rows)) == digest
         position = data.draw(st.integers(0, 2 * len(rows) - 1))
         flipped = array("q", batch.pairs)
         flipped[position] = -1 - flipped[position]
@@ -285,7 +286,7 @@ class TestBatchContract:
     @given(sorted_pairs, st.data())
     @settings(max_examples=4 * FUZZ_EXAMPLES, deadline=None)
     def test_a_batch_behaves_as_its_list(self, rows, data):
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         assert isinstance(batch, Sequence)
         assert len(batch) == len(rows) and bool(batch) is bool(rows)
         assert list(batch) == rows and list(reversed(batch)) == rows[::-1]
@@ -306,7 +307,7 @@ class TestBatchContract:
     @given(sorted_pairs, st.sampled_from([2, 3, -1, -2]))
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     def test_a_stepped_slice_is_refused_not_wrong(self, rows, step):
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         with pytest.raises(ValueError, match=r"list\(batch\)"):
             batch[::step]
         assert list(batch)[::step] == rows[::step]
@@ -314,10 +315,10 @@ class TestBatchContract:
     @given(sorted_pairs)
     @settings(max_examples=2 * FUZZ_EXAMPLES, deadline=None)
     def test_equality_with_a_list_in_both_directions(self, rows):
-        batch = ResultBatch.of(rows)
+        batch = batch_of(rows)
         assert batch == rows and rows == batch
         assert not batch != rows and not rows != batch
-        assert batch == ResultBatch.of(rows)
+        assert batch == batch_of(rows)
         longer = rows + [(1 << 62, 1 << 62)]
         assert batch != longer and longer != batch
         if rows:
@@ -326,7 +327,7 @@ class TestBatchContract:
         assert batch != tuple(rows)
 
     def test_unhashable_with_a_readable_repr(self):
-        batch = ResultBatch.of([(1, 2), (3, 4)])
+        batch = batch_of([(1, 2), (3, 4)])
         with pytest.raises(TypeError):
             hash(batch)
         assert repr(batch) == "ResultBatch([(1, 2), (3, 4)])"

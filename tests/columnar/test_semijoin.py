@@ -348,10 +348,18 @@ class TestPerRowPaths:
                 assert len(keys) == store.n > 0, flavor
 
 
+def _annotated(engine, query):
+    """``query``'s optimized plan with its join annotations, which
+    ``explain()`` makes when it is asked."""
+    compiled = engine.compile(query)
+    compiled.explain()
+    return compiled.logical
+
+
 def _subplan_joins(engine, query):
     """``[(label, physical annotation)]`` of the joins inside the first
     predicate subplan of ``query``'s optimized plan."""
-    root = engine.compile(query).logical
+    root = _annotated(engine, query)
     for node in linearize(root):
         for condition in getattr(node, "conditions", ()):
             for pred, _negated in subplan_preds(condition):
@@ -435,7 +443,7 @@ class TestEstimatesCrossThePredicateBoundary:
         # joins, and an exists nested inside them, are costed from the
         # owner's estimate — exactly as the same steps on the main chain.
         with environment(**{FORCE_ENV: None}):
-            root = engine.compile("//S[count(//NP[//JJ])>2]").logical
+            root = _annotated(engine, "//S[count(//NP[//JJ])>2]")
             (count_pred,) = [
                 pred for node in linearize(root)
                 for condition in getattr(node, "conditions", ())
@@ -455,7 +463,7 @@ class TestEstimatesCrossThePredicateBoundary:
                 if isinstance(item, Join)
             ]
             chain = [
-                item for item in linearize(engine.compile("//S//NP").logical)
+                item for item in linearize(_annotated(engine, "//S//NP"))
                 if isinstance(item, Join)
             ]
             assert [(j.est_in, j.physical) for j in chain] == [

@@ -191,12 +191,13 @@ class TestCostModel:
         assert choose_join(5000.0, "NP", store) == "merge"
 
     def test_a_seeded_candidate_side_is_sized_from_the_value_index(self, trees):
+        from repro.lpath.ast import Literal
         from repro.plan.ir import Col, ValueSeed, T
 
         store = ColumnStore.from_rows(label_corpus(trees))
         catalog = SegmentedCatalog([store])  # no value index
         for literal in ("dog", "nowhere"):
-            seed = ValueSeed("@lex", literal, None, tid=Col(0, T))
+            seed = ValueSeed("@lex", Literal(literal), None, tid=Col(0, T))
             for stats in (store, catalog):   # exact at a bind, guessed before
                 assert choose_join(2.0, seed, stats) == "probe"
                 assert choose_join(5000.0, seed, stats) == "merge"

@@ -183,8 +183,7 @@ NUMBER_WORDS = [
 
 
 @pytest.mark.parametrize("query, expected", [
-    pytest.param("//N[@lex=2]", [2, 3, 4], marks=pytest.mark.xfail(
-        strict=True, reason="the plan's value seed matches the text '2' only")),
+    ("//N[@lex=2]", [2, 3, 4]),
     ("//N[@lex!=2]", [5, 6, 7, 8, 9, 10, 11, 12, 13]),
     ("//N[@lex>0]", [2, 3, 4, 5]),
     ("//N[@lex<0]", [6]),
@@ -202,3 +201,39 @@ def test_number_reads_words_alike_on_every_backend(query, expected):
     assert TreeWalkEvaluator(trees).query(query) == want, "treewalk"
     if "@" in query:  # SQL compares attribute values only
         assert SQLiteBackend(label_corpus(trees)).query(query) == want, "sqlite"
+
+
+
+def flat_tree(tid, words):
+    """``S`` over one ``N`` per word: the S is node 1, the words 2, 3, ..."""
+    children = [TreeNode("N", attributes={"lex": word}) for word in words]
+    return Tree(TreeNode("S", children), tid=tid)
+
+
+@pytest.mark.parametrize("query", [
+    "//N[@lex=2]", "//S//N[@lex=2]", "//S[//N[@lex=2]]", "//S[/_[@lex=2]]",
+])
+def test_a_number_seed_reads_every_word_number_reads_alike(query):
+    """``[@lex=2]`` seeds from every word ``number()`` reads as 2: on a
+    first step, on a seeded join and on a seeded predicate join."""
+    trees = [
+        flat_tree(0, ["2", " 2 ", "02", "2.0", "20", "two"]),
+        flat_tree(1, ["dog", "2."]),
+    ]
+    want = TreeWalkEvaluator(trees).query(query)
+    assert {tid for tid, _id in want} == {0, 1}
+    assert SQLiteBackend(label_corpus(trees)).query(query) == want
+    for segments in (1, 2):
+        assert list(LPathEngine(trees, segments=segments).query(query)) == want
+
+
+def test_a_segment_whose_only_equal_word_is_2_dot_is_bound():
+    """Pruning resolves a number seed as execution does: the second of
+    two segments holds only ``2.``, the first no word equal to 2."""
+    trees = [flat_tree(0, ["dog", "two"]), flat_tree(1, ["dog", "2."])]
+    compiled = LPathEngine(trees, segments=2).compile("//N[@lex=2]")
+    assert [index for index, _part in compiled.bound] == [1]
+    assert list(compiled.rows()) == [(1, 3)]
+    assert TreeWalkEvaluator(trees).query("//N[@lex=2]") == [(1, 3)]
+    assert "pruned 1 of 2" in compiled.explain()
+    assert "ValueSeed(@lex=2 over corpus)" in compiled.explain()

@@ -22,7 +22,10 @@ from repro import faults
 from repro.columnar import executor as columnar_executor
 from repro.columnar import structural
 from repro.columnar.kernels import api as kernels_api
+from repro.columnar.store import ColumnStore
 from repro.corpus import generate_corpus
+from repro.labeling.lpath_scheme import label_corpus
+from repro.live import LiveEngineManager, create_live_corpus
 from repro.lpath import LPathEngine
 from repro.lpath.compiler import PlanCompiler
 from repro.store import save_corpus
@@ -119,10 +122,10 @@ def test_segment_independent_work_does_not_scale_with_segments(
 ):
     one = cold_compile_counts(stores[1], monkeypatch)
     eight = cold_compile_counts(stores[8], monkeypatch)
-    for piece in (
-        "merge_spec/optimizer", "merge_spec/skeleton", "classify", "skeletons",
-    ):
+    for piece in ("merge_spec/skeleton", "classify", "skeletons"):
         assert eight[piece] == one[piece] > 0, piece
+    # The optimizer costs no join: only explain() annotates the IR.
+    assert one["merge_spec/optimizer"] == eight["merge_spec/optimizer"] == 0
     # Native checks are validated once per plan under the native backend;
     # the pure-Python backend runs the reference loop and validates none.
     if kernels_api.active_kernels() is None:
@@ -257,6 +260,122 @@ def test_rare_word_binds_and_runs_only_where_the_word_lives(trees, stores):
         assert engine.query(query) == monolithic.query(query) != []
     finally:
         engine.close()
+
+
+def shard_stores(engine) -> list:
+    return [segment.compiler.column_store for segment in engine._compiler.segments]
+
+
+def count_seed_builds(monkeypatch) -> list:
+    """The stores that build a candidate list from here on: only a miss
+    in a store's seed map reads its value index."""
+    builds = []
+    real = ColumnStore.by_value
+
+    def by_value(store):
+        builds.append(store)
+        return real.fget(store)
+
+    monkeypatch.setattr(ColumnStore, "by_value", property(by_value))
+    return builds
+
+
+def test_a_resolved_literal_builds_no_candidate_list_again(stores, monkeypatch):
+    engine = LPathEngine.open(stores[8])
+    try:
+        shards = shard_stores(engine)
+        word = next(
+            word for word in ("the", "of", "a")
+            if all(word in shard.by_value for shard in shards)
+        )
+        assert engine.query(f"//_[@lex={word}]\\NP")
+        entries = [dict(shard._seeds) for shard in shards]
+        builds = count_seed_builds(monkeypatch)
+        for query in (                  # never seen: every op misses the cache
+            f"//_[@lex={word}]\\ancestor::S",
+            f"//S[//_[@lex={word}]]",    # a seeded join in a predicate
+            f"//VP//_[@lex={word}]",     # a seeded join on the main chain
+        ):
+            compiled = engine.compile(query)
+            assert len(compiled.bound) == 8 and compiled.rows(), query
+        assert builds == []
+        # The three queries share one candidate list per shard with the first.
+        assert [dict(shard._seeds) for shard in shards] == entries
+    finally:
+        monkeypatch.undo()
+        engine.close()
+
+
+def test_absent_words_add_no_seed_entry(stores, monkeypatch):
+    engine = LPathEngine.open(stores[2])
+    try:
+        shards = shard_stores(engine)
+        builds = count_seed_builds(monkeypatch)
+        for index in range(20):
+            compiled = engine.compile(f"//_[@lex=absent{index}]\\NP")
+            assert compiled.bound == [] and compiled.rows() == []
+        assert len(builds) == 20 * len(shards)  # each looked up, none kept
+        assert [shard._seeds for shard in shards] == [{}, {}]
+    finally:
+        monkeypatch.undo()
+        engine.close()
+
+
+def test_a_cold_compile_costs_joins_only_in_the_binds(stores, monkeypatch):
+    """The optimizer's ``choose_join`` is ``structural.choose_join`` read at
+    call time; the bind's is the executor's import.  A cold compile
+    reaches only the second; ``explain()`` costs the logical plan."""
+    monkeypatch.delenv(structural.FORCE_ENV, raising=False)
+    engine = LPathEngine.open(stores[2])
+    try:
+        counter = Counter(monkeypatch)
+        counter.wrap(structural, "choose_join", "explain")
+        counter.wrap(columnar_executor, "choose_join", "bind")
+        compiled = engine.compile("//NP[->PP[//IN]=>VP]")
+        assert counter.calls == {"explain": 0, "bind": 2 * 3}
+        text = compiled.explain()
+        assert counter.calls == {"explain": 3, "bind": 2 * 3}
+        assert text.count(" est_in=") == 3
+    finally:
+        monkeypatch.undo()
+        engine.close()
+
+
+def test_a_rewritten_corpus_reopens_with_its_own_seeds(tmp_path):
+    """A seed map lives and dies with its store: reopening a path whose
+    corpus was rewritten answers from the new corpus, however the new
+    store objects happen to be allocated."""
+    path = str(tmp_path / "rewritten.lpdb")
+    query = "//_[@lex=the]\\NP"
+    for seed in (1, 2, 3, 4):
+        trees = list(generate_corpus("wsj", sentences=20 + seed, seed=seed))
+        save_corpus(trees, path, segments=2, format="lpdb0004")
+        engine = LPathEngine.open(path)
+        try:
+            assert engine.query(query) == LPathEngine(trees).query(query)
+        finally:
+            engine.close()
+
+
+def test_a_live_append_tier_resolves_its_own_seeds(trees, tmp_path):
+    path = str(tmp_path / "live.lpdb")
+    create_live_corpus(path, list(label_corpus(trees)), segments=2)
+    manager = LiveEngineManager(path)
+    try:
+        query = "//_[@lex=seedword]\\NP"
+        assert manager.engine.query("//_[@lex=the]\\NP")
+        base = shard_stores(manager.engine)
+        entries = [dict(shard._seeds) for shard in base]
+        assert manager.engine.query(query) == []
+        manager.append_trees("(S (NP (N seedword)) (VP (V sat)))")
+        engine = manager.engine
+        shards = shard_stores(engine)
+        assert shards[:2] == base and len(shards) == 3
+        assert engine.query(query) == [(len(trees), 2)]
+        assert [shard._seeds for shard in base] == entries
+        assert list(shards[2]._seeds) == [("@lex", "seedword", None)]
+    finally:
+        manager.close()
 
 
 def test_native_checks_are_validated_by_column_position():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.corpus import generate_corpus
 from repro.lpath import LPathEngine
+from repro.lpath.ast import Literal
 from repro.plan.ir import (
     Cmp,
     Col,
@@ -291,7 +292,7 @@ class TestRedundantResiduals:
             test = ValueCmpPred(step, "=", "saw", False)
             node = Join(
                 Context(0), slot=1,
-                access=ValueSeed("@lex", "saw", None, tid=Col(0, T)),
+                access=ValueSeed("@lex", Literal("saw"), None, tid=Col(0, T)),
                 conditions=tuple(containment) + (test,),
                 label="descendant::_", axis=Axis.DESCENDANT, ctx_slot=0,
             )

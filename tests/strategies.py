@@ -18,9 +18,10 @@ from repro.tree import Tree, TreeNode
 LABELS = ["S", "NP", "VP", "PP", "N", "V", "Det", "Adj", "Prep", "ADVP", "X-Y"]
 WORDS = ["saw", "dog", "man", "the", "a", "old", "with", "today", "I", "of"]
 
-#: Leaf words: :data:`WORDS` and one number, so that a numeric comparison
-#: of an element's string value (``[. > 1]``) can come out either way.
-LEXICON = WORDS + ["2"]
+#: Leaf words: :data:`WORDS` and two numbers, so that a numeric comparison
+#: of an element's string value (``[. > 1]``) can come out either way,
+#: and ``[@lex=2]`` holds for a word whose text is not ``2``.
+LEXICON = WORDS + ["2.0", "2"]
 
 labels = st.sampled_from(LABELS)
 words = st.sampled_from(WORDS)
@@ -32,7 +33,9 @@ def tree_nodes(draw, max_depth: int = 5, max_children: int = 4) -> TreeNode:
     label = draw(labels)
     if max_depth <= 1 or draw(st.booleans()):
         want_word = draw(st.booleans())
-        attrs = {"lex": draw(st.sampled_from(LEXICON))} if want_word else {}
+        # One word in two is a number: the ``number()`` edge cases.
+        pool = LEXICON[-2:] if draw(st.booleans()) else WORDS
+        attrs = {"lex": draw(st.sampled_from(pool))} if want_word else {}
         return TreeNode(label, attributes=attrs)
     n_children = draw(st.integers(min_value=1, max_value=max_children))
     children = [
@@ -111,13 +114,14 @@ name_tests = st.sampled_from(LABELS + ["_"])
 @st.composite
 def _step_test(draw, edges: str = "{}") -> str:
     """A name test (``edges`` wraps it in a scope's ``^``/``$``), one time
-    in four narrowed to a word: ``N[@lex=dog]``.  Past the first step of a
+    in four narrowed to a word or the number 2: ``N[@lex=dog]``.  Past the first step of a
     path that is a *value-seeded* join — the candidates come from the
     value index, merged against their sorted row list or probed per
     binding — behind whatever separator (axis) precedes it."""
     text = edges.format(draw(name_tests))
     if draw(st.integers(min_value=0, max_value=3)) == 0:
-        text += f"[@lex={draw(words)}]"
+        # ``2`` seeds from every word ``number()`` reads as 2.
+        text += f"[@lex={draw(st.sampled_from(['2', *WORDS]))}]"
     return text
 
 
@@ -140,7 +144,8 @@ def _predicate(
     # "path" is listed twice: existence subplans are the predicates the
     # batch executor runs as semi-joins, so they get the largest share.
     simple = [
-        "path", "path", "attr-exists", "attr-cmp", "name-cmp", "count-cmp",
+        "path", "path", "attr-exists", "attr-cmp", "attr-cmp", "name-cmp",
+        "count-cmp",
     ]
     if element_values:
         simple.append("value-cmp")
@@ -151,18 +156,11 @@ def _predicate(
     if kind == "attr-exists":
         return "@lex"
     if kind == "attr-cmp":
-        # Against a word as text, or against a number: a word that is no
-        # number reads as NaN, which only ``!=`` holds against.  A quoted
-        # literal is text to ``=``/``!=`` and a number (or NaN) to order.
-        if draw(st.booleans()):
-            op = draw(st.sampled_from(["=", "!="]))
-            return f"@lex{op}{draw(words)}"
-        op = draw(st.sampled_from(_COMPARE_OPS))
-        number = str(draw(st.integers(min_value=0, max_value=3)))
-        if draw(st.booleans()):
-            return f"@lex{op}{number}"
-        quoted = number if draw(st.booleans()) else draw(words)
-        return f'@lex{op}"{quoted}"'
+        # ``@lex`` sits on leaves, which a random name test rarely names,
+        # so two tests in three go to any node below the context (for
+        # ``=``, a value-seeded join).
+        test = draw(_attr_test())
+        return test if draw(st.integers(0, 2)) == 0 else f"//_[{test}]"
     if kind == "name-cmp":
         op = draw(st.sampled_from(["=", "!="]))
         return f"name(){op}{draw(labels)}"
@@ -183,6 +181,23 @@ def _predicate(
         return f"not({draw(inner)})"
     joiner = " and " if kind == "and" else " or "
     return joiner.join((draw(inner), draw(inner)))
+
+
+@st.composite
+def _attr_test(draw) -> str:
+    """``@lex op literal``: equal to ``2`` (which ``2.0`` is too), ordered
+    against a quoted number or word (a number, or NaN, which no value is
+    less or greater than), ordered against a number, or compared to a
+    word as text (a word that is no number reads as NaN, which only
+    ``!=`` holds against)."""
+    equal = draw(st.sampled_from(["=", "!="]))
+    order = draw(st.sampled_from(_COMPARE_OPS[2:]))
+    number = draw(st.sampled_from(["2", "3", "0", "1"]))
+    word = draw(words)
+    return draw(st.sampled_from([
+        f"@lex{equal}2", f'@lex{order}"{number}"', f'@lex{order}"{word}"',
+        f"@lex{order}{number}", f"@lex{equal}{word}",
+    ]))
 
 
 @st.composite
@@ -216,6 +231,10 @@ def lpath_queries(draw, max_steps: int = 3, max_pred_depth: int = 2) -> str:
     """A random LPath query supported by every execution path."""
     step_count = draw(st.integers(min_value=1, max_value=max_steps))
     text = draw(st.sampled_from(["/", "//"])) + draw(name_tests)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        # One text in four is a test of the words themselves:
+        # ``//_[@lex<"3"]``, ``//_[@lex=2][@lex!=dog]``.
+        text, step_count = f"//_[{draw(_attr_test())}]", 1
     for index in range(step_count):
         # One step in two carries a predicate, so about 7 texts in 10 do.
         if draw(st.booleans()):

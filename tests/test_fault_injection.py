@@ -7,7 +7,6 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
-from repro.columnar.result import ResultBatch
 from repro.faults import (
     FAULT_POINTS,
     FAULTS_ENV,
@@ -17,6 +16,7 @@ from repro.faults import (
     parse_fault_specs,
 )
 from repro.serve.cache import EncodedAggregate
+from tests.batches import batch_of
 
 
 class TestSpecParsing:
@@ -104,7 +104,7 @@ class TestEnvironmentActivation:
         faults.maybe_delay_segment()
         faults.maybe_mmap_read_error()
         assert faults.maybe_reset_socket() is False
-        rows = ResultBatch.of([(1, 2), (3, 4)])
+        rows = batch_of([(1, 2), (3, 4)])
         assert faults.poisoned_rows(rows) is rows
 
     def test_env_change_rebuilds_injector(self, monkeypatch):
@@ -130,7 +130,7 @@ class TestHelpers:
 
     def test_poisoned_rows_differ_but_keep_shape(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "cache_poison:1.0:1")
-        rows = ResultBatch.of([(1, 2), (3, 4)])
+        rows = batch_of([(1, 2), (3, 4)])
         poisoned = faults.poisoned_rows(rows)
         assert poisoned != rows
         assert len(poisoned) == len(rows)
@@ -141,7 +141,7 @@ class TestHelpers:
         poisoned = faults.poisoned_rows(aggregate)
         assert type(poisoned) is EncodedAggregate
         assert poisoned.pairs != aggregate.pairs == b'[["NP", 7]]'
-        assert faults.poisoned_rows(ResultBatch.of([])) != ResultBatch.of([])
+        assert faults.poisoned_rows(batch_of([])) != batch_of([])
 
     def test_reset_socket_reports_the_draw(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "socket_reset:1.0:1")
