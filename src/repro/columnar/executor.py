@@ -1002,14 +1002,12 @@ def _tid_id_probe(access: IndexProbe, store: ColumnStore) -> RowProbe:
 class _ValueSeedProbe:
     """``[@attr = literal]`` answered from the value index.
 
-    The literal's element rows (attribute hit → owning element, name
-    test applied) are the store's own candidate list
-    (:meth:`~repro.columnar.store.ColumnStore.seed`), resolved once per
-    store in ``(tid, left)`` order with per-tree bounds: what a
-    structural merge join sweeps (:meth:`rows`), one dictionary lookup
-    and a slice per binding for a tree-keyed probe — and the bounds tell
-    a probe join which bindings can match at all before it probes any of
-    them."""
+    The literal's element rows, resolved once per store
+    (:meth:`~repro.columnar.store.ColumnStore.seed`) in ``(tid, left)``
+    order with per-tree bounds: what a structural merge join sweeps
+    (:meth:`rows`), one lookup and a slice per binding for a tree-keyed
+    probe — and the bounds tell a probe join which bindings can match at
+    all before it probes any of them."""
 
     def __init__(self, access: ValueSeed, store: ColumnStore) -> None:
         self.access = access

@@ -235,7 +235,6 @@ class ColumnStore:
         "segment",
         "_perm_ids",
         "_by_value",
-        "_by_number",
         "_seeds",
         "_name_stats",
     )
@@ -284,7 +283,6 @@ class ColumnStore:
         )
         self._name_stats = segment.name_stats
         self._by_value = None
-        self._by_number = None
         self._seeds = {}
 
     @classmethod
@@ -495,19 +493,15 @@ class ColumnStore:
         left)``, each tree's positions in them as ``(None, tid) -> (lo,
         hi)`` and their ``left`` column.  A string matches a value as
         written, a number (a float) every value ``number()`` reads as it.
-        The store owns the answer and keeps it only when it holds rows,
-        so the map never outgrows the store's attribute rows."""
+        The store keeps an answer that holds rows, so the map never
+        outgrows its attribute rows."""
         key = (attr, literal, name_test)
         found = self._seeds.get(key)
         if found is not None:
             return found
         by_value, values = self.by_value, (literal,)
         if not isinstance(literal, str):
-            if self._by_number is None:
-                self._by_number = {}
-                for value in by_value:
-                    self._by_number.setdefault(as_float(value), []).append(value)
-            values = self._by_number.get(literal, ())
+            values = [value for value in by_value if as_float(value) == literal]
         names, tids, ids, lefts = self.names, self.tid, self.id, self.left
         rows = sorted((
             element

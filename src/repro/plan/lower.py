@@ -90,7 +90,7 @@ class LoweredQuery:
     ``compile_physical`` call and bound per segment from then on).
     ``description`` — the header ``explain()`` prints — unparses the AST
     when it is read, not on every compile; ``catalog`` and ``knobs``
-    are the first compile's, which :meth:`render` costs joins against."""
+    are the first compile's, which :meth:`annotate` costs joins against."""
 
     root: PlanNode
     result_slot: int
@@ -105,10 +105,17 @@ class LoweredQuery:
         return self.header.format(self.path)
 
     def render(self, root: PlanNode) -> str:
-        """``root``, this query's optimized plan, as ``explain()`` prints
-        it, its joins annotated (:func:`~repro.plan.optimizer.annotate_joins`)."""
-        optimizer.annotate_joins(root, self.catalog, self.knobs)
+        """``root``, this query's optimized plan, as ``explain()`` prints it."""
+        self.annotate(root)
         return render(root, indent=2)
+
+    def annotate(self, root: PlanNode) -> None:
+        """Cost ``root``'s joins (:func:`~repro.plan.optimizer.annotate_joins`)
+        once, then drop the catalog: a plan carried across live swaps holds
+        no retired store.  Racing callers write the same values."""
+        if (catalog := self.catalog) is not None:
+            optimizer.annotate_joins(root, catalog, self.knobs)
+            self.catalog = None
 
 
 def lower_and_optimize(

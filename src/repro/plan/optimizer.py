@@ -19,10 +19,11 @@ Three walks run between lowering and execution, for both dialects:
   orders what is left cheapest-first (the rarest ``exists`` before a
   common one, from catalog statistics).
 
-:func:`annotate_joins` is no pass: ``explain()`` calls it to cost every
-merge-eligible ``Join`` as a probe vs. a structural merge join from the
-per-name statistics and record the winner (``Join.physical`` /
-``Join.est_in``); each bind runs the same model on its own shard.
+:func:`annotate_joins` is no pass: only ``explain()`` reads what it
+records, the probe vs. structural merge choice of every merge-eligible
+``Join``, so a plan makes it once, when first explained or rebased
+(:meth:`~repro.plan.lower.LoweredQuery.annotate`); each bind runs the
+same cost model on its own shard.
 
 All passes mutate the IR in place and preserve results exactly; they are
 covered by the cross-backend differential sweeps.
@@ -369,8 +370,7 @@ def annotate_joins(
     (:func:`~repro.columnar.structural.flow_estimate`).  ``knobs.force``
     pins the choice, and merge choices carry the resolved kernel backend
     (``merge/native`` | ``merge/python``) so ``explain()`` can never
-    silently cross backends.  Only ``explain()`` reads the annotation, so
-    only ``explain()`` makes it."""
+    silently cross backends."""
     for node in linearize(root):
         if not isinstance(node, (Scan, Join, Filter)):
             continue

@@ -395,12 +395,13 @@ class SegmentedPlanCompiler:
         :class:`Segment` object both lists hold and binds only the
         segments that are new, from the skeleton the plan's retained
         ``lowered`` carries (nothing is lowered, optimized or
-        skeleton-built again).  ``compiled`` is never mutated — a query
-        in flight on the retired engine still holds it.  The logical plan
-        (and so the estimates ``explain()`` prints) stays as first
-        lowered."""
+        skeleton-built again).  ``compiled`` is never restructured — a
+        query in flight on the retired engine still holds it.  Its logical
+        plan, and the estimates ``explain()`` prints, stay as first lowered
+        and costed (:meth:`~repro.plan.lower.LoweredQuery.annotate`)."""
         if compiled.segments is self.segments:
             return compiled
+        compiled.lowered.annotate(compiled.logical)
         known = {
             id(segment): part
             for segment, part in zip(compiled.segments, compiled.parts)

@@ -29,7 +29,9 @@ result cache) must match the in-process mmap engine byte for byte.
 ``REPRO_FUZZ_EXAMPLES`` scales the number of hypothesis examples (the
 nightly CI job raises it well past the default); every example checks
 ``QUERIES_PER_EXAMPLE`` queries, so the default run covers at least
-25 x 8 = 200 fuzzed (corpus, query) pairs.
+25 x 8 = 200 fuzzed (corpus, query) pairs.  The four-path test also
+draws ``WORD_QUERIES_PER_EXAMPLE`` tests of the words themselves over a
+corpus whose leaves are numbers half the time.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ from repro.lpath.errors import LPathCompileError
 from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.tree import write_trees
 from repro.xpath import XPATH_AXES, XPathEngine
-from tests.strategies import corpora, lpath_queries, xpath_queries
+from tests.strategies import corpora, lpath_queries, word_queries, xpath_queries
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
 QUERIES_PER_EXAMPLE = 8
+WORD_QUERIES_PER_EXAMPLE = 8
 
 #: The kernel-backend axis: every forced-merge fuzz pair additionally
 #: runs under both ``REPRO_KERNELS`` values when the cffi extension
@@ -179,12 +182,17 @@ class TestLPathDifferentialFuzz:
     @given(data=st.data())
     @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
     def test_four_paths_agree_on_random_queries(self, data):
-        trees = data.draw(corpora(max_trees=3, max_depth=4), label="corpus")
+        trees = data.draw(
+            corpora(max_trees=3, max_depth=4, numbers=True), label="corpus"
+        )
         engine = LPathEngine(trees)
         sqlite = SQLiteBackend(label_corpus(trees))
         with mmap_engines(trees) as extra:
             for index in range(QUERIES_PER_EXAMPLE):
                 query = data.draw(lpath_queries(), label=f"query {index}")
+                _assert_agreement(trees, engine, sqlite, query, extra)
+            for index in range(WORD_QUERIES_PER_EXAMPLE):
+                query = data.draw(word_queries(), label=f"word query {index}")
                 _assert_agreement(trees, engine, sqlite, query, extra)
 
 

@@ -1,7 +1,11 @@
 """Tests for the engine facade, the plan compiler, and the SQL generator."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.columnar import ColumnStore
 from repro.labeling import label_corpus
 from repro.lpath import (
     LPathCompileError,
@@ -203,7 +207,6 @@ def test_number_reads_words_alike_on_every_backend(query, expected):
         assert SQLiteBackend(label_corpus(trees)).query(query) == want, "sqlite"
 
 
-
 def flat_tree(tid, words):
     """``S`` over one ``N`` per word: the S is node 1, the words 2, 3, ..."""
     children = [TreeNode("N", attributes={"lex": word}) for word in words]
@@ -237,3 +240,38 @@ def test_a_segment_whose_only_equal_word_is_2_dot_is_bound():
     assert TreeWalkEvaluator(trees).query("//N[@lex=2]") == [(1, 3)]
     assert "pruned 1 of 2" in compiled.explain()
     assert "ValueSeed(@lex=2 over corpus)" in compiled.explain()
+
+
+def test_threads_racing_on_a_first_number_seed_both_see_every_word():
+    """Two threads resolving the first ``[@lex=2]`` of a fresh store each
+    get every word ``number()`` reads as 2, and so does the store's map.
+    A long vocabulary and a short switch interval make the threads
+    interleave inside the resolution."""
+    vocabulary = [f"w{index}" for index in range(2000)]
+    rows = list(label_corpus([
+        flat_tree(0, ["2", *vocabulary[:1000], "02"]),
+        flat_tree(1, [*vocabulary[1000:], "2.", "2.0"]),
+    ]))
+    want = list(ColumnStore.from_rows(rows).seed("@lex", 2.0, None)[0])
+    assert len(want) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            store = ColumnStore.from_rows(rows)
+            store.by_value  # built before the race: only the seed is raced for
+            barrier, seen = threading.Barrier(2), []
+
+            def resolve():
+                barrier.wait()
+                seen.append(list(store.seed("@lex", 2.0, None)[0]))
+
+            threads = [threading.Thread(target=resolve) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert seen == [want, want]
+            assert list(store._seeds["@lex", 2.0, None][0]) == want
+    finally:
+        sys.setswitchinterval(interval)

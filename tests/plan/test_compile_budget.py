@@ -13,11 +13,14 @@ there are.
 from __future__ import annotations
 
 import builtins
+import gc
 import os
+import weakref
 
 import pytest
 
 import repro.columnar
+import repro.live
 from repro import faults
 from repro.columnar import executor as columnar_executor
 from repro.columnar import structural
@@ -29,6 +32,7 @@ from repro.live import LiveEngineManager, create_live_corpus
 from repro.lpath import LPathEngine
 from repro.lpath.compiler import PlanCompiler
 from repro.store import save_corpus
+from repro.tree import parse_tree
 
 QUERIES = [
     "//S//NP/NN",
@@ -374,6 +378,43 @@ def test_a_live_append_tier_resolves_its_own_seeds(trees, tmp_path):
         assert engine.query(query) == [(len(trees), 2)]
         assert [shard._seeds for shard in base] == entries
         assert list(shards[2]._seeds) == [("@lex", "seedword", None)]
+    finally:
+        manager.close()
+
+
+def logical_plan(text: str) -> str:
+    return text[text.index("logical plan:"):text.index("physical plan")]
+
+
+def test_a_carried_plan_lets_a_retired_tier_go(trees, tmp_path, monkeypatch):
+    """A plan carried across live-corpus swaps costs its joins against
+    the segments it was compiled for when it is first rebased, then
+    holds no retired store, and explains with those first estimates."""
+    monkeypatch.delenv(structural.FORCE_ENV, raising=False)
+    monkeypatch.setattr(repro.live, "ENGINE_GRACE_SECONDS", 0.0)
+    path = str(tmp_path / "live.lpdb")
+    create_live_corpus(path, list(label_corpus(trees)), segments=2)
+    manager = LiveEngineManager(path)
+    query = "//NP[->PP[//IN]=>VP]"
+    added = "(S (NP (DT the) (NN dog)) (VP (VBD sat) (PP (IN on) (NP (NN mats)))))"
+    try:
+        manager.append_trees(added)
+        first = manager.engine.query(query)
+        tier = weakref.ref(shard_stores(manager.engine)[-1].left)
+        manager.append_trees(added)  # its tier absorbs the first one
+        assert manager.engine.query(query) == first
+        gc.collect()
+        assert tier() is None
+        manager.compact()
+        engine = manager.engine
+        assert engine.query(query) == first
+        assert engine.plan_cache.rebased == 1
+        rebased = logical_plan(engine.explain(query))
+        assert rebased.count(" est_in=") == 3
+        grown = trees + [parse_tree(added, tid=len(trees))]
+        assert rebased == logical_plan(LPathEngine(grown, segments=3).explain(query))
+        engine.plan_cache.clear()
+        assert rebased != logical_plan(engine.explain(query))
     finally:
         manager.close()
 

@@ -18,28 +18,34 @@ from repro.tree import Tree, TreeNode
 LABELS = ["S", "NP", "VP", "PP", "N", "V", "Det", "Adj", "Prep", "ADVP", "X-Y"]
 WORDS = ["saw", "dog", "man", "the", "a", "old", "with", "today", "I", "of"]
 
-#: Leaf words: :data:`WORDS` and two numbers, so that a numeric comparison
-#: of an element's string value (``[. > 1]``) can come out either way,
-#: and ``[@lex=2]`` holds for a word whose text is not ``2``.
-LEXICON = WORDS + ["2.0", "2"]
+#: Words ``number()`` reads as 2, one of them not written ``2``.
+NUMBER_WORDS = ["2", "2.0"]
+
+#: Leaf words: :data:`WORDS` and the numbers, so that a numeric comparison
+#: of an element's string value (``[. > 1]``) can come out either way.
+LEXICON = WORDS + NUMBER_WORDS
 
 labels = st.sampled_from(LABELS)
 words = st.sampled_from(WORDS)
 
 
 @st.composite
-def tree_nodes(draw, max_depth: int = 5, max_children: int = 4) -> TreeNode:
-    """A random ordered tree node, possibly with unary branches."""
+def tree_nodes(
+    draw, max_depth: int = 5, max_children: int = 4, numbers: bool = False,
+) -> TreeNode:
+    """A random ordered tree node, possibly with unary branches;
+    ``numbers`` makes one leaf word in two one of :data:`NUMBER_WORDS`."""
     label = draw(labels)
     if max_depth <= 1 or draw(st.booleans()):
         want_word = draw(st.booleans())
-        # One word in two is a number: the ``number()`` edge cases.
-        pool = WORDS if draw(st.booleans()) else LEXICON[-2:]
+        pool = LEXICON
+        if numbers:
+            pool = NUMBER_WORDS if draw(st.booleans()) else WORDS
         attrs = {"lex": draw(st.sampled_from(pool))} if want_word else {}
         return TreeNode(label, attributes=attrs)
     n_children = draw(st.integers(min_value=1, max_value=max_children))
     children = [
-        draw(tree_nodes(max_depth=max_depth - 1, max_children=max_children))
+        draw(tree_nodes(max_depth - 1, max_children, numbers))
         for _ in range(n_children)
     ]
     return TreeNode(label, children=children)
@@ -52,11 +58,15 @@ def trees(draw, max_depth: int = 5, tid: int = 0) -> Tree:
 
 
 @st.composite
-def corpora(draw, max_trees: int = 4, max_depth: int = 4) -> list[Tree]:
-    """A random list of trees with sequential tids."""
+def corpora(
+    draw, max_trees: int = 4, max_depth: int = 4, numbers: bool = False,
+) -> list[Tree]:
+    """A random list of trees with sequential tids (``numbers`` as for
+    :func:`tree_nodes`)."""
     count = draw(st.integers(min_value=1, max_value=max_trees))
     return [
-        Tree(draw(tree_nodes(max_depth=max_depth)), tid=tid) for tid in range(count)
+        Tree(draw(tree_nodes(max_depth=max_depth, numbers=numbers)), tid=tid)
+        for tid in range(count)
     ]
 
 
@@ -114,14 +124,13 @@ name_tests = st.sampled_from(LABELS + ["_"])
 @st.composite
 def _step_test(draw, edges: str = "{}") -> str:
     """A name test (``edges`` wraps it in a scope's ``^``/``$``), one time
-    in four narrowed to a word or the number 2: ``N[@lex=dog]``.  Past the first step of a
+    in four narrowed to a word: ``N[@lex=dog]``.  Past the first step of a
     path that is a *value-seeded* join — the candidates come from the
     value index, merged against their sorted row list or probed per
     binding — behind whatever separator (axis) precedes it."""
     text = edges.format(draw(name_tests))
     if draw(st.integers(min_value=0, max_value=3)) == 0:
-        # ``2`` seeds from every word ``number()`` reads as 2.
-        text += f"[@lex={draw(st.sampled_from(['2', *WORDS]))}]"
+        text += f"[@lex={draw(words)}]"
     return text
 
 
@@ -144,8 +153,7 @@ def _predicate(
     # "path" is listed twice: existence subplans are the predicates the
     # batch executor runs as semi-joins, so they get the largest share.
     simple = [
-        "path", "path", "attr-exists", "attr-cmp", "attr-cmp", "name-cmp",
-        "count-cmp",
+        "path", "path", "attr-exists", "attr-cmp", "name-cmp", "count-cmp",
     ]
     if element_values:
         simple.append("value-cmp")
@@ -156,11 +164,7 @@ def _predicate(
     if kind == "attr-exists":
         return "@lex"
     if kind == "attr-cmp":
-        # ``@lex`` sits on leaves, which a random name test rarely names,
-        # so two tests in three go to any node below the context (for
-        # ``=``, a value-seeded join).
-        test = draw(_attr_test())
-        return test if draw(st.integers(0, 2)) == 0 else f"//_[{test}]"
+        return draw(_attr_test())
     if kind == "name-cmp":
         op = draw(st.sampled_from(["=", "!="]))
         return f"name(){op}{draw(labels)}"
@@ -185,21 +189,19 @@ def _predicate(
 
 @st.composite
 def _attr_test(draw) -> str:
-    """``@lex op literal``: equal to ``2`` (which ``2.0`` is too), ordered
-    against a quoted number or word (a number, or NaN, which no value is
-    less or greater than), ordered against a number, or compared to a
-    word as text (a word that is no number reads as NaN, which only
-    ``!=`` holds against)."""
-    equal = draw(st.sampled_from(["=", "!="]))
-    order = draw(st.sampled_from(_COMPARE_OPS[2:]))
-    number = draw(st.sampled_from(["2", "3", "0", "1"]))
-    word = draw(words)
-    # Equality with 2 is listed twice: it is the seed that must find
-    # ``2.0`` as well as ``2``.
-    return draw(st.sampled_from([
-        f"@lex{equal}2", f"@lex{equal}2", f'@lex{order}"{number}"',
-        f'@lex{order}"{word}"', f"@lex{order}{number}", f"@lex{equal}{word}",
-    ]))
+    """``@lex op literal``: against a word as text, or against a number:
+    a word that is no number reads as NaN, which only ``!=`` holds
+    against.  A quoted literal is text to ``=``/``!=`` and a number (or
+    NaN) to order."""
+    if draw(st.booleans()):
+        op = draw(st.sampled_from(["=", "!="]))
+        return f"@lex{op}{draw(words)}"
+    op = draw(st.sampled_from(_COMPARE_OPS))
+    number = str(draw(st.integers(min_value=0, max_value=3)))
+    if draw(st.booleans()):
+        return f"@lex{op}{number}"
+    quoted = number if draw(st.booleans()) else draw(words)
+    return f'@lex{op}"{quoted}"'
 
 
 @st.composite
@@ -233,10 +235,6 @@ def lpath_queries(draw, max_steps: int = 3, max_pred_depth: int = 2) -> str:
     """A random LPath query supported by every execution path."""
     step_count = draw(st.integers(min_value=1, max_value=max_steps))
     text = draw(st.sampled_from(["/", "//"])) + draw(name_tests)
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
-        # One text in four is a test of the words themselves:
-        # ``//_[@lex<"3"]``, ``//_[@lex=2][@lex!=dog]``.
-        text, step_count = f"//_[{draw(_attr_test())}]", 1
     for index in range(step_count):
         # One step in two carries a predicate, so about 7 texts in 10 do.
         if draw(st.booleans()):
@@ -253,6 +251,32 @@ def lpath_queries(draw, max_steps: int = 3, max_pred_depth: int = 2) -> str:
     if draw(st.integers(min_value=0, max_value=4)) == 0:
         text += draw(_scope(max_pred_depth))
     return text
+
+
+@st.composite
+def word_queries(draw) -> str:
+    """A query about the words themselves — ``//_[@lex<"3"]``,
+    ``//NP//_[@lex=2]``, ``//S[//_[@lex=2][@lex>="dog"]]`` — which the name
+    tests of :func:`lpath_queries` rarely reach, as ``@lex`` sits on
+    leaves.  A test is one of :func:`_attr_test`'s or, as often, one of
+    two that a backend can get wrong: ``@lex=2``, which seeds from the
+    value index and must find ``2.0`` too, and an order against quoted
+    text, which reads both sides as ``number()`` does."""
+    quoted_order = st.builds(
+        '@lex{}"{}"'.format,
+        st.sampled_from(_COMPARE_OPS[2:]), st.sampled_from(["3", "0", *WORDS]),
+    )
+    tests = [
+        draw(st.one_of(
+            _attr_test(), st.sampled_from(["@lex=2", "@lex!=2"]), quoted_order,
+        ))
+        for _ in range(draw(st.integers(min_value=1, max_value=2)))
+    ]
+    leaf = "_" + "".join(f"[{test}]" for test in tests)
+    context = draw(name_tests)
+    return draw(st.sampled_from(
+        [f"//{leaf}", f"//{context}//{leaf}", f"//{context}[//{leaf}]"]
+    ))
 
 
 @st.composite
