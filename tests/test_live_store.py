@@ -277,6 +277,41 @@ class TestWalRecordCodec:
             decode_record(record.getvalue())
 
 
+#: The sha256 of the WAL after :func:`_pinned_appends`.  WAL records are
+#: varints and UTF-8 (no native-endian field), so the pin holds on any
+#: host.
+GOLDEN_WAL_SHA256 = (
+    "1a27ac5b55e48cde73ce586c193c1dd74789aeb4a6e87eb66d90e266f631dc2b"
+)
+
+
+def _pinned_appends(corpus) -> None:
+    """A fixed append sequence: the paper's Figure 1, generated SWB trees
+    (words become ``@lex``), and a tree with non-ASCII words."""
+    from repro.tree import figure1_tree
+    from repro.tree.bracket import format_tree
+
+    corpus.append_trees(format_tree(figure1_tree(), wrap=True))
+    corpus.append_trees("\n".join(
+        format_tree(tree, wrap=True) for tree in generate_corpus("swb", 12, 5)
+    ))
+    corpus.append_trees("(S (NP (N café)) (VP (V sah) (NP (N Müller))))")
+
+
+def test_wal_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    path = str(tmp_path / "pinned")
+    store.save_corpus(generate_corpus("wsj", 5, seed=7), path,
+                      format="lpdb0005")
+    with LiveCorpus(path) as corpus:
+        _pinned_appends(corpus)
+        assert corpus.wal_records == 3
+        wal = corpus.wal_path
+    with open(wal, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == GOLDEN_WAL_SHA256
+
+
 class TestFaultPoints:
     def test_fsync_fail_rolls_back(self, corpus_dir, monkeypatch):
         with LiveCorpus(corpus_dir) as corpus:
