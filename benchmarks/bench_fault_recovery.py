@@ -34,7 +34,6 @@ import pytest
 
 from repro import store
 from repro.bench import datasets
-from repro.labeling import label_corpus
 from repro.serve import QueryServer, QueryService, ServeClient, ServeClientError
 
 from bench_serving import percentile
@@ -60,10 +59,8 @@ def store_file():
     trees = datasets.corpus("wsj")
     handle, path = tempfile.mkstemp(suffix=".lpdb")
     try:
-        with os.fdopen(handle, "wb") as stream:
-            store.save_mapped(
-                list(label_corpus(trees)), stream, segments=2,
-            )
+        os.close(handle)
+        store.save_corpus(trees, path, segments=2)
         yield path
     finally:
         os.unlink(path)

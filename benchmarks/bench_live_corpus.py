@@ -47,9 +47,8 @@ import tempfile
 import threading
 import time
 
-from repro import live
+from repro import live, store
 from repro.bench import datasets
-from repro.labeling import label_corpus
 from repro.tree import write_trees
 
 WORKLOAD = ("//VP//NP", "//NP")
@@ -94,9 +93,7 @@ def test_live_corpus_gates(benchmark, write_result, write_json, repeats):
     root = tempfile.mkdtemp(prefix="bench-live-")
     path = os.path.join(root, "live.lpdb")
     try:
-        live.create_live_corpus(
-            path, list(label_corpus(base)), segments=2
-        )
+        store.save_corpus(base, path, segments=2, format="lpdb0005")
         manager = live.LiveEngineManager(path)
         try:
             # -- gate 1: append -> visible --------------------------------

@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import store
 from repro.bench import datasets
-from repro.labeling import label_corpus
 from repro.serve import QueryServer, QueryService, ServeClient
 
 #: The fig6b rare-tag workload: cheap queries, hot in the result cache.
@@ -49,10 +48,8 @@ def test_serving_throughput_and_tail_latency(write_result, write_json):
     trees = datasets.corpus("wsj")
     handle, path = tempfile.mkstemp(suffix=".lpdb")
     try:
-        with os.fdopen(handle, "wb") as stream:
-            store.save_mapped(
-                list(label_corpus(trees)), stream, segments=2,
-            )
+        os.close(handle)
+        store.save_corpus(trees, path, segments=2)
         service = QueryService(path, max_inflight=CLIENTS, max_queue=64)
         with QueryServer(service).start() as server:
             _drive(server, service, write_result, write_json)

@@ -45,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import compress, count, repeat
 from operator import eq, itemgetter, ne, not_, or_, sub
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..faults import maybe_mmap_read_error
 from ..labeling.lpath_scheme import ATTRIBUTE_PREFIX
@@ -289,9 +289,10 @@ class ColumnStore:
     def from_rows(
         cls, rows: Iterable, column_names: tuple[str, ...] = COLUMN_NAMES
     ) -> "ColumnStore":
-        """A row view over the columnar constructor: row tuples (or
-        ``Label`` instances) transposed into the eight columns.  Trees
-        need no rows: build ``ColumnStore(*label_columns(trees))``."""
+        """The one rows → store entry point, for hand-written rows and
+        the references: row tuples (or ``Label`` instances) transposed
+        into the eight columns.  Trees need no rows: build
+        ``ColumnStore(*label_columns(trees))``."""
         return cls(*_transpose(list(rows)), column_names=column_names)
 
     @staticmethod
@@ -394,12 +395,6 @@ class ColumnStore:
         from .kernels.api import column_pointer
 
         return column_pointer(self.col(position), self.n)
-
-    def iter_rows(self) -> Iterator[tuple]:
-        """Yield plain row tuples in clustered order."""
-        cols = tuple(self.col(position) for position in range(8))
-        for row in range(self.n):
-            yield tuple(column[row] for column in cols)
 
     def __len__(self) -> int:
         return self.n

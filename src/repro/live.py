@@ -63,10 +63,12 @@ import threading
 import time
 import zlib
 from functools import partial
+from itertools import chain, count
 from typing import NamedTuple, Optional
 
 from . import faults
-from .labeling.lpath_scheme import Label, label_corpus
+from .columnar.store import ColumnStore
+from .labeling.lpath_scheme import Label, label_columns
 from .store import (
     LIVE_MAGIC,
     InfoFold,
@@ -81,7 +83,6 @@ from .store import (
     fsync_directory,
     load_labels,
     open_mapped_corpus,
-    row_stores,
     save_mapped_stores,
 )
 from .tree.bracket import iter_trees
@@ -199,54 +200,53 @@ def _install_manifest(
 # -- WAL -----------------------------------------------------------------------
 
 
-def _encode_payload(rows) -> tuple[bytes, int]:
-    """Encode rows into one WAL record payload; returns ``(blob, count)``."""
-    strings: dict[str, int] = {}  # text -> index; 0 is "no value"
-    intern = strings.setdefault
-    fields: list[int] = []
-    for tid, left, right, depth, node_id, pid, name, value in rows:
-        fields += (
-            tid, left, right, depth, node_id, pid,
-            intern(name, len(strings) + 1),
-            _NO_VALUE if value is None else intern(value, len(strings) + 1),
-        )
-    count = len(fields) // 8
+def _encode_payload(columns) -> tuple[bytes, int]:
+    """Encode the eight label columns of a batch
+    (:func:`~repro.labeling.lpath_scheme.label_columns`) into one WAL
+    record payload; returns ``(blob, count)``.  Strings are numbered in
+    order of first use, each row's name before its value."""
+    *integers, names, values = columns
+    table = dict.fromkeys(chain.from_iterable(zip(names, values)))
+    table.pop(None, None)
+    ids = {None: _NO_VALUE}
+    ids.update(zip(table, count(1)))
     payload = io.BytesIO()
-    payload.write(_varints((count, len(strings))))
-    _write_strings(payload, strings)  # insertion order == index order
-    payload.write(_varints(fields))
-    return payload.getvalue(), count
+    payload.write(_varints((len(names), len(table))))
+    _write_strings(payload, table)
+    payload.write(_varints(chain.from_iterable(zip(
+        *integers, map(ids.__getitem__, names), map(ids.__getitem__, values),
+    ))))
+    return payload.getvalue(), len(names)
 
 
-def _parse_string_table(payload: bytes) -> tuple[int, list[str], int]:
-    """``(row count, string table, row-data offset)`` of a WAL record."""
-    (count, table_size), offset = _read_varints(payload, 0, 2)
+def _decode_into(payload: bytes, columns) -> None:
+    """Append the rows of one WAL record payload to label ``columns``."""
+    (rows, table_size), offset = _read_varints(payload, 0, 2)
     strings, offset = _read_strings(payload, offset, table_size)
-    return count, ["", *strings], offset  # index 0: no value
-
-
-def _decode_labels_into(payload: bytes, rows: list[Label]) -> None:
-    """Append the rows of one WAL record payload to ``rows``."""
-    count, table, offset = _parse_string_table(payload)
-    fields, offset = _read_varints(payload, offset, 8 * count)
-    try:
-        for *position, name_index, value_index in zip(*[iter(fields)] * 8):
-            rows.append(Label(
-                *position, table[name_index],
-                None if value_index == _NO_VALUE else table[value_index],
-            ))
-    except IndexError:
-        raise StoreError("string-table reference out of range") from None
+    fields, offset = _read_varints(payload, offset, 8 * rows)
     if offset != len(payload):
         raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
+    name_ids, value_ids = fields[6::8], fields[7::8]
+    table = [None, *strings]  # index 0: no value
+    try:
+        if _NO_VALUE in name_ids:
+            raise IndexError
+        names = list(map(table.__getitem__, name_ids))
+        values = list(map(table.__getitem__, value_ids))
+    except IndexError:
+        raise StoreError("string-table reference out of range") from None
+    for position in range(6):
+        columns[position].extend(fields[position::8])
+    columns[6].extend(names)
+    columns[7].extend(values)
 
 
 class WalScan(NamedTuple):
-    """One pass over a WAL file: the decoded valid prefix and how many
-    bytes of torn tail follow it."""
+    """One pass over a WAL file: the decoded valid prefix (the eight
+    label columns) and how many bytes of torn tail follow it."""
 
     records: int
-    rows: list[Label]
+    columns: tuple
     valid_size: int
     torn_bytes: int
 
@@ -260,7 +260,7 @@ def _scan_wal(path: str) -> WalScan:
     if not data.startswith(WAL_MAGIC):
         raise StoreError(f"bad WAL magic in {path}; expected LPWL0001")
     offset = len(WAL_MAGIC)
-    rows: list[Label] = []
+    columns = label_columns(())
     records = 0
     while offset < len(data):
         if len(data) - offset < _FRAME.size:
@@ -272,10 +272,10 @@ def _scan_wal(path: str) -> WalScan:
         blob = data[offset + _FRAME.size:end]
         if zlib.crc32(blob) != crc:
             break  # torn or bit-rotted payload
-        _decode_labels_into(blob, rows)
+        _decode_into(blob, columns)
         records += 1
         offset = end
-    return WalScan(records, rows, offset, len(data) - offset)
+    return WalScan(records, columns, offset, len(data) - offset)
 
 
 # -- writer lock ---------------------------------------------------------------
@@ -366,17 +366,6 @@ def _write_wal_file(path: str, tail: bytes = b"") -> None:
             handle.write(tail)
         handle.flush()
         os.fsync(handle.fileno())
-
-
-def create_live_corpus(path: str, rows, segments: int = 1) -> int:
-    """Create (or re-create) a live corpus directory at ``path`` from
-    fully materialized label ``rows``; returns the row count.
-
-    ``segments`` shards the base LPDB0004 file internally (the same knob
-    as a monolithic compile)."""
-    rows = list(rows)
-    next_tid = max((row[0] for row in rows), default=-1) + 1
-    return create_live_stores(path, row_stores(rows, segments), next_tid)
 
 
 def create_live_stores(path: str, stores, next_tid: int) -> int:
@@ -473,9 +462,9 @@ class LiveCorpus:
             self._lock_path = acquire_writer_lock(self.root)
         try:
             self.manifest, self._manifest_bytes = _read_manifest(self.root)
-            if writable:
-                self._recover()
-            self._load_wal()
+            self._load_wal(
+                self._recover() if writable else _scan_wal(self.wal_path)
+            )
             if writable:
                 self._wal_handle = open(self.wal_path, "r+b")
                 self._wal_handle.seek(self._wal_size)
@@ -487,7 +476,9 @@ class LiveCorpus:
 
     # -- open-time recovery ----------------------------------------------------
 
-    def _recover(self) -> None:
+    def _recover(self) -> WalScan:
+        """Repair the directory for writing and return the scan of its
+        WAL, the one decode of it this open makes."""
         actions = []
         wal_path = os.path.join(self.root, self.manifest.wal)
         if not os.path.exists(wal_path):
@@ -518,21 +509,15 @@ class LiveCorpus:
             )
             self._manifest_bytes = _install_manifest(self.root, recovered)
             self.manifest = recovered
+        return scan
 
-    def _load_wal(self) -> None:
-        scan = _scan_wal(self.wal_path)
-        if self.writable and scan.torn_bytes:
-            raise StoreError(
-                f"torn WAL tail survived recovery in {self.wal_path}"
-            )  # pragma: no cover
+    def _load_wal(self, scan: WalScan) -> None:
         self._wal_size = scan.valid_size
         self._wal_records = scan.records
-        self._delta_rows = scan.rows
-        self._torn_bytes = scan.torn_bytes
-        base_next = max(
-            (row[0] for row in scan.rows), default=self.manifest.next_tid - 1
+        self._delta = scan.columns
+        self._next_tid = max(
+            self.manifest.next_tid, max(scan.columns[0], default=-1) + 1
         )
-        self._next_tid = max(self.manifest.next_tid, base_next + 1)
 
     # -- cheap accessors -------------------------------------------------------
 
@@ -555,7 +540,7 @@ class LiveCorpus:
     @property
     def delta_row_count(self) -> int:
         with self._lock:
-            return len(self._delta_rows)
+            return len(self._delta[0])
 
     @property
     def wal_records(self) -> int:
@@ -575,15 +560,15 @@ class LiveCorpus:
     def base_segment_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.manifest.segments)
 
-    def snapshot(
-        self, after: int = 0
-    ) -> tuple[tuple[str, ...], list[Label]]:
-        """A consistent (base segment names, copy of the delta rows from
-        position ``after`` on) pair for engine builds.  A position is
-        only meaningful while the names stay what they were when it was
-        taken: a compaction restarts the delta."""
+    def snapshot(self, after: int = 0) -> tuple[tuple[str, ...], tuple]:
+        """A consistent (base segment names, copy of the delta's label
+        columns from row ``after`` on) pair for engine builds.  A
+        position is only meaningful while the names stay what they were
+        when it was taken: a compaction restarts the delta."""
         with self._lock:
-            return self.base_segment_names(), self._delta_rows[after:]
+            return self.base_segment_names(), tuple(
+                column[after:] for column in self._delta
+            )
 
     def verify_on_disk(self) -> tuple[bool, Optional[str]]:
         """Does the directory on disk still match this open handle?
@@ -618,23 +603,25 @@ class LiveCorpus:
                 "store to run recovery"
             )
 
-    def append_rows(self, rows) -> int:
-        """Durably append one batch of label rows; returns the row count
-        acknowledged.  The batch's tids must all be >= :attr:`next_tid`
-        (segments must stay tid-disjoint for the sorted merge)."""
-        rows = list(rows)
-        if not rows:
+    def append_columns(self, columns) -> int:
+        """Durably append one batch of label columns (the eight of
+        :func:`~repro.labeling.lpath_scheme.label_columns`); returns the
+        row count acknowledged.  The batch's tids must all be >=
+        :attr:`next_tid` (segments must stay tid-disjoint for the sorted
+        merge)."""
+        tids = columns[0]
+        if not tids:
             raise StoreError("append needs at least one row")
         with self._lock:
             self._ensure_writable()
-            low = min(row[0] for row in rows)
+            low = min(tids)
             if low < self._next_tid:
                 raise StoreError(
                     f"appended tids must start at or above next_tid "
                     f"{self._next_tid} (got {low}); overlapping tids would "
                     "break the disjoint segment merge"
                 )
-            blob, count = _encode_payload(rows)
+            blob, rows = _encode_payload(columns)
             frame = _FRAME.pack(len(blob), zlib.crc32(blob)) + blob
             handle = self._wal_handle
             start = self._wal_size
@@ -664,12 +651,11 @@ class LiveCorpus:
             # -- acknowledged: the frame is durable --------------------
             self._wal_size = start + len(frame)
             self._wal_records += 1
-            self._delta_rows.extend(
-                row if isinstance(row, Label) else Label(*row) for row in rows
-            )
-            self._next_tid = max(row[0] for row in rows) + 1
+            for column, added in zip(self._delta, columns):
+                column.extend(added)
+            self._next_tid = max(tids) + 1
             self._refresh_fingerprint()
-            return count
+            return rows
 
     def _rollback(self, size: int) -> None:
         """Remove unacknowledged bytes after a failed append so the
@@ -693,11 +679,10 @@ class LiveCorpus:
             if not trees:
                 raise StoreError("no trees in append input")
             first_tid = trees[0].tid
-            rows = list(label_corpus(trees))
-            count = self.append_rows(rows)
+            rows = self.append_columns(label_columns(trees))
             return {
                 "trees": len(trees),
-                "rows": count,
+                "rows": rows,
                 "first_tid": first_tid,
                 "next_tid": self._next_tid,
                 "generation": self.manifest.generation,
@@ -707,7 +692,7 @@ class LiveCorpus:
     # -- compaction ------------------------------------------------------------
 
     def compact(self, delta=None) -> dict:
-        """Fold the accumulated delta rows into a fresh immutable LPDB0004
+        """Fold the accumulated delta into a fresh immutable LPDB0004
         base segment and rotate the WAL, installing the result as a new
         manifest generation.
 
@@ -729,12 +714,10 @@ class LiveCorpus:
         WAL at cut-over.  Every durability barrier is a crash point —
         a kill anywhere leaves either the old complete generation or the
         new one."""
-        from .columnar.store import ColumnStore
-
         started = time.monotonic()
         with self._lock:
             self._ensure_writable()
-            if not self._delta_rows:
+            if not self._delta[0]:
                 return {
                     "compacted_rows": 0,
                     "generation": self.manifest.generation,
@@ -744,13 +727,14 @@ class LiveCorpus:
             files = self.manifest.segments
             names, stores = delta if delta is not None else ((), [])
             stores = list(stores) if names == self.base_segment_names() else []
-            rest = self._delta_rows[sum(map(len, stores)):]
-            frozen = len(self._delta_rows)
-            cut = self._wal_size
+            covered = sum(map(len, stores))
+            rest = tuple(column[covered:] for column in self._delta)
+            frozen = len(self._delta[0])
+            cut, cut_records = self._wal_size, self._wal_records
             generation = self.manifest.generation + 1
         # -- heavy phase, off-lock: build the new base segment ---------
-        if rest:
-            stores.append(ColumnStore.from_rows(rest))
+        if rest[0]:
+            stores.append(ColumnStore(*rest))
         absorbed, mapped = [], []
         try:
             rows = frozen
@@ -810,12 +794,10 @@ class LiveCorpus:
             self._wal_handle = open(self.wal_path, "r+b")
             self._wal_handle.seek(0, os.SEEK_END)
             self._wal_size = self._wal_handle.tell()
-            remaining = self._delta_rows[frozen:]
-            self._delta_rows = remaining
-            # Recount the rotated WAL's records from its bytes — simpler
-            # and safer than per-record bookkeeping across the
-            # concurrent-append window.
-            self._wal_records = _scan_wal(self.wal_path).records
+            self._delta = tuple(column[frozen:] for column in self._delta)
+            remaining = len(self._delta[0])
+            # The rotated WAL holds the frames acknowledged since the cut.
+            self._wal_records -= cut_records
             self._refresh_fingerprint()
         for path in [old_wal_path] + [
             os.path.join(self.root, name) for name in absorbed
@@ -830,7 +812,7 @@ class LiveCorpus:
             "segment": seg_name,
             "segment_rows": count,
             "absorbed": absorbed,
-            "remaining_delta_rows": len(remaining),
+            "remaining_delta_rows": remaining,
             "seconds": time.monotonic() - started,
         }
 
@@ -879,34 +861,32 @@ def live_info(path: str, top: int = 10) -> dict:
     generation, WAL record/row counts, delta vs base split, the last
     recovery action and any torn tail visible to this (read-only)
     scan.  The delta counts as one more segment (as does an empty
-    corpus's, which has no base file)."""
+    corpus's, which has no base file): its statistics are those of the
+    store built over it, folded like a base file's sidecar."""
     manifest, manifest_bytes = _read_manifest(path)
     fold = InfoFold()
     total_bytes = len(manifest_bytes)
     for name, _rows in manifest.segments:
         file_path = os.path.join(path, name)
         total_bytes += os.path.getsize(file_path)
-        fold.add_sidecar(_read_sidecar(file_path))
+        fold.add_segments(_read_sidecar(file_path).segments)
     base_segments, base_rows = fold.segments, fold.rows
     wal_path = os.path.join(path, manifest.wal)
     scan = _scan_wal(wal_path)
     total_bytes += os.path.getsize(wal_path)
-    fold.add_rows(scan.rows)
-    if scan.rows or not base_segments:
-        fold.segments += 1
+    tids = scan.columns[0]
+    if tids or not base_segments:
+        fold.add_segments([ColumnStore(*scan.columns).segment.meta])
     info = fold.summary(path, total_bytes, LIVE_MAGIC.decode("ascii"), top)
     info.update(
         generation=manifest.generation,
         base_segments=len(manifest.segments),
         base_rows=base_rows,
-        delta_rows=len(scan.rows),
+        delta_rows=len(tids),
         wal_records=scan.records,
         wal_bytes=scan.valid_size,
         wal_torn_bytes=scan.torn_bytes,
-        next_tid=max(
-            manifest.next_tid,
-            max((row[0] for row in scan.rows), default=-1) + 1,
-        ),
+        next_tid=max(manifest.next_tid, max(tids, default=-1) + 1),
         last_recovery=manifest.last_recovery or None,
     )
     return info
@@ -921,7 +901,8 @@ def load_live_labels(path: str) -> list[Label]:
     for name, _count in manifest.segments:
         with open(os.path.join(path, name), "rb") as handle:
             rows.extend(load_labels(handle))
-    rows.extend(_scan_wal(os.path.join(path, manifest.wal)).rows)
+    delta = _scan_wal(os.path.join(path, manifest.wal)).columns
+    rows.extend(map(Label, *delta))
     return rows
 
 
@@ -972,7 +953,7 @@ class _LiveSegments:
     its older neighbour for as long as that neighbour holds less than
     twice its rows (binary-counter style): tiers at least halve from
     one to the next, so there are O(log delta) of them.  Only the new
-    batch is sorted (:meth:`~repro.columnar.ColumnStore.from_rows`);
+    batch is sorted (``ColumnStore(*columns)``);
     absorbing is a :meth:`~repro.columnar.ColumnStore.concat`, and every
     tier the merge did not reach is reused as is.  A compaction folds
     the tiers' stores into a new base file (:meth:`delta`); what the WAL
@@ -1007,8 +988,6 @@ class _LiveSegments:
         snapshot (base shards in manifest order, then the delta tiers).
         Costs O(new WAL rows) amortized, plus one file open per base
         file not seen before."""
-        from .columnar.store import ColumnStore
-
         covered = sum(tier.size for tier in self._tiers)
         names, fresh = self.corpus.snapshot(after=covered)
         if names != self._base_names:
@@ -1033,9 +1012,9 @@ class _LiveSegments:
                         len(base) + len(entry[1]), "base",
                     ))
             base.extend(entry[1])
-        if fresh or not (base or self._tiers):
-            stores = [ColumnStore.from_rows(fresh)]
-            rows = len(fresh)
+        if fresh[0] or not (base or self._tiers):
+            stores = [ColumnStore(*fresh)]
+            rows = len(fresh[0])
             keep = len(self._tiers)
             while keep and self._tiers[keep - 1].size < 2 * rows:
                 keep -= 1

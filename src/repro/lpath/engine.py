@@ -31,7 +31,7 @@ from ..plan.segmented import (
     SegmentedPlanCompiler,
     validate_segmentation,
 )
-from ..store import collector_paused, row_stores, tree_stores
+from ..store import collector_paused, tree_stores
 from ..tree.node import Tree, TreeNode
 from .ast import Path
 from .compiler import PlanCompiler
@@ -237,23 +237,6 @@ class LPathEngine(PlanEngine):
         self.trees = trees
         if keep_trees:
             self._by_id = {tree.tid: tree for tree in trees}
-
-    @classmethod
-    def from_labels(
-        cls,
-        rows: Sequence,
-        plan_cache_size: int = 128,
-        segments: int = 1,
-    ) -> "LPathEngine":
-        """Build an engine straight from label rows (e.g. a compiled corpus
-        loaded with :mod:`repro.store`).  :meth:`nodes` is unavailable:
-        there are no trees."""
-        validate_segmentation(segments)
-        engine = cls.__new__(cls)
-        engine._install(
-            row_stores(list(rows), segments), PlanCompiler, plan_cache_size
-        )
-        return engine
 
     @classmethod
     def from_segments(

@@ -57,7 +57,7 @@ import zlib
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .labeling.lpath_scheme import Label
@@ -261,8 +261,8 @@ def _checked_block(data, offset: int, what: str) -> tuple[bytes, int]:
 
 
 def partition_by_tid(items: Sequence, segments: int, tid_of) -> list[list]:
-    """Deal ``items`` (label rows or trees; ``tid_of`` reads an item's
-    tree id) into ``segments`` disjoint shards — the one sharding rule.
+    """Deal ``items`` (``tid_of`` reads an item's tree id) into
+    ``segments`` disjoint shards — the one sharding rule.
 
     Trees stay whole (every item of one ``tid`` lands in the same shard);
     distinct tids are dealt round-robin in sorted order, so the split is
@@ -281,28 +281,9 @@ def partition_by_tid(items: Sequence, segments: int, tid_of) -> list[list]:
     return shards
 
 
-def partition_rows_by_tid(rows: Sequence, segments: int) -> list[list]:
-    """Deal the rows of a label relation into ``segments`` shards by tree
-    (:func:`partition_by_tid`)."""
-    return partition_by_tid(rows, segments, itemgetter(0))
-
-
-def row_stores(
-    rows: Sequence, segments: int, column_names: Optional[tuple] = None,
-) -> list:
-    """One :class:`~repro.columnar.ColumnStore` per shard of label
-    ``rows`` (:func:`partition_rows_by_tid`)."""
-    from .columnar.store import COLUMN_NAMES, ColumnStore
-
-    return [
-        ColumnStore.from_rows(shard, column_names or COLUMN_NAMES)
-        for shard in partition_rows_by_tid(rows, segments)
-    ]
-
-
 def tree_stores(trees: Sequence, segments: int) -> Iterator:
-    """One :class:`~repro.columnar.ColumnStore` per shard of ``trees``,
-    dealt like their rows would be and labelled straight into columns
+    """One :class:`~repro.columnar.ColumnStore` per shard of ``trees``
+    (:func:`partition_by_tid`), labelled straight into columns
     (:func:`~repro.labeling.lpath_scheme.label_columns`); built lazily,
     so :func:`save_mapped_stores` holds one shard's store at a time."""
     from .columnar.store import ColumnStore
@@ -541,21 +522,12 @@ def _parse_mmap_sidecar(payload: bytes) -> MmapHeader:
     return MmapHeader(byteorder, data_length, segments)
 
 
-def save_mapped(rows: Sequence, stream: BinaryIO, segments: int = 1) -> int:
-    """Write label ``rows`` in the ``LPDB0004`` zero-copy layout; returns
-    rows written.
-
-    Each shard is built into a :class:`~repro.columnar.ColumnStore`,
-    whose buffers already are the segment's blobs (clustered columns,
-    projections, bitmaps, partition bounds; statistics in the sidecar
-    record), so *opening* the file needs none of that work.  Trees skip
-    the rows altogether (:func:`save_corpus`)."""
-    return save_mapped_stores(row_stores(list(rows), segments), stream)
-
-
 def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
     """Write :class:`~repro.columnar.ColumnStore`\\ s, one per segment, in
-    the ``LPDB0004`` layout; returns rows written.  One segment is held
+    the ``LPDB0004`` layout; returns rows written.  A store's buffers
+    already are the segment's blobs (clustered columns, projections,
+    bitmaps, partition bounds; statistics in the sidecar record), so
+    *opening* the file needs none of that work.  One segment is held
     at a time: ``stores`` is consumed lazily, each store's buffers go as
     they are to an anonymous spill file beside ``stream.name`` (in the
     temp directory for a nameless stream) and the store is dropped before
@@ -830,56 +802,32 @@ def load_labels(stream: BinaryIO) -> list[Label]:
 
 
 class InfoFold:
-    """Corpus totals and per-name statistics, folded over the pieces of
-    a store — LPDB0004 sidecars and raw label rows (a live WAL delta) —
-    into the :func:`corpus_info` summary.  Per name: rows, partitions
-    (distinct trees), largest partition, min and max depth."""
+    """Corpus totals and per-name statistics, folded over the segment
+    records of a store — LPDB0004 sidecars, and the segment a live WAL
+    delta builds — into the :func:`corpus_info` summary.  Per name: rows,
+    partitions (distinct trees), largest partition, min and max depth."""
 
     def __init__(self) -> None:
         self.segments = self.rows = self.trees = 0
         self.names: dict[str, list] = {}
 
-    def _add(self, name: str, rows: int, partitions: int,
-             max_partition: int, min_depth: int, max_depth: int) -> None:
-        entry = self.names.get(name)
-        if entry is None:
-            self.names[name] = [rows, partitions, max_partition,
-                                min_depth, max_depth]
-        else:
-            entry[0] += rows
-            entry[1] += partitions
-            entry[2] = max(entry[2], max_partition)
-            entry[3] = min(entry[3], min_depth)
-            entry[4] = max(entry[4], max_depth)
-
-    def add_sidecar(self, header: MmapHeader) -> None:
-        """Every segment of one file, from its collected statistics."""
-        for meta in header.segments:
+    def add_segments(self, metas: Iterable[MmapSegmentMeta]) -> None:
+        """Segments, from the statistics collected at their build."""
+        for meta in metas:
             self.segments += 1
             self.rows += meta.n
             self.trees += len(meta.tid_dir)
             row_lo = part_lo = 0
             for sid, row_hi, part_hi, max_part, min_d, max_d in meta.names:
-                self._add(meta.strings[sid - 1], row_hi - row_lo,
-                          part_hi - part_lo, max_part, min_d, max_d)
+                entry = self.names.setdefault(
+                    meta.strings[sid - 1], [0, 0, max_part, min_d, max_d]
+                )
+                entry[0] += row_hi - row_lo
+                entry[1] += part_hi - part_lo
+                entry[2] = max(entry[2], max_part)
+                entry[3] = min(entry[3], min_d)
+                entry[4] = max(entry[4], max_d)
                 row_lo, part_lo = row_hi, part_hi
-
-    def add_rows(self, rows: Sequence) -> None:
-        """Label rows of trees no other piece holds, scanned: each
-        ``(name, tid)`` partition folds in as one."""
-        parts: dict[tuple[str, int], list] = {}
-        for row in rows:
-            part = parts.get((row[6], row[0]))
-            if part is None:
-                parts[(row[6], row[0])] = [1, row[3], row[3]]
-            else:
-                part[0] += 1
-                part[1] = min(part[1], row[3])
-                part[2] = max(part[2], row[3])
-        for (name, _tid), (count, min_depth, max_depth) in parts.items():
-            self._add(name, count, 1, count, min_depth, max_depth)
-        self.rows += len(rows)
-        self.trees += len({row[0] for row in rows})
 
     def summary(self, path: str, size: int, revision: str, top: int) -> dict:
         ranked = sorted(self.names.items(), key=lambda item: (-item[1][0], item[0]))
@@ -908,7 +856,7 @@ def corpus_info(path: str, top: int = 10) -> dict:
 
         return live_info(path, top=top)
     fold = InfoFold()
-    fold.add_sidecar(_read_sidecar(path))
+    fold.add_segments(_read_sidecar(path).segments)
     return fold.summary(
         path, os.path.getsize(path), MMAP_MAGIC.decode("ascii"), top
     )

@@ -124,12 +124,13 @@ class TestColumnStore:
         for name in {row.name for row in rows}:
             assert store.frequency(name) == sum(1 for row in rows if row.name == name)
 
-    def test_iter_rows_round_trips(self):
+    def test_columns_round_trip_rows(self):
         rows = sorted(
             tuple(row) for row in label_corpus([figure1_tree()])
         )
         store = ColumnStore.from_rows(label_corpus([figure1_tree()]))
-        assert sorted(store.iter_rows()) == rows
+        columns = [store.col(position) for position in range(8)]
+        assert sorted(zip(*columns)) == rows
 
 
 class TestStoreAsCatalog:

@@ -2,8 +2,8 @@
 
 ``save_corpus`` and ``LPathEngine(trees)`` build every store from
 ``label_columns(trees)``; label rows are a view over those columns.  The
-tree path and the row path (``label_corpus`` rows dealt by
-``partition_rows_by_tid`` into ``ColumnStore.from_rows``) must build
+tree path and the row path (``label_corpus`` rows of the dealt trees
+into ``ColumnStore.from_rows``) must build
 equal stores and write the same LPDB0004 bytes at 1, 2 and 3 segments,
 empty shards included (a corpus of fewer trees than segments), whatever
 order the trees come in.  The build itself runs on the native kernels
@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import os
 import tempfile
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 
@@ -42,6 +42,7 @@ any_corpora = st.one_of(
     corpora(), sparse_corpora().map(itemgetter(0)),
 ).flatmap(st.permutations)
 segment_counts = st.integers(min_value=1, max_value=3)
+tid_of = attrgetter("tid")
 
 
 def definition_rows(trees):
@@ -70,8 +71,8 @@ def test_tree_path_writes_the_row_path_bytes(trees, segments):
     assert count == len(rows)
     buffer = io.BytesIO()
     store.save_mapped_stores(
-        [ColumnStore.from_rows(shard)
-         for shard in store.partition_rows_by_tid(rows, segments)],
+        [ColumnStore.from_rows(label_corpus(shard))
+         for shard in store.partition_by_tid(trees, segments, tid_of)],
         buffer,
     )
     assert from_trees == buffer.getvalue()
@@ -85,7 +86,8 @@ def test_column_build_equals_row_build(trees, segments):
         ColumnStore(*label_columns(trees)),
         ColumnStore.from_rows(label_corpus(trees)),
     )
-    shards = store.partition_rows_by_tid(list(label_corpus(trees)), segments)
+    rows = list(label_corpus(trees))
+    shards = store.partition_by_tid(rows, segments, itemgetter(0))
     built = list(store.tree_stores(trees, segments))
     for one, shard in zip(built, shards):
         assert_same_store(one, ColumnStore.from_rows(shard))
@@ -169,8 +171,7 @@ def assert_backends_agree(build) -> None:
 def test_native_build_equals_the_python_twin(trees, segments, column_names):
     assert_backends_agree(lambda: [
         ColumnStore(*label_columns(shard), column_names=column_names)
-        for shard in store.partition_by_tid(
-            trees, segments, lambda tree: tree.tid)
+        for shard in store.partition_by_tid(trees, segments, tid_of)
     ])
 
 
@@ -181,6 +182,7 @@ def test_native_build_equals_the_python_twin(trees, segments, column_names):
 def test_native_build_of_tied_rows_equals_the_python_twin(
     rows, segments, column_names,
 ):
-    assert_backends_agree(
-        lambda: store.row_stores(rows, segments, column_names)
-    )
+    assert_backends_agree(lambda: [
+        ColumnStore.from_rows(shard, column_names)
+        for shard in store.partition_by_tid(rows, segments, itemgetter(0))
+    ])

@@ -667,10 +667,7 @@ class TestColumnPtr:
         from repro.columnar.store import ColumnStore
 
         path = str(tmp_path / "corpus.lpdb")
-        with open(path, "wb") as handle:
-            store_module.save_mapped(
-                list(label_corpus(trees)), handle
-            )
+        store_module.save_corpus(trees, path)
         corpus = store_module.open_mapped_corpus(path)
         mapped = ColumnStore.adopt(corpus.segments[0])
         pointer, length = mapped.column_ptr(0)

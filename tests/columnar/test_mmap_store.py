@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 from array import array
+from operator import itemgetter
 
 import pytest
 import hypothesis.strategies as st
@@ -26,14 +27,14 @@ from repro.tree import figure1_tree
 from tests.strategies import corpora
 
 
-def mapped_and_built(rows, segments=1):
-    """Per-segment ``(mapped, built)`` store pairs for one corpus."""
+def mapped_and_built(trees, segments=1):
+    """Per-segment ``(mapped, built)`` store pairs for one corpus: the
+    saved tree build, and a build from the rows of the same shard."""
     buffer = io.BytesIO()
-    store.save_mapped(rows, buffer, segments=segments)
+    store.save_mapped_stores(store.tree_stores(trees, segments), buffer)
     mapped_segments = store._parse_mapped(buffer.getvalue(), [])
-    shards = (
-        store.partition_rows_by_tid(rows, segments)
-        if segments > 1 else [list(rows)]
+    shards = store.partition_by_tid(
+        list(label_corpus(trees)), segments, itemgetter(0)
     )
     return [
         (ColumnStore.adopt(segment), ColumnStore.from_rows(shard))
@@ -129,27 +130,24 @@ def assert_stores_equal(mapped: ColumnStore, built: ColumnStore):
 
 class TestMappedStoreEquivalence:
     def test_figure1_single_segment(self):
-        rows = list(label_corpus([figure1_tree()]))
-        for mapped, built in mapped_and_built(rows):
+        for mapped, built in mapped_and_built([figure1_tree()]):
             assert_stores_equal(mapped, built)
 
     def test_figure1_sharded(self):
-        rows = list(label_corpus([figure1_tree(tid=t) for t in range(5)]))
-        for mapped, built in mapped_and_built(rows, segments=3):
+        trees = [figure1_tree(tid=t) for t in range(5)]
+        for mapped, built in mapped_and_built(trees, segments=3):
             assert_stores_equal(mapped, built)
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_random_corpora(self, data):
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
-        rows = list(label_corpus(trees))
         segments = data.draw(st.sampled_from([1, 2, 3]), label="segments")
-        for mapped, built in mapped_and_built(rows, segments=segments):
+        for mapped, built in mapped_and_built(trees, segments=segments):
             assert_stores_equal(mapped, built)
 
     def test_string_column_interning(self):
-        rows = list(label_corpus([figure1_tree()]))
-        (mapped, _built), = mapped_and_built(rows)
+        (mapped, _built), = mapped_and_built([figure1_tree()])
         block = mapped.name_block("NP")
         first = mapped.names[block[0]]
         # Same table entry object on every access — interning for free.

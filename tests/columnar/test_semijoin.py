@@ -155,12 +155,9 @@ def engines(trees, tmp_path_factory):
     delta tree."""
     root = tmp_path_factory.mktemp("semijoin")
     mapped_path = str(root / "corpus.lpdb")
-    with open(mapped_path, "wb") as stream:
-        store.save_mapped(
-            list(label_corpus(trees)), stream, segments=2
-        )
+    store.save_corpus(trees, mapped_path, segments=2)
     live_path = str(root / "live.lpdb")
-    live.create_live_corpus(live_path, list(label_corpus(trees[:2])), segments=1)
+    store.save_corpus(trees[:2], live_path, format="lpdb0005")
     delta = root / "delta.mrg"
     with open(delta, "w") as out:
         write_trees(trees[2:], out)

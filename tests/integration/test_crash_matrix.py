@@ -27,7 +27,7 @@ import sys
 import pytest
 
 import repro
-from repro import live, store
+from repro import store
 from repro.faults import CRASH_ENV, FAULTS_ENV
 from repro.labeling.lpath_scheme import label_corpus
 from repro.live import LiveCorpus
@@ -111,8 +111,8 @@ def assert_store_healthy(path: str) -> None:
 @pytest.fixture()
 def live_path(tmp_path) -> str:
     path = str(tmp_path / "live.lpdb")
-    seed_rows = list(label_corpus(iter_trees(TEXT * 4)))
-    live.create_live_corpus(path, seed_rows, segments=2)
+    store.save_corpus(iter_trees(TEXT * 4), path, segments=2,
+                      format="lpdb0005")
     return path
 
 

@@ -45,6 +45,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import store
+from repro.columnar import ColumnStore
 from repro.columnar.kernels import KERNELS_ENV, native_kernels
 from repro.columnar.structural import FORCE_ENV
 from repro.labeling import label_corpus
@@ -160,6 +161,11 @@ def _assert_agreement(
         raise AssertionError(_report(trees, query, results))
 
 
+def _distinct(queries, count: int):
+    """``count`` texts of the ``queries`` strategy, no two alike."""
+    return st.lists(queries, min_size=count, max_size=count, unique=True)
+
+
 @contextmanager
 def mmap_engines(trees):
     """The same corpus as a 2-segment LPDB0004 file, opened mmap-backed."""
@@ -167,9 +173,7 @@ def mmap_engines(trees):
     engines = {}
     try:
         with os.fdopen(handle, "wb") as stream:
-            store.save_mapped(
-                list(label_corpus(trees)), stream, segments=2,
-            )
+            store.save_mapped_stores(store.tree_stores(trees, 2), stream)
         engines["mmap"] = LPathEngine.from_store_mmap(path)
         yield engines
     finally:
@@ -187,12 +191,16 @@ class TestLPathDifferentialFuzz:
         )
         engine = LPathEngine(trees)
         sqlite = SQLiteBackend(label_corpus(trees))
+        # Each example checks distinct texts: a repeat re-runs a query
+        # on the same corpus and spends the budget on nothing new.
+        queries = data.draw(_distinct(lpath_queries(), QUERIES_PER_EXAMPLE),
+                            label="queries")
+        queries += data.draw(
+            _distinct(word_queries(), WORD_QUERIES_PER_EXAMPLE),
+            label="word queries",
+        )
         with mmap_engines(trees) as extra:
-            for index in range(QUERIES_PER_EXAMPLE):
-                query = data.draw(lpath_queries(), label=f"query {index}")
-                _assert_agreement(trees, engine, sqlite, query, extra)
-            for index in range(WORD_QUERIES_PER_EXAMPLE):
-                query = data.draw(word_queries(), label=f"word query {index}")
+            for query in queries:
                 _assert_agreement(trees, engine, sqlite, query, extra)
 
 
@@ -212,9 +220,7 @@ class TestDaemonDifferentialFuzz:
         handle, path = tempfile.mkstemp(suffix=".lpdb")
         try:
             with os.fdopen(handle, "wb") as stream:
-                store.save_mapped(
-                    list(label_corpus(trees)), stream, segments=2,
-                )
+                store.save_mapped_stores(store.tree_stores(trees, 2), stream)
             with LPathEngine.from_store_mmap(path) as engine, \
                     QueryServer(QueryService(path)).start() as server, \
                     ServeClient(server.url) as client:
@@ -341,9 +347,7 @@ class TestBatchDifferentialFuzz:
         handle, path = tempfile.mkstemp(suffix=".lpdb")
         try:
             with os.fdopen(handle, "wb") as stream:
-                store.save_mapped(
-                    list(label_corpus(trees)), stream, segments=2,
-                )
+                store.save_mapped_stores(store.tree_stores(trees, 2), stream)
             with LPathEngine.from_store_mmap(path) as engine, \
                     QueryServer(QueryService(path)).start() as server, \
                     ServeClient(server.url) as client:
@@ -433,8 +437,8 @@ class TestLiveCorpusDifferentialFuzz:
                 engine.close()
 
         try:
-            base_rows = list(label_corpus(iter_trees(base_text)))
-            live.create_live_corpus(live_path, base_rows, segments=2)
+            store.save_corpus(iter_trees(base_text), live_path, segments=2,
+                              format="lpdb0005")
             if delta_text.strip():
                 with live.LiveCorpus(live_path) as corpus:
                     corpus.append_trees(delta_text)
@@ -452,16 +456,15 @@ class TestLiveCorpusDifferentialFuzz:
             assert recovered == expected_rows
             check_against_reference("compacted")
 
-            # Byte-identity: re-saving the live corpus monolithically
-            # produces the exact file a direct monolithic save would.
+            # Byte-identity: re-saving the live corpus's rows
+            # monolithically produces the exact file a direct save of
+            # the trees would.
             resave = io.BytesIO()
-            store.save_mapped(
-                store.load_corpus_labels(live_path), resave,
-            )
+            store.save_mapped_stores([ColumnStore.from_rows(
+                store.load_corpus_labels(live_path)
+            )], resave)
             direct = io.BytesIO()
-            store.save_mapped(
-                list(label_corpus(trees)), direct
-            )
+            store.save_mapped_stores(store.tree_stores(trees, 1), direct)
             assert resave.getvalue() == direct.getvalue()
         finally:
             shutil.rmtree(root)
@@ -486,10 +489,8 @@ class TestLiveCorpusDifferentialFuzz:
         root = tempfile.mkdtemp()
         live_path = os.path.join(root, "live.lpdb")
         try:
-            live.create_live_corpus(
-                live_path, list(label_corpus(iter_trees(base_text))),
-                segments=2,
-            )
+            store.save_corpus(iter_trees(base_text), live_path, segments=2,
+                              format="lpdb0005")
             manager = live.LiveEngineManager(live_path)
             try:
                 query = data.draw(lpath_queries(), label="query")
@@ -536,10 +537,8 @@ class TestLiveCorpusDifferentialFuzz:
         root = tempfile.mkdtemp()
         live_path = os.path.join(root, "live.lpdb")
         try:
-            live.create_live_corpus(
-                live_path, list(label_corpus(iter_trees(chunks[0]))),
-                segments=2,
-            )
+            store.save_corpus(iter_trees(chunks[0]), live_path, segments=2,
+                              format="lpdb0005")
             manager = live.LiveEngineManager(live_path)
             try:
                 text = chunks[0]

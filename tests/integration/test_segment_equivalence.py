@@ -147,10 +147,8 @@ class TestLPathSegmentEquivalence:
     ):
         trees = data.draw(corpora(max_trees=4, max_depth=4), label="corpus")
         monolithic = LPathEngine(trees, keep_trees=False)
-        rows = list(label_corpus(trees))
         path = str(tmp_path_factory.mktemp("mmap") / "corpus.lpdb")
-        with open(path, "wb") as handle:
-            store.save_mapped(rows, handle, segments=3)
+        store.save_corpus(trees, path, segments=3)
         engine = LPathEngine.from_store_mmap(path)
         try:
             with pinned_kernels(kernels):

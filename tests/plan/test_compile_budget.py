@@ -27,8 +27,7 @@ from repro.columnar import structural
 from repro.columnar.kernels import api as kernels_api
 from repro.columnar.store import ColumnStore
 from repro.corpus import generate_corpus
-from repro.labeling.lpath_scheme import label_corpus
-from repro.live import LiveEngineManager, create_live_corpus
+from repro.live import LiveEngineManager
 from repro.lpath import LPathEngine
 from repro.lpath.compiler import PlanCompiler
 from repro.store import save_corpus
@@ -363,7 +362,7 @@ def test_a_rewritten_corpus_reopens_with_its_own_seeds(tmp_path):
 
 def test_a_live_append_tier_resolves_its_own_seeds(trees, tmp_path):
     path = str(tmp_path / "live.lpdb")
-    create_live_corpus(path, list(label_corpus(trees)), segments=2)
+    save_corpus(trees, path, segments=2, format="lpdb0005")
     manager = LiveEngineManager(path)
     try:
         query = "//_[@lex=seedword]\\NP"
@@ -393,7 +392,7 @@ def test_a_carried_plan_lets_a_retired_tier_go(trees, tmp_path, monkeypatch):
     monkeypatch.delenv(structural.FORCE_ENV, raising=False)
     monkeypatch.setattr(repro.live, "ENGINE_GRACE_SECONDS", 0.0)
     path = str(tmp_path / "live.lpdb")
-    create_live_corpus(path, list(label_corpus(trees)), segments=2)
+    save_corpus(trees, path, segments=2, format="lpdb0005")
     manager = LiveEngineManager(path)
     query = "//NP[->PP[//IN]=>VP]"
     added = "(S (NP (DT the) (NN dog)) (VP (VBD sat) (PP (IN on) (NP (NN mats)))))"

@@ -120,13 +120,13 @@ def test_top_k_goes_through_the_same_emit_and_merge(engine, calls):
 
 @pytest.fixture(scope="module")
 def xpath_store_path(tmp_path_factory):
-    from repro.labeling.xpath_scheme import label_corpus
-    from repro.store import save_mapped
+    from repro.store import save_mapped_stores
+    from repro.xpath.engine import xpath_stores
 
     trees = list(generate_corpus("wsj", sentences=80, seed=5))
     path = str(tmp_path_factory.mktemp("output") / "x2.lpdb")
     with open(path, "wb") as stream:
-        save_mapped(list(label_corpus(trees)), stream, segments=2)
+        save_mapped_stores(xpath_stores(trees, 2), stream)
     return path
 
 

@@ -21,8 +21,7 @@ import re
 
 import pytest
 
-from repro import live
-from repro.labeling.lpath_scheme import label_corpus
+from repro import store
 from repro.live import LiveEngineManager
 from repro.lpath import LPathEngine
 from repro.oracle import TreeWalkEvaluator
@@ -201,9 +200,7 @@ def test_live_base_and_delta_tiers_prune_soundly(trees, treewalk, tmp_path):
     swaps — a pruning verdict must survive the carry and a new tier must
     get its own."""
     path = str(tmp_path / "live.lpdb")
-    live.create_live_corpus(
-        path, list(label_corpus(trees[:4])), segments=2
-    )
+    store.save_corpus(trees[:4], path, segments=2, format="lpdb0005")
     manager = LiveEngineManager(path)
     try:
         for batch in ("\n".join(TREES[4:6]), TREES[6]):

@@ -13,11 +13,10 @@ import threading
 
 import pytest
 
-from repro import faults, live, store
+from repro import faults, store
 from repro.cli import main
 from repro.corpus import generate_corpus
 from repro.faults import FAULTS_ENV, FaultConfigError, parse_fault_specs
-from repro.labeling.lpath_scheme import label_corpus
 from repro.live import LiveEngineManager, open_live_engine
 from repro.lpath import LPathEngine
 from repro.plan.cache import PlanCache
@@ -115,9 +114,7 @@ class TestSequentialExecution:
             engine = LPathEngine.from_store_mmap(three_segment_store)
         else:
             path = str(tmp_path / "live.lpdb")
-            live.create_live_corpus(
-                path, list(label_corpus(trees(6))), segments=3
-            )
+            store.save_corpus(trees(6), path, segments=3, format="lpdb0005")
             engine = LPathEngine.open(path)
         started = started_threads(monkeypatch)
         with engine:
@@ -218,7 +215,6 @@ class TestRetiredProcessSurface:
             QueryService(three_segment_store, workers=2)
 
     @pytest.mark.parametrize("factory", [
-        LPathEngine.from_labels,
         LPathEngine.open,
         XPathEngine.from_store_mmap,
         open_live_engine,

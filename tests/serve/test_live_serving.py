@@ -9,8 +9,7 @@ import time
 
 import pytest
 
-from repro import live, store
-from repro.labeling.lpath_scheme import label_corpus
+from repro import store
 from repro.serve import (
     QueryServer,
     QueryService,
@@ -26,8 +25,8 @@ MORE = "(S (NP (N cat)) (VP (V sat) (NP (N mat))))"
 @pytest.fixture()
 def live_path(tmp_path) -> str:
     path = str(tmp_path / "live.lpdb")
-    rows = list(label_corpus(iter_trees(TEXT * 5)))
-    live.create_live_corpus(path, rows, segments=2)
+    store.save_corpus(iter_trees(TEXT * 5), path, segments=2,
+                      format="lpdb0005")
     return path
 
 

@@ -12,11 +12,11 @@ import time
 import pytest
 
 from repro import store
-from repro.labeling.xpath_scheme import label_corpus as xpath_label_corpus
 from repro.lpath import LPathEngine
 from repro.serve import QueryService, ServeClient, ServeError, StoreSpec
 from repro.serve.service import LATENCY_WINDOW, MAX_BATCH_QUERIES
 from repro.xpath import XPathEngine
+from repro.xpath.engine import xpath_stores
 
 QUERIES = ("//NP", "//VP//NP", "//S//NP//WHPP", "//_[.//NP]//VB")
 
@@ -348,9 +348,7 @@ class TestXPathDialect:
     def test_xpath_store_serves_xpath_queries(self, trees, tmp_path):
         path = str(tmp_path / "xpath.lpdb")
         with open(path, "wb") as stream:
-            store.save_mapped(
-                list(xpath_label_corpus(trees)), stream, segments=2,
-            )
+            store.save_mapped_stores(xpath_stores(trees, 2), stream)
         with XPathEngine.from_store_mmap(path) as engine:
             expected = engine.query("//NP")
         with QueryService(StoreSpec(path, dialect="xpath")) as service:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from repro import live, store
 from repro.corpus import generate_corpus
-from repro.labeling.lpath_scheme import label_corpus
+from repro.labeling.lpath_scheme import label_columns, label_corpus
 from repro.live import LiveCorpus, LiveEngineManager
 from repro.store import StoreError
 from repro.tree.bracket import iter_trees
@@ -27,10 +27,19 @@ def rows_for(text: str, start_tid: int = 0):
     return list(label_corpus(iter_trees(text, start_tid=start_tid)))
 
 
+def columns_for(text: str, start_tid: int = 0) -> tuple:
+    return label_columns(iter_trees(text, start_tid=start_tid))
+
+
+def create_live(path: str, text: str, segments: int = 1) -> None:
+    store.save_corpus(iter_trees(text), path, segments=segments,
+                      format="lpdb0005")
+
+
 @pytest.fixture()
 def corpus_dir(tmp_path) -> str:
     path = str(tmp_path / "live.lpdb")
-    live.create_live_corpus(path, rows_for(TEXT * 3), segments=2)
+    create_live(path, TEXT * 3, segments=2)
     return path
 
 
@@ -53,7 +62,7 @@ class TestCreateAndOpen:
 
     def test_empty_corpus_round_trips(self, tmp_path):
         path = str(tmp_path / "empty.lpdb")
-        live.create_live_corpus(path, [])
+        create_live(path, "")
         assert store.load_corpus_labels(path) == []
         engine = live.open_live_engine(path)
         try:
@@ -64,10 +73,10 @@ class TestCreateAndOpen:
     def test_refuses_foreign_directory(self, tmp_path):
         (tmp_path / "keep.txt").write_text("not yours")
         with pytest.raises(StoreError, match="non-empty directory"):
-            live.create_live_corpus(str(tmp_path), rows_for(TEXT))
+            create_live(str(tmp_path), TEXT)
 
     def test_recreate_over_live_corpus_bumps_generation(self, corpus_dir):
-        live.create_live_corpus(corpus_dir, rows_for(MORE))
+        create_live(corpus_dir, MORE)
         info = store.corpus_info(corpus_dir)
         assert info["generation"] == 2
         assert sorted_rows(store.load_corpus_labels(corpus_dir)) == (
@@ -113,17 +122,17 @@ class TestAppend:
             second = corpus.append_trees(TEXT)
         assert second["first_tid"] == first["next_tid"]
 
-    def test_append_rows_rejects_overlapping_tids(self, corpus_dir):
+    def test_append_columns_rejects_overlapping_tids(self, corpus_dir):
         with LiveCorpus(corpus_dir) as corpus:
             with pytest.raises(StoreError, match="next_tid"):
-                corpus.append_rows(rows_for(TEXT))  # tids restart at 0
+                corpus.append_columns(columns_for(TEXT))  # tids restart at 0
 
     def test_append_rejects_empty(self, corpus_dir):
         with LiveCorpus(corpus_dir) as corpus:
             with pytest.raises(StoreError, match="no trees"):
                 corpus.append_trees("   ")
             with pytest.raises(StoreError, match="at least one row"):
-                corpus.append_rows([])
+                corpus.append_columns(label_columns(()))
 
     def test_read_only_open_cannot_append(self, corpus_dir):
         with LiveCorpus(corpus_dir, writable=False) as corpus:
@@ -182,7 +191,7 @@ class TestRecovery:
     def test_torn_tail_truncated_acked_rows_survive(self, corpus_dir, tail):
         acked = self.append_then_tear(corpus_dir, tail)
         with LiveCorpus(corpus_dir) as corpus:
-            assert len(corpus.snapshot()[1]) == acked
+            assert len(corpus.snapshot()[1][0]) == acked
             assert "truncated" in corpus.manifest.last_recovery
         # Recovery is level-triggered: a second clean open keeps the
         # recovery note but does not re-recover.
@@ -192,7 +201,7 @@ class TestRecovery:
     def test_read_only_open_ignores_torn_tail(self, corpus_dir):
         acked = self.append_then_tear(corpus_dir, b"\x01\x02\x03")
         with LiveCorpus(corpus_dir, writable=False) as corpus:
-            assert len(corpus.snapshot()[1]) == acked
+            assert len(corpus.snapshot()[1][0]) == acked
         info = store.corpus_info(corpus_dir)
         assert info["wal_torn_bytes"] == 3  # still on disk
 
@@ -223,10 +232,47 @@ class TestRecovery:
         assert store.corpus_info(corpus_dir)["generation"] == before + 1
 
 
-def decode_record(payload: bytes) -> list:
-    rows: list = []
-    live._decode_labels_into(payload, rows)
-    return rows
+class TestWalDecodes:
+    """A writable open decodes each WAL record once (recovery's scan is
+    the one the delta loads from), and a compaction decodes none to
+    count the frames its rotated WAL holds."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch) -> list:
+        calls, real = [], live._decode_into
+
+        def decode_into(payload, columns):
+            calls.append(len(payload))
+            return real(payload, columns)
+
+        monkeypatch.setattr(live, "_decode_into", decode_into)
+        return calls
+
+    @pytest.mark.parametrize("records", [0, 1, 4])
+    def test_open_decodes_each_record_once(self, corpus_dir, decodes,
+                                           records):
+        with LiveCorpus(corpus_dir) as corpus:
+            for _ in range(records):
+                corpus.append_trees(MORE)
+        decodes.clear()
+        with LiveCorpus(corpus_dir) as corpus:
+            assert len(decodes) == records
+            assert corpus.wal_records == records
+
+    def test_compaction_recount_decodes_nothing(self, corpus_dir, decodes):
+        with LiveCorpus(corpus_dir) as corpus:
+            corpus.append_trees(MORE)
+            corpus.append_trees(TEXT)
+            decodes.clear()
+            assert corpus.compact()["compacted_rows"]
+            assert decodes == []
+            assert corpus.wal_records == 0
+
+
+def decode_record(payload: bytes) -> tuple:
+    columns = label_columns(())
+    live._decode_into(payload, columns)
+    return columns
 
 
 class TestWalRecordCodec:
@@ -237,23 +283,23 @@ class TestWalRecordCodec:
 
     @pytest.fixture(scope="class")
     def payload(self):
-        return live._encode_payload(rows_for(MORE))[0]
+        return live._encode_payload(columns_for(MORE))[0]
 
     def test_round_trip(self):
-        rows = rows_for(TEXT + MORE)
-        payload, count = live._encode_payload(rows)
-        assert count == len(rows)
-        assert decode_record(payload) == rows
+        columns = columns_for(TEXT + MORE)
+        payload, count = live._encode_payload(columns)
+        assert count == len(rows_for(TEXT + MORE))
+        assert decode_record(payload) == columns
 
     @given(corpora(max_trees=3, max_depth=4))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random(self, trees):
-        rows = list(label_corpus(trees))
-        assert decode_record(live._encode_payload(rows)[0]) == rows
+        columns = label_columns(trees)
+        assert decode_record(live._encode_payload(columns)[0]) == columns
 
     def test_interning_compresses(self):
         rows = rows_for(MORE * 20)
-        payload, _ = live._encode_payload(rows)
+        payload, _ = live._encode_payload(columns_for(MORE * 20))
         # Far smaller than a naive text dump of the rows.
         assert len(payload) < len(repr(rows)) / 4
 
@@ -399,24 +445,17 @@ class TestCompaction:
     def test_merges_never_rebuild_built_rows(self, corpus_dir, monkeypatch):
         """Tier merges and compactions concatenate stores already built:
         the one sort per append is the new batch's, and no compaction
-        sorts or re-saves label rows."""
-        from repro.columnar.store import ColumnStore
+        sorts label columns again."""
+        from repro.columnar import store as column_store
 
-        sorted_batches, saves = [], []
-        real_from_rows = ColumnStore.from_rows.__func__
-        real_save = store.save_mapped
+        sorted_batches = []
+        real_build = column_store._build_segment
 
-        def from_rows(cls, rows, *args, **kwargs):
-            rows = list(rows)
-            sorted_batches.append(len(rows))
-            return real_from_rows(cls, rows, *args, **kwargs)
+        def build_segment(tid, *columns):
+            sorted_batches.append(len(tid))
+            return real_build(tid, *columns)
 
-        def save_mapped(*args, **kwargs):
-            saves.append(args)
-            return real_save(*args, **kwargs)
-
-        monkeypatch.setattr(ColumnStore, "from_rows", classmethod(from_rows))
-        monkeypatch.setattr(store, "save_mapped", save_mapped)
+        monkeypatch.setattr(column_store, "_build_segment", build_segment)
         batch = len(rows_for(MORE))
         manager = LiveEngineManager(corpus_dir)
         try:
@@ -430,7 +469,6 @@ class TestCompaction:
                     absorbed += len(status["absorbed"])
                     assert sorted_batches == [batch]
             assert absorbed >= 2
-            assert saves == []
         finally:
             manager.close()
 
@@ -439,7 +477,6 @@ class TestCompaction:
         must be carried into the rotated WAL."""
         with LiveCorpus(corpus_dir) as corpus:
             corpus.append_trees(MORE)
-            frozen, cut = list(corpus._delta_rows), corpus._wal_size
 
             # Interleave an append the way a concurrent request would,
             # between the snapshot and the cut-over.
@@ -456,20 +493,19 @@ class TestCompaction:
                 corpus.compact()
             finally:
                 live._barrier = real_barrier
-            assert len(corpus.snapshot()[1]) == appended["ack"]["rows"]
+            assert len(corpus.snapshot()[1][0]) == appended["ack"]["rows"]
+            assert corpus.wal_records == 1
         # The carried rows survive a full reopen (they are in the WAL).
         with LiveCorpus(corpus_dir) as corpus:
-            assert len(corpus.snapshot()[1]) == appended["ack"]["rows"]
+            assert len(corpus.snapshot()[1][0]) == appended["ack"]["rows"]
 
 
 class TestLiveEngine:
     def test_engine_matches_monolithic_resave(self, tmp_path, corpus_dir):
         with LiveCorpus(corpus_dir) as corpus:
             corpus.append_trees(MORE)
-        rows = store.load_corpus_labels(corpus_dir)
         mono = str(tmp_path / "mono.lpdb")
-        with store.atomic_write(mono) as handle:
-            store.save_mapped(rows, handle)
+        store.save_corpus(iter_trees(TEXT * 3 + MORE), mono)
         from repro.lpath import LPathEngine
 
         live_engine = LPathEngine.open(corpus_dir)

@@ -1,15 +1,18 @@
-"""Tests for compiled-corpus storage and the from_labels engine path."""
+"""Tests for compiled-corpus storage and engines opened without trees."""
 
 import hashlib
 import io
 import os
 import sys
+import tempfile
+from operator import attrgetter
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import store
+from repro.columnar import ColumnStore
 from repro.labeling import label_corpus
 from repro.lpath import LPathEngine, LPathError
 from repro.oracle import SQLiteBackend
@@ -21,7 +24,7 @@ def round_trip(rows):
     """Save and reload; rows come back in clustered order, so compare
     as sorted lists."""
     buffer = io.BytesIO()
-    store.save_mapped(rows, buffer)
+    store.save_mapped_stores([ColumnStore.from_rows(rows)], buffer)
     buffer.seek(0)
     return sorted(store.load_labels(buffer))
 
@@ -45,19 +48,14 @@ class TestFormat:
             store.load_labels(io.BytesIO(b"NOTLPDB!rest"))
 
     def test_truncation_detected(self):
-        rows = list(label_corpus([figure1_tree()]))
-        buffer = io.BytesIO()
-        store.save_mapped(rows, buffer)
-        data = buffer.getvalue()
+        data = mmap_bytes([figure1_tree()])
         with pytest.raises(store.StoreError):
             store.load_labels(io.BytesIO(data[:-3]))
 
     def test_trailing_garbage_detected(self):
-        rows = list(label_corpus([figure1_tree()]))
-        buffer = io.BytesIO()
-        store.save_mapped(rows, buffer)
+        data = mmap_bytes([figure1_tree()])
         with pytest.raises(store.StoreError):
-            store.load_labels(io.BytesIO(buffer.getvalue() + b"\x00"))
+            store.load_labels(io.BytesIO(data + b"\x00"))
 
     def test_file_helpers(self, tmp_path):
         path = tmp_path / "corpus.lpdb"
@@ -70,25 +68,25 @@ class TestFormat:
         assert len(rows) == 25
 
 
-class TestPartitionRowsByTid:
+class TestPartitionByTid:
     def trees(self, count=5):
         return [figure1_tree(tid=tid) for tid in range(count)]
 
-    def test_partition_rows_deterministic_and_whole_trees(self):
-        rows = list(label_corpus(self.trees(7)))
-        shards = store.partition_rows_by_tid(rows, 3)
-        again = store.partition_rows_by_tid(rows, 3)
+    def test_partition_deterministic_and_whole_trees(self):
+        trees = self.trees(7)
+        shards = store.partition_by_tid(trees, 3, attrgetter("tid"))
+        again = store.partition_by_tid(trees, 3, attrgetter("tid"))
         assert shards == again
         seen = set()
         for shard in shards:
-            tids = {row.tid for row in shard}
+            tids = {tree.tid for tree in shard}
             assert not tids & seen
             seen |= tids
         assert seen == set(range(7))
 
     def test_partition_rejects_bad_counts(self):
         with pytest.raises(store.StoreError):
-            store.partition_rows_by_tid([], 0)
+            store.partition_by_tid([], 0, attrgetter("tid"))
 
 
 class TestSniffing:
@@ -130,9 +128,9 @@ class TestSniffing:
         assert not store.is_compiled_corpus(str(path))
 
 
-def mmap_bytes(rows, segments=1) -> bytes:
+def mmap_bytes(trees, segments=1) -> bytes:
     buffer = io.BytesIO()
-    store.save_mapped(rows, buffer, segments=segments)
+    store.save_mapped_stores(store.tree_stores(trees, segments), buffer)
     return buffer.getvalue()
 
 
@@ -174,21 +172,23 @@ class TestMmapFormat:
 
     def test_round_trip_clustered_order(self):
         rows = list(label_corpus(self.trees()))
-        data = mmap_bytes(rows, segments=2)
+        data = mmap_bytes(self.trees(), segments=2)
         assert data.startswith(store.MMAP_MAGIC)
         # Rows come back in clustered (not insertion) order.
         assert sorted(store.load_labels(io.BytesIO(data))) == sorted(rows)
 
     def test_segment_columns_partition_by_tid(self, tmp_path):
         rows = list(label_corpus(self.trees()))
-        shards = mapped_segments(tmp_path, mmap_bytes(rows, segments=3))
+        shards = mapped_segments(tmp_path, mmap_bytes(self.trees(), segments=3))
         assert [tids for _, tids in shards] == [{0, 3}, {1, 4}, {2}]
         assert sum(n for n, _ in shards) == len(rows)
 
     def test_empty_corpus_and_empty_segments(self, tmp_path):
         assert store.load_labels(io.BytesIO(mmap_bytes([]))) == []
         rows = list(label_corpus([figure1_tree()]))
-        shards = mapped_segments(tmp_path, mmap_bytes(rows, segments=3))
+        shards = mapped_segments(
+            tmp_path, mmap_bytes([figure1_tree()], segments=3)
+        )
         assert [n for n, _ in shards] == [len(rows), 0, 0]
 
     def test_file_helpers(self, tmp_path):
@@ -213,31 +213,37 @@ class TestMmapFormat:
         assert len(info["top_names"]) == 3
         name, stats = info["top_names"][0]
         assert stats[0] >= info["top_names"][1][1][0]
-        # Same numbers as a full scan of the rows themselves.
+        # Same numbers as one store rebuilt from the file's rows.
         scan = store.InfoFold()
-        scan.add_rows(store.load_corpus_labels(str(path)))
+        rows = store.load_corpus_labels(str(path))
+        scan.add_segments([ColumnStore.from_rows(rows).segment.meta])
         scanned = scan.summary(str(path), 0, "LPDB0004", 3)
         for key in ("rows", "trees", "distinct_names", "top_names"):
             assert info[key] == scanned[key], key
 
     @given(corpora(max_trees=4, max_depth=4), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
-    def test_row_fold_matches_sidecar_fold(self, trees, segments):
-        # The two halves of InfoFold — sidecar statistics (LPDB0004
-        # files) and a scan of raw rows (a live WAL delta) — agree on
-        # every name, so a live corpus reports the numbers its resave
-        # would.
-        rows = list(label_corpus(trees))
-        buffer = io.BytesIO()
-        store.save_mapped(rows, buffer, segments=segments)
-        header, _ = store._read_header(buffer.getvalue())
-        from_sidecar, from_rows = store.InfoFold(), store.InfoFold()
-        from_sidecar.add_sidecar(header)
-        from_rows.add_rows(rows)
-        assert from_sidecar.segments == segments
-        assert from_sidecar.names == from_rows.names
-        assert (from_sidecar.rows, from_sidecar.trees) == (
-            from_rows.rows, from_rows.trees)
+    def test_live_fold_matches_one_file_fold(self, trees, segments):
+        # A live corpus folds its base files' sidecars and the segment
+        # its WAL delta builds; on every name it reports the numbers of
+        # one LPDB0004 file holding the same trees.
+        from repro.labeling.lpath_scheme import label_columns
+        from repro.live import LiveCorpus
+
+        half = len(trees) // 2
+        with tempfile.TemporaryDirectory() as scratch:
+            single = os.path.join(scratch, "single.lpdb")
+            directory = os.path.join(scratch, "live")
+            store.save_corpus(trees, single)
+            store.save_corpus(trees[:half], directory, segments=segments,
+                              format="lpdb0005")
+            with LiveCorpus(directory) as corpus:
+                corpus.append_columns(label_columns(trees[half:]))
+            one = store.corpus_info(single, top=1000)
+            live = store.corpus_info(directory, top=1000)
+        assert live["delta_rows"] == len(list(label_corpus(trees[half:])))
+        for key in ("rows", "trees", "distinct_names", "top_names"):
+            assert live[key] == one[key], key
 
     @pytest.mark.parametrize("format", ["lpdb9999", "lpdb0002", "lpdb0003"])
     def test_unknown_format_rejected(self, tmp_path, format):
@@ -253,8 +259,7 @@ class TestMmapCorruption:
 
     @pytest.fixture(scope="class")
     def blob(self):
-        rows = list(label_corpus([figure1_tree(tid=t) for t in range(3)]))
-        return mmap_bytes(rows, segments=2)
+        return mmap_bytes([figure1_tree(tid=t) for t in range(3)], segments=2)
 
     def test_every_truncation_detected(self, blob):
         # Includes every cut *mid-column* in the data region: the file
@@ -571,30 +576,32 @@ class TestRetiredRevisions:
         assert revision in err and "repro compile" in err
 
 
-class TestEngineFromLabels:
-    def test_queries_match_tree_built_engine(self):
-        trees = [figure1_tree()]
-        rows = list(label_corpus(trees))
-        from_trees = LPathEngine(trees)
-        from_rows = LPathEngine.from_labels(rows)
-        for query in ("//NP", "//V->NP", "//VP{//NP$}", "//S[//_[@lex=saw]]"):
-            assert from_rows.query(query) == from_trees.query(query)
+class TestEngineWithoutTrees:
+    """An engine over a compiled file (``from_store_mmap``) holds no
+    trees: it answers from the stored labels alone."""
 
-    def test_sqlite_backend_works(self):
+    @pytest.fixture()
+    def engine(self, tmp_path):
+        path = str(tmp_path / "figure1.lpdb")
+        store.save_corpus([figure1_tree()], path)
+        with LPathEngine.from_store_mmap(path) as engine:
+            yield engine
+
+    def test_queries_match_tree_built_engine(self, engine):
+        from_trees = LPathEngine([figure1_tree()])
+        for query in ("//NP", "//V->NP", "//VP{//NP$}", "//S[//_[@lex=saw]]"):
+            assert engine.query(query) == from_trees.query(query)
+
+    def test_sqlite_backend_works(self, engine):
         rows = list(label_corpus([figure1_tree()]))
-        engine = LPathEngine.from_labels(rows)
         assert SQLiteBackend(rows).query("//NP") == engine.query("//NP")
 
-    def test_tree_features_unavailable(self):
-        rows = list(label_corpus([figure1_tree()]))
-        engine = LPathEngine.from_labels(rows)
+    def test_tree_features_unavailable(self, engine):
         with pytest.raises(LPathError):
             engine.nodes("//NP")
 
-    def test_root_alignment_still_works(self):
-        """from_labels must reconstruct the root_right map for `$`."""
-        rows = list(label_corpus([figure1_tree()]))
-        engine = LPathEngine.from_labels(rows)
+    def test_root_alignment_still_works(self, engine):
+        """The stored right-edge bitmap answers `$` with no tree."""
         assert engine.count("//NP$") == 1
 
 
