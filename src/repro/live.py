@@ -227,18 +227,14 @@ def _decode_into(payload: bytes, columns) -> None:
     if offset != len(payload):
         raise StoreError(f"{len(payload) - offset} trailing bytes after rows")
     name_ids, value_ids = fields[6::8], fields[7::8]
+    if rows and (min(name_ids) == _NO_VALUE
+                 or max(max(name_ids), max(value_ids)) > table_size):
+        raise StoreError("string-table reference out of range")
     table = [None, *strings]  # index 0: no value
-    try:
-        if _NO_VALUE in name_ids:
-            raise IndexError
-        names = list(map(table.__getitem__, name_ids))
-        values = list(map(table.__getitem__, value_ids))
-    except IndexError:
-        raise StoreError("string-table reference out of range") from None
     for position in range(6):
         columns[position].extend(fields[position::8])
-    columns[6].extend(names)
-    columns[7].extend(values)
+    columns[6].extend(map(table.__getitem__, name_ids))
+    columns[7].extend(map(table.__getitem__, value_ids))
 
 
 class WalScan(NamedTuple):

@@ -312,12 +312,14 @@ class TestWalRecordCodec:
         with pytest.raises(StoreError, match="trailing"):
             decode_record(payload + b"\x00")
 
-    def test_bad_string_reference_detected(self):
+    @pytest.mark.parametrize("name, value", [(5, 0), (0, 0), (1, 2)])
+    def test_bad_string_reference_detected(self, name, value):
         import io
 
         record = io.BytesIO()
-        # One row, an empty string table, a name index past its end.
-        for field in (1, 0, 0, 0, 1, 0, 0, 0, 5, 0):
+        # One row, a one-entry string table, then a name index past its
+        # end, a name index of "no value", or a value index past its end.
+        for field in (1, 1, 1, 65, 0, 0, 1, 0, 1, 0, name, value):
             store._write_varint(record, field)
         with pytest.raises(StoreError, match="out of range"):
             decode_record(record.getvalue())
