@@ -360,6 +360,21 @@ class TestXPathDialect:
                 service.execute({"query": "//NP"})  # lpath against xpath
             assert failure.value.status == 400
 
+    def test_lpath_file_serves_the_xpath_dialect_from_its_own_labels(
+        self, trees, store_path
+    ):
+        """A ``repro compile`` file holds Definition 4.1 labels; the XPath
+        dialect restricts the queries, the file's labels answer them."""
+        from repro.oracle import TreeWalkEvaluator
+
+        walk = TreeWalkEvaluator(trees)
+        with QueryService(StoreSpec(store_path, dialect="xpath")) as service:
+            for query in ("//NP//NN", "//S//NP", "//VP/NP"):
+                page = service.execute(
+                    {"query": query, "dialect": "xpath", "count": True}
+                )
+                assert page["total"] == len(walk.query(query)), query
+
     def test_pre_mmap_store_refuses_xpath_dialect(self, tmp_path):
         # A store of a retired revision (here a hand-written LPDB0003
         # header) gets a clean refusal naming the revision.

@@ -253,6 +253,34 @@ class TestMmapFormat:
         assert not path.exists()
 
 
+class TestLabelScheme:
+    """An LPDB0004 file records which labeling filled its columns."""
+
+    @pytest.fixture()
+    def start_end_path(self, tmp_path):
+        from repro.xpath.engine import xpath_stores
+
+        path = str(tmp_path / "start-end.lpdb")
+        with open(path, "wb") as stream:
+            store.save_mapped_stores(
+                xpath_stores([figure1_tree(tid=tid) for tid in range(3)], 2),
+                stream,
+            )
+        return path
+
+    def test_sqlite_rows_refuse_a_start_end_file(self, start_end_path):
+        # The SQLite reference reads Definition 4.1 rows; start/end
+        # columns read as such answer 0 for every immediate-* axis.
+        with pytest.raises(store.StoreError, match="start-end"):
+            store.load_corpus_labels(start_end_path)
+
+    def test_info_reports_the_scheme(self, start_end_path, tmp_path):
+        path = str(tmp_path / "lpath.lpdb")
+        store.save_corpus([figure1_tree()], path)
+        assert store.corpus_info(path)["scheme"] == "lpath-4.1"
+        assert store.corpus_info(start_end_path)["scheme"] == "start-end"
+
+
 class TestMmapCorruption:
     """LPDB0004 failure modes: truncation anywhere, sidecar bit flips,
     and misaligned/overrunning blob offsets all raise StoreError."""

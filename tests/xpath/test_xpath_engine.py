@@ -119,3 +119,43 @@ class TestDuplicateTids:
 
         with pytest.raises(LPathError):
             XPathEngine([figure1_tree(tid=2), figure1_tree(tid=2)])
+
+
+class TestStoredLabelScheme:
+    """A compiled file answers from the labels it holds, whichever
+    dialect opens it."""
+
+    @pytest.fixture(scope="class")
+    def wsj(self):
+        from repro.corpus import generate_corpus
+
+        return list(generate_corpus("wsj", sentences=60, seed=7))
+
+    def test_xpath_engine_over_a_definition_4_1_file(self, wsj, tmp_path):
+        from repro import store
+        from repro.oracle import TreeWalkEvaluator
+
+        path = str(tmp_path / "lpath.lpdb")
+        store.save_corpus(wsj, path, segments=2)
+        walk = TreeWalkEvaluator(wsj)
+        with XPathEngine.from_store_mmap(path) as engine:
+            for query in ("//S//NP", "//NP//NN", "//VP/NP"):
+                assert engine.count(query) == len(walk.query(query)), query
+
+    def test_lpath_open_over_a_start_end_file(self, wsj, tmp_path):
+        from repro import store
+        from repro.oracle import TreeWalkEvaluator
+        from repro.xpath.engine import xpath_stores
+
+        path = str(tmp_path / "start-end.lpdb")
+        with open(path, "wb") as stream:
+            store.save_mapped_stores(xpath_stores(wsj, 2), stream)
+        walk = TreeWalkEvaluator(wsj)
+        with LPathEngine.open(path) as engine:
+            for query in ("//S//NP", "//NP//NN", "//VP/NP"):
+                assert engine.count(query) == len(walk.query(query)), query
+            # Start/end labels share no leaf boundaries, so they cannot
+            # decide immediate-following: a refusal naming the scheme,
+            # never a silent 0.
+            with pytest.raises(LPathCompileError, match="start-end"):
+                engine.count("//VB->NP")
