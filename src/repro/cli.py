@@ -35,6 +35,7 @@ from .corpus import (
 from .columnar.kernels import KERNEL_MODES, KERNELS_ENV, kernel_info
 from .lpath import LPathEngine, parse
 from .plan.ir import AGGREGATE_OPS
+from .plan.schemes import DIALECTS
 from .tree import iter_trees, write_trees
 from .xpath import XPathEngine
 
@@ -187,7 +188,7 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
     from . import store
 
     engine_name = args.engine
-    if engine_name not in ("lpath", "xpath"):
+    if engine_name not in DIALECTS:
         wanted = [
             flag
             for flag, attr in (("--explain", "explain"), ("--cache-stats", "cache_stats"))
@@ -204,7 +205,7 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
     agg = getattr(args, "agg", None)
     if (
         batch_path is not None or agg is not None
-    ) and engine_name not in ("lpath", "xpath"):
+    ) and engine_name not in DIALECTS:
         print(
             "error: --batch/--agg require --engine lpath or xpath",
             file=sys.stderr,
@@ -242,9 +243,9 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         return 1
     segments = getattr(args, "segments", None)
     compiled = args.corpus != "-" and store.is_compiled_corpus(args.corpus)
-    if compiled and engine_name not in ("lpath", "sqlite"):
+    if compiled and engine_name not in ("lpath", "xpath", "sqlite"):
         print(
-            "error: compiled corpora only support --engine lpath/sqlite",
+            "error: compiled corpora only support --engine lpath/xpath/sqlite",
             file=sys.stderr,
         )
         return 1
@@ -275,15 +276,20 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
             matches = oracle.query(args.query, limit=limit)
         finally:
             oracle.close()
-    elif engine_name == "lpath":
+    elif engine_name in DIALECTS:
         if compiled:
-            # LPDB0004 adopted zero-copy; a live directory adds its
-            # WAL replayed into an in-memory delta store.
-            engine = LPathEngine.open(args.corpus)
+            # LPDB0004 adopted zero-copy, answering from the labels the
+            # file records; a live directory adds its WAL replayed into
+            # an in-memory delta store.  The dialect restricts the query.
+            engine = LPathEngine.open(
+                args.corpus, dialect=DIALECTS[engine_name]
+            )
             trees = []
         else:
+            # A treebank: Definition 4.1 labels for LPath, the start/end
+            # labels of Section 5.4's comparator for XPath.
             trees = _load_trees(args.corpus)
-            engine = LPathEngine(
+            engine = (LPathEngine if engine_name == "lpath" else XPathEngine)(
                 trees, segments=1 if segments is None else segments
             )
         if batch_path is not None:
@@ -324,47 +330,8 @@ def _run_query(args: argparse.Namespace, out: TextIO) -> int:
         trees = _load_trees(args.corpus)
         if engine_name == "tgrep2":
             matches = TGrep2Engine(trees).query(args.query)
-        elif engine_name == "corpussearch":
-            matches = CorpusSearchEngine(trees).query(args.query)
         else:
-            engine = XPathEngine(
-                trees, segments=1 if segments is None else segments
-            )
-            if batch_path is not None:
-                return _run_batch_query(args, engine, out)
-            if getattr(args, "explain", False):
-                print(
-                    engine.explain(
-                        args.query, pivot=getattr(args, "pivot", False),
-                        limit=limit, agg=agg,
-                    ),
-                    file=out,
-                )
-                _print_cache_stats(args, engine, out)
-                return 0
-            if agg is not None:
-                _print_aggregate(
-                    engine.aggregate(
-                        args.query, agg=agg,
-                        pivot=getattr(args, "pivot", False),
-                    ),
-                    out,
-                )
-                _print_cache_stats(args, engine, out)
-                return 0
-            if args.count:
-                print(
-                    engine.count(
-                        args.query, pivot=getattr(args, "pivot", False)
-                    ),
-                    file=out,
-                )
-                _print_cache_stats(args, engine, out)
-                return 0
-            matches = engine.query(
-                args.query, pivot=getattr(args, "pivot", False), limit=limit
-            )
-            stats_engine = engine
+            matches = CorpusSearchEngine(trees).query(args.query)
 
     if args.count or compiled:
         print(len(matches), file=out)
@@ -414,7 +381,7 @@ def _run_remote_query(args: argparse.Namespace, out: TextIO) -> int:
         )
         return 1
     engine_name = args.engine
-    if engine_name not in ("lpath", "xpath"):
+    if engine_name not in DIALECTS:
         print(
             "error: --url serves the plan dialects; use --engine lpath "
             "or xpath",
@@ -627,6 +594,7 @@ def _command_store_info(args: argparse.Namespace, out: TextIO) -> int:
     )
     print(f"file: {info['path']} ({info['bytes']} bytes)", file=out)
     print(f"format: {info['format']}", file=out)
+    print(f"scheme: {info['scheme']}", file=out)
     print(
         f"kernels: backend={kernels['backend']} mode={kernels['mode']} "
         f"native {native}",
@@ -834,10 +802,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8411,
                        help="listen port (0 binds an ephemeral port; "
                             "default 8411)")
-    serve.add_argument("--dialect", choices=("lpath", "xpath"),
+    serve.add_argument("--dialect", choices=tuple(DIALECTS),
                        default="lpath",
-                       help="the dialect the stores' labels were written "
-                            "for (default lpath)")
+                       help="the dialect requests must use (default "
+                            "lpath); each store answers from the labels "
+                            "it records")
     serve.add_argument("--kernels", choices=KERNEL_MODES, default=None,
                        help="columnar hot-loop backend for the daemon's "
                             "lifetime (default: the REPRO_KERNELS "

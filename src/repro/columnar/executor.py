@@ -125,19 +125,12 @@ _FLIPPED = {
 class ColumnarRuntime:
     """One engine's columnar physical context."""
 
-    def __init__(
-        self,
-        store: ColumnStore,
-        scheme,
-    ) -> None:
+    def __init__(self, store: ColumnStore) -> None:
         self.store = store
-        self.scheme = scheme
         #: Hot-path string resolution: one closure with the column arrays
         #: and the per-tree ``@lex`` bounds pre-resolved, instead of
         #: re-walking store attributes and bound dictionaries per row.
-        self.string_value = _make_string_value(
-            store, scheme.element_string_values
-        )
+        self.string_value = _make_string_value(store)
         #: What a bound condition can name by position: the eight relation
         #: columns, then the ``is_attr`` (:data:`A`) and ``right_edge``
         #: (:data:`E`) bitmaps — resolved once per store, not per compile.
@@ -150,9 +143,7 @@ class ColumnarRuntime:
 A, E = 8, 9
 
 
-def _make_string_value(
-    store: ColumnStore, element_values: bool
-) -> Callable[[int], Optional[str]]:
+def _make_string_value(store: ColumnStore) -> Callable[[int], Optional[str]]:
     values, is_attr = store.values, store.is_attr
     lefts, rights, tids = store.left, store.right, store.tid
     bounds = store.name_tid_bounds
@@ -162,8 +153,6 @@ def _make_string_value(
         if is_attr[row]:
             value = values[row]
             return value if value is not None else ""
-        if not element_values:
-            return None
         tid = tids[row]
         span = lex_bounds.get(tid)
         if span is None:

@@ -50,15 +50,11 @@ from typing import Iterable, Optional
 from ..faults import maybe_mmap_read_error
 from ..labeling.lpath_scheme import ATTRIBUTE_PREFIX
 from ..lpath.functions import as_float
-from ..store import MappedSegment, MmapSegmentMeta, NameStats
+from ..store import LPATH_LABELS, MappedSegment, MmapSegmentMeta, NameStats
 from .kernels.api import active_kernels
 
 #: Column positions, shared with :mod:`repro.plan.ir`.
 T, L, R, D, I, P, N, V = range(8)
-
-#: Default column names (the LPath relation; the start/end relation only
-#: renames ``left``/``right`` to ``start``/``end`` — positions are equal).
-COLUMN_NAMES = ("tid", "left", "right", "depth", "id", "pid", "name", "value")
 
 
 _NO_STATS = NameStats(0, 0, 0, 0, 0)
@@ -209,7 +205,10 @@ class ColumnStore:
     Build with ``ColumnStore(*label_columns(trees))``, :meth:`from_rows`
     (any iterable of 8-tuples / ``Label`` rows) or :meth:`concat`
     (tid-disjoint stores laid end to end); a compiled ``LPDB0004`` file's
-    segments are adopted zero-copy by :meth:`adopt`.
+    segments are adopted zero-copy by :meth:`adopt`.  ``scheme`` names the
+    labeling its span columns hold (:data:`repro.store.LPATH_LABELS`
+    unless built or opened as :data:`~repro.store.START_END_LABELS`); the
+    plan compiler takes its axis semantics from it.
     """
 
     __slots__ = (
@@ -222,7 +221,7 @@ class ColumnStore:
         "pid",
         "names",
         "values",
-        "column_names",
+        "scheme",
         "is_attr",
         "right_edge",
         "root_right",
@@ -241,22 +240,22 @@ class ColumnStore:
 
     def __init__(self, tid: array, left: array, right: array, depth: array,
                  id: array, pid: array, names: list, values: list,
-                 column_names: tuple[str, ...] = COLUMN_NAMES) -> None:
+                 scheme: str = LPATH_LABELS) -> None:
         self._adopt(_build_segment(tid, left, right, depth, id, pid, names,
-                                   values), column_names)
+                                   values), scheme)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def adopt(
-        cls, segment: MappedSegment, column_names: tuple[str, ...] = COLUMN_NAMES
+        cls, segment: MappedSegment, scheme: str = LPATH_LABELS
     ) -> "ColumnStore":
         """The store over one segment's buffers, as they are."""
         store = cls.__new__(cls)
-        store._adopt(segment, column_names)
+        store._adopt(segment, scheme)
         return store
 
-    def _adopt(self, segment: MappedSegment, column_names: tuple[str, ...]) -> None:
+    def _adopt(self, segment: MappedSegment, scheme: str) -> None:
         """Nothing is decoded, sorted or scanned: the integer columns and
         the derived permutations/bitmaps are the segment's buffers, the
         string columns resolve through its table lazily, the partition /
@@ -265,7 +264,7 @@ class ColumnStore:
         O(names + trees), not O(rows)."""
         self.segment = segment
         self.n = segment.n
-        self.column_names = tuple(column_names)
+        self.scheme = scheme
         (self.tid, self.left, self.right, self.depth, self.id, self.pid,
          name_ids, value_ids, self.tid_id_perm, self._perm_ids,
          self.children_perm, self.is_attr, self.right_edge,
@@ -287,13 +286,13 @@ class ColumnStore:
 
     @classmethod
     def from_rows(
-        cls, rows: Iterable, column_names: tuple[str, ...] = COLUMN_NAMES
+        cls, rows: Iterable, scheme: str = LPATH_LABELS
     ) -> "ColumnStore":
         """The one rows → store entry point, for hand-written rows and
         the references: row tuples (or ``Label`` instances) transposed
         into the eight columns.  Trees need no rows: build
         ``ColumnStore(*label_columns(trees))``."""
-        return cls(*_transpose(list(rows)), column_names=column_names)
+        return cls(*_transpose(list(rows)), scheme=scheme)
 
     @staticmethod
     def concat(stores) -> "ColumnStore":
@@ -308,10 +307,10 @@ class ColumnStore:
         row → new position array, laid end to end in input order; the
         directories, bitmaps and statistics derive from those."""
         stores = list(stores)
-        column_names = stores[0].column_names if stores else COLUMN_NAMES
+        scheme = stores[0].scheme if stores else LPATH_LABELS
         stores = [store for store in stores if store.n]
         if not stores:
-            return ColumnStore.from_rows((), column_names)
+            return ColumnStore.from_rows((), scheme)
         last = None
         for store in stores:
             if last is not None and next(iter(store.tid_bounds)) <= last:
@@ -351,7 +350,7 @@ class ColumnStore:
         return ColumnStore.adopt(
             _segment(ops, columns, name_ids, names, values,
                      tid_id_perm, children_perm),
-            column_names,
+            scheme,
         )
 
     def children_rows(self, tid: int, pid: int):

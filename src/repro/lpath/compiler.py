@@ -7,8 +7,10 @@ physical design: the label relation clustered by ``{name, tid, left,
 arrays (:mod:`repro.columnar`).
 
 All of the step/predicate machinery lives in :mod:`repro.plan` —
-:mod:`~repro.plan.lower` builds the logical plan with the Definition-4.1
-axis semantics of :class:`~repro.plan.schemes.LPathScheme`,
+:mod:`~repro.plan.lower` builds the logical plan with the axis semantics
+of the labels the store holds (:data:`~repro.plan.schemes.SCHEMES`:
+Definition 4.1 or start/end) and the restriction of the query's
+:class:`~repro.plan.schemes.Dialect`,
 :mod:`~repro.plan.optimizer` runs predicate pushdown, the cost-based
 probe-vs-merge join choice and (with ``pivot=True``) selectivity-driven
 join reordering — and the columnar executor runs the result.  This module
@@ -97,26 +99,20 @@ class CompiledQuery:
 
 
 class PlanCompiler:
-    """Compiles parsed LPath queries against one column store.
+    """Compiles parsed queries of one dialect against one column store.
 
-    Subclasses (the XPath baseline) override :attr:`dialect`,
-    :attr:`result_class` and the scheme; the compile pipeline itself —
-    parse → lower (pivoted or not) → optimize → physical-compile — exists
-    only here."""
+    The store names its labeling (:attr:`~repro.columnar.ColumnStore.scheme`),
+    which fixes the axis semantics; ``dialect`` (LPath unless given) only
+    restricts the queries.  The compile pipeline — parse → lower (pivoted
+    or not) → optimize → physical-compile — exists only here."""
 
-    dialect = "LPath"
-    result_class = CompiledQuery
-
-    def __init__(
-        self,
-        column_store,
-        scheme=None,
-    ) -> None:
+    def __init__(self, column_store, dialect=None) -> None:
         from ..plan.lower import Lowerer
-        from ..plan.schemes import LPathScheme
+        from ..plan.schemes import DIALECTS, SCHEMES
 
         self.column_store = column_store
-        self.scheme = scheme if scheme is not None else LPathScheme()
+        self.scheme = SCHEMES[column_store.scheme]
+        self.dialect = DIALECTS["lpath"] if dialect is None else dialect
         self.lowerer = Lowerer(self.scheme, column_store, self.dialect)
         self._columnar_runtime = None
 
@@ -124,9 +120,7 @@ class PlanCompiler:
     def columnar_runtime(self):
         """The columnar physical context, built on first use."""
         if self._columnar_runtime is None:
-            self._columnar_runtime = columnar.ColumnarRuntime(
-                self.column_store, self.scheme
-            )
+            self._columnar_runtime = columnar.ColumnarRuntime(self.column_store)
         return self._columnar_runtime
 
     def compile(
@@ -182,4 +176,4 @@ class PlanCompiler:
         if lowered.skeleton is None:
             lowered.skeleton = columnar.PlanSkeleton(inner, knobs)
         physical = lowered.skeleton.bind(self.columnar_runtime, knobs.injector)
-        return self.result_class(physical, lowered, root, limit=limit, agg=agg)
+        return CompiledQuery(physical, lowered, root, limit=limit, agg=agg)

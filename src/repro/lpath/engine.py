@@ -3,9 +3,12 @@
 The engine is the Section 4 design: Definition 4.1 labels in a clustered
 column store, each query compiled through the shared logical IR
 (:mod:`repro.plan`), optimized, then run by the batch columnar executor
-(:mod:`repro.columnar`).  The references it is checked against — the
-tree walk and the SQL translation run on SQLite — live in
-:mod:`repro.oracle`, outside the product.
+(:mod:`repro.columnar`).  A compiled file records its labeling, and an
+engine opened over it answers from those labels; the query dialect
+(:data:`~repro.plan.schemes.DIALECTS`) only restricts what may be asked.
+The references it is checked against — the tree walk and the SQL
+translation run on SQLite — live in :mod:`repro.oracle`, outside the
+product.
 
 ``segments > 1`` shards the corpus by tree into independent column
 stores (:mod:`repro.plan.segmented`): queries compile once, run against
@@ -24,7 +27,6 @@ import os
 from typing import Optional, Sequence, Union
 
 from ..columnar.result import ResultBatch
-from ..columnar.store import COLUMN_NAMES
 from ..plan.cache import PlanCache, cached_compile
 from ..plan.segmented import (
     Segment,
@@ -139,6 +141,16 @@ class PlanEngine:
 
     # -- construction ------------------------------------------------------
 
+    @staticmethod
+    def _corpus(trees: Sequence[Tree], segments: int) -> list:
+        """``trees`` as a list, checked for distinct tids."""
+        trees = list(trees)
+        tids = [tree.tid for tree in trees]
+        if len(set(tids)) != len(tids):
+            raise LPathError("trees must have distinct tids")
+        validate_segmentation(segments)
+        return trees
+
     def _shell(self, segments: int, plan_cache: PlanCache) -> None:
         """The engine state every constructor shares; the caller
         installs ``_compiler``."""
@@ -147,13 +159,11 @@ class PlanEngine:
         self._mapped = None
         self.plan_cache = plan_cache
 
-    def _install(
-        self, stores: list, make_compiler, plan_cache_size: int
-    ) -> None:
-        """:meth:`_shell` plus one ``make_compiler(store)`` per store —
-        segment-compiled when there is more than one."""
+    def _install(self, stores: list, dialect, plan_cache_size: int) -> None:
+        """:meth:`_shell` plus one :class:`PlanCompiler` of ``dialect``
+        per store — segment-compiled when there is more than one."""
         self._shell(len(stores), PlanCache(plan_cache_size))
-        compilers = [make_compiler(store) for store in stores]
+        compilers = [PlanCompiler(store, dialect) for store in stores]
         if len(compilers) == 1:
             self._compiler = compilers[0]
         else:
@@ -165,24 +175,22 @@ class PlanEngine:
             )
 
     @classmethod
-    def _open_mapped(
-        cls, path: str, make_compiler, plan_cache_size: int,
-        column_names: tuple = COLUMN_NAMES,
-    ):
+    def _open_mapped(cls, path: str, dialect, plan_cache_size: int):
         """An engine over every segment of an ``LPDB0004`` file, adopted
-        zero-copy; the engine owns the mapping from here on."""
+        zero-copy with the label scheme the file records; the engine
+        owns the mapping from here on."""
         from ..columnar.store import ColumnStore
         from ..store import open_mapped_corpus
 
         corpus = open_mapped_corpus(path)
         try:
             stores = [
-                ColumnStore.adopt(segment, column_names)
+                ColumnStore.adopt(segment, corpus.scheme)
                 for segment in corpus.segments
             ]
             validate_segmentation(len(stores))
             engine = cls.__new__(cls)
-            engine._install(stores, make_compiler, plan_cache_size)
+            engine._install(stores, dialect, plan_cache_size)
         except BaseException:
             corpus.close()
             raise
@@ -226,14 +234,10 @@ class LPathEngine(PlanEngine):
                 f"unknown executor {executor!r}: the columnar executor is "
                 "the only one"
             )
-        trees = list(trees)
-        tids = [tree.tid for tree in trees]
-        if len(set(tids)) != len(tids):
-            raise LPathError("trees must have distinct tids")
-        validate_segmentation(segments)
+        trees = self._corpus(trees, segments)
         with collector_paused():
             stores = list(tree_stores(trees, segments))
-        self._install(stores, PlanCompiler, plan_cache_size)
+        self._install(stores, None, plan_cache_size)
         self.trees = trees
         if keep_trees:
             self._by_id = {tree.tid: tree for tree in trees}
@@ -261,7 +265,7 @@ class LPathEngine(PlanEngine):
 
     @classmethod
     def from_store_mmap(
-        cls, path: str, plan_cache_size: int = 128
+        cls, path: str, plan_cache_size: int = 128, dialect=None
     ) -> "LPathEngine":
         """Open an ``LPDB0004`` compiled corpus zero-copy.
 
@@ -269,26 +273,35 @@ class LPathEngine(PlanEngine):
         bitmaps, partition bounds and collected statistics are adopted as
         views straight off the map — open cost is O(segments + names),
         not O(rows), and two engines (or processes) opening the same file
-        share its pages through the OS cache.  No trees.
+        share its pages through the OS cache.  No trees.  The labels the
+        file records answer; ``dialect`` (LPath unless given) restricts
+        the queries.
 
         :meth:`close` unmaps the file, invalidating every adopted view."""
-        return cls._open_mapped(path, PlanCompiler, plan_cache_size)
+        return cls._open_mapped(path, dialect, plan_cache_size)
 
     @classmethod
-    def open(cls, path: str, plan_cache_size: int = 128) -> "LPathEngine":
+    def open(
+        cls, path: str, plan_cache_size: int = 128, dialect=None
+    ) -> "LPathEngine":
         """Open a compiled corpus as a column-store engine.
 
         ``LPDB0004`` files are adopted zero-copy via
-        :meth:`from_store_mmap`; ``LPDB0005`` live directories open as a
-        snapshot over mmap'd base segments plus the WAL replayed into an
-        in-memory delta store (:func:`repro.live.open_live_engine`).
-        Anything else — a retired revision included — raises
-        :class:`~repro.store.StoreError`."""
+        :meth:`from_store_mmap`; ``LPDB0005`` live directories (LPath
+        dialect only) open as a snapshot over mmap'd base segments plus
+        the WAL replayed into an in-memory delta store
+        (:func:`repro.live.open_live_engine`).  Anything else — a retired
+        revision included — raises :class:`~repro.store.StoreError`."""
         if os.path.isdir(path):
+            if dialect is not None and dialect.name != "LPath":
+                raise LPathError(
+                    "live (LPDB0005) corpora serve the lpath dialect only; "
+                    "compact and re-label for xpath serving"
+                )
             from ..live import open_live_engine
 
             return open_live_engine(path, plan_cache_size=plan_cache_size)
-        return cls.from_store_mmap(path, plan_cache_size=plan_cache_size)
+        return cls.from_store_mmap(path, plan_cache_size, dialect)
 
     # -- queries ------------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Shared AST → logical-IR lowering for both query dialects.
 
-One :class:`Lowerer` serves the LPath engine and the baseline XPath
-engine: every dialect difference (axis inventory, probe shapes, value
+One :class:`Lowerer` serves both dialects over both labelings: what a
+query may say is the :class:`~repro.plan.schemes.Dialect`'s check, and
+every labeling difference (axis inventory, probe shapes, value
 semantics) is delegated to a :class:`~repro.plan.schemes.LabelScheme`
 adapter, so the step/predicate/scope machinery exists exactly once.
 
@@ -77,7 +78,7 @@ from .ir import (
     render,
     D, I, L, N, P, R, T,
 )
-from .schemes import DOWNWARD_AXES, LabelScheme
+from .schemes import DOWNWARD_AXES, Dialect, LabelScheme
 
 _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
 
@@ -165,10 +166,15 @@ def lower_and_optimize(
 class Lowerer:
     """Lower parsed queries to the shared IR for one engine instance."""
 
-    def __init__(self, scheme: LabelScheme, catalog, dialect: str) -> None:
+    def __init__(self, scheme: LabelScheme, catalog, dialect: Dialect) -> None:
         self.scheme = scheme
         self.catalog = catalog
         self.dialect = dialect
+
+    def validate(self, items) -> None:
+        """The dialect's restriction, then what the labels can answer."""
+        self.dialect.validate(items)
+        self.scheme.validate(items)
 
     # -- entry points --------------------------------------------------------
 
@@ -177,7 +183,7 @@ class Lowerer:
         items = list(path.items)
         if not items or isinstance(items[0], Scope):
             raise LPathCompileError("a query must begin with a step")
-        self.scheme.validate(items)
+        self.validate(items)
         first = items[0]
         node: PlanNode = self.first_scan(first)
         node = self._first_step_filter(node, first)
@@ -185,7 +191,7 @@ class Lowerer:
         result_slot = self._result_slot(items)
         root = Distinct(node, key=((result_slot, T), (result_slot, I)))
         return LoweredQuery(
-            root, result_slot, f"{self.dialect} plan for {{}}", path
+            root, result_slot, f"{self.dialect.name} plan for {{}}", path
         )
 
     def lower_pivot(self, path: Path) -> Optional[LoweredQuery]:
@@ -203,7 +209,7 @@ class Lowerer:
         pivot_index = self._pivot_index(steps)
         if pivot_index is None:
             return None
-        self.scheme.validate(items)
+        self.validate(items)
 
         order = [pivot_index] + list(range(pivot_index - 1, -1, -1)) + list(
             range(pivot_index + 1, len(steps))
@@ -239,7 +245,7 @@ class Lowerer:
         return LoweredQuery(
             root,
             result_slot,
-            f"{self.dialect} pivot plan for {{}} (pivot step {pivot_index + 1})",
+            f"{self.dialect.name} pivot plan for {{}} (pivot step {pivot_index + 1})",
             path,
         )
 

@@ -1,17 +1,24 @@
-"""Labeling-scheme adapters: axis semantics for the shared lowerer.
+"""Labeling-scheme adapters and query dialects for the shared lowerer.
 
-The two engines store different labels in the same 8-column relation
-(:data:`repro.plan.ir.COLUMN_NAMES` positions): the LPath Definition-4.1
+A store holds one of two labelings in the same 8-column relation
+(:data:`repro.plan.ir.COLUMN_NAMES` positions), and records which
+(:attr:`repro.columnar.ColumnStore.scheme`): the LPath Definition-4.1
 scheme (shared leaf boundaries, so the immediate-* axes are equality
 tests) and the start/end baseline scheme of [11] (strict containment
 only).  Everything the shared lowerer must know per scheme lives here:
 
-* which axes an engine supports (:meth:`LabelScheme.validate`),
+* which query features its labels can answer (:meth:`LabelScheme.validate`),
 * the clustered-index probe and residual conditions of a named-test step
   (:meth:`LabelScheme.named_probe`),
 * the full Table-2 residuals for probes the index cannot narrow
   (:meth:`LabelScheme.axis_conditions`),
 * axis inverses for selectivity-driven join reordering.
+
+The query side is a :class:`Dialect`: LPath admits every query, the
+XPath dialect (:class:`XPathDialect`) only its fragment.  A dialect only
+restricts the parsed query — "we set other components of both labeling
+schemes to be the same" (Section 5.4) — so either dialect runs over
+either labeling, and the answers come from the store's own labels.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Optional
 from ..lpath.ast import Scope
 from ..lpath.axes import Axis, CONDITIONS, OR_SELF_BASES
 from ..lpath.errors import LPathCompileError
+from ..store import LPATH_LABELS, START_END_LABELS
 from .ir import (
     Access,
     AllPred,
@@ -121,17 +129,69 @@ _PRECEDING_AXES = (
 _COLUMN_POSITIONS = {"tid": T, "left": L, "right": R, "depth": D, "id": I, "pid": P}
 
 
+class Dialect:
+    """A query language over the one plan engine: its name, which heads
+    every plan's description ("LPath plan for …"), and the fragment of
+    the parsed query it admits.  LPath admits every query."""
+
+    name = "LPath"
+
+    def validate(self, items) -> None:
+        """Reject query features outside the dialect."""
+
+
+class XPathDialect(Dialect):
+    """The XPath-expressible fragment of LPath syntax, restricted to
+    ``axes``: no LPath-only axis, no subtree scoping, no edge alignment
+    (Lemma 3.1).  The default is the [11] translation's vertical
+    fragment, which makes Figure 10 an 11-query comparison."""
+
+    name = "XPath"
+
+    def __init__(self, axes: frozenset = VERTICAL_FRAGMENT) -> None:
+        self.axes = axes
+
+    def validate(self, items) -> None:
+        """Reject LPath-only features (Lemma 3.1) and out-of-fragment axes."""
+        from .lower import paths_in_predicate
+
+        stack = list(items)
+        while stack:
+            item = stack.pop()
+            if isinstance(item, Scope):
+                raise LPathCompileError(
+                    "subtree scoping is not expressible in XPath (Lemma 3.1)"
+                )
+            if item.axis not in self.axes:
+                if item.axis in XPATH_AXES:
+                    raise LPathCompileError(
+                        f"the {item.axis.value} axis is outside the [11] "
+                        "translation's vertical fragment"
+                    )
+                raise LPathCompileError(
+                    f"the {item.axis.value} axis is not expressible in XPath "
+                    "(Lemma 3.1)"
+                )
+            if item.left_aligned or item.right_aligned:
+                raise LPathCompileError(
+                    "edge alignment is not expressible in XPath over descendants"
+                )
+            for predicate in item.predicates:
+                stack.extend(paths_in_predicate(predicate))
+
+
+#: The dialects by the name a request or ``--engine`` gives them.
+DIALECTS = {"lpath": Dialect(), "xpath": XPathDialect()}
+
+
 class LabelScheme:
     """Base adapter; see :class:`LPathScheme` and :class:`StartEndScheme`."""
 
     name: str = "abstract"
-    supports_scopes = False
-    supports_alignment = False
     positional_axes: frozenset = frozenset()
-    element_string_values = False
 
     def validate(self, items) -> None:
-        """Reject query features this scheme cannot express."""
+        """Reject query features this scheme's labels cannot answer."""
 
     def named_probe(
         self,
@@ -186,11 +246,8 @@ class LabelScheme:
 class LPathScheme(LabelScheme):
     """Definition-4.1 labels: shared leaf boundaries, full axis inventory."""
 
-    name = "lpath-4.1"
-    supports_scopes = True
-    supports_alignment = True
+    name = LPATH_LABELS
     positional_axes = POSITIONAL_AXES
-    element_string_values = True
 
     def inverse(self, axis: Axis) -> Optional[Axis]:
         return _LPATH_INVERSES.get(axis)
@@ -286,50 +343,24 @@ class LPathScheme(LabelScheme):
 
 
 class StartEndScheme(LabelScheme):
-    """Start/end labels of [11]: strict containment, vertical-first axes."""
+    """Start/end labels of [11]: strict containment, so exactly the
+    XPath-expressible axes, whichever dialect asks."""
 
-    name = "start-end"
-    supports_scopes = False
-    supports_alignment = False
-    positional_axes = frozenset()
-    element_string_values = False
-
-    def __init__(self, axes: frozenset = VERTICAL_FRAGMENT) -> None:
-        self.axes = axes
+    name = START_END_LABELS
 
     def inverse(self, axis: Axis) -> Optional[Axis]:
-        inverse = _LPATH_INVERSES.get(axis)
-        if inverse is None or inverse not in self.axes:
-            return None
-        return inverse
+        return _LPATH_INVERSES.get(axis) if axis in XPATH_AXES else None
 
     def validate(self, items) -> None:
-        """Reject LPath-only features (Lemma 3.1) and out-of-fragment axes."""
-        from .lower import paths_in_predicate
-
-        stack = list(items)
-        while stack:
-            item = stack.pop()
-            if isinstance(item, Scope):
-                raise LPathCompileError(
-                    "subtree scoping is not expressible in XPath (Lemma 3.1)"
-                )
-            if item.axis not in self.axes:
-                if item.axis in XPATH_AXES:
-                    raise LPathCompileError(
-                        f"the {item.axis.value} axis is outside the [11] "
-                        "translation's vertical fragment"
-                    )
-                raise LPathCompileError(
-                    f"the {item.axis.value} axis is not expressible in XPath "
-                    "(Lemma 3.1)"
-                )
-            if item.left_aligned or item.right_aligned:
-                raise LPathCompileError(
-                    "edge alignment is not expressible in XPath over descendants"
-                )
-            for predicate in item.predicates:
-                stack.extend(paths_in_predicate(predicate))
+        """Reject what start/end labels cannot decide: the XPath fragment
+        over :data:`XPATH_AXES`, with an error that names the scheme."""
+        try:
+            XPathDialect(XPATH_AXES).validate(items)
+        except LPathCompileError as error:
+            raise LPathCompileError(
+                f"a store of {self.name} labels cannot answer this query: "
+                f"{error}"
+            ) from None
 
     def axis_conditions(self, axis: Axis, ctx: int, cand: int) -> list[Pred]:
         if axis is Axis.CHILD:
@@ -395,3 +426,8 @@ class StartEndScheme(LabelScheme):
         elif axis is Axis.PRECEDING_SIBLING:
             conds += [Cmp(Col(cand, P), "=", Col(ctx, P)), Cmp(Col(cand, R), "<", Col(ctx, L))]
         return access, conds
+
+
+#: The scheme adapters by the name a store records
+#: (:attr:`repro.columnar.ColumnStore.scheme`).
+SCHEMES = {scheme.name: scheme for scheme in (LPathScheme(), StartEndScheme())}

@@ -321,7 +321,7 @@ class SegmentedPlanCompiler:
     engines and the plan cache consume (``compile(query, pivot, limit,
     agg)``), so an engine swaps monolithic for segmented compilation
     without touching its query paths.  Works for both dialects — the
-    per-segment compilers carry the scheme, dialect and result class."""
+    per-segment compilers carry the scheme and the dialect."""
 
     def __init__(self, segments: Sequence[Segment]) -> None:
         if not segments:
@@ -378,10 +378,10 @@ class SegmentedPlanCompiler:
             elif any(store.frequency(name) == 0 for name in names) or any(
                 not store.seed(*seed)[0] for seed in seeds
             ):
+                from ..lpath.compiler import CompiledQuery
+
                 _inner, limit, agg = compiler.unwrap(root)
-                part = compiler.result_class(
-                    PRUNED, lowered, root, limit=limit, agg=agg
-                )
+                part = CompiledQuery(PRUNED, lowered, root, limit=limit, agg=agg)
             else:
                 part = compiler.compile_physical(root, lowered, knobs)
             parts.append(part)

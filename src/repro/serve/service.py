@@ -60,10 +60,11 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from ..columnar.kernels import kernel_info, native_kernels
 from ..lpath.errors import LPathError
+from ..plan import schemes
 from ..plan.ir import AGGREGATE_OPS
 from .cache import EncodedAggregate, ResultCache
 
-DIALECTS = ("lpath", "xpath")
+DIALECTS = tuple(schemes.DIALECTS)
 
 #: Rows per page when the request does not say (and the ceiling any
 #: request can ask for in one page; deeper pagination streams the rest).
@@ -205,8 +206,9 @@ class CircuitBreaker:
 @dataclass(frozen=True)
 class StoreSpec:
     """One store to serve: a compiled corpus path plus the dialect its
-    labels were written for (an LPDB file records lpath- *or*
-    xpath-scheme rows; the operator declares which)."""
+    requests must use.  The file records its own labels (Definition 4.1
+    or start/end) and answers from them; the dialect only restricts the
+    queries."""
 
     path: str
     dialect: str = "lpath"
@@ -532,21 +534,16 @@ class QueryService:
             if self._default is None:
                 self._default = spec.path
             return
+        from ..lpath import LPathEngine
+
         fingerprint = store_module.store_fingerprint(spec.path)
-        engine = self._open_engine(spec)
+        engine = LPathEngine.open(
+            spec.path, dialect=schemes.DIALECTS[spec.dialect]
+        )
         self._warm(engine)
         self._stores[spec.path] = StoreHandle(spec, engine, fingerprint)
         if self._default is None:
             self._default = spec.path
-
-    @staticmethod
-    def _open_engine(spec: StoreSpec):
-        from ..lpath import LPathEngine
-        from ..xpath import XPathEngine
-
-        if spec.dialect == "lpath":
-            return LPathEngine.open(spec.path)
-        return XPathEngine.from_store_mmap(spec.path)
 
     @staticmethod
     def _warm(engine) -> None:

@@ -74,6 +74,10 @@ RETIRED_REVISIONS = {
     b"LPDB0002": "checksummed varint rows",
     b"LPDB0003": "segmented varint rows",
 }
+#: The two labelings a store's columns can hold: Definition 4.1 (the
+#: default) and the start/end labels of Section 5.4's XPath comparator.
+#: An LPDB0004 sidecar marks a start/end file with :data:`_START_END_FLAG`.
+LPATH_LABELS, START_END_LABELS = "lpath-4.1", "start-end"
 
 
 class StoreError(ValueError):
@@ -463,11 +467,22 @@ class MmapHeader:
     byteorder: str
     data_length: int
     segments: list
+    scheme: str = LPATH_LABELS
+
+
+#: The sidecar's first byte: bit 0 is the byte order (set: big-endian),
+#: bit 1 marks start/end labels.  A Definition 4.1 little-endian file
+#: keeps the byte 0; a build that knew only the byte order reads a tagged
+#: file as big-endian and refuses it as a foreign byte order.
+_BIG_ENDIAN_FLAG, _START_END_FLAG = 1, 2
 
 
 def _encode_mmap_sidecar(header: MmapHeader) -> bytes:
     out = io.BytesIO()
-    out.write(b"\x00" if header.byteorder == "little" else b"\x01")
+    out.write(bytes((
+        (header.byteorder == "big") * _BIG_ENDIAN_FLAG
+        | (header.scheme == START_END_LABELS) * _START_END_FLAG,
+    )))
     out.write(_varints((header.data_length, len(header.segments))))
     for meta in header.segments:
         if len(meta.blobs) != _BLOB_COUNT:
@@ -497,7 +512,11 @@ def _parse_mmap_sidecar(payload: bytes) -> MmapHeader:
     the string table one loop of its own."""
     if not payload:
         raise StoreError("empty LPDB0004 sidecar")
-    byteorder = "little" if payload[0] == 0 else "big"
+    flags = payload[0]
+    if flags & ~(_BIG_ENDIAN_FLAG | _START_END_FLAG):
+        raise StoreError(f"unknown LPDB0004 sidecar flags {flags:#04x}")
+    byteorder = "big" if flags & _BIG_ENDIAN_FLAG else "little"
+    scheme = START_END_LABELS if flags & _START_END_FLAG else LPATH_LABELS
     (data_length, segment_count), offset = _read_varints(payload, 1, 2)
     segments = []
     for _ in range(segment_count):
@@ -519,7 +538,7 @@ def _parse_mmap_sidecar(payload: bytes) -> MmapHeader:
         raise StoreError(
             f"{len(payload) - offset} trailing bytes in the LPDB0004 sidecar"
         )
-    return MmapHeader(byteorder, data_length, segments)
+    return MmapHeader(byteorder, data_length, segments, scheme)
 
 
 def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
@@ -532,12 +551,16 @@ def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
     they are to an anonymous spill file beside ``stream.name`` (in the
     temp directory for a nameless stream) and the store is dropped before
     the next is requested.  The magic, sidecar and padding follow the
-    last segment, then the spill is copied in after them."""
+    last segment, then the spill is copied in after them.  The sidecar
+    records the stores' label scheme; they must all hold the same one."""
     name = getattr(stream, "name", None)
     directory = (os.path.dirname(name) or ".") if isinstance(name, str) else None
+    schemes: set = set()
     with tempfile.TemporaryFile(dir=directory) as spill:
-        metas = list(map(partial(_spill_segment, spill), stores))
-        header = MmapHeader(sys.byteorder, spill.tell(), metas)
+        metas = list(map(partial(_spill_segment, spill, schemes), stores))
+        if len(schemes) > 1:
+            raise StoreError(f"segments mix label schemes {sorted(schemes)}")
+        header = MmapHeader(sys.byteorder, spill.tell(), metas, *schemes)
         sidecar = _encode_mmap_sidecar(header)
         prefix = MMAP_MAGIC + _block_header(sidecar) + sidecar
         stream.write(prefix + b"\x00" * (_align8(len(prefix)) - len(prefix)))
@@ -546,10 +569,12 @@ def save_mapped_stores(stores: Iterable, stream: BinaryIO) -> int:
     return sum(meta.n for meta in metas)
 
 
-def _spill_segment(spill: BinaryIO, store) -> MmapSegmentMeta:
+def _spill_segment(spill: BinaryIO, schemes: set, store) -> MmapSegmentMeta:
     """Append one store's buffers to ``spill``, each padded to 8 bytes,
-    and return its segment record with their offsets.  Called through
-    ``map``, so nothing holds the store once it returns."""
+    add its label scheme to ``schemes`` and return its segment record
+    with their offsets.  Called through ``map``, so nothing holds the
+    store once it returns."""
+    schemes.add(store.scheme)
     segment = store.segment
     meta = replace(segment.meta, blobs=[])
     for buffer in segment.buffers:
@@ -673,12 +698,15 @@ def _segment_views(meta: MmapSegmentMeta, region, views: list) -> list:
 
 
 class MappedCorpus:
-    """An opened ``LPDB0004`` file: the ``mmap``, its segments, and every
-    view handed out.  :meth:`close` releases the views (queries through
-    them then raise) and unmaps the file; idempotent."""
+    """An opened ``LPDB0004`` file: the ``mmap``, its label ``scheme``, its
+    segments, and every view handed out.  :meth:`close` releases the
+    views (queries through them then raise) and unmaps the file;
+    idempotent."""
 
-    def __init__(self, path, segments, views, mapping=None, handle=None):
+    def __init__(self, path, scheme, segments, views, mapping=None,
+                 handle=None):
         self.path = path
+        self.scheme = scheme
         self.segments = segments
         self._views = views
         self._mapping = mapping
@@ -711,10 +739,11 @@ def _read_header(buffer) -> tuple[MmapHeader, int]:
     return _parse_mmap_sidecar(sidecar), end
 
 
-def _parse_mapped(buffer, views: list) -> list[MappedSegment]:
-    """Parse an ``LPDB0004`` buffer (bytes or an ``mmap``); every created
-    view is appended to ``views`` so a caller owning an mmap can release
-    them all on close (or on a parse failure)."""
+def _parse_mapped(buffer, views: list) -> tuple[str, list[MappedSegment]]:
+    """Parse an ``LPDB0004`` buffer (bytes or an ``mmap``) into its label
+    scheme and its segments; every created view is appended to ``views``
+    so a caller owning an mmap can release them all on close (or on a
+    parse failure)."""
     base = memoryview(buffer)
     views.append(base)
     header, end = _read_header(base)
@@ -731,7 +760,7 @@ def _parse_mapped(buffer, views: list) -> list[MappedSegment]:
         )
     region = base[region_start:]
     views.append(region)
-    return [
+    return header.scheme, [
         MappedSegment(meta, _segment_views(meta, region, views), mapped=True)
         for meta in header.segments
     ]
@@ -759,7 +788,7 @@ def open_mapped_corpus(path: str) -> MappedCorpus:
     mapping = None
     try:
         mapping = _map_file(handle)
-        segments = _parse_mapped(mapping, views)
+        scheme, segments = _parse_mapped(mapping, views)
     except BaseException:
         for view in views:
             view.release()
@@ -767,7 +796,7 @@ def open_mapped_corpus(path: str) -> MappedCorpus:
             mapping.close()
         handle.close()
         raise
-    return MappedCorpus(path, segments, views, mapping, handle)
+    return MappedCorpus(path, scheme, segments, views, mapping, handle)
 
 
 def _read_sidecar(path: str) -> MmapHeader:
@@ -778,11 +807,18 @@ def _read_sidecar(path: str) -> MmapHeader:
 
 
 def load_labels(stream: BinaryIO) -> list[Label]:
-    """Read the label rows of an ``LPDB0004`` stream, segment by segment
-    in clustered order.  Unlike the zero-copy open, every string-table
-    reference is checked."""
+    """Read the Definition 4.1 label rows of an ``LPDB0004`` stream,
+    segment by segment in clustered order.  Unlike the zero-copy open,
+    every string-table reference is checked; a file of start/end labels
+    is refused, as its columns are no :class:`Label` rows."""
+    scheme, segments = _parse_mapped(stream.read(), [])
+    if scheme != LPATH_LABELS:
+        raise StoreError(
+            f"the file holds {scheme} labels, not Definition 4.1 "
+            f"({LPATH_LABELS}) label rows"
+        )
     rows: list[Label] = []
-    for segment in _parse_mapped(stream.read(), []):
+    for segment in segments:
         table, size = segment.table, len(segment.table)
         name_ids, value_ids = segment.name_ids, segment.value_ids
         tid, left, right = segment.tid, segment.left, segment.right
@@ -807,7 +843,8 @@ class InfoFold:
     delta builds — into the :func:`corpus_info` summary.  Per name: rows,
     partitions (distinct trees), largest partition, min and max depth."""
 
-    def __init__(self) -> None:
+    def __init__(self, scheme: str = LPATH_LABELS) -> None:
+        self.scheme = scheme
         self.segments = self.rows = self.trees = 0
         self.names: dict[str, list] = {}
 
@@ -835,6 +872,7 @@ class InfoFold:
             "path": path,
             "bytes": size,
             "format": revision,
+            "scheme": self.scheme,
             "segments": self.segments,
             "rows": self.rows,
             "trees": self.trees,
@@ -847,16 +885,18 @@ def corpus_info(path: str, top: int = 10) -> dict:
     """Summarize a compiled corpus: revision, segment/row/tree counts and
     the top-``top`` per-name statistics by row count.
 
-    For ``LPDB0004`` everything comes from the sidecar — no column (let
-    alone value) data is read.  Live directories add their manifest
+    For ``LPDB0004`` everything comes from the sidecar, the label scheme
+    included — no column (let alone value) data is read.  Live
+    directories (Definition 4.1 labels only) add their manifest
     generation, WAL record/row counts, delta vs base row split and last
     recovery action (:func:`repro.live.live_info`)."""
     if os.path.isdir(path):
         from .live import live_info
 
         return live_info(path, top=top)
-    fold = InfoFold()
-    fold.add_segments(_read_sidecar(path).segments)
+    header = _read_sidecar(path)
+    fold = InfoFold(header.scheme)
+    fold.add_segments(header.segments)
     return fold.summary(
         path, os.path.getsize(path), MMAP_MAGIC.decode("ascii"), top
     )

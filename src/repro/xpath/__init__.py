@@ -1,11 +1,6 @@
 """Baseline XPath engine over the start/end labeling scheme."""
 
-from .compiler import VERTICAL_FRAGMENT, XPATH_AXES, XPathPlanCompiler
+from ..plan.schemes import VERTICAL_FRAGMENT, XPATH_AXES
 from .engine import XPathEngine
 
-__all__ = [
-    "VERTICAL_FRAGMENT",
-    "XPATH_AXES",
-    "XPathEngine",
-    "XPathPlanCompiler",
-]
+__all__ = ["VERTICAL_FRAGMENT", "XPATH_AXES", "XPathEngine"]

@@ -20,6 +20,9 @@ reaches, so a wrong comparison in the merge join's reference loop or in a
 kernel fails the test named after its axis.  The positional axes also
 carry ``position()`` / ``last()`` goldens, written as node ids, and a
 numeric ``!=`` against words that are no number has its own small tree.
+The XPath-expressible axes run once more over start/end labels, in the
+same modes, with their answers written as node ids (the spans of that
+labeling are other numbers).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.columnar.structural import Cutoff, MergeJoinStep
 from repro.lpath import LPathEngine
 from repro.oracle import TreeWalkEvaluator
 from repro.tree import figure1_tree, parse_tree
+from repro.xpath import XPATH_AXES, XPathEngine
 
 NATIVE = native_kernels() is not None
 
@@ -235,6 +239,50 @@ POSITIONS = [
 )
 def test_position_golden(mode, query, expected):
     _force, _kernels, engine, tids = mode
+    got = list(engine.query(query))
+    assert got == sorted((tid, node_id) for tid in tids for node_id in expected)
+
+
+#: (axis, query, hand-checked node ids) for every axis start/end labels
+#: can decide, asked in the XPath dialect.  The sibling axes come without
+#: LPath's immediate-sibling steps that :data:`AXES` reaches them through.
+START_END_AXES = [
+    ("child", "//VP/NP", {5}),
+    ("descendant", "//VP//NP", {5, 6, 12}),
+    ("descendant-or-self", "//VP/NP/descendant-or-self::NP", {5, 6, 12}),
+    ("parent", "//PP\\NP", {5}),
+    ("ancestor", "//PP/NP/N\\ancestor::NP", {12, 5}),
+    ("ancestor-or-self", "//PP/NP\\ancestor-or-self::NP", {12, 5}),
+    ("following", "//V-->NP", {5, 6, 12, 15}),
+    ("preceding", "//PP<--NP", {2, 6}),
+    ("following-sibling", "//S/NP==>NP", {15}),
+    ("preceding-sibling", "//S/NP<==NP", {2}),
+    ("self", "//VP/NP/self::NP", {5}),
+    ("attribute", "//_[@lex=saw]", {4}),
+    ("descendant-first-match", "//VP[//PP]", {3}),
+    ("ancestor-first-match", "//Det[\\ancestor::PP]", {13}),
+    ("preceding-first-match", "//NP[<--V]", {5, 6, 12, 15}),
+]
+
+
+@pytest.fixture(scope="module")
+def start_end_engines(trees):
+    """``{segments: engine}`` as ``engines``, over start/end labels."""
+    return {
+        1: XPathEngine(trees[:1], axes=XPATH_AXES),
+        3: XPathEngine(trees, axes=XPATH_AXES, segments=3),
+    }
+
+
+@pytest.mark.parametrize("mode", MODES, indirect=True)
+@pytest.mark.parametrize(
+    "query, expected",
+    [case[1:] for case in START_END_AXES],
+    ids=[case[0] for case in START_END_AXES],
+)
+def test_start_end_axis_golden(mode, start_end_engines, query, expected):
+    _force, _kernels, _engine, tids = mode
+    engine = start_end_engines[len(tids)]
     got = list(engine.query(query))
     assert got == sorted((tid, node_id) for tid in tids for node_id in expected)
 

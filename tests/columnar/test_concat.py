@@ -22,7 +22,7 @@ from repro.labeling.lpath_scheme import label_corpus
 from repro.tree import Tree
 from tests.strategies import tree_nodes
 
-FIELDS = ("n", "column_names", "root_right", "name_bounds", "tid_bounds")
+FIELDS = ("n", "scheme", "root_right", "name_bounds", "tid_bounds")
 #: The store fields that are segment blobs (the rest are the segment's
 #: aux blobs, compared through the segment).
 COLUMNS = (
@@ -57,7 +57,8 @@ def split_corpora(draw):
 
 def mapped(rows) -> ColumnStore:
     blob = saved([ColumnStore.from_rows(rows)])
-    return ColumnStore.adopt(store._parse_mapped(blob, [])[0])
+    _scheme, (segment,) = store._parse_mapped(blob, [])
+    return ColumnStore.adopt(segment)
 
 
 def assert_same_store(merged: ColumnStore, expected: ColumnStore) -> None:

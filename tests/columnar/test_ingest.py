@@ -24,7 +24,7 @@ from hypothesis import given, settings
 
 from repro import store
 from repro.columnar.kernels import native_kernels
-from repro.columnar.store import COLUMN_NAMES, ColumnStore
+from repro.columnar.store import ColumnStore
 from repro.labeling.lpath_scheme import (
     ATTRIBUTE_PREFIX,
     Label,
@@ -32,7 +32,6 @@ from repro.labeling.lpath_scheme import (
     label_corpus,
 )
 from repro.tree import Tree, TreeNode
-from repro.xpath.engine import XNODE_COLUMNS
 from tests.columnar.test_concat import assert_same_store
 from tests.columnar.test_kernels import kernels_env
 from tests.strategies import LABELS, corpora, sparse_corpora
@@ -167,10 +166,10 @@ def assert_backends_agree(build) -> None:
 @needs_native
 @identity_settings
 @given(build_corpora(), segment_counts,
-       st.sampled_from([COLUMN_NAMES, XNODE_COLUMNS]))
-def test_native_build_equals_the_python_twin(trees, segments, column_names):
+       st.sampled_from([store.LPATH_LABELS, store.START_END_LABELS]))
+def test_native_build_equals_the_python_twin(trees, segments, scheme):
     assert_backends_agree(lambda: [
-        ColumnStore(*label_columns(shard), column_names=column_names)
+        ColumnStore(*label_columns(shard), scheme=scheme)
         for shard in store.partition_by_tid(trees, segments, tid_of)
     ])
 
@@ -178,11 +177,11 @@ def test_native_build_equals_the_python_twin(trees, segments, column_names):
 @needs_native
 @identity_settings
 @given(tied_rows, segment_counts,
-       st.sampled_from([COLUMN_NAMES, XNODE_COLUMNS]))
+       st.sampled_from([store.LPATH_LABELS, store.START_END_LABELS]))
 def test_native_build_of_tied_rows_equals_the_python_twin(
-    rows, segments, column_names,
+    rows, segments, scheme,
 ):
     assert_backends_agree(lambda: [
-        ColumnStore.from_rows(shard, column_names)
+        ColumnStore.from_rows(shard, scheme)
         for shard in store.partition_by_tid(rows, segments, itemgetter(0))
     ])

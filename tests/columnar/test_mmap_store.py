@@ -22,7 +22,6 @@ from repro import store
 from repro.columnar.executor import ColumnarRuntime
 from repro.columnar.store import ColumnStore
 from repro.labeling import label_corpus
-from repro.plan.schemes import LPathScheme
 from repro.tree import figure1_tree
 from tests.strategies import corpora
 
@@ -32,7 +31,7 @@ def mapped_and_built(trees, segments=1):
     saved tree build, and a build from the rows of the same shard."""
     buffer = io.BytesIO()
     store.save_mapped_stores(store.tree_stores(trees, segments), buffer)
-    mapped_segments = store._parse_mapped(buffer.getvalue(), [])
+    _scheme, mapped_segments = store._parse_mapped(buffer.getvalue(), [])
     shards = store.partition_by_tid(
         list(label_corpus(trees)), segments, itemgetter(0)
     )
@@ -108,8 +107,8 @@ def assert_stores_equal(mapped: ColumnStore, built: ColumnStore):
             assert mapped.clustered_range(name, tid, 1, 7) == \
                 built.clustered_range(name, tid, 1, 7)
 
-    mapped_value = ColumnarRuntime(mapped, LPathScheme()).string_value
-    built_value = ColumnarRuntime(built, LPathScheme()).string_value
+    mapped_value = ColumnarRuntime(mapped).string_value
+    built_value = ColumnarRuntime(built).string_value
     for row in range(built.n):
         assert mapped_value(row) == built_value(row), row
 

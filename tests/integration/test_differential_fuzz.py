@@ -10,7 +10,9 @@ a segmented ``LPDB0004`` store and opened mmap-backed, executed both
 sequentially and fanned out over a two-thread segment pool (any drift in
 the per-segment binds or the packed merge would break byte-identity
 here).  The XPath engine must match the LPath
-tree-walk on the start/end-expressible fragment.  The plan backend runs
+tree-walk on the start/end-expressible fragment, and so must the XPath
+dialect over a Definition 4.1 file and the LPath engine opened over a
+start/end file.  The plan backend runs
 every pair with structural merge joins forced **on** and forced **off**
 (the ``REPRO_FORCE_JOIN=merge|probe`` knob), so the set-at-a-time join
 layer is differentially verified against the per-binding probe join and
@@ -54,6 +56,7 @@ from repro.lpath.errors import LPathCompileError
 from repro.oracle import SQLiteBackend, TreeWalkEvaluator
 from repro.tree import write_trees
 from repro.xpath import XPATH_AXES, XPathEngine
+from repro.xpath.engine import xpath_stores
 from tests.strategies import corpora, lpath_queries, word_queries, xpath_queries
 
 FUZZ_EXAMPLES = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25"))
@@ -583,11 +586,31 @@ class TestLiveCorpusDifferentialFuzz:
             shutil.rmtree(root)
 
 
+@contextmanager
+def scheme_engines(trees):
+    """Each dialect over the other labeling, from 2-segment LPDB0004
+    files: the XPath dialect over Definition 4.1 labels, and the engine
+    ``LPathEngine.open`` gives over start/end labels."""
+    with tempfile.TemporaryDirectory() as scratch:
+        lpath_file = os.path.join(scratch, "lpath.lpdb")
+        start_end_file = os.path.join(scratch, "start-end.lpdb")
+        store.save_corpus(trees, lpath_file, segments=2)
+        with open(start_end_file, "wb") as stream:
+            store.save_mapped_stores(xpath_stores(trees, 2), stream)
+        with XPathEngine.from_store_mmap(lpath_file, axes=XPATH_AXES) as one, \
+                LPathEngine.open(start_end_file) as other:
+            yield {"xpath/lpath-4.1-file": one, "lpath/start-end-file": other}
+
+
 class TestXPathDifferentialFuzz:
     @given(data=st.data())
     @settings(max_examples=max(5, FUZZ_EXAMPLES // 3), deadline=None)
     def test_xpath_engine_matches_lpath_on_fragment(self, data):
         trees = data.draw(corpora(max_trees=3, max_depth=4), label="corpus")
+        with scheme_engines(trees) as crossed:
+            self._check(data, trees, crossed)
+
+    def _check(self, data, trees, crossed):
         lpath_engine = LPathEngine(trees)
         xpath_engine = XPathEngine(trees, axes=XPATH_AXES)
         for index in range(QUERIES_PER_EXAMPLE):
@@ -614,5 +637,8 @@ class TestXPathDifferentialFuzz:
                 results["xpath/columnar+probe"] = xpath_engine.query(
                     query
                 )
+            for name, engine in crossed.items():
+                results[name] = engine.query(query)
+                results[name + "+pivot"] = engine.query(query, pivot=True)
             if any(rows != expected for rows in results.values()):
                 raise AssertionError(_report(trees, query, results))

@@ -207,6 +207,28 @@ def test_number_reads_words_alike_on_every_backend(query, expected):
         assert SQLiteBackend(label_corpus(trees)).query(query) == want, "sqlite"
 
 
+@pytest.mark.parametrize("query, count", [
+    ("//NP[1=1]", 5),
+    ("//NP[1=2]", 0),
+    ('//NP["a"!="b"]', 5),
+    ('//NP["a"="a"]', 5),
+    ('//NP[1<"x"]', 0),
+    ('//NP["x"!=1]', 5),
+    ('//NP["02"="2"]', 0),
+    ('//NP[" 2 "=2]', 5),
+    ('//NP["abc"<"abd"]', 0),
+    ("//NP[2!=2]", 0),
+])
+def test_literal_against_literal_folds_as_the_tree_walk_reads_it(query, count):
+    """A comparison of two literals is decided at lowering time: text
+    against text by ``=``/``!=``, any number or any order as
+    ``number()`` (``"x"`` is NaN, ``" 2 "`` is 2) — every NP or none."""
+    trees = [figure1_tree()]
+    want = TreeWalkEvaluator(trees).query(query)
+    assert len(want) == count
+    assert list(LPathEngine(trees).query(query)) == want
+
+
 def flat_tree(tid, words):
     """``S`` over one ``N`` per word: the S is node 1, the words 2, 3, ..."""
     children = [TreeNode("N", attributes={"lex": word}) for word in words]

@@ -280,6 +280,47 @@ class TestLabelScheme:
         assert store.corpus_info(path)["scheme"] == "lpath-4.1"
         assert store.corpus_info(start_end_path)["scheme"] == "start-end"
 
+    def test_open_reads_the_scheme_back(self, start_end_path, tmp_path):
+        path = str(tmp_path / "lpath.lpdb")
+        store.save_corpus([figure1_tree()], path)
+        for want, opened in ((store.LPATH_LABELS, path),
+                             (store.START_END_LABELS, start_end_path)):
+            assert store._read_sidecar(opened).scheme == want
+            with store.open_mapped_corpus(opened) as corpus:
+                assert corpus.scheme == want
+
+    @pytest.mark.skipif(sys.byteorder != "little",
+                        reason="the flag byte of a little-endian file")
+    def test_only_a_start_end_file_sets_a_flag_bit(self, start_end_path):
+        # A reader that knows only the byte order takes any nonzero first
+        # byte for big-endian, so it refuses the tagged file.
+        def first_sidecar_byte(blob):
+            _length, offset = store._read_varint(blob, len(store.MMAP_MAGIC))
+            _crc, offset = store._read_varint(blob, offset)
+            return blob[offset]
+
+        with open(start_end_path, "rb") as handle:
+            assert first_sidecar_byte(handle.read()) == 0x02
+        assert first_sidecar_byte(mmap_bytes([figure1_tree()])) == 0x00
+
+    def test_unknown_flag_bit_rejected(self, monkeypatch):
+        blob = mmap_bytes([figure1_tree()])
+        encode = store._encode_mmap_sidecar
+        monkeypatch.setattr(
+            store, "_encode_mmap_sidecar",
+            lambda header: b"\x04" + encode(header)[1:],
+        )
+        with pytest.raises(store.StoreError, match="flags"):
+            store.load_labels(io.BytesIO(rebuild_mmap_file(blob, lambda _: None)))
+
+    def test_one_file_holds_one_scheme(self):
+        from repro.xpath.engine import xpath_stores
+
+        trees = [figure1_tree()]
+        mixed = [*store.tree_stores(trees, 1), *xpath_stores(trees, 1)]
+        with pytest.raises(store.StoreError, match="label schemes"):
+            store.save_mapped_stores(mixed, io.BytesIO())
+
 
 class TestMmapCorruption:
     """LPDB0004 failure modes: truncation anywhere, sidecar bit flips,

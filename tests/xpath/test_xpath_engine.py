@@ -121,6 +121,21 @@ class TestDuplicateTids:
             XPathEngine([figure1_tree(tid=2), figure1_tree(tid=2)])
 
 
+@pytest.mark.parametrize("query", [
+    '//NP[.="the old man"]', '//PP[.="with a dog"]', '//S//_[.!="I"]',
+    '//VP[.="saw the old man with a dog"]/NP',
+])
+def test_element_string_values_read_the_words_beneath(query):
+    """An element's string value is its words; start/end labels find them
+    as Definition 4.1 labels do."""
+    from repro.oracle import TreeWalkEvaluator
+
+    trees = [figure1_tree()]
+    want = TreeWalkEvaluator(trees).query(query)
+    assert want
+    assert XPathEngine(trees).query(query) == want
+
+
 class TestStoredLabelScheme:
     """A compiled file answers from the labels it holds, whichever
     dialect opens it."""
