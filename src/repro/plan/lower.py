@@ -78,7 +78,7 @@ from .ir import (
     render,
     D, I, L, N, P, R, T,
 )
-from .schemes import DOWNWARD_AXES, Dialect, LabelScheme
+from .schemes import DOWNWARD_AXES, POSITIONAL_AXES, Dialect, LabelScheme
 
 _FLIPPED_OPS = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "=", "!=": "!="}
 
@@ -713,7 +713,7 @@ class Lowerer:
     def _positional(
         self, predicate: PredicateExpr, step: Step, ctx: int, cand: int
     ) -> Pred:
-        if step.axis not in self.scheme.positional_axes:
+        if step.axis not in POSITIONAL_AXES:
             raise LPathCompileError(
                 f"positional predicates on the {step.axis.value} axis are not "
                 "supported by the plan backend"

@@ -188,7 +188,6 @@ class LabelScheme:
     """Base adapter; see :class:`LPathScheme` and :class:`StartEndScheme`."""
 
     name: str = "abstract"
-    positional_axes: frozenset = frozenset()
 
     def validate(self, items) -> None:
         """Reject query features this scheme's labels cannot answer."""
@@ -247,7 +246,6 @@ class LPathScheme(LabelScheme):
     """Definition-4.1 labels: shared leaf boundaries, full axis inventory."""
 
     name = LPATH_LABELS
-    positional_axes = POSITIONAL_AXES
 
     def inverse(self, axis: Axis) -> Optional[Axis]:
         return _LPATH_INVERSES.get(axis)

@@ -20,9 +20,9 @@ reaches, so a wrong comparison in the merge join's reference loop or in a
 kernel fails the test named after its axis.  The positional axes also
 carry ``position()`` / ``last()`` goldens, written as node ids, and a
 numeric ``!=`` against words that are no number has its own small tree.
-The XPath-expressible axes run once more over start/end labels, in the
-same modes, with their answers written as node ids (the spans of that
-labeling are other numbers).
+The XPath-expressible axes and positions run once more over start/end
+labels, in the same modes, with their answers written as node ids (the
+spans of that labeling are other numbers).
 """
 
 from __future__ import annotations
@@ -281,6 +281,25 @@ def start_end_engines(trees):
     ids=[case[0] for case in START_END_AXES],
 )
 def test_start_end_axis_golden(mode, start_end_engines, query, expected):
+    _force, _kernels, _engine, tids = mode
+    engine = start_end_engines[len(tids)]
+    got = list(engine.query(query))
+    assert got == sorted((tid, node_id) for tid in tids for node_id in expected)
+
+
+#: The :data:`POSITIONS` cases XPath can ask: start/end labels rank the
+#: same siblings, so the node ids are the same.
+START_END_POSITIONS = [case for case in POSITIONS if "immediate" not in case[0]]
+
+
+@pytest.mark.parametrize("mode", MODES, indirect=True)
+@pytest.mark.parametrize(
+    "query, expected",
+    [case[1:] for case in START_END_POSITIONS],
+    ids=[f"{axis}-{query.partition('[')[2][:-1]}"
+         for axis, query, _ in START_END_POSITIONS],
+)
+def test_start_end_position_golden(mode, start_end_engines, query, expected):
     _force, _kernels, _engine, tids = mode
     engine = start_end_engines[len(tids)]
     got = list(engine.query(query))
